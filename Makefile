@@ -1,6 +1,6 @@
 # Minimal CI entry points. `make ci` is what a pipeline should run.
 
-.PHONY: all build test test-parallel fmt bench-quick bench-gate bundle-gate ci clean
+.PHONY: all build test test-parallel fmt bench-quick bench-gate bundle-gate bench-pipeline ci clean
 
 all: build
 
@@ -53,6 +53,16 @@ bundle-gate: build
 	dune exec bin/precisetracer.exe -- bundle walk _bundle_gate/control.ptz
 	dune exec bin/precisetracer.exe -- bundle diff _bundle_gate/control.ptz _bundle_gate/fault.ptz
 	rm -rf _bundle_gate
+
+# The pipeline benchmark (bench/pipeline/README.md), untraced, on all four
+# workloads at its full run length; fails unless every run prints
+# "correct":true. Not part of `ci`: `dune runtest` already runs its smoke.
+bench-pipeline: build
+	@for w in rubis_offline mesh_offline noisy_live rubis_capture; do \
+		out=$$(bash bench/pipeline/run.sh --workload $$w --trace 0); \
+		printf '%s\n' "$$out"; \
+		printf '%s\n' "$$out" | tail -n 1 | grep -q '"correct":true' || exit 1; \
+	done
 
 # Formatting check is advisory: the container does not ship ocamlformat,
 # so skip (with a note) when the tool is absent rather than failing CI.

@@ -20,15 +20,15 @@ type stats = {
   evicted_sends : int;
 }
 
-(* Both indexes are keyed on process-wide {!Intern} ids: one int hash per
-   lookup, no string hashing or structural context comparison on the
+(* Both indexes are keyed on process-wide {!Intern} ids, which hash to
+   themselves: no string hashing or structural context comparison on the
    correlation hot path. *)
 type t = {
-  mmap : (int, Cag.vertex Deque.t) Hashtbl.t;  (* flow id -> outstanding SENDs *)
-  cmap : (int, Cag.vertex) Hashtbl.t;  (* context id -> latest vertex *)
+  mmap : Cag.vertex Deque.t Intern.Table.t;  (* flow id -> outstanding SENDs *)
+  cmap : Cag.vertex Intern.Table.t;  (* context id -> latest vertex *)
   on_finished : Cag.t -> unit;
   mutable rev_finished : Cag.t list;
-  mutable open_cags : Cag.t list;  (* unfinished, most recent first *)
+  open_cags : (int, Cag.t) Hashtbl.t;  (* unfinished, by cag_id *)
   mutable next_cag_id : int;
   mutable cags_started : int;
   mutable cags_finished : int;
@@ -48,11 +48,11 @@ type t = {
 
 let create ?(on_finished = fun _ -> ()) () =
   {
-    mmap = Hashtbl.create 1024;
-    cmap = Hashtbl.create 256;
+    mmap = Intern.Table.create 1024;
+    cmap = Intern.Table.create 256;
     on_finished;
     rev_finished = [];
-    open_cags = [];
+    open_cags = Hashtbl.create 64;
     next_cag_id = 0;
     cags_started = 0;
     cags_finished = 0;
@@ -71,16 +71,16 @@ let create ?(on_finished = fun _ -> ()) () =
   }
 
 let has_mmap_send t flow =
-  match Hashtbl.find_opt t.mmap (Intern.flow_id flow) with
-  | Some q -> not (Deque.is_empty q)
-  | None -> false
+  match Intern.Table.find t.mmap flow with
+  | q -> not (Deque.is_empty q)
+  | exception Not_found -> false
 
 let mmap_deque t flow =
-  match Hashtbl.find_opt t.mmap flow with
+  match Intern.Table.find_opt t.mmap flow with
   | Some q -> q
   | None ->
       let q = Deque.create () in
-      Hashtbl.replace t.mmap flow q;
+      Intern.Table.replace t.mmap flow q;
       q
 
 let mmap_push t flow vertex =
@@ -95,16 +95,16 @@ let mmap_push_front t flow vertex =
   t.mmap_count <- t.mmap_count + 1
 
 let mmap_front t flow =
-  match Hashtbl.find_opt t.mmap flow with
+  match Intern.Table.find_opt t.mmap flow with
   | Some q -> Deque.peek_front q
   | None -> None
 
 let mmap_pop t flow =
-  match Hashtbl.find_opt t.mmap flow with
+  match Intern.Table.find_opt t.mmap flow with
   | Some q when not (Deque.is_empty q) ->
       ignore (Deque.pop_front q);
       t.mmap_count <- t.mmap_count - 1;
-      if Deque.is_empty q then Hashtbl.remove t.mmap flow
+      if Deque.is_empty q then Intern.Table.remove t.mmap flow
   | Some _ | None -> ()
 
 let bump_live t n =
@@ -123,8 +123,8 @@ let same_open_cag a b =
   | Some ca, Some cb -> ca == cb
   | _ -> false
 
-let cmap_parent t ctx = Hashtbl.find_opt t.cmap ctx
-let cmap_set t ctx v = Hashtbl.replace t.cmap ctx v
+let cmap_parent t ctx = Intern.Table.find_opt t.cmap ctx
+let cmap_set t ctx v = Intern.Table.replace t.cmap ctx v
 
 (* Attach [v] under [parent]'s open CAG (if any) with a context edge. *)
 let attach_context t ~parent v =
@@ -139,7 +139,7 @@ let handle_begin t ctx (a : Activity.t) =
   let cag = Cag.Builder.create ~cag_id:t.next_cag_id root in
   t.next_cag_id <- t.next_cag_id + 1;
   t.cags_started <- t.cags_started + 1;
-  t.open_cags <- cag :: t.open_cags;
+  Hashtbl.replace t.open_cags cag.Cag.cag_id cag;
   bump_live t 1;
   cmap_set t ctx root
 
@@ -153,12 +153,12 @@ let finish_cag t cag =
       (fun (v : Cag.vertex) ->
         Activity.equal_kind v.Cag.activity.Activity.kind Activity.Send
         && v.Cag.unreceived > 0)
-      (Cag.vertices cag)
+      cag.Cag.rev_vertices
   then Cag.Builder.mark_deformed cag;
   Cag.Builder.finish cag;
   t.cags_finished <- t.cags_finished + 1;
   t.rev_finished <- cag :: t.rev_finished;
-  t.open_cags <- List.filter (fun c -> c != cag) t.open_cags;
+  Hashtbl.remove t.open_cags cag.Cag.cag_id;
   t.live_vertices <- t.live_vertices - Cag.size cag;
   t.on_finished cag
 
@@ -303,7 +303,7 @@ let mmap_entries t = t.mmap_count
 let gc t ~older_than =
   let evicted = ref 0 in
   let stale_flows = ref [] in
-  Hashtbl.iter
+  Intern.Table.iter
     (fun flow q ->
       (* Entries are FIFO per flow, so stale ones sit at the front. *)
       let continue = ref true in
@@ -328,10 +328,15 @@ let gc t ~older_than =
       done;
       if Deque.is_empty q then stale_flows := flow :: !stale_flows)
     t.mmap;
-  List.iter (Hashtbl.remove t.mmap) !stale_flows;
+  List.iter (Intern.Table.remove t.mmap) !stale_flows;
   !evicted
 let finished t = List.rev t.rev_finished
-let unfinished t = List.rev t.open_cags
+
+(* Ids grow in creation order, which is the order reported. *)
+let unfinished t =
+  List.sort
+    (fun (a : Cag.t) (b : Cag.t) -> Int.compare a.Cag.cag_id b.Cag.cag_id)
+    (Hashtbl.fold (fun _ c acc -> c :: acc) t.open_cags [])
 
 let stats t =
   {

@@ -50,25 +50,26 @@ type t
 val create : ?on_finished:(Cag.t -> unit) -> unit -> t
 (** [on_finished] fires as each CAG completes (its END correlated). *)
 
-val has_mmap_send : t -> Simnet.Address.flow -> bool
-(** Rule 1's probe; wire this into {!Ranker.create}. *)
-
-val step : t -> Trace.Activity.t -> unit
-(** Correlate one candidate. Candidates must arrive in ranker order. *)
+val has_mmap_send : t -> int -> bool
+(** Rule 1's probe, by {!Trace.Intern} flow id; wire this into
+    {!Ranker.create}. *)
 
 val step_ids : t -> ctx:int -> flow:int -> Trace.Activity.t -> unit
-(** {!step} for callers that already hold the record's {!Trace.Intern}
-    context and flow ids (an arena-driven feed): no intern lookups on the
-    hot path. [flow] is ignored for BEGIN/END candidates (pass [-1]).
-    Both maps are keyed on these ids, so [step a] is just
-    [step_ids ~ctx:(context_id a.context) ~flow:... a]. *)
+(** Correlate one candidate, given with its {!Trace.Intern} context and
+    flow ids ({!Ranker.candidate_ctx}, {!Ranker.candidate_flow}): both
+    maps are keyed on these ids, so the hot path makes no intern lookup.
+    [flow] is ignored for BEGIN/END candidates. Candidates must arrive in
+    ranker order. *)
+
+val step : t -> Trace.Activity.t -> unit
+(** {!step_ids} with the ids interned from the record. *)
 
 val finished : t -> Cag.t list
 (** Completed CAGs, in completion order. *)
 
 val unfinished : t -> Cag.t list
 (** CAGs begun but not yet (or never) completed — deformed paths under
-    activity loss. *)
+    activity loss — in creation order. *)
 
 val stats : t -> stats
 

@@ -27,10 +27,9 @@ type result = {
    proxy into familiar units. *)
 let bytes_per_record = 160
 
-(* The rank/step/gc loop over an already-transformed collection — shared
-   between the serial pipeline and the sharded correlator, which runs it
-   once per epoch in a worker domain. *)
-let correlate_prepared ?(telemetry = R.default) ?started cfg prepared ~on_path =
+(* The rank/step/gc loop over transformed per-host arenas in log order:
+   the one correlation core, which every entry point runs. *)
+let correlate_rows ?(telemetry = R.default) ?started cfg arenas ~on_path =
   let t0 = match started with Some t -> t | None -> Unix.gettimeofday () in
   let activities_in =
     R.counter telemetry ~help:"Activities entering the correlator after transform"
@@ -45,44 +44,44 @@ let correlate_prepared ?(telemetry = R.default) ?started cfg prepared ~on_path =
       ~help:"Ranker window occupancy (buffered activities), sampled per candidate"
       "pt_correlator_window_occupancy"
   in
-  R.add activities_in (Trace.Log.total prepared);
+  R.add activities_in (Trace.Arena.total arenas);
   let engine = Cag_engine.create ~on_finished:on_path () in
   let ranker =
-    Ranker.create ~window:cfg.window ~skew_allowance:cfg.skew_allowance
+    Ranker.create_native ~window:cfg.window ~skew_allowance:cfg.skew_allowance
       ~ablation:cfg.ablation
       ~has_mmap_send:(Cag_engine.has_mmap_send engine)
-      prepared
+      arenas
   in
   let peak = ref 0 in
   let steps = ref 0 in
-  let rec loop () =
-    match Ranker.rank ranker with
-    | None -> ()
-    | Some activity ->
-        Cag_engine.step engine activity;
-        incr steps;
-        R.incr commits;
-        Telemetry.Histogram.observe occupancy (float_of_int (Ranker.buffered ranker));
-        (* Periodically evict unmatched sends that can no longer match:
-           anything older than twice the skew allowance behind the
-           correlation frontier. *)
-        if !steps land 0xfff = 0 then begin
-          (* Clamp at the trace origin: early activities would otherwise
-             yield a negative horizon, and a SEND stamped exactly at time
-             zero must never be evicted while still matchable. *)
-          let horizon =
-            Sim_time.max Sim_time.zero
-              (Sim_time.add activity.Trace.Activity.timestamp
-                 (Sim_time.span_scale (-2.0) cfg.skew_allowance))
-          in
-          ignore (Cag_engine.gc engine ~older_than:horizon)
-        end;
-        let held =
-          Ranker.buffered ranker + Cag_engine.live_vertices engine
-          + Cag_engine.mmap_entries engine
+  let loop () =
+    while Ranker.next ranker do
+      let activity = Ranker.candidate ranker in
+      Cag_engine.step_ids engine ~ctx:(Ranker.candidate_ctx ranker)
+        ~flow:(Ranker.candidate_flow ranker) activity;
+      incr steps;
+      R.incr commits;
+      Telemetry.Histogram.observe occupancy (float_of_int (Ranker.buffered ranker));
+      (* Periodically evict unmatched sends that can no longer match:
+         anything older than twice the skew allowance behind the
+         correlation frontier. *)
+      if !steps land 0xfff = 0 then begin
+        (* Clamp at the trace origin: early activities would otherwise
+           yield a negative horizon, and a SEND stamped exactly at time
+           zero must never be evicted while still matchable. *)
+        let horizon =
+          Sim_time.max Sim_time.zero
+            (Sim_time.add activity.Trace.Activity.timestamp
+               (Sim_time.span_scale (-2.0) cfg.skew_allowance))
         in
-        if held > !peak then peak := held;
-        loop ()
+        ignore (Cag_engine.gc engine ~older_than:horizon)
+      end;
+      let held =
+        Ranker.buffered ranker + Cag_engine.live_vertices engine
+        + Cag_engine.mmap_entries engine
+      in
+      if held > !peak then peak := held
+    done
   in
   R.time telemetry ~labels:[ ("stage", "rank_correlate") ] "pt_correlator_stage_seconds" loop;
   let correlation_time = Unix.gettimeofday () -. t0 in
@@ -116,6 +115,11 @@ let correlate_prepared ?(telemetry = R.default) ?started cfg prepared ~on_path =
     memory_bytes_estimate = !peak * bytes_per_record;
   }
 
+(* The record-list entry, as the sharded correlator runs it once per
+   epoch in a worker domain: an adapter onto the same core. *)
+let correlate_prepared ?telemetry ?started cfg prepared ~on_path =
+  correlate_rows ?telemetry ?started cfg (Trace.Arena.of_collection prepared) ~on_path
+
 let correlate_stream ?(telemetry = R.default) cfg collection ~on_path =
   let started = Unix.gettimeofday () in
   let prepared =
@@ -128,16 +132,18 @@ let correlate ?telemetry cfg collection =
   correlate_stream ?telemetry cfg collection ~on_path:(fun _ -> ())
 
 (* Native entry: transform in the arena representation (memoised per
-   interned id), then materialise once for the ranker. The transformed
-   arenas preserve append order, so [to_collection] appends straight into
-   sorted logs without a re-sort. *)
+   interned id) and rank the transformed rows in place. The entry-point
+   rewrite changes kind priorities, which can reorder rows sharing a
+   timestamp, so each arena is sorted back into log order first. *)
 let correlate_arena_stream ?(telemetry = R.default) cfg arenas ~on_path =
   let started = Unix.gettimeofday () in
   let prepared =
     R.time telemetry ~labels:[ ("stage", "transform") ] "pt_correlator_stage_seconds" (fun () ->
-        Trace.Arena.to_collection (Transform.apply_native cfg.transform arenas))
+        let out = Transform.apply_native cfg.transform arenas in
+        List.iter Trace.Arena.sort_by_time out;
+        out)
   in
-  correlate_prepared ~telemetry ~started cfg prepared ~on_path
+  correlate_rows ~telemetry ~started cfg prepared ~on_path
 
 let correlate_arena ?telemetry cfg arenas =
   correlate_arena_stream ?telemetry cfg arenas ~on_path:(fun _ -> ())

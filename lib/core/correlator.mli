@@ -57,11 +57,14 @@ val correlate_stream :
 
 val correlate_arena :
   ?telemetry:Telemetry.Registry.t -> config -> Trace.Arena.t list -> result
-(** {!correlate} fed from the native representation: the {!Transform}
-    pass runs as {!Transform.apply_native} (one memoised decision per
-    interned context/flow id) and records are materialised exactly once,
-    for the ranker. Decoded segments and collector batches take this
-    entry without round-tripping through {!Trace.Log}. *)
+(** {!correlate} fed from the native representation, and the core every
+    entry point runs: the {!Transform} pass runs as
+    {!Transform.apply_native} (one memoised decision per interned
+    context/flow id), each transformed arena is sorted back into log
+    order, and the {!Ranker} ranks its rows in place. A record is built
+    only for each committed candidate. Decoded segments and collector
+    batches take this entry without round-tripping through
+    {!Trace.Log}. *)
 
 val correlate_arena_stream :
   ?telemetry:Telemetry.Registry.t ->
@@ -79,6 +82,8 @@ val correlate_prepared :
   on_path:(Cag.t -> unit) ->
   result
 (** The rank/step/gc loop alone, over a collection the {!Transform} pass
-    has already been applied to. This is what {!Shard} runs per epoch in
-    a worker domain; [started] (a [Unix.gettimeofday] stamp) backdates
+    has already been applied to: an adapter that converts it with
+    {!Trace.Arena.of_collection} and runs the same core as
+    {!correlate_arena}. This is what {!Shard} runs per epoch in a worker
+    domain; [started] (a [Unix.gettimeofday] stamp) backdates
     [correlation_time] so callers can account setup they did themselves. *)

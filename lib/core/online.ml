@@ -34,16 +34,17 @@ type t = {
 }
 
 (* Mirror the ranker's straggler counters incrementally (they advance
-   inside [rank_step], outside our sight) and refresh the live gauges. *)
+   inside [Ranker.next], outside our sight) and refresh the live gauges. *)
 let sync_degraded t =
-  let s = Ranker.stats t.ranker in
-  if s.Ranker.stragglers_evicted > t.seen_evictions then begin
-    R.add t.m_evictions (s.Ranker.stragglers_evicted - t.seen_evictions);
-    t.seen_evictions <- s.Ranker.stragglers_evicted
+  let evicted = Ranker.stragglers_evicted t.ranker in
+  if evicted > t.seen_evictions then begin
+    R.add t.m_evictions (evicted - t.seen_evictions);
+    t.seen_evictions <- evicted
   end;
-  if s.Ranker.straggler_resyncs > t.seen_resyncs then begin
-    R.add t.m_resyncs (s.Ranker.straggler_resyncs - t.seen_resyncs);
-    t.seen_resyncs <- s.Ranker.straggler_resyncs
+  let resyncs = Ranker.straggler_resyncs t.ranker in
+  if resyncs > t.seen_resyncs then begin
+    R.add t.m_resyncs (resyncs - t.seen_resyncs);
+    t.seen_resyncs <- resyncs
   end;
   R.set t.m_stragglers (float_of_int (Ranker.stragglers_active t.ranker));
   let held =
@@ -52,30 +53,24 @@ let sync_degraded t =
   R.set_max t.m_peak_memory (float_of_int held)
 
 let drain t =
-  let rec loop () =
-    match Ranker.rank_step t.ranker with
-    | Ranker.Candidate a ->
-        t.resolved <- t.resolved + 1;
-        Cag_engine.step t.engine a;
-        (* Periodically evict unmatched sends that can no longer match,
-           with the horizon clamped at the trace origin (matchable SENDs
-           at trace start must survive early GC rounds). *)
-        if t.resolved land 0xfff = 0 then begin
-          let horizon =
-            Sim_time.max Sim_time.zero
-              (Sim_time.add a.Activity.timestamp
-                 (Sim_time.span_scale (-2.0) t.skew_allowance))
-          in
-          ignore (Cag_engine.gc t.engine ~older_than:horizon)
-        end;
-        loop ()
-    | Ranker.Need_input | Ranker.Exhausted -> ()
-  in
-  loop ()
+  while Ranker.next t.ranker do
+    t.resolved <- t.resolved + 1;
+    let a = Ranker.candidate t.ranker in
+    Cag_engine.step_ids t.engine ~ctx:(Ranker.candidate_ctx t.ranker)
+      ~flow:(Ranker.candidate_flow t.ranker) a;
+    (* Periodically evict unmatched sends that can no longer match,
+       with the horizon clamped at the trace origin (matchable SENDs
+       at trace start must survive early GC rounds). *)
+    if t.resolved land 0xfff = 0 then begin
+      let horizon =
+        Sim_time.max Sim_time.zero
+          (Sim_time.add a.Activity.timestamp (Sim_time.span_scale (-2.0) t.skew_allowance))
+      in
+      ignore (Cag_engine.gc t.engine ~older_than:horizon)
+    end
+  done
 
-let pending t =
-  let s = Ranker.stats t.ranker in
-  t.accepted - s.Ranker.candidates - s.Ranker.noise_discarded
+let pending t = t.accepted - Ranker.resolved t.ranker
 
 let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
     ?(on_path = fun _ -> ()) ?(on_activity = default_on_activity) ?(telemetry = R.default) () =
@@ -165,8 +160,8 @@ let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
   List.iter (fun r -> ignore (t.m_quarantined r : R.counter)) Ranker.all_reject_reasons;
   t
 
-let feed_classified t activity =
-  match Ranker.feed t.ranker activity with
+(* Account for one record fed to the ranker, stamped [ts]. *)
+let settle t ts = function
   | Ranker.Quarantined reason ->
       (* Never raises — not even after [finish] or on garbage input;
          the record is counted and kept for inspection instead. *)
@@ -174,8 +169,7 @@ let feed_classified t activity =
   | Ranker.Accepted | Ranker.Resorted ->
       t.accepted <- t.accepted + 1;
       R.incr t.m_observed;
-      if Sim_time.(activity.Activity.timestamp > t.watermark) then
-        t.watermark <- activity.Activity.timestamp;
+      if Sim_time.(ts > t.watermark) then t.watermark <- ts;
       drain t;
       sync_degraded t;
       R.set t.m_pending (float_of_int (pending t))
@@ -184,18 +178,7 @@ let observe t raw =
   t.on_activity raw;
   match Transform.classify t.transform raw with
   | None -> ()
-  | Some activity -> feed_classified t activity
-
-(* Row [i] as an activity record carrying the transform's rewritten kind.
-   The canonical interned context/flow are shared, so a kept row costs two
-   blocks (three when the kind was rewritten). *)
-let materialize_row arena i k =
-  let a = Arena.get arena i in
-  if Activity.kind_to_code a.Activity.kind = k then a
-  else
-    match Activity.kind_of_code k with
-    | Some kind -> { a with Activity.kind }
-    | None -> a (* unreachable: classify_row only returns valid codes *)
+  | Some activity -> settle t activity.Activity.timestamp (Ranker.feed t.ranker activity)
 
 let observe_arena t arena =
   let custom = Transform.has_custom_keep t.transform in
@@ -204,13 +187,20 @@ let observe_arena t arena =
   let raw_all = custom || t.on_activity != default_on_activity in
   for i = 0 to Arena.length arena - 1 do
     let k = Transform.classify_row t.tmemo arena i in
-    if raw_all then begin
-      let raw = Arena.get arena i in
-      t.on_activity raw;
-      if k >= 0 && ((not custom) || t.transform.Transform.keep raw) then
-        feed_classified t (materialize_row arena i k)
+    let kept =
+      if raw_all then begin
+        let raw = Arena.get arena i in
+        t.on_activity raw;
+        k >= 0 && ((not custom) || t.transform.Transform.keep raw)
+      end
+      else k >= 0
+    in
+    if kept then begin
+      let ts = Arena.ts arena i in
+      settle t (Sim_time.of_ns ts)
+        (Ranker.feed_row t.ranker ~kind:k ~ts ~ctx:(Arena.ctx_id arena i)
+           ~flow:(Arena.flow_id arena i) ~size:(Arena.size arena i))
     end
-    else if k >= 0 then feed_classified t (materialize_row arena i k)
   done
 
 let finish t =

@@ -26,7 +26,8 @@
       ({!Cag.is_deformed}) and counted in
       [pt_online_deformed_paths_total];
     - malformed records (unknown host, fed after {!finish}, duplicates,
-      timestamp regressions beyond the skew allowance, too-late records)
+      timestamp regressions beyond the skew allowance, too-late records,
+      ports outside 0..65535)
       are quarantined and counted in
       [pt_online_quarantined_total{reason=...}] — {!observe} never
       raises; regressions within the allowance are re-sorted into place;
@@ -75,10 +76,11 @@ val observe : t -> Trace.Activity.t -> unit
 val observe_arena : t -> Trace.Arena.t -> unit
 (** {!observe} over every row of an arena, in row order — the native feed
     for collector batches and decoded segments. Transform decisions are
-    memoised per interned context/flow id, and records are materialised
-    only for rows that survive the filters (unless an [on_activity] tee
-    or a custom [keep] needs the raw record). Same quarantine-not-raise
-    contract as {!observe}. *)
+    memoised per interned context/flow id, and surviving rows go to
+    {!Ranker.feed_row} as ids: no record is built and no {!Trace.Intern}
+    lookup is made per row (unless an [on_activity] tee or a custom
+    [keep] needs the raw record). Same quarantine-not-raise contract as
+    {!observe}. *)
 
 val finish : t -> unit
 (** Declare the input complete and drain everything that remains.

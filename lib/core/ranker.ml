@@ -1,16 +1,40 @@
 module Activity = Trace.Activity
 module Address = Simnet.Address
+module Arena = Trace.Arena
+module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 
+(* Rows carry {!Activity.kind_to_code} kinds, and the codes are the Rule 2
+   priorities, so the head pass compares kind codes directly. *)
+let () =
+  assert (
+    List.for_all
+      (fun k -> Activity.kind_to_code k = Activity.kind_priority k)
+      [ Activity.Begin; Activity.Send; Activity.End_; Activity.Receive ])
+
+let code_send = Activity.kind_to_code Activity.Send
+let code_receive = Activity.kind_to_code Activity.Receive
+let kind_of_code = Array.init 4 (fun c -> Option.get (Activity.kind_of_code c))
+
+(* All timestamps and spans below are in ns. *)
 type stream = {
   host : string;
-  mutable items : Activity.t array;
-  mutable len : int;
+  rows : Arena.t;
+      (* [0, cursor): fetched (queued, or already popped); [cursor,
+         length): not yet fetched, in timestamp order. *)
   mutable cursor : int;
+  mutable listed : int;
+      (* Rows the stream counts as its own: the unfetched ones plus those
+         fetched since the consumed prefix was last reclaimed. A stream
+         listing none takes its next record as in order. *)
   mutable closed : bool;
-  mutable last_ts : Sim_time.t;
-  mutable last_fed : Activity.t option;
-  mutable last_popped : Sim_time.t;
+  mutable last_ts : int;  (* highest in-order feed timestamp *)
+  mutable last_kind : int;  (* the previous record fed ([-1]: none yet) *)
+  mutable last_fed_ts : int;
+  mutable last_ctx : int;
+  mutable last_flow : int;
+  mutable last_size : int;
+  mutable last_popped : int;
       (* Highest timestamp committed (popped) from this stream; late
          arrivals below it can no longer be ordered and are quarantined. *)
   mutable lagging : bool;
@@ -18,7 +42,7 @@ type stream = {
          waiting on this stream until its feed catches the watermark. *)
 }
 
-type reject_reason = Unknown_host | Closed | Duplicate | Regression | Stale
+type reject_reason = Unknown_host | Closed | Duplicate | Regression | Stale | Malformed
 
 let reject_reason_to_string = function
   | Unknown_host -> "unknown_host"
@@ -26,6 +50,7 @@ let reject_reason_to_string = function
   | Duplicate -> "duplicate"
   | Regression -> "regression"
   | Stale -> "stale"
+  | Malformed -> "malformed"
 
 let reason_index = function
   | Unknown_host -> 0
@@ -33,8 +58,9 @@ let reason_index = function
   | Duplicate -> 2
   | Regression -> 3
   | Stale -> 4
+  | Malformed -> 5
 
-let all_reject_reasons = [ Unknown_host; Closed; Duplicate; Regression; Stale ]
+let all_reject_reasons = [ Unknown_host; Closed; Duplicate; Regression; Stale; Malformed ]
 
 type feed_result = Accepted | Resorted | Quarantined of reject_reason
 
@@ -61,24 +87,40 @@ let no_ablation = { disable_rule1 = false; disable_promotion = false }
    the log is a ring. *)
 let quarantine_cap = 256
 
+(* The buffered SENDs of one flow and the queue holding them: every SEND
+   of a flow originates on one node, so lookups and promotion searches
+   target exactly that queue. A flow's entry goes when its last SEND
+   leaves the buffer, so the table holds only what is buffered. *)
+type sends = { mutable count : int; mutable home : int }
+
 type t = {
-  window : Sim_time.span;
-  skew_allowance : Sim_time.span;
+  window : int;
+  skew_allowance : int;
   ablation : ablation;
-  straggler_timeout : Sim_time.span option;
+  straggler_timeout : int option;
   max_buffered : int option;
-  reorder_slack : Sim_time.span;
+  reorder_slack : int;
   streams : stream array;  (* one per node log *)
   host_index : (string, int) Hashtbl.t;  (* host -> index in [streams] *)
-  queues : Activity.t Deque.t array;  (* parallel to [streams] *)
-  buffered_sends : (int * int) Address.Flow_table.t;
-      (* flow -> (buffered SEND count, home queue index): every SEND of a
-         flow originates on one node, so lookups and promotion searches can
-         target exactly that queue. *)
-  has_mmap_send : Address.flow -> bool;
+  queues : int Deque.t array;  (* row indices into [streams.(i).rows] *)
+  (* Mirrors of each queue's head row and each stream's first unfetched
+     timestamp, so the per-candidate passes read plain int arrays. *)
+  head_kind : int array;  (* [-1] when the queue is empty *)
+  head_ts : int array;
+  head_flow : int array;
+  front_ts : int array;  (* [max_int] when nothing is left to fetch *)
+  buffered_sends : sends Intern.Table.t;  (* keyed by flow id *)
+  has_mmap_send : int -> bool;
+  (* Per-run id -> record caches, filled on first sight: materialising a
+     row costs one {!Intern} lookup per distinct id, not one per row. *)
+  mutable contexts : Activity.context array;
+  mutable flows : Address.flow array;
+  mutable context_streams : int array;  (* context id -> stream index *)
   quarantine_log : (reject_reason * Activity.t) Deque.t;
   quarantine_counts : int array;  (* indexed by [reason_index] *)
-  mutable watermark : Sim_time.t;  (* max feed timestamp across streams *)
+  mutable candidate_stream : int;  (* where the last committed row lives *)
+  mutable candidate_row : int;
+  mutable watermark : int;  (* max feed timestamp across streams *)
   mutable buffered : int;
   mutable backlog : int;  (* fed but not yet fetched into a queue *)
   mutable fetched : int;
@@ -92,38 +134,106 @@ type t = {
   mutable stragglers_evicted : int;
   mutable straggler_resyncs : int;
   mutable backpressure_pops : int;
-  mutable force_step : Sim_time.span;
+  mutable force_step : int;
       (* Current deferred-noise fetch increment; doubles while consecutive
          force-fetches fail to surface a candidate, resets on success. *)
 }
 
+(* ---- id -> record caches ---- *)
+
+let no_context = { Activity.host = ""; program = ""; pid = -1; tid = -1 }
+
+let no_flow =
+  let e = Address.endpoint (Address.ip_of_int 0) 0 in
+  Address.flow ~src:e ~dst:e
+
+let unresolved = -2
+let unknown_host = -1
+
+let widen a id fill =
+  let b = Array.make (max (id + 1) (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let context_of t id =
+  if id >= Array.length t.contexts then t.contexts <- widen t.contexts id no_context;
+  let c = t.contexts.(id) in
+  if c != no_context then c
+  else begin
+    let c = Intern.context_of_id id in
+    t.contexts.(id) <- c;
+    c
+  end
+
+let flow_of t id =
+  if id >= Array.length t.flows then t.flows <- widen t.flows id no_flow;
+  let f = t.flows.(id) in
+  if f != no_flow then f
+  else begin
+    let f = Intern.flow_of_id id in
+    t.flows.(id) <- f;
+    f
+  end
+
+(* A record belongs to the stream of its context's host. *)
+let stream_of_context t ctx =
+  if ctx >= Array.length t.context_streams then
+    t.context_streams <- widen t.context_streams ctx unresolved;
+  let i = t.context_streams.(ctx) in
+  if i <> unresolved then i
+  else begin
+    let i =
+      match Hashtbl.find_opt t.host_index (context_of t ctx).Activity.host with
+      | Some i -> i
+      | None -> unknown_host
+    in
+    t.context_streams.(ctx) <- i;
+    i
+  end
+
+let activity_of_row t ~kind ~ts ~ctx ~flow ~size =
+  {
+    Activity.kind = kind_of_code.(kind);
+    timestamp = Sim_time.of_ns ts;
+    context = context_of t ctx;
+    message = { Activity.flow = flow_of t flow; size };
+  }
+
+(* ---- construction ---- *)
+
 let make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reorder_slack
     ~has_mmap_send streams =
-  if Sim_time.span_ns window <= 0 then invalid_arg "Ranker.create: window must be positive";
+  let window = Sim_time.span_ns window and skew_allowance = Sim_time.span_ns skew_allowance in
+  if window <= 0 then invalid_arg "Ranker.create: window must be positive";
   let host_index = Hashtbl.create (Array.length streams) in
   Array.iteri (fun i s -> Hashtbl.replace host_index s.host i) streams;
-  (* A slack beyond the skew allowance is unusable: [feed] quarantines
-     regressions larger than the allowance, so no later record can arrive
-     below [last_ts - skew_allowance] anyway. *)
-  let reorder_slack =
-    if Sim_time.compare_span reorder_slack skew_allowance > 0 then skew_allowance
-    else reorder_slack
-  in
   {
     window;
     skew_allowance;
     ablation;
-    straggler_timeout;
+    straggler_timeout = Option.map Sim_time.span_ns straggler_timeout;
     max_buffered;
-    reorder_slack;
+    (* A slack beyond the skew allowance is unusable: [feed] quarantines
+       regressions larger than the allowance, so no later record can
+       arrive below [last_ts - skew_allowance] anyway. *)
+    reorder_slack = Int.min (Sim_time.span_ns reorder_slack) skew_allowance;
     streams;
     host_index;
     queues = Array.map (fun (_ : stream) -> Deque.create ()) streams;
-    buffered_sends = Address.Flow_table.create 256;
+    head_kind = Array.make (Array.length streams) (-1);
+    head_ts = Array.make (Array.length streams) 0;
+    head_flow = Array.make (Array.length streams) 0;
+    front_ts = Array.make (Array.length streams) max_int;
+    buffered_sends = Intern.Table.create 256;
     has_mmap_send;
+    contexts = [||];
+    flows = [||];
+    context_streams = [||];
     quarantine_log = Deque.create ();
-    quarantine_counts = Array.make 5 0;
-    watermark = Sim_time.zero;
+    quarantine_counts = Array.make (List.length all_reject_reasons) 0;
+    candidate_stream = -1;
+    candidate_row = -1;
+    watermark = 0;
     buffered = 0;
     backlog = 0;
     fetched = 0;
@@ -140,259 +250,291 @@ let make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reo
     force_step = window;
   }
 
-let create ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_ablation)
-    ~has_mmap_send collection =
-  let streams =
-    Array.of_list
-      (List.map
-         (fun log ->
-           let items = Array.of_list (Trace.Log.to_list log) in
-           {
-             host = Trace.Log.hostname log;
-             items;
-             len = Array.length items;
-             cursor = 0;
-             closed = true;
-             last_ts =
-               (match Array.length items with
-               | 0 -> Sim_time.zero
-               | n -> items.(n - 1).Activity.timestamp);
-             last_fed = None;
-             last_popped = Sim_time.zero;
-             lagging = false;
-           })
-         collection)
+let sync_head t i =
+  let q = t.queues.(i) in
+  if Deque.is_empty q then t.head_kind.(i) <- -1
+  else begin
+    let rows = t.streams.(i).rows and r = Deque.get q 0 in
+    t.head_kind.(i) <- Arena.kind_code rows r;
+    t.head_ts.(i) <- Arena.ts rows r;
+    t.head_flow.(i) <- Arena.flow_id rows r
+  end
+
+let sync_front t i =
+  let s = t.streams.(i) in
+  t.front_ts.(i) <- (if s.cursor < Arena.length s.rows then Arena.ts s.rows s.cursor else max_int)
+
+let stream ~closed rows =
+  let n = Arena.length rows in
+  {
+    host = Arena.hostname rows;
+    rows;
+    cursor = 0;
+    listed = n;
+    closed;
+    last_ts = (if n = 0 then 0 else Arena.ts rows (n - 1));
+    last_kind = -1;
+    last_fed_ts = 0;
+    last_ctx = 0;
+    last_flow = 0;
+    last_size = 0;
+    last_popped = 0;
+    lagging = false;
+  }
+
+let create_native ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_ablation)
+    ~has_mmap_send arenas =
+  let t =
+    make ~window ~skew_allowance ~ablation ~straggler_timeout:None ~max_buffered:None
+      ~reorder_slack:Sim_time.span_zero ~has_mmap_send
+      (Array.of_list (List.map (stream ~closed:true) arenas))
   in
-  make ~window ~skew_allowance ~ablation ~straggler_timeout:None ~max_buffered:None
-    ~reorder_slack:(Sim_time.ms 0) ~has_mmap_send streams
+  Array.iteri (fun i _ -> sync_front t i) t.streams;
+  t
+
+let create ~window ?skew_allowance ?ablation ~has_mmap_send collection =
+  create_native ~window ?skew_allowance ?ablation ~has_mmap_send
+    (Arena.of_collection collection)
 
 let create_online ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_ablation)
-    ?straggler_timeout ?max_buffered ?(reorder_slack = Sim_time.ms 0) ~has_mmap_send ~hosts ()
-    =
-  let streams =
-    Array.of_list
-      (List.map
-         (fun host ->
-           {
-             host;
-             items = [||];
-             len = 0;
-             cursor = 0;
-             closed = false;
-             last_ts = Sim_time.zero;
-             last_fed = None;
-             last_popped = Sim_time.zero;
-             lagging = false;
-           })
-         hosts)
-  in
+    ?straggler_timeout ?max_buffered ?(reorder_slack = Sim_time.span_zero) ~has_mmap_send ~hosts
+    () =
   make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reorder_slack
-    ~has_mmap_send streams
+    ~has_mmap_send
+    (Array.of_list (List.map (fun host -> stream ~closed:false (Arena.create ~host ())) hosts))
 
-let quarantine t reason a =
-  t.quarantine_counts.(reason_index reason) <- t.quarantine_counts.(reason_index reason) + 1;
+(* ---- buffer bookkeeping ---- *)
+
+let quarantine_record t reason a =
+  let r = reason_index reason in
+  t.quarantine_counts.(r) <- t.quarantine_counts.(r) + 1;
   if Deque.length t.quarantine_log >= quarantine_cap then ignore (Deque.pop_front t.quarantine_log);
   Deque.push_back t.quarantine_log (reason, a);
   Quarantined reason
 
+let quarantine t reason ~kind ~ts ~ctx ~flow ~size =
+  quarantine_record t reason (activity_of_row t ~kind ~ts ~ctx ~flow ~size)
+
 let close_input t = Array.iter (fun s -> s.closed <- true) t.streams
 
 let buffered_send_count t flow =
-  match Address.Flow_table.find_opt t.buffered_sends flow with
-  | Some (n, _) -> n
-  | None -> 0
+  match Intern.Table.find t.buffered_sends flow with s -> s.count | exception Not_found -> 0
 
-let count_send t i (a : Activity.t) delta =
-  match a.kind with
-  | Activity.Send ->
-      let flow = a.message.flow in
-      let n = buffered_send_count t flow in
-      let n' = n + delta in
-      if n' <= 0 then Address.Flow_table.remove t.buffered_sends flow
-      else Address.Flow_table.replace t.buffered_sends flow (n', i)
-  | Activity.Begin | Activity.End_ | Activity.Receive -> ()
+let count_send t i r delta =
+  let rows = t.streams.(i).rows in
+  if Arena.kind_code rows r = code_send then begin
+    let flow = Arena.flow_id rows r in
+    match Intern.Table.find t.buffered_sends flow with
+    | s ->
+        s.count <- s.count + delta;
+        s.home <- i;
+        if s.count <= 0 then Intern.Table.remove t.buffered_sends flow
+    | exception Not_found ->
+        if delta > 0 then Intern.Table.add t.buffered_sends flow { count = delta; home = i }
+  end
 
-let note_buffered t =
+(* Row [r] of stream [i] just joined its queue. *)
+let note_buffered t i r =
+  count_send t i r 1;
+  t.buffered <- t.buffered + 1;
   t.fetched <- t.fetched + 1;
   if t.buffered > t.peak_buffered then t.peak_buffered <- t.buffered
 
-let push t i a =
-  Deque.push_back t.queues.(i) a;
-  count_send t i a 1;
-  t.buffered <- t.buffered + 1;
-  note_buffered t
+(* ---- feeding ---- *)
 
-(* Place a late record among the already-fetched items of its stream. *)
-let insert_fetched t i pos a =
-  Deque.insert t.queues.(i) pos a;
-  count_send t i a 1;
-  t.buffered <- t.buffered + 1;
-  note_buffered t
-
-(* Insert [a] into [stream.items] at [pos], growing the array if needed. *)
-let insert_item stream pos a =
-  if stream.len = Array.length stream.items then begin
-    let ncap = max 64 (2 * Array.length stream.items) in
-    let nitems = Array.make ncap a in
-    Array.blit stream.items 0 nitems 0 stream.len;
-    stream.items <- nitems
-  end;
-  for j = stream.len downto pos + 1 do
-    stream.items.(j) <- stream.items.(j - 1)
+(* Queue position of the first fetched row of stream [i] later than
+   [ts], or [-1]. *)
+let first_later t i ts =
+  let q = t.queues.(i) and rows = t.streams.(i).rows in
+  let n = Deque.length q in
+  let j = ref 0 in
+  while !j < n && ts >= Arena.ts rows (Deque.get q !j) do
+    incr j
   done;
-  stream.items.(pos) <- a;
-  stream.len <- stream.len + 1
+  if !j < n then !j else -1
 
-let feed t (a : Activity.t) =
-  let host = a.Activity.context.host in
-  match Hashtbl.find_opt t.host_index host with
-  | None -> quarantine t Unknown_host a
-  | Some i ->
-      let stream = t.streams.(i) in
-      if stream.closed then quarantine t Closed a
-      else if
-        match stream.last_fed with Some prev -> Activity.equal prev a | None -> false
-      then quarantine t Duplicate a
-      else if stream.len > 0 && Sim_time.(a.timestamp < stream.last_ts) then begin
-        (* A timestamp regression. Within the skew allowance the record is
-           merely late — re-sort it into place; beyond it, or behind what
-           this stream already committed, it is unusable. *)
-        let late_by = Sim_time.diff stream.last_ts a.timestamp in
-        if Sim_time.compare_span late_by t.skew_allowance > 0 then quarantine t Regression a
-        else if Sim_time.(a.timestamp < stream.last_popped) then quarantine t Stale a
-        else begin
-          (match
-             Deque.find_index t.queues.(i) (fun (x : Activity.t) ->
-                 Sim_time.(a.timestamp < x.timestamp))
-           with
-          | Some pos -> insert_fetched t i pos a
-          | None ->
-              (* Behind no fetched item: keep the unfetched region sorted.
-                 Regressions are small, so scan from the tail. *)
-              let pos = ref stream.len in
-              while
-                !pos > stream.cursor
-                && Sim_time.(a.timestamp < stream.items.(!pos - 1).Activity.timestamp)
-              do
-                decr pos
-              done;
-              insert_item stream !pos a;
-              t.backlog <- t.backlog + 1);
-          stream.last_fed <- Some a;
-          t.resorted <- t.resorted + 1;
-          Resorted
-        end
-      end
+let remember_fed s ~kind ~ts ~ctx ~flow ~size =
+  s.last_kind <- kind;
+  s.last_fed_ts <- ts;
+  s.last_ctx <- ctx;
+  s.last_flow <- flow;
+  s.last_size <- size
+
+let feed_row t ~kind ~ts ~ctx ~flow ~size =
+  let i = stream_of_context t ctx in
+  if i = unknown_host then quarantine t Unknown_host ~kind ~ts ~ctx ~flow ~size
+  else begin
+    let s = t.streams.(i) in
+    if s.closed then quarantine t Closed ~kind ~ts ~ctx ~flow ~size
+    else if
+      kind = s.last_kind && ts = s.last_fed_ts && ctx = s.last_ctx && flow = s.last_flow
+      && size = s.last_size
+    then quarantine t Duplicate ~kind ~ts ~ctx ~flow ~size
+    else if s.listed > 0 && ts < s.last_ts then begin
+      (* A timestamp regression. Within the skew allowance the record is
+         merely late — re-sort it into place; beyond it, or behind what
+         this stream already committed, it is unusable. *)
+      if s.last_ts - ts > t.skew_allowance then quarantine t Regression ~kind ~ts ~ctx ~flow ~size
+      else if ts < s.last_popped then quarantine t Stale ~kind ~ts ~ctx ~flow ~size
       else begin
-        insert_item stream stream.len a;
-        t.backlog <- t.backlog + 1;
-        stream.last_ts <- a.timestamp;
-        stream.last_fed <- Some a;
-        if Sim_time.(t.watermark < a.timestamp) then t.watermark <- a.timestamp;
-        (if stream.lagging then
-           let caught_up =
-             match t.straggler_timeout with
-             | Some limit ->
-                 Sim_time.compare_span (Sim_time.diff t.watermark a.timestamp) limit <= 0
-             | None -> true
-           in
-           if caught_up then begin
-             (* Reintegrate: the stream rejoins the wait set and the next
-                [refill] performs the resync fetch of its backlog. *)
-             stream.lagging <- false;
-             t.straggler_resyncs <- t.straggler_resyncs + 1
-           end);
-        Accepted
+        let pos = first_later t i ts in
+        if pos >= 0 then begin
+          (* Behind a fetched row: it joins the fetched region, shifting
+             the unfetched rows up, and its queue. *)
+          Arena.insert s.rows s.cursor ~kind ~ts ~ctx ~flow ~size;
+          Deque.insert t.queues.(i) pos s.cursor;
+          note_buffered t i s.cursor;
+          s.cursor <- s.cursor + 1;
+          sync_head t i
+        end
+        else begin
+          (* Behind no fetched row: keep the unfetched region sorted.
+             Regressions are small, so scan from the tail. *)
+          let pos = ref (Arena.length s.rows) in
+          while !pos > s.cursor && ts < Arena.ts s.rows (!pos - 1) do
+            decr pos
+          done;
+          Arena.insert s.rows !pos ~kind ~ts ~ctx ~flow ~size;
+          s.listed <- s.listed + 1;
+          t.backlog <- t.backlog + 1
+        end;
+        sync_front t i;
+        remember_fed s ~kind ~ts ~ctx ~flow ~size;
+        t.resorted <- t.resorted + 1;
+        Resorted
       end
+    end
+    else begin
+      Arena.append s.rows ~kind ~ts ~ctx ~flow ~size;
+      s.listed <- s.listed + 1;
+      t.backlog <- t.backlog + 1;
+      sync_front t i;
+      s.last_ts <- ts;
+      remember_fed s ~kind ~ts ~ctx ~flow ~size;
+      if t.watermark < ts then t.watermark <- ts;
+      (if s.lagging then
+         let caught_up =
+           match t.straggler_timeout with Some limit -> t.watermark - ts <= limit | None -> true
+         in
+         if caught_up then begin
+           (* Reintegrate: the stream rejoins the wait set and the next
+              [refill] performs the resync fetch of its backlog. *)
+           s.lagging <- false;
+           t.straggler_resyncs <- t.straggler_resyncs + 1
+         end);
+      Accepted
+    end
+  end
 
-(* Pull every stream item with timestamp <= deadline into its queue. *)
+(* Unknown-host and post-close records are turned away before interning,
+   so garbage does not grow the process-wide tables. A flow {!Intern}
+   cannot represent (a port outside 0..65535) has no id: [Malformed]. *)
+let feed t (a : Activity.t) =
+  match Hashtbl.find_opt t.host_index a.context.host with
+  | None -> quarantine_record t Unknown_host a
+  | Some i when t.streams.(i).closed -> quarantine_record t Closed a
+  | Some _ -> (
+      let ctx = Intern.context_id a.context in
+      match Intern.flow_id a.message.flow with
+      | exception Invalid_argument _ -> quarantine_record t Malformed a
+      | flow ->
+          feed_row t
+            ~kind:(Activity.kind_to_code a.kind)
+            ~ts:(Sim_time.to_ns a.timestamp) ~ctx ~flow ~size:a.message.size)
+
+(* ---- the sliding window ---- *)
+
+(* Reclaim the consumed prefix so a long-lived online stream holds only
+   its backlog and queued rows, not everything ever fed. Offline streams
+   never grow, and their rows belong to the caller. *)
+let reclaim t i =
+  let s = t.streams.(i) in
+  let unfetched = Arena.length s.rows - s.cursor in
+  let consumed = s.listed - unfetched in
+  if consumed > 64 && 2 * consumed >= s.listed then begin
+    s.listed <- unfetched;
+    if not s.closed then begin
+      let q = t.queues.(i) in
+      let lo = ref s.cursor in
+      for j = 0 to Deque.length q - 1 do
+        lo := Int.min !lo (Deque.get q j)
+      done;
+      if !lo > 0 then begin
+        Arena.drop_front s.rows !lo;
+        s.cursor <- s.cursor - !lo;
+        for _ = 1 to Deque.length q do
+          Deque.push_back q (Deque.pop_front q - !lo)
+        done
+      end
+    end
+  end
+
+(* Pull every unfetched row with timestamp <= deadline into its queue.
+   Reclaiming can only become due when a stream fetches. *)
 let fetch_until t deadline =
-  Array.iteri
-    (fun i s ->
-      while s.cursor < s.len && Sim_time.(s.items.(s.cursor).Activity.timestamp <= deadline) do
-        push t i s.items.(s.cursor);
+  for i = 0 to Array.length t.streams - 1 do
+    if t.front_ts.(i) <= deadline then begin
+      let s = t.streams.(i) in
+      let n = Arena.length s.rows in
+      while s.cursor < n && Arena.ts s.rows s.cursor <= deadline do
+        Deque.push_back t.queues.(i) s.cursor;
+        note_buffered t i s.cursor;
         s.cursor <- s.cursor + 1;
         t.backlog <- t.backlog - 1
       done;
-      (* Reclaim the consumed prefix so a long-lived online stream holds
-         only its unfetched backlog, not everything ever fed. *)
-      if s.cursor > 64 && 2 * s.cursor >= s.len then begin
-        let remaining = s.len - s.cursor in
-        Array.blit s.items s.cursor s.items 0 remaining;
-        s.len <- remaining;
-        s.cursor <- 0
-      end)
-    t.streams
+      sync_front t i;
+      sync_head t i;
+      reclaim t i
+    end
+  done
 
 let pop t i =
-  let a = Deque.pop_front t.queues.(i) in
-  count_send t i a (-1);
+  let r = Deque.pop_front t.queues.(i) in
+  count_send t i r (-1);
   t.buffered <- t.buffered - 1;
   let s = t.streams.(i) in
-  if Sim_time.(s.last_popped < a.Activity.timestamp) then s.last_popped <- a.Activity.timestamp;
-  a
+  let ts = Arena.ts s.rows r in
+  if s.last_popped < ts then s.last_popped <- ts;
+  sync_head t i;
+  r
 
-(* Minimum local timestamp among queue heads and unfetched stream fronts:
-   the sliding window's left edge. *)
-let window_min t =
-  let mins = ref None in
-  let consider ts = match !mins with None -> mins := Some ts | Some m -> mins := Some (Sim_time.min m ts) in
-  Array.iter
-    (fun q ->
-      match Deque.peek_front q with
-      | Some a -> consider a.Activity.timestamp
-      | None -> ())
-    t.queues;
-  Array.iter
-    (fun s -> if s.cursor < s.len then consider s.items.(s.cursor).Activity.timestamp)
-    t.streams;
-  !mins
-
+(* The sliding window's left edge is the minimum timestamp among queue
+   heads and unfetched stream fronts; fetch everything up to [window]
+   past it. *)
 let refill t =
-  match window_min t with
-  | None -> ()
-  | Some m -> fetch_until t (Sim_time.add m t.window)
-
-(* Indices of non-empty queues, with their head activities. *)
-let heads t =
-  let acc = ref [] in
-  for i = Array.length t.queues - 1 downto 0 do
-    match Deque.peek_front t.queues.(i) with
-    | Some a -> acc := (i, a) :: !acc
-    | None -> ()
+  let m = ref max_int in
+  for i = 0 to Array.length t.streams - 1 do
+    if t.head_kind.(i) >= 0 then m := Int.min !m t.head_ts.(i);
+    m := Int.min !m t.front_ts.(i)
   done;
-  !acc
+  if !m < max_int then fetch_until t (!m + t.window)
 
-let head_receive_matching_mmap t hs =
-  let eligible =
-    List.filter
-      (fun (_, (a : Activity.t)) ->
-        Activity.equal_kind a.kind Activity.Receive && t.has_mmap_send a.message.flow)
-      hs
-  in
-  match eligible with
-  | [] -> None
-  | hs ->
-      (* Deterministic choice: earliest local timestamp, then queue index. *)
-      Some
-        (List.fold_left
-           (fun ((_, (best : Activity.t)) as b) ((_, (a : Activity.t)) as c) ->
-             if Sim_time.(a.timestamp < best.timestamp) then c else b)
-           (List.hd hs) (List.tl hs))
+(* Queue position of the first buffered SEND of [flow] in queue [qi], or
+   [-1]. *)
+let find_send t qi flow =
+  let q = t.queues.(qi) and rows = t.streams.(qi).rows in
+  let n = Deque.length q in
+  let j = ref 0 in
+  while
+    !j < n
+    &&
+    let r = Deque.get q !j in
+    not (Arena.kind_code rows r = code_send && Arena.flow_id rows r = flow)
+  do
+    incr j
+  done;
+  if !j < n then !j else -1
 
-let lowest_priority_non_receive hs =
-  let non_receive =
-    List.filter (fun (_, (a : Activity.t)) -> not (Activity.equal_kind a.kind Activity.Receive)) hs
-  in
-  match non_receive with
-  | [] -> None
-  | hs ->
-      Some
-        (List.fold_left
-           (fun ((_, (best : Activity.t)) as b) ((_, (a : Activity.t)) as c) ->
-             let pa = Activity.kind_priority a.kind and pb = Activity.kind_priority best.kind in
-             if pa < pb || (pa = pb && Sim_time.(a.timestamp < best.timestamp)) then c else b)
-           (List.hd hs) (List.tl hs))
+(* Whether no earlier row of queue [qi] shares the context of the row at
+   position [j]. *)
+let promotable t qi j =
+  let q = t.queues.(qi) and rows = t.streams.(qi).rows in
+  let ctx = Arena.ctx_id rows (Deque.get q j) in
+  let k = ref 0 in
+  while !k < j && Arena.ctx_id rows (Deque.get q !k) <> ctx do
+    incr k
+  done;
+  !k >= j
 
 (* Concurrency disturbance: every head is a RECEIVE, but some head's
    matching SEND sits deeper in a queue. Promote the buried SEND to its
@@ -400,68 +542,43 @@ let lowest_priority_non_receive hs =
    earlier activity of the SEND's own execution entity, which would break
    adjacent-context order (the paper's swap only ever jumps another
    CPU's activities). *)
-let try_promote t hs =
-  let matching_send flow (x : Activity.t) =
-    Activity.equal_kind x.kind Activity.Send && Address.flow_equal x.message.flow flow
-  in
-  let promotable q i =
-    let send_ctx = (Deque.get q i).Activity.context in
-    let rec clear j =
-      j >= i || ((not (Activity.equal_context (Deque.get q j).Activity.context send_ctx)) && clear (j + 1))
-    in
-    clear 0
-  in
-  let promote_for (_, (r : Activity.t)) =
-    let flow = r.message.flow in
-    match Address.Flow_table.find_opt t.buffered_sends flow with
-    | Some (n, qi) when n > 0 -> (
-        let q = t.queues.(qi) in
-        match Deque.find_index q (matching_send flow) with
-        | Some i when i > 0 && promotable q i ->
-            Deque.promote q i;
-            t.promotions <- t.promotions + 1;
-            true
-        | Some _ | None -> false)
-    | Some _ | None -> false
-  in
-  List.exists promote_for hs
+let try_promote t =
+  let promoted = ref false and i = ref 0 in
+  while (not !promoted) && !i < Array.length t.queues do
+    (if t.head_kind.(!i) >= 0 then
+       let flow = t.head_flow.(!i) in
+       match Intern.Table.find t.buffered_sends flow with
+       | { count; home } when count > 0 ->
+           let j = find_send t home flow in
+           if j > 0 && promotable t home j then begin
+             Deque.promote t.queues.(home) j;
+             sync_head t home;
+             t.promotions <- t.promotions + 1;
+             promoted := true
+           end
+       | _ -> ()
+       | exception Not_found -> ());
+    incr i
+  done;
+  !promoted
 
 (* Deferred noise check: before declaring the earliest suspect RECEIVE
    noise, make sure its matching SEND is not merely outside the fetched
    region — pull input up to [skew_allowance] past the suspect first. *)
-let try_force_fetch t hs =
-  let earliest =
-    List.fold_left
-      (fun (best : Activity.t) (_, (a : Activity.t)) ->
-        if Sim_time.(a.timestamp < best.timestamp) then a else best)
-      (snd (List.hd hs))
-      (List.tl hs)
-  in
-  let target = Sim_time.add earliest.timestamp t.skew_allowance in
-  let next_fetchable =
-    Array.fold_left
-      (fun acc s ->
-        if s.cursor < s.len then
-          let ts = s.items.(s.cursor).Activity.timestamp in
-          match acc with None -> Some ts | Some m -> Some (Sim_time.min m ts)
-        else acc)
-      None t.streams
-  in
-  match next_fetchable with
-  | Some ts when Sim_time.(ts <= target) ->
-      (* Fetch an escalating slice: window-sized at first (cheap when the
-         missing SEND is just past the window edge), doubling while the
-         search keeps failing so a noise-heavy trace costs O(log allowance)
-         extensions per suspect rather than O(allowance / window). *)
-      fetch_until t (Sim_time.min target (Sim_time.add ts t.force_step));
-      let doubled = Sim_time.span_add t.force_step t.force_step in
-      if Sim_time.compare_span doubled t.skew_allowance <= 0 then t.force_step <- doubled
-      else t.force_step <- t.skew_allowance;
-      t.forced_fetches <- t.forced_fetches + 1;
-      true
-  | Some _ | None -> false
-
-type step = Candidate of Activity.t | Need_input | Exhausted
+let try_force_fetch t earliest =
+  let target = earliest + t.skew_allowance in
+  let next = Array.fold_left Int.min max_int t.front_ts in
+  if next <= target then begin
+    (* Fetch an escalating slice: window-sized at first (cheap when the
+       missing SEND is just past the window edge), doubling while the
+       search keeps failing so a noise-heavy trace costs O(log allowance)
+       extensions per suspect rather than O(allowance / window). *)
+    fetch_until t (Int.min target (next + t.force_step));
+    t.force_step <- Int.min (2 * t.force_step) t.skew_allowance;
+    t.forced_fetches <- t.forced_fetches + 1;
+    true
+  end
+  else false
 
 (* An open stream that would block the pipeline but has fallen further
    than [straggler_timeout] behind the global feed watermark is evicted
@@ -472,52 +589,47 @@ let straggler_skippable t s =
   s.lagging
   ||
   match t.straggler_timeout with
-  | Some limit when Sim_time.compare_span (Sim_time.diff t.watermark s.last_ts) limit > 0 ->
+  | Some limit when t.watermark - s.last_ts > limit ->
       s.lagging <- true;
       t.stragglers_evicted <- t.stragglers_evicted + 1;
       true
   | Some _ | None -> false
 
-(* Popping candidate [a] commits to its position in the causal order; with
-   live input this is only safe once every still-open stream that has
-   nothing buffered has reported past [a.ts + skew_allowance] - no future
-   activity can then belong before [a]. Closed streams and streams with
-   buffered or fetched-but-unranked data behave exactly as offline. With a
-   non-zero [reorder_slack], every open stream must additionally have
-   reported past [a.ts + slack]: a record delayed by up to the slack could
-   otherwise still arrive and re-sort ahead of [a]. *)
-let safe_to_pop t (a : Activity.t) =
-  let horizon = Sim_time.add a.Activity.timestamp t.skew_allowance in
-  let slack_floor =
-    if Sim_time.span_ns t.reorder_slack > 0 then
-      Some (Sim_time.add a.Activity.timestamp t.reorder_slack)
-    else None
-  in
+(* Popping a candidate stamped [ts] commits to its position in the causal
+   order; with live input this is only safe once every still-open stream
+   that has nothing buffered has reported past [ts + skew_allowance] - no
+   future activity can then belong before it. Closed streams and streams
+   with buffered or fetched-but-unranked data behave exactly as offline.
+   With a non-zero [reorder_slack], every open stream must additionally
+   have reported past [ts + slack]: a record delayed by up to the slack
+   could otherwise still arrive and re-sort ahead of the candidate. *)
+let safe_to_pop t ts =
+  let horizon = ts + t.skew_allowance and slack_floor = ts + t.reorder_slack in
   let ok = ref true in
-  Array.iteri
-    (fun i s ->
-      if not s.closed then begin
-        let blocking =
-          (Deque.is_empty t.queues.(i) && s.cursor >= s.len && Sim_time.(s.last_ts < horizon))
-          || (match slack_floor with Some f -> Sim_time.(s.last_ts < f) | None -> false)
-        in
-        if blocking && not (straggler_skippable t s) then ok := false
-      end)
-    t.streams;
+  for i = 0 to Array.length t.streams - 1 do
+    let s = t.streams.(i) in
+    if not s.closed then begin
+      let blocking =
+        (t.head_kind.(i) < 0 && t.front_ts.(i) = max_int && s.last_ts < horizon)
+        || (t.reorder_slack > 0 && s.last_ts < slack_floor)
+      in
+      if blocking && not (straggler_skippable t s) then ok := false
+    end
+  done;
   !ok
 
 let fully_consumed t =
-  Array.for_all (fun s -> s.closed && s.cursor >= s.len) t.streams
+  Array.for_all (fun s -> s.closed) t.streams && Array.for_all (Int.equal max_int) t.front_ts
 
-(* Declaring [suspect] noise requires knowing nothing relevant is still on
-   the wire: every open stream must have reported past the allowance. *)
-let noise_decidable t (suspect : Activity.t) =
-  let target = Sim_time.add suspect.Activity.timestamp t.skew_allowance in
+(* Declaring a suspect stamped [ts] noise requires knowing nothing
+   relevant is still on the wire: every open stream must have reported
+   past the allowance. *)
+let noise_decidable t ts =
+  let target = ts + t.skew_allowance in
   let ok = ref true in
   Array.iter
     (fun s ->
-      if (not s.closed) && Sim_time.(s.last_ts < target) && not (straggler_skippable t s) then
-        ok := false)
+      if (not s.closed) && s.last_ts < target && not (straggler_skippable t s) then ok := false)
     t.streams;
   !ok
 
@@ -526,72 +638,117 @@ let held t = t.buffered + t.backlog
 let over_budget t =
   match t.max_buffered with Some limit -> held t > limit | None -> false
 
-let rec rank_step t =
-  refill t;
-  match heads t with
-  | [] -> if fully_consumed t then Exhausted else Need_input
-  | hs -> (
-      (* Backpressure: past [max_buffered] held records, stop waiting for
-         reassuring input and force-resolve the oldest window instead. *)
-      let force = over_budget t in
-      let emit i =
-        t.candidates <- t.candidates + 1;
-        t.force_step <- t.window;
-        Candidate (pop t i)
-      in
-      let emit_or_wait i a =
-        if safe_to_pop t a then emit i
-        else if force then begin
-          t.backpressure_pops <- t.backpressure_pops + 1;
-          emit i
-        end
-        else Need_input
-      in
-      match (if t.ablation.disable_rule1 then None else head_receive_matching_mmap t hs) with
-      | Some (i, a) -> emit_or_wait i a
-      | None -> (
-          match lowest_priority_non_receive hs with
-          | Some (i, a) -> emit_or_wait i a
-          | None ->
-              (* Every head is an unmatched RECEIVE. *)
-              if (not t.ablation.disable_promotion) && try_promote t hs then rank_step t
-              else if try_force_fetch t hs then rank_step t
-              else begin
-                (* is_noise: no matching SEND in mmap nor anywhere in the
-                   buffer, with the input fetched well past the suspect.
-                   Heads whose matching SEND is buffered but unpromotable
-                   are not noise; discarding one of those (only possible
-                   under adversarial interleavings) is counted separately
-                   and asserted zero in tests. *)
-                let no_buffered_send (_, (a : Activity.t)) =
-                  buffered_send_count t a.message.flow = 0
-                in
-                let pool, forced =
-                  match List.filter no_buffered_send hs with
-                  | [] -> (hs, true)
-                  | noise_heads -> (noise_heads, false)
-                in
-                let i, suspect =
-                  List.fold_left
-                    (fun ((_, (best : Activity.t)) as b) ((_, (a : Activity.t)) as c) ->
-                      if Sim_time.(a.timestamp < best.timestamp) then c else b)
-                    (List.hd pool) (List.tl pool)
-                in
-                let decidable = noise_decidable t suspect in
-                if (not decidable) && not force then Need_input
-                else begin
-                  if not decidable then t.backpressure_pops <- t.backpressure_pops + 1;
-                  ignore (pop t i);
-                  t.noise_discarded <- t.noise_discarded + 1;
-                  if forced then t.forced_discards <- t.forced_discards + 1;
-                  rank_step t
-                end
-              end))
+let emit t i =
+  t.candidates <- t.candidates + 1;
+  t.force_step <- t.window;
+  t.candidate_row <- pop t i;
+  t.candidate_stream <- i;
+  true
 
-let rank t =
-  match rank_step t with Candidate a -> Some a | Need_input | Exhausted -> None
+(* Backpressure: past [max_buffered] held records, stop waiting for
+   reassuring input and force-resolve the oldest window instead. *)
+let emit_or_wait t ~force i ts =
+  if safe_to_pop t ts then emit t i
+  else if force then begin
+    t.backpressure_pops <- t.backpressure_pops + 1;
+    emit t i
+  end
+  else false
+
+let rec next t =
+  refill t;
+  (* One pass over the queue heads, ties going to the lower queue index:
+     - [r1]: Rule 1, the earliest RECEIVE whose SEND is in the mmap;
+     - [r2]: Rule 2, the lowest kind priority, then the earliest;
+     - [first]: the earliest head, the force-fetch anchor;
+     - [quiet]: the earliest RECEIVE with no SEND of its flow buffered,
+       the noise suspect (only wanted while neither rule has a pick). *)
+  let r1 = ref (-1) and r1_ts = ref 0 in
+  let r2 = ref (-1) and r2_kind = ref 0 and r2_ts = ref 0 in
+  let first = ref (-1) and first_ts = ref 0 in
+  let quiet = ref (-1) and quiet_ts = ref 0 in
+  for i = 0 to Array.length t.queues - 1 do
+    let kind = t.head_kind.(i) in
+    if kind >= 0 then begin
+      let ts = t.head_ts.(i) in
+      if !first < 0 || ts < !first_ts then begin
+        first := i;
+        first_ts := ts
+      end;
+      if kind <> code_receive then begin
+        if !r2 < 0 || kind < !r2_kind || (kind = !r2_kind && ts < !r2_ts) then begin
+          r2 := i;
+          r2_kind := kind;
+          r2_ts := ts
+        end
+      end
+      else begin
+        let flow = t.head_flow.(i) in
+        if (not t.ablation.disable_rule1) && t.has_mmap_send flow then begin
+          if !r1 < 0 || ts < !r1_ts then begin
+            r1 := i;
+            r1_ts := ts
+          end
+        end
+        else if
+          !r1 < 0 && !r2 < 0
+          && (!quiet < 0 || ts < !quiet_ts)
+          && buffered_send_count t flow = 0
+        then begin
+          quiet := i;
+          quiet_ts := ts
+        end
+      end
+    end
+  done;
+  if !first < 0 then false
+  else begin
+    let force = over_budget t in
+    if !r1 >= 0 then emit_or_wait t ~force !r1 !r1_ts
+    else if !r2 >= 0 then emit_or_wait t ~force !r2 !r2_ts
+    else if (not t.ablation.disable_promotion) && try_promote t then next t
+    else if try_force_fetch t !first_ts then next t
+    else begin
+      (* Every head is an unmatched RECEIVE. is_noise: no matching SEND
+         in mmap nor anywhere in the buffer, with the input fetched well
+         past the suspect. Heads whose matching SEND is buffered but
+         unpromotable are not noise; discarding one of those (only
+         possible under adversarial interleavings) is counted separately
+         and asserted zero in tests. *)
+      let forced = !quiet < 0 in
+      let i = if forced then !first else !quiet in
+      let decidable = noise_decidable t (if forced then !first_ts else !quiet_ts) in
+      if (not decidable) && not force then false
+      else begin
+        if not decidable then t.backpressure_pops <- t.backpressure_pops + 1;
+        ignore (pop t i : int);
+        t.noise_discarded <- t.noise_discarded + 1;
+        if forced then t.forced_discards <- t.forced_discards + 1;
+        next t
+      end
+    end
+  end
+
+let candidate_rows t = t.streams.(t.candidate_stream).rows
+let candidate_ctx t = Arena.ctx_id (candidate_rows t) t.candidate_row
+let candidate_flow t = Arena.flow_id (candidate_rows t) t.candidate_row
+
+let candidate t =
+  let rows = candidate_rows t and r = t.candidate_row in
+  activity_of_row t ~kind:(Arena.kind_code rows r) ~ts:(Arena.ts rows r)
+    ~ctx:(Arena.ctx_id rows r) ~flow:(Arena.flow_id rows r) ~size:(Arena.size rows r)
+
+type step = Candidate of Activity.t | Need_input | Exhausted
+
+let rank_step t =
+  if next t then Candidate (candidate t) else if fully_consumed t then Exhausted else Need_input
+
+let rank t = if next t then Some (candidate t) else None
 
 let buffered t = t.buffered
+let resolved t = t.candidates + t.noise_discarded
+let stragglers_evicted t = t.stragglers_evicted
+let straggler_resyncs t = t.straggler_resyncs
 
 let stragglers_active t =
   Array.fold_left (fun n s -> if s.lagging && not s.closed then n + 1 else n) 0 t.streams

@@ -1,9 +1,10 @@
 (** The ranker: choosing candidate activities for CAG composition (§4.1).
 
-    Activities logged on different nodes are fetched into per-node queues
-    whenever their local timestamps fall inside a sliding time window. The
-    ranker only ever compares the {e head} activities of the queues and
-    picks the next candidate by the paper's two rules:
+    Each node's log is a stream of {!Trace.Arena} rows in local timestamp
+    order. Rows whose timestamps fall inside a sliding time window are
+    fetched into per-node queues, which hold row indices. The ranker only
+    ever compares the {e head} rows of the queues and picks the next
+    candidate by the paper's two rules:
 
     - {b Rule 1}: a head RECEIVE whose matching SEND is already in the
       engine's [mmap] is the candidate — its message parent has been
@@ -12,6 +13,12 @@
       (BEGIN < SEND < END < RECEIVE) is the candidate, which guarantees a
       SEND always precedes its matched RECEIVE.
 
+    One pass over the heads finds both rule candidates and, for when
+    every head is a RECEIVE, the noise suspect. It compares kind codes,
+    timestamps and {!Trace.Intern} ids and allocates nothing. Buffered
+    SENDs are counted per interned flow id, and Rule 1 asks the engine
+    about the same id: [has_mmap_send] is {!Cag_engine.has_mmap_send}.
+
     Two disturbances are handled (§4.3): {e concurrency disturbance}, where
     every head is a RECEIVE blocking the others' matched SENDs deeper in
     the queues — resolved by promoting a buffered matching SEND to its
@@ -19,7 +26,16 @@
     {e noise}, a RECEIVE with no matching SEND in the [mmap] {e or} the
     buffer — discarded, but only after fetching ahead up to
     [skew_allowance] so that clock skew between nodes can never
-    misclassify live traffic as noise (DESIGN.md clarification #3). *)
+    misclassify live traffic as noise (DESIGN.md clarification #3).
+
+    {b One core, thin adapters.} {!create_native}, {!feed_row} and
+    {!next} are the core. A committed candidate is read back as ids
+    ({!candidate_ctx}, {!candidate_flow}) and as one record
+    ({!candidate}), built from a per-run id -> record cache that asks
+    {!Trace.Intern} once per distinct id. {!create} (a
+    {!Trace.Log.collection}, through {!Trace.Arena.of_collection}),
+    {!feed} (an {!Trace.Activity.t}, interned), {!rank} and {!rank_step}
+    are adapters onto the same code. *)
 
 type t
 
@@ -31,6 +47,9 @@ type reject_reason =
   | Stale
       (** Late within the allowance, but behind what its stream already
           committed to the engine — too late to re-sort. *)
+  | Malformed
+      (** A field {!Trace.Intern} cannot represent, such as a port
+          outside 0..65535, so the record has no id. *)
 
 val reject_reason_to_string : reject_reason -> string
 (** Stable lower-snake label, used as the [reason] metric label. *)
@@ -44,7 +63,7 @@ type feed_result =
 
 type stats = {
   fetched : int;  (** Activities pulled into the buffer. *)
-  candidates : int;  (** Activities returned by [rank]. *)
+  candidates : int;  (** Activities committed as candidates. *)
   noise_discarded : int;  (** RECEIVEs dropped by the [is_noise] check. *)
   promotions : int;  (** Concurrency-disturbance head swaps. *)
   forced_fetches : int;  (** Window extensions for deferred noise checks. *)
@@ -71,34 +90,57 @@ type ablation = { disable_rule1 : bool; disable_promotion : bool }
 
 val no_ablation : ablation
 
+val create_native :
+  window:Simnet.Sim_time.span ->
+  ?skew_allowance:Simnet.Sim_time.span ->
+  ?ablation:ablation ->
+  has_mmap_send:(int -> bool) ->
+  Trace.Arena.t list ->
+  t
+(** One stream per arena, each in {!Trace.Arena.compare_rows} order (as
+    {!Trace.Arena.sort_by_time} leaves it); the rows are ranked in place
+    and never modified. [window] is the sliding-window size (any positive
+    span; accuracy is independent of it, cost is not). [skew_allowance]
+    bounds how far ahead of a suspect RECEIVE the ranker will look before
+    declaring it noise; it must exceed the largest cross-node clock skew
+    (default 1 s, twice the paper's largest evaluated skew).
+    [has_mmap_send] answers Rule 1 for an interned flow id. *)
+
 val create :
   window:Simnet.Sim_time.span ->
   ?skew_allowance:Simnet.Sim_time.span ->
   ?ablation:ablation ->
-  has_mmap_send:(Simnet.Address.flow -> bool) ->
+  has_mmap_send:(int -> bool) ->
   Trace.Log.collection ->
   t
-(** [window] is the sliding-window size (any positive span; accuracy is
-    independent of it, cost is not). [skew_allowance] bounds how far ahead
-    of a suspect RECEIVE the ranker will look before declaring it noise;
-    it must exceed the largest cross-node clock skew (default 1 s, twice
-    the paper's largest evaluated skew). [has_mmap_send] is wired to the
-    engine's message-relation index. *)
+(** {!create_native} over [Trace.Arena.of_collection collection]. *)
+
+val next : t -> bool
+(** Commit the next candidate: [true] when one was popped, [false] when
+    all input is consumed or, with open input, none is decidable yet. *)
+
+val candidate_ctx : t -> int
+val candidate_flow : t -> int
+
+val candidate : t -> Trace.Activity.t
+(** The last candidate {!next} committed: its {!Trace.Intern} context and
+    flow ids, and the record with canonical context and flow. Valid until
+    the next call to {!next}. *)
 
 val rank : t -> Trace.Activity.t option
-(** The next candidate, or [None] when all input is consumed. (For rankers
-    with open input, [None] can also mean "need more input" — use
-    {!rank_step} to distinguish.) *)
+(** {!next} then {!candidate}: the next candidate, or [None] when all
+    input is consumed. (For rankers with open input, [None] can also mean
+    "need more input" — use {!rank_step} to distinguish.) *)
 
 (** {1 Live operation}
 
     A ranker can also be driven online, as traces stream in from the
     cluster: create it with the node list, [feed] activities as the probe
-    reports them, and pull candidates with {!rank_step}. Candidates are
-    withheld until enough input has arrived that no later-fed activity
-    could precede them (each stream's feed watermark must pass the
-    candidate's timestamp plus the skew allowance), so online results
-    match the offline run on the same trace exactly.
+    reports them, and pull candidates with {!next} or {!rank_step}.
+    Candidates are withheld until enough input has arrived that no
+    later-fed activity could precede them (each stream's feed watermark
+    must pass the candidate's timestamp plus the skew allowance), so
+    online results match the offline run on the same trace exactly.
 
     {2 Degraded feeds}
 
@@ -112,11 +154,12 @@ val rank : t -> Trace.Activity.t option
       is reintegrated (a resync), and its backlog is fetched normally.
     - {b Input quarantine}: {!feed} never raises. Malformed records —
       unknown host, post-close, duplicates, large timestamp regressions,
-      too-late records — are counted per {!reject_reason} and kept in a
+      too-late records, unrepresentable fields — are counted per
+      {!reject_reason} and kept in a
       bounded inspection log; regressions within the skew allowance are
       re-sorted into place instead.
     - {b Backpressure} ([max_buffered]): when held records (buffered plus
-      unfetched backlog) exceed the bound, {!rank_step} force-resolves the
+      unfetched backlog) exceed the bound, {!next} force-resolves the
       oldest window instead of waiting for reassuring input, so memory
       stays bounded even when safety cannot be established.
     - {b Reorder slack} ([reorder_slack], default zero): with a non-zero
@@ -132,16 +175,23 @@ val create_online :
   ?straggler_timeout:Simnet.Sim_time.span ->
   ?max_buffered:int ->
   ?reorder_slack:Simnet.Sim_time.span ->
-  has_mmap_send:(Simnet.Address.flow -> bool) ->
+  has_mmap_send:(int -> bool) ->
   hosts:string list ->
   unit ->
   t
 
+val feed_row : t -> kind:int -> ts:int -> ctx:int -> flow:int -> size:int -> feed_result
+(** Append one row, in {!Trace.Arena.append}'s encoding, to the stream of
+    its context's host. Never raises: malformed records are
+    {!Quarantined} (counted per reason, logged in a bounded ring), and
+    regressions within the skew allowance are {!Resorted} into place. A
+    record is built only for a quarantined row. *)
+
 val feed : t -> Trace.Activity.t -> feed_result
-(** Append one activity to its host's stream. Never raises: malformed
-    records are {!Quarantined} (counted per reason, logged in a bounded
-    ring), and regressions within the skew allowance are {!Resorted} into
-    place. *)
+(** {!feed_row} of the activity's interned ids. Records of an unknown
+    host or fed after {!close_input} are quarantined before interning, so
+    they do not grow {!Trace.Intern}; a record that cannot be interned is
+    [Malformed]. Never raises. *)
 
 val close_input : t -> unit
 (** No more activities will be fed; pending candidates become decidable. *)
@@ -152,6 +202,8 @@ type step =
   | Exhausted  (** All input consumed. *)
 
 val rank_step : t -> step
+(** {!next}, with the candidate as its record and the two ways of having
+    none told apart. *)
 
 val buffered : t -> int
 (** Activities currently held in the ranker's queues. *)
@@ -160,6 +212,15 @@ val held : t -> int
 (** Buffered activities plus the unfetched backlog — everything the
     ranker currently holds; the quantity bounded by [max_buffered] and
     the online peak-memory proxy. *)
+
+val resolved : t -> int
+(** Candidates committed plus RECEIVEs discarded as noise: the records
+    that have left the ranker for good. *)
+
+val stragglers_evicted : t -> int
+val straggler_resyncs : t -> int
+(** The {!stats} fields of the same name. These three accessors cost
+    O(1), for bookkeeping per fed record; {!stats} builds a record. *)
 
 val stragglers_active : t -> int
 (** Open streams currently evicted as stragglers. *)

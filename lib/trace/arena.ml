@@ -57,15 +57,39 @@ let grow t =
   R.incr (Lazy.force grows_counter);
   R.set_max (Lazy.force peak_rows_gauge) (float_of_int cap)
 
-let append t ~kind ~ts ~ctx ~flow ~size =
-  if t.len = Array.length t.ts then grow t;
-  let i = t.len in
+let set t i ~kind ~ts ~ctx ~flow ~size =
   Bytes.unsafe_set t.kinds i (Char.unsafe_chr kind);
   t.ts.(i) <- ts;
   t.ctx.(i) <- ctx;
   t.flow.(i) <- flow;
-  t.size.(i) <- size;
-  t.len <- i + 1
+  t.size.(i) <- size
+
+let append t ~kind ~ts ~ctx ~flow ~size =
+  if t.len = Array.length t.ts then grow t;
+  set t t.len ~kind ~ts ~ctx ~flow ~size;
+  t.len <- t.len + 1
+
+let insert t i ~kind ~ts ~ctx ~flow ~size =
+  if i < 0 || i > t.len then invalid_arg "Arena.insert";
+  if t.len = Array.length t.ts then grow t;
+  let n = t.len - i in
+  Bytes.blit t.kinds i t.kinds (i + 1) n;
+  Array.blit t.ts i t.ts (i + 1) n;
+  Array.blit t.ctx i t.ctx (i + 1) n;
+  Array.blit t.flow i t.flow (i + 1) n;
+  Array.blit t.size i t.size (i + 1) n;
+  set t i ~kind ~ts ~ctx ~flow ~size;
+  t.len <- t.len + 1
+
+let drop_front t n =
+  if n < 0 || n > t.len then invalid_arg "Arena.drop_front";
+  let rest = t.len - n in
+  Bytes.blit t.kinds n t.kinds 0 rest;
+  Array.blit t.ts n t.ts 0 rest;
+  Array.blit t.ctx n t.ctx 0 rest;
+  Array.blit t.flow n t.flow 0 rest;
+  Array.blit t.size n t.size 0 rest;
+  t.len <- rest
 
 let append_activity t (a : Activity.t) =
   append t ~kind:(Activity.kind_to_code a.kind)

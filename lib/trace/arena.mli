@@ -5,11 +5,10 @@
     a kind byte plus four unboxed int columns (timestamp, {!Intern}
     context id, {!Intern} flow id, message size). The decoder fills
     arenas without allocating per record, the store writer batches and
-    merges them with integer blits, and the correlator materialises
-    {!Activity.t} views only where the ranking logic still wants records
-    — built from the canonical interned context/flow, so even that path
-    allocates two blocks, not five, and downstream equality checks
-    short-circuit on [==].
+    merges them with integer blits, and the ranker ranks rows in place.
+    {!Activity.t} views are built from the canonical interned
+    context/flow, so each costs two blocks, not five, and downstream
+    equality checks short-circuit on [==].
 
     Arenas double in capacity as they fill ([pt_arena_grows_total],
     [pt_arena_peak_rows]); rows are in whatever order they were appended
@@ -38,6 +37,16 @@ val append_range : t -> t -> lo:int -> hi:int -> unit
 (** [append_range dst src ~lo ~hi] copies rows [lo, hi) of [src] in one
     blit per column — the bulk form of {!append_row} for run-at-a-time
     merges. @raise Invalid_argument on an out-of-bounds range. *)
+
+val insert : t -> int -> kind:int -> ts:int -> ctx:int -> flow:int -> size:int -> unit
+(** [insert t i ...] shifts rows [i, length t) up by one and writes the
+    new row at [i] — how the online ranker re-sorts a late record into
+    place. @raise Invalid_argument unless [0 <= i <= length t]. *)
+
+val drop_front : t -> int -> unit
+(** [drop_front t n] forgets rows [0, n) and renumbers the rest from 0,
+    keeping capacity — how the online ranker reclaims a consumed prefix.
+    @raise Invalid_argument unless [0 <= n <= length t]. *)
 
 val clear : t -> unit
 (** Forget all rows, keep capacity (writer buffer reuse). *)

@@ -168,3 +168,12 @@ let flow_of_id i = snd (flow_entry i)
 let flow_parts_of_id i = fst (flow_entry i)
 
 let counts () = locked (fun () -> (string_rev.len, ctx_rev.len, flow_rev.len))
+
+(* Ids are dense, so the identity is a perfect hash: lookups make no
+   generic hash or comparison call. *)
+module Table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)

@@ -61,3 +61,9 @@ val flow_parts_of_id : int -> int * int * int * int
 
 val counts : unit -> int * int * int
 (** [(strings, contexts, flows)] currently interned. *)
+
+(** {1 Tables keyed by ids} *)
+
+module Table : Hashtbl.S with type key = int
+(** Hash tables keyed by the ids of one domain. Ids are dense, so they
+    hash to themselves. *)

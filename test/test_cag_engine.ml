@@ -214,10 +214,10 @@ let test_mmap_entries_tracking () =
   Cag_engine.step engine (b 0);
   Cag_engine.step engine (ws 1 10);
   Alcotest.(check bool) "mmap has the flow" true
-    (Cag_engine.has_mmap_send engine H.web_app_flow);
+    (Cag_engine.has_mmap_send engine (Trace.Intern.flow_id H.web_app_flow));
   Alcotest.(check int) "one entry" 1 (Cag_engine.mmap_entries engine);
   Cag_engine.step engine (ar 2 10);
-  Alcotest.(check bool) "consumed" false (Cag_engine.has_mmap_send engine H.web_app_flow);
+  Alcotest.(check bool) "consumed" false (Cag_engine.has_mmap_send engine (Trace.Intern.flow_id H.web_app_flow));
   Alcotest.(check int) "zero entries" 0 (Cag_engine.mmap_entries engine)
 
 let test_interleaved_sends_same_flow_fifo () =

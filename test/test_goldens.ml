@@ -1,0 +1,139 @@
+(* Pinned output digests. The ranker, the engine and both feed paths
+   (record lists and arenas, offline and online) are free to change how
+   they work, never what they produce: each golden below was captured
+   from the record-list implementation and must stay byte-identical.
+
+   - [offline]: {!Core.Shard.digest} of the serial offline result, through
+     both the record entry ([Correlator.correlate]) and the arena entry
+     ([Correlator.correlate_arena]).
+   - [online]: the same preimage over [Online.paths]/[Online.deformed],
+     fed in merged time order one row at a time, through both
+     [Online.observe] and [Online.observe_arena] (one-row arenas). *)
+
+module Activity = Trace.Activity
+module Arena = Trace.Arena
+module Log = Trace.Log
+module S = Tiersim.Scenario
+module ST = Simnet.Sim_time
+module Correlator = Core.Correlator
+module Online = Core.Online
+module Shard = Core.Shard
+module Topo = Mesh.Random_spec
+
+type case = {
+  name : string;
+  build : unit -> Correlator.config * Log.collection;
+  offline : string;
+  online : string;
+}
+
+let rubis ?(noise = S.No_noise) ?(skew = ST.span_zero) () =
+  let o =
+    S.run
+      {
+        S.default with
+        S.mix = Tiersim.Workload.Default;
+        clients = 100;
+        time_scale = 0.05;
+        noise;
+        skew;
+        seed = 42;
+      }
+  in
+  (Correlator.config ~transform:o.S.transform (), o.S.logs)
+
+let mesh_control () =
+  let spec = Option.get (Mesh.Presets.spec_of ~seed:7 "control") in
+  let spec = { spec with Mesh.Spec.clients = 16; requests_per_client = 20 } in
+  let b = Mesh.Runtime.build spec in
+  Simnet.Engine.run b.Mesh.Runtime.engine;
+  let transform = Core.Transform.config ~entry_points:b.Mesh.Runtime.entries () in
+  (Correlator.config ~transform ~window:(ST.ms 5) (), Trace.Probe.logs b.Mesh.Runtime.probe)
+
+let cases =
+  [
+    {
+      name = "RUBiS Default, seed 42";
+      build = (fun () -> rubis ());
+      offline = "a1423bb9c6b8cfdbe8b40f8718fb8678";
+      online = "a1423bb9c6b8cfdbe8b40f8718fb8678";
+    };
+    {
+      name = "RUBiS Default, paper noise, 200 ms skew";
+      build =
+        (fun () -> rubis ~noise:(S.Paper_noise { db_connections = 2 }) ~skew:(ST.ms 200) ());
+      offline = "3ad460ca3fc04795630b5e521b438100";
+      online = "3ad460ca3fc04795630b5e521b438100";
+    };
+    {
+      name = "mesh control";
+      build = mesh_control;
+      (* Online orders some concurrent sibling calls differently. *)
+      offline = "5728b27bbe5eac4826587f04665772b6";
+      online = "42dd195efb8432dfd37637fd3b88c0d1";
+    };
+  ]
+
+let pin what expected actual = Alcotest.(check string) what expected actual
+
+let paths_digest ~finished ~deformed =
+  Digest.to_hex (Digest.string (Core.Hierarchy.render ~finished ~deformed))
+
+let merged logs =
+  List.concat_map Log.to_list logs |> List.stable_sort Activity.compare_by_time
+
+let online_digest cfg logs feed =
+  let online =
+    Online.create ~telemetry:(Telemetry.Registry.create ()) ~config:cfg
+      ~hosts:(List.map Log.hostname logs) ()
+  in
+  List.iter (feed online) (merged logs);
+  Online.finish online;
+  paths_digest ~finished:(Online.paths online) ~deformed:(Online.deformed online)
+
+let one_row_arena online (a : Activity.t) =
+  let arena = Arena.create ~capacity:1 ~host:a.Activity.context.Activity.host () in
+  Arena.append_activity arena a;
+  Online.observe_arena online arena
+
+let check_case c () =
+  let cfg, logs = c.build () in
+  let telemetry = Telemetry.Registry.create () in
+  pin "offline (records)" c.offline (Shard.digest (Correlator.correlate ~telemetry cfg logs));
+  pin "offline (arenas)" c.offline
+    (Shard.digest (Correlator.correlate_arena ~telemetry cfg (Arena.of_collection logs)));
+  pin "online (records)" c.online (online_digest cfg logs Online.observe);
+  pin "online (arenas)" c.online (online_digest cfg logs one_row_arena)
+
+(* The record entry is an adapter onto the arena core: on any topology
+   the two must agree byte for byte. *)
+let prop_record_equals_arena =
+  QCheck.Test.make ~name:"random topologies: correlate = correlate_arena" ~count:12
+    QCheck.(quad (int_range 2 5) (int_range 1 6) (int_range 0 200) (int_range 1 1000))
+    (fun (tiers, clients, skew_ms, seed) ->
+      let spec =
+        {
+          Topo.default_spec with
+          Topo.tiers;
+          clients;
+          requests_per_client = 3;
+          max_skew = ST.ms skew_ms;
+          seed;
+        }
+      in
+      let b = Topo.build spec in
+      Simnet.Engine.run b.Topo.engine;
+      let logs = Trace.Probe.logs b.Topo.probe in
+      let transform = Core.Transform.config ~entry_points:[ b.Topo.entry ] () in
+      let cfg = Correlator.config ~transform ~window:(ST.ms 5) () in
+      let telemetry = Telemetry.Registry.create () in
+      String.equal
+        (Shard.digest (Correlator.correlate ~telemetry cfg logs))
+        (Shard.digest (Correlator.correlate_arena ~telemetry cfg (Arena.of_collection logs))))
+
+let () =
+  Alcotest.run "goldens"
+    [
+      ("pinned", List.map (fun c -> Alcotest.test_case c.name `Quick (check_case c)) cases);
+      ("adapters", [ QCheck_alcotest.to_alcotest prop_record_equals_arena ]);
+    ]

@@ -95,9 +95,40 @@ let test_quarantine_stale_behind_commit () =
     "per-reason stats"
     [
       (Ranker.Unknown_host, 0); (Ranker.Closed, 0); (Ranker.Duplicate, 0);
-      (Ranker.Regression, 0); (Ranker.Stale, 1);
+      (Ranker.Regression, 0); (Ranker.Stale, 1); (Ranker.Malformed, 0);
     ]
     (Ranker.stats r).Ranker.quarantined
+
+(* A source port past 0xffff, as an unwrapped simulated port can be. *)
+let unrepresentable_flow = H.flow "10.0.0.1" 70_000 "10.0.1.1" 80
+
+let test_quarantine_malformed () =
+  let r = online_ranker [ "web" ] in
+  let a =
+    H.act ~kind:Activity.Receive ~ts:0 ~ctx:H.web_ctx ~flow:unrepresentable_flow ~size:1
+  in
+  Alcotest.check result "uninternable flow quarantined" (Ranker.Quarantined Ranker.Malformed)
+    (Ranker.feed r a);
+  Alcotest.(check bool) "logged as fed" true
+    (match Ranker.quarantine_log r with [ (_, b) ] -> b == a | _ -> false)
+
+let test_quarantine_before_interning () =
+  (* Garbage from unknown hosts or after close must not grow the
+     process-wide intern tables. *)
+  let r = online_ranker [ "web" ] in
+  let before = Trace.Intern.counts () in
+  let ghost = H.ctx ~host:"ghost-host-never-seen" ~pid:987_654 () in
+  let junk = H.act ~kind:Activity.Begin ~ts:0 ~ctx:ghost ~flow:unrepresentable_flow ~size:1 in
+  Alcotest.check result "unknown host" (Ranker.Quarantined Ranker.Unknown_host)
+    (Ranker.feed r junk);
+  Ranker.close_input r;
+  let late =
+    H.act ~kind:Activity.Begin ~ts:0
+      ~ctx:(H.ctx ~host:"web" ~pid:987_655 ())
+      ~flow:unrepresentable_flow ~size:1
+  in
+  Alcotest.check result "closed" (Ranker.Quarantined Ranker.Closed) (Ranker.feed r late);
+  Alcotest.(check bool) "intern tables unchanged" true (Trace.Intern.counts () = before)
 
 let test_resort_within_allowance () =
   (* A record 3 ms late (within the 10 ms allowance) is re-sorted into
@@ -203,13 +234,16 @@ let prop_reordered_feed_matches_offline =
 
 let prop_feed_never_raises_and_accounts =
   QCheck.Test.make ~count:50 ~name:"feed never raises; every record accounted"
-    QCheck.(list_of_size Gen.(int_range 1 80) (triple (int_bound 2) (int_bound 50) (int_bound 3)))
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 80)
+        (quad (int_bound 2) (int_bound 50) (int_bound 3) bool))
     (fun records ->
       let r = online_ranker ~skew_allowance:(ST.ms 5) [ "web"; "app" ] in
       let accepted = ref 0 in
       let half = List.length records / 2 in
       List.iteri
-        (fun i (h, ts_ms, k) ->
+        (fun i (h, ts_ms, k, bad_port) ->
           if i = half then Ranker.close_input r;
           let host = List.nth [ "web"; "app"; "mars" ] h in
           let kind =
@@ -219,9 +253,8 @@ let prop_feed_never_raises_and_accounts =
             | 2 -> Activity.Receive
             | _ -> Activity.End_
           in
-          let a =
-            H.act ~kind ~ts:(ms ts_ms) ~ctx:(H.ctx ~host ()) ~flow:H.client_web_flow ~size:1
-          in
+          let flow = if bad_port then unrepresentable_flow else H.client_web_flow in
+          let a = H.act ~kind ~ts:(ms ts_ms) ~ctx:(H.ctx ~host ()) ~flow ~size:1 in
           (match Ranker.feed r a with
           | Ranker.Accepted | Ranker.Resorted -> incr accepted
           | Ranker.Quarantined _ -> ());
@@ -453,6 +486,8 @@ let () =
           Alcotest.test_case "duplicate" `Quick test_quarantine_duplicate;
           Alcotest.test_case "large regression" `Quick test_quarantine_large_regression;
           Alcotest.test_case "stale behind commit" `Quick test_quarantine_stale_behind_commit;
+          Alcotest.test_case "malformed" `Quick test_quarantine_malformed;
+          Alcotest.test_case "before interning" `Quick test_quarantine_before_interning;
           Alcotest.test_case "resort within allowance" `Quick test_resort_within_allowance;
           qtest prop_feed_never_raises_and_accounts;
         ] );

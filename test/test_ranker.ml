@@ -21,6 +21,9 @@ let drain r =
 
 let kinds = List.map (fun (a : Activity.t) -> a.kind)
 
+(* The mmap oracles below speak interned flow ids, as the engine does. *)
+let flow_id (a : Activity.t) = Trace.Intern.flow_id a.Activity.message.flow
+
 (* Drain with a realistic mmap oracle: a flow matches once its SEND has
    been emitted (and is consumed by its completing RECEIVE). *)
 let drain_tracking r emitted =
@@ -30,15 +33,12 @@ let drain_tracking r emitted =
     | Some a ->
         (match a.Activity.kind with
         | Activity.Send ->
-            let n =
-              Option.value ~default:0
-                (Simnet.Address.Flow_table.find_opt emitted a.Activity.message.flow)
-            in
-            Simnet.Address.Flow_table.replace emitted a.Activity.message.flow (n + 1)
+            let n = Option.value ~default:0 (Hashtbl.find_opt emitted (flow_id a)) in
+            Hashtbl.replace emitted (flow_id a) (n + 1)
         | Activity.Receive -> (
-            match Simnet.Address.Flow_table.find_opt emitted a.Activity.message.flow with
-            | Some 1 -> Simnet.Address.Flow_table.remove emitted a.Activity.message.flow
-            | Some n -> Simnet.Address.Flow_table.replace emitted a.Activity.message.flow (n - 1)
+            match Hashtbl.find_opt emitted (flow_id a) with
+            | Some 1 -> Hashtbl.remove emitted (flow_id a)
+            | Some n -> Hashtbl.replace emitted (flow_id a) (n - 1)
             | None -> ())
         | Activity.Begin | Activity.End_ -> ());
         loop (a :: acc)
@@ -46,11 +46,10 @@ let drain_tracking r emitted =
   loop []
 
 let with_tracking_ranker ?window ?skew_allowance logs =
-  let emitted = Simnet.Address.Flow_table.create 8 in
+  let emitted = Hashtbl.create 8 in
   let r =
     ranker ?window ?skew_allowance
-      ~mmap:(fun f ->
-        Option.value ~default:0 (Simnet.Address.Flow_table.find_opt emitted f) > 0)
+      ~mmap:(fun f -> Option.value ~default:0 (Hashtbl.find_opt emitted f) > 0)
       logs
   in
   (r, emitted)
@@ -97,7 +96,7 @@ let test_priority_order () =
   let sent = ref false in
   let r' =
     ranker
-      ~mmap:(fun f -> !sent && Simnet.Address.flow_equal f H.app_db_flow)
+      ~mmap:(fun f -> !sent && f = Trace.Intern.flow_id H.app_db_flow)
       logs
   in
   let order =
@@ -179,9 +178,9 @@ let test_concurrency_disturbance_swap () =
   in
   let logs = [ Log.of_list ~hostname:"n1" n1; Log.of_list ~hostname:"n2" n2 ] in
   (* mmap oracle reflecting emitted sends *)
-  let emitted = Simnet.Address.Flow_table.create 4 in
+  let emitted = Hashtbl.create 4 in
   let r =
-    ranker ~mmap:(fun f -> Simnet.Address.Flow_table.mem emitted f) logs
+    ranker ~mmap:(Hashtbl.mem emitted) logs
   in
   let order =
     let rec loop acc =
@@ -189,7 +188,7 @@ let test_concurrency_disturbance_swap () =
       | None -> List.rev acc
       | Some a ->
           if Activity.equal_kind a.Activity.kind Activity.Send then
-            Simnet.Address.Flow_table.replace emitted a.Activity.message.flow ();
+            Hashtbl.replace emitted (flow_id a) ();
           loop (a :: acc)
     in
     loop []
@@ -229,15 +228,15 @@ let test_promotion_never_crosses_own_context () =
   in
   let n2 = [ H.act ~kind:Activity.Receive ~ts:11 ~ctx:ctx_y ~flow:flow_b ~size:5 ] in
   let logs = [ Log.of_list ~hostname:"n1" n1; Log.of_list ~hostname:"n2" n2 ] in
-  let emitted = Simnet.Address.Flow_table.create 4 in
-  let r = ranker ~mmap:(fun f -> Simnet.Address.Flow_table.mem emitted f) logs in
+  let emitted = Hashtbl.create 4 in
+  let r = ranker ~mmap:(Hashtbl.mem emitted) logs in
   let order =
     let rec loop acc =
       match Ranker.rank r with
       | None -> List.rev acc
       | Some a ->
           if Activity.equal_kind a.Activity.kind Activity.Send then
-            Simnet.Address.Flow_table.replace emitted a.Activity.message.flow ();
+            Hashtbl.replace emitted (flow_id a) ();
           loop (a :: acc)
     in
     loop []
