@@ -1,11 +1,13 @@
 module Activity = Trace.Activity
 module Address = Simnet.Address
-module Log = Trace.Log
+module Arena = Trace.Arena
+module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 module Cag = Core.Cag
 module Correlator = Core.Correlator
 module Shard = Core.Shard
 module Json = Core.Json
+module R = Telemetry.Registry
 
 type summary = {
   out_path : string;
@@ -32,99 +34,76 @@ let ( let* ) = Result.bind
 
 let section_of_segment id = Printf.sprintf "segments/%06d" id
 
-(* ---- raw-record index: resolving vertex sources to store coordinates ----
+(* ---- back-links: resolving vertex sources to canonical rows ----
 
    [Transform.classify] preserves timestamp, context, flow and size and
-   rewrites only the kind (entry RECEIVE -> BEGIN, entry SEND -> END), so
-   a vertex source matches its raw record on everything but possibly the
-   kind. Identical records are consumed in deterministic order (paths in
-   completion order, vertices in causal order, sources in observation
-   order), so packing is reproducible byte for byte. *)
+   rewrites only the kind, so a source matches its raw record on
+   everything but possibly the kind. Sources are resolved in a fixed
+   order (paths in completion order, vertices in causal order, sources
+   in observation order), so identical records are consumed
+   deterministically and packing is reproducible byte for byte. *)
 
-let key_of (a : Activity.t) kind =
-  let c = a.Activity.context in
-  let f = a.Activity.message.flow in
-  ( Sim_time.to_ns a.timestamp,
-    c.Activity.host,
-    c.program,
-    c.pid,
-    c.tid,
-    Address.ip_to_int f.src.ip,
-    f.src.port,
-    Address.ip_to_int f.dst.ip,
-    f.dst.port,
-    a.message.size,
-    kind )
+type resolver = { arenas : Arena.t array; consumed : Bytes.t array (* one byte per row *) }
 
-let raw_kind_of = function
-  | Activity.Begin -> Some Activity.Receive
-  | Activity.End_ -> Some Activity.Send
-  | Activity.Send | Activity.Receive -> None
+let resolver arenas =
+  let arenas = Array.of_list arenas in
+  { arenas; consumed = Array.map (fun a -> Bytes.make (Arena.length a) '\000') arenas }
 
-let build_index collection =
-  let hosts = Array.of_list (List.map Log.hostname collection) in
-  let host_idx = Hashtbl.create 8 in
-  Array.iteri (fun i h -> Hashtbl.replace host_idx h i) hosts;
-  let index = Hashtbl.create 4096 in
-  List.iteri
-    (fun hi log ->
-      List.iteri
-        (fun ri (a : Activity.t) ->
-          let key = key_of a a.Activity.kind in
-          let q =
-            match Hashtbl.find_opt index key with
-            | Some q -> q
-            | None ->
-                let q = Queue.create () in
-                Hashtbl.replace index key q;
-                q
-          in
-          Queue.push (hi, ri) q)
-        (Log.to_list log))
-    collection;
-  (hosts, index)
+(* First row of [a] whose timestamp reaches [ts]. *)
+let lower_bound a ts =
+  let lo = ref 0 and hi = ref (Arena.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Arena.ts a mid < ts then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let resolve_source index (a : Activity.t) =
-  let take key =
-    match Hashtbl.find_opt index key with
-    | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
-    | Some _ | None -> None
+let take r (src : Activity.t) kind =
+  let ts = Sim_time.to_ns src.timestamp and kind = Activity.kind_to_code kind in
+  let matches a i =
+    Arena.kind_code a i = kind
+    && Arena.size a i = src.message.size
+    && Activity.equal_context (Intern.context_of_id (Arena.ctx_id a i)) src.context
+    && Address.flow_equal (Intern.flow_of_id (Arena.flow_id a i)) src.message.flow
   in
-  match take (key_of a a.Activity.kind) with
-  | Some link -> Some link
-  | None -> (
-      match raw_kind_of a.Activity.kind with
-      | Some raw -> take (key_of a raw)
-      | None -> None)
-
-let link_paths collection cags =
-  let hosts, index = build_index collection in
-  let links_total = ref 0 in
-  let unresolved = ref 0 in
-  let paths =
-    List.map
-      (fun cag ->
-        let vertices = Cag.vertices cag in
-        let links =
-          Array.of_list
-            (List.map
-               (fun v ->
-                 List.filter_map
-                   (fun src ->
-                     match resolve_source index src with
-                     | Some link ->
-                         incr links_total;
-                         Some link
-                     | None ->
-                         incr unresolved;
-                         None)
-                   (Cag.sources v))
-               vertices)
-        in
-        { Codec.cag; links })
-      cags
+  let rec host h =
+    if h >= Array.length r.arenas then None
+    else begin
+      let a = r.arenas.(h) and consumed = r.consumed.(h) in
+      let rec row i =
+        if i >= Arena.length a || Arena.ts a i <> ts then host (h + 1)
+        else if Bytes.get consumed i = '\000' && matches a i then begin
+          Bytes.set consumed i '\001';
+          Some (h, i)
+        end
+        else row (i + 1)
+      in
+      row (lower_bound a ts)
+    end
   in
-  (hosts, paths, !links_total, !unresolved)
+  host 0
+
+let resolve r (src : Activity.t) =
+  match (take r src src.kind, src.kind) with
+  | (Some _ as link), _ -> link
+  | None, Activity.Begin -> take r src Activity.Receive
+  | None, Activity.End_ -> take r src Activity.Send
+  | None, (Activity.Send | Activity.Receive) -> None
+
+let link_paths arenas cags =
+  let r = resolver arenas in
+  let links = ref 0 and unresolved = ref 0 in
+  let link src =
+    let l = resolve r src in
+    incr (if Option.is_some l then links else unresolved);
+    l
+  in
+  let path cag =
+    let vertex v = List.filter_map link (Cag.sources v) in
+    { Codec.cag; links = Array.of_list (List.map vertex (Cag.vertices cag)) }
+  in
+  let paths = List.map path cags in
+  (paths, !links, !unresolved)
 
 (* ---- config section ---- *)
 
@@ -153,82 +132,87 @@ let config_json ~(config : Correlator.config) ~scenario ~source_label =
 (* ---- sources ---- *)
 
 let read_file path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
+  | data -> Ok data
   | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
 
 (* Embed a store directory verbatim: the exact segment bytes, so packing
-   is lossless and deterministic with respect to the store's content. *)
+   is lossless and deterministic with respect to the store's content. The
+   same bytes are decoded for correlation, so back-links index exactly
+   what the bundle carries. *)
 let of_store_dir dir =
   let* manifest = Store.Manifest.load ~dir in
-  let* segments =
+  let* rev_segments =
     List.fold_left
       (fun acc (meta : Store.Segment.meta) ->
         let* acc = acc in
-        let* data = read_file (Filename.concat dir meta.Store.Segment.file) in
-        Ok ((meta, data) :: acc))
+        let path = Filename.concat dir meta.Store.Segment.file in
+        let* data = read_file path in
+        let* arenas =
+          Store.Segment.read_embedded_native ~data ~pos:0 ~len:(String.length data) ~what:path meta
+        in
+        Ok ((meta, data, arenas) :: acc))
       (Ok []) manifest.Store.Manifest.segments
-    |> Result.map List.rev
   in
-  let* collections =
-    List.fold_left
-      (fun acc (meta, _) ->
-        let* acc = acc in
-        let* c = Store.Segment.read ~dir meta in
-        Ok (c :: acc))
-      (Ok []) segments
-    |> Result.map List.rev
-  in
-  Ok (manifest, segments, Store.Query.merge collections)
+  let segments = List.rev rev_segments in
+  Ok
+    ( manifest,
+      List.map (fun (meta, data, _) -> (meta, data)) segments,
+      Store.Query.merge_native (List.map (fun (_, _, arenas) -> arenas) segments) )
 
-(* Roll a raw collection into synthetic segments, as a store ingest with
-   no reduction would. *)
+(* Cut the time-merged feed every [roll_records] rows and regroup each
+   batch per host (hostname order) — the writer's roll behaviour. The
+   feed is a stable sort of the inputs' rows, concatenated in input
+   order. Sorts [arenas] in place. *)
+let roll ~roll_records arenas =
+  List.iter Arena.sort_by_time arenas;
+  let arenas = Array.of_list arenas in
+  let rows h a = Array.init (Arena.length a) (fun i -> (h, i)) in
+  let feed = Array.concat (Array.to_list (Array.mapi rows arenas)) in
+  Array.stable_sort
+    (fun (h, i) (g, j) ->
+      let a = arenas.(h) and b = arenas.(g) in
+      match Int.compare (Arena.ts a i) (Arena.ts b j) with
+      | 0 -> (
+          match Intern.compare_context_id (Arena.ctx_id a i) (Arena.ctx_id b j) with
+          | 0 ->
+              Int.compare
+                (Activity.kind_priority (Arena.kind a i))
+                (Activity.kind_priority (Arena.kind b j))
+          | c -> c)
+      | c -> c)
+    feed;
+  List.init
+    ((Array.length feed + roll_records - 1) / roll_records)
+    (fun b ->
+      let batch = Hashtbl.create 8 in
+      for k = b * roll_records to min (Array.length feed) ((b + 1) * roll_records) - 1 do
+        let h, i = feed.(k) in
+        let sid = Arena.host_sid arenas.(h) in
+        if not (Hashtbl.mem batch sid) then Hashtbl.replace batch sid (Arena.create_sid sid);
+        Arena.append_row (Hashtbl.find batch sid) arenas.(h) i
+      done;
+      Hashtbl.fold (fun _ a acc -> a :: acc) batch []
+      |> List.sort (fun a b -> String.compare (Arena.hostname a) (Arena.hostname b)))
+
+(* Convert a raw collection once and roll it into synthetic segments, as
+   a store ingest with no reduction would. *)
 let of_logs ?(roll_records = 65_536) collection =
-  let records = Log.total collection in
-  if records = 0 then Error "pack: empty collection"
+  let arenas = Arena.of_collection collection in
+  if Arena.total arenas = 0 then Error "pack: empty collection"
   else begin
     let batches =
-      if records <= roll_records then [ collection ]
-      else begin
-        (* Cut on the time-merged feed every [roll_records] records, then
-           regroup per host — mirrors the writer's roll behaviour. *)
-        let all =
-          List.concat_map (fun log -> List.map (fun a -> (Log.hostname log, a)) (Log.to_list log))
-            collection
-          |> List.stable_sort (fun (_, a) (_, b) -> Activity.compare_by_time a b)
-        in
-        let rec cut acc batch n = function
-          | [] -> List.rev (if batch = [] then acc else List.rev batch :: acc)
-          | x :: rest ->
-              if n + 1 >= roll_records then cut (List.rev (x :: batch) :: acc) [] 0 rest
-              else cut acc (x :: batch) (n + 1) rest
-        in
-        let to_collection batch =
-          let by_host = Hashtbl.create 8 in
-          List.iter
-            (fun (h, a) ->
-              let prev = Option.value ~default:[] (Hashtbl.find_opt by_host h) in
-              Hashtbl.replace by_host h (a :: prev))
-            batch;
-          Hashtbl.fold (fun h acts acc -> (h, acts) :: acc) by_host []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          |> List.map (fun (hostname, acts) -> Log.of_list ~hostname (List.rev acts))
-        in
-        List.map to_collection (cut [] [] 0 all)
-      end
+      if Arena.total arenas <= roll_records then [ arenas ] else roll ~roll_records arenas
     in
     let manifest, rev_segments =
       List.fold_left
         (fun (manifest, acc) batch ->
           let id = manifest.Store.Manifest.next_id in
-          let meta, data = Store.Segment.encode ~id ~policy:"none" batch in
+          let meta, data = Store.Segment.encode_native ~id ~policy:"none" batch in
           (Store.Manifest.add manifest meta, (meta, data) :: acc))
         (Store.Manifest.empty, []) batches
     in
-    Ok (manifest, List.rev rev_segments, Store.Query.merge batches)
+    Ok (manifest, List.rev rev_segments, Store.Query.merge_native batches)
   end
 
 (* ---- packing ---- *)
@@ -251,27 +235,43 @@ let summary_json ~summary ~min_ts_ns ~max_ts_ns =
       ] )
 
 let write_file ~path data =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data);
-  Sys.rename tmp path
+  Out_channel.with_open_bin (path ^ ".tmp") (fun oc -> Out_channel.output_string oc data);
+  Sys.rename (path ^ ".tmp") path
+
+let stage name f =
+  let family = "pt_bundle_pack_stage_seconds" and labels = [ ("stage", name) ] in
+  ignore (R.histogram R.default ~help:"Bundle pack wall time per stage, seconds" ~labels family);
+  R.time R.default ~labels family f
 
 let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
-  let* manifest, segments, collection =
-    match source with
-    | `Store_dir dir -> of_store_dir dir
-    | `Logs logs -> of_logs ?roll_records logs
+  let* manifest, segments, arenas =
+    stage "decode" (fun () ->
+        match source with
+        | `Store_dir dir -> of_store_dir dir
+        | `Logs logs -> of_logs ?roll_records logs)
   in
-  if Log.total collection = 0 then Error "pack: store holds no records"
+  let records = Arena.total arenas in
+  if records = 0 then Error "pack: store holds no records"
   else begin
     let source_label =
       match source with `Store_dir dir -> "store:" ^ Filename.basename dir | `Logs _ -> "logs"
     in
-    let result = Shard.correlate ?jobs config collection in
+    let result = stage "correlate" (fun () -> Shard.correlate_arena ?jobs config arenas) in
     let cags = result.Correlator.cags in
-    let hosts, paths, links, unresolved = link_paths collection cags in
-    let profiles = Codec.profiles_of_cags cags in
+    let paths, links, unresolved = stage "link" (fun () -> link_paths arenas cags) in
+    List.iter
+      (fun (state, n) ->
+        R.add
+          (R.counter R.default ~help:"Bundle back-links by resolution outcome"
+             ~labels:[ ("state", state) ] "pt_bundle_links_total")
+          n)
+      [ ("resolved", links); ("unresolved", unresolved) ];
+    let hosts = List.map Arena.hostname arenas in
+    let profiles = stage "profile" (fun () -> Codec.profiles_of_cags cags) in
     let json_body j = Json.to_string ~indent:true (Container.sort_json j) in
+    let paths_body =
+      stage "encode" (fun () -> Codec.encode ~link_hosts:(Array.of_list hosts) paths)
+    in
     let sections =
       [
         ("config", json_body (config_json ~config ~scenario ~source_label));
@@ -280,10 +280,7 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
       @ List.map
           (fun ((meta : Store.Segment.meta), data) -> (section_of_segment meta.Store.Segment.id, data))
           segments
-      @ [
-          ("paths", Codec.encode ~link_hosts:hosts paths);
-          ("patterns", json_body (Codec.profiles_to_json profiles));
-        ]
+      @ [ ("paths", paths_body); ("patterns", json_body (Codec.profiles_to_json profiles)) ]
       @
       match telemetry with
       | Some families -> [ ("telemetry", json_body (Telemetry.Export.to_json families)) ]
@@ -299,8 +296,8 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
       {
         out_path = path;
         bytes = 0;
-        records = Log.total collection;
-        hosts = Array.to_list hosts;
+        records;
+        hosts;
         segments = List.length segments;
         store_bytes = List.fold_left (fun acc (_, d) -> acc + String.length d) 0 segments;
         cags = List.length cags;
@@ -310,9 +307,10 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
         unresolved_links = unresolved;
       }
     in
-    let data =
-      Container.assemble ~manifest_extra:[ summary_json ~summary ~min_ts_ns ~max_ts_ns ] sections
-    in
-    write_file ~path data;
-    Ok { summary with bytes = String.length data }
+    stage "write" (fun () ->
+        let data =
+          Container.assemble ~manifest_extra:[ summary_json ~summary ~min_ts_ns ~max_ts_ns ] sections
+        in
+        write_file ~path data;
+        Ok { summary with bytes = String.length data })
   end

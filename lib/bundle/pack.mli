@@ -2,11 +2,19 @@
 
     The packer embeds the store (segment bytes verbatim for a store
     directory; synthetic no-reduction segments for an in-memory
-    collection), correlates the embedded records, and serialises the
-    resulting causal paths with a back-link per vertex source resolved
-    against the canonical record order ({!Reader.collection}). Pattern
-    profiles, the correlation configuration, an optional scenario
-    description and an optional telemetry snapshot ride along.
+    collection), decodes those same bytes once into per-host
+    {!Trace.Arena}s merged into the canonical row order
+    ({!Store.Query.merge_native}, the order {!Reader.collection}
+    returns), correlates the rows ({!Core.Shard.correlate_arena}), and
+    serialises the resulting causal paths with a back-link per vertex
+    source resolved against those rows. Pattern profiles, the
+    correlation configuration, an optional scenario description and an
+    optional telemetry snapshot ride along. A [`Logs] source is
+    converted to arenas once, at the boundary.
+
+    Each stage is timed into {!Telemetry.Registry.default} as
+    [pt_bundle_pack_stage_seconds{stage}], and back-links are counted as
+    [pt_bundle_links_total{state}] (docs/TELEMETRY.md).
 
     Determinism: identical inputs produce byte-identical bundles — the
     payload carries no wall-clock timestamps (activity timestamps are
@@ -30,6 +38,25 @@ type summary = {
 }
 
 val pp_summary : Format.formatter -> summary -> unit
+
+(** {1 Back-links} *)
+
+type resolver
+(** Resolution state over the canonical per-host arenas: which rows
+    earlier sources have consumed. *)
+
+val resolver : Trace.Arena.t list -> resolver
+(** Over per-host arenas sorted by time, in back-link host order. *)
+
+val resolve : resolver -> Trace.Activity.t -> (int * int) option
+(** The [(host, row)] of the raw record behind one vertex source, or
+    [None]: binary-search the source's timestamp in each arena, in host
+    order, and consume the first row sharing it that is not yet consumed
+    and matches on context, flow, size and kind — the exact kind first,
+    then the raw kind of a transform-rewritten entry record (RECEIVE for
+    BEGIN, SEND for END). *)
+
+(** {1 Packing} *)
 
 val pack :
   ?telemetry:Telemetry.Registry.family list ->

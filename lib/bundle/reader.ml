@@ -1,5 +1,4 @@
-module Activity = Trace.Activity
-module Log = Trace.Log
+module Arena = Trace.Arena
 module Json = Core.Json
 
 type t = {
@@ -8,8 +7,7 @@ type t = {
   manifest : Json.t;
   sections : Container.section list;
   store_manifest : Store.Manifest.t;
-  mutable collection : Log.collection option;
-  mutable host_logs : (string, Activity.t array) Hashtbl.t option;
+  mutable rows : (string * Arena.t) list option;
   mutable decoded_paths : Codec.decoded option;
   mutable profiles : Codec.profile list option;
 }
@@ -23,6 +21,22 @@ let section_json t section =
       Error
         (Printf.sprintf "%s: bad %S section at offset %d: %s" t.display section.Container.name
            section.Container.pos e)
+
+(* A JSON section decoded with [of_json]; errors name its offset. *)
+let section_value t section of_json =
+  let* j = section_json t section in
+  Result.map_error
+    (fun e ->
+      Printf.sprintf "%s: %S section at offset %d: %s" t.display section.Container.name
+        section.Container.pos e)
+    (of_json j)
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+      let* y = f x in
+      let* ys = map_result f rest in
+      Ok (y :: ys)
 
 let require t name =
   match Container.find t.sections name with
@@ -38,32 +52,19 @@ let of_string ?(display = "<bundle>") data =
       manifest;
       sections;
       store_manifest = Store.Manifest.empty;
-      collection = None;
-      host_logs = None;
+      rows = None;
       decoded_paths = None;
       profiles = None;
     }
   in
   let* sm_section = require t0 "store/manifest" in
-  let* sm_json = section_json t0 sm_section in
-  let* store_manifest =
-    Result.map_error
-      (fun e ->
-        Printf.sprintf "%s: %S section at offset %d: %s" display "store/manifest"
-          sm_section.Container.pos e)
-      (Store.Manifest.of_json sm_json)
-  in
+  let* store_manifest = section_value t0 sm_section Store.Manifest.of_json in
   Ok { t0 with store_manifest }
 
 let open_file path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
+  | data -> of_string ~display:path data
   | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let data = really_input_string ic (in_channel_length ic) in
-          of_string ~display:path data)
 
 let display t = t.display
 let manifest_json t = t.manifest
@@ -76,36 +77,36 @@ let config t =
   | None -> Ok None
   | Some s -> Result.map (fun j -> Some j) (section_json t s)
 
-let read_segment t (meta : Store.Segment.meta) =
+let read_segment_native t (meta : Store.Segment.meta) =
   let name = Printf.sprintf "segments/%06d" meta.Store.Segment.id in
   let* s = require t name in
-  Store.Segment.read_embedded ~data:t.data ~pos:s.Container.pos ~len:s.Container.len
+  Store.Segment.read_embedded_native ~data:t.data ~pos:s.Container.pos ~len:s.Container.len
     ~what:(Printf.sprintf "%s section %S" t.display name)
     meta
 
+let read_segment t meta = Result.map Arena.to_collection (read_segment_native t meta)
+
 (* The canonical record order every back-link indexes into: segments
-   decoded in manifest order, per-host logs merged and re-sorted — the
-   same merge {!Store.Query} performs, so coordinates survive store
-   compaction (which preserves records and query answers). *)
-let collection t =
-  match t.collection with
-  | Some c -> Ok c
+   decoded in manifest order and merged by {!Store.Query.merge_native} —
+   the order the packer resolved against, and the one a store query
+   returns, so coordinates survive store compaction (which preserves
+   records and query answers). *)
+let rows t =
+  match t.rows with
+  | Some r -> Ok r
   | None ->
-      let* collections =
-        List.fold_left
-          (fun acc meta ->
-            let* acc = acc in
-            let* c = read_segment t meta in
-            Ok (c :: acc))
-          (Ok []) t.store_manifest.Store.Manifest.segments
-        |> Result.map List.rev
-      in
-      let c = Store.Query.merge collections in
-      t.collection <- Some c;
-      Ok c
+      let* decoded = map_result (read_segment_native t) t.store_manifest.Store.Manifest.segments in
+      let r = List.map (fun a -> (Arena.hostname a, a)) (Store.Query.merge_native decoded) in
+      t.rows <- Some r;
+      Ok r
+
+let collection t = Result.map (fun r -> Arena.to_collection (List.map snd r)) (rows t)
 
 let query ?telemetry ?pool ?jobs t predicate =
-  Store.Query.run_with ?telemetry ?pool ?jobs ~read:(read_segment t) t.store_manifest predicate
+  Result.map
+    (fun (arenas, stats) -> (Arena.to_collection arenas, stats))
+    (Store.Query.run_native_with ?telemetry ?pool ?jobs ~read:(read_segment_native t)
+       t.store_manifest predicate)
 
 let paths t =
   match t.decoded_paths with
@@ -125,61 +126,29 @@ let profiles t =
   | Some p -> Ok p
   | None ->
       let* s = require t "patterns" in
-      let* j = section_json t s in
-      let* p =
-        Result.map_error
-          (fun e ->
-            Printf.sprintf "%s: %S section at offset %d: %s" t.display "patterns"
-              s.Container.pos e)
-          (Codec.profiles_of_json j)
-      in
+      let* p = section_value t s Codec.profiles_of_json in
       t.profiles <- Some p;
       Ok p
 
 let telemetry t =
   match Container.find t.sections "telemetry" with
   | None -> Ok None
-  | Some s ->
-      let* j = section_json t s in
-      Result.map
-        (fun families -> Some families)
-        (Result.map_error
-           (fun e ->
-             Printf.sprintf "%s: %S section at offset %d: %s" t.display "telemetry"
-               s.Container.pos e)
-           (Telemetry.Export.of_json j))
-
-let host_logs t =
-  match t.host_logs with
-  | Some h -> Ok h
-  | None ->
-      let* c = collection t in
-      let h = Hashtbl.create 8 in
-      List.iter (fun log -> Hashtbl.replace h (Log.hostname log) (Array.of_list (Log.to_list log))) c;
-      t.host_logs <- Some h;
-      Ok h
+  | Some s -> Result.map Option.some (section_value t s Telemetry.Export.of_json)
 
 let resolve t ~link_hosts (host, index) =
   if host < 0 || host >= Array.length link_hosts then
     Error (Printf.sprintf "%s: back-link host index %d out of range" t.display host)
   else begin
     let hostname = link_hosts.(host) in
-    let* logs = host_logs t in
-    match Hashtbl.find_opt logs hostname with
+    let* rows = rows t in
+    match List.assoc_opt hostname rows with
     | None -> Error (Printf.sprintf "%s: back-link names unknown host %S" t.display hostname)
-    | Some arr ->
-        if index < 0 || index >= Array.length arr then
+    | Some arena ->
+        if index < 0 || index >= Arena.length arena then
           Error
             (Printf.sprintf "%s: back-link record index %d out of range for host %S (%d records)"
-               t.display index hostname (Array.length arr))
-        else Ok (hostname, index, arr.(index))
+               t.display index hostname (Arena.length arena))
+        else Ok (hostname, index, Arena.get arena index)
   end
 
-let resolve_links t ~link_hosts links =
-  List.fold_left
-    (fun acc link ->
-      let* acc = acc in
-      let* r = resolve t ~link_hosts link in
-      Ok (r :: acc))
-    (Ok []) links
-  |> Result.map List.rev
+let resolve_links t ~link_hosts links = map_result (resolve t ~link_hosts) links

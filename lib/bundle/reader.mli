@@ -2,9 +2,15 @@
     embedded store segments are never copied out to temp files — and every
     decode error names the bundle-relative offset it was detected at.
 
-    Decoded artifacts (the canonical record collection, the path table,
-    the profiles) are cached on the handle after first use, so a [walk]
-    following a [query] pays for one decode. *)
+    Embedded segments decode straight into {!Trace.Arena} rows
+    ({!Store.Segment.read_embedded_native}); the canonical row order is
+    {!Store.Query.merge_native} over them, the same order the packer
+    resolved back-links against. Record lists are built only at the
+    edge of the functions below that return them.
+
+    Decoded artifacts (the canonical rows, the path table, the profiles)
+    are cached on the handle after first use, so a [walk] following a
+    [query] pays for one decode. *)
 
 type t
 
@@ -32,8 +38,9 @@ val read_segment : t -> Store.Segment.meta -> (Trace.Log.collection, string) res
 
 val collection : t -> (Trace.Log.collection, string) result
 (** The canonical record order: all embedded segments decoded in manifest
-    order and merged exactly as {!Store.Query.merge} does. Back-link
-    [(host, index)] coordinates index into this collection. Cached. *)
+    order and merged by {!Store.Query.merge_native}. Back-link
+    [(host, index)] coordinates index into this collection. The rows are
+    cached; the records are built on each call. *)
 
 val query :
   ?telemetry:Telemetry.Registry.t ->
@@ -42,9 +49,9 @@ val query :
   t ->
   Store.Query.predicate ->
   (Trace.Log.collection * Store.Query.stats, string) result
-(** {!Store.Query.run_with} against the embedded segments: identical
-    manifest pruning, parallel decode, merge and record filtering as a
-    directory-backed store query. *)
+(** {!Store.Query.run_native_with} against the embedded segments:
+    identical manifest pruning, parallel decode, merge and record
+    filtering as a directory-backed store query. *)
 
 val paths : t -> (Codec.decoded, string) result
 (** The correlated causal paths with their back-link table. Cached. *)
@@ -58,7 +65,8 @@ val telemetry : t -> (Telemetry.Registry.family list option, string) result
 
 val resolve :
   t -> link_hosts:string array -> int * int -> (string * int * Trace.Activity.t, string) result
-(** Resolve one back-link to [(hostname, record index, raw activity)]. *)
+(** Resolve one back-link to [(hostname, record index, raw activity)]:
+    the record is materialised from its canonical row. *)
 
 val resolve_links :
   t ->

@@ -26,13 +26,16 @@ type view = {
 let ( let* ) = Result.bind
 
 let find_path decoded reader ?cag_id ?pattern ?(index = 0) () =
+  let display = Reader.display reader in
+  let path_of_id id ~missing =
+    match
+      List.find_opt (fun (p : Codec.path) -> p.Codec.cag.Cag.cag_id = id) decoded.Codec.paths
+    with
+    | Some p -> Ok p
+    | None -> Error (Printf.sprintf "%s: %s" display missing)
+  in
   match cag_id with
-  | Some id -> (
-      match
-        List.find_opt (fun (p : Codec.path) -> p.Codec.cag.Cag.cag_id = id) decoded.Codec.paths
-      with
-      | Some p -> Ok p
-      | None -> Error (Printf.sprintf "%s: no path with id %d" (Reader.display reader) id))
+  | Some id -> path_of_id id ~missing:(Printf.sprintf "no path with id %d" id)
   | None ->
       let* profiles = Reader.profiles reader in
       let* profile =
@@ -40,13 +43,13 @@ let find_path decoded reader ?cag_id ?pattern ?(index = 0) () =
         | None -> (
             match profiles with
             | p :: _ -> Ok p
-            | [] -> Error (Printf.sprintf "%s: bundle holds no patterns" (Reader.display reader)))
+            | [] -> Error (Printf.sprintf "%s: bundle holds no patterns" display))
         | Some name -> (
             match List.find_opt (fun (p : Codec.profile) -> String.equal p.Codec.name name) profiles with
             | Some p -> Ok p
             | None ->
                 Error
-                  (Printf.sprintf "%s: no pattern %S (have: %s)" (Reader.display reader) name
+                  (Printf.sprintf "%s: no pattern %S (have: %s)" display name
                      (String.concat ", " (List.map (fun (p : Codec.profile) -> p.Codec.name) profiles))))
       in
       let* id =
@@ -54,18 +57,10 @@ let find_path decoded reader ?cag_id ?pattern ?(index = 0) () =
         | Some id -> Ok id
         | None ->
             Error
-              (Printf.sprintf "%s: pattern %S has %d members, index %d out of range"
-                 (Reader.display reader) profile.Codec.name (List.length profile.Codec.cag_ids) index)
+              (Printf.sprintf "%s: pattern %S has %d members, index %d out of range" display
+                 profile.Codec.name (List.length profile.Codec.cag_ids) index)
       in
-      let* p =
-        match
-          List.find_opt (fun (p : Codec.path) -> p.Codec.cag.Cag.cag_id = id) decoded.Codec.paths
-        with
-        | Some p -> Ok p
-        | None ->
-            Error (Printf.sprintf "%s: pattern member %d missing from paths" (Reader.display reader) id)
-      in
-      Ok p
+      path_of_id id ~missing:(Printf.sprintf "pattern member %d missing from paths" id)
 
 let view reader ?cag_id ?pattern ?index () =
   let* decoded = Reader.paths reader in
@@ -85,11 +80,10 @@ let view reader ?cag_id ?pattern ?index () =
       Ok (List.map (fun (host, index, activity) -> { host; index; activity }) resolved)
     in
     let duration_ns = Sim_time.span_ns (Cag.duration cag) in
-    let hops =
+    let* hops =
       try Ok (Latency.critical_path cag) with Invalid_argument msg ->
         Error (Printf.sprintf "%s: path %d: %s" (Reader.display reader) cag.Cag.cag_id msg)
     in
-    let* hops = hops in
     let* rev_hops =
       List.fold_left
         (fun acc (h : Latency.hop) ->

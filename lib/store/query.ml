@@ -1,6 +1,3 @@
-module Activity = Trace.Activity
-module Log = Trace.Log
-module Sim_time = Simnet.Sim_time
 module R = Telemetry.Registry
 
 type predicate = {
@@ -34,24 +31,10 @@ let select manifest predicate =
       && List.exists (host_wanted predicate) m.Segment.hosts)
     manifest.Manifest.segments
 
-let merge collections =
-  let by_host = Hashtbl.create 16 in
-  List.iter
-    (fun collection ->
-      List.iter
-        (fun log ->
-          let host = Log.hostname log in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt by_host host) in
-          Hashtbl.replace by_host host (List.rev_append (List.rev (Log.to_list log)) prev))
-        collection)
-    collections;
-  Hashtbl.fold (fun host acts acc -> (host, acts) :: acc) by_host []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map (fun (hostname, acts) -> Log.of_list ~hostname (List.rev acts))
-
-(* The native merge: logs of one hostname across segments concatenate by
-   integer row blits into one arena per host, stable-sorted once at the
-   end — same result order as the record-list [merge] above. *)
+(* The one canonical merge: logs of one hostname across segments
+   concatenate by integer row blits into one arena per host, in segment
+   order, then one stable sort per host — rows tied on (timestamp,
+   context, kind) keep their segment order. *)
 let merge_native (collections : Trace.Arena.t list list) =
   let by_host : (int, Trace.Arena.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -70,9 +53,7 @@ let merge_native (collections : Trace.Arena.t list list) =
                 Hashtbl.replace by_host (Trace.Arena.host_sid src) acc;
                 acc
           in
-          for i = 0 to Trace.Arena.length src - 1 do
-            Trace.Arena.append_row acc src i
-          done)
+          Trace.Arena.append_range acc src ~lo:0 ~hi:(Trace.Arena.length src))
         arenas)
     collections;
   let arenas = Hashtbl.fold (fun _ a acc -> a :: acc) by_host [] in
@@ -81,10 +62,8 @@ let merge_native (collections : Trace.Arena.t list list) =
     (fun a b -> String.compare (Trace.Arena.hostname a) (Trace.Arena.hostname b))
     arenas
 
-let record_matches predicate (a : Activity.t) =
-  let ts = Sim_time.to_ns a.timestamp in
-  (match predicate.since_ns with Some s -> ts >= s | None -> true)
-  && match predicate.until_ns with Some u -> ts <= u | None -> true
+let merge collections =
+  Trace.Arena.to_collection (merge_native (List.map Trace.Arena.of_collection collections))
 
 let ts_matches predicate ts =
   (match predicate.since_ns with Some s -> ts >= s | None -> true)
@@ -166,32 +145,6 @@ let run_native_with ?(telemetry = R.default) ?pool ?jobs ~read manifest predicat
           segments_scanned = List.length selected;
           records_scanned;
           records_returned = Trace.Arena.total result;
-          seconds;
-        }
-      in
-      record_query_telemetry telemetry stats;
-      Ok (result, stats)
-
-let run_with ?(telemetry = R.default) ?pool ?jobs ~read manifest predicate =
-  let t0 = Unix.gettimeofday () in
-  let selected = select manifest predicate in
-  match decode_selected ?pool ?jobs ~read (Array.of_list selected) with
-  | Error e -> Error e
-  | Ok collections ->
-      let records_scanned = List.fold_left (fun acc c -> acc + Log.total c) 0 collections in
-      let result =
-        merge collections
-        |> List.filter (fun log -> host_wanted predicate (Log.hostname log))
-        |> Log.map_activities (fun a -> if record_matches predicate a then Some a else None)
-        |> List.filter (fun log -> Log.length log > 0)
-      in
-      let seconds = Unix.gettimeofday () -. t0 in
-      let stats =
-        {
-          segments_total = List.length manifest.Manifest.segments;
-          segments_scanned = List.length selected;
-          records_scanned;
-          records_returned = Log.total result;
           seconds;
         }
       in

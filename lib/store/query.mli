@@ -31,27 +31,16 @@ val pp_stats : Format.formatter -> stats -> unit
 val select : Manifest.t -> predicate -> Segment.meta list
 (** The manifest-level pruning alone (exposed for tests and [stat]). *)
 
-val merge : Trace.Log.collection list -> Trace.Log.collection
-(** Merge collections: logs of the same hostname are combined and
-    re-sorted; result ordered by hostname. *)
-
-val run_with :
-  ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
-  ?jobs:int ->
-  read:(Segment.meta -> (Trace.Log.collection, string) result) ->
-  Manifest.t ->
-  predicate ->
-  (Trace.Log.collection * stats, string) result
-(** The query engine over an abstract segment source: [read] resolves a
-    selected meta to its decoded collection (from a directory, or from
-    sections embedded in a bundle container — see [Bundle.Reader]). All
-    pruning, parallel decode, merge and record filtering is shared; the
-    semantics and determinism guarantees of {!run} apply. *)
-
 val merge_native : Trace.Arena.t list list -> Trace.Arena.t list
-(** {!merge} in the native representation: per-host concatenation is an
-    integer row blit, with one stable sort per host at the end. *)
+(** Merge decoded segments into the canonical record order: rows of the
+    same hostname are concatenated in segment order and stable-sorted
+    per host ({!Trace.Arena.sort_by_time}), so rows tied on (timestamp,
+    context, kind) keep their segment order; result ordered by
+    hostname. Every reader of a store or bundle — queries, the bundle
+    packer's back-links, [Bundle.Reader] — uses this one order. *)
+
+val merge : Trace.Log.collection list -> Trace.Log.collection
+(** {!merge_native} over record lists, converting at the edges. *)
 
 val run_native_with :
   ?telemetry:Telemetry.Registry.t ->
@@ -61,9 +50,13 @@ val run_native_with :
   Manifest.t ->
   predicate ->
   (Trace.Arena.t list * stats, string) result
-(** {!run_with} without leaving the native representation: segments decode
-    straight into arenas, merge/filter are integer row copies. Same
-    pruning, ordering and determinism guarantees. *)
+(** The query engine over an abstract segment source: [read] resolves a
+    selected meta to its decoded arenas (from a directory, or from
+    sections embedded in a bundle container — see [Bundle.Reader]).
+    Segments decode straight into arenas; merge and filter are integer
+    row copies. All pruning, parallel decode, merge and record filtering
+    is shared; the semantics and determinism guarantees of {!run}
+    apply. *)
 
 val run_native :
   ?telemetry:Telemetry.Registry.t ->

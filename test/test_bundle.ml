@@ -3,6 +3,7 @@
    named offsets, and diff-vs-diagnose culprit agreement — the acceptance
    criteria of the bundle subsystem. *)
 
+module H = Test_helpers.Helpers
 module S = Tiersim.Scenario
 module Faults = Tiersim.Faults
 module Activity = Trace.Activity
@@ -207,6 +208,105 @@ let test_every_vertex_resolves () =
               p.Bundle.Codec.cag.Cag.cag_id v.Cag.vid)
         vertices)
     decoded.Bundle.Codec.paths
+
+(* Reference for [Bundle.Pack.resolve], built on an index instead of a
+   search: one queue of (host, row) coordinates per exact record key,
+   popped in (host, row) order, exact kind first, then the raw kind of a
+   transform-rewritten entry record. *)
+module Reference_resolver = struct
+  let key_of (a : Activity.t) kind =
+    let c = a.Activity.context and f = a.Activity.message.flow in
+    ( Simnet.Sim_time.to_ns a.timestamp,
+      (c.Activity.host, c.program, c.pid, c.tid),
+      ( Simnet.Address.ip_to_int f.src.ip,
+        f.src.port,
+        Simnet.Address.ip_to_int f.dst.ip,
+        f.dst.port ),
+      a.message.size,
+      kind )
+
+  let create collection =
+    let index = Hashtbl.create 64 in
+    List.iteri
+      (fun hi log ->
+        List.iteri
+          (fun ri (a : Activity.t) ->
+            let key = key_of a a.Activity.kind in
+            let q =
+              match Hashtbl.find_opt index key with
+              | Some q -> q
+              | None ->
+                  let q = Queue.create () in
+                  Hashtbl.replace index key q;
+                  q
+            in
+            Queue.push (hi, ri) q)
+          (Log.to_list log))
+      collection;
+    index
+
+  let resolve index (a : Activity.t) =
+    let take kind = Option.bind (Hashtbl.find_opt index (key_of a kind)) Queue.take_opt in
+    match take a.Activity.kind with
+    | Some link -> Some link
+    | None -> (
+        match a.Activity.kind with
+        | Activity.Begin -> take Activity.Receive
+        | Activity.End_ -> take Activity.Send
+        | Activity.Send | Activity.Receive -> None)
+end
+
+(* Logs drawn from tiny attribute pools, so identical rows are common;
+   contexts name any of the hosts, so some records sit in another host's
+   log. Sources are stored rows, some rewritten to the BEGIN/END kind the
+   transform gives entry records, some perturbed to match nothing. *)
+let gen_resolver_case =
+  let open QCheck.Gen in
+  let hosts = [ "h0"; "h1"; "h2" ] in
+  let activity =
+    map
+      (fun ((ts, ctx_host), (pid, kind), (port, size)) ->
+        H.act ~kind ~ts ~ctx:(H.ctx ~host:ctx_host ~pid ())
+          ~flow:(H.flow "10.0.0.1" port "10.0.0.2" 80) ~size)
+      (triple
+         (pair (int_range 0 3) (oneofl hosts))
+         (pair (int_range 1 2) (oneofl Activity.[ Send; Receive; Begin; End_ ]))
+         (pair (int_range 1 2) (int_range 1 2)))
+  in
+  let logs =
+    map
+      (fun per_host ->
+        List.map2 (fun hostname acts -> Log.of_list ~hostname acts) hosts per_host)
+      (flatten_l (List.map (fun _ -> list_size (int_range 0 15) activity) hosts))
+  in
+  let source = triple (int_range 0 1_000) (int_range 0 1_000) (oneofl [ `Same; `Entry; `Miss ]) in
+  pair logs (list_size (int_range 0 40) source)
+
+let prop_resolver_matches_reference =
+  QCheck.Test.make ~name:"resolver = index reference" ~count:300
+    (QCheck.make gen_resolver_case) (fun (logs, picks) ->
+      let arenas = Store.Query.merge_native [ Trace.Arena.of_collection logs ] in
+      let canonical = Trace.Arena.to_collection arenas in
+      let rows = Array.of_list (List.concat_map Log.to_list canonical) in
+      let sources =
+        if Array.length rows = 0 then []
+        else
+          List.map
+            (fun (i, j, how) ->
+              let a = rows.(i mod Array.length rows) in
+              match (how, a.Activity.kind) with
+              | `Entry, Activity.Receive -> { a with Activity.kind = Activity.Begin }
+              | `Entry, Activity.Send -> { a with Activity.kind = Activity.End_ }
+              | `Miss, _ -> { a with message = { a.message with size = 3 + (j mod 2) } }
+              | _ -> a)
+            picks
+      in
+      let index = Reference_resolver.create canonical in
+      let r = Bundle.Pack.resolver arenas in
+      let expected = List.map (Reference_resolver.resolve index) sources in
+      let got = List.map (Bundle.Pack.resolve r) sources in
+      let unresolved l = List.length (List.filter Option.is_none l) in
+      expected = got && unresolved expected = unresolved got)
 
 let test_walk_resolves_every_hop () =
   let path, _ = Lazy.force control in
@@ -507,6 +607,7 @@ let () =
           Alcotest.test_case "every vertex resolves" `Quick test_every_vertex_resolves;
           Alcotest.test_case "walk resolves every hop" `Quick test_walk_resolves_every_hop;
           Alcotest.test_case "links survive compaction" `Quick test_links_survive_compaction;
+          QCheck_alcotest.to_alcotest prop_resolver_matches_reference;
         ] );
       ( "query",
         [ Alcotest.test_case "matches the directory store" `Quick test_query_matches_store ] );

@@ -8,7 +8,8 @@
      ([Correlator.correlate_arena]).
    - [online]: the same preimage over [Online.paths]/[Online.deformed],
      fed in merged time order one row at a time, through both
-     [Online.observe] and [Online.observe_arena] (one-row arenas). *)
+     [Online.observe] and [Online.observe_arena] (one-row arenas).
+   - [bundles]: the bytes [Bundle.Pack.pack] writes (see below). *)
 
 module Activity = Trace.Activity
 module Arena = Trace.Arena
@@ -131,9 +132,94 @@ let prop_record_equals_arena =
         (Shard.digest (Correlator.correlate ~telemetry cfg logs))
         (Shard.digest (Correlator.correlate_arena ~telemetry cfg (Arena.of_collection logs))))
 
+(* Bundle goldens: the MD5 of the PTZ1 bytes [Bundle.Pack.pack] writes
+   (no telemetry section) for the RUBiS Default run above, from a store
+   directory rolled every 4096 records and from the same records as an
+   in-memory [`Logs] source cut into synthetic segments of the same size.
+   Captured before the packer moved onto arena rows; [~jobs:2] must
+   produce the same bytes as [~jobs:1]. *)
+
+let temp_dir () =
+  let dir = Filename.temp_file "pt-goldens" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  dir
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let pack_bytes ~jobs cfg source =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let path = Filename.concat dir "b.ptz" in
+      match Bundle.Pack.pack ~jobs ~roll_records:4096 ~config:cfg ~source ~path () with
+      | Ok _ -> read_file path
+      | Error e -> Alcotest.failf "pack: %s" e)
+
+(* The store's basename is part of the packed config section. *)
+let with_store logs f =
+  let tmp = temp_dir () in
+  let dir = Filename.concat tmp "store" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf tmp)
+    (fun () ->
+      let w = Store.Writer.create ~roll_records:4096 ~dir () in
+      Store.Writer.ingest w logs;
+      ignore (Store.Writer.close w);
+      f (`Store_dir dir))
+
+let check_bundle_golden expected source_of () =
+  let cfg, logs = rubis () in
+  source_of logs (fun source ->
+      let one = pack_bytes ~jobs:1 cfg source in
+      let r = Result.get_ok (Bundle.Reader.of_string one) in
+      Alcotest.(check bool)
+        "several segments" true
+        (List.length (Bundle.Reader.store_manifest r).Store.Manifest.segments > 1);
+      pin "bundle md5" expected (Digest.to_hex (Digest.string one));
+      let two = pack_bytes ~jobs:2 cfg source in
+      Alcotest.(check bool) "jobs 2 = jobs 1" true (String.equal one two))
+
+(* Mesh bundles have concurrent siblings tied on (timestamp, context,
+   kind): their bytes are not pinned, but the packed paths must be exactly
+   the offline correlator's. A bundle keeps only the count of unfinished
+   paths, so both digests take the offline run's. *)
+let test_mesh_bundle_offline () =
+  let cfg, logs = mesh_control () in
+  let offline = Correlator.correlate_arena cfg (Arena.of_collection logs) in
+  let bytes = pack_bytes ~jobs:1 cfg (`Logs logs) in
+  let r = Result.get_ok (Bundle.Reader.of_string bytes) in
+  let decoded = Result.get_ok (Bundle.Reader.paths r) in
+  let finished = List.map (fun p -> p.Bundle.Codec.cag) decoded.Bundle.Codec.paths in
+  pin "packed CAGs = offline" (Shard.digest offline)
+    (Shard.digest { offline with Correlator.cags = finished })
+
+let bundle_cases =
+  [
+    Alcotest.test_case "RUBiS store dir" `Quick
+      (check_bundle_golden "994b7cfcafd81c0d244749fe54ba1bca" with_store);
+    Alcotest.test_case "RUBiS logs" `Quick
+      (check_bundle_golden "7965b2ecec7c94e7fb410d6faedc2463" (fun logs f -> f (`Logs logs)));
+    Alcotest.test_case "mesh control = offline" `Quick test_mesh_bundle_offline;
+  ]
+
 let () =
   Alcotest.run "goldens"
     [
       ("pinned", List.map (fun c -> Alcotest.test_case c.name `Quick (check_case c)) cases);
       ("adapters", [ QCheck_alcotest.to_alcotest prop_record_equals_arena ]);
+      ("bundles", bundle_cases);
     ]

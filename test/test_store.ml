@@ -433,6 +433,77 @@ let test_query_host_filter () =
       Alcotest.(check (list string)) "only db1" [ "db1" ] (List.map Log.hostname logs);
       Alcotest.(check bool) "non-empty" true (Log.total logs > 0)
 
+(* ---- merge order ---- *)
+
+(* Rows tied on (timestamp, context, kind) that differ only in flow: the
+   merge must keep them in segment order, not reverse them. *)
+let test_merge_keeps_tied_rows () =
+  let row port =
+    let flow = H.flow "10.0.2.1" port "10.0.3.1" 3306 in
+    H.act ~kind:Activity.Send ~ts:1_000 ~ctx:H.app_ctx ~flow ~size:300
+  in
+  let tied = List.map row [ 42001; 42002; 42003 ] in
+  let later =
+    H.act ~kind:Activity.Receive ~ts:2_000 ~ctx:H.app_ctx ~flow:H.db_app_flow ~size:1500
+  in
+  let log = Log.of_list ~hostname:"app" (tied @ [ later ]) in
+  Alcotest.(check bool) "one segment unchanged" true
+    (collection_equal [ log ] (Store.Query.merge [ [ log ] ]));
+  let first = Log.of_list ~hostname:"app" tied in
+  let second = Log.of_list ~hostname:"app" [ row 42004; later ] in
+  let expected = Log.of_list ~hostname:"app" (tied @ [ row 42004; later ]) in
+  Alcotest.(check bool) "segment order kept across segments" true
+    (collection_equal [ expected ] (Store.Query.merge [ [ first ]; [ second ] ]))
+
+(* Random multi-segment inputs drawn from tiny attribute pools, so rows
+   tie on (timestamp, context, kind) often. The record merge, the native
+   merge and the specification — per host, concatenate in segment order
+   and stable-sort by time — agree row for row. *)
+let gen_segments =
+  let open QCheck.Gen in
+  let host = oneofl [ "h0"; "h1"; "h2" ] in
+  let activity =
+    map
+      (fun (ts, (pid, kind), (port, size)) ->
+        H.act ~kind ~ts ~ctx:(H.ctx ~host:"h0" ~pid ()) ~flow:(H.flow "10.0.0.1" port "10.0.0.2" 80)
+          ~size)
+      (triple (int_range 0 4)
+         (pair (int_range 1 2) (oneofl Activity.[ Send; Receive; Begin; End_ ]))
+         (pair (int_range 1 3) (int_range 1 2)))
+  in
+  let log = pair host (list_size (int_range 0 12) activity) in
+  let segment =
+    map
+      (fun logs ->
+        List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) logs
+        |> List.map (fun (hostname, acts) -> Log.of_list ~hostname acts))
+      (list_size (int_range 1 3) log)
+  in
+  list_size (int_range 1 4) segment
+
+let prop_merge_agrees_with_native =
+  QCheck.Test.make ~name:"merge = merge_native = stable spec" ~count:200
+    (QCheck.make gen_segments) (fun segments ->
+      let spec =
+        List.concat segments
+        |> List.map Log.hostname
+        |> List.sort_uniq String.compare
+        |> List.map (fun hostname ->
+               List.concat_map
+                 (fun segment ->
+                   List.concat_map
+                     (fun log -> if Log.hostname log = hostname then Log.to_list log else [])
+                     segment)
+                 segments
+               |> List.stable_sort Activity.compare_by_time
+               |> Log.of_list ~hostname)
+      in
+      let native =
+        Trace.Arena.to_collection
+          (Store.Query.merge_native (List.map Trace.Arena.of_collection segments))
+      in
+      collection_equal spec (Store.Query.merge segments) && collection_equal spec native)
+
 (* ---- compaction ---- *)
 
 let test_compaction_equivalence () =
@@ -595,6 +666,8 @@ let () =
           Alcotest.test_case "segment boundary is inclusive" `Quick
             test_query_boundary_inclusive;
           Alcotest.test_case "host filter" `Quick test_query_host_filter;
+          Alcotest.test_case "merge keeps tied rows in order" `Quick test_merge_keeps_tied_rows;
+          QCheck_alcotest.to_alcotest prop_merge_agrees_with_native;
         ] );
       ( "compact",
         [
