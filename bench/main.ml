@@ -52,6 +52,10 @@ let gate_file = ref None
 let gate_hierarchy_file = ref None
 let gate_mesh_file = ref None
 
+(* Set by a figure whose invariant check (not a timing) failed; the
+   harness exits non-zero after writing its outputs. *)
+let check_failed = ref false
+
 (* ---- machine-readable results (--json) ---- *)
 
 (* Figures publish their headline numbers here; the driver folds them into
@@ -1422,28 +1426,33 @@ let bench_parallel () =
   let native_serial_equal =
     String.equal (Core.Shard.digest native_serial) serial_digest
   in
-  let plan = Core.Shard.plan cfg outcome.S.logs in
-  let epochs = Array.length (Core.Shard.epoch_ranges plan) in
+  (* The plan each sharded row executes; jobs 1 is one serial pass. *)
+  let epochs_at jobs =
+    if jobs <= 1 then 1
+    else Array.length (Core.Shard.epoch_ranges (Core.Shard.plan ~jobs cfg arenas))
+  in
+  let cut_candidates = Core.Shard.cut_candidates (Core.Shard.plan ~jobs:2 cfg arenas) in
   let t =
     Report.table
       ~title:
         (Printf.sprintf
-           "ext-11: sharded correlation speedup (%d epochs from %d cut candidates; host has \
-            %d domain(s))"
-           epochs
-           (Core.Shard.cut_candidates plan)
+           "ext-11: sharded correlation speedup (%d cut candidates; host has %d domain(s))"
+           cut_candidates
            (Domain.recommended_domain_count ()))
-      ~columns:[ "path"; "jobs"; "seconds"; "speedup vs serial"; "output vs serial" ]
+      ~columns:[ "path"; "jobs"; "epochs"; "seconds"; "speedup vs serial"; "output vs serial" ]
   in
+  let verdict equal = if equal then "identical" else "DIVERGED" in
+  let diverged = ref (not native_serial_equal) in
   Report.add_row t
-    [ "records"; "serial"; Report.cell_float ~decimals:4 serial_s; "1.00"; "reference" ];
+    [ "records"; "serial"; "1"; Report.cell_float ~decimals:4 serial_s; "1.00"; "reference" ];
   Report.add_row t
     [
       "native";
       "serial";
+      "1";
       Report.cell_float ~decimals:4 native_serial_s;
       Report.cell_float ~decimals:2 (serial_s /. native_serial_s);
-      (if native_serial_equal then "identical" else "DIVERGED");
+      verdict native_serial_equal;
     ];
   let grid =
     [ 1; 2; 4 ]
@@ -1451,28 +1460,33 @@ let bench_parallel () =
   in
   List.iter
     (fun jobs ->
+      let epochs = epochs_at jobs in
       let result, secs = time (fun () -> Core.Shard.correlate ~jobs cfg outcome.S.logs) in
       let equal = String.equal (Core.Shard.digest result) serial_digest in
       let nresult, nsecs =
         time (fun () -> Core.Shard.correlate_arena ~jobs cfg arenas)
       in
       let nequal = String.equal (Core.Shard.digest nresult) serial_digest in
+      if not (equal && nequal) then diverged := true;
       Report.add_row t
         [
           "records";
           Report.cell_int jobs;
+          Report.cell_int epochs;
           Report.cell_float ~decimals:4 secs;
           Report.cell_float ~decimals:2 (serial_s /. secs);
-          (if equal then "identical" else "DIVERGED");
+          verdict equal;
         ];
       Report.add_row t
         [
           "native";
           Report.cell_int jobs;
+          Report.cell_int epochs;
           Report.cell_float ~decimals:4 nsecs;
           Report.cell_float ~decimals:2 (serial_s /. nsecs);
-          (if nequal then "identical" else "DIVERGED");
+          verdict nequal;
         ];
+      record_int ~figure:"parallel" (Printf.sprintf "epochs_jobs_%d" jobs) epochs;
       record_float ~figure:"parallel" (Printf.sprintf "seconds_jobs_%d" jobs) secs;
       record_float ~figure:"parallel"
         (Printf.sprintf "speedup_jobs_%d" jobs)
@@ -1489,9 +1503,12 @@ let bench_parallel () =
   record_float ~figure:"parallel" "seconds_serial" serial_s;
   record_float ~figure:"parallel" "native_seconds_serial" native_serial_s;
   record_int ~figure:"parallel" "native_serial_equal" (if native_serial_equal then 1 else 0);
-  record_int ~figure:"parallel" "epochs" epochs;
-  record_int ~figure:"parallel" "cut_candidates" (Core.Shard.cut_candidates plan);
-  record_int ~figure:"parallel" "host_domains" (Domain.recommended_domain_count ())
+  record_int ~figure:"parallel" "cut_candidates" cut_candidates;
+  record_int ~figure:"parallel" "host_domains" (Domain.recommended_domain_count ());
+  if !diverged then begin
+    prerr_endline "parallel: sharded output DIVERGED from serial";
+    check_failed := true
+  end
 
 (* ---- ext: streaming diagnosis scored across the fault matrix ---- *)
 
@@ -1960,7 +1977,7 @@ let () =
   (match !gate_file with None -> () | Some file -> run_gate file);
   (match !gate_hierarchy_file with None -> () | Some file -> run_hierarchy_gate file);
   (match !gate_mesh_file with None -> () | Some file -> run_mesh_gate file);
-  match !telemetry_out with
+  (match !telemetry_out with
   | None -> ()
   | Some file ->
       let families = Telemetry.Registry.(snapshot default) in
@@ -1979,4 +1996,5 @@ let () =
         | exception Sys_error msg ->
             Printf.eprintf "cannot write telemetry: %s\n" msg;
             exit 1
-      end
+      end);
+  if !check_failed then exit 1

@@ -16,20 +16,6 @@ let rec sort_json = function
 
 (* ---- fixed-width integers ---- *)
 
-let u32be n =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.to_string b
-
-let read_u32be s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
 let u64be n =
   let b = Bytes.create 8 in
   for i = 0 to 7 do
@@ -89,11 +75,11 @@ let assemble ~manifest_extra sections =
   let manifest_str = Json.to_string ~indent:true manifest in
   let buf = Buffer.create 65_536 in
   Buffer.add_string buf magic;
-  Buffer.add_string buf (u32be (String.length manifest_str));
+  Trace.Binary_format.put_u32be buf (String.length manifest_str);
   Buffer.add_string buf manifest_str;
   List.iter
     (fun (name, body) ->
-      Buffer.add_string buf (u32be (String.length name));
+      Trace.Binary_format.put_u32be buf (String.length name);
       Buffer.add_string buf name;
       Buffer.add_string buf (u64be (String.length body));
       Buffer.add_string buf body)
@@ -123,7 +109,7 @@ let parse ~what data =
   if len < 8 || not (String.equal (String.sub data 0 4) magic) then
     Error (Printf.sprintf "%s: not a PTZ1 bundle at offset 0" what)
   else begin
-    let manifest_len = read_u32be data 4 in
+    let manifest_len = Trace.Binary_format.read_u32be data 4 in
     if manifest_len < 0 || 8 + manifest_len > len then
       Error (Printf.sprintf "%s: truncated bundle manifest at offset 4" what)
     else
@@ -143,7 +129,7 @@ let parse ~what data =
             else if len - pos < 4 then
               Error (Printf.sprintf "%s: truncated section header at offset %d" what pos)
             else begin
-              let name_len = read_u32be data pos in
+              let name_len = Trace.Binary_format.read_u32be data pos in
               if name_len < 0 || name_len > len - pos - 4 then
                 Error (Printf.sprintf "%s: section name overruns input at offset %d" what pos)
               else begin

@@ -1,4 +1,5 @@
 module Sim_time = Simnet.Sim_time
+module B = Trace.Binary_format
 
 let magic = "PTC1"
 let ack_magic = "PTA1"
@@ -10,19 +11,7 @@ let max_host_len = 4096
 let max_payload_len = 1 lsl 28
 let max_boundary_len = 1 lsl 24
 
-(* ---- encoding (same LEB128 primitives as Trace.Binary_format) ---- *)
-
-let put_uvarint buf n =
-  if n < 0 then
-    invalid_arg (Printf.sprintf "Frame.put_uvarint: negative value %d" n);
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+(* ---- encoding ---- *)
 
 let encode_payload_arena arena = Trace.Binary_format.encode_native [ arena ]
 
@@ -35,20 +24,20 @@ let encode_with_boundary ~boundary ~seq ~oldest ~host ~watermark ~payload =
   if String.length host > max_host_len then invalid_arg "Frame.encode: host too long";
   let buf = Buffer.create (String.length payload + 32) in
   Buffer.add_string buf magic;
-  put_uvarint buf seq;
-  put_uvarint buf oldest;
-  put_uvarint buf (String.length host);
+  B.put_uvarint buf seq;
+  B.put_uvarint buf oldest;
+  B.put_uvarint buf (String.length host);
   Buffer.add_string buf host;
-  put_uvarint buf (Sim_time.to_ns watermark);
-  put_uvarint buf (String.length payload);
+  B.put_uvarint buf (Sim_time.to_ns watermark);
+  B.put_uvarint buf (String.length payload);
   Buffer.add_string buf payload;
   (* boundary-table section; zero length when the agent did not run the
      partial-correlation pass (or resolved everything locally) *)
   (match boundary with
-  | [] -> put_uvarint buf 0
+  | [] -> B.put_uvarint buf 0
   | _ ->
       let bytes = Trace.Boundary.encode boundary in
-      put_uvarint buf (String.length bytes);
+      B.put_uvarint buf (String.length bytes);
       Buffer.add_string buf bytes);
   Buffer.contents buf
 
@@ -60,7 +49,7 @@ let encode_ack seq =
   if seq < 0 then invalid_arg "Frame.encode_ack: negative seq";
   let buf = Buffer.create 12 in
   Buffer.add_string buf ack_magic;
-  put_uvarint buf seq;
+  B.put_uvarint buf seq;
   Buffer.contents buf
 
 type t = {

@@ -29,7 +29,7 @@ let bytes_per_record = 160
 
 (* The rank/step/gc loop over transformed per-host arenas in log order:
    the one correlation core, which every entry point runs. *)
-let correlate_rows ?(telemetry = R.default) ?started cfg arenas ~on_path =
+let correlate_rows ?(telemetry = R.default) ?started ?(on_path = ignore) cfg arenas =
   let t0 = match started with Some t -> t | None -> Unix.gettimeofday () in
   let activities_in =
     R.counter telemetry ~help:"Activities entering the correlator after transform"
@@ -115,35 +115,16 @@ let correlate_rows ?(telemetry = R.default) ?started cfg arenas ~on_path =
     memory_bytes_estimate = !peak * bytes_per_record;
   }
 
-(* The record-list entry, as the sharded correlator runs it once per
-   epoch in a worker domain: an adapter onto the same core. *)
-let correlate_prepared ?telemetry ?started cfg prepared ~on_path =
-  correlate_rows ?telemetry ?started cfg (Trace.Arena.of_collection prepared) ~on_path
-
-let correlate_stream ?(telemetry = R.default) cfg collection ~on_path =
-  let started = Unix.gettimeofday () in
-  let prepared =
-    R.time telemetry ~labels:[ ("stage", "transform") ] "pt_correlator_stage_seconds" (fun () ->
-        Transform.apply cfg.transform collection)
-  in
-  correlate_prepared ~telemetry ~started cfg prepared ~on_path
-
-let correlate ?telemetry cfg collection =
-  correlate_stream ?telemetry cfg collection ~on_path:(fun _ -> ())
-
 (* Native entry: transform in the arena representation (memoised per
-   interned id) and rank the transformed rows in place. The entry-point
-   rewrite changes kind priorities, which can reorder rows sharing a
-   timestamp, so each arena is sorted back into log order first. *)
-let correlate_arena_stream ?(telemetry = R.default) cfg arenas ~on_path =
+   interned id; the output is back in log order) and rank the transformed
+   rows in place. *)
+let correlate_arena ?(telemetry = R.default) ?on_path cfg arenas =
   let started = Unix.gettimeofday () in
   let prepared =
     R.time telemetry ~labels:[ ("stage", "transform") ] "pt_correlator_stage_seconds" (fun () ->
-        let out = Transform.apply_native cfg.transform arenas in
-        List.iter Trace.Arena.sort_by_time out;
-        out)
+        Transform.apply_native cfg.transform arenas)
   in
-  correlate_rows ~telemetry ~started cfg prepared ~on_path
+  correlate_rows ~telemetry ~started ?on_path cfg prepared
 
-let correlate_arena ?telemetry cfg arenas =
-  correlate_arena_stream ?telemetry cfg arenas ~on_path:(fun _ -> ())
+let correlate ?telemetry ?on_path cfg collection =
+  correlate_arena ?telemetry ?on_path cfg (Trace.Arena.of_collection collection)

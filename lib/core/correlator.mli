@@ -6,7 +6,12 @@
     choosing candidates through the sliding time window, and (3) the
     {!Cag_engine} assembling candidates into CAGs — after the
     {!Transform} pass has rewritten entry-point activities into
-    BEGIN/END and dropped name-filterable noise. *)
+    BEGIN/END and dropped name-filterable noise.
+
+    There is one correlation core, {!correlate_rows}: the rank/step/gc
+    loop over transformed arena rows. {!correlate_arena} transforms
+    packed rows and runs it; {!correlate} is the record-list adapter onto
+    {!correlate_arena}; {!Shard} runs the core once per epoch. *)
 
 type config = {
   transform : Transform.config;
@@ -39,51 +44,44 @@ type result = {
       (** [peak_memory_proxy] scaled by a per-record footprint estimate. *)
 }
 
-val correlate : ?telemetry:Telemetry.Registry.t -> config -> Trace.Log.collection -> result
-(** Run the offline pipeline to completion. The run also reports itself
-    into [telemetry] (default {!Telemetry.Registry.default}): per-stage
-    wall time, activities in, commits, window occupancy, the path counts,
-    and the full {!Ranker.stats}/{!Cag_engine.stats} mirror (see
+val correlate :
+  ?telemetry:Telemetry.Registry.t ->
+  ?on_path:(Cag.t -> unit) ->
+  config ->
+  Trace.Log.collection ->
+  result
+(** Run the offline pipeline to completion, invoking [on_path] (default:
+    nothing) as each causal path completes — the paper's intended online
+    use. The records are packed with {!Trace.Arena.of_collection} and run
+    through {!correlate_arena}. The run also reports itself into
+    [telemetry] (default {!Telemetry.Registry.default}): per-stage wall
+    time, activities in, commits, window occupancy, the path counts, and
+    the full {!Ranker.stats}/{!Cag_engine.stats} mirror (see
     docs/TELEMETRY.md for the catalogue). *)
 
-val correlate_stream :
-  ?telemetry:Telemetry.Registry.t ->
-  config ->
-  Trace.Log.collection ->
-  on_path:(Cag.t -> unit) ->
-  result
-(** Same, invoking [on_path] as each causal path completes — the paper's
-    intended online use. *)
-
 val correlate_arena :
-  ?telemetry:Telemetry.Registry.t -> config -> Trace.Arena.t list -> result
-(** {!correlate} fed from the native representation, and the core every
-    entry point runs: the {!Transform} pass runs as
-    {!Transform.apply_native} (one memoised decision per interned
-    context/flow id), each transformed arena is sorted back into log
-    order, and the {!Ranker} ranks its rows in place. A record is built
-    only for each committed candidate. Decoded segments and collector
-    batches take this entry without round-tripping through
-    {!Trace.Log}. *)
-
-val correlate_arena_stream :
   ?telemetry:Telemetry.Registry.t ->
+  ?on_path:(Cag.t -> unit) ->
   config ->
   Trace.Arena.t list ->
-  on_path:(Cag.t -> unit) ->
   result
-(** {!correlate_arena} invoking [on_path] as each path completes. *)
+(** {!correlate} fed from the native representation: the {!Transform}
+    pass runs as {!Transform.apply_native} (one memoised decision per
+    interned context/flow id, output in log order), then
+    {!correlate_rows} ranks the rows in place. A record is built only for
+    each committed candidate. Decoded segments and collector batches take
+    this entry without round-tripping through {!Trace.Log}. *)
 
-val correlate_prepared :
+val correlate_rows :
   ?telemetry:Telemetry.Registry.t ->
   ?started:float ->
+  ?on_path:(Cag.t -> unit) ->
   config ->
-  Trace.Log.collection ->
-  on_path:(Cag.t -> unit) ->
+  Trace.Arena.t list ->
   result
-(** The rank/step/gc loop alone, over a collection the {!Transform} pass
-    has already been applied to: an adapter that converts it with
-    {!Trace.Arena.of_collection} and runs the same core as
-    {!correlate_arena}. This is what {!Shard} runs per epoch in a worker
-    domain; [started] (a [Unix.gettimeofday] stamp) backdates
-    [correlation_time] so callers can account setup they did themselves. *)
+(** The rank/step/gc loop alone — the one correlation core — over per-host
+    arenas the {!Transform} pass has already been applied to, each in log
+    order ({!Trace.Arena.sort_by_time}). {!Shard} runs it once per epoch
+    in a worker domain. [started] (a [Unix.gettimeofday] stamp) backdates
+    [correlation_time] so callers can account setup they did
+    themselves. *)

@@ -25,11 +25,12 @@ type stream = {
   mutable cursor : int;
   mutable listed : int;
       (* Rows the stream counts as its own: the unfetched ones plus those
-         fetched since the consumed prefix was last reclaimed. A stream
-         listing none takes its next record as in order. *)
+         fetched since the consumed prefix was last reclaimed. *)
   mutable closed : bool;
   mutable last_ts : int;  (* highest in-order feed timestamp *)
-  mutable last_kind : int;  (* the previous record fed ([-1]: none yet) *)
+  mutable last_kind : int;
+      (* the previous record accepted ([-1]: none yet, so the next one is
+         in order whatever its timestamp) *)
   mutable last_fed_ts : int;
   mutable last_ctx : int;
   mutable last_flow : int;
@@ -370,7 +371,7 @@ let feed_row t ~kind ~ts ~ctx ~flow ~size =
       kind = s.last_kind && ts = s.last_fed_ts && ctx = s.last_ctx && flow = s.last_flow
       && size = s.last_size
     then quarantine t Duplicate ~kind ~ts ~ctx ~flow ~size
-    else if s.listed > 0 && ts < s.last_ts then begin
+    else if s.last_kind >= 0 && ts < s.last_ts then begin
       (* A timestamp regression. Within the skew allowance the record is
          merely late — re-sort it into place; beyond it, or behind what
          this stream already committed, it is unusable. *)

@@ -1,65 +1,35 @@
-module Activity = Trace.Activity
-module Log = Trace.Log
+module Arena = Trace.Arena
+module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
-module Address = Simnet.Address
 module Pool = Parallel.Pool
 module R = Telemetry.Registry
 
 type plan = {
-  hosts : string list;  (* hostname order of the prepared collection *)
-  feed : (int * Activity.t) array;  (* (host index, activity), time-merged *)
-  epochs : (int * int) array;  (* chosen [lo, hi) ranges over [feed] *)
+  arenas : Arena.t array;  (* transformed, in log order, one per host *)
+  epochs : (int * int) array;  (* chosen [lo, hi) ranges over the merged feed *)
+  starts : int array array;
+      (* [starts.(k).(h)]: host [h]'s first row in epoch [k]; one extra
+         entry closes the last epoch *)
   cut_candidates : int;
-  prepared : Log.collection;
 }
 
 let epoch_ranges p = p.epochs
 let cut_candidates p = p.cut_candidates
 
-(* K-way merge of the per-host logs by [compare_by_time], ties broken by
-   host index — deterministic, and it preserves each host's log order, so
-   slicing the feed and re-bucketing by host yields contiguous, correctly
-   ordered per-host sub-logs. *)
-let merge_feed (prepared : Log.collection) =
-  let streams = Array.of_list (List.map (fun l -> Array.of_list (Log.to_list l)) prepared) in
-  let pos = Array.map (fun _ -> 0) streams in
-  let n = Array.fold_left (fun acc s -> acc + Array.length s) 0 streams in
-  if n = 0 then [||]
-  else begin
-  let seed =
-    let found = ref None in
-    Array.iteri (fun h s -> if !found = None && Array.length s > 0 then found := Some (h, s.(0))) streams;
-    Option.get !found
-  in
-  let feed = Array.make n seed in
-  for out = 0 to n - 1 do
-    let best = ref (-1) in
-    Array.iteri
-      (fun h s ->
-        if pos.(h) < Array.length s then
-          match !best with
-          | -1 -> best := h
-          | b when Activity.compare_by_time s.(pos.(h)) streams.(b).(pos.(b)) < 0 ->
-              best := h
-          | _ -> ())
-      streams;
-    let h = !best in
-    feed.(out) <- (h, streams.(h).(pos.(h)));
-    pos.(h) <- pos.(h) + 1
-  done;
-  feed
-  end
+(* Arena kind codes, as in the PTB1 wire format. *)
+let begin_code = 0
+let send_code = 1
+let end_code = 2
 
-let flow_key (f : Address.flow) =
-  ( Address.ip_to_int f.Address.src.Address.ip,
-    f.Address.src.Address.port,
-    Address.ip_to_int f.Address.dst.Address.ip,
-    f.Address.dst.Address.port )
+(* One sweep over the time-merged feed of the host arenas: a k-way merge
+   in {!Arena.compare_across} order, ties broken by host index. The merge
+   keeps each host's order, so a feed range [lo, hi) is one contiguous
+   row range per host, and an epoch is stored as each host's first row.
 
-(* One sweep over the merged feed: a boundary after index [i] is a valid
-   cut when no request is open, every flow is byte-balanced (every SEND
-   chunk fully received — which also brackets skew-displaced activities),
-   and the gap to the next activity is at least [margin].
+   A boundary before feed row [i] is a valid cut when no request is open,
+   every flow is byte-balanced (every SEND chunk fully received — which
+   also brackets skew-displaced activities), and the gap from row [i - 1]
+   is at least [margin].
 
    "No request open" tracks the set of open entry flows, not a BEGIN/END
    count: a chunked response emits one BEGIN but several END activities
@@ -68,101 +38,93 @@ let flow_key (f : Address.flow) =
    BEGIN and closes at its first END; trailing END chunks are no-ops.
    Closing at the first chunk is safe because a cut also needs a
    [margin]-wide silent gap, and the chunks of one response sit closer
-   together than the correlation window the margin defaults to — the same
+   together than the correlation window the margin is — the same
    temporal-proximity assumption the sliding-window ranker itself makes.
    A flow whose END is lost (probe death) stays open forever and blocks
-   all later cuts: degraded feeds shard less instead of sharding wrong. *)
-let find_cuts ~margin feed =
-  let n = Array.length feed in
-  let open_entry = Hashtbl.create 64 in
-  let open_requests = ref 0 in
-  let balances = Hashtbl.create 1024 in
+   all later cuts: degraded feeds shard less instead of sharding wrong.
+
+   Candidate cuts are coalesced greedily into epochs of at least
+   [n / (4 * jobs)] rows, so tiny epochs do not drown the win in
+   per-epoch ranker/engine setup. *)
+let make_plan ~margin ~jobs arenas =
+  let arenas = Array.of_list arenas in
+  let hosts = Array.length arenas in
+  let n = Array.fold_left (fun acc a -> acc + Arena.length a) 0 arenas in
+  let chunk = max 1 (n / max 1 (4 * jobs)) in
+  let pos = Array.make hosts 0 in
+  let next_host () =
+    let best = ref (-1) in
+    for h = 0 to hosts - 1 do
+      if
+        pos.(h) < Arena.length arenas.(h)
+        && (!best < 0 || Arena.compare_across arenas.(h) pos.(h) arenas.(!best) pos.(!best) < 0)
+      then best := h
+    done;
+    !best
+  in
+  (* BEGIN is the client's receive (flow client->entry), END the reply
+     send (flow entry->client): END looks up the reversed flow, so both
+     key on the (client, entry) orientation. *)
+  let open_entry = Intern.Table.create 64 in
+  let balances = Intern.Table.create 1024 in
   let unbalanced = ref 0 in
   let adjust flow delta =
-    let key = flow_key flow in
-    let cur = Option.value ~default:0 (Hashtbl.find_opt balances key) in
+    let cur = Option.value ~default:0 (Intern.Table.find_opt balances flow) in
     let next = cur + delta in
     if cur = 0 && next <> 0 then incr unbalanced
     else if cur <> 0 && next = 0 then decr unbalanced;
-    Hashtbl.replace balances key next
+    Intern.Table.replace balances flow next
   in
-  let cuts = ref [] in
+  let margin = Sim_time.span_ns margin in
+  let cuts = ref 0 and lo = ref 0 and last_ts = ref 0 in
+  let epochs = ref [] and starts = ref [ Array.copy pos ] in
   for i = 0 to n - 1 do
-    let _, (a : Activity.t) = feed.(i) in
-    (* BEGIN is the client's receive (flow client->entry), END the reply
-       send (flow entry->client): swap END's flow so both key on the
-       (client, entry) orientation. *)
-    (match a.Activity.kind with
-    | Activity.Begin ->
-        let key = flow_key a.message.flow in
-        if not (Hashtbl.mem open_entry key) then begin
-          Hashtbl.replace open_entry key ();
-          incr open_requests
-        end
-    | Activity.End_ ->
-        let f = a.Activity.message.Activity.flow in
-        let key = flow_key { Address.src = f.Address.dst; dst = f.Address.src } in
-        if Hashtbl.mem open_entry key then begin
-          Hashtbl.remove open_entry key;
-          decr open_requests
-        end
-    | Activity.Send -> adjust a.message.flow a.message.size
-    | Activity.Receive -> adjust a.message.flow (-a.message.size));
-    if !open_requests = 0 && !unbalanced = 0 && i + 1 < n then begin
-      let _, (b : Activity.t) = feed.(i + 1) in
-      let gap = Sim_time.diff b.Activity.timestamp a.Activity.timestamp in
-      if Sim_time.compare_span gap margin >= 0 then cuts := i :: !cuts
-    end
+    let h = next_host () in
+    let a = arenas.(h) and r = pos.(h) in
+    let ts = Arena.ts a r in
+    if i > 0 && Intern.Table.length open_entry = 0 && !unbalanced = 0 && ts - !last_ts >= margin
+    then begin
+      incr cuts;
+      if i - !lo >= chunk then begin
+        epochs := (!lo, i) :: !epochs;
+        starts := Array.copy pos :: !starts;
+        lo := i
+      end
+    end;
+    let flow = Arena.flow_id a r in
+    (match Arena.kind_code a r with
+    | k when k = begin_code -> Intern.Table.replace open_entry flow ()
+    | k when k = end_code -> (
+        match Intern.reverse_flow_id flow with
+        | Some key -> Intern.Table.remove open_entry key
+        | None -> ())
+    | k when k = send_code -> adjust flow (Arena.size a r)
+    | _ -> adjust flow (-Arena.size a r));
+    pos.(h) <- r + 1;
+    last_ts := ts
   done;
-  List.rev !cuts
-
-(* Coalesce candidate cuts down to roughly [target_epochs] ranges of
-   similar record counts, so tiny epochs do not drown the win in
-   per-epoch ranker/engine setup. *)
-let choose_epochs ~target_epochs ~n cuts =
-  let chunk = max 1 (n / max 1 target_epochs) in
-  let boundaries =
-    List.filter
-      (let last = ref 0 in
-       fun i ->
-         if i + 1 - !last >= chunk then begin
-           last := i + 1;
-           true
-         end
-         else false)
-      cuts
-  in
-  let rec ranges lo = function
-    | [] -> if lo < n || n = 0 then [ (lo, n) ] else []
-    | b :: rest -> (lo, b + 1) :: ranges (b + 1) rest
-  in
-  Array.of_list (ranges 0 boundaries)
-
-let make_plan ~margin ~target_epochs prepared =
-  let feed = merge_feed prepared in
-  let cuts = find_cuts ~margin feed in
-  let epochs = choose_epochs ~target_epochs ~n:(Array.length feed) cuts in
   {
-    hosts = List.map Log.hostname prepared;
-    feed;
-    epochs;
-    cut_candidates = List.length cuts;
-    prepared;
+    arenas;
+    epochs = Array.of_list (List.rev ((!lo, n) :: !epochs));
+    starts = Array.of_list (List.rev (Array.copy pos :: !starts));
+    cut_candidates = !cuts;
   }
 
-let plan ?cut_margin ?(target_epochs = 64) (cfg : Correlator.config) collection =
-  let margin = Option.value cut_margin ~default:cfg.Correlator.window in
-  make_plan ~margin ~target_epochs (Transform.apply cfg.Correlator.transform collection)
+let plan ~jobs (cfg : Correlator.config) arenas =
+  make_plan ~margin:cfg.Correlator.window ~jobs
+    (Transform.apply_native cfg.Correlator.transform arenas)
 
-(* Every epoch keeps the full host list (possibly with empty logs), so
+(* Every epoch keeps the full host list (possibly with empty arenas), so
    ranker stream indexing matches the serial run's. *)
-let epoch_collection p (lo, hi) =
-  let buckets = Array.make (List.length p.hosts) [] in
-  for i = hi - 1 downto lo do
-    let h, a = p.feed.(i) in
-    buckets.(h) <- a :: buckets.(h)
-  done;
-  List.mapi (fun h hostname -> Log.of_list ~hostname buckets.(h)) p.hosts
+let epoch_arenas p k =
+  Array.to_list
+    (Array.mapi
+       (fun h a ->
+         let lo = p.starts.(k).(h) and hi = p.starts.(k + 1).(h) in
+         let sub = Arena.create_sid ~capacity:(max 1 (hi - lo)) (Arena.host_sid a) in
+         Arena.append_range sub a ~lo ~hi;
+         sub)
+       p.arenas)
 
 let merge_ranker (a : Ranker.stats) (b : Ranker.stats) : Ranker.stats =
   let merge_quarantined qa qb =
@@ -246,16 +208,19 @@ let resolve_jobs jobs pool =
   | None, Some p -> Pool.size p
   | None, None -> Pool.default_jobs ()
 
-(* The sharded pipeline after the transform: plan, correlate each epoch in
-   a worker domain, merge. Shared by the record-path and native-path
-   front-ends, which differ only in how [prepared] was produced. *)
-let correlate_sharded ~telemetry ~started ?pool ~jobs ?cut_margin (cfg : Correlator.config)
-    prepared =
-  begin
-    let margin = Option.value cut_margin ~default:cfg.Correlator.window in
+(* Transform, plan, correlate each epoch in a worker domain, merge. *)
+let correlate_arena ?(telemetry = R.default) ?pool ?jobs (cfg : Correlator.config) arenas =
+  let jobs = resolve_jobs jobs pool in
+  if jobs <= 1 then Correlator.correlate_arena ~telemetry cfg arenas
+  else begin
+    let started = Unix.gettimeofday () in
+    let prepared =
+      R.time telemetry ~labels:[ ("stage", "transform") ] "pt_correlator_stage_seconds"
+        (fun () -> Transform.apply_native cfg.Correlator.transform arenas)
+    in
     let p =
       R.time telemetry ~labels:[ ("stage", "plan") ] "pt_parallel_stage_seconds" (fun () ->
-          make_plan ~margin ~target_epochs:(jobs * 4) prepared)
+          make_plan ~margin:cfg.Correlator.window ~jobs prepared)
     in
     R.set
       (R.gauge telemetry ~help:"Worker domains of the last sharded correlation"
@@ -271,16 +236,16 @@ let correlate_sharded ~telemetry ~started ?pool ~jobs ?cut_margin (cfg : Correla
       p.cut_candidates;
     if Array.length p.epochs <= 1 then
       (* Nothing to shard (one epoch): identical to the serial path. *)
-      Correlator.correlate_prepared ~telemetry ~started cfg prepared ~on_path:(fun _ -> ())
+      Correlator.correlate_rows ~telemetry ~started cfg prepared
     else begin
       let epoch_records =
         R.histogram telemetry ~help:"Records per sharded-correlation epoch"
           "pt_parallel_epoch_records"
       in
-      let run_epoch i =
-        let sub = epoch_collection p p.epochs.(i) in
-        Telemetry.Histogram.observe epoch_records (float_of_int (Log.total sub));
-        Correlator.correlate_prepared ~telemetry cfg sub ~on_path:(fun _ -> ())
+      let run_epoch k =
+        let sub = epoch_arenas p k in
+        Telemetry.Histogram.observe epoch_records (float_of_int (Arena.total sub));
+        Correlator.correlate_rows ~telemetry cfg sub
       in
       let results =
         R.time telemetry ~labels:[ ("stage", "correlate") ] "pt_parallel_stage_seconds"
@@ -295,31 +260,8 @@ let correlate_sharded ~telemetry ~started ?pool ~jobs ?cut_margin (cfg : Correla
     end
   end
 
-let correlate ?(telemetry = R.default) ?pool ?jobs ?cut_margin (cfg : Correlator.config)
-    collection =
-  let jobs = resolve_jobs jobs pool in
-  if jobs <= 1 then Correlator.correlate ~telemetry cfg collection
-  else begin
-    let started = Unix.gettimeofday () in
-    let prepared =
-      R.time telemetry ~labels:[ ("stage", "transform") ] "pt_correlator_stage_seconds"
-        (fun () -> Transform.apply cfg.Correlator.transform collection)
-    in
-    correlate_sharded ~telemetry ~started ?pool ~jobs ?cut_margin cfg prepared
-  end
-
-let correlate_arena ?(telemetry = R.default) ?pool ?jobs ?cut_margin
-    (cfg : Correlator.config) arenas =
-  let jobs = resolve_jobs jobs pool in
-  if jobs <= 1 then Correlator.correlate_arena ~telemetry cfg arenas
-  else begin
-    let started = Unix.gettimeofday () in
-    let prepared =
-      R.time telemetry ~labels:[ ("stage", "transform") ] "pt_correlator_stage_seconds"
-        (fun () -> Trace.Arena.to_collection (Transform.apply_native cfg.Correlator.transform arenas))
-    in
-    correlate_sharded ~telemetry ~started ?pool ~jobs ?cut_margin cfg prepared
-  end
+let correlate ?telemetry ?pool ?jobs cfg collection =
+  correlate_arena ?telemetry ?pool ?jobs cfg (Arena.of_collection collection)
 
 (* The digest preimage lives in {!Hierarchy.render} now, shared with the
    hierarchical root's identity check; the bytes are unchanged. Ids are

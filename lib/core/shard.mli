@@ -10,16 +10,22 @@
     correlating them in separate {!Ranker}/{!Cag_engine} instances gives
     exactly the per-epoch restriction of the serial run.
 
-    {!correlate} finds such request-quiescent cuts (the same quiescence
-    the ranker's watermark machinery waits for, computed in one sweep
-    over the time-merged feed), correlates each epoch in a worker domain
-    of a {!Parallel.Pool}, and merges the per-epoch results back in epoch
+    {!correlate_arena} works on arena rows end to end. It transforms the
+    host arenas ({!Transform.apply_native}), then finds request-quiescent
+    cuts (the same quiescence the ranker's watermark machinery waits for)
+    in one sweep over a k-way merge of their rows, keyed by {!Trace.Intern}
+    flow ids. The merge keeps each host's order, so an epoch is one
+    contiguous row range per host: each epoch's arenas are copied out
+    with {!Trace.Arena.append_range} and run through
+    {!Correlator.correlate_rows} in a worker domain of a
+    {!Parallel.Pool}. The per-epoch results are merged back in epoch
     order, re-keying CAG ids by each epoch's running [cags_started]
     offset — so patterns, per-pattern breakdowns and path ids are
     identical to the serial pipeline's. Requests that never close (lost
     ENDs) or flows that never balance (a silent host's unreceived sends)
     block all later cuts, so degraded feeds gracefully collapse toward
-    one big epoch: still correct, just less parallel.
+    one big epoch: still correct, just less parallel. {!correlate} is the
+    record-list adapter onto it.
 
     What is {e not} identical to serial: wall-clock fields
     ([correlation_time], the memory proxies, [peak_*] stats are
@@ -31,18 +37,13 @@
 
 type plan
 
-val plan :
-  ?cut_margin:Simnet.Sim_time.span ->
-  ?target_epochs:int ->
-  Correlator.config ->
-  Trace.Log.collection ->
-  plan
-(** Apply the transform and compute the epoch boundaries for a
-    collection. [cut_margin] (default: the config's window) is the
-    minimum quiescent gap cut at — at least the window, so the serial
-    ranker could not have fetched across the cut either.
-    [target_epochs] (default 64) coalesces adjacent candidate cuts so
-    scheduling overhead stays bounded on long traces. *)
+val plan : jobs:int -> Correlator.config -> Trace.Arena.t list -> plan
+(** Apply the transform and compute the epoch boundaries that
+    {!correlate_arena} at [jobs] (> 1) executes: cuts need a quiescent
+    gap of at least the config's window (so the serial ranker could not
+    have fetched across the cut either), and adjacent candidates are
+    coalesced into about [4 * jobs] epochs so scheduling overhead stays
+    bounded on long traces. *)
 
 val epoch_ranges : plan -> (int * int) array
 (** The chosen [lo, hi) index ranges over the time-merged feed. *)
@@ -50,36 +51,31 @@ val epoch_ranges : plan -> (int * int) array
 val cut_candidates : plan -> int
 (** How many quiescent boundaries the sweep found (before coalescing). *)
 
-val correlate :
-  ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
-  ?jobs:int ->
-  ?cut_margin:Simnet.Sim_time.span ->
-  Correlator.config ->
-  Trace.Log.collection ->
-  Correlator.result
-(** Sharded offline correlation. [jobs] defaults to the pool's size, or
-    {!Parallel.Pool.default_jobs} when no pool is given; [jobs <= 1], or
-    a plan with a single epoch, falls back to the serial
-    {!Correlator.correlate} path byte-for-byte. Reports the usual
-    [pt_correlator_*]/[pt_ranker_*]/[pt_engine_*] metrics (counter
-    totals match the serial run, see above) plus [pt_parallel_*]
-    planning and per-epoch figures. *)
-
 val correlate_arena :
   ?telemetry:Telemetry.Registry.t ->
   ?pool:Parallel.Pool.t ->
   ?jobs:int ->
-  ?cut_margin:Simnet.Sim_time.span ->
   Correlator.config ->
   Trace.Arena.t list ->
   Correlator.result
-(** {!correlate} fed from the native representation: the transform runs
-    as {!Transform.apply_native} over the packed rows (filtering on
-    interned ids, materialising only survivors), then the planning and
-    per-epoch machinery is shared with the record path — so the digest
-    equals both the serial and the record-path sharded run's. [jobs <= 1]
-    falls back to {!Correlator.correlate_arena}. *)
+(** Sharded offline correlation. [jobs] defaults to the pool's size, or
+    {!Parallel.Pool.default_jobs} when no pool is given; [jobs <= 1] is
+    {!Correlator.correlate_arena}, and a plan with a single epoch runs
+    {!Correlator.correlate_rows} over the whole feed, byte-for-byte the
+    serial path. Reports the usual
+    [pt_correlator_*]/[pt_ranker_*]/[pt_engine_*] metrics (counter
+    totals match the serial run, see above) plus [pt_parallel_*]
+    planning and per-epoch figures. *)
+
+val correlate :
+  ?telemetry:Telemetry.Registry.t ->
+  ?pool:Parallel.Pool.t ->
+  ?jobs:int ->
+  Correlator.config ->
+  Trace.Log.collection ->
+  Correlator.result
+(** {!correlate_arena} over the records packed with
+    {!Trace.Arena.of_collection}. *)
 
 val digest : Correlator.result -> string
 (** A canonical hex digest of everything the pattern/report layer shows:

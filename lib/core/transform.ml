@@ -117,5 +117,8 @@ let apply_native cfg arenas =
           Arena.append out ~kind:k ~ts:(Arena.ts a i) ~ctx:(Arena.ctx_id a i)
             ~flow:(Arena.flow_id a i) ~size:(Arena.size a i)
       done;
+      (* The entry-point rewrite changes kind priorities, which can
+         reorder rows sharing a timestamp: sort back into log order. *)
+      Arena.sort_by_time out;
       out)
     arenas

@@ -58,4 +58,6 @@ val has_custom_keep : config -> bool
 val apply_native : config -> Trace.Arena.t list -> Trace.Arena.t list
 (** {!apply} in the native representation (same per-record semantics,
     including a custom [keep]); host arenas are preserved even when every
-    row is dropped, like {!apply} keeps empty logs. *)
+    row is dropped, like {!apply} keeps empty logs, and each is sorted
+    into log order ({!Trace.Arena.sort_by_time}), as {!apply}'s logs
+    are. *)

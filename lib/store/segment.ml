@@ -87,20 +87,6 @@ let time_bounds arenas =
     arenas;
   (!lo, !hi)
 
-let u32be n =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.to_string b
-
-let read_u32be s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
 let encode_native ~id ~policy ?raw_records ?raw_bytes arenas =
   let records = Trace.Arena.total arenas in
   if records = 0 then invalid_arg "Segment.encode: empty collection";
@@ -125,7 +111,7 @@ let encode_native ~id ~policy ?raw_records ?raw_bytes arenas =
   let header = Json.to_string (meta_to_json meta) in
   let buf = Buffer.create (String.length payload + String.length header + 8) in
   Buffer.add_string buf magic;
-  Buffer.add_string buf (u32be (String.length header));
+  Trace.Binary_format.put_u32be buf (String.length header);
   Buffer.add_string buf header;
   Buffer.add_string buf payload;
   (meta, Buffer.contents buf)
@@ -162,7 +148,7 @@ let parse_header_at data ~pos ~len ~what =
   else if len < 8 || not (String.equal (String.sub data pos 4) magic) then
     Error (Printf.sprintf "%s: not a PTS1 segment at offset %d" what pos)
   else begin
-    let header_len = read_u32be data (pos + 4) in
+    let header_len = Trace.Binary_format.read_u32be data (pos + 4) in
     if 8 + header_len > len then
       Error (Printf.sprintf "%s: truncated segment header at offset %d" what (pos + 4))
     else

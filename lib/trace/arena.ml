@@ -200,20 +200,18 @@ let fold t f acc =
    used. *)
 let kind_priority_of_code = function 0 -> 0 | 1 -> 1 | 2 -> 2 | _ -> 3
 
-let compare_rows t i j =
-  match Int.compare t.ts.(i) t.ts.(j) with
+let compare_across a i b j =
+  match Int.compare a.ts.(i) b.ts.(j) with
   | 0 -> (
-      match Intern.compare_context_id t.ctx.(i) t.ctx.(j) with
-      | 0 -> (
-          match
-            Int.compare
-              (kind_priority_of_code (Char.code (Bytes.unsafe_get t.kinds i)))
-              (kind_priority_of_code (Char.code (Bytes.unsafe_get t.kinds j)))
-          with
-          | 0 -> Int.compare i j
-          | c -> c)
+      match Intern.compare_context_id a.ctx.(i) b.ctx.(j) with
+      | 0 ->
+          Int.compare
+            (kind_priority_of_code (Char.code (Bytes.unsafe_get a.kinds i)))
+            (kind_priority_of_code (Char.code (Bytes.unsafe_get b.kinds j)))
       | c -> c)
   | c -> c
+
+let compare_rows t i j = match compare_across t i t j with 0 -> Int.compare i j | c -> c
 
 let is_sorted t =
   let ok = ref true in

@@ -83,10 +83,14 @@ val fold : t -> ('a -> Activity.t -> 'a) -> 'a -> 'a
 
 (** {1 Order} *)
 
+val compare_across : t -> int -> t -> int -> int
+(** [compare_across a i b j] orders row [i] of [a] against row [j] of [b]
+    as {!Activity.compare_by_time} orders the records (timestamp, context,
+    kind priority); [0] on a full tie. *)
+
 val compare_rows : t -> int -> int -> int
-(** Mirrors {!Activity.compare_by_time} on rows (timestamp, context, kind
-    priority), breaking full ties by row index — so sorting with it is
-    stable. *)
+(** {!compare_across} within one arena, breaking full ties by row index —
+    so sorting with it is stable. *)
 
 val is_sorted : t -> bool
 val sort_by_time : t -> unit

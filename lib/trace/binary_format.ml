@@ -85,6 +85,11 @@ let w_raw w s =
 
 let w_contents w = Bytes.sub_string w.bytes 0 w.wpos
 
+(* Big-endian 32-bit fields: the store segment and bundle container
+   headers. *)
+let put_u32be buf n = Buffer.add_int32_be buf (Int32.of_int n)
+let read_u32be s pos = Int32.to_int (String.get_int32_be s pos) land 0xffff_ffff
+
 (* [limit] is one past the last readable byte: decoding an embedded
    payload (a segment inside a bundle container) sets [pos]/[limit] to the
    payload's region, and every offset in a [Corrupt] error stays absolute

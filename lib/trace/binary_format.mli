@@ -37,6 +37,12 @@ val get_uvarint : reader -> int
 val get_varint : reader -> int
 val get_string : reader -> string
 
+val put_u32be : Buffer.t -> int -> unit
+val read_u32be : string -> int -> int
+(** Big-endian unsigned 32-bit fields, for the fixed-width headers of the
+    store segment and bundle container. [read_u32be s pos] reads
+    [s.[pos] .. s.[pos + 3]]; @raise Invalid_argument past the end. *)
+
 val get_count : reader -> string -> int
 (** Read a count varint, raising [Corrupt] if it exceeds the remaining
     input (each counted item takes at least one byte) — the allocation-

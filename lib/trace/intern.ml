@@ -167,6 +167,11 @@ let flow_entry i =
 let flow_of_id i = snd (flow_entry i)
 let flow_parts_of_id i = fst (flow_entry i)
 
+let reverse_flow_id i =
+  let src_ip, src_port, dst_ip, dst_port = flow_parts_of_id i in
+  locked (fun () ->
+      Hashtbl.find_opt flow_tbl (pack_endpoint dst_ip dst_port, pack_endpoint src_ip src_port))
+
 let counts () = locked (fun () -> (string_rev.len, ctx_rev.len, flow_rev.len))
 
 (* Ids are dense, so the identity is a perfect hash: lookups make no

@@ -57,6 +57,10 @@ val flow_of_id : int -> Simnet.Address.flow
 val flow_parts_of_id : int -> int * int * int * int
 (** [(src ip, src port, dst ip, dst port)] as ints. *)
 
+val reverse_flow_id : int -> int option
+(** The id of the flow with source and destination swapped, if it has
+    been interned; a lookup only, so the table does not grow. *)
+
 (** {1 Introspection} *)
 
 val counts : unit -> int * int * int

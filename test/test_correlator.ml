@@ -167,7 +167,7 @@ let test_streaming_callback_order () =
     Correlator.config ~transform:(Transform.config ~entry_points:[ entry ] ()) ()
   in
   let result =
-    Correlator.correlate_stream cfg logs ~on_path:(fun cag ->
+    Correlator.correlate cfg logs ~on_path:(fun cag ->
         seen := Sim_time.to_ns (Cag.begin_ts cag) :: !seen)
   in
   Alcotest.(check int) "callback per path" 6 (List.length !seen);

@@ -9,6 +9,7 @@
    - [online]: the same preimage over [Online.paths]/[Online.deformed],
      fed in merged time order one row at a time, through both
      [Online.observe] and [Online.observe_arena] (one-row arenas).
+   - [planner]: the epochs the sharded correlator cuts (see below).
    - [bundles]: the bytes [Bundle.Pack.pack] writes (see below). *)
 
 module Activity = Trace.Activity
@@ -43,9 +44,9 @@ let rubis ?(noise = S.No_noise) ?(skew = ST.span_zero) () =
   in
   (Correlator.config ~transform:o.S.transform (), o.S.logs)
 
-let mesh_control () =
+let mesh_control ?(clients = 16) () =
   let spec = Option.get (Mesh.Presets.spec_of ~seed:7 "control") in
-  let spec = { spec with Mesh.Spec.clients = 16; requests_per_client = 20 } in
+  let spec = { spec with Mesh.Spec.clients; requests_per_client = 20 } in
   let b = Mesh.Runtime.build spec in
   Simnet.Engine.run b.Mesh.Runtime.engine;
   let transform = Core.Transform.config ~entry_points:b.Mesh.Runtime.entries () in
@@ -68,7 +69,7 @@ let cases =
     };
     {
       name = "mesh control";
-      build = mesh_control;
+      build = (fun () -> mesh_control ());
       (* Online orders some concurrent sibling calls differently. *)
       offline = "5728b27bbe5eac4826587f04665772b6";
       online = "42dd195efb8432dfd37637fd3b88c0d1";
@@ -131,6 +132,64 @@ let prop_record_equals_arena =
       String.equal
         (Shard.digest (Correlator.correlate ~telemetry cfg logs))
         (Shard.digest (Correlator.correlate_arena ~telemetry cfg (Arena.of_collection logs))))
+
+(* Planner goldens: the epochs {!Shard.plan} chooses — the ones the
+   sharded run executes — at jobs 2 and 4, and the quiescent cut
+   candidates behind them, captured from the record-list planner. The
+   RUBiS runs are the low-concurrency ones [bench --figure parallel]
+   shards (6 clients with --quick, 10 without); mesh control at 16
+   clients never goes quiet, at one client it does. *)
+
+let rubis_low clients =
+  let o = S.run { S.default with S.clients } in
+  (Correlator.config ~transform:o.S.transform (), o.S.logs)
+
+let plan_cases =
+  [
+    ( "RUBiS Browse_only, 6 clients",
+      (fun () -> rubis_low 6),
+      81,
+      [
+        ( 2,
+          [ (0, 189); (189, 377); (377, 556); (556, 744); (744, 925); (925, 1103); (1103, 1293);
+            (1293, 1391) ] );
+        ( 4,
+          [ (0, 104); (104, 214); (214, 304); (304, 392); (392, 485); (485, 576); (576, 663);
+            (663, 754); (754, 852); (852, 945); (945, 1035); (1035, 1133); (1133, 1236);
+            (1236, 1336); (1336, 1391) ] );
+      ] );
+    ( "RUBiS Browse_only, 10 clients",
+      (fun () -> rubis_low 10),
+      136,
+      [
+        ( 2,
+          [ (0, 338); (338, 661); (661, 986); (986, 1341); (1341, 1681); (1681, 2040);
+            (2040, 2374); (2374, 2585) ] );
+        ( 4,
+          [ (0, 172); (172, 338); (338, 505); (505, 692); (692, 861); (861, 1039); (1039, 1215);
+            (1215, 1394); (1394, 1561); (1561, 1739); (1739, 1904); (1904, 2079); (2079, 2242);
+            (2242, 2426); (2426, 2585) ] );
+      ] );
+    ("mesh control", (fun () -> mesh_control ()), 0, [ (2, [ (0, 7556) ]); (4, [ (0, 7556) ]) ]);
+    ( "mesh control, 1 client",
+      (fun () -> mesh_control ~clients:1 ()),
+      2,
+      [ (2, [ (0, 72); (72, 338); (338, 488) ]); (4, [ (0, 72); (72, 338); (338, 488) ]) ] );
+  ]
+
+let check_plan (_, build, cuts, by_jobs) () =
+  let cfg, logs = build () in
+  let arenas = Arena.of_collection logs in
+  List.iter
+    (fun (jobs, ranges) ->
+      let p = Shard.plan ~jobs cfg arenas in
+      Alcotest.(check int) (Printf.sprintf "cut candidates at jobs %d" jobs) cuts
+        (Shard.cut_candidates p);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "epoch ranges at jobs %d" jobs)
+        ranges
+        (Array.to_list (Shard.epoch_ranges p)))
+    by_jobs
 
 (* Bundle goldens: the MD5 of the PTZ1 bytes [Bundle.Pack.pack] writes
    (no telemetry section) for the RUBiS Default run above, from a store
@@ -221,5 +280,9 @@ let () =
     [
       ("pinned", List.map (fun c -> Alcotest.test_case c.name `Quick (check_case c)) cases);
       ("adapters", [ QCheck_alcotest.to_alcotest prop_record_equals_arena ]);
+      ( "planner",
+        List.map
+          (fun ((name, _, _, _) as c) -> Alcotest.test_case name `Quick (check_plan c))
+          plan_cases );
       ("bundles", bundle_cases);
     ]

@@ -142,6 +142,22 @@ let test_resort_within_allowance () =
   Alcotest.(check (list int)) "timestamp order restored" [ 0; ms 2; ms 5 ] ts;
   Alcotest.(check int) "counted" 1 (Ranker.stats r).Ranker.resorted
 
+let test_regression_after_reclaim () =
+  (* Once more than 64 fetched rows are consumed the stream reclaims its
+     prefix and lists no rows. A late record arriving right then must
+     still be checked against what the stream already accepted. *)
+  let r = online_ranker ~skew_allowance:(ST.ms 10) [ "web"; "app" ] in
+  for i = 0 to 69 do
+    Alcotest.check result "in order" Ranker.Accepted
+      (Ranker.feed r (web_begin (ms 20 + (i * 100_000))))
+  done;
+  Alcotest.check result "app t=200ms" Ranker.Accepted (Ranker.feed r (app_begin (ms 200)));
+  Alcotest.(check int) "web records committed" 70 (List.length (drain r));
+  Alcotest.check result "behind the commit point" (Ranker.Quarantined Ranker.Stale)
+    (Ranker.feed r (web_begin (ms 25)));
+  Alcotest.check result "beyond the allowance" (Ranker.Quarantined Ranker.Regression)
+    (Ranker.feed r (web_begin (ms 10)))
+
 (* ---- straggler eviction and resync ---- *)
 
 let test_straggler_eviction_and_resync () =
@@ -489,6 +505,7 @@ let () =
           Alcotest.test_case "malformed" `Quick test_quarantine_malformed;
           Alcotest.test_case "before interning" `Quick test_quarantine_before_interning;
           Alcotest.test_case "resort within allowance" `Quick test_resort_within_allowance;
+          Alcotest.test_case "regression after reclaim" `Quick test_regression_after_reclaim;
           qtest prop_feed_never_raises_and_accounts;
         ] );
       ( "straggler",

@@ -120,7 +120,7 @@ let quiet_spec = { Topo.default_spec with Topo.max_skew = Sim_time.ms 1 }
 
 let test_plan_multi_epoch_cover () =
   let cfg, logs = build_case quiet_spec in
-  let plan = Shard.plan cfg logs in
+  let plan = Shard.plan ~jobs:4 cfg (Trace.Arena.of_collection logs) in
   Alcotest.(check bool)
     (Printf.sprintf "%d cut candidates" (Shard.cut_candidates plan))
     true
@@ -142,15 +142,16 @@ let test_plan_multi_epoch_cover () =
     ranges
 
 let test_plan_degrades_to_one_epoch () =
-  (* A margin longer than the whole run admits no cut: the planner must
-     degrade to a single epoch, and sharded correlation (serial fallback)
-     must still match serial output exactly. *)
+  (* A window longer than the whole run leaves no gap wide enough to cut
+     at: the planner must degrade to a single epoch, and sharded
+     correlation (serial fallback) must still match serial output
+     exactly. *)
   let cfg, logs = build_case quiet_spec in
-  let margin = Sim_time.ms 60_000 in
-  let plan = Shard.plan ~cut_margin:margin cfg logs in
+  let cfg = { cfg with Correlator.window = Sim_time.ms 60_000 } in
+  let plan = Shard.plan ~jobs:4 cfg (Trace.Arena.of_collection logs) in
   Alcotest.(check int) "single epoch" 1 (Array.length (Shard.epoch_ranges plan));
   let serial = Correlator.correlate ~telemetry:(R.create ()) cfg logs in
-  let sharded = Shard.correlate ~telemetry:(R.create ()) ~jobs:4 ~cut_margin:margin cfg logs in
+  let sharded = Shard.correlate ~telemetry:(R.create ()) ~jobs:4 cfg logs in
   Alcotest.(check string) "fallback identical" (Shard.digest serial) (Shard.digest sharded)
 
 (* ---- sharded = serial ---- *)
