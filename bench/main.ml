@@ -1142,7 +1142,7 @@ let bench_hierarchy () =
     ];
   Report.add_row t
     [
-      "level 1 -> root (PTH1 paths)";
+      "level 1 -> root (PTP1 paths)";
       Report.cell_int report.P.root_ingest_bytes;
       Printf.sprintf "%.1fx" root_reduction;
     ];
@@ -1156,7 +1156,7 @@ let bench_hierarchy () =
   let s =
     Report.table
       ~title:"ext-16: per-shard ownership (no component sees the full feed)"
-      ~columns:[ "shard"; "replicas"; "paths"; "ingest records"; "PTH1 bytes" ]
+      ~columns:[ "shard"; "replicas"; "paths"; "ingest records"; "PTP1 bytes" ]
   in
   List.iter
     (fun (sh : P.shard_report) ->

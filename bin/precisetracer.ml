@@ -339,13 +339,13 @@ let print_hierarchy (report : Collect.Hierarchy.report) =
     (fun (sh : P.shard_report) ->
       Format.printf
         "  shard %d <- replicas [%s]: %d paths (%d deformed) from %d reduced records, %d \
-         boundary entries, %d PTH1 bytes to root@."
+         boundary entries, %d PTP1 bytes to root@."
         sh.P.shard_id
         (String.concat "," (List.map string_of_int sh.P.shard_replicas))
         sh.P.paths_finished sh.P.paths_deformed sh.P.ingest_records
         sh.P.shard_boundary_entries sh.P.output_bytes)
     report.P.shard_reports;
-  Format.printf "  root ingest: %d PTH1 bytes" report.P.root_ingest_bytes;
+  Format.printf "  root ingest: %d PTP1 bytes" report.P.root_ingest_bytes;
   if report.P.root_ingest_bytes > 0 then
     Format.printf " (%.1fx below the %d wire bytes level 1 ingested)"
       (float_of_int report.P.agent_bytes_shipped /. float_of_int report.P.root_ingest_bytes)
@@ -446,8 +446,8 @@ let simulate_cmd =
           ~doc:
             "Run the hierarchical collection plane with $(docv) level-1 collector shards: \
              per-host agents partial-correlate before shipping, each shard correlates a \
-             partition of the entry connections, and the root splices the shards' PTH1 \
-             path feeds (see docs/COLLECT.md). Implies $(b,--agent-correlate).")
+             partition of the entry connections, and the root splices the shards' PTP1 \
+             path tables (see docs/COLLECT.md). Implies $(b,--agent-correlate).")
   in
   let agent_correlate =
     Arg.(

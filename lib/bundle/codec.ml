@@ -1,5 +1,5 @@
 module Activity = Trace.Activity
-module Address = Simnet.Address
+module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 module B = Trace.Binary_format
 module Cag = Core.Cag
@@ -13,19 +13,6 @@ let magic = "PTP1"
 type path = { cag : Cag.t; links : (int * int) list array }
 type decoded = { link_hosts : string array; paths : path list }
 
-let kind_code = function
-  | Activity.Begin -> 0
-  | Activity.Send -> 1
-  | Activity.End_ -> 2
-  | Activity.Receive -> 3
-
-let kind_of_code pos = function
-  | 0 -> Activity.Begin
-  | 1 -> Activity.Send
-  | 2 -> Activity.End_
-  | 3 -> Activity.Receive
-  | c -> raise (B.Corrupt (pos, Printf.sprintf "bad kind code %d" c))
-
 let edge_code = function Cag.Context_edge -> 0 | Cag.Message_edge -> 1
 
 let edge_of_code pos = function
@@ -35,228 +22,142 @@ let edge_of_code pos = function
 
 (* ---- encoding ---- *)
 
-(* Same interning discipline as PTB1: strings, contexts and flows repeat
-   across most vertices, so each vertex carries small table indices. The
-   vertex list of a CAG is its causal order; local vertex ids are list
+(* PTB1's interning tables: strings, contexts and flows repeat across
+   most vertices, so each vertex carries small table indices. The vertex
+   list of a CAG is its causal order; local vertex ids are list
    positions, and parent references are backward deltas. *)
 let encode ~link_hosts paths =
-  let buf = Buffer.create 65_536 in
-  Buffer.add_string buf magic;
-  let strings = Hashtbl.create 32 in
-  let rev_strings = ref [] in
-  let intern_string s =
-    match Hashtbl.find_opt strings s with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length strings in
-        Hashtbl.replace strings s i;
-        rev_strings := s :: !rev_strings;
-        i
-  in
-  let contexts = Hashtbl.create 64 in
-  let rev_contexts = ref [] in
-  let intern_context (c : Activity.context) =
-    let key = (c.Activity.host, c.program, c.pid, c.tid) in
-    match Hashtbl.find_opt contexts key with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length contexts in
-        Hashtbl.replace contexts key i;
-        rev_contexts := c :: !rev_contexts;
-        i
-  in
-  let flows = Address.Flow_table.create 64 in
-  let rev_flows = ref [] in
-  let intern_flow f =
-    match Address.Flow_table.find_opt flows f with
-    | Some i -> i
-    | None ->
-        let i = Address.Flow_table.length flows in
-        Address.Flow_table.replace flows f i;
-        rev_flows := f :: !rev_flows;
-        i
-  in
+  let t = B.tables () in
+  let context (a : Activity.t) = B.table_context t (Intern.context_id a.Activity.context) in
+  let flow (a : Activity.t) = B.table_flow t (Intern.flow_id a.Activity.message.flow) in
   List.iter
     (fun { cag; _ } ->
       List.iter
         (fun (v : Cag.vertex) ->
-          let a = v.Cag.activity in
-          ignore (intern_string a.Activity.context.host);
-          ignore (intern_string a.Activity.context.program);
-          ignore (intern_context a.Activity.context);
-          ignore (intern_flow a.Activity.message.flow))
+          ignore (context v.Cag.activity);
+          ignore (flow v.Cag.activity))
         (Cag.vertices cag))
     paths;
-  B.put_uvarint buf (Hashtbl.length strings);
-  List.iter (B.put_string buf) (List.rev !rev_strings);
-  B.put_uvarint buf (Hashtbl.length contexts);
-  List.iter
-    (fun (c : Activity.context) ->
-      B.put_uvarint buf (intern_string c.Activity.host);
-      B.put_uvarint buf (intern_string c.program);
-      B.put_uvarint buf c.pid;
-      B.put_uvarint buf c.tid)
-    (List.rev !rev_contexts);
-  B.put_uvarint buf (Address.Flow_table.length flows);
-  List.iter
-    (fun (f : Address.flow) ->
-      B.put_uvarint buf (Address.ip_to_int f.src.ip);
-      B.put_uvarint buf f.src.port;
-      B.put_uvarint buf (Address.ip_to_int f.dst.ip);
-      B.put_uvarint buf f.dst.port)
-    (List.rev !rev_flows);
-  B.put_uvarint buf (Array.length link_hosts);
-  Array.iter (fun h -> B.put_uvarint buf (intern_string h)) link_hosts;
-  B.put_uvarint buf (List.length paths);
+  (* After the vertex strings, before the table is written: a host no
+     vertex mentions still gets an entry. *)
+  let link_hosts = Array.map (fun h -> B.table_string t (Intern.string_id h)) link_hosts in
+  let w = B.w_create 65_536 in
+  B.w_raw w magic;
+  B.w_tables w t;
+  B.w_uvarint w (Array.length link_hosts);
+  Array.iter (B.w_uvarint w) link_hosts;
+  B.w_uvarint w (List.length paths);
   List.iter
     (fun { cag; links } ->
       let vertices = Cag.vertices cag in
       let local = Hashtbl.create 16 in
       List.iteri (fun i (v : Cag.vertex) -> Hashtbl.replace local v.Cag.vid i) vertices;
-      B.put_uvarint buf cag.Cag.cag_id;
+      B.w_uvarint w cag.Cag.cag_id;
       let flags =
         (if Cag.is_finished cag then 1 else 0) lor if Cag.is_deformed cag then 2 else 0
       in
-      B.put_uvarint buf flags;
-      B.put_uvarint buf (List.length vertices);
+      B.w_uvarint w flags;
+      B.w_uvarint w (List.length vertices);
       let prev_ts = ref 0 in
       List.iteri
         (fun i (v : Cag.vertex) ->
           let a = v.Cag.activity in
-          B.put_uvarint buf (kind_code a.Activity.kind);
+          B.w_uvarint w (Activity.kind_to_code a.Activity.kind);
           let ts = Sim_time.to_ns a.timestamp in
-          B.put_varint buf (ts - !prev_ts);
+          B.w_varint w (ts - !prev_ts);
           prev_ts := ts;
-          B.put_uvarint buf (intern_context a.context);
-          B.put_uvarint buf (intern_flow a.message.flow);
-          B.put_uvarint buf a.message.size;
+          B.w_uvarint w (context a);
+          B.w_uvarint w (flow a);
+          B.w_uvarint w a.message.size;
           (* parents in addition order, as backward position deltas *)
           let parents = List.rev v.Cag.parents in
-          B.put_uvarint buf (List.length parents);
+          B.w_uvarint w (List.length parents);
           List.iter
             (fun (kind, (p : Cag.vertex)) ->
-              B.put_uvarint buf (edge_code kind);
-              B.put_uvarint buf (i - Hashtbl.find local p.Cag.vid))
+              B.w_uvarint w (edge_code kind);
+              B.w_uvarint w (i - Hashtbl.find local p.Cag.vid))
             parents;
           let vlinks = if i < Array.length links then links.(i) else [] in
-          B.put_uvarint buf (List.length vlinks);
+          B.w_uvarint w (List.length vlinks);
           List.iter
             (fun (h, r) ->
-              B.put_uvarint buf h;
-              B.put_uvarint buf r)
+              B.w_uvarint w h;
+              B.w_uvarint w r)
             vlinks)
         vertices)
     paths;
-  Buffer.contents buf
+  B.w_contents w
 
 (* ---- decoding ---- *)
 
+(* One path: the vertices in causal order, each adopted and wired to its
+   parents as it is read. Beyond the per-field checks, the rebuilt CAG
+   must pass [Cag.validate]; a failure names the path's offset. *)
+let read_path r ~contexts ~flows ~host_count =
+  let path_at = r.B.pos in
+  let cag_id = B.get_uvarint r in
+  let flags = B.get_uvarint r in
+  if flags land lnot 3 <> 0 then raise (B.Corrupt (r.B.pos, "bad path flags"));
+  let vertex_count = B.get_count r "vertex" in
+  if vertex_count = 0 then raise (B.Corrupt (r.B.pos, "empty CAG"));
+  let vertices = Array.make vertex_count None in
+  let prev_ts = ref 0 in
+  let cag = ref None in
+  let links = Array.make vertex_count [] in
+  for i = 0 to vertex_count - 1 do
+    let kind =
+      let code = B.get_uvarint r in
+      match Activity.kind_of_code code with
+      | Some k -> k
+      | None -> raise (B.Corrupt (r.B.pos, Printf.sprintf "bad kind code %d" code))
+    in
+    let ts = !prev_ts + B.get_varint r in
+    prev_ts := ts;
+    let context = B.get_index r contexts "context" in
+    let flow = B.get_index r flows "flow" in
+    let size = B.get_uvarint r in
+    let a = { Activity.kind; timestamp = Sim_time.of_ns ts; context; message = { flow; size } } in
+    let v = Cag.Builder.fresh_vertex a in
+    vertices.(i) <- Some v;
+    (match !cag with
+    | None -> cag := Some (Cag.Builder.create ~cag_id v)
+    | Some c -> Cag.Builder.adopt c v);
+    let parent_count = B.get_count r "parent" in
+    if i = 0 && parent_count > 0 then raise (B.Corrupt (r.B.pos, "root vertex with a parent"));
+    for _ = 1 to parent_count do
+      let kind = edge_of_code r.B.pos (B.get_uvarint r) in
+      let delta = B.get_uvarint r in
+      if delta < 1 || delta > i then raise (B.Corrupt (r.B.pos, "parent reference out of range"));
+      Cag.Builder.add_edge kind ~parent:(Option.get vertices.(i - delta)) ~child:v
+    done;
+    links.(i) <-
+      List.init (B.get_count r "link") (fun _ ->
+          let h = B.get_uvarint r in
+          if h < 0 || h >= host_count then
+            raise (B.Corrupt (r.B.pos, "link host index out of range"));
+          (h, B.get_uvarint r))
+  done;
+  let cag = Option.get !cag in
+  if flags land 1 <> 0 then Cag.Builder.finish cag;
+  if flags land 2 <> 0 then Cag.Builder.mark_deformed cag;
+  (match Cag.validate cag with Ok () -> () | Error e -> raise (B.Corrupt (path_at, e)));
+  { cag; links }
+
 (* [pos]/[len] delimit the paths section inside [data] (the whole bundle
-   string), so [B.Corrupt] offsets — and hence the error messages — are
-   bundle-relative. *)
+   string), so error offsets are bundle-relative. *)
 let decode data ~pos ~len =
-  if pos < 0 || len < 4 || pos + len > String.length data then
-    Error (Printf.sprintf "corrupt at offset %d: bad paths section region" pos)
-  else if not (String.equal (String.sub data pos 4) magic) then
-    Error (Printf.sprintf "corrupt at offset %d: no PTP1 magic" pos)
-  else begin
-    let r = { B.data; pos = pos + 4; limit = pos + len } in
-    try
-      let string_count = B.get_count r "string table" in
-      let strings = Array.init string_count (fun _ -> B.get_string r) in
-      let lookup_string i =
-        if i < 0 || i >= string_count then
-          raise (B.Corrupt (r.B.pos, "string index out of range"));
-        strings.(i)
-      in
-      let context_count = B.get_count r "context table" in
-      let contexts =
-        Array.init context_count (fun _ ->
-            let host = lookup_string (B.get_uvarint r) in
-            let program = lookup_string (B.get_uvarint r) in
-            let pid = B.get_uvarint r in
-            let tid = B.get_uvarint r in
-            { Activity.host; program; pid; tid })
-      in
-      let lookup_context i =
-        if i < 0 || i >= context_count then
-          raise (B.Corrupt (r.B.pos, "context index out of range"));
-        contexts.(i)
-      in
-      let flow_count = B.get_count r "flow table" in
-      let flows =
-        Array.init flow_count (fun _ ->
-            let src_ip = Address.ip_of_int (B.get_uvarint r) in
-            let src_port = B.get_uvarint r in
-            let dst_ip = Address.ip_of_int (B.get_uvarint r) in
-            let dst_port = B.get_uvarint r in
-            Address.flow
-              ~src:(Address.endpoint src_ip src_port)
-              ~dst:(Address.endpoint dst_ip dst_port))
-      in
-      let lookup_flow i =
-        if i < 0 || i >= flow_count then raise (B.Corrupt (r.B.pos, "flow index out of range"));
-        flows.(i)
-      in
+  B.decode_frame ~magic data ~pos ~len (fun r ->
+      let ids = B.get_tables r in
+      let contexts = Array.map Intern.context_of_id ids.B.context_ids in
+      let flows = Array.map Intern.flow_of_id ids.B.flow_ids in
       let host_count = B.get_count r "link host table" in
-      let link_hosts = Array.init host_count (fun _ -> lookup_string (B.get_uvarint r)) in
-      let path_count = B.get_count r "path" in
-      let paths =
-        List.init path_count (fun _ ->
-            let cag_id = B.get_uvarint r in
-            let flags = B.get_uvarint r in
-            let vertex_count = B.get_count r "vertex" in
-            if vertex_count = 0 then raise (B.Corrupt (r.B.pos, "empty CAG"));
-            let vertices = Array.make vertex_count None in
-            let prev_ts = ref 0 in
-            let cag = ref None in
-            let links = Array.make vertex_count [] in
-            for i = 0 to vertex_count - 1 do
-              let kind = kind_of_code r.B.pos (B.get_uvarint r) in
-              let ts = !prev_ts + B.get_varint r in
-              prev_ts := ts;
-              let context = lookup_context (B.get_uvarint r) in
-              let flow = lookup_flow (B.get_uvarint r) in
-              let size = B.get_uvarint r in
-              let a =
-                { Activity.kind; timestamp = Sim_time.of_ns ts; context; message = { flow; size } }
-              in
-              let v = Cag.Builder.fresh_vertex a in
-              vertices.(i) <- Some v;
-              (match !cag with
-              | None -> cag := Some (Cag.Builder.create ~cag_id v)
-              | Some c -> Cag.Builder.adopt c v);
-              let parent_count = B.get_count r "parent" in
-              for _ = 1 to parent_count do
-                let kind = edge_of_code r.B.pos (B.get_uvarint r) in
-                let delta = B.get_uvarint r in
-                if delta < 1 || delta > i then
-                  raise (B.Corrupt (r.B.pos, "parent reference out of range"));
-                match vertices.(i - delta) with
-                | Some parent -> Cag.Builder.add_edge kind ~parent ~child:v
-                | None -> raise (B.Corrupt (r.B.pos, "parent reference out of range"))
-              done;
-              let link_count = B.get_count r "link" in
-              links.(i) <-
-                List.init link_count (fun _ ->
-                    let h = B.get_uvarint r in
-                    if h >= host_count then
-                      raise (B.Corrupt (r.B.pos, "link host index out of range"));
-                    let idx = B.get_uvarint r in
-                    (h, idx))
-            done;
-            let cag = Option.get !cag in
-            if flags land 1 <> 0 then Cag.Builder.finish cag;
-            if flags land 2 <> 0 then Cag.Builder.mark_deformed cag;
-            { cag; links })
+      let link_hosts =
+        Array.init host_count (fun _ ->
+            Intern.string_of_id (B.get_index r ids.B.string_ids "string"))
       in
-      if r.B.pos <> r.B.limit then
-        Error (Printf.sprintf "corrupt at offset %d: trailing garbage in paths section" r.B.pos)
-      else Ok { link_hosts; paths }
-    with
-    | B.Corrupt (p, msg) -> Error (Printf.sprintf "corrupt at offset %d: %s" p msg)
-    | Invalid_argument msg -> Error (Printf.sprintf "corrupt at offset %d: %s" r.B.pos msg)
-  end
+      let path_count = B.get_count r "path" in
+      let paths = List.init path_count (fun _ -> read_path r ~contexts ~flows ~host_count) in
+      { link_hosts; paths })
 
 (* ---- pattern profiles ---- *)
 

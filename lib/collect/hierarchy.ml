@@ -206,7 +206,7 @@ let finish t =
           "pt_hier_shard_paths_total"
       in
       let c_root_bytes =
-        R.counter t.telemetry ~help:"PTH1 bytes ingested by the hierarchy root"
+        R.counter t.telemetry ~help:"PTP1 path-table bytes ingested by the hierarchy root"
           "pt_hier_root_ingest_bytes_total"
       in
       let c_root_paths =
@@ -214,8 +214,9 @@ let finish t =
           "pt_hier_root_paths_total"
       in
       (* Drain every shard, then ship each shard's paths to the root as
-         one PTH1 message. The root decodes the bytes — it never touches
-         the shard correlators' in-memory graphs. *)
+         one PTP1 path table with no back-links. The root decodes the
+         bytes — it never touches the shard correlators' in-memory
+         graphs. *)
       let per_shard =
         Array.to_list
           (Array.map
@@ -223,13 +224,16 @@ let finish t =
                Core.Online.finish sh.online;
                let fin = Core.Online.paths sh.online in
                let dfm = Core.Online.deformed sh.online in
-               let message = Core.Hierarchy.encode_paths (fin @ dfm) in
+               let message =
+                 Bundle.Codec.encode ~link_hosts:[||]
+                   (List.map (fun cag -> { Bundle.Codec.cag; links = [||] }) (fin @ dfm))
+               in
                let decoded =
-                 match Core.Hierarchy.decode_paths message with
-                 | Ok cags -> cags
+                 match Bundle.Codec.decode message ~pos:0 ~len:(String.length message) with
+                 | Ok d -> List.map (fun p -> p.Bundle.Codec.cag) d.Bundle.Codec.paths
                  | Error e ->
                      failwith
-                       (Printf.sprintf "Hierarchy.finish: shard %d PTH1 corrupt: %s"
+                       (Printf.sprintf "Hierarchy.finish: shard %d PTP1 corrupt: %s"
                           sh.shard_id e)
                in
                let dec_fin, dec_dfm = List.partition Core.Cag.is_finished decoded in

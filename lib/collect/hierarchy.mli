@@ -16,9 +16,9 @@
       never cross replicas, so every causal path completes inside its
       shard.
     - {e level 2} — the root ingests each shard's finished paths as one
-      PTH1 message ({!Core.Hierarchy.encode_paths}) and splices them into
-      the canonical global sequence. No component ever sees the full raw
-      feed; the root sees no raw records at all.
+      PTP1 path table with no back-links ({!Bundle.Codec.encode}) and
+      splices them into the canonical global sequence. No component ever
+      sees the full raw feed; the root sees no raw records at all.
 
     Usage: [create] the plane from the cluster spec, pass {!install} as
     [Scenario.run_cluster]'s [before_replica] hook, then {!finish} after
@@ -75,7 +75,7 @@ type shard_report = {
   paths_deformed : int;
   ingest_records : int;  (** Reduced rows delivered into this shard. *)
   shard_boundary_entries : int;
-  output_bytes : int;  (** The shard's PTH1 message to the root. *)
+  output_bytes : int;  (** The shard's PTP1 message to the root. *)
 }
 
 type report = {
@@ -94,11 +94,11 @@ type report = {
   boundary_entries : int;  (** Shipped by agents, summed over replicas. *)
   agent_bytes_shipped : int;  (** Level 0 -> 1 wire bytes, all replicas. *)
   delivered_records : int;  (** Level-1 ingest, all shards. *)
-  root_ingest_bytes : int;  (** Level 1 -> 2: sum of PTH1 message sizes. *)
+  root_ingest_bytes : int;  (** Level 1 -> 2: sum of PTP1 message sizes. *)
 }
 
 val finish : t -> report
 (** Drain every shard ({!Core.Online.finish}), encode each shard's paths,
-    decode them at the root (the root genuinely ingests only PTH1 bytes),
+    decode them at the root (the root genuinely ingests only PTP1 bytes),
     splice, digest, and assemble the accounting. Idempotent — the first
     call's report is cached. *)

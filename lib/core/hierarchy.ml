@@ -1,7 +1,5 @@
-module B = Trace.Binary_format
 module Activity = Trace.Activity
 module Sim_time = Simnet.Sim_time
-module Address = Simnet.Address
 
 (* ---- Canonical order and splice. ---- *)
 
@@ -67,273 +65,3 @@ let digest ~finished ~deformed =
 
 let digest_result (result : Correlator.result) =
   digest ~finished:result.Correlator.cags ~deformed:result.Correlator.deformed
-
-(* ---- PTH1: the shard-to-root message. ---- *)
-
-let magic = "PTH1"
-
-(* Per-vertex parent sets a valid CAG can have ([Cag.validate]): at most
-   two parents, never two of the same relation. The order is edge
-   addition order, which the decoder replays. *)
-let parent_spec (parents : (Cag.edge_kind * Cag.vertex) list) =
-  match parents with
-  | [] -> 4
-  | [ (Cag.Context_edge, _) ] -> 0
-  | [ (Cag.Message_edge, _) ] -> 1
-  | [ (Cag.Context_edge, _); (Cag.Message_edge, _) ] -> 2
-  | [ (Cag.Message_edge, _); (Cag.Context_edge, _) ] -> 3
-  | _ -> invalid_arg "Hierarchy.encode_paths: vertex parents violate the CAG invariant"
-
-let spec_kinds = function
-  | 0 -> Some [ Cag.Context_edge ]
-  | 1 -> Some [ Cag.Message_edge ]
-  | 2 -> Some [ Cag.Context_edge; Cag.Message_edge ]
-  | 3 -> Some [ Cag.Message_edge; Cag.Context_edge ]
-  | 4 -> Some []
-  | _ -> None
-
-let encode_paths cags =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  (* Interning tables in first-use order: strings (hosts, programs),
-     contexts, flows. A vertex then costs two small table indices
-     instead of repeating its context and endpoint quadruple. *)
-  let strings = Hashtbl.create 16 in
-  let rev_strings = ref [] in
-  let sid s =
-    match Hashtbl.find_opt strings s with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length strings in
-        Hashtbl.add strings s i;
-        rev_strings := s :: !rev_strings;
-        i
-  in
-  let ctxs = Hashtbl.create 64 in
-  let rev_ctxs = ref [] in
-  let ctx_id (c : Activity.context) =
-    let key = (sid c.Activity.host, sid c.Activity.program, c.Activity.pid, c.Activity.tid) in
-    match Hashtbl.find_opt ctxs key with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length ctxs in
-        Hashtbl.add ctxs key i;
-        rev_ctxs := key :: !rev_ctxs;
-        i
-  in
-  let flows = Hashtbl.create 64 in
-  let rev_flows = ref [] in
-  let flow_id (f : Address.flow) =
-    let key =
-      ( Address.ip_to_int f.Address.src.Address.ip,
-        f.Address.src.Address.port,
-        Address.ip_to_int f.Address.dst.Address.ip,
-        f.Address.dst.Address.port )
-    in
-    match Hashtbl.find_opt flows key with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length flows in
-        Hashtbl.add flows key i;
-        rev_flows := key :: !rev_flows;
-        i
-  in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun (v : Cag.vertex) ->
-          let a = v.Cag.activity in
-          ignore (ctx_id a.Activity.context);
-          ignore (flow_id a.Activity.message.Activity.flow))
-        (Cag.vertices c))
-    cags;
-  B.put_uvarint buf (Hashtbl.length strings);
-  List.iter (fun s -> B.put_string buf s) (List.rev !rev_strings);
-  B.put_uvarint buf (Hashtbl.length ctxs);
-  List.iter
-    (fun (host, program, pid, tid) ->
-      B.put_uvarint buf host;
-      B.put_uvarint buf program;
-      B.put_uvarint buf pid;
-      B.put_uvarint buf tid)
-    (List.rev !rev_ctxs);
-  B.put_uvarint buf (Hashtbl.length flows);
-  List.iter
-    (fun (src_ip, src_port, dst_ip, dst_port) ->
-      B.put_uvarint buf src_ip;
-      B.put_uvarint buf src_port;
-      B.put_uvarint buf dst_ip;
-      B.put_uvarint buf dst_port)
-    (List.rev !rev_flows);
-  B.put_uvarint buf (List.length cags);
-  List.iter
-    (fun c ->
-      let vs = Cag.vertices c in
-      B.put_uvarint buf c.Cag.cag_id;
-      let flags =
-        (if Cag.is_finished c then 1 else 0) lor if Cag.is_deformed c then 2 else 0
-      in
-      Buffer.add_char buf (Char.chr flags);
-      B.put_uvarint buf (List.length vs);
-      let idx = Hashtbl.create 16 in
-      let prev_ts = ref 0 in
-      List.iteri
-        (fun i (v : Cag.vertex) ->
-          Hashtbl.replace idx v.Cag.vid i;
-          let a = v.Cag.activity in
-          let parents = List.rev v.Cag.parents in
-          Buffer.add_char buf
-            (Char.chr
-               (Activity.kind_to_code a.Activity.kind lor (parent_spec parents lsl 2)));
-          (* Parents precede their children in vertex order, so each is a
-             small positive back-reference. *)
-          List.iter
-            (fun (_, (p : Cag.vertex)) -> B.put_uvarint buf (i - Hashtbl.find idx p.Cag.vid))
-            parents;
-          (* Timestamps are deltas along the path (the first is absolute);
-             signed, because local clocks can run behind under skew and
-             vertex order is causal, not clock, order. *)
-          let ts = Sim_time.to_ns a.Activity.timestamp in
-          B.put_varint buf (ts - !prev_ts);
-          prev_ts := ts;
-          B.put_uvarint buf (ctx_id a.Activity.context);
-          B.put_uvarint buf (flow_id a.Activity.message.Activity.flow);
-          B.put_uvarint buf a.Activity.message.Activity.size)
-        vs)
-    cags;
-  Buffer.contents buf
-
-let get_byte r what =
-  if r.B.pos >= r.B.limit then raise (B.Corrupt (r.B.pos, "truncated " ^ what));
-  let b = Char.code r.B.data.[r.B.pos] in
-  r.B.pos <- r.B.pos + 1;
-  b
-
-let decode_paths data =
-  let r = { B.data; pos = 0; limit = String.length data } in
-  match
-    String.iteri
-      (fun i ch ->
-        if r.B.pos >= r.B.limit || data.[r.B.pos] <> ch then
-          raise (B.Corrupt (r.B.pos, Printf.sprintf "bad magic (expected %S)" magic))
-        else r.B.pos <- i + 1)
-      magic;
-    let nstrings = B.get_count r "string table" in
-    let table =
-      let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (B.get_string r :: acc) in
-      Array.of_list (go nstrings [])
-    in
-    let str i =
-      if i < 0 || i >= nstrings then raise (B.Corrupt (r.B.pos, "string id out of range"));
-      table.(i)
-    in
-    let nctx = B.get_count r "context table" in
-    let contexts =
-      let read_ctx () =
-        let host = str (B.get_uvarint r) in
-        let program = str (B.get_uvarint r) in
-        let pid = B.get_uvarint r in
-        let tid = B.get_uvarint r in
-        { Activity.host; program; pid; tid }
-      in
-      let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (read_ctx () :: acc) in
-      Array.of_list (go nctx [])
-    in
-    let nflows = B.get_count r "flow table" in
-    let flow_table =
-      let ip what =
-        let v = B.get_uvarint r in
-        if v < 0 || v > 0xFFFF_FFFF then raise (B.Corrupt (r.B.pos, "bad " ^ what));
-        Address.ip_of_int v
-      in
-      let read_flow () =
-        let src_ip = ip "source ip" in
-        let src_port = B.get_uvarint r in
-        let dst_ip = ip "destination ip" in
-        let dst_port = B.get_uvarint r in
-        Address.flow
-          ~src:(Address.endpoint src_ip src_port)
-          ~dst:(Address.endpoint dst_ip dst_port)
-      in
-      let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (read_flow () :: acc) in
-      Array.of_list (go nflows [])
-    in
-    let read_cag () =
-      let cag_id = B.get_uvarint r in
-      let flags = get_byte r "path flags" in
-      if flags land lnot 3 <> 0 then raise (B.Corrupt (r.B.pos, "bad path flags"));
-      let nv = B.get_count r "vertices" in
-      if nv = 0 then raise (B.Corrupt (r.B.pos, "path with no vertices"));
-      let verts = Array.make nv None in
-      let cag = ref None in
-      let prev_ts = ref 0 in
-      for i = 0 to nv - 1 do
-        let packed = get_byte r "vertex header" in
-        let kind =
-          match Activity.kind_of_code (packed land 3) with
-          | Some k -> k
-          | None -> raise (B.Corrupt (r.B.pos - 1, "bad activity kind"))
-        in
-        let parent_kinds =
-          match spec_kinds (packed lsr 2) with
-          | Some ks -> ks
-          | None -> raise (B.Corrupt (r.B.pos - 1, "bad parent spec"))
-        in
-        let parents =
-          List.map
-            (fun k ->
-              let delta = B.get_uvarint r in
-              if delta < 1 || delta > i then
-                raise (B.Corrupt (r.B.pos, "parent reference out of range"));
-              (k, Option.get verts.(i - delta)))
-            parent_kinds
-        in
-        let ts = !prev_ts + B.get_varint r in
-        prev_ts := ts;
-        let ctx =
-          let j = B.get_uvarint r in
-          if j < 0 || j >= nctx then raise (B.Corrupt (r.B.pos, "context id out of range"));
-          contexts.(j)
-        in
-        let flow =
-          let j = B.get_uvarint r in
-          if j < 0 || j >= nflows then raise (B.Corrupt (r.B.pos, "flow id out of range"));
-          flow_table.(j)
-        in
-        let size = B.get_uvarint r in
-        let v =
-          Cag.Builder.fresh_vertex
-            {
-              Activity.kind;
-              timestamp = Sim_time.of_ns ts;
-              context = ctx;
-              message = { Activity.flow; size };
-            }
-        in
-        verts.(i) <- Some v;
-        (match !cag with
-        | None ->
-            if parents <> [] then raise (B.Corrupt (r.B.pos, "root vertex with a parent"));
-            cag := Some (Cag.Builder.create ~cag_id v)
-        | Some c ->
-            Cag.Builder.adopt c v;
-            List.iter
-              (fun (k, p) ->
-                match Cag.Builder.add_edge k ~parent:p ~child:v with
-                | () -> ()
-                | exception Invalid_argument msg -> raise (B.Corrupt (r.B.pos, msg)))
-              parents)
-      done;
-      let c = Option.get !cag in
-      if flags land 1 <> 0 then Cag.Builder.finish c;
-      if flags land 2 <> 0 then Cag.Builder.mark_deformed c;
-      c
-    in
-    let ncags = B.get_count r "paths" in
-    let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (read_cag () :: acc) in
-    let cags = go ncags [] in
-    if r.B.pos <> r.B.limit then raise (B.Corrupt (r.B.pos, "trailing bytes after paths"));
-    cags
-  with
-  | cags -> Ok cags
-  | exception B.Corrupt (off, msg) -> Error (Printf.sprintf "offset %d: %s" off msg)

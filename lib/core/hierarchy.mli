@@ -17,9 +17,11 @@
     inside exactly one shard and the root-level merge is a pure re-keying
     splice — the same id-rewriting {!Shard} uses to stitch per-epoch
     engines back into the serial id sequence ({!Cag.Builder.renumber}).
-    This module is that root level: the canonical order, the splice, the
-    shard-to-root wire codec, and the digest that makes "hierarchical
-    {e equals} monolithic" checkable as string equality. *)
+    This module is that root level: the canonical order, the splice, and
+    the digest that makes "hierarchical {e equals} monolithic" checkable
+    as string equality. The shard-to-root message itself is a PTP1 path
+    table with no back-links ([Bundle.Codec]), decoded by
+    [Collect.Hierarchy] before it reaches {!splice}. *)
 
 val compare_paths : Cag.t -> Cag.t -> int
 (** The canonical global order on causal paths: root (BEGIN) timestamp,
@@ -55,45 +57,3 @@ val digest : finished:Cag.t list -> deformed:Cag.t list -> string
 val digest_result : Correlator.result -> string
 (** {!digest} of a monolithic result — the comparison baseline for a
     hierarchical run over the same feed. *)
-
-(** {1 Shard-to-root wire format (PTH1)}
-
-    What a level-1 shard ships upward: its completed paths, re-encoded
-    compactly. This is the volume the root actually ingests — the
-    feed-reduction figures in the [hierarchy] bench compare its size
-    against the raw record volume. The codec is lossy exactly where
-    aggregation permits: per-vertex source provenance (bundle
-    back-links) stays in the shard.
-
-    Everything repeated is interned in first-use order — strings (hosts,
-    programs), contexts, endpoint quadruples — and each vertex packs its
-    activity kind with its parent-edge shape into one byte (a valid CAG
-    vertex has at most a context parent and a message parent, in either
-    order). Timestamps are signed deltas along the vertex sequence;
-    parent references are small back-indices:
-
-    {v
-    magic  "PTH1" (4 bytes)
-    nstr   uvarint, then nstr strings (uvarint length + bytes)
-    nctx   uvarint, then nctx of: host-sid program-sid pid tid (uvarint)
-    nflow  uvarint, then nflow of: src_ip src_port dst_ip dst_port (uvarint)
-    npath  uvarint
-    path*  cag_id uvarint
-           flags  byte: bit0 finished, bit1 deformed
-           nv     uvarint
-           vertex* packed byte: bits0-1 activity kind,
-                                bits2-4 parents (ctx | msg | ctx,msg |
-                                                 msg,ctx | none)
-                   parent back-index uvarint per parent (i - parent_pos)
-                   ts varint (delta from previous vertex; first absolute)
-                   ctx-index uvarint, flow-index uvarint, size uvarint
-    v} *)
-
-val encode_paths : Cag.t list -> string
-(** One PTH1 message holding the given paths (finished or deformed;
-    flags travel per path). *)
-
-val decode_paths : string -> (Cag.t list, string) result
-(** Rebuild the paths from a PTH1 message. Round-trips everything
-    {!render} and {!Pattern}/{!Aggregate}/{!Latency} read: vertices in
-    causal order, activities, edges, finished/deformed flags, ids. *)

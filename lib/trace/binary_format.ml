@@ -83,6 +83,7 @@ let w_raw w s =
   Bytes.blit_string s 0 w.bytes w.wpos n;
   w.wpos <- w.wpos + n
 
+let w_varint w n = w_uvarint w (zigzag n)
 let w_contents w = Bytes.sub_string w.bytes 0 w.wpos
 
 (* Big-endian 32-bit fields: the store segment and bundle container
@@ -132,58 +133,152 @@ let get_string r =
   r.pos <- r.pos + n;
   s
 
-(* ---- encoding ---- *)
+let get_index r table what =
+  let i = get_uvarint r in
+  if i < 0 || i >= Array.length table then
+    raise (Corrupt (r.pos, what ^ " index out of range"));
+  table.(i)
+
+(* [decode_frame] is every framed payload's outer shell: region bounds,
+   magic, the body, then no trailing bytes. Offsets stay absolute within
+   [data]; [Invalid_argument] from a constructor the body calls (an ip out
+   of range, a CAG edge the builder refuses) is reported at the cursor. *)
+let decode_frame ~magic data ~pos ~len body =
+  let m = String.length magic in
+  if pos < 0 || len < 0 || pos + len > String.length data then
+    Error (Printf.sprintf "corrupt at offset %d: region [%d, %d) exceeds input" pos pos (pos + len))
+  else if len < m || not (String.equal (String.sub data pos m) magic) then
+    Error (Printf.sprintf "corrupt at offset %d: no %s magic" pos magic)
+  else begin
+    let r = { data; pos = pos + m; limit = pos + len } in
+    match body r with
+    | v ->
+        if r.pos <> r.limit then
+          Error (Printf.sprintf "corrupt at offset %d: trailing garbage" r.pos)
+        else Ok v
+    | exception Corrupt (p, msg) -> Error (Printf.sprintf "corrupt at offset %d: %s" p msg)
+    | exception Invalid_argument msg ->
+        Error (Printf.sprintf "corrupt at offset %d: %s" r.pos msg)
+  end
+
+(* ---- interning tables ---- *)
 
 (* Contexts and flows repeat across most records (long-lived workers,
-   persistent connections), so both are interned into per-file tables
+   persistent connections), so both are interned into per-message tables
    written once; each record then carries two small table indices. The
-   per-file tables are built over process-wide {!Intern} ids here — a
-   hash of two ints per distinct attribute, no string hashing — and the
-   traversal order (per log: hostname; per record: context host, context
-   program, context, flow) is exactly the order the record-list encoder
-   always used, so the bytes are unchanged. *)
+   tables are built over process-wide {!Intern} ids — a hash of two ints
+   per distinct attribute, no string hashing. Each maps a global id to
+   its dense local index through a flat array indexed by global id (ids
+   are dense), grown when an id issued after [tables ()] shows up. *)
+type local = { mutable map : int array; mutable rev : int list; mutable next : int }
+
+let local_create size = { map = Array.make (max 1 size) (-1); rev = []; next = 0 }
+
+let local_index l id =
+  if id >= Array.length l.map then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length l.map)) (-1) in
+    Array.blit l.map 0 grown 0 (Array.length l.map);
+    l.map <- grown
+  end;
+  let i = l.map.(id) in
+  if i >= 0 then i
+  else begin
+    let i = l.next in
+    l.map.(id) <- i;
+    l.rev <- id :: l.rev;
+    l.next <- i + 1;
+    i
+  end
+
+type tables = { t_strings : local; t_contexts : local; t_flows : local }
+
+let tables () =
+  let n_strings, n_contexts, n_flows = Intern.counts () in
+  {
+    t_strings = local_create n_strings;
+    t_contexts = local_create n_contexts;
+    t_flows = local_create n_flows;
+  }
+
+let table_string t sid = local_index t.t_strings sid
+let table_flow t fid = local_index t.t_flows fid
+
+(* A context's strings are interned exactly when the context itself first
+   misses: host, then program. *)
+let table_context t cid =
+  let before = t.t_contexts.next in
+  let i = local_index t.t_contexts cid in
+  if t.t_contexts.next > before then begin
+    let host, program, _, _ = Intern.context_parts_of_id cid in
+    ignore (table_string t host);
+    ignore (table_string t program)
+  end;
+  i
+
+let w_tables w t =
+  w_uvarint w t.t_strings.next;
+  List.iter (fun sid -> w_string w (Intern.string_of_id sid)) (List.rev t.t_strings.rev);
+  w_uvarint w t.t_contexts.next;
+  List.iter
+    (fun cid ->
+      let host, program, pid, tid = Intern.context_parts_of_id cid in
+      w_uvarint w (table_string t host);
+      w_uvarint w (table_string t program);
+      w_uvarint w pid;
+      w_uvarint w tid)
+    (List.rev t.t_contexts.rev);
+  w_uvarint w t.t_flows.next;
+  List.iter
+    (fun fid ->
+      let src_ip, src_port, dst_ip, dst_port = Intern.flow_parts_of_id fid in
+      w_uvarint w src_ip;
+      w_uvarint w src_port;
+      w_uvarint w dst_ip;
+      w_uvarint w dst_port)
+    (List.rev t.t_flows.rev)
+
+type table_ids = { string_ids : int array; context_ids : int array; flow_ids : int array }
+
+(* Table entries are interned into the process-wide tables once each. A
+   corrupt input may intern a few garbage entries before the error is
+   noticed; the pollution is bounded by the table sizes, which
+   [get_count] bounds by the input length. *)
+let get_tables r =
+  let string_count = get_count r "string table" in
+  let string_ids = Array.init string_count (fun _ -> Intern.string_id (get_string r)) in
+  let context_count = get_count r "context table" in
+  let context_ids =
+    Array.init context_count (fun _ ->
+        let host = get_index r string_ids "string" in
+        let program = get_index r string_ids "string" in
+        let pid = get_uvarint r in
+        let tid = get_uvarint r in
+        Intern.context_id_parts ~host ~program ~pid ~tid)
+  in
+  let flow_count = get_count r "flow table" in
+  let flow_ids =
+    Array.init flow_count (fun _ ->
+        let src_ip = get_uvarint r in
+        let src_port = get_uvarint r in
+        let dst_ip = get_uvarint r in
+        let dst_port = get_uvarint r in
+        (* validates ip/port ranges, raising Invalid_argument *)
+        Intern.flow_id_parts ~src_ip ~src_port ~dst_ip ~dst_port)
+  in
+  { string_ids; context_ids; flow_ids }
+
+(* ---- encoding ---- *)
+
+(* The traversal order (per log: hostname; per record: context host,
+   context program, context, flow) is exactly the order the record-list
+   encoder always used, so the bytes are unchanged. *)
 let encode_native arenas =
   let buf = w_create 65_536 in
   w_raw buf magic;
-  (* Each table maps a process-wide id to its dense per-file index. Global
-     ids are dense and every id in an arena was already issued, so a flat
-     array indexed by global id replaces hashing — the encoder's only
-     per-record table work is two array reads. The first-occurrence
-     interning order (per log: hostname; per record: context host,
-     context program, context, flow) is unchanged: a context's strings
-     are first seen exactly when the context itself first misses. *)
-  let n_strings, n_contexts, n_flows = Intern.counts () in
-  let local_table size =
-    let map = Array.make (max 1 size) (-1) in
-    let rev = ref [] in
-    let next = ref 0 in
-    let intern id =
-      let i = map.(id) in
-      if i >= 0 then i
-      else begin
-        let i = !next in
-        map.(id) <- i;
-        rev := id :: !rev;
-        incr next;
-        i
-      end
-    in
-    (next, rev, intern)
-  in
-  let n_strings_local, rev_strings, local_string = local_table n_strings in
-  let n_contexts_local, rev_contexts, local_context0 = local_table n_contexts in
-  let n_flows_local, rev_flows, local_flow = local_table n_flows in
-  let local_context cid =
-    let before = !n_contexts_local in
-    let i = local_context0 cid in
-    if !n_contexts_local > before then begin
-      (* first occurrence: intern its strings in the legacy order *)
-      let host, program, _, _ = Intern.context_parts_of_id cid in
-      ignore (local_string host);
-      ignore (local_string program)
-    end;
-    i
-  in
+  let t = tables () in
+  let local_string = table_string t
+  and local_context = table_context t
+  and local_flow = table_flow t in
   (* pre-intern so the tables can be written before the records *)
   List.iter
     (fun a ->
@@ -192,26 +287,7 @@ let encode_native arenas =
           ignore (local_context ctx);
           ignore (local_flow flow)))
     arenas;
-  w_uvarint buf !n_strings_local;
-  List.iter (fun sid -> w_string buf (Intern.string_of_id sid)) (List.rev !rev_strings);
-  w_uvarint buf !n_contexts_local;
-  List.iter
-    (fun cid ->
-      let host, program, pid, tid = Intern.context_parts_of_id cid in
-      w_uvarint buf (local_string host);
-      w_uvarint buf (local_string program);
-      w_uvarint buf pid;
-      w_uvarint buf tid)
-    (List.rev !rev_contexts);
-  w_uvarint buf !n_flows_local;
-  List.iter
-    (fun fid ->
-      let src_ip, src_port, dst_ip, dst_port = Intern.flow_parts_of_id fid in
-      w_uvarint buf src_ip;
-      w_uvarint buf src_port;
-      w_uvarint buf dst_ip;
-      w_uvarint buf dst_port)
-    (List.rev !rev_flows);
+  w_tables buf t;
   w_uvarint buf (List.length arenas);
   List.iter
     (fun a ->
@@ -235,92 +311,52 @@ let encode_native arenas =
 
 let encode collection = encode_native (Arena.of_collection collection)
 
-let has_magic_at data pos =
-  String.length data - pos >= 4 && String.equal (String.sub data pos 4) magic
-
 (* The zero-copy decode: table entries are interned into the process-wide
-   {!Intern} tables once each, then every record row is five varint reads
-   and an {!Arena.append} — no string, context or flow allocation per
-   record. All the corruption guarantees of the record-list decoder carry
-   over: [Corrupt] offsets are absolute within [data], counts are checked
-   against the remaining input before any allocation, and nothing
-   escapes as an exception. (A corrupt input may intern a few garbage
-   table entries before the error is noticed; the pollution is bounded by
-   the table sizes, which [get_count] bounds by the input length.) *)
+   {!Intern} tables once each ({!get_tables}), then every record row is
+   five varint reads and an {!Arena.append} — no string, context or flow
+   allocation per record. All the corruption guarantees of the
+   record-list decoder carry over: [Corrupt] offsets are absolute within
+   [data], counts are checked against the remaining input before any
+   allocation, and nothing escapes as an exception. *)
 let decode_native_region data ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length data then
-    Error (Printf.sprintf "corrupt at offset %d: region [%d, %d) exceeds input" pos pos (pos + len))
-  else if len < 4 || not (has_magic_at data pos) then
-    Error (Printf.sprintf "corrupt at offset %d: no PTB1 magic" pos)
-  else begin
-    let r = { data; pos = pos + 4; limit = pos + len } in
-    try
-      let string_count = get_count r "string table" in
-      let strings = Array.init string_count (fun _ -> Intern.string_id (get_string r)) in
-      let lookup_string i =
-        if i < 0 || i >= string_count then raise (Corrupt (r.pos, "string index out of range"));
-        strings.(i)
-      in
-      let context_count = get_count r "context table" in
-      let contexts =
-        Array.init context_count (fun _ ->
-            let host = lookup_string (get_uvarint r) in
-            let program = lookup_string (get_uvarint r) in
-            let pid = get_uvarint r in
-            let tid = get_uvarint r in
-            Intern.context_id_parts ~host ~program ~pid ~tid)
-      in
-      let flow_count = get_count r "flow table" in
-      let flows =
-        Array.init flow_count (fun _ ->
-            let src_ip = get_uvarint r in
-            let src_port = get_uvarint r in
-            let dst_ip = get_uvarint r in
-            let dst_port = get_uvarint r in
-            (* validates ip/port ranges, raising Invalid_argument like the
-               Address constructors the record-list decoder called here *)
-            Intern.flow_id_parts ~src_ip ~src_port ~dst_ip ~dst_port)
-      in
+  decode_frame ~magic data ~pos ~len (fun r ->
+      let { string_ids; context_ids = contexts; flow_ids = flows } = get_tables r in
+      let context_count = Array.length contexts and flow_count = Array.length flows in
       let log_count = get_count r "log" in
-      let arenas =
-        List.init log_count (fun _ ->
-            let host = lookup_string (get_uvarint r) in
-            let n = get_count r "record" in
-            let a = Arena.create_sid ~capacity:(max 1 n) host in
-            let prev_ts = ref 0 in
-            for _ = 1 to n do
-              let code = get_uvarint r in
-              if code < 0 || code > 3 then
-                raise (Corrupt (r.pos, Printf.sprintf "bad kind code %d" code));
-              let ts = !prev_ts + get_varint r in
-              prev_ts := ts;
-              let ctx = get_uvarint r in
-              if ctx < 0 || ctx >= context_count then
-                raise (Corrupt (r.pos, "context index out of range"));
-              let flow = get_uvarint r in
-              if flow < 0 || flow >= flow_count then
-                raise (Corrupt (r.pos, "flow index out of range"));
-              let size = get_uvarint r in
-              Arena.append a ~kind:code ~ts ~ctx:contexts.(ctx) ~flow:flows.(flow) ~size
-            done;
-            a)
-      in
-      if r.pos <> r.limit then Error (Printf.sprintf "trailing garbage at offset %d" r.pos)
-      else Ok arenas
-    with
-    | Corrupt (pos, msg) -> Error (Printf.sprintf "corrupt at offset %d: %s" pos msg)
-    | Invalid_argument msg -> Error (Printf.sprintf "corrupt at offset %d: %s" r.pos msg)
-  end
+      List.init log_count (fun _ ->
+          let host = get_index r string_ids "string" in
+          let n = get_count r "record" in
+          let a = Arena.create_sid ~capacity:(max 1 n) host in
+          let prev_ts = ref 0 in
+          for _ = 1 to n do
+            let code = get_uvarint r in
+            if code < 0 || code > 3 then
+              raise (Corrupt (r.pos, Printf.sprintf "bad kind code %d" code));
+            let ts = !prev_ts + get_varint r in
+            prev_ts := ts;
+            let ctx = get_uvarint r in
+            if ctx < 0 || ctx >= context_count then
+              raise (Corrupt (r.pos, "context index out of range"));
+            let flow = get_uvarint r in
+            if flow < 0 || flow >= flow_count then
+              raise (Corrupt (r.pos, "flow index out of range"));
+            let size = get_uvarint r in
+            Arena.append a ~kind:code ~ts ~ctx:contexts.(ctx) ~flow:flows.(flow) ~size
+          done;
+          a))
+
+let is_binary data =
+  String.length data >= 4 && String.equal (String.sub data 0 4) magic
 
 let decode_native data =
-  if not (has_magic_at data 0) then Error "not a PTB1 file"
+  if not (is_binary data) then Error "not a PTB1 file"
   else decode_native_region data ~pos:0 ~len:(String.length data)
 
 let decode_region data ~pos ~len =
   Result.map Arena.to_collection (decode_native_region data ~pos ~len)
 
 let decode data =
-  if not (has_magic_at data 0) then Error "not a PTB1 file"
+  if not (is_binary data) then Error "not a PTB1 file"
   else decode_region data ~pos:0 ~len:(String.length data)
 
 let save collection ~path =
@@ -328,9 +364,6 @@ let save collection ~path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (encode collection))
-
-let is_binary data =
-  String.length data >= 4 && String.equal (String.sub data 0 4) magic
 
 let is_binary_file ~path =
   match open_in_bin path with

@@ -20,7 +20,8 @@ val magic : string
 
 (** {1 Codec primitives}
 
-    Shared with the other PT binary formats (the bundle's path table):
+    Shared with the other PT binary formats (the bundle's path table,
+    the boundary table):
     unsigned LEB128 varints, zigzag-encoded signed varints,
     length-prefixed strings, and a bounds-checked reader whose [Corrupt]
     errors carry offsets absolute within [data]. *)
@@ -47,6 +48,72 @@ val get_count : reader -> string -> int
 (** Read a count varint, raising [Corrupt] if it exceeds the remaining
     input (each counted item takes at least one byte) — the allocation-
     bomb guard for corrupt inputs. *)
+
+val get_index : reader -> 'a array -> string -> 'a
+(** [get_index r table what] reads a uvarint index into [table], raising
+    [Corrupt] ["<what> index out of range"] past either end. *)
+
+val decode_frame :
+  magic:string -> string -> pos:int -> len:int -> (reader -> 'a) -> ('a, string) result
+(** The outer shell of every framed payload embedded at [pos] (spanning
+    [len] bytes) in [data]: check the region bounds and the [magic]
+    prefix, run the body on a reader positioned after the magic and
+    limited to the region, and reject trailing bytes. [Corrupt] and
+    [Invalid_argument] escaping the body become
+    ["corrupt at offset N: msg"] errors ([Invalid_argument] at the
+    cursor); offsets are absolute within [data]. *)
+
+(** {2 Writer}
+
+    A growable byte buffer with an inlined LEB128 loop — the encoders'
+    fast alternative to [Buffer] plus {!put_uvarint}; same bytes. *)
+
+type writer
+
+val w_create : int -> writer
+val w_uvarint : writer -> int -> unit
+val w_varint : writer -> int -> unit
+val w_raw : writer -> string -> unit
+val w_contents : writer -> string
+
+(** {2 Interning tables}
+
+    The string, context and flow tables PTB1 and the bundle's PTP1 path
+    table share. A message interns every context and flow it mentions
+    into per-message tables in first-use order (a context's host and
+    program strings are interned when the context first misses), writes
+    the tables once, and then refers to entries by dense local index:
+
+    {v
+    nstr   uvarint, then nstr strings (uvarint length + bytes)
+    nctx   uvarint, then nctx of: host-index program-index pid tid
+    nflow  uvarint, then nflow of: src_ip src_port dst_ip dst_port
+    v}
+
+    Entries are keyed by process-wide {!Intern} ids. *)
+
+type tables
+
+val tables : unit -> tables
+
+val table_string : tables -> int -> int
+(** The local index of a {!Intern.string_id}, assigned on first use. *)
+
+val table_context : tables -> int -> int
+(** The local index of an {!Intern.context_id}, interning its host and
+    program strings on first use. *)
+
+val table_flow : tables -> int -> int
+(** The local index of an {!Intern.flow_id}. *)
+
+val w_tables : writer -> tables -> unit
+
+type table_ids = { string_ids : int array; context_ids : int array; flow_ids : int array }
+(** Decoded tables as {!Intern} ids, indexed by local index. *)
+
+val get_tables : reader -> table_ids
+(** Read the three tables, interning every entry; an out-of-range string
+    index or ip/port raises like any other corrupt field. *)
 
 val is_binary : string -> bool
 (** Whether the bytes begin with {!magic}. *)

@@ -43,34 +43,14 @@ let encode (t : t) =
   Buffer.contents buf
 
 let decode data =
-  let r = { B.data; pos = 0; limit = String.length data } in
-  match
-    String.iteri
-      (fun i ch ->
-        if r.B.pos >= r.B.limit || data.[r.B.pos] <> ch then
-          raise (B.Corrupt (r.B.pos, Printf.sprintf "bad magic (expected %S)" magic))
-        else r.B.pos <- i + 1)
-      magic;
-    let count = B.get_count r "boundary entries" in
-    let rec go n acc =
-      if n = 0 then List.rev acc
-      else
-        let src_ip = B.get_uvarint r in
-        let src_port = B.get_uvarint r in
-        let dst_ip = B.get_uvarint r in
-        let dst_port = B.get_uvarint r in
-        let out_rows = B.get_uvarint r in
-        let out_bytes = B.get_uvarint r in
-        let in_rows = B.get_uvarint r in
-        let in_bytes = B.get_uvarint r in
-        go (n - 1)
-          ({ src_ip; src_port; dst_ip; dst_port; out_rows; out_bytes; in_rows; in_bytes }
-          :: acc)
-    in
-    let entries = go count [] in
-    if r.B.pos <> r.B.limit then
-      raise (B.Corrupt (r.B.pos, "trailing bytes after boundary table"));
-    entries
-  with
-  | entries -> Ok entries
-  | exception B.Corrupt (off, msg) -> Error (Printf.sprintf "offset %d: %s" off msg)
+  B.decode_frame ~magic data ~pos:0 ~len:(String.length data) (fun r ->
+      List.init (B.get_count r "boundary entries") (fun _ ->
+          let src_ip = B.get_uvarint r in
+          let src_port = B.get_uvarint r in
+          let dst_ip = B.get_uvarint r in
+          let dst_port = B.get_uvarint r in
+          let out_rows = B.get_uvarint r in
+          let out_bytes = B.get_uvarint r in
+          let in_rows = B.get_uvarint r in
+          let in_bytes = B.get_uvarint r in
+          { src_ip; src_port; dst_ip; dst_port; out_rows; out_bytes; in_rows; in_bytes }))

@@ -470,6 +470,82 @@ let test_decode_region_offsets () =
     (Result.map ignore
        (Trace.Binary_format.decode_region seg ~pos:payload_pos ~len:(payload_len + 10)))
 
+(* ---- the path codec on its own ---- *)
+
+let decode_message msg = Bundle.Codec.decode msg ~pos:0 ~len:(String.length msg)
+
+(* A link host no vertex mentions must still land in the string table. *)
+let test_unmentioned_link_host () =
+  let msg = Bundle.Codec.encode ~link_hosts:[| "web"; "ghost" |] [] in
+  let d = ok "decode" (decode_message msg) in
+  Alcotest.(check (array string)) "link hosts" [| "web"; "ghost" |] d.Bundle.Codec.link_hosts;
+  Alcotest.(check int) "no paths" 0 (List.length d.Bundle.Codec.paths)
+
+(* End to end: logs cut so short that no path forms still pack into a
+   bundle whose paths section reads back. *)
+let test_pathless_bundle_reads () =
+  let o = S.run { S.default with S.clients = 20; seed = 3 } in
+  let cut =
+    List.map
+      (fun l ->
+        Log.of_list ~hostname:(Log.hostname l) (List.filteri (fun i _ -> i < 3) (Log.to_list l)))
+      o.S.logs
+  in
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "cut.ptz" in
+  let summary =
+    match
+      Bundle.Pack.pack
+        ~config:(Correlator.config ~transform:o.S.transform ())
+        ~source:(`Logs cut) ~path ()
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "pack: %s" e
+  in
+  let d = ok "paths" (Bundle.Reader.paths (reader path)) in
+  Alcotest.(check int) "link hosts" (List.length summary.Bundle.Pack.hosts)
+    (Array.length d.Bundle.Codec.link_hosts)
+
+(* Every prefix and every byte flipped by 0x01, 0x80 and 0xff, of a PTP1
+   message with back-links and of one without: the decoder returns an
+   error naming an offset or CAGs that all validate, and never raises. *)
+let test_codec_corpus () =
+  let path, _ = Lazy.force control in
+  let decoded = ok "paths" (Bundle.Reader.paths (reader path)) in
+  let sample = List.filteri (fun i _ -> i < 6) decoded.Bundle.Codec.paths in
+  let check_input what input =
+    match decode_message input with
+    | Error e ->
+        if not (H.contains e "offset") then Alcotest.failf "%s: error names no offset: %s" what e
+    | Ok d ->
+        List.iter
+          (fun (p : Bundle.Codec.path) ->
+            match Cag.validate p.Bundle.Codec.cag with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "%s: decoded an invalid CAG: %s" what e)
+          d.Bundle.Codec.paths
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  List.iter
+    (fun (label, link_hosts, paths) ->
+      let msg = Bundle.Codec.encode ~link_hosts paths in
+      let n = String.length msg in
+      for len = 0 to n - 1 do
+        check_input (Printf.sprintf "%s: prefix %d/%d" label len n) (String.sub msg 0 len)
+      done;
+      List.iter
+        (fun mask ->
+          for i = 0 to n - 1 do
+            let b = Bytes.of_string msg in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+            check_input (Printf.sprintf "%s: flip %#x at %d" label mask i) (Bytes.to_string b)
+          done)
+        [ 0x01; 0x80; 0xff ])
+    [
+      ("links", decoded.Bundle.Codec.link_hosts, sample);
+      ("no links", [||], List.map (fun (p : Bundle.Codec.path) -> { p with links = [||] }) sample);
+    ]
+
 (* ---- diff vs diagnose ---- *)
 
 let fault_cases =
@@ -616,6 +692,12 @@ let () =
           Alcotest.test_case "truncation names offsets" `Quick test_truncated_bundle;
           Alcotest.test_case "byte flips are detected" `Quick test_byte_flips_detected;
           Alcotest.test_case "decode_region names offsets" `Quick test_decode_region_offsets;
+        ] );
+      ( "path codec",
+        [
+          Alcotest.test_case "unmentioned link host" `Quick test_unmentioned_link_host;
+          Alcotest.test_case "pathless bundle reads back" `Quick test_pathless_bundle_reads;
+          Alcotest.test_case "truncation and byte-flip corpus" `Quick test_codec_corpus;
         ] );
       ( "diff",
         [

@@ -1,6 +1,6 @@
 (* Tests for the hierarchical scale-out correlation tree (PR 9): the
    PTBT boundary codec, the agent-local partial-correlation pass, the
-   PTH1 shard-to-root codec, the canonical root splice, the collector's
+   PTP1 shard-to-root message, the canonical root splice, the collector's
    horizon-jump replay fix, determinism fixes in the detector and skew
    estimator, and the closed-loop cluster where no component sees the
    full feed yet the root's digest is byte-identical to a monolithic
@@ -99,17 +99,20 @@ let small_result =
        (Core.Correlator.config ~transform:o.Scenario.transform ())
        o.Scenario.logs)
 
-(* ---- PTH1 shard-to-root codec ---- *)
+(* ---- the shard-to-root message: a PTP1 path table with no links ---- *)
 
-let test_pth1_roundtrip () =
+let test_ptp1_roundtrip () =
   let r = Lazy.force small_result in
   let all = r.Core.Correlator.cags @ r.Core.Correlator.deformed in
   Alcotest.(check bool) "run produced paths" true (List.length r.Core.Correlator.cags > 50);
-  let message = Core.Hierarchy.encode_paths all in
+  let message =
+    Bundle.Codec.encode ~link_hosts:[||]
+      (List.map (fun cag -> { Bundle.Codec.cag; links = [||] }) all)
+  in
   let decoded =
-    match Core.Hierarchy.decode_paths message with
-    | Ok cags -> cags
-    | Error e -> Alcotest.failf "PTH1 decode failed: %s" e
+    match Bundle.Codec.decode message ~pos:0 ~len:(String.length message) with
+    | Ok d -> List.map (fun p -> p.Bundle.Codec.cag) d.Bundle.Codec.paths
+    | Error e -> Alcotest.failf "PTP1 decode failed: %s" e
   in
   Alcotest.(check int) "path count survives" (List.length all) (List.length decoded);
   List.iter
@@ -122,16 +125,6 @@ let test_pth1_roundtrip () =
   Alcotest.(check string) "digest survives the wire"
     (Core.Hierarchy.digest_result r)
     (Core.Hierarchy.digest ~finished:fin ~deformed:dfm)
-
-let test_pth1_corrupt () =
-  let r = Lazy.force small_result in
-  let message = Core.Hierarchy.encode_paths r.Core.Correlator.cags in
-  (match Core.Hierarchy.decode_paths (String.sub message 0 (String.length message / 2)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated message decoded");
-  match Core.Hierarchy.decode_paths (message ^ "\x00") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing bytes accepted"
 
 (* ---- canonical splice: hierarchical = monolithic at any shard count ---- *)
 
@@ -459,7 +452,7 @@ let test_cluster_hierarchy_matches_monolithic () =
     report.Plane.shard_reports;
   (* Feed volume: re-run the same cluster with flat raw-shipping agents
      (the Deploy plane) — what a single funnel's root would ingest — and
-     compare against the PTH1 bytes the hierarchy's root reads. *)
+     compare against the PTP1 bytes the hierarchy's root reads. *)
   let deploys = ref [] in
   let flat_reg = R.create () in
   let _flat =
@@ -530,11 +523,8 @@ let () =
     [
       ( "boundary",
         [ qtest prop_boundary_roundtrip; Alcotest.test_case "corrupt tables rejected" `Quick test_boundary_corrupt ] );
-      ( "pth1",
-        [
-          Alcotest.test_case "round-trip preserves the digest" `Quick test_pth1_roundtrip;
-          Alcotest.test_case "corrupt messages rejected" `Quick test_pth1_corrupt;
-        ] );
+      ( "ptp1",
+        [ Alcotest.test_case "round-trip preserves the digest" `Quick test_ptp1_roundtrip ] );
       ("splice", [ qtest prop_splice_invariance ]);
       ( "partial",
         [
