@@ -44,7 +44,7 @@ bench-gate: build
 # query (embedded-store pruning), walk (back-link resolution) and diff
 # (culprit naming) — so a bundle written by HEAD is always readable by
 # HEAD. The same run captured as a several-segment store directory must
-# pack to the same bytes at one and two jobs, and read back.
+# pack to the same bytes at one, two and four jobs, and read back.
 bundle-gate: build
 	rm -rf _bundle_gate && mkdir -p _bundle_gate
 	dune exec bin/precisetracer.exe -- simulate -c 60 --scale 0.05 --seed 11 --bundle _bundle_gate/control.ptz
@@ -56,7 +56,9 @@ bundle-gate: build
 	dune exec bin/precisetracer.exe -- simulate -c 60 --scale 0.05 --seed 11 --store _bundle_gate/store --segment-records 2000
 	dune exec bin/precisetracer.exe -- bundle pack _bundle_gate/store -o _bundle_gate/s1.ptz --jobs 1
 	dune exec bin/precisetracer.exe -- bundle pack _bundle_gate/store -o _bundle_gate/s2.ptz --jobs 2
+	dune exec bin/precisetracer.exe -- bundle pack _bundle_gate/store -o _bundle_gate/s4.ptz --jobs 4
 	cmp _bundle_gate/s1.ptz _bundle_gate/s2.ptz
+	cmp _bundle_gate/s1.ptz _bundle_gate/s4.ptz
 	dune exec bin/precisetracer.exe -- bundle walk _bundle_gate/s1.ptz
 	dune exec bin/precisetracer.exe -- bundle query _bundle_gate/s1.ptz
 	rm -rf _bundle_gate

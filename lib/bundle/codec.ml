@@ -25,17 +25,23 @@ let edge_of_code pos = function
 (* PTB1's interning tables: strings, contexts and flows repeat across
    most vertices, so each vertex carries small table indices. The vertex
    list of a CAG is its causal order; local vertex ids are list
-   positions, and parent references are backward deltas. *)
+   positions, and parent references are backward deltas. Vertices carry
+   their interned ids, so filling the tables makes no {!Intern} lookup. *)
 let encode ~link_hosts paths =
   let t = B.tables () in
-  let context (a : Activity.t) = B.table_context t (Intern.context_id a.Activity.context) in
-  let flow (a : Activity.t) = B.table_flow t (Intern.flow_id a.Activity.message.flow) in
+  let context (v : Cag.vertex) = B.table_context t v.Cag.ctx_id in
+  let flow (v : Cag.vertex) = B.table_flow t v.Cag.flow_id in
   List.iter
-    (fun { cag; _ } ->
+    (fun { cag; links } ->
+      let n = Cag.size cag in
+      if Array.length links > 0 && Array.length links <> n then
+        invalid_arg
+          (Printf.sprintf "Codec.encode: path %d has %d vertices but %d link rows"
+             cag.Cag.cag_id n (Array.length links));
       List.iter
-        (fun (v : Cag.vertex) ->
-          ignore (context v.Cag.activity);
-          ignore (flow v.Cag.activity))
+        (fun v ->
+          ignore (context v);
+          ignore (flow v))
         (Cag.vertices cag))
     paths;
   (* After the vertex strings, before the table is written: a host no
@@ -66,8 +72,8 @@ let encode ~link_hosts paths =
           let ts = Sim_time.to_ns a.timestamp in
           B.w_varint w (ts - !prev_ts);
           prev_ts := ts;
-          B.w_uvarint w (context a);
-          B.w_uvarint w (flow a);
+          B.w_uvarint w (context v);
+          B.w_uvarint w (flow v);
           B.w_uvarint w a.message.size;
           (* parents in addition order, as backward position deltas *)
           let parents = List.rev v.Cag.parents in
@@ -77,7 +83,7 @@ let encode ~link_hosts paths =
               B.w_uvarint w (edge_code kind);
               B.w_uvarint w (i - Hashtbl.find local p.Cag.vid))
             parents;
-          let vlinks = if i < Array.length links then links.(i) else [] in
+          let vlinks = if Array.length links = 0 then [] else links.(i) in
           B.w_uvarint w (List.length vlinks);
           List.iter
             (fun (h, r) ->
@@ -113,11 +119,11 @@ let read_path r ~contexts ~flows ~host_count =
     in
     let ts = !prev_ts + B.get_varint r in
     prev_ts := ts;
-    let context = B.get_index r contexts "context" in
-    let flow = B.get_index r flows "flow" in
+    let ctx, context = B.get_index r contexts "context" in
+    let flow_id, flow = B.get_index r flows "flow" in
     let size = B.get_uvarint r in
     let a = { Activity.kind; timestamp = Sim_time.of_ns ts; context; message = { flow; size } } in
-    let v = Cag.Builder.fresh_vertex a in
+    let v = Cag.Builder.fresh_row ~ctx ~flow:flow_id ~source:Cag.no_row a in
     vertices.(i) <- Some v;
     (match !cag with
     | None -> cag := Some (Cag.Builder.create ~cag_id v)
@@ -148,8 +154,10 @@ let read_path r ~contexts ~flows ~host_count =
 let decode data ~pos ~len =
   B.decode_frame ~magic data ~pos ~len (fun r ->
       let ids = B.get_tables r in
-      let contexts = Array.map Intern.context_of_id ids.B.context_ids in
-      let flows = Array.map Intern.flow_of_id ids.B.flow_ids in
+      (* each table entry with its record: vertices take both, with no
+         per-vertex lookup *)
+      let contexts = Array.map (fun id -> (id, Intern.context_of_id id)) ids.B.context_ids in
+      let flows = Array.map (fun id -> (id, Intern.flow_of_id id)) ids.B.flow_ids in
       let host_count = B.get_count r "link host table" in
       let link_hosts =
         Array.init host_count (fun _ ->

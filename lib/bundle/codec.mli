@@ -22,13 +22,18 @@ val magic : string
 (** ["PTP1"], the section's inner magic. *)
 
 val encode : link_hosts:string array -> path list -> string
-(** Deterministic: interning tables are filled in traversal order, no
-    wall-clock enters the payload. *)
+(** Deterministic: interning tables are filled in traversal order (from
+    the vertices' {!Core.Cag.vertex.ctx_id}/[flow_id]), no wall-clock
+    enters the payload. Each path's [links] is either one entry per
+    vertex or [[||]], the no-link form a hierarchy shard ships.
+    @raise Invalid_argument on any other length. *)
 
 val decode : string -> pos:int -> len:int -> (decoded, string) result
 (** Decode the section at [pos]/[len] inside the bundle string, rebuilding
     real {!Core.Cag.t} values via [Cag.Builder] (graph shape, flags and
-    ids round-trip exactly; patterns and latency breakdowns computed from
+    ids round-trip exactly, and vertex ids come from the section's
+    tables; the vertices have no {!Core.Cag.sources}, the links hold
+    them; patterns and latency breakdowns computed from
     the decoded CAGs are identical to the live run's). All errors name
     bundle-relative offsets. *)
 

@@ -34,73 +34,34 @@ let ( let* ) = Result.bind
 
 let section_of_segment id = Printf.sprintf "segments/%06d" id
 
-(* ---- back-links: resolving vertex sources to canonical rows ----
+(* ---- back-links: the raw rows behind each vertex ----
 
-   [Transform.classify] preserves timestamp, context, flow and size and
-   rewrites only the kind, so a source matches its raw record on
-   everything but possibly the kind. Sources are resolved in a fixed
-   order (paths in completion order, vertices in causal order, sources
-   in observation order), so identical records are consumed
-   deterministically and packing is reproducible byte for byte. *)
+   Correlation ran on the very arenas the bundle embeds, so every vertex
+   source already is a (host index, raw row) coordinate into them: the
+   back-links are a copy. A source with no raw row (a record-adapter
+   input) cannot be linked and is counted instead. *)
 
-type resolver = { arenas : Arena.t array; consumed : Bytes.t array (* one byte per row *) }
-
-let resolver arenas =
-  let arenas = Array.of_list arenas in
-  { arenas; consumed = Array.map (fun a -> Bytes.make (Arena.length a) '\000') arenas }
-
-(* First row of [a] whose timestamp reaches [ts]. *)
-let lower_bound a ts =
-  let lo = ref 0 and hi = ref (Arena.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if Arena.ts a mid < ts then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let take r (src : Activity.t) kind =
-  let ts = Sim_time.to_ns src.timestamp and kind = Activity.kind_to_code kind in
-  let matches a i =
-    Arena.kind_code a i = kind
-    && Arena.size a i = src.message.size
-    && Activity.equal_context (Intern.context_of_id (Arena.ctx_id a i)) src.context
-    && Address.flow_equal (Intern.flow_of_id (Arena.flow_id a i)) src.message.flow
-  in
-  let rec host h =
-    if h >= Array.length r.arenas then None
+let link_paths cags =
+  let links = ref 0 and unresolved = ref 0 in
+  (* newest-first sources folded back into observation order *)
+  let link acc s =
+    if s = Cag.no_row then begin
+      incr unresolved;
+      acc
+    end
     else begin
-      let a = r.arenas.(h) and consumed = r.consumed.(h) in
-      let rec row i =
-        if i >= Arena.length a || Arena.ts a i <> ts then host (h + 1)
-        else if Bytes.get consumed i = '\000' && matches a i then begin
-          Bytes.set consumed i '\001';
-          Some (h, i)
-        end
-        else row (i + 1)
-      in
-      row (lower_bound a ts)
+      incr links;
+      (Cag.source_host s, Cag.source_row s) :: acc
     end
   in
-  host 0
-
-let resolve r (src : Activity.t) =
-  match (take r src src.kind, src.kind) with
-  | (Some _ as link), _ -> link
-  | None, Activity.Begin -> take r src Activity.Receive
-  | None, Activity.End_ -> take r src Activity.Send
-  | None, (Activity.Send | Activity.Receive) -> None
-
-let link_paths arenas cags =
-  let r = resolver arenas in
-  let links = ref 0 and unresolved = ref 0 in
-  let link src =
-    let l = resolve r src in
-    incr (if Option.is_some l then links else unresolved);
-    l
-  in
-  let path cag =
-    let vertex v = List.filter_map link (Cag.sources v) in
-    { Codec.cag; links = Array.of_list (List.map vertex (Cag.vertices cag)) }
+  let path (cag : Cag.t) =
+    (* vertices newest first, filled in from the end *)
+    let links = Array.make (Cag.size cag) [] in
+    List.iteri
+      (fun i (v : Cag.vertex) ->
+        links.(Array.length links - 1 - i) <- List.fold_left link [] v.Cag.rev_sources)
+      cag.Cag.rev_vertices;
+    { Codec.cag; links }
   in
   let paths = List.map path cags in
   (paths, !links, !unresolved)
@@ -258,7 +219,7 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
     in
     let result = stage "correlate" (fun () -> Shard.correlate_arena ?jobs config arenas) in
     let cags = result.Correlator.cags in
-    let paths, links, unresolved = stage "link" (fun () -> link_paths arenas cags) in
+    let paths, links, unresolved = stage "link" (fun () -> link_paths cags) in
     List.iter
       (fun (state, n) ->
         R.add

@@ -7,7 +7,10 @@
     ({!Store.Query.merge_native}, the order {!Reader.collection}
     returns), correlates the rows ({!Core.Shard.correlate_arena}), and
     serialises the resulting causal paths with a back-link per vertex
-    source resolved against those rows. Pattern profiles, the
+    source. Correlation keeps each vertex's raw rows ({!Core.Cag.sources}:
+    host index in those arenas, raw row), so the back-links are a copy of
+    them, exact by construction: no search, no match on record fields.
+    Pattern profiles, the
     correlation configuration, an optional scenario description and an
     optional telemetry snapshot ride along. A [`Logs] source is
     converted to arenas once, at the boundary.
@@ -34,27 +37,12 @@ type summary = {
   deformed : int;  (** Deformed paths: finished-deformed plus unfinished. *)
   patterns : int;
   links : int;  (** Back-links written. *)
-  unresolved_links : int;  (** Sources with no matching stored record. *)
+  unresolved_links : int;
+      (** Vertex sources with no raw row ({!Core.Cag.no_row}); always 0
+          for a packed run, which correlates arena rows. *)
 }
 
 val pp_summary : Format.formatter -> summary -> unit
-
-(** {1 Back-links} *)
-
-type resolver
-(** Resolution state over the canonical per-host arenas: which rows
-    earlier sources have consumed. *)
-
-val resolver : Trace.Arena.t list -> resolver
-(** Over per-host arenas sorted by time, in back-link host order. *)
-
-val resolve : resolver -> Trace.Activity.t -> (int * int) option
-(** The [(host, row)] of the raw record behind one vertex source, or
-    [None]: binary-search the source's timestamp in each arena, in host
-    order, and consume the first row sharing it that is not yet consumed
-    and matches on context, flow, size and kind — the exact kind first,
-    then the raw kind of a transform-rewritten entry record (RECEIVE for
-    BEGIN, SEND for END). *)
 
 (** {1 Packing} *)
 

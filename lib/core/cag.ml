@@ -1,4 +1,5 @@
 module Activity = Trace.Activity
+module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 
 type edge_kind = Context_edge | Message_edge
@@ -10,12 +11,14 @@ let pp_edge_kind ppf = function
 type vertex = {
   vid : int;
   mutable activity : Activity.t;
+  ctx_id : int;
+  flow_id : int;
   mutable parents : (edge_kind * vertex) list;
   mutable children : (edge_kind * vertex) list;
   mutable cag : t option;
   mutable unreceived : int;
-  mutable rev_sources : Activity.t list;
-  mutable rev_pending_sources : Activity.t list;
+  mutable rev_sources : int list;
+  mutable rev_pending_sources : int list;
 }
 
 and t = {
@@ -27,24 +30,40 @@ and t = {
   mutable deformed : bool;
 }
 
+(* A source row packs (host, row) into one immediate int: the low
+   [row_bits] bits hold the row. *)
+let row_bits = 40
+let no_row = -1
+let source ~host ~row = if row < 0 || host < 0 then no_row else (host lsl row_bits) lor row
+let source_host s = s lsr row_bits
+let source_row s = s land ((1 lsl row_bits) - 1)
+
 module Builder = struct
   (* Atomic: the sharded correlator builds CAGs from several domains at
      once. Per-engine operations remain sequential, so vids still grow
      monotonically along every single CAG (what [validate] checks). *)
   let next_vid = Atomic.make 0
 
-  let fresh_vertex activity =
+  let fresh_row ~ctx ~flow ~source activity =
     let vid = Atomic.fetch_and_add next_vid 1 in
     {
       vid;
       activity;
+      ctx_id = ctx;
+      flow_id = flow;
       parents = [];
       children = [];
       cag = None;
       unreceived = (match activity.Activity.kind with Send -> activity.message.size | _ -> 0);
-      rev_sources = [ activity ];
+      rev_sources = [ source ];
       rev_pending_sources = [];
     }
+
+  let fresh_vertex (a : Activity.t) =
+    fresh_row
+      ~ctx:(Intern.context_id a.Activity.context)
+      ~flow:(Intern.flow_id a.Activity.message.flow)
+      ~source:no_row a
 
   let create ~cag_id root =
     let t =
@@ -114,7 +133,8 @@ module Builder = struct
   let renumber t ~cag_id = t.cag_id <- cag_id
 end
 
-let sources v = List.rev v.rev_sources
+(* Newest-first to observation order, dropping the sources with no row. *)
+let sources v = List.fold_left (fun acc s -> if s = no_row then acc else s :: acc) [] v.rev_sources
 let root t = t.root
 let is_finished t = t.finished
 let is_deformed t = t.deformed

@@ -21,20 +21,27 @@ type vertex = private {
       (** For merged SENDs/ENDs the size accumulates the whole logical
           message; for a matched RECEIVE it is the full message size and
           the timestamp is the completing chunk's. *)
+  ctx_id : int;
+      (** {!Trace.Intern} id of [activity.context], fixed at creation. *)
+  flow_id : int;
+      (** {!Trace.Intern} id of [activity.message.flow], for every kind
+          (BEGIN and END included). The engine's merges and the path codec
+          compare and encode these ids, never the records. *)
   mutable parents : (edge_kind * vertex) list;
   mutable children : (edge_kind * vertex) list;
   mutable cag : t option;  (** [None] while the vertex is an orphan. *)
   mutable unreceived : int;
       (** SEND bookkeeping: bytes not yet covered by RECEIVE activities. *)
-  mutable rev_sources : Trace.Activity.t list;
-      (** Provenance, newest first: every input activity folded into this
-          vertex (the creating one plus each merged syscall) — see
+  mutable rev_sources : int list;
+      (** Provenance, newest first: one {!source} per input row folded
+          into this vertex (the creating one plus each merged syscall), or
+          {!no_row} for an input that came with no raw row — see
           {!sources}. The back-link table of trace bundles is built from
           this. *)
-  mutable rev_pending_sources : Trace.Activity.t list;
-      (** Engine bookkeeping on SEND vertices: partial RECEIVE chunks of
-          the in-flight message, transferred to the RECEIVE vertex when
-          the message completes. *)
+  mutable rev_pending_sources : int list;
+      (** Engine bookkeeping on SEND vertices: the sources of partial
+          RECEIVE chunks of the in-flight message, transferred to the
+          RECEIVE vertex when the message completes. *)
 }
 
 and t = private {
@@ -49,11 +56,32 @@ and t = private {
           the path may be missing activities. Orthogonal to [finished]. *)
 }
 
+(** {1 Source rows}
+
+    A source is a raw input row, packed with its host index into one
+    immediate int: [(host, row)] where [host] indexes the arenas the run
+    was correlated from and [row] is the raw row
+    ({!Trace.Arena.origin}) in that host's arena. *)
+
+val source : host:int -> row:int -> int
+(** {!no_row} when [host] or [row] is negative. *)
+
+val source_host : int -> int
+val source_row : int -> int
+
+val no_row : int
+(** The source of an input that came with no raw row (the record
+    adapter {!Cag_engine.step}, a decoded bundle path). *)
+
 module Builder : sig
   (** Mutating operations, reserved for the correlation engine. *)
 
+  val fresh_row : ctx:int -> flow:int -> source:int -> Trace.Activity.t -> vertex
+  (** An orphan vertex (no CAG, no edges) created by the given activity,
+      with its {!Trace.Intern} context and flow ids and its {!source}. *)
+
   val fresh_vertex : Trace.Activity.t -> vertex
-  (** An orphan vertex (no CAG, no edges). *)
+  (** {!fresh_row} with the ids interned from the record and {!no_row}. *)
 
   val create : cag_id:int -> vertex -> t
   (** A new unfinished CAG rooted at the given vertex (normally a BEGIN). *)
@@ -79,18 +107,18 @@ module Builder : sig
   (** Extend a RECEIVE vertex to a later completion of the same (grown)
       message: bump its timestamp and full size. *)
 
-  val add_source : vertex -> Trace.Activity.t -> unit
-  (** Record one more input activity as folded into this vertex (a merged
-      SEND/END syscall, a RECEIVE chunk). *)
+  val add_source : vertex -> int -> unit
+  (** Record the {!source} of one more input folded into this vertex (a
+      merged SEND/END syscall, a RECEIVE chunk). *)
 
-  val stash_pending_source : vertex -> Trace.Activity.t -> unit
-  (** On a SEND vertex: remember a partial RECEIVE chunk of the in-flight
-      message until a later chunk completes it. *)
+  val stash_pending_source : vertex -> int -> unit
+  (** On a SEND vertex: remember the source of a partial RECEIVE chunk of
+      the in-flight message until a later chunk completes it. *)
 
-  val take_pending_sources : vertex -> Trace.Activity.t list
+  val take_pending_sources : vertex -> int list
   (** Drain the stashed chunks (in observation order), clearing the stash. *)
 
-  val add_earlier_sources : vertex -> Trace.Activity.t list -> unit
+  val add_earlier_sources : vertex -> int list -> unit
   (** Record chunks observed {e before} the vertex's creating activity
       (they sort first in {!sources}). *)
 
@@ -106,13 +134,14 @@ module Builder : sig
       single global id sequence the serial run would have assigned. *)
 end
 
-val sources : vertex -> Trace.Activity.t list
-(** The input activities this vertex stands for, in observation order: the
-    creating activity, then every syscall merged into it (multi-part
+val sources : vertex -> int list
+(** The raw rows this vertex stands for, as {!source}s in observation
+    order: the creating row, then every syscall merged into it (multi-part
     SENDs/ENDs, the RECEIVE chunks of a message received piecewise).
-    Always non-empty. These are post-{!Transform} activities; they differ
-    from the raw stored records only in kind at entry points, which is how
-    bundle back-links resolve them to exact raw records. *)
+    Non-empty for paths correlated from arenas
+    ({!Cag_engine.step_ids} with rows); empty on record-adapter paths
+    ({!Cag_engine.step}) and on decoded ones, whose inputs carry no raw
+    row. Trace bundles copy these as back-links. *)
 
 val root : t -> vertex
 val is_finished : t -> bool

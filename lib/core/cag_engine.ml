@@ -1,5 +1,4 @@
 module Activity = Trace.Activity
-module Address = Simnet.Address
 module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 
@@ -134,8 +133,8 @@ let attach_context t ~parent v =
       Cag.Builder.add_edge Cag.Context_edge ~parent ~child:v
   | None -> t.orphans <- t.orphans + 1
 
-let handle_begin t ctx (a : Activity.t) =
-  let root = Cag.Builder.fresh_vertex a in
+let handle_begin t ctx flow source (a : Activity.t) =
+  let root = Cag.Builder.fresh_row ~ctx ~flow ~source a in
   let cag = Cag.Builder.create ~cag_id:t.next_cag_id root in
   t.next_cag_id <- t.next_cag_id + 1;
   t.cags_started <- t.cags_started + 1;
@@ -162,17 +161,17 @@ let finish_cag t cag =
   t.live_vertices <- t.live_vertices - Cag.size cag;
   t.on_finished cag
 
-let handle_end t ctx (a : Activity.t) =
+let handle_end t ctx flow source (a : Activity.t) =
   match cmap_parent t ctx with
   | Some parent
     when Activity.equal_kind parent.Cag.activity.Activity.kind Activity.End_
-         && Address.flow_equal parent.Cag.activity.Activity.message.flow a.message.flow ->
+         && parent.Cag.flow_id = flow ->
       (* A multi-part response: fold this syscall into the END vertex. *)
       Cag.Builder.grow_send parent a.message.size;
-      Cag.Builder.add_source parent a;
+      Cag.Builder.add_source parent source;
       t.end_merges <- t.end_merges + 1
   | Some parent ->
-      let v = Cag.Builder.fresh_vertex a in
+      let v = Cag.Builder.fresh_row ~ctx ~flow ~source a in
       bump_live t 1;
       (match open_cag_of parent with
       | Some cag ->
@@ -184,27 +183,27 @@ let handle_end t ctx (a : Activity.t) =
           t.orphans <- t.orphans + 1;
           cmap_set t ctx v)
   | None ->
-      let v = Cag.Builder.fresh_vertex a in
+      let v = Cag.Builder.fresh_row ~ctx ~flow ~source a in
       bump_live t 1;
       t.orphans <- t.orphans + 1;
       cmap_set t ctx v
 
-let handle_send t ctx flow (a : Activity.t) =
+let handle_send t ctx flow source (a : Activity.t) =
   match cmap_parent t ctx with
   | Some parent
     when Activity.equal_kind parent.Cag.activity.Activity.kind Activity.Send
-         && Address.flow_equal parent.Cag.activity.Activity.message.flow a.message.flow ->
+         && parent.Cag.flow_id = flow ->
       (* Consecutive sends of one logical message: accumulate size. If the
          earlier bytes were already fully matched (a fast receiver drained
          them before this syscall was ranked — possible because Rule 1
          outranks Rule 2), the vertex left the mmap and must re-enter it. *)
       let was_drained = parent.Cag.unreceived = 0 in
       Cag.Builder.grow_send parent a.message.size;
-      Cag.Builder.add_source parent a;
+      Cag.Builder.add_source parent source;
       if was_drained then mmap_push_front t flow parent;
       t.send_merges <- t.send_merges + 1
   | Some parent ->
-      let v = Cag.Builder.fresh_vertex a in
+      let v = Cag.Builder.fresh_row ~ctx ~flow ~source a in
       bump_live t 1;
       attach_context t ~parent v;
       cmap_set t ctx v;
@@ -212,19 +211,19 @@ let handle_send t ctx flow (a : Activity.t) =
   | None ->
       (* First activity seen in this context (e.g. an untraced peer): the
          SEND still enters the mmap so its RECEIVEs correlate. *)
-      let v = Cag.Builder.fresh_vertex a in
+      let v = Cag.Builder.fresh_row ~ctx ~flow ~source a in
       bump_live t 1;
       t.orphans <- t.orphans + 1;
       cmap_set t ctx v;
       mmap_push t flow v
 
-(* The existing RECEIVE vertex of [sender]'s message in context [a.context],
+(* The existing RECEIVE vertex of [sender]'s message in context [ctx],
    if the message was completed once already and has since grown. *)
-let existing_receive_of t ctx sender (a : Activity.t) =
+let existing_receive_of t ctx sender =
   let is_that_child (kind, (c : Cag.vertex)) =
     kind = Cag.Message_edge
     && Activity.equal_kind c.Cag.activity.Activity.kind Activity.Receive
-    && Activity.equal_context c.Cag.activity.Activity.context a.context
+    && c.Cag.ctx_id = ctx
   in
   match List.find_opt is_that_child sender.Cag.children with
   | Some (_, child) -> (
@@ -233,7 +232,7 @@ let existing_receive_of t ctx sender (a : Activity.t) =
       match cmap_parent t ctx with Some v when v == child -> Some child | _ -> None)
   | None -> None
 
-let handle_receive t ctx flow (a : Activity.t) =
+let handle_receive t ctx flow source (a : Activity.t) =
   match mmap_front t flow with
   | None -> t.unmatched_receives <- t.unmatched_receives + 1
   | Some sender ->
@@ -241,7 +240,7 @@ let handle_receive t ctx flow (a : Activity.t) =
       if remaining > 0 then begin
         (* No vertex yet: park the chunk on the sender so the completing
            RECEIVE vertex can claim the whole message's provenance. *)
-        Cag.Builder.stash_pending_source sender a;
+        Cag.Builder.stash_pending_source sender source;
         t.partial_receives <- t.partial_receives + 1
       end
       else begin
@@ -249,16 +248,16 @@ let handle_receive t ctx flow (a : Activity.t) =
         mmap_pop t flow;
         let full_size = sender.Cag.activity.Activity.message.size in
         let chunks = Cag.Builder.take_pending_sources sender in
-        match existing_receive_of t ctx sender a with
+        match existing_receive_of t ctx sender with
         | Some v ->
             (* The message completed before (its SEND grew afterwards):
                extend the same RECEIVE vertex to the new completion. *)
             Cag.Builder.refresh_receive v ~timestamp:a.timestamp ~size:full_size;
             List.iter (Cag.Builder.add_source v) chunks;
-            Cag.Builder.add_source v a;
+            Cag.Builder.add_source v source;
             t.receive_merges <- t.receive_merges + 1
         | None ->
-            let v = Cag.Builder.fresh_vertex a in
+            let v = Cag.Builder.fresh_row ~ctx ~flow ~source a in
             bump_live t 1;
             (* The completing chunk created the vertex; earlier chunks of
                the same message precede it in observation order. *)
@@ -281,21 +280,18 @@ let handle_receive t ctx flow (a : Activity.t) =
 
 (* [step_ids] is the native entry: callers that already hold the row's
    interned ids (an arena-driven feed) pay no intern lookup at all. *)
-let step_ids t ~ctx ~flow (a : Activity.t) =
+let step_ids t ~ctx ~flow ~source (a : Activity.t) =
   match a.kind with
-  | Activity.Begin -> handle_begin t ctx a
-  | Activity.End_ -> handle_end t ctx a
-  | Activity.Send -> handle_send t ctx flow a
-  | Activity.Receive -> handle_receive t ctx flow a
+  | Activity.Begin -> handle_begin t ctx flow source a
+  | Activity.End_ -> handle_end t ctx flow source a
+  | Activity.Send -> handle_send t ctx flow source a
+  | Activity.Receive -> handle_receive t ctx flow source a
 
 let step t (a : Activity.t) =
-  let ctx = Intern.context_id a.context in
-  let flow =
-    match a.kind with
-    | Activity.Send | Activity.Receive -> Intern.flow_id a.message.flow
-    | Activity.Begin | Activity.End_ -> -1
-  in
-  step_ids t ~ctx ~flow a
+  step_ids t
+    ~ctx:(Intern.context_id a.context)
+    ~flow:(Intern.flow_id a.message.flow)
+    ~source:Cag.no_row a
 
 let live_vertices t = t.live_vertices
 let mmap_entries t = t.mmap_count

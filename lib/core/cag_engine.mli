@@ -54,15 +54,19 @@ val has_mmap_send : t -> int -> bool
 (** Rule 1's probe, by {!Trace.Intern} flow id; wire this into
     {!Ranker.create}. *)
 
-val step_ids : t -> ctx:int -> flow:int -> Trace.Activity.t -> unit
+val step_ids : t -> ctx:int -> flow:int -> source:int -> Trace.Activity.t -> unit
 (** Correlate one candidate, given with its {!Trace.Intern} context and
-    flow ids ({!Ranker.candidate_ctx}, {!Ranker.candidate_flow}): both
-    maps are keyed on these ids, so the hot path makes no intern lookup.
-    [flow] is ignored for BEGIN/END candidates. Candidates must arrive in
-    ranker order. *)
+    flow ids ({!Ranker.candidate_ctx}, {!Ranker.candidate_flow}) and its
+    raw row as a {!Cag.source} ({!Ranker.candidate_host},
+    {!Ranker.candidate_origin}). Both maps are keyed on the ids, and
+    SEND/END merges and the reuse of a grown message's RECEIVE compare
+    ids, so the hot path makes no intern lookup and no record
+    comparison. Each vertex keeps its ids and the sources of every input
+    folded into it. Candidates must arrive in ranker order. *)
 
 val step : t -> Trace.Activity.t -> unit
-(** {!step_ids} with the ids interned from the record. *)
+(** {!step_ids} with the ids interned from the record and
+    {!Cag.no_row}: the resulting vertices have no {!Cag.sources}. *)
 
 val finished : t -> Cag.t list
 (** Completed CAGs, in completion order. *)

@@ -58,7 +58,10 @@ let correlate_rows ?(telemetry = R.default) ?started ?(on_path = ignore) cfg are
     while Ranker.next ranker do
       let activity = Ranker.candidate ranker in
       Cag_engine.step_ids engine ~ctx:(Ranker.candidate_ctx ranker)
-        ~flow:(Ranker.candidate_flow ranker) activity;
+        ~flow:(Ranker.candidate_flow ranker)
+        ~source:
+          (Cag.source ~host:(Ranker.candidate_host ranker) ~row:(Ranker.candidate_origin ranker))
+        activity;
       incr steps;
       R.incr commits;
       Telemetry.Histogram.observe occupancy (float_of_int (Ranker.buffered ranker));

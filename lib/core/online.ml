@@ -11,6 +11,9 @@ type t = {
   transform : Transform.config;
   tmemo : Transform.memo;  (* per-id transform decisions for {!observe_arena} *)
   on_activity : Trace.Activity.t -> unit;
+  ordinals : (string, int ref) Hashtbl.t;
+      (* per traced host: rows delivered so far, filtered ones included —
+         the raw row index an offline run over the same logs sees *)
   ranker : Ranker.t;
   engine : Cag_engine.t;
   telemetry : R.t;
@@ -57,7 +60,10 @@ let drain t =
     t.resolved <- t.resolved + 1;
     let a = Ranker.candidate t.ranker in
     Cag_engine.step_ids t.engine ~ctx:(Ranker.candidate_ctx t.ranker)
-      ~flow:(Ranker.candidate_flow t.ranker) a;
+      ~flow:(Ranker.candidate_flow t.ranker)
+      ~source:
+        (Cag.source ~host:(Ranker.candidate_host t.ranker) ~row:(Ranker.candidate_origin t.ranker))
+      a;
     (* Periodically evict unmatched sends that can no longer match,
        with the horizon clamped at the trace origin (matchable SENDs
        at trace start must survive early GC rounds). *)
@@ -109,6 +115,7 @@ let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
       transform = config.Correlator.transform;
       tmemo = Transform.memo config.Correlator.transform;
       on_activity;
+      ordinals = Hashtbl.of_seq (List.to_seq (List.map (fun h -> (h, ref 0)) hosts));
       ranker;
       engine;
       telemetry;
@@ -174,17 +181,29 @@ let settle t ts = function
       sync_degraded t;
       R.set t.m_pending (float_of_int (pending t))
 
+(* Claim [n] ordinals of [host]'s delivered rows: the first one, or [-1]
+   for a host that is not traced. *)
+let take_ordinals t host n =
+  match Hashtbl.find_opt t.ordinals host with
+  | Some next ->
+      let first = !next in
+      next := first + n;
+      first
+  | None -> -1
+
 let observe t raw =
   t.on_activity raw;
+  let origin = take_ordinals t raw.Activity.context.Activity.host 1 in
   match Transform.classify t.transform raw with
   | None -> ()
-  | Some activity -> settle t activity.Activity.timestamp (Ranker.feed t.ranker activity)
+  | Some activity -> settle t activity.Activity.timestamp (Ranker.feed ~origin t.ranker activity)
 
 let observe_arena t arena =
   let custom = Transform.has_custom_keep t.transform in
   (* Filtered-out rows only need materialising when a tee listener or a
      custom keep predicate wants the raw record. *)
   let raw_all = custom || t.on_activity != default_on_activity in
+  let first = take_ordinals t (Arena.hostname arena) (Arena.length arena) in
   for i = 0 to Arena.length arena - 1 do
     let k = Transform.classify_row t.tmemo arena i in
     let kept =
@@ -199,7 +218,8 @@ let observe_arena t arena =
       let ts = Arena.ts arena i in
       settle t (Sim_time.of_ns ts)
         (Ranker.feed_row t.ranker ~kind:k ~ts ~ctx:(Arena.ctx_id arena i)
-           ~flow:(Arena.flow_id arena i) ~size:(Arena.size arena i))
+           ~flow:(Arena.flow_id arena i) ~size:(Arena.size arena i)
+           ~origin:(if first < 0 then -1 else first + i))
     end
   done
 

@@ -71,7 +71,12 @@ val observe : t -> Trace.Activity.t -> unit
     BEGIN/END transform and noise filters of the configuration are applied
     here; progress is drained eagerly. Never raises: out-of-contract
     records (including any fed after {!finish}) are quarantined and
-    counted instead. *)
+    counted instead.
+
+    Each record delivered for a traced host is that host's next raw row,
+    counted from 0 with filtered records included, so vertex
+    {!Cag.sources} name (index in [hosts], raw row): the coordinates an
+    offline run over the final logs gives the same vertices. *)
 
 val observe_arena : t -> Trace.Arena.t -> unit
 (** {!observe} over every row of an arena, in row order — the native feed
@@ -79,8 +84,9 @@ val observe_arena : t -> Trace.Arena.t -> unit
     memoised per interned context/flow id, and surviving rows go to
     {!Ranker.feed_row} as ids: no record is built and no {!Trace.Intern}
     lookup is made per row (unless an [on_activity] tee or a custom
-    [keep] needs the raw record). Same quarantine-not-raise contract as
-    {!observe}. *)
+    [keep] needs the raw record). Same quarantine-not-raise contract and
+    raw-row numbering as {!observe}: the arena's rows are its host's next
+    rows. *)
 
 val finish : t -> unit
 (** Declare the input complete and drain everything that remains.

@@ -302,7 +302,8 @@ let create_online ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_abl
     () =
   make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reorder_slack
     ~has_mmap_send
-    (Array.of_list (List.map (fun host -> stream ~closed:false (Arena.create ~host ())) hosts))
+    (Array.of_list
+       (List.map (fun host -> stream ~closed:false (Arena.create ~origins:true ~host ())) hosts))
 
 (* ---- buffer bookkeeping ---- *)
 
@@ -361,7 +362,7 @@ let remember_fed s ~kind ~ts ~ctx ~flow ~size =
   s.last_flow <- flow;
   s.last_size <- size
 
-let feed_row t ~kind ~ts ~ctx ~flow ~size =
+let feed_row t ~kind ~ts ~ctx ~flow ~size ~origin =
   let i = stream_of_context t ctx in
   if i = unknown_host then quarantine t Unknown_host ~kind ~ts ~ctx ~flow ~size
   else begin
@@ -383,6 +384,7 @@ let feed_row t ~kind ~ts ~ctx ~flow ~size =
           (* Behind a fetched row: it joins the fetched region, shifting
              the unfetched rows up, and its queue. *)
           Arena.insert s.rows s.cursor ~kind ~ts ~ctx ~flow ~size;
+          Arena.set_origin s.rows s.cursor origin;
           Deque.insert t.queues.(i) pos s.cursor;
           note_buffered t i s.cursor;
           s.cursor <- s.cursor + 1;
@@ -396,6 +398,7 @@ let feed_row t ~kind ~ts ~ctx ~flow ~size =
             decr pos
           done;
           Arena.insert s.rows !pos ~kind ~ts ~ctx ~flow ~size;
+          Arena.set_origin s.rows !pos origin;
           s.listed <- s.listed + 1;
           t.backlog <- t.backlog + 1
         end;
@@ -407,6 +410,7 @@ let feed_row t ~kind ~ts ~ctx ~flow ~size =
     end
     else begin
       Arena.append s.rows ~kind ~ts ~ctx ~flow ~size;
+      Arena.set_origin s.rows (Arena.length s.rows - 1) origin;
       s.listed <- s.listed + 1;
       t.backlog <- t.backlog + 1;
       sync_front t i;
@@ -430,7 +434,7 @@ let feed_row t ~kind ~ts ~ctx ~flow ~size =
 (* Unknown-host and post-close records are turned away before interning,
    so garbage does not grow the process-wide tables. A flow {!Intern}
    cannot represent (a port outside 0..65535) has no id: [Malformed]. *)
-let feed t (a : Activity.t) =
+let feed ?(origin = -1) t (a : Activity.t) =
   match Hashtbl.find_opt t.host_index a.context.host with
   | None -> quarantine_record t Unknown_host a
   | Some i when t.streams.(i).closed -> quarantine_record t Closed a
@@ -441,7 +445,7 @@ let feed t (a : Activity.t) =
       | flow ->
           feed_row t
             ~kind:(Activity.kind_to_code a.kind)
-            ~ts:(Sim_time.to_ns a.timestamp) ~ctx ~flow ~size:a.message.size)
+            ~ts:(Sim_time.to_ns a.timestamp) ~ctx ~flow ~size:a.message.size ~origin)
 
 (* ---- the sliding window ---- *)
 
@@ -733,6 +737,8 @@ let rec next t =
 let candidate_rows t = t.streams.(t.candidate_stream).rows
 let candidate_ctx t = Arena.ctx_id (candidate_rows t) t.candidate_row
 let candidate_flow t = Arena.flow_id (candidate_rows t) t.candidate_row
+let candidate_host t = t.candidate_stream
+let candidate_origin t = Arena.origin (candidate_rows t) t.candidate_row
 
 let candidate t =
   let rows = candidate_rows t and r = t.candidate_row in

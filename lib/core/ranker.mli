@@ -122,6 +122,15 @@ val next : t -> bool
 val candidate_ctx : t -> int
 val candidate_flow : t -> int
 
+val candidate_host : t -> int
+(** The stream (host index, in the order the arenas or [hosts] were
+    given) of the last committed candidate. *)
+
+val candidate_origin : t -> int
+(** Its raw row, {!Trace.Arena.origin} of the stream row: the input row
+    the transform derived it from, an online feed's [origin], or the
+    row itself on a raw arena; [-1] when fed with none. *)
+
 val candidate : t -> Trace.Activity.t
 (** The last candidate {!next} committed: its {!Trace.Intern} context and
     flow ids, and the record with canonical context and flow. Valid until
@@ -180,15 +189,19 @@ val create_online :
   unit ->
   t
 
-val feed_row : t -> kind:int -> ts:int -> ctx:int -> flow:int -> size:int -> feed_result
+val feed_row :
+  t -> kind:int -> ts:int -> ctx:int -> flow:int -> size:int -> origin:int -> feed_result
 (** Append one row, in {!Trace.Arena.append}'s encoding, to the stream of
-    its context's host. Never raises: malformed records are
+    its context's host. [origin] is the row's raw row, reported back by
+    {!candidate_origin} ([-1]: none); online streams keep it through
+    re-sorts and reclaims. Never raises: malformed records are
     {!Quarantined} (counted per reason, logged in a bounded ring), and
     regressions within the skew allowance are {!Resorted} into place. A
     record is built only for a quarantined row. *)
 
-val feed : t -> Trace.Activity.t -> feed_result
-(** {!feed_row} of the activity's interned ids. Records of an unknown
+val feed : ?origin:int -> t -> Trace.Activity.t -> feed_result
+(** {!feed_row} of the activity's interned ids ([origin] defaults to
+    [-1]). Records of an unknown
     host or fed after {!close_input} are quarantined before interning, so
     they do not grow {!Trace.Intern}; a record that cannot be interned is
     [Malformed]. Never raises. *)

@@ -115,13 +115,16 @@ let plan ~jobs (cfg : Correlator.config) arenas =
     (Transform.apply_native cfg.Correlator.transform arenas)
 
 (* Every epoch keeps the full host list (possibly with empty arenas), so
-   ranker stream indexing matches the serial run's. *)
+   ranker stream indexing matches the serial run's, and copies the rows'
+   origins, so vertex sources name the same raw rows. *)
 let epoch_arenas p k =
   Array.to_list
     (Array.mapi
        (fun h a ->
          let lo = p.starts.(k).(h) and hi = p.starts.(k + 1).(h) in
-         let sub = Arena.create_sid ~capacity:(max 1 (hi - lo)) (Arena.host_sid a) in
+         let sub =
+           Arena.create_sid ~capacity:(max 1 (hi - lo)) ~origins:true (Arena.host_sid a)
+         in
          Arena.append_range sub a ~lo ~hi;
          sub)
        p.arenas)

@@ -110,15 +110,20 @@ let apply_native cfg arenas =
   let custom = has_custom_keep cfg in
   List.map
     (fun a ->
-      let out = Arena.create_sid ~capacity:(max 1 (Arena.length a)) (Arena.host_sid a) in
+      let out =
+        Arena.create_sid ~capacity:(max 1 (Arena.length a)) ~origins:true (Arena.host_sid a)
+      in
       for i = 0 to Arena.length a - 1 do
         let k = classify_row m a i in
-        if k >= 0 && ((not custom) || cfg.keep (Arena.get a i)) then
+        if k >= 0 && ((not custom) || cfg.keep (Arena.get a i)) then begin
           Arena.append out ~kind:k ~ts:(Arena.ts a i) ~ctx:(Arena.ctx_id a i)
-            ~flow:(Arena.flow_id a i) ~size:(Arena.size a i)
+            ~flow:(Arena.flow_id a i) ~size:(Arena.size a i);
+          Arena.set_origin out (Arena.length out - 1) (Arena.origin a i)
+        end
       done;
       (* The entry-point rewrite changes kind priorities, which can
-         reorder rows sharing a timestamp: sort back into log order. *)
+         reorder rows sharing a timestamp: sort back into log order (the
+         origin column moves with its rows). *)
       Arena.sort_by_time out;
       out)
     arenas

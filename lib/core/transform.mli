@@ -60,4 +60,5 @@ val apply_native : config -> Trace.Arena.t list -> Trace.Arena.t list
     including a custom [keep]); host arenas are preserved even when every
     row is dropped, like {!apply} keeps empty logs, and each is sorted
     into log order ({!Trace.Arena.sort_by_time}), as {!apply}'s logs
-    are. *)
+    are. Each output arena has an origin column: every row knows the
+    input row it came from ({!Trace.Arena.origin}). *)

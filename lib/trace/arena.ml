@@ -12,6 +12,9 @@ type t = {
   mutable ctx : int array;  (* Intern context ids *)
   mutable flow : int array;  (* Intern flow ids *)
   mutable size : int array;  (* message sizes in bytes *)
+  mutable origin : int array;
+      (* Raw row each row came from, on derived arenas only; [[||]] on
+         raw arenas, whose rows are their own origin. *)
   mutable len : int;
 }
 
@@ -21,7 +24,7 @@ let grows_counter =
 let peak_rows_gauge =
   lazy (R.gauge R.default ~help:"Largest arena capacity allocated, in rows" "pt_arena_peak_rows")
 
-let create_sid ?(capacity = 64) host =
+let create_sid ?(capacity = 64) ?(origins = false) host =
   let capacity = max 1 capacity in
   {
     host;
@@ -30,10 +33,12 @@ let create_sid ?(capacity = 64) host =
     ctx = Array.make capacity 0;
     flow = Array.make capacity 0;
     size = Array.make capacity 0;
+    origin = (if origins then Array.make capacity (-1) else [||]);
     len = 0;
   }
 
-let create ?capacity ~host () = create_sid ?capacity (Intern.string_id host)
+let create ?capacity ?origins ~host () = create_sid ?capacity ?origins (Intern.string_id host)
+let has_origins t = Array.length t.origin > 0
 let host_sid t = t.host
 let hostname t = Intern.string_of_id t.host
 let length t = t.len
@@ -54,6 +59,7 @@ let grow t =
   t.ctx <- widen t.ctx;
   t.flow <- widen t.flow;
   t.size <- widen t.size;
+  if has_origins t then t.origin <- widen t.origin;
   R.incr (Lazy.force grows_counter);
   R.set_max (Lazy.force peak_rows_gauge) (float_of_int cap)
 
@@ -62,7 +68,8 @@ let set t i ~kind ~ts ~ctx ~flow ~size =
   t.ts.(i) <- ts;
   t.ctx.(i) <- ctx;
   t.flow.(i) <- flow;
-  t.size.(i) <- size
+  t.size.(i) <- size;
+  if has_origins t then t.origin.(i) <- -1
 
 let append t ~kind ~ts ~ctx ~flow ~size =
   if t.len = Array.length t.ts then grow t;
@@ -78,6 +85,7 @@ let insert t i ~kind ~ts ~ctx ~flow ~size =
   Array.blit t.ctx i t.ctx (i + 1) n;
   Array.blit t.flow i t.flow (i + 1) n;
   Array.blit t.size i t.size (i + 1) n;
+  if has_origins t then Array.blit t.origin i t.origin (i + 1) n;
   set t i ~kind ~ts ~ctx ~flow ~size;
   t.len <- t.len + 1
 
@@ -89,6 +97,7 @@ let drop_front t n =
   Array.blit t.ctx n t.ctx 0 rest;
   Array.blit t.flow n t.flow 0 rest;
   Array.blit t.size n t.size 0 rest;
+  if has_origins t then Array.blit t.origin n t.origin 0 rest;
   t.len <- rest
 
 let append_activity t (a : Activity.t) =
@@ -125,6 +134,15 @@ let size t i =
   check t i;
   t.size.(i)
 
+let origin t i =
+  check t i;
+  if has_origins t then t.origin.(i) else i
+
+let set_origin t i o =
+  check t i;
+  if not (has_origins t) then invalid_arg "Arena.set_origin: no origin column";
+  t.origin.(i) <- o
+
 (* Materialise one row. The context and flow records are the canonical
    interned ones — shared, so repeated rows cost two fresh blocks
    (the activity and its message), not five. *)
@@ -144,7 +162,8 @@ let append_row dst src i =
   check src i;
   append dst
     ~kind:(Char.code (Bytes.unsafe_get src.kinds i))
-    ~ts:src.ts.(i) ~ctx:src.ctx.(i) ~flow:src.flow.(i) ~size:src.size.(i)
+    ~ts:src.ts.(i) ~ctx:src.ctx.(i) ~flow:src.flow.(i) ~size:src.size.(i);
+  if has_origins dst then dst.origin.(dst.len - 1) <- origin src i
 
 (* Bulk row copy: the writer's ingest merge advances in whole runs, and a
    run is four [Array.blit]s and a [Bytes.blit] instead of per-row
@@ -161,6 +180,12 @@ let append_range dst src ~lo ~hi =
     Array.blit src.ctx lo dst.ctx dst.len n;
     Array.blit src.flow lo dst.flow dst.len n;
     Array.blit src.size lo dst.size dst.len n;
+    if has_origins dst then
+      if has_origins src then Array.blit src.origin lo dst.origin dst.len n
+      else
+        for k = 0 to n - 1 do
+          dst.origin.(dst.len + k) <- lo + k
+        done;
     dst.len <- dst.len + n
   end
 
@@ -239,7 +264,8 @@ let sort_by_time t =
     permute_int t.ts;
     permute_int t.ctx;
     permute_int t.flow;
-    permute_int t.size
+    permute_int t.size;
+    if has_origins t then permute_int t.origin
   end
 
 let time_bounds t =
@@ -276,11 +302,12 @@ let to_collection ts = List.map to_log ts
 let total ts = List.fold_left (fun acc t -> acc + t.len) 0 ts
 
 let copy t =
-  let c = create_sid ~capacity:(max 1 t.len) t.host in
+  let c = create_sid ~capacity:(max 1 t.len) ~origins:(has_origins t) t.host in
   Bytes.blit t.kinds 0 c.kinds 0 t.len;
   Array.blit t.ts 0 c.ts 0 t.len;
   Array.blit t.ctx 0 c.ctx 0 t.len;
   Array.blit t.flow 0 c.flow 0 t.len;
   Array.blit t.size 0 c.size 0 t.len;
+  if has_origins t then Array.blit t.origin 0 c.origin 0 t.len;
   c.len <- t.len;
   c

@@ -12,15 +12,25 @@
 
     Arenas double in capacity as they fill ([pt_arena_grows_total],
     [pt_arena_peak_rows]); rows are in whatever order they were appended
-    until {!sort_by_time}. *)
+    until {!sort_by_time}.
+
+    {b Origins.} A derived arena (the transform's output, a shard epoch,
+    an online ranker stream) can carry a sixth column: the raw row each
+    row came from ({!origin}). Every row operation keeps it with its row:
+    {!insert}, {!drop_front}, {!sort_by_time}, {!append_row},
+    {!append_range} and {!copy}. Raw arenas (decoded, stored) have no such
+    column and pay nothing: each of their rows is its own origin. *)
 
 type t
 
 (** {1 Construction} *)
 
-val create : ?capacity:int -> host:string -> unit -> t
-val create_sid : ?capacity:int -> int -> t
-(** [create_sid sid] with [sid] an {!Intern.string_id} of the hostname. *)
+val create : ?capacity:int -> ?origins:bool -> host:string -> unit -> t
+val create_sid : ?capacity:int -> ?origins:bool -> int -> t
+(** [create_sid sid] with [sid] an {!Intern.string_id} of the hostname.
+    [origins] (default [false]) allocates the origin column; rows
+    appended with {!append} or {!insert} get origin [-1] until
+    {!set_origin}. *)
 
 val append : t -> kind:int -> ts:int -> ctx:int -> flow:int -> size:int -> unit
 (** Raw row append: [kind] is an {!Activity.kind_to_code} code, [ts] in
@@ -31,12 +41,14 @@ val append_activity : t -> Activity.t -> unit
 
 val append_row : t -> t -> int -> unit
 (** [append_row dst src i] copies row [i] of [src] — five integer stores,
-    valid across arenas because ids are process-wide. *)
+    valid across arenas because ids are process-wide. When [dst] has an
+    origin column, the copy's origin is [origin src i]. *)
 
 val append_range : t -> t -> lo:int -> hi:int -> unit
 (** [append_range dst src ~lo ~hi] copies rows [lo, hi) of [src] in one
     blit per column — the bulk form of {!append_row} for run-at-a-time
-    merges. @raise Invalid_argument on an out-of-bounds range. *)
+    merges, with the same origins.
+    @raise Invalid_argument on an out-of-bounds range. *)
 
 val insert : t -> int -> kind:int -> ts:int -> ctx:int -> flow:int -> size:int -> unit
 (** [insert t i ...] shifts rows [i, length t) up by one and writes the
@@ -66,7 +78,15 @@ val ts : t -> int -> int
 val ctx_id : t -> int -> int
 val flow_id : t -> int -> int
 val size : t -> int -> int
-(** All row accessors raise [Invalid_argument] out of bounds. *)
+
+val origin : t -> int -> int
+(** The raw row that row [i] came from: the origin column's entry on a
+    derived arena, [i] itself on a raw one. All row accessors raise
+    [Invalid_argument] out of bounds. *)
+
+val set_origin : t -> int -> int -> unit
+(** [set_origin t i o] records that row [i] came from raw row [o].
+    @raise Invalid_argument out of bounds or without an origin column. *)
 
 val get : t -> int -> Activity.t
 (** Materialise row [i] with canonical (shared) context and flow

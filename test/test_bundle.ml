@@ -209,10 +209,11 @@ let test_every_vertex_resolves () =
         vertices)
     decoded.Bundle.Codec.paths
 
-(* Reference for [Bundle.Pack.resolve], built on an index instead of a
-   search: one queue of (host, row) coordinates per exact record key,
-   popped in (host, row) order, exact kind first, then the raw kind of a
-   transform-rewritten entry record. *)
+(* The oracle for back-links: the search-based resolver packing used
+   before vertices carried their raw rows, rebuilt on an index. One queue
+   of (host, row) coordinates per exact record key, popped in (host, row)
+   order, exact kind first, then the raw kind of a transform-rewritten
+   entry record. *)
 module Reference_resolver = struct
   let key_of (a : Activity.t) kind =
     let c = a.Activity.context and f = a.Activity.message.flow in
@@ -256,57 +257,173 @@ module Reference_resolver = struct
         | Activity.Send | Activity.Receive -> None)
 end
 
+(* A packed bundle with its canonical records, one array per link host. *)
+let packed_rows ~config source =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "p.ptz" in
+  let summary =
+    ok "pack" (Bundle.Pack.pack ~roll_records:4096 ~config ~source ~path ())
+  in
+  let r = reader path in
+  let decoded = ok "paths" (Bundle.Reader.paths r) in
+  let canonical = ok "collection" (Bundle.Reader.collection r) in
+  let by_host =
+    Array.map
+      (fun h ->
+        match List.find_opt (fun l -> String.equal (Log.hostname l) h) canonical with
+        | Some l -> Array.of_list (Log.to_list l)
+        | None -> Alcotest.failf "link host %s has no log" h)
+      decoded.Bundle.Codec.link_hosts
+  in
+  (summary, decoded, canonical, by_host)
+
+(* The golden inputs: RUBiS Default (seed 42) as a store directory and as
+   logs, and the mesh control preset. No row of these shares (timestamp,
+   context, flow, size, kind) with another row of its host, so exact
+   provenance and the resolver's first-match search must agree. *)
+let rubis_golden () =
+  let o =
+    S.run
+      {
+        S.default with
+        S.mix = Tiersim.Workload.Default;
+        clients = 100;
+        time_scale = 0.05;
+        seed = 42;
+      }
+  in
+  (Correlator.config ~transform:o.S.transform (), o.S.logs)
+
+let mesh_control () =
+  let spec = Option.get (Mesh.Presets.spec_of ~seed:7 "control") in
+  let spec = { spec with Mesh.Spec.clients = 16; requests_per_client = 20 } in
+  let b = Mesh.Runtime.build spec in
+  Simnet.Engine.run b.Mesh.Runtime.engine;
+  let transform = Core.Transform.config ~entry_points:b.Mesh.Runtime.entries () in
+  ( Correlator.config ~transform ~window:(Simnet.Sim_time.ms 5) (),
+    Trace.Probe.logs b.Mesh.Runtime.probe )
+
+let check_links_match_reference (config, source) =
+  let summary, decoded, canonical, by_host = packed_rows ~config source in
+  Alcotest.(check int) "no unresolved links" 0 summary.Bundle.Pack.unresolved_links;
+  let index = Reference_resolver.create canonical in
+  let host_index h =
+    let rec find i = function
+      | l :: rest -> if String.equal (Log.hostname l) h then i else find (i + 1) rest
+      | [] -> Alcotest.failf "no log for %s" h
+    in
+    find 0 canonical
+  in
+  let count = ref 0 in
+  List.iter
+    (fun (p : Bundle.Codec.path) ->
+      Array.iter
+        (List.iter (fun (h, r) ->
+             incr count;
+             let raw = by_host.(h).(r) in
+             let transformed =
+               match Core.Transform.classify config.Correlator.transform raw with
+               | Some a -> a
+               | None ->
+                   Alcotest.failf "linked row %s[%d] is filtered out" decoded.link_hosts.(h) r
+             in
+             Alcotest.(check (option (pair int int)))
+               (Printf.sprintf "path %d link" p.Bundle.Codec.cag.Cag.cag_id)
+               (Reference_resolver.resolve index transformed)
+               (Some (host_index decoded.link_hosts.(h), r))))
+        p.Bundle.Codec.links)
+    decoded.Bundle.Codec.paths;
+  Alcotest.(check int) "every link checked" summary.Bundle.Pack.links !count
+
+let with_rubis_store f =
+  let config, logs = rubis_golden () in
+  with_dir @@ fun dir ->
+  let w = Store.Writer.create ~roll_records:4096 ~dir () in
+  Store.Writer.ingest w logs;
+  ignore (Store.Writer.close w);
+  f (config, `Store_dir dir)
+
+let test_links_reference_rubis_store () = with_rubis_store check_links_match_reference
+
+let test_links_reference_rubis_logs () =
+  let config, logs = rubis_golden () in
+  check_links_match_reference (config, `Logs logs)
+
+let test_links_reference_mesh () =
+  let config, logs = mesh_control () in
+  check_links_match_reference (config, `Logs logs)
+
 (* Logs drawn from tiny attribute pools, so identical rows are common;
    contexts name any of the hosts, so some records sit in another host's
-   log. Sources are stored rows, some rewritten to the BEGIN/END kind the
-   transform gives entry records, some perturbed to match nothing. *)
-let gen_resolver_case =
+   log. Flows run either way across the entry endpoint, so the transform
+   rewrites some rows to BEGIN and END. *)
+let gen_tiny_pools =
   let open QCheck.Gen in
   let hosts = [ "h0"; "h1"; "h2" ] in
   let activity =
     map
-      (fun ((ts, ctx_host), (pid, kind), (port, size)) ->
-        H.act ~kind ~ts ~ctx:(H.ctx ~host:ctx_host ~pid ())
-          ~flow:(H.flow "10.0.0.1" port "10.0.0.2" 80) ~size)
+      (fun ((ts, ctx_host), (pid, kind), (port, size, inbound)) ->
+        let flow =
+          if inbound then H.flow "10.0.0.1" port "10.0.0.2" 80
+          else H.flow "10.0.0.2" 80 "10.0.0.1" port
+        in
+        H.act ~kind ~ts ~ctx:(H.ctx ~host:ctx_host ~pid ()) ~flow ~size)
       (triple
          (pair (int_range 0 3) (oneofl hosts))
-         (pair (int_range 1 2) (oneofl Activity.[ Send; Receive; Begin; End_ ]))
-         (pair (int_range 1 2) (int_range 1 2)))
+         (pair (int_range 1 2) (oneofl Activity.[ Send; Receive; Send; Receive; Begin; End_ ]))
+         (triple (int_range 1 2) (int_range 1 2) bool))
   in
-  let logs =
-    map
-      (fun per_host ->
-        List.map2 (fun hostname acts -> Log.of_list ~hostname acts) hosts per_host)
-      (flatten_l (List.map (fun _ -> list_size (int_range 0 15) activity) hosts))
-  in
-  let source = triple (int_range 0 1_000) (int_range 0 1_000) (oneofl [ `Same; `Entry; `Miss ]) in
-  pair logs (list_size (int_range 0 40) source)
+  map
+    (fun per_host -> List.map2 (fun hostname acts -> Log.of_list ~hostname acts) hosts per_host)
+    (flatten_l (List.map (fun _ -> list_size (int_range 0 25) activity) hosts))
 
-let prop_resolver_matches_reference =
-  QCheck.Test.make ~name:"resolver = index reference" ~count:300
-    (QCheck.make gen_resolver_case) (fun (logs, picks) ->
-      let arenas = Store.Query.merge_native [ Trace.Arena.of_collection logs ] in
-      let canonical = Trace.Arena.to_collection arenas in
-      let rows = Array.of_list (List.concat_map Log.to_list canonical) in
-      let sources =
-        if Array.length rows = 0 then []
-        else
-          List.map
-            (fun (i, j, how) ->
-              let a = rows.(i mod Array.length rows) in
-              match (how, a.Activity.kind) with
-              | `Entry, Activity.Receive -> { a with Activity.kind = Activity.Begin }
-              | `Entry, Activity.Send -> { a with Activity.kind = Activity.End_ }
-              | `Miss, _ -> { a with message = { a.message with size = 3 + (j mod 2) } }
-              | _ -> a)
-            picks
+let tiny_config =
+  Correlator.config
+    ~transform:
+      (Core.Transform.config
+         ~entry_points:[ Simnet.Address.endpoint (Simnet.Address.ip_of_string "10.0.0.2") 80 ]
+         ())
+    ()
+
+(* Exact provenance on inputs full of identical rows: no raw row backs
+   two sources, and every linked row is one its vertex stands for — same
+   context and flow, the kind equal up to the entry rewrite, and one of a
+   vertex's rows carries the vertex's timestamp. *)
+let prop_tiny_pool_provenance =
+  QCheck.Test.make ~name:"provenance on tiny pools" ~count:150 (QCheck.make gen_tiny_pools)
+    (fun logs ->
+      QCheck.assume (Log.total logs > 0);
+      let summary, decoded, _, by_host = packed_rows ~config:tiny_config (`Logs logs) in
+      let seen = Hashtbl.create 64 in
+      let kind_ok (v : Activity.kind) (raw : Activity.kind) =
+        Activity.equal_kind v raw
+        || (Activity.equal_kind v Activity.Begin && Activity.equal_kind raw Activity.Receive)
+        || (Activity.equal_kind v Activity.End_ && Activity.equal_kind raw Activity.Send)
       in
-      let index = Reference_resolver.create canonical in
-      let r = Bundle.Pack.resolver arenas in
-      let expected = List.map (Reference_resolver.resolve index) sources in
-      let got = List.map (Bundle.Pack.resolve r) sources in
-      let unresolved l = List.length (List.filter Option.is_none l) in
-      expected = got && unresolved expected = unresolved got)
+      summary.Bundle.Pack.unresolved_links = 0
+      && List.for_all
+           (fun (p : Bundle.Codec.path) ->
+             List.for_all2
+               (fun (v : Cag.vertex) links ->
+                 let a = v.Cag.activity in
+                 links <> []
+                 && List.exists
+                      (fun (h, r) ->
+                        Simnet.Sim_time.equal by_host.(h).(r).Activity.timestamp a.timestamp)
+                      links
+                 && List.for_all
+                      (fun (h, r) ->
+                        let raw = by_host.(h).(r) in
+                        let fresh = not (Hashtbl.mem seen (h, r)) in
+                        Hashtbl.replace seen (h, r) ();
+                        fresh
+                        && Activity.equal_context raw.Activity.context a.Activity.context
+                        && Simnet.Address.flow_equal raw.message.flow a.message.flow
+                        && kind_ok a.kind raw.kind)
+                      links)
+               (Cag.vertices p.Bundle.Codec.cag)
+               (Array.to_list p.Bundle.Codec.links))
+           decoded.Bundle.Codec.paths)
 
 let test_walk_resolves_every_hop () =
   let path, _ = Lazy.force control in
@@ -480,6 +597,29 @@ let test_unmentioned_link_host () =
   let d = ok "decode" (decode_message msg) in
   Alcotest.(check (array string)) "link hosts" [| "web"; "ghost" |] d.Bundle.Codec.link_hosts;
   Alcotest.(check int) "no paths" 0 (List.length d.Bundle.Codec.paths)
+
+(* A links array is one entry per vertex or empty (no links); any other
+   length is a caller bug, refused rather than padded or cut. *)
+let test_links_length_checked () =
+  let path, _ = Lazy.force control in
+  let decoded = ok "paths" (Bundle.Reader.paths (reader path)) in
+  let p = List.hd decoded.Bundle.Codec.paths in
+  let n = Array.length p.Bundle.Codec.links in
+  let encode links =
+    Bundle.Codec.encode ~link_hosts:decoded.Bundle.Codec.link_hosts
+      [ { p with Bundle.Codec.links } ]
+  in
+  ignore (encode p.Bundle.Codec.links : string);
+  ignore (encode [||] : string);
+  List.iter
+    (fun (what, links) ->
+      match encode links with
+      | _ -> Alcotest.failf "%s: encoded" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("one short", Array.sub p.Bundle.Codec.links 0 (n - 1));
+      ("one long", Array.append p.Bundle.Codec.links [| [ (0, 0) ] |]);
+    ]
 
 (* End to end: logs cut so short that no path forms still pack into a
    bundle whose paths section reads back. *)
@@ -683,7 +823,11 @@ let () =
           Alcotest.test_case "every vertex resolves" `Quick test_every_vertex_resolves;
           Alcotest.test_case "walk resolves every hop" `Quick test_walk_resolves_every_hop;
           Alcotest.test_case "links survive compaction" `Quick test_links_survive_compaction;
-          QCheck_alcotest.to_alcotest prop_resolver_matches_reference;
+          Alcotest.test_case "RUBiS store links = reference" `Quick
+            test_links_reference_rubis_store;
+          Alcotest.test_case "RUBiS logs links = reference" `Quick test_links_reference_rubis_logs;
+          Alcotest.test_case "mesh control links = reference" `Quick test_links_reference_mesh;
+          QCheck_alcotest.to_alcotest prop_tiny_pool_provenance;
         ] );
       ( "query",
         [ Alcotest.test_case "matches the directory store" `Quick test_query_matches_store ] );
@@ -696,6 +840,7 @@ let () =
       ( "path codec",
         [
           Alcotest.test_case "unmentioned link host" `Quick test_unmentioned_link_host;
+          Alcotest.test_case "links length is checked" `Quick test_links_length_checked;
           Alcotest.test_case "pathless bundle reads back" `Quick test_pathless_bundle_reads;
           Alcotest.test_case "truncation and byte-flip corpus" `Quick test_codec_corpus;
         ] );

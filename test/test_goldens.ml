@@ -266,6 +266,81 @@ let test_mesh_bundle_offline () =
   pin "packed CAGs = offline" (Shard.digest offline)
     (Shard.digest { offline with Correlator.cags = finished })
 
+(* Provenance determinism. Vertices carry the raw rows behind them, and
+   the rows' origins must survive the transform's sort and the sharded
+   correlator's epoch copies: the PTP1 section (paths and back-links) is
+   the same at every [jobs], and so is every vertex's list of sources. *)
+
+let paths_section bytes =
+  let _, sections = Result.get_ok (Bundle.Container.parse ~what:"bundle" bytes) in
+  match Bundle.Container.find sections "paths" with
+  | Some s -> String.sub bytes s.Bundle.Container.pos s.Bundle.Container.len
+  | None -> Alcotest.fail "no paths section"
+
+let check_ptp1_jobs build () =
+  let cfg, logs = build () in
+  let at jobs = paths_section (pack_bytes ~jobs cfg (`Logs logs)) in
+  let one = at 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool) (Printf.sprintf "PTP1 at jobs %d = jobs 1" jobs) true
+        (String.equal one (at jobs)))
+    [ 2; 4 ]
+
+let sources_by_path (cags : Core.Cag.t list) =
+  List.sort compare
+    (List.map
+       (fun (c : Core.Cag.t) -> (c.Core.Cag.cag_id, List.map Core.Cag.sources (Core.Cag.vertices c)))
+       cags)
+
+let test_sources_survive_epochs () =
+  let cfg, logs = rubis_low 6 in
+  let arenas = Arena.of_collection logs in
+  Alcotest.(check bool) "the plan shards" true
+    (Array.length (Shard.epoch_ranges (Shard.plan ~jobs:4 cfg arenas)) > 1);
+  let sources jobs =
+    sources_by_path (Shard.correlate_arena ~jobs cfg arenas).Correlator.cags
+  in
+  let serial = sources 1 in
+  Alcotest.(check bool) "every vertex has sources" true
+    (List.for_all (fun (_, vs) -> List.for_all (fun s -> s <> []) vs) serial);
+  Alcotest.(check bool) "jobs 4 sources = jobs 1" true (serial = sources 4)
+
+(* Online, each host's n-th delivered row is raw row n, as offline —
+   filtered rows (the noisy run's) included. *)
+let check_online_sources_equal_offline build () =
+  let cfg, logs = build () in
+  let offline = Correlator.correlate_arena cfg (Arena.of_collection logs) in
+  let expected = sources_by_path offline.Correlator.cags in
+  Alcotest.(check bool) "every vertex has sources" true
+    (expected <> [] && List.for_all (fun (_, vs) -> List.for_all (fun s -> s <> []) vs) expected);
+  List.iter
+    (fun (what, feed) ->
+      let online =
+        Online.create ~telemetry:(Telemetry.Registry.create ()) ~config:cfg
+          ~hosts:(List.map Log.hostname logs) ()
+      in
+      List.iter (feed online) (merged logs);
+      Online.finish online;
+      Alcotest.(check bool) ("online sources = offline, " ^ what) true
+        (expected = sources_by_path (Online.paths online)))
+    [ ("records", Online.observe); ("arenas", one_row_arena) ]
+
+let provenance_cases =
+  [
+    Alcotest.test_case "PTP1 RUBiS at jobs 1/2/4" `Quick (check_ptp1_jobs (fun () -> rubis ()));
+    Alcotest.test_case "PTP1 mesh control at jobs 1/2/4" `Quick
+      (check_ptp1_jobs (fun () -> mesh_control ()));
+    Alcotest.test_case "PTP1 mesh control, 1 client, at jobs 1/2/4" `Quick
+      (check_ptp1_jobs (fun () -> mesh_control ~clients:1 ()));
+    Alcotest.test_case "sources survive shard epochs" `Quick test_sources_survive_epochs;
+    Alcotest.test_case "online sources = offline" `Quick
+      (check_online_sources_equal_offline (fun () -> rubis ()));
+    Alcotest.test_case "online sources = offline, noise and skew" `Quick
+      (check_online_sources_equal_offline (fun () ->
+           rubis ~noise:(S.Paper_noise { db_connections = 2 }) ~skew:(ST.ms 200) ()));
+  ]
+
 let bundle_cases =
   [
     Alcotest.test_case "RUBiS store dir" `Quick
@@ -285,4 +360,5 @@ let () =
           (fun ((name, _, _, _) as c) -> Alcotest.test_case name `Quick (check_plan c))
           plan_cases );
       ("bundles", bundle_cases);
+      ("sources", provenance_cases);
     ]
