@@ -11,7 +11,7 @@ test: build
 	dune runtest
 
 # The suite again with two worker domains, so every ?jobs/?pool code path
-# (sharded correlation, parallel segment scans and reduction) runs
+# (sharded correlation, parallel segment scans) runs
 # genuinely parallel in CI even where tests default to PT_JOBS unset.
 test-parallel: build
 	PT_JOBS=2 dune runtest --force

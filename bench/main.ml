@@ -22,8 +22,9 @@
    tables.
 
    --gate FILE compares the fresh store figure's ingest throughput
-   against the committed reference in FILE (BENCH_store.json) and exits
-   non-zero on regression — the `make bench-gate` CI stage. *)
+   against the committed reference in FILE (BENCH_store.json) and checks
+   its reduction fidelity, exiting non-zero on regression — the
+   `make bench-gate` CI stage. *)
 
 module S = Tiersim.Scenario
 module Workload = Tiersim.Workload
@@ -111,7 +112,50 @@ let emit_json file =
    this fraction of the committed reference before failing. *)
 let gate_slack = 0.5
 
+(* The reduction half of the store gate is deterministic, like the
+   hierarchy gate: on the noise-free run [causal] keeps every byte, no
+   policy moves the top-3 pattern ranks, and every kept request
+   re-correlates to its original path. *)
+let reduction_failures () =
+  let store =
+    List.rev !scalars
+    |> List.filter_map (fun (fig, kv) -> if String.equal fig "store" then Some kv else None)
+  in
+  let int_of key = match List.assoc_opt key store with Some (Json.Int i) -> Some i | _ -> None in
+  let strip ~suffix key =
+    if String.ends_with ~suffix key then
+      Some (String.sub key 0 (String.length key - String.length suffix))
+    else None
+  in
+  let causal =
+    match List.assoc_opt "reduction_causal_ratio" store with
+    | Some (Json.Float r) when r = 1.0 -> []
+    | Some v -> [ Printf.sprintf "reduction_causal_ratio is %s, not 1.0" (Json.to_string v) ]
+    | None -> [ "no reduction_causal_ratio (run with --figure store)" ]
+  in
+  causal
+  @ List.concat_map
+      (fun (key, v) ->
+        match (strip ~suffix:"_top3_kept" key, strip ~suffix:"_paths_identical" key, v) with
+        | Some _, _, Json.Int 1 -> []
+        | Some _, _, _ -> [ Printf.sprintf "%s: top-3 pattern ranks changed" key ]
+        | None, Some policy, Json.Int identical -> (
+            match int_of (policy ^ "_requests_kept") with
+            | Some kept when kept = identical -> []
+            | kept ->
+                [
+                  Printf.sprintf "%s: %d paths identical of %s kept requests" policy identical
+                    (match kept with Some k -> string_of_int k | None -> "?");
+                ])
+        | _ -> [])
+      store
+
 let run_gate file =
+  (match reduction_failures () with
+  | [] -> Printf.printf "bench gate: reduction keeps whole requests and top-3 ranks — ok\n"
+  | failures ->
+      List.iter (Printf.eprintf "bench gate: reduction fidelity — %s\n") failures;
+      exit 1);
   let fresh =
     List.fold_left
       (fun acc (fig, (key, v)) ->
@@ -1353,14 +1397,36 @@ let bench_store () =
   record_int ~figure:"store" "query_narrow_segments_scanned"
     narrow_stats.Store.Query.segments_scanned;
   record_int ~figure:"store" "query_segments_total" narrow_stats.Store.Query.segments_total;
-  (* Reduction grid: bytes ratio vs top-3 pattern fidelity. *)
+  (* Reduction grid: bytes ratio vs top-3 pattern fidelity, and whether
+     every kept request re-correlates to its original path (each vertex's
+     kind, host, timestamp and size). *)
   let baseline = Correlator.correlate correlate_cfg collection in
   let baseline_top = top_names 3 (Pattern.classify baseline.Correlator.cags) in
+  let fingerprint cag =
+    List.map
+      (fun (v : Core.Cag.vertex) ->
+        let a = v.Core.Cag.activity in
+        ( Trace.Activity.kind_to_code a.Trace.Activity.kind,
+          a.Trace.Activity.context.Trace.Activity.host,
+          ST.to_ns a.Trace.Activity.timestamp,
+          a.Trace.Activity.message.size ))
+      (Core.Cag.vertices cag)
+  in
+  let originals = Hashtbl.create 1024 in
+  List.iter (fun c -> Hashtbl.replace originals (fingerprint c) ()) baseline.Correlator.cags;
   let t_red =
     Report.table
       ~title:"ext-9c: request-level reduction — byte ratio vs top-3 pattern fidelity"
       ~columns:
-        [ "policy"; "requests kept"; "bytes"; "ratio"; "top-3 ranks"; "reduce (s)" ]
+        [
+          "policy";
+          "requests kept";
+          "paths identical";
+          "bytes";
+          "ratio";
+          "top-3 ranks";
+          "reduce (s)";
+        ]
   in
   List.iter
     (fun policy_s ->
@@ -1368,15 +1434,17 @@ let bench_store () =
         match Store.Policy.of_string policy_s with Ok p -> p | Error e -> failwith e
       in
       let t0 = Unix.gettimeofday () in
-      let reduced, rstats =
-        Store.Reduce.apply ~correlate:correlate_cfg ~policy collection
-      in
+      let reduced, rstats = Store.Reduce.apply ~correlate:correlate_cfg ~policy arenas in
       let reduce_s = Unix.gettimeofday () -. t0 in
-      let result = Correlator.correlate correlate_cfg reduced in
+      let result = Correlator.correlate_arena correlate_cfg reduced in
       let top = top_names 3 (Pattern.classify result.Correlator.cags) in
       let fidelity =
         List.length top = List.length baseline_top
         && List.for_all2 String.equal top baseline_top
+      in
+      let identical =
+        List.length
+          (List.filter (fun c -> Hashtbl.mem originals (fingerprint c)) result.Correlator.cags)
       in
       let ratio = Store.Reduce.ratio rstats in
       Report.add_row t_red
@@ -1384,8 +1452,9 @@ let bench_store () =
           policy_s;
           Printf.sprintf "%d/%d" rstats.Store.Reduce.requests_kept
             rstats.Store.Reduce.requests_total;
+          Report.cell_int identical;
           Report.cell_int rstats.Store.Reduce.bytes_after;
-          Printf.sprintf "%.1fx" ratio;
+          Printf.sprintf "%.2fx" ratio;
           (if fidelity then "kept" else "CHANGED");
           Report.cell_float ~decimals:4 reduce_s;
         ];
@@ -1395,7 +1464,11 @@ let bench_store () =
       record_float ~figure:"store" (Printf.sprintf "reduction_%s_ratio" slug) ratio;
       record_int ~figure:"store"
         (Printf.sprintf "reduction_%s_top3_kept" slug)
-        (if fidelity then 1 else 0))
+        (if fidelity then 1 else 0);
+      record_int ~figure:"store"
+        (Printf.sprintf "reduction_%s_requests_kept" slug)
+        rstats.Store.Reduce.requests_kept;
+      record_int ~figure:"store" (Printf.sprintf "reduction_%s_paths_identical" slug) identical)
     [ "causal"; "causal,sample=0.5@1"; "causal,sample=0.25@1"; "causal,sample=0.1@1" ];
   Report.print t_red
 

@@ -3,9 +3,10 @@
 
    A Database_Lock fault strikes the running auction site halfway through
    the session. The online correlator (attached directly to the tracing
-   probe) turns activities into causal paths in real time, and the drift
-   detector watches each pattern's latency-percentage profile - no offline
-   analysis step, no resource monitoring.
+   probe) turns activities into causal paths in real time, and the
+   streaming detector learns a baseline from the first paths, then
+   watches each pattern's latency-share profile, mix, latency and
+   throughput - no offline analysis step, no resource monitoring.
 
      dune exec examples/online_monitor.exe *)
 
@@ -13,6 +14,7 @@ module Service = Tiersim.Service
 module S = Tiersim.Scenario
 module Faults = Tiersim.Faults
 module ST = Simnet.Sim_time
+module Detector = Diagnose.Detector
 
 let () =
   let time_scale = 0.1 in
@@ -30,10 +32,13 @@ let () =
   let svc = Service.create cfg in
   Trace.Probe.enable (Service.probe svc);
 
+  let engine = Service.engine svc in
   let detector =
-    Core.Drift.create ~config:{ Core.Drift.warmup = 400; window = 150; threshold = 0.08 } ()
+    Detector.create
+      ~config:{ Detector.default_config with Detector.warmup_paths = 400 }
+      ~now:(fun () -> Simnet.Engine.now engine)
+      ()
   in
-  let paths_done = ref 0 in
   let correlator_cfg =
     Core.Correlator.config ~transform:(Service.transform_config svc) ()
   in
@@ -41,14 +46,11 @@ let () =
     Core.Online.attach ~config:correlator_cfg ~probe:(Service.probe svc)
       ~hosts:(Service.server_hostnames svc)
       ~on_path:(fun cag ->
-        incr paths_done;
         List.iter
-          (fun alert ->
-            Format.printf "!! t=%a  path #%d  ALERT %a@."
-              Simnet.Sim_time.pp
-              (Simnet.Engine.now (Service.engine svc))
-              !paths_done Core.Drift.pp_alert alert)
-          (Core.Drift.observe detector cag))
+          (fun verdict ->
+            Format.printf "!! path #%d  %a@." (Detector.paths_seen detector)
+              Detector.pp_verdict verdict)
+          (Detector.observe detector cag))
       ()
   in
 
@@ -61,14 +63,14 @@ let () =
       stop_issuing_at = stop;
       only_kind = None;
     };
-  Simnet.Engine.run (Service.engine svc);
+  Simnet.Engine.run engine;
   Core.Online.finish online;
 
-  Format.printf "@.run complete: %d paths correlated live, %d alerts@." !paths_done
-    (List.length (Core.Drift.alerts detector));
-  match Core.Drift.alerts detector with
-  | [] -> Format.printf "no regression detected (unexpected!)@."
-  | alerts ->
-      let first = List.hd alerts in
-      Format.printf "first alert implicates %s - the injected fault's home.@."
-        (Core.Latency.component_label first.Core.Drift.comp)
+  let verdicts = Detector.verdicts detector in
+  Format.printf "@.run complete: %d paths correlated live, %d verdicts@."
+    (Detector.paths_seen detector) (List.length verdicts);
+  match List.find_map (fun v -> v.Detector.culprit) verdicts with
+  | None -> Format.printf "no culprit named (unexpected!)@."
+  | Some culprit ->
+      Format.printf "first culprit named: %s - the injected fault's home.@."
+        (Core.Analysis.subject_label culprit)

@@ -80,6 +80,7 @@ type t = {
   mutable sending : bool;
   mutable in_flight : entry option;
   mutable flush_timer : Engine.timer option;
+  reduce : Core.Correlator.config option;  (* set iff the policy reduces *)
   partial : Core.Partial.t option;
   (* Boundary flows already shipped: each unresolved cross-host flow is
      announced once, when it first enters the boundary, not re-listed in
@@ -134,8 +135,12 @@ let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~coll
   if config.batch_records <= 0 then invalid_arg "Agent.create: batch_records";
   if config.max_spool_records <= 0 then invalid_arg "Agent.create: max_spool_records";
   if config.send_chunk <= 0 then invalid_arg "Agent.create: send_chunk";
-  if (not (Store.Policy.is_none config.policy)) && config.correlate = None then
-    invalid_arg "Agent.create: a reduction policy needs a correlate config";
+  let reduce =
+    if Store.Policy.is_none config.policy then None
+    else if config.correlate = None then
+      invalid_arg "Agent.create: a reduction policy needs a correlate config"
+    else config.correlate
+  in
   let hostname = Node.hostname node in
   let labels = [ ("host", hostname) ] in
   let counter help name = R.counter telemetry ~help ~labels name in
@@ -171,6 +176,7 @@ let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~coll
     sending = false;
     in_flight = None;
     flush_timer = None;
+    reduce;
     partial = Option.map Core.Partial.create config.partial;
     shipped_boundary = Hashtbl.create 64;
     s_observed = 0;
@@ -329,22 +335,16 @@ let rec kick_encode t =
     t.encoding <- true;
     let arena, n, watermark = Queue.peek t.encode_q in
     let kept =
-      if Store.Policy.is_none t.cfg.policy then arena
-      else
-        match t.cfg.correlate with
-        | None -> assert false (* rejected at create *)
-        | Some correlate ->
-            (* private registry: the throwaway attribution pass must not
-               pollute the process self-profile with store metrics *)
-            let collection, _ =
-              Store.Reduce.apply ~telemetry:(R.create ()) ~jobs:1 ~correlate
-                ~policy:t.cfg.policy
-                [ Trace.Arena.to_log arena ]
-            in
-            (match Trace.Arena.of_collection collection with
-            | [ a ] -> a
-            | [] -> Trace.Arena.create ~host:t.hostname ()
-            | _ -> assert false (* the policy reduces one log to one log *))
+      match t.reduce with
+      | None -> arena
+      | Some correlate ->
+          (* private registry: the throwaway attribution pass must not
+             pollute the process self-profile with store metrics; one
+             arena in, its reduced copy out *)
+          List.hd
+            (fst
+               (Store.Reduce.apply ~telemetry:(R.create ()) ~correlate ~policy:t.cfg.policy
+                  [ arena ]))
     in
     (* partial correlation runs after the policy step: it only removes
        what the downstream correlator would remove or merge itself *)

@@ -10,7 +10,6 @@ module R = Telemetry.Registry
 type config = {
   shards : int;
   agent : Agent.config;
-  coalesce : bool;
   max_flows : int;
   port : int;
   window : Sim_time.span option;
@@ -22,7 +21,6 @@ let default_config =
   {
     shards = 4;
     agent = Agent.default_config;
-    coalesce = true;
     max_flows = 4096;
     port = 7441;
     window = None;
@@ -158,7 +156,7 @@ let install t i svc =
         Some
           (Core.Partial.config
              ~transform:(Service.transform_config svc)
-             ~coalesce:t.config.coalesce ~max_flows:t.config.max_flows ());
+             ~max_flows:t.config.max_flows ());
     }
   in
   let probe = Service.probe svc in

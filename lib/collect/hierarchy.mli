@@ -29,8 +29,7 @@ type config = {
   shards : int;  (** Level-1 shard count; capped at the replica count. *)
   agent : Agent.config;
       (** Per-host agent knobs. Its [partial] field is overridden by the
-          plane (see [coalesce]/[max_flows]); set the rest freely. *)
-  coalesce : bool;  (** Run-coalescing in the partial pass. *)
+          plane (see [max_flows]); set the rest freely. *)
   max_flows : int;  (** Partial-pass flow budget (raw fallback past it). *)
   port : int;  (** Every replica's collector listens on this port. *)
   window : Simnet.Sim_time.span option;  (** Shard correlator window. *)
@@ -39,7 +38,7 @@ type config = {
 }
 
 val default_config : config
-(** 4 shards, default agent config, coalescing on, 4096-flow budget,
+(** 4 shards, default agent config, 4096-flow budget,
     port 7441, correlator defaults. *)
 
 type t

@@ -199,22 +199,14 @@ let observe t raw =
   | Some activity -> settle t activity.Activity.timestamp (Ranker.feed ~origin t.ranker activity)
 
 let observe_arena t arena =
-  let custom = Transform.has_custom_keep t.transform in
-  (* Filtered-out rows only need materialising when a tee listener or a
-     custom keep predicate wants the raw record. *)
-  let raw_all = custom || t.on_activity != default_on_activity in
+  (* Rows only need materialising when a tee listener wants the raw
+     record. *)
+  let tee = t.on_activity != default_on_activity in
   let first = take_ordinals t (Arena.hostname arena) (Arena.length arena) in
   for i = 0 to Arena.length arena - 1 do
+    if tee then t.on_activity (Arena.get arena i);
     let k = Transform.classify_row t.tmemo arena i in
-    let kept =
-      if raw_all then begin
-        let raw = Arena.get arena i in
-        t.on_activity raw;
-        k >= 0 && ((not custom) || t.transform.Transform.keep raw)
-      end
-      else k >= 0
-    in
-    if kept then begin
+    if k >= 0 then begin
       let ts = Arena.ts arena i in
       settle t (Sim_time.of_ns ts)
         (Ranker.feed_row t.ranker ~kind:k ~ts ~ctx:(Arena.ctx_id arena i)

@@ -83,8 +83,8 @@ val observe_arena : t -> Trace.Arena.t -> unit
     for collector batches and decoded segments. Transform decisions are
     memoised per interned context/flow id, and surviving rows go to
     {!Ranker.feed_row} as ids: no record is built and no {!Trace.Intern}
-    lookup is made per row (unless an [on_activity] tee or a custom
-    [keep] needs the raw record). Same quarantine-not-raise contract and
+    lookup is made per row (unless an [on_activity] tee needs the raw
+    record). Same quarantine-not-raise contract and
     raw-row numbering as {!observe}: the arena's rows are its host's next
     rows. *)
 

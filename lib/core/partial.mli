@@ -24,21 +24,19 @@
       ships alongside the reduced batch.
 
     The pass is bounded-memory: its flow table is capped at
-    [max_flows]; a batch that exceeds the budget (or a transform with a
-    custom [keep] predicate, which cannot be evaluated natively) is
-    shipped raw, flagged [fallback]. *)
+    [max_flows]; a batch that exceeds the budget is shipped raw, flagged
+    [fallback]. *)
 
 type config = {
   transform : Transform.config;
       (** The service transform the downstream correlator will apply;
           used to prefilter (never to rewrite). *)
-  coalesce : bool;  (** Merge local SEND/END runs (default [true]). *)
   max_flows : int;
       (** Flow-table budget per batch; exceeding it falls back to raw
           shipping (default [4096]). *)
 }
 
-val config : transform:Transform.config -> ?coalesce:bool -> ?max_flows:int -> unit -> config
+val config : transform:Transform.config -> ?max_flows:int -> unit -> config
 
 type t
 
@@ -54,7 +52,7 @@ type result = {
   rows_dropped : int;  (** Removed by the transform prefilter. *)
   rows_coalesced : int;  (** Merged into a preceding run head. *)
   local_flows : int;  (** Flows fully resolved inside the host. *)
-  fallback : bool;  (** Batch shipped raw (budget or custom [keep]). *)
+  fallback : bool;  (** Batch shipped raw (flow budget exceeded). *)
 }
 
 val reduce : t -> Trace.Arena.t -> result

@@ -5,15 +5,10 @@ type config = {
   entry_points : Address.endpoint list;
   drop_programs : string list;
   drop_ports : int list;
-  keep : Activity.t -> bool;
 }
 
-(* A nameable default so the native path can detect "no custom predicate"
-   physically and skip materialising records just to call it. *)
-let default_keep (_ : Activity.t) = true
-
-let config ~entry_points ?(drop_programs = []) ?(drop_ports = []) ?(keep = default_keep) () =
-  { entry_points; drop_programs; drop_ports; keep }
+let config ~entry_points ?(drop_programs = []) ?(drop_ports = []) () =
+  { entry_points; drop_programs; drop_ports }
 
 let is_entry cfg ep = List.exists (Address.endpoint_equal ep) cfg.entry_points
 
@@ -22,7 +17,6 @@ let filtered_out cfg (a : Activity.t) =
   || List.exists
        (fun p -> a.message.flow.src.port = p || a.message.flow.dst.port = p)
        cfg.drop_ports
-  || not (cfg.keep a)
 
 let classify cfg (a : Activity.t) =
   if filtered_out cfg a then None
@@ -85,11 +79,8 @@ let flow_fate m flow =
       Hashtbl.add m.flow_fate flow f;
       f
 
-let has_custom_keep cfg = cfg.keep != default_keep
-
 (* The rewritten kind code of row [i], or [-1] when the row is filtered
-   out. Does not consult [cfg.keep]; callers with a custom predicate
-   materialise the row and apply it themselves. *)
+   out. *)
 let classify_row m arena i =
   if ctx_dropped m (Arena.ctx_id arena i) then -1
   else begin
@@ -107,7 +98,6 @@ let classify_row m arena i =
 
 let apply_native cfg arenas =
   let m = memo cfg in
-  let custom = has_custom_keep cfg in
   List.map
     (fun a ->
       let out =
@@ -115,7 +105,7 @@ let apply_native cfg arenas =
       in
       for i = 0 to Arena.length a - 1 do
         let k = classify_row m a i in
-        if k >= 0 && ((not custom) || cfg.keep (Arena.get a i)) then begin
+        if k >= 0 then begin
           Arena.append out ~kind:k ~ts:(Arena.ts a i) ~ctx:(Arena.ctx_id a i)
             ~flow:(Arena.flow_id a i) ~size:(Arena.size a i);
           Arena.set_origin out (Arena.length out - 1) (Arena.origin a i)

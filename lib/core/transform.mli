@@ -17,15 +17,12 @@ type config = {
       (** Program names filtered out (e.g. ["rlogin"; "sshd"; "mysql"]). *)
   drop_ports : int list;
       (** Ports filtered out: any activity whose flow touches one. *)
-  keep : Trace.Activity.t -> bool;
-      (** Final custom predicate; defaults to keeping everything. *)
 }
 
 val config :
   entry_points:Simnet.Address.endpoint list ->
   ?drop_programs:string list ->
   ?drop_ports:int list ->
-  ?keep:(Trace.Activity.t -> bool) ->
   unit ->
   config
 
@@ -48,16 +45,10 @@ val memo : config -> memo
 
 val classify_row : memo -> Trace.Arena.t -> int -> int
 (** The rewritten {!Trace.Activity.kind_to_code} of row [i], or [-1] when
-    the row is filtered out. Ignores [config.keep] — see
-    {!has_custom_keep}. *)
-
-val has_custom_keep : config -> bool
-(** Whether [keep] was overridden from the default; if so, native callers
-    must materialise surviving rows and apply it. *)
+    the row is filtered out. *)
 
 val apply_native : config -> Trace.Arena.t list -> Trace.Arena.t list
-(** {!apply} in the native representation (same per-record semantics,
-    including a custom [keep]); host arenas are preserved even when every
+(** {!apply} in the native representation (same per-record semantics); host arenas are preserved even when every
     row is dropped, like {!apply} keeps empty logs, and each is sorted
     into log order ({!Trace.Arena.sort_by_time}), as {!apply}'s logs
     are. Each output arena has an origin column: every row knows the

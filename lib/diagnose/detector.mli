@@ -9,8 +9,7 @@
     - {b Share drift}: a pattern's latency-share profile shifts; the
       culprit is named in the paper's §5.4 vocabulary via
       {!Core.Analysis.compare_profiles} (tier / tier network /
-      interaction). Subsumes and extends {!Core.Drift}, which only
-      watches one component's share.
+      interaction).
     - {b Pattern-mix anomalies}: a baseline pattern vanishes, a new
       pattern appears, or a pattern's frequency shifts beyond tolerance.
     - {b Latency shift}: a pattern's mean end-to-end latency grows by

@@ -1,9 +1,8 @@
-module Activity = Trace.Activity
-module Log = Trace.Log
+module Arena = Trace.Arena
 module Sim_time = Simnet.Sim_time
-module Address = Simnet.Address
 module Rng = Simnet.Rng
 module Cag = Core.Cag
+module Transform = Core.Transform
 module R = Telemetry.Registry
 
 type stats = {
@@ -31,81 +30,16 @@ let pp_stats ppf s =
     s.activities_before s.activities_after s.bytes_before s.bytes_after (ratio s)
     s.requests_kept s.requests_total s.effective_p s.non_causal
 
-(* Exact attribution key: a raw activity and the CAG vertex built from it
-   share timestamp, context and flow (the engine may rewrite kind and
-   size, never these). Flattened to immediates so the polymorphic hash is
-   cheap and structural. *)
-let key_of (a : Activity.t) =
-  let c = a.Activity.context in
-  let f = a.Activity.message.flow in
-  ( Sim_time.to_ns a.timestamp,
-    c.Activity.host,
-    c.program,
-    c.pid,
-    c.tid,
-    Address.ip_to_int f.src.ip,
-    f.src.port,
-    Address.ip_to_int f.dst.ip,
-    f.dst.port )
-
-type attribution = {
-  exact : ((int * string * string * int * int * int * int * int * int), int) Hashtbl.t;
-  intervals : (Activity.context, (int * int * int) list) Hashtbl.t;
-      (* context -> (request index, lo_ns, hi_ns), sorted by lo. *)
-}
-
-let attribute requests =
-  let exact = Hashtbl.create 4096 in
-  let by_ctx : (Activity.context * int, int ref * int ref) Hashtbl.t = Hashtbl.create 256 in
-  Array.iteri
-    (fun idx cag ->
-      List.iter
-        (fun (v : Cag.vertex) ->
-          let a = v.Cag.activity in
-          Hashtbl.replace exact (key_of a) idx;
-          let ts = Sim_time.to_ns a.timestamp in
-          match Hashtbl.find_opt by_ctx (a.context, idx) with
-          | Some (lo, hi) ->
-              if ts < !lo then lo := ts;
-              if ts > !hi then hi := ts
-          | None -> Hashtbl.replace by_ctx (a.context, idx) (ref ts, ref ts))
-        (Cag.vertices cag))
-    requests;
-  let intervals = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun (ctx, idx) (lo, hi) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt intervals ctx) in
-      Hashtbl.replace intervals ctx ((idx, !lo, !hi) :: prev))
-    by_ctx;
-  Hashtbl.iter
-    (fun ctx spans ->
-      Hashtbl.replace intervals ctx
-        (List.sort (fun (_, lo1, _) (_, lo2, _) -> compare lo1 lo2) spans))
-    intervals;
-  { exact; intervals }
-
-let request_of attribution (a : Activity.t) =
-  match Hashtbl.find_opt attribution.exact (key_of a) with
-  | Some idx -> Some idx
-  | None -> (
-      match Hashtbl.find_opt attribution.intervals a.Activity.context with
-      | None -> None
-      | Some spans ->
-          let ts = Sim_time.to_ns a.timestamp in
-          List.find_map
-            (fun (idx, lo, hi) -> if ts >= lo && ts <= hi then Some idx else None)
-            spans)
-
-let time_span_s collection =
-  let lo = ref max_int and hi = ref min_int in
-  List.iter
-    (fun log ->
-      Log.iter log (fun a ->
-          let ts = Sim_time.to_ns a.Activity.timestamp in
-          if ts < !lo then lo := ts;
-          if ts > !hi then hi := ts))
-    collection;
-  if !hi <= !lo then 0.0 else float_of_int (!hi - !lo) /. 1e9
+let time_span_s arenas =
+  let lo, hi =
+    List.fold_left
+      (fun (lo, hi) arena ->
+        match Arena.time_bounds arena with
+        | None -> (lo, hi)
+        | Some (a, b) -> (min lo (Sim_time.to_ns a), max hi (Sim_time.to_ns b)))
+      (max_int, min_int) arenas
+  in
+  if hi <= lo then 0.0 else float_of_int (hi - lo) /. 1e9
 
 (* Fill [keep] (one slot per request, BEGIN-time order) according to the
    sampling mode; returns the per-request keep probability used. *)
@@ -152,9 +86,41 @@ let record_telemetry telemetry stats =
        "pt_store_reduce_effective_p")
     stats.effective_p
 
-let apply ?(telemetry = R.default) ?pool ?jobs ~correlate ~policy collection =
-  let activities_before = Log.total collection in
-  let bytes_before = String.length (Trace.Binary_format.encode collection) in
+let encoded_bytes arenas =
+  String.length
+    (Trace.Binary_format.encode_native (List.filter (fun a -> Arena.length a > 0) arenas))
+
+(* Every causal path, in BEGIN-time order (ties by id): the order the
+   sampling masks index. *)
+let requests_of (result : Core.Correlator.result) =
+  List.sort
+    (fun a b ->
+      match Sim_time.compare (Cag.begin_ts a) (Cag.begin_ts b) with
+      | 0 -> compare a.Cag.cag_id b.Cag.cag_id
+      | c -> c)
+    (result.Core.Correlator.cags @ result.Core.Correlator.deformed)
+  |> Array.of_list
+
+(* Row -> request index per host, -1 for a row no path claims. Every
+   vertex names the raw rows it was built from ({!Cag.sources}: the
+   creating syscall plus every chunk merged into it), so ownership is
+   exact — no lookup on activity fields. *)
+let owners arenas requests =
+  let owner = Array.of_list (List.map (fun a -> Array.make (Arena.length a) (-1)) arenas) in
+  Array.iteri
+    (fun idx cag ->
+      List.iter
+        (fun v ->
+          List.iter
+            (fun s -> owner.(Cag.source_host s).(Cag.source_row s) <- idx)
+            (Cag.sources v))
+        (Cag.vertices cag))
+    requests;
+  owner
+
+let apply ?(telemetry = R.default) ~correlate ~policy arenas =
+  let activities_before = Arena.total arenas in
+  let bytes_before = encoded_bytes arenas in
   if Policy.is_none policy || activities_before = 0 then begin
     let stats =
       {
@@ -169,97 +135,69 @@ let apply ?(telemetry = R.default) ?pool ?jobs ~correlate ~policy collection =
       }
     in
     record_telemetry telemetry stats;
-    (collection, stats)
+    (arenas, stats)
   end
   else begin
-    let filtered =
-      if policy.Policy.drop_programs = [] then collection
-      else
-        Log.map_activities
-          (fun a ->
-            if List.mem a.Activity.context.program policy.Policy.drop_programs then None
-            else Some a)
-          collection
+    let drop_programs = policy.Policy.drop_programs in
+    (* The policy's program filter joins the transform's, so the
+       throwaway correlation never sees those rows; the copy below asks
+       the same memoised per-context decision. A private registry keeps
+       the pass out of the pipeline's own self-profile. *)
+    let transform = correlate.Core.Correlator.transform in
+    let correlate =
+      {
+        correlate with
+        Core.Correlator.transform =
+          {
+            transform with
+            Transform.drop_programs = transform.Transform.drop_programs @ drop_programs;
+          };
+      }
     in
-    (* Throwaway correlation purely for attribution: a private registry
-       keeps it out of the pipeline's own self-profile. *)
-    let result = Core.Correlator.correlate ~telemetry:(R.create ()) correlate filtered in
-    let requests =
-      List.sort
-        (fun a b ->
-          match Sim_time.compare (Cag.begin_ts a) (Cag.begin_ts b) with
-          | 0 -> compare a.Cag.cag_id b.Cag.cag_id
-          | c -> c)
-        (result.Core.Correlator.cags @ result.Core.Correlator.deformed)
-      |> Array.of_list
+    let program_filter = Transform.memo (Transform.config ~entry_points:[] ~drop_programs ()) in
+    let dropped arena i = Transform.classify_row program_filter arena i < 0 in
+    let result = Core.Correlator.correlate_arena ~telemetry:(R.create ()) correlate arenas in
+    let requests = requests_of result in
+    let owner = owners arenas requests in
+    let causal_activities = ref 0 and non_causal = ref 0 in
+    List.iteri
+      (fun h arena ->
+        for i = 0 to Arena.length arena - 1 do
+          if owner.(h).(i) >= 0 then incr causal_activities
+          else if not (dropped arena i) then incr non_causal
+        done)
+      arenas;
+    let keep = Array.make (Array.length requests) true in
+    let effective_p =
+      keep_mask ~sampling:policy.Policy.sampling ~causal_activities:!causal_activities
+        ~bytes_before ~activities_before ~span_s:(time_span_s arenas) keep
     in
-    let attribution = attribute requests in
-    (* The attribution tables are read-only from here on, so worker
-       domains can look activities up concurrently. Both passes below
-       (attribution counting, then the keep/drop filter) go per-log
-       through the pool; results are keyed by log index, so the reduced
-       collection is identical at any [jobs]. *)
-    let logs = Array.of_list filtered in
-    let nlogs = Array.length logs in
-    let run_passes pool_opt =
-      let pmap f =
-        match pool_opt with
-        | Some p -> Parallel.Pool.map p ~n:nlogs f
-        | None -> Array.init nlogs f
-      in
-      let counts =
-        pmap (fun i ->
-            let causal = ref 0 and non = ref 0 in
-            Log.iter logs.(i) (fun a ->
-                match request_of attribution a with
-                | Some _ -> incr causal
-                | None -> incr non);
-            (!causal, !non))
-      in
-      let causal_activities = Array.fold_left (fun acc (c, _) -> acc + c) 0 counts in
-      let non_causal = Array.fold_left (fun acc (_, n) -> acc + n) 0 counts in
-      let keep = Array.make (Array.length requests) true in
-      let effective_p =
-        keep_mask ~sampling:policy.Policy.sampling ~causal_activities ~bytes_before
-          ~activities_before ~span_s:(time_span_s filtered) keep
-      in
-      let reduced =
-        pmap (fun i ->
-            Log.map_activities
-              (fun a ->
-                match request_of attribution a with
-                | Some idx -> if keep.(idx) then Some a else None
-                | None -> if policy.Policy.drop_non_causal then None else Some a)
-              [ logs.(i) ])
-        |> Array.to_list |> List.concat
-        |> List.filter (fun log -> Log.length log > 0)
-      in
-      (non_causal, keep, effective_p, reduced)
+    let reduced =
+      List.mapi
+        (fun h arena ->
+          let out =
+            Arena.create_sid ~capacity:(max 1 (Arena.length arena)) (Arena.host_sid arena)
+          in
+          for i = 0 to Arena.length arena - 1 do
+            let idx = owner.(h).(i) in
+            let kept =
+              if idx >= 0 then keep.(idx)
+              else not (policy.Policy.drop_non_causal || dropped arena i)
+            in
+            if kept then Arena.append_row out arena i
+          done;
+          out)
+        arenas
     in
-    let jobs =
-      match (pool, jobs) with
-      | Some p, _ -> Parallel.Pool.size p
-      | None, Some j -> max 1 j
-      | None, None -> Parallel.Pool.default_jobs ()
-    in
-    let non_causal, keep, effective_p, reduced =
-      if jobs <= 1 || nlogs <= 1 then run_passes None
-      else
-        match pool with
-        | Some p -> run_passes (Some p)
-        | None -> Parallel.Pool.with_pool ~jobs (fun p -> run_passes (Some p))
-    in
-    let bytes_after = String.length (Trace.Binary_format.encode reduced) in
     let stats =
       {
         activities_before;
-        activities_after = Log.total reduced;
+        activities_after = Arena.total reduced;
         bytes_before;
-        bytes_after;
+        bytes_after = encoded_bytes reduced;
         requests_total = Array.length requests;
-        requests_kept =
-          Array.fold_left (fun acc k -> if k then acc + 1 else acc) 0 keep;
-        non_causal;
+        requests_kept = Array.fold_left (fun acc k -> if k then acc + 1 else acc) 0 keep;
+        non_causal = !non_causal;
         effective_p;
       }
     in

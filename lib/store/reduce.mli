@@ -1,22 +1,24 @@
 (** Request-level log reduction.
 
-    Applies a {!Policy} to a raw activity collection. The key property —
+    Applies a {!Policy} to a batch of raw host arenas. The key property —
     what makes this "request-level" rather than record-level — is that
-    sampling decisions are taken per {e request}: the collection is first
-    correlated (a throwaway pass over a private telemetry registry, so
-    pipeline self-profiles are not polluted), every raw activity is
-    attributed to the causal path it belongs to, and then whole paths are
-    kept or dropped together. A SEND therefore never loses its RECEIVE,
-    and surviving requests re-correlate into exactly the CAGs the full
-    log would have produced — only the {e mix} of requests thins out,
-    which preserves pattern-frequency shares in expectation.
+    sampling decisions are taken per {e request}: the batch is first
+    correlated (a throwaway {!Core.Correlator.correlate_arena} pass over a
+    private telemetry registry, so pipeline self-profiles are not
+    polluted), every raw row is attributed to the causal path it belongs
+    to, and then whole paths are kept or dropped together. A SEND
+    therefore never loses its RECEIVE, and surviving requests
+    re-correlate into exactly the CAGs the full batch produced — only
+    the {e mix} of requests thins out, which preserves pattern-frequency
+    shares in expectation.
 
-    Attribution is exact for activities that became CAG vertices (matched
-    by timestamp, context and flow) and falls back to per-request context
-    intervals for syscall chunks the engine merged into a grown vertex.
-    Activities attributed to no request (unfilterable noise such as
-    direct-to-database clients, plus name-filtered chatter) are the
-    "non-request-causal" population that [drop_non_causal] removes. *)
+    Attribution is by provenance: every vertex of a finished or deformed
+    path names the raw rows it was built from ({!Core.Cag.sources} — the
+    creating syscall plus every chunk merged into it), so one int per row
+    records its request, with no lookup on activity fields. Rows no path
+    claims (unfilterable noise such as direct-to-database clients, plus
+    name-filtered chatter) are the "non-request-causal" population that
+    [drop_non_causal] removes. *)
 
 type stats = {
   activities_before : int;
@@ -42,25 +44,21 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val apply :
   ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
-  ?jobs:int ->
   correlate:Core.Correlator.config ->
   policy:Policy.t ->
-  Trace.Log.collection ->
-  Trace.Log.collection * stats
-(** Reduce one batch. [correlate] supplies the entry points and window
-    used to attribute activities to requests (its [transform] filters
-    affect attribution only, never which activities survive — use the
-    policy's [drop_programs] to actually delete by name). A {!Policy.none}
-    policy returns the collection unchanged without correlating.
+  Trace.Arena.t list ->
+  Trace.Arena.t list * stats
+(** Reduce one batch of raw arenas (one per host, rows numbered by
+    {!Trace.Arena.origin}, as decoded or freshly appended arenas are).
+    Returns one fresh arena per input, same host and order, holding the
+    surviving rows in input order — empty when every row of its host was
+    dropped. [correlate] supplies the entry points and window used to
+    attribute rows to requests (its [transform] filters affect
+    attribution only, never which rows survive — use the policy's
+    [drop_programs] to actually delete by name). A {!Policy.none} policy
+    returns the inputs themselves without correlating.
 
     Reduction telemetry (bytes before/after, requests seen/kept, dropped
     activities) is recorded into [telemetry] (default
-    {!Telemetry.Registry.default}) under [pt_store_reduce_*].
-
-    The attribution pass (counting causal activities, then keeping or
-    dropping whole requests) runs per host-log across [pool] (or a
-    transient pool of [jobs] domains; default
-    {!Parallel.Pool.default_jobs}). The attribution tables are read-only
-    during both passes and results merge in log order, so the reduced
-    collection is identical at any [jobs]. *)
+    {!Telemetry.Registry.default}) under [pt_store_reduce_*]. Byte counts
+    are the {!Trace.Binary_format} size of the non-empty arenas. *)

@@ -1,5 +1,4 @@
 module Json = Core.Json
-module Log = Trace.Log
 module Sim_time = Simnet.Sim_time
 
 type meta = {
@@ -116,16 +115,10 @@ let encode_native ~id ~policy ?raw_records ?raw_bytes arenas =
   Buffer.add_string buf payload;
   (meta, Buffer.contents buf)
 
-let encode ~id ~policy ?raw_records ?raw_bytes collection =
-  encode_native ~id ~policy ?raw_records ?raw_bytes (Trace.Arena.of_collection collection)
-
 let write_data ~dir (meta, data) =
   let oc = open_out_bin (Filename.concat dir meta.file) in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data);
   meta
-
-let write ~dir ~id ~policy ?raw_records ?raw_bytes collection =
-  write_data ~dir (encode ~id ~policy ?raw_records ?raw_bytes collection)
 
 let write_native ~dir ~id ~policy ?raw_records ?raw_bytes arenas =
   write_data ~dir (encode_native ~id ~policy ?raw_records ?raw_bytes arenas)
@@ -193,13 +186,8 @@ let read_embedded_native ~data ~pos ~len ~what meta =
             else Ok arenas
       end
 
-let read_embedded ~data ~pos ~len ~what meta =
-  Result.map Trace.Arena.to_collection (read_embedded_native ~data ~pos ~len ~what meta)
-
 let read_native ~dir meta =
   let path = Filename.concat dir meta.file in
   match read_file path with
   | Error e -> Error e
   | Ok data -> read_embedded_native ~data ~pos:0 ~len:(String.length data) ~what:path meta
-
-let read ~dir meta = Result.map Trace.Arena.to_collection (read_native ~dir meta)

@@ -40,49 +40,6 @@ val overlaps : meta -> since_ns:int option -> until_ns:int option -> bool
 val meta_to_json : meta -> Core.Json.t
 val meta_of_json : Core.Json.t -> (meta, string) result
 
-val write :
-  dir:string ->
-  id:int ->
-  policy:string ->
-  ?raw_records:int ->
-  ?raw_bytes:int ->
-  Trace.Log.collection ->
-  meta
-(** Encode and write the collection as segment [id] in [dir]; returns the
-    meta describing what was written. [raw_records]/[raw_bytes] record
-    the batch's pre-reduction size and default to the written values
-    (i.e. no reduction).
-    @raise Invalid_argument on an empty collection (the caller should
-    simply not emit a segment). Raises [Sys_error] on I/O failure. *)
-
-val encode :
-  id:int ->
-  policy:string ->
-  ?raw_records:int ->
-  ?raw_bytes:int ->
-  Trace.Log.collection ->
-  meta * string
-(** The in-memory form of {!write}: the meta plus the exact bytes {!write}
-    would put on disk. Used by the bundle packer to embed segments without
-    a staging directory. *)
-
-val read : dir:string -> meta -> (Trace.Log.collection, string) result
-(** Decode the payload of a segment; verifies magic, header/manifest
-    consistency (id and record count) and payload integrity. *)
-
-val read_embedded :
-  data:string -> pos:int -> len:int -> what:string -> meta -> (Trace.Log.collection, string) result
-(** Like {!read}, but over a segment embedded at [pos] (spanning [len]
-    bytes) inside a larger string — a section of a bundle container —
-    with no copying. [what] names the container in error messages; all
-    error offsets are absolute within [data], i.e. container-relative. *)
-
-(** {1 Native path}
-
-    The arena-backed codec the store runs on. [encode] / [read] above are
-    wrappers over these (byte-identical output), kept for the import/
-    export surfaces that still speak record lists. *)
-
 val encode_native :
   id:int ->
   policy:string ->
@@ -90,6 +47,13 @@ val encode_native :
   ?raw_bytes:int ->
   Trace.Arena.t list ->
   meta * string
+(** Encode the arenas (in list and row order) as segment [id]: the meta
+    describing them plus the exact bytes {!write_native} puts on disk.
+    [raw_records]/[raw_bytes] record the batch's pre-reduction size and
+    default to the written values (i.e. no reduction). The bundle packer
+    embeds these bytes without a staging directory.
+    @raise Invalid_argument when the arenas hold no row (the caller
+    should simply not emit a segment). *)
 
 val write_native :
   dir:string ->
@@ -99,13 +63,22 @@ val write_native :
   ?raw_bytes:int ->
   Trace.Arena.t list ->
   meta
+(** {!encode_native} and write the bytes to [dir]. Raises [Sys_error] on
+    I/O failure. *)
 
 val read_native : dir:string -> meta -> (Trace.Arena.t list, string) result
-(** Decode the payload straight into arenas — no per-record allocation.
-    Rows come back in payload order (the writer sorts before encoding). *)
+(** Decode the payload straight into arenas — no per-record allocation —
+    after verifying magic, header/manifest consistency (id and record
+    count) and payload integrity. Rows come back in payload order (the
+    writer sorts before encoding). *)
 
 val read_embedded_native :
   data:string -> pos:int -> len:int -> what:string -> meta -> (Trace.Arena.t list, string) result
+(** Like {!read_native}, but over a segment embedded at [pos] (spanning
+    [len] bytes) inside a larger string — a section of a bundle
+    container — with no copying. [what] names the container in error
+    messages; all error offsets are absolute within [data], i.e.
+    container-relative. *)
 
 val parse_header_at :
   string -> pos:int -> len:int -> what:string -> (meta * int * int, string) result

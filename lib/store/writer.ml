@@ -1,7 +1,6 @@
 module Activity = Trace.Activity
 module Arena = Trace.Arena
 module Intern = Trace.Intern
-module Log = Trace.Log
 module R = Telemetry.Registry
 
 type stats = {
@@ -23,7 +22,7 @@ type t = {
   dir : string;
   policy : Policy.t;
   policy_str : string;
-  correlate : Core.Correlator.config option;
+  reduce : Core.Correlator.config option;  (* set iff the policy reduces *)
   roll_records : int;
   telemetry : R.t;
   buffers : (int, Arena.t) Hashtbl.t;  (* host string id -> batch arena *)
@@ -56,8 +55,12 @@ let rec mkdir_p dir =
 
 let create ?(telemetry = R.default) ?(policy = Policy.none) ?correlate
     ?(roll_records = 65536) ~dir () =
-  if (not (Policy.is_none policy)) && Option.is_none correlate then
-    invalid_arg "Writer.create: a reduction policy needs a ~correlate config";
+  let reduce =
+    if Policy.is_none policy then None
+    else if Option.is_none correlate then
+      invalid_arg "Writer.create: a reduction policy needs a ~correlate config"
+    else correlate
+  in
   if roll_records <= 0 then invalid_arg "Writer.create: roll_records must be positive";
   mkdir_p dir;
   let manifest =
@@ -69,7 +72,7 @@ let create ?(telemetry = R.default) ?(policy = Policy.none) ?correlate
     dir;
     policy;
     policy_str = Policy.to_string policy;
-    correlate;
+    reduce;
     roll_records;
     telemetry;
     buffers = Hashtbl.create 16;
@@ -112,36 +115,24 @@ let flush t =
   if t.pending > 0 then begin
     let t0 = Unix.gettimeofday () in
     let batch = take_batch t in
-    (* The unreduced path stays native end to end; reduction needs request
-       attribution over record lists, so only that path materialises. *)
-    let write_native, reduced, raw_records, raw_bytes, requests_seen, requests_kept =
-      if Policy.is_none t.policy then (Some batch, [], Arena.total batch, -1, 0, 0)
-      else
-        let correlate = Option.get t.correlate in
-        let reduced, r =
-          Reduce.apply ~telemetry:t.telemetry ~correlate ~policy:t.policy
-            (Arena.to_collection batch)
-        in
-        ( None,
-          reduced,
-          r.Reduce.activities_before,
-          r.Reduce.bytes_before,
-          r.Reduce.requests_total,
-          r.Reduce.requests_kept )
+    let raw_records = Arena.total batch in
+    let kept, raw_bytes, requests_seen, requests_kept =
+      match t.reduce with
+      | None -> (batch, None, 0, 0)
+      | Some correlate ->
+          let reduced, r = Reduce.apply ~telemetry:t.telemetry ~correlate ~policy:t.policy batch in
+          ( List.filter (fun a -> Arena.length a > 0) reduced,
+            Some r.Reduce.bytes_before,
+            r.Reduce.requests_total,
+            r.Reduce.requests_kept )
     in
-    let records_out =
-      match write_native with Some batch -> Arena.total batch | None -> Log.total reduced
-    in
+    let records_out = Arena.total kept in
     let meta =
       if records_out = 0 then None
       else begin
         let id = t.manifest.Manifest.next_id in
         let meta =
-          match write_native with
-          | Some batch -> Segment.write_native ~dir:t.dir ~id ~policy:t.policy_str batch
-          | None ->
-              Segment.write ~dir:t.dir ~id ~policy:t.policy_str ~raw_records ~raw_bytes
-                reduced
+          Segment.write_native ~dir:t.dir ~id ~policy:t.policy_str ~raw_records ?raw_bytes kept
         in
         t.manifest <- Manifest.add t.manifest meta;
         Manifest.save t.manifest ~dir:t.dir;
@@ -149,7 +140,7 @@ let flush t =
       end
     in
     let bytes_out = match meta with Some m -> m.Segment.bytes | None -> 0 in
-    let bytes_in = if raw_bytes < 0 then bytes_out else raw_bytes in
+    let bytes_in = Option.value raw_bytes ~default:bytes_out in
     t.stats <-
       {
         segments = (t.stats.segments + match meta with Some _ -> 1 | None -> 0);

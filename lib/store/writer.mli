@@ -65,7 +65,9 @@ val ingest_native : t -> Trace.Arena.t list -> unit
     an unsorted arena is sorted on a copy. *)
 
 val flush : t -> unit
-(** Force the current batch out as a segment (no-op when empty). *)
+(** Force the current batch out as a segment (no-op when empty): the
+    per-host batch arenas go through {!Reduce.apply} when a policy is
+    set, then to {!Segment.write_native}. *)
 
 val close : t -> stats
 (** Flush and return the run's totals. The manifest is saved after every

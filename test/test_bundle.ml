@@ -568,7 +568,7 @@ let test_byte_flips_detected () =
 
 let test_decode_region_offsets () =
   let logs = (Lazy.force outcome).S.logs in
-  let _, seg = Store.Segment.encode ~id:0 ~policy:"none" logs in
+  let _, seg = Store.Segment.encode_native ~id:0 ~policy:"none" (Trace.Arena.of_collection logs) in
   let _meta, payload_pos, payload_len =
     ok "header" (Store.Segment.parse_header_at seg ~pos:0 ~len:(String.length seg) ~what:"seg")
   in

@@ -70,9 +70,7 @@ let test_transform_classifies () =
 
 let test_transform_filters () =
   let cfg =
-    Transform.config ~entry_points:[ entry ] ~drop_programs:[ "sshd" ] ~drop_ports:[ 22 ]
-      ~keep:(fun a -> a.Activity.message.size < 1_000_000)
-      ()
+    Transform.config ~entry_points:[ entry ] ~drop_programs:[ "sshd" ] ~drop_ports:[ 22 ] ()
   in
   let sshd =
     H.act ~kind:Activity.Send ~ts:0
@@ -82,10 +80,8 @@ let test_transform_filters () =
   let port22 =
     H.act ~kind:Activity.Send ~ts:0 ~ctx:H.web_ctx ~flow:(H.flow "1.1.1.1" 22 "2.2.2.2" 5) ~size:10
   in
-  let huge = H.act ~kind:Activity.Send ~ts:0 ~ctx:H.web_ctx ~flow:H.web_app_flow ~size:2_000_000 in
   Alcotest.(check bool) "program filtered" true (Transform.classify cfg sshd = None);
-  Alcotest.(check bool) "port filtered" true (Transform.classify cfg port22 = None);
-  Alcotest.(check bool) "keep predicate" true (Transform.classify cfg huge = None)
+  Alcotest.(check bool) "port filtered" true (Transform.classify cfg port22 = None)
 
 let test_pipeline_single_request () =
   (* End-to-end: raw logs in TCP_TRACE shape -> one valid CAG. *)
@@ -261,18 +257,16 @@ let collection_equal a b =
 
 let test_apply_native_matches_apply () =
   let logs = raw_multi_request ~n:4 ~askew:1500 () in
-  (* exercise every filter class plus a custom predicate *)
+  (* exercise every filter class *)
   let cfg =
-    Transform.config ~entry_points:[ entry ] ~drop_programs:[ "java" ] ~drop_ports:[ 8009 ]
-      ~keep:(fun a -> a.Activity.message.size <> 2400)
-      ()
+    Transform.config ~entry_points:[ entry ] ~drop_programs:[ "java" ] ~drop_ports:[ 8009 ] ()
   in
   let legacy = Transform.apply cfg logs in
   let native =
     Trace.Arena.to_collection (Transform.apply_native cfg (Trace.Arena.of_collection logs))
   in
   Alcotest.(check bool) "filtered collections identical" true (collection_equal legacy native);
-  (* and with the default keep (the memo-only fast path) *)
+  (* and with no filter at all *)
   let cfg = Transform.config ~entry_points:[ entry ] () in
   let legacy = Transform.apply cfg logs in
   let native =

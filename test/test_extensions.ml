@@ -1,12 +1,10 @@
-(* Tests for the extension modules: skew estimation, online correlation,
-   drift detection. *)
+(* Tests for the extension modules: skew estimation, online correlation. *)
 
 module H = Test_helpers.Helpers
 module S = Tiersim.Scenario
 module Faults = Tiersim.Faults
 module Skew = Core.Skew_estimator
 module Online = Core.Online
-module Drift = Core.Drift
 module ST = Simnet.Sim_time
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -303,39 +301,6 @@ let test_online_arena_feed_matches_offline () =
         (Core.Pattern.signature_of b))
     offline.Core.Correlator.cags online_paths
 
-let test_online_arena_feed_honours_custom_keep () =
-  (* A custom keep predicate forces the materialise-and-ask path; dropped
-     rows must not reach the ranker, and the tee still sees every raw
-     record. *)
-  let w, a, d = H.simple_request () in
-  let seen = ref 0 in
-  let transform =
-    Core.Transform.config ~entry_points:[ H.ep "10.0.1.1" 80 ]
-      ~keep:(fun (_ : Trace.Activity.t) -> false)
-      ()
-  in
-  let cfg = Core.Correlator.config ~transform () in
-  let online =
-    Online.create ~config:cfg ~hosts:[ "web"; "app"; "db" ]
-      ~on_activity:(fun _ -> incr seen)
-      ()
-  in
-  let arenas =
-    Trace.Arena.of_collection
-      [
-        Trace.Log.of_list ~hostname:"web" w;
-        Trace.Log.of_list ~hostname:"app" a;
-        Trace.Log.of_list ~hostname:"db" d;
-      ]
-  in
-  List.iter (Online.observe_arena online) arenas;
-  Online.finish online;
-  Alcotest.(check int) "tee saw every raw record"
-    (List.length w + List.length a + List.length d)
-    !seen;
-  Alcotest.(check int) "everything filtered" 0 (Online.pending online);
-  Alcotest.(check int) "no paths" 0 (List.length (Online.paths online))
-
 let test_online_withholds_until_watermark () =
   (* Feed only the entry BEGIN: nothing can be emitted (other nodes might
      still report earlier activities). *)
@@ -393,103 +358,6 @@ let test_online_live_during_simulation () =
   in
   Alcotest.(check (float 0.0)) "live accuracy 100%" 1.0 verdict.Core.Accuracy.accuracy
 
-(* ---- Drift ---- *)
-
-let mk_profile_cag ~base ~db_extra =
-  let w, a, d = H.simple_request ~base () in
-  let d =
-    List.map
-      (fun (x : Trace.Activity.t) ->
-        if Trace.Activity.equal_kind x.kind Trace.Activity.Send then
-          { x with Trace.Activity.timestamp = ST.add x.timestamp db_extra }
-        else x)
-      d
-  in
-  let logs =
-    [
-      Trace.Log.of_list ~hostname:"web" w;
-      Trace.Log.of_list ~hostname:"app" a;
-      Trace.Log.of_list ~hostname:"db" d;
-    ]
-  in
-  let engine, _ = H.correlate_raw logs in
-  List.hd (Core.Cag_engine.finished engine)
-
-let test_drift_detects_step_change () =
-  let detector =
-    Drift.create ~config:{ Drift.warmup = 30; window = 10; threshold = 0.10 } ()
-  in
-  let alerts = ref [] in
-  for i = 0 to 99 do
-    let db_extra = if i < 60 then ST.span_zero else ST.ms 9 in
-    let cag = mk_profile_cag ~base:(i * 20_000_000) ~db_extra in
-    alerts := !alerts @ Drift.observe detector cag
-  done;
-  (match !alerts with
-  | [] -> Alcotest.fail "no alert for a 9ms db regression"
-  | a :: _ ->
-      Alcotest.(check string) "component" "mysqld2mysqld"
-        (Core.Latency.component_label a.Drift.comp);
-      Alcotest.(check bool) "share rose" true (a.observed_share > a.baseline_share);
-      Alcotest.(check bool) "fired after the change" true (a.paths_seen > 60));
-  (* hysteresis: the regression is sustained, so its component alerts once *)
-  let db_alerts =
-    List.filter
-      (fun a ->
-        String.equal (Core.Latency.component_label a.Drift.comp) "mysqld2mysqld")
-      (Drift.alerts detector)
-  in
-  Alcotest.(check int) "one alert per sustained regression" 1 (List.length db_alerts)
-
-let test_drift_quiet_on_steady_stream () =
-  let detector =
-    Drift.create ~config:{ Drift.warmup = 20; window = 10; threshold = 0.10 } ()
-  in
-  for i = 0 to 79 do
-    ignore (Drift.observe detector (mk_profile_cag ~base:(i * 20_000_000) ~db_extra:ST.span_zero))
-  done;
-  Alcotest.(check int) "no alerts" 0 (List.length (Drift.alerts detector))
-
-let test_drift_baseline_exposed () =
-  let detector = Drift.create ~config:{ Drift.warmup = 5; window = 3; threshold = 0.2 } () in
-  for i = 0 to 5 do
-    ignore (Drift.observe detector (mk_profile_cag ~base:(i * 20_000_000) ~db_extra:ST.span_zero))
-  done;
-  match Drift.baseline_of detector ~pattern_name:"httpd>java>mysqld>java>httpd" with
-  | Some profile ->
-      let total = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 profile in
-      Alcotest.(check (float 1e-6)) "baseline sums to 1" 1.0 total
-  | None -> Alcotest.fail "baseline not learned"
-
-let test_drift_end_to_end_with_fault_onset () =
-  (* A Database_Lock fault strikes mid-run; the online pipeline plus the
-     drift detector must localise it without any offline step. *)
-  let up, runtime, _ = S.stage_spans ~time_scale:0.05 in
-  let onset = ST.span_add up (ST.span_scale 0.5 runtime) in
-  let outcome =
-    S.run
-      {
-        S.default with
-        S.clients = 60;
-        time_scale = 0.05;
-        faults = [ Faults.database_lock ];
-        fault_onset = Some onset;
-      }
-  in
-  let detector =
-    Drift.create ~config:{ Drift.warmup = 150; window = 60; threshold = 0.08 } ()
-  in
-  let result = correlate outcome in
-  List.iter (fun cag -> ignore (Drift.observe detector cag)) result.Core.Correlator.cags;
-  let alerts = Drift.alerts detector in
-  Alcotest.(check bool) "alerts raised" true (alerts <> []);
-  Alcotest.(check bool) "db component implicated" true
-    (List.exists
-       (fun a ->
-         String.equal (Core.Latency.component_label a.Drift.comp) "mysqld2mysqld"
-         && a.Drift.observed_share > a.baseline_share)
-       alerts)
-
 let () =
   Alcotest.run "extensions"
     [
@@ -519,18 +387,8 @@ let () =
           Alcotest.test_case "skew and noise" `Quick test_online_with_skew_and_noise;
           Alcotest.test_case "arena feed matches offline" `Quick
             test_online_arena_feed_matches_offline;
-          Alcotest.test_case "arena feed honours custom keep" `Quick
-            test_online_arena_feed_honours_custom_keep;
           Alcotest.test_case "watermark withholding" `Quick
             test_online_withholds_until_watermark;
           Alcotest.test_case "live during simulation" `Quick test_online_live_during_simulation;
-        ] );
-      ( "drift",
-        [
-          Alcotest.test_case "detects step change" `Quick test_drift_detects_step_change;
-          Alcotest.test_case "quiet on steady stream" `Quick test_drift_quiet_on_steady_stream;
-          Alcotest.test_case "baseline exposed" `Quick test_drift_baseline_exposed;
-          Alcotest.test_case "mid-run fault localised" `Quick
-            test_drift_end_to_end_with_fault_onset;
         ] );
     ]

@@ -35,6 +35,13 @@ let correlate_cfg () =
   let o = Lazy.force outcome in
   Correlator.config ~transform:o.S.transform ()
 
+(* Record-list edges onto the native segment codec. *)
+let write_segment ~dir ~id ~policy collection =
+  Store.Segment.write_native ~dir ~id ~policy (Trace.Arena.of_collection collection)
+
+let read_segment ~dir meta =
+  Result.map Trace.Arena.to_collection (Store.Segment.read_native ~dir meta)
+
 let collection_equal a b =
   List.length a = List.length b
   && List.for_all2
@@ -83,7 +90,7 @@ let test_policy_defaults () =
 let test_segment_roundtrip () =
   with_dir @@ fun dir ->
   let collection = (Lazy.force outcome).S.logs in
-  let meta = Store.Segment.write ~dir ~id:3 ~policy:"none" collection in
+  let meta = write_segment ~dir ~id:3 ~policy:"none" collection in
   Alcotest.(check int) "id" 3 meta.Store.Segment.id;
   Alcotest.(check string) "file" "seg-000003.pts" meta.file;
   Alcotest.(check int) "records" (Log.total collection) meta.records;
@@ -100,22 +107,22 @@ let test_segment_roundtrip () =
   (match Store.Segment.read_meta ~path:(Filename.concat dir meta.file) with
   | Ok m -> Alcotest.(check int) "header records" meta.records m.Store.Segment.records
   | Error e -> Alcotest.fail e);
-  match Store.Segment.read ~dir meta with
+  match read_segment ~dir meta with
   | Ok loaded -> Alcotest.(check bool) "payload identical" true (collection_equal collection loaded)
   | Error e -> Alcotest.fail e
 
 let test_segment_rejects_corruption () =
   with_dir @@ fun dir ->
-  let meta = Store.Segment.write ~dir ~id:0 ~policy:"none" (H.logs_of_request ()) in
+  let meta = write_segment ~dir ~id:0 ~policy:"none" (H.logs_of_request ()) in
   let path = Filename.concat dir meta.Store.Segment.file in
   let data = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (String.sub data 0 (String.length data - 3)));
-  (match Store.Segment.read ~dir meta with
+  (match read_segment ~dir meta with
   | Ok _ -> Alcotest.fail "truncated segment accepted"
   | Error _ -> ());
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "XXXX");
-  match Store.Segment.read ~dir meta with
+  match read_segment ~dir meta with
   | Ok _ -> Alcotest.fail "bad magic accepted"
   | Error _ -> ()
 
@@ -124,8 +131,8 @@ let test_segment_rejects_corruption () =
 let test_manifest_roundtrip () =
   with_dir @@ fun dir ->
   let m0 = Store.Manifest.empty in
-  let meta1 = Store.Segment.write ~dir ~id:0 ~policy:"none" (H.logs_of_request ()) in
-  let meta2 = Store.Segment.write ~dir ~id:1 ~policy:"causal" (H.logs_of_request ()) in
+  let meta1 = write_segment ~dir ~id:0 ~policy:"none" (H.logs_of_request ()) in
+  let meta2 = write_segment ~dir ~id:1 ~policy:"causal" (H.logs_of_request ()) in
   let m = Store.Manifest.add (Store.Manifest.add m0 meta1) meta2 in
   Alcotest.(check int) "next id" 2 m.Store.Manifest.next_id;
   Store.Manifest.save m ~dir;
@@ -290,21 +297,56 @@ let test_roundtrip_fidelity () =
 let top_names n patterns =
   List.filteri (fun i _ -> i < n) patterns |> List.map (fun p -> p.Pattern.name)
 
+let policy_of s = match Store.Policy.of_string s with Ok p -> p | Error e -> failwith e
+
+let reduce policy =
+  let o = Lazy.force outcome in
+  let reduced, stats =
+    Store.Reduce.apply ~correlate:(correlate_cfg ()) ~policy:(policy_of policy)
+      (Trace.Arena.of_collection o.S.logs)
+  in
+  (Trace.Arena.to_collection reduced, stats)
+
+(* A path as the store promises to keep it: each vertex's kind, host,
+   timestamp and size, in causal order. *)
+let fingerprint cag =
+  List.map
+    (fun (v : Core.Cag.vertex) ->
+      let a = v.Core.Cag.activity in
+      ( Activity.kind_to_code a.Activity.kind,
+        a.Activity.context.Activity.host,
+        Simnet.Sim_time.to_ns a.Activity.timestamp,
+        a.Activity.message.size ))
+    (Core.Cag.vertices cag)
+
+(* How many of the paths [result] found are identical to a path of the
+   unreduced run. *)
+let paths_identical result =
+  let baseline = Correlator.correlate (correlate_cfg ()) (Lazy.force outcome).S.logs in
+  let seen = Hashtbl.create 1024 in
+  List.iter (fun c -> Hashtbl.replace seen (fingerprint c) ()) baseline.Correlator.cags;
+  List.length (List.filter (fun c -> Hashtbl.mem seen (fingerprint c)) result.Correlator.cags)
+
 let test_reduction_fidelity () =
   let o = Lazy.force outcome in
   let cfg = correlate_cfg () in
-  let policy =
-    match Store.Policy.of_string "causal,sample=0.25@3" with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  let reduced, stats = Store.Reduce.apply ~correlate:cfg ~policy o.S.logs in
+  let baseline = Correlator.correlate cfg o.S.logs in
+  (* The noise-free run is all causal: [causal] drops nothing. *)
+  let lossless, causal = reduce "causal" in
+  Alcotest.(check int) "causal keeps every row" (Log.total o.S.logs) (Log.total lossless);
+  Alcotest.(check int) "causal keeps every byte" causal.Store.Reduce.bytes_before
+    causal.Store.Reduce.bytes_after;
+  Alcotest.(check string) "causal re-correlates to the same digest"
+    (Core.Shard.digest baseline)
+    (Core.Shard.digest (Correlator.correlate cfg lossless));
+  let reduced, stats = reduce "causal,sample=0.25@3" in
   let ratio = Store.Reduce.ratio stats in
   Alcotest.(check bool)
     (Printf.sprintf "byte reduction %.1fx >= 4x" ratio)
     true (ratio >= 4.0);
-  let baseline = Correlator.correlate cfg o.S.logs in
   let result = Correlator.correlate cfg reduced in
+  Alcotest.(check int) "every kept request is an identical path" stats.Store.Reduce.requests_kept
+    (paths_identical result);
   Alcotest.(check (list string)) "top-3 pattern ranks unchanged"
     (top_names 3 (Pattern.classify baseline.Correlator.cags))
     (top_names 3 (Pattern.classify result.Correlator.cags))
@@ -312,45 +354,50 @@ let test_reduction_fidelity () =
 let test_reduction_keeps_whole_requests () =
   let o = Lazy.force outcome in
   let cfg = correlate_cfg () in
-  let policy =
-    match Store.Policy.of_string "causal,sample=0.5@2" with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  let reduced, stats = Store.Reduce.apply ~correlate:cfg ~policy o.S.logs in
+  (* Attribution rests on provenance: every vertex of a native path names
+     its raw rows, and no row belongs to two requests. *)
+  let native = Correlator.correlate_arena cfg (Trace.Arena.of_collection o.S.logs) in
+  let owned = Hashtbl.create 4096 in
+  List.iter
+    (fun cag ->
+      List.iter
+        (fun v ->
+          let sources = Core.Cag.sources v in
+          if sources = [] then Alcotest.fail "vertex without a source row";
+          List.iter
+            (fun s ->
+              if Hashtbl.mem owned s then Alcotest.fail "row owned by two requests";
+              Hashtbl.replace owned s ())
+            sources)
+        (Core.Cag.vertices cag))
+    (native.Correlator.cags @ native.Correlator.deformed);
+  let reduced, stats = reduce "causal,sample=0.5@2" in
   let result = Correlator.correlate cfg reduced in
   (* Whole causal paths survive or vanish: no orphaned halves, so the
-     reduced trace correlates with zero deformed CAGs and exactly the kept
-     requests as paths. *)
+     reduced trace correlates with zero deformed CAGs and every kept
+     request comes back as its original path. *)
   Alcotest.(check int) "no deformed paths" 0 (List.length result.Correlator.deformed);
   Alcotest.(check int) "kept requests = paths" stats.Store.Reduce.requests_kept
-    (List.length result.Correlator.cags)
+    (List.length result.Correlator.cags);
+  Alcotest.(check int) "kept requests = identical paths" stats.Store.Reduce.requests_kept
+    (paths_identical result)
 
 let test_reduction_deterministic () =
-  let o = Lazy.force outcome in
-  let cfg = correlate_cfg () in
-  let policy =
-    match Store.Policy.of_string "sample=0.3@9" with Ok p -> p | Error e -> failwith e
-  in
-  let r1, s1 = Store.Reduce.apply ~correlate:cfg ~policy o.S.logs in
-  let r2, s2 = Store.Reduce.apply ~correlate:cfg ~policy o.S.logs in
+  let r1, s1 = reduce "sample=0.3@9" in
+  let r2, s2 = reduce "sample=0.3@9" in
   Alcotest.(check int) "same kept" s1.Store.Reduce.requests_kept s2.Store.Reduce.requests_kept;
-  Alcotest.(check bool) "same survivors" true (collection_equal r1 r2)
+  Alcotest.(check bool) "same survivors" true (collection_equal r1 r2);
+  let result = Correlator.correlate (correlate_cfg ()) r1 in
+  Alcotest.(check int) "no deformed paths" 0 (List.length result.Correlator.deformed);
+  Alcotest.(check int) "kept requests = identical paths" s1.Store.Reduce.requests_kept
+    (paths_identical result)
 
 let test_reduction_head_and_boundaries () =
-  let o = Lazy.force outcome in
-  let cfg = correlate_cfg () in
-  let apply s =
-    let policy =
-      match Store.Policy.of_string s with Ok p -> p | Error e -> failwith e
-    in
-    Store.Reduce.apply ~correlate:cfg ~policy o.S.logs
-  in
-  let _, head = apply "head=10" in
+  let _, head = reduce "head=10" in
   Alcotest.(check int) "head keeps 10" 10 head.Store.Reduce.requests_kept;
-  let _, none_kept = apply "sample=0.0@1" in
+  let _, none_kept = reduce "sample=0.0@1" in
   Alcotest.(check int) "p=0 keeps none" 0 none_kept.Store.Reduce.requests_kept;
-  let _, all_kept = apply "sample=1.0@1" in
+  let _, all_kept = reduce "sample=1.0@1" in
   Alcotest.(check int) "p=1 keeps all" all_kept.Store.Reduce.requests_total
     all_kept.Store.Reduce.requests_kept
 
@@ -407,8 +454,8 @@ let test_query_boundary_inclusive () =
   let mk ts = H.act ~kind:Activity.Send ~ts ~ctx:H.web_ctx ~flow:H.web_app_flow ~size:10 in
   let seg_a = [ Log.of_list ~hostname:"web" [ mk 100; mk 200 ] ] in
   let seg_b = [ Log.of_list ~hostname:"web" [ mk 200; mk 300 ] ] in
-  let meta_a = Store.Segment.write ~dir ~id:0 ~policy:"none" seg_a in
-  let meta_b = Store.Segment.write ~dir ~id:1 ~policy:"none" seg_b in
+  let meta_a = write_segment ~dir ~id:0 ~policy:"none" seg_a in
+  let meta_b = write_segment ~dir ~id:1 ~policy:"none" seg_b in
   Store.Manifest.save
     (Store.Manifest.add (Store.Manifest.add Store.Manifest.empty meta_a) meta_b)
     ~dir;
