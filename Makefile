@@ -1,6 +1,6 @@
 # Minimal CI entry points. `make ci` is what a pipeline should run.
 
-.PHONY: all build test test-parallel fmt bench-quick bench-gate bundle-gate bench-pipeline ci clean
+.PHONY: all build test test-parallel fmt bench-quick bench-gate bundle-gate cli-gate bench-pipeline ci clean
 
 all: build
 
@@ -63,6 +63,32 @@ bundle-gate: build
 	dune exec bin/precisetracer.exe -- bundle query _bundle_gate/s1.ptz
 	rm -rf _bundle_gate
 
+# CLI import gate: one seeded run saved four ways — text logs, a binary
+# PTB1 file, a several-segment store, and a store teed in-band by the
+# collection plane next to its text logs — must correlate to byte-identical
+# path exports within each run, offline and (from a store) through the
+# online replay. The loader that reads all three formats lives in bin/,
+# so no unit test reaches it.
+CLI_SIM = dune exec bin/precisetracer.exe -- simulate -c 40 --scale 0.05 --seed 11
+CLI_CORRELATE = dune exec bin/precisetracer.exe -- correlate
+cli-gate: build
+	rm -rf _cli_gate && mkdir -p _cli_gate
+	$(CLI_SIM) -o _cli_gate/text
+	$(CLI_SIM) --binary -o _cli_gate/binary
+	$(CLI_SIM) --store _cli_gate/store --segment-records 2000
+	$(CLI_SIM) --collect --store _cli_gate/collect-store -o _cli_gate/collect-text
+	for d in text binary store collect-store collect-text; do \
+		$(CLI_CORRELATE) _cli_gate/$$d --json _cli_gate/$$d.json || exit 1; \
+	done
+	$(CLI_CORRELATE) _cli_gate/store --online --json _cli_gate/store-online.json
+	$(CLI_CORRELATE) _cli_gate/collect-store --online --json _cli_gate/collect-store-online.json
+	cmp _cli_gate/text.json _cli_gate/binary.json
+	cmp _cli_gate/text.json _cli_gate/store.json
+	cmp _cli_gate/text.json _cli_gate/store-online.json
+	cmp _cli_gate/collect-text.json _cli_gate/collect-store.json
+	cmp _cli_gate/collect-text.json _cli_gate/collect-store-online.json
+	rm -rf _cli_gate
+
 # The pipeline benchmark (bench/pipeline/README.md), untraced, on all four
 # workloads at its full run length; fails unless every run prints
 # "correct":true. Not part of `ci`: `dune runtest` already runs its smoke.
@@ -82,7 +108,7 @@ fmt:
 		echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-ci: fmt build test test-parallel bench-quick bench-gate bundle-gate
+ci: fmt build test test-parallel bench-quick bench-gate bundle-gate cli-gate
 
 clean:
 	dune clean

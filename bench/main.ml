@@ -380,6 +380,11 @@ let correlate ?(window = ST.ms 10) spec =
       Hashtbl.replace correlations key r;
       r
 
+(* The BEGIN/END transform over record lists, for the baselines
+   (nesting, DPM) and the record-fed micro-benchmark that take them. *)
+let transform_logs cfg logs =
+  Trace.Arena.to_collection (Transform.apply_native cfg (Trace.Arena.of_collection logs))
+
 let base_spec () = { S.default with S.time_scale = !time_scale }
 
 let clients_grid () =
@@ -726,12 +731,12 @@ let bench_baseline () =
       in
       let nesting_of spec =
         let outcome = run spec in
-        let prepared = Transform.apply outcome.S.transform outcome.S.logs in
+        let prepared = transform_logs outcome.S.transform outcome.S.logs in
         (Nesting.score ~ground_truth:outcome.ground_truth (Nesting.infer prepared))
           .Accuracy.accuracy
       in
       let dpm_stats =
-        let prepared = Transform.apply outcome.S.transform outcome.S.logs in
+        let prepared = transform_logs outcome.S.transform outcome.S.logs in
         Core.Dpm.evaluate ~max_paths:100_000 ~ground_truth:outcome.ground_truth
           (Core.Dpm.build prepared)
       in
@@ -894,11 +899,7 @@ let bench_online () =
       let cfg = Correlator.config ~transform:outcome.S.transform () in
       let hosts = List.map Trace.Log.hostname outcome.S.logs in
       let online = Core.Online.create ~config:cfg ~hosts () in
-      let merged =
-        List.concat_map Trace.Log.to_list outcome.S.logs
-        |> List.stable_sort Trace.Activity.compare_by_time
-      in
-      List.iter (Core.Online.observe online) merged;
+      Core.Online.replay online (Trace.Arena.of_collection outcome.S.logs);
       let before_close = List.length (Core.Online.paths online) in
       Core.Online.finish online;
       let online_paths = Core.Online.paths online in
@@ -939,23 +940,15 @@ let bench_degraded () =
   let outcome = run spec in
   let cfg = Correlator.config ~transform:outcome.S.transform () in
   let hosts = List.map Trace.Log.hostname outcome.S.logs in
-  let merged =
-    List.concat_map Trace.Log.to_list outcome.S.logs
-    |> List.stable_sort Trace.Activity.compare_by_time
-  in
+  let arenas = Trace.Arena.of_collection outcome.S.logs in
   let replay ?straggler_timeout ?max_buffered () =
     let online =
       Core.Online.create ~config:cfg ~hosts ?straggler_timeout ?max_buffered ()
     in
-    let peak = ref 0 in
-    List.iter
-      (fun a ->
-        Core.Online.observe online a;
-        peak := max !peak (Core.Online.pending online))
-      merged;
+    Core.Online.replay online arenas;
     let live = List.length (Core.Online.paths online) in
     Core.Online.finish online;
-    (online, live, !peak)
+    (online, live, Core.Online.peak_pending online)
   in
   let t =
     Report.table
@@ -1158,7 +1151,9 @@ let bench_hierarchy () =
           acc (Collect.Deploy.agents d))
       0 !deploys
   in
-  let raw_bytes = String.length (Trace.Binary_format.encode co.S.all_logs) in
+  let raw_bytes =
+    String.length (Trace.Binary_format.encode_native (Trace.Arena.of_collection co.S.all_logs))
+  in
   let mono =
     let cfg = Correlator.config ~transform:co.S.cluster_transform () in
     Correlator.correlate cfg co.S.all_logs
@@ -1251,10 +1246,10 @@ let bench_formats () =
               acc (Trace.Log.to_list log))
           0 collection
       in
-      let encoded = Trace.Binary_format.encode collection in
+      let encoded = Trace.Binary_format.encode_native (Trace.Arena.of_collection collection) in
       let ok =
-        match Trace.Binary_format.decode encoded with
-        | Ok loaded -> Trace.Log.total loaded = Trace.Log.total collection
+        match Trace.Binary_format.decode_native encoded with
+        | Ok loaded -> Trace.Arena.total loaded = Trace.Log.total collection
         | Error _ -> false
       in
       Report.add_row t
@@ -1292,15 +1287,14 @@ let bench_store () =
   in
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  (* Ingest throughput: stream the run into segments, no reduction. The
-     native row is the headline — arenas are pre-built outside the timer,
-     the shape in which a live probe/collector feed already arrives — and
-     the record-path row keeps the text-era cost visible for comparison. *)
+  (* Ingest throughput: stream the run into segments, no reduction.
+     Arenas are pre-built outside the timer, the shape in which a live
+     collector feed already arrives. *)
   let arenas = Trace.Arena.of_collection collection in
-  (* Best of five passes per path: the first pass pays cold caches and
+  (* Best of five passes: the first pass pays cold caches and
      allocator growth the steady-state ingest path never sees again, and
      the host's scheduling jitter swamps a single pass. *)
-  let ingest_with label feed =
+  let wstats, ingest_s =
     let stats = ref None and secs = ref infinity in
     for _ = 1 to 5 do
       rm_rf dir;
@@ -1309,7 +1303,7 @@ let bench_store () =
       Gc.full_major ();
       let t0 = Unix.gettimeofday () in
       let writer = Store.Writer.create ~roll_records:4096 ~dir () in
-      feed writer;
+      Store.Writer.ingest_native writer arenas;
       let wstats = Store.Writer.close writer in
       let ingest_s = Unix.gettimeofday () -. t0 in
       if ingest_s < !secs then begin
@@ -1317,44 +1311,29 @@ let bench_store () =
         stats := Some wstats
       end
     done;
-    (label, Option.get !stats, !secs)
+    (Option.get !stats, !secs)
   in
-  let runs =
-    [
-      ingest_with "records (legacy)" (fun w -> Store.Writer.ingest w collection);
-      ingest_with "native arenas" (fun w -> Store.Writer.ingest_native w arenas);
-    ]
-  in
+  let native_per_s = float_of_int wstats.Store.Writer.records_in /. ingest_s in
+  let native_mb_per_s = float_of_int wstats.Store.Writer.bytes_out /. ingest_s /. 1048576.0 in
   let t_ingest =
     Report.table ~title:"ext-9a: store ingest throughput (no reduction, best of 5 passes)"
       ~columns:[ "path"; "records"; "segments"; "bytes"; "seconds"; "records/s"; "MB/s" ]
   in
-  let per_s = Hashtbl.create 4 in
-  List.iter
-    (fun (label, (wstats : Store.Writer.stats), ingest_s) ->
-      let records_per_s = float_of_int wstats.Store.Writer.records_in /. ingest_s in
-      let mb_per_s = float_of_int wstats.Store.Writer.bytes_out /. ingest_s /. 1048576.0 in
-      Hashtbl.replace per_s label (records_per_s, mb_per_s);
-      Report.add_row t_ingest
-        [
-          label;
-          Report.cell_int wstats.Store.Writer.records_in;
-          Report.cell_int wstats.Store.Writer.segments;
-          Report.cell_int wstats.Store.Writer.bytes_out;
-          Report.cell_float ~decimals:4 ingest_s;
-          Report.cell_float ~decimals:0 records_per_s;
-          Report.cell_float ~decimals:2 mb_per_s;
-        ])
-    runs;
+  Report.add_row t_ingest
+    [
+      "native arenas";
+      Report.cell_int wstats.Store.Writer.records_in;
+      Report.cell_int wstats.Store.Writer.segments;
+      Report.cell_int wstats.Store.Writer.bytes_out;
+      Report.cell_float ~decimals:4 ingest_s;
+      Report.cell_float ~decimals:0 native_per_s;
+      Report.cell_float ~decimals:2 native_mb_per_s;
+    ];
   Report.print t_ingest;
-  let _, wstats, _ = List.nth runs 1 in
-  let native_per_s, native_mb_per_s = Hashtbl.find per_s "native arenas" in
-  let legacy_per_s, _ = Hashtbl.find per_s "records (legacy)" in
   record_int ~figure:"store" "ingest_records" wstats.Store.Writer.records_in;
   record_int ~figure:"store" "ingest_segments" wstats.Store.Writer.segments;
   record_float ~figure:"store" "ingest_records_per_s" native_per_s;
   record_float ~figure:"store" "ingest_mb_per_s" native_mb_per_s;
-  record_float ~figure:"store" "ingest_legacy_records_per_s" legacy_per_s;
   (* Query latency: whole store vs a narrow window the manifest can prune. *)
   let manifest =
     match Store.Manifest.load ~dir with Ok m -> m | Error e -> failwith e
@@ -1373,7 +1352,7 @@ let bench_store () =
       ()
   in
   let query p =
-    match Store.Query.run ~dir p with Ok r -> r | Error e -> failwith e
+    match Store.Query.run_native ~dir p with Ok r -> r | Error e -> failwith e
   in
   let _, full_stats = query Store.Query.all in
   let _, narrow_stats = query narrow in
@@ -1534,7 +1513,10 @@ let bench_parallel () =
   List.iter
     (fun jobs ->
       let epochs = epochs_at jobs in
-      let result, secs = time (fun () -> Core.Shard.correlate ~jobs cfg outcome.S.logs) in
+      let result, secs =
+        time (fun () ->
+            Core.Shard.correlate_arena ~jobs cfg (Trace.Arena.of_collection outcome.S.logs))
+      in
       let equal = String.equal (Core.Shard.digest result) serial_digest in
       let nresult, nsecs =
         time (fun () -> Core.Shard.correlate_arena ~jobs cfg arenas)
@@ -1699,7 +1681,7 @@ let bench_bundle () =
     let t0 = Unix.gettimeofday () in
     match
       Bundle.Pack.pack ~roll_records:4096 ~config
-        ~source:(`Logs outcome.S.logs) ~path ()
+        ~source:(`Arenas (Trace.Arena.of_collection outcome.S.logs)) ~path ()
     with
     | Error e -> failwith e
     | Ok summary -> (path, summary, Unix.gettimeofday () -. t0)
@@ -1820,7 +1802,7 @@ let bench_bundle () =
 let micro_tests () =
   let spec = { (base_spec ()) with S.clients = 100; time_scale = 0.02 } in
   let outcome = run spec in
-  let prepared = Transform.apply outcome.S.transform outcome.S.logs in
+  let prepared = transform_logs outcome.S.transform outcome.S.logs in
   let correlate_once () =
     let engine = Core.Cag_engine.create () in
     let ranker =

@@ -141,14 +141,13 @@ let policy_conv =
   in
   Cmdliner.Arg.conv (parse, Store.Policy.pp)
 
-(* Load traces from DIR, whatever their format: a segmented store (has a
-   MANIFEST.json), binary PTB1 files (recognised by magic, any filename)
-   and/or per-node *.trace text files — mixed contents are merged. *)
+(* Load traces from DIR as one arena per host, whatever their format: a
+   segmented store (has a MANIFEST.json), binary PTB1 files (recognised
+   by magic, any filename) and/or per-node *.trace text files — mixed
+   contents are merged in the store's canonical row order. *)
 let load_traces ?jobs dir =
   if Store.Manifest.exists ~dir then
-    match Store.Query.run ?jobs ~dir Store.Query.all with
-    | Ok (logs, _) -> Ok logs
-    | Error e -> Error e
+    Result.map fst (Store.Query.run_native ?jobs ~dir Store.Query.all)
   else
     match Sys.readdir dir with
     | exception Sys_error e -> Error e
@@ -174,7 +173,9 @@ let load_traces ?jobs dir =
             in
             let texts =
               if has_text then
-                match Trace.Log.load ~dir with Ok c -> Ok [ c ] | Error e -> Error e
+                match Trace.Log.load ~dir with
+                | Ok c -> Ok [ Trace.Arena.of_collection c ]
+                | Error e -> Error e
               else Ok []
             in
             match texts with
@@ -187,7 +188,7 @@ let load_traces ?jobs dir =
                          "no traces in %s (expected a store MANIFEST.json, PTB1 files or \
                           *.trace files)"
                          dir)
-                | collections -> Ok (Store.Query.merge collections))))
+                | collections -> Ok (Store.Query.merge_native collections))))
 
 (* ---- telemetry self-profile ---- *)
 
@@ -515,7 +516,8 @@ let simulate_cmd =
             | Some dir ->
                 if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
                 if binary then
-                  Trace.Binary_format.save logs ~path:(Filename.concat dir "traces.ptb")
+                  Trace.Binary_format.save (Trace.Arena.of_collection logs)
+                    ~path:(Filename.concat dir "traces.ptb")
                 else Trace.Log.save logs ~dir;
                 Trace.Ground_truth.save b.Mesh.Runtime.gt
                   ~path:(Filename.concat dir "ground_truth.txt");
@@ -582,7 +584,7 @@ let simulate_cmd =
       | Some dir ->
           if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           if binary then
-            Trace.Binary_format.save co.S.all_logs
+            Trace.Binary_format.save (Trace.Arena.of_collection co.S.all_logs)
               ~path:(Filename.concat dir "traces.ptb")
           else Trace.Log.save co.S.all_logs ~dir;
           Format.printf "%s written to %s@."
@@ -621,11 +623,12 @@ let simulate_cmd =
     let after_run _ = Option.iter Collect.Deploy.finish !deploy in
     let outcome = S.run ~before_run ~after_run spec in
     print_summary outcome;
+    let arenas = lazy (Trace.Arena.of_collection outcome.S.logs) in
     (match out with
     | Some dir ->
         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
         if binary then
-          Trace.Binary_format.save outcome.S.logs ~path:(Filename.concat dir "traces.ptb")
+          Trace.Binary_format.save (Lazy.force arenas) ~path:(Filename.concat dir "traces.ptb")
         else Trace.Log.save outcome.S.logs ~dir;
         Trace.Ground_truth.save outcome.S.ground_truth
           ~path:(Filename.concat dir "ground_truth.txt");
@@ -647,7 +650,7 @@ let simulate_cmd =
           Store.Writer.create ~policy:store_policy ~correlate
             ~roll_records:segment_records ~dir ()
         in
-        Store.Writer.ingest writer outcome.S.logs;
+        Store.Writer.ingest_native writer (Lazy.force arenas);
         let stats = Store.Writer.close writer in
         Trace.Ground_truth.save outcome.S.ground_truth
           ~path:(Filename.concat dir "ground_truth.txt");
@@ -657,7 +660,7 @@ let simulate_cmd =
       (fun path ->
         let config = Core.Correlator.config ~transform:outcome.S.transform () in
         pack_bundle ~scenario:(scenario_json spec) ~config
-          ~source:(`Logs outcome.S.logs) path)
+          ~source:(`Arenas (Lazy.force arenas)) path)
       bundle_out;
     write_telemetry tfile tformat
     end
@@ -677,37 +680,28 @@ let transform_of_entry entry =
     ~drop_programs:[ "rlogin"; "rlogind"; "ssh"; "sshd"; "mysql" ]
     ()
 
-let correlate_logs ?jobs ~window ~entry logs =
-  Core.Shard.correlate ?jobs
+let correlate_arenas ?jobs ~window ~entry arenas =
+  Core.Shard.correlate_arena ?jobs
     (Core.Correlator.config ~transform:(transform_of_entry entry) ~window ())
-    logs
+    arenas
 
-(* Replay saved logs through the online pipeline: merge them into one
-   arrival-ordered feed and observe record by record, as a live collector
-   would. *)
-let correlate_online ~window ~entry ?straggler_timeout ?max_buffered logs =
+(* Replay saved host arenas through the online pipeline in arrival order,
+   as a live collector would deliver them. *)
+let correlate_online ~window ~entry ?straggler_timeout ?max_buffered arenas =
   let config = Core.Correlator.config ~transform:(transform_of_entry entry) ~window () in
-  let hosts = List.map Trace.Log.hostname logs in
+  let hosts = List.map Trace.Arena.hostname arenas in
   let live = ref 0 in
-  let peak_pending = ref 0 in
   let online =
     Core.Online.create ~config ~hosts ?straggler_timeout ?max_buffered
       ~on_path:(fun _ -> incr live)
       ()
   in
-  let feed =
-    List.stable_sort Trace.Activity.compare_by_time (List.concat_map Trace.Log.to_list logs)
-  in
-  List.iter
-    (fun a ->
-      Core.Online.observe online a;
-      peak_pending := max !peak_pending (Core.Online.pending online))
-    feed;
+  Core.Online.replay online arenas;
   let live_before_close = !live in
   Core.Online.finish online;
-  (online, live_before_close, !peak_pending)
+  (online, live_before_close)
 
-let print_online (online, live, peak_pending) =
+let print_online (online, live) =
   let open Core in
   let paths = Online.paths online in
   let flagged = List.length (List.filter Cag.is_deformed paths) in
@@ -716,7 +710,7 @@ let print_online (online, live, peak_pending) =
      unfinished); peak pending %d@."
     (List.length paths) live flagged
     (List.length (Online.deformed online))
-    peak_pending;
+    (Online.peak_pending online);
   let rs = Online.ranker_stats online in
   Format.printf
     "ranker: %d candidates, %d noise discarded, %d resorted; stragglers %d evicted / %d \
@@ -822,22 +816,22 @@ let correlate_cmd =
     let jobs = jobs_of jobs in
     match load_traces ~jobs dir with
     | Error e -> `Error (false, e)
-    | Ok logs ->
-        Format.printf "loaded %d activities from %d nodes@." (Trace.Log.total logs)
-          (List.length logs);
+    | Ok arenas ->
+        Format.printf "loaded %d activities from %d nodes@." (Trace.Arena.total arenas)
+          (List.length arenas);
         let window = window_of window_ms in
         let cags =
           if online then begin
-            let ((t, _, _) as run) =
+            let ((t, _) as run) =
               correlate_online ~window ~entry
                 ?straggler_timeout:(Option.map window_of straggler_timeout_ms)
-                ?max_buffered logs
+                ?max_buffered arenas
             in
             print_online run;
             Core.Online.paths t
           end
           else begin
-            let result = correlate_logs ~jobs ~window ~entry logs in
+            let result = correlate_arenas ~jobs ~window ~entry arenas in
             print_correlation result;
             result.Core.Correlator.cags
           end
@@ -869,7 +863,7 @@ let correlate_cmd =
             let config =
               Core.Correlator.config ~transform:(transform_of_entry entry) ~window ()
             in
-            pack_bundle ~jobs ~config ~source:(`Logs logs) path)
+            pack_bundle ~jobs ~config ~source:(`Arenas arenas) path)
           bundle_out;
         write_telemetry tfile tformat;
         `Ok ()
@@ -900,10 +894,10 @@ let evaluate_cmd =
     | Some dir -> (
         match load_traces ~jobs dir with
         | Error e -> `Error (false, e)
-        | Ok logs -> (
-            Format.printf "loaded %d activities from %d nodes@." (Trace.Log.total logs)
-              (List.length logs);
-            let result = correlate_logs ~jobs ~window:(window_of window_ms) ~entry logs in
+        | Ok arenas -> (
+            Format.printf "loaded %d activities from %d nodes@." (Trace.Arena.total arenas)
+              (List.length arenas);
+            let result = correlate_arenas ~jobs ~window:(window_of window_ms) ~entry arenas in
             print_correlation result;
             let gt_path = Filename.concat dir "ground_truth.txt" in
             match Trace.Ground_truth.load ~path:gt_path with
@@ -923,7 +917,9 @@ let evaluate_cmd =
           Core.Correlator.config ~transform:outcome.S.transform
             ~window:(window_of window_ms) ()
         in
-        let result = Core.Shard.correlate ~jobs cfg outcome.S.logs in
+        let result =
+          Core.Shard.correlate_arena ~jobs cfg (Trace.Arena.of_collection outcome.S.logs)
+        in
         print_correlation result;
         let verdict =
           Core.Accuracy.check ~ground_truth:outcome.S.ground_truth
@@ -1207,7 +1203,7 @@ let store_ingest_cmd =
   let run src dest policy segment_records window_ms entry tfile tformat =
     match load_traces src with
     | Error e -> `Error (false, e)
-    | Ok logs ->
+    | Ok arenas ->
         let transform =
           Core.Transform.config ~entry_points:[ entry ]
             ~drop_programs:[ "rlogin"; "rlogind"; "ssh"; "sshd"; "mysql" ]
@@ -1219,7 +1215,7 @@ let store_ingest_cmd =
         let writer =
           Store.Writer.create ~policy ~correlate ~roll_records:segment_records ~dir:dest ()
         in
-        Store.Writer.ingest writer logs;
+        Store.Writer.ingest_native writer arenas;
         let stats = Store.Writer.close writer in
         let gt_src = Filename.concat src "ground_truth.txt" in
         if Sys.file_exists gt_src && not (String.equal src dest) then begin
@@ -1263,6 +1259,12 @@ let predicate_of since_ms until_ms hosts =
     ?hosts:(match hosts with [] -> None | hs -> Some hs)
     ()
 
+let print_host_counts arenas =
+  List.iter
+    (fun a ->
+      Format.printf "  %-10s %d activities@." (Trace.Arena.hostname a) (Trace.Arena.length a))
+    arenas
+
 let store_query_cmd =
   let since, until = since_until_args in
   let hosts =
@@ -1278,19 +1280,17 @@ let store_query_cmd =
           ~doc:"Write the matching activities to $(docv)/traces.ptb (binary).")
   in
   let run dir since_ms until_ms hosts jobs out tfile tformat =
-    match Store.Query.run ~jobs:(jobs_of jobs) ~dir (predicate_of since_ms until_ms hosts) with
+    match
+      Store.Query.run_native ~jobs:(jobs_of jobs) ~dir (predicate_of since_ms until_ms hosts)
+    with
     | Error e -> `Error (false, e)
-    | Ok (logs, stats) ->
+    | Ok (arenas, stats) ->
         Format.printf "%a@." Store.Query.pp_stats stats;
-        List.iter
-          (fun log ->
-            Format.printf "  %-10s %d activities@." (Trace.Log.hostname log)
-              (Trace.Log.length log))
-          logs;
+        print_host_counts arenas;
         (match out with
         | Some odir ->
             if not (Sys.file_exists odir) then Sys.mkdir odir 0o755;
-            Trace.Binary_format.save logs ~path:(Filename.concat odir "traces.ptb");
+            Trace.Binary_format.save arenas ~path:(Filename.concat odir "traces.ptb");
             Format.printf "written to %s/traces.ptb@." odir
         | None -> ());
         write_telemetry tfile tformat;
@@ -1442,7 +1442,7 @@ let bundle_pack_cmd =
     in
     let source =
       if Store.Manifest.exists ~dir:src then Ok (`Store_dir src)
-      else Result.map (fun logs -> `Logs logs) (load_traces ~jobs src)
+      else Result.map (fun arenas -> `Arenas arenas) (load_traces ~jobs src)
     in
     match source with
     | Error e -> `Error (false, e)
@@ -1557,17 +1557,13 @@ let bundle_query_cmd =
           Bundle.Reader.query ~jobs:(jobs_of jobs) reader (predicate_of since_ms until_ms hosts)
         with
         | Error e -> `Error (false, e)
-        | Ok (logs, stats) ->
+        | Ok (arenas, stats) ->
             Format.printf "%a@." Store.Query.pp_stats stats;
-            List.iter
-              (fun log ->
-                Format.printf "  %-10s %d activities@." (Trace.Log.hostname log)
-                  (Trace.Log.length log))
-              logs;
+            print_host_counts arenas;
             (match out with
             | Some odir ->
                 if not (Sys.file_exists odir) then Sys.mkdir odir 0o755;
-                Trace.Binary_format.save logs ~path:(Filename.concat odir "traces.ptb");
+                Trace.Binary_format.save arenas ~path:(Filename.concat odir "traces.ptb");
                 Format.printf "written to %s/traces.ptb@." odir
             | None -> ());
             `Ok ())

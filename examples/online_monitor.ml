@@ -2,11 +2,11 @@
    a regression the moment it appears.
 
    A Database_Lock fault strikes the running auction site halfway through
-   the session. The online correlator (attached directly to the tracing
-   probe) turns activities into causal paths in real time, and the
-   streaming detector learns a baseline from the first paths, then
-   watches each pattern's latency-share profile, mix, latency and
-   throughput - no offline analysis step, no resource monitoring.
+   the session. Per-node agents ship the probe's records in-band to a
+   collector, whose online correlator turns them into causal paths in
+   real time, and the streaming detector learns a baseline from the first
+   paths, then watches each pattern's latency-share profile, mix, latency
+   and throughput - no offline analysis step, no resource monitoring.
 
      dune exec examples/online_monitor.exe *)
 
@@ -39,19 +39,15 @@ let () =
       ~now:(fun () -> Simnet.Engine.now engine)
       ()
   in
-  let correlator_cfg =
-    Core.Correlator.config ~transform:(Service.transform_config svc) ()
-  in
-  let online =
-    Core.Online.attach ~config:correlator_cfg ~probe:(Service.probe svc)
-      ~hosts:(Service.server_hostnames svc)
+  let deploy =
+    Collect.Deploy.install
       ~on_path:(fun cag ->
         List.iter
           (fun verdict ->
             Format.printf "!! path #%d  %a@." (Detector.paths_seen detector)
               Detector.pp_verdict verdict)
           (Detector.observe detector cag))
-      ()
+      svc
   in
 
   let stop = ST.add (ST.add (ST.add ST.zero up) runtime) down in
@@ -64,7 +60,7 @@ let () =
       only_kind = None;
     };
   Simnet.Engine.run engine;
-  Core.Online.finish online;
+  Collect.Deploy.finish deploy;
 
   let verdicts = Detector.verdicts detector in
   Format.printf "@.run complete: %d paths correlated live, %d verdicts@."

@@ -30,7 +30,7 @@ let () =
 
   (* 1b. the binary format cuts shipping cost ~5-6x *)
   let binary_path = Filename.concat dir "all.ptb" in
-  Trace.Binary_format.save outcome.S.logs ~path:binary_path;
+  Trace.Binary_format.save (Trace.Arena.of_collection outcome.S.logs) ~path:binary_path;
   let text_bytes =
     List.fold_left
       (fun acc log ->

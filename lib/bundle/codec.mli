@@ -5,7 +5,8 @@
     {e back-link table}: per vertex, the [(host, record)] coordinates of
     the raw activity records that produced it, where [host] indexes
     {!decoded.link_hosts} and [record] indexes that host's log in the
-    bundle's canonical record order ({!Reader.collection}). Every path
+    bundle's canonical row order ({!Reader.query} over
+    {!Store.Query.all}). Every path
     node in a bundle therefore resolves to the exact stored bytes behind
     it — the micro end of the paper's §5.4 macro↔micro workflow. *)
 

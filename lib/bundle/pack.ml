@@ -1,7 +1,5 @@
-module Activity = Trace.Activity
 module Address = Simnet.Address
 module Arena = Trace.Arena
-module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 module Cag = Core.Cag
 module Correlator = Core.Correlator
@@ -121,45 +119,33 @@ let of_store_dir dir =
       List.map (fun (meta, data, _) -> (meta, data)) segments,
       Store.Query.merge_native (List.map (fun (_, _, arenas) -> arenas) segments) )
 
-(* Cut the time-merged feed every [roll_records] rows and regroup each
-   batch per host (hostname order) — the writer's roll behaviour. The
-   feed is a stable sort of the inputs' rows, concatenated in input
-   order. Sorts [arenas] in place. *)
+(* Cut the time-merged feed ({!Arena.iter_merged}) every [roll_records]
+   rows and regroup each batch per host (hostname order) — the writer's
+   roll behaviour. *)
 let roll ~roll_records arenas =
-  List.iter Arena.sort_by_time arenas;
   let arenas = Array.of_list arenas in
-  let rows h a = Array.init (Arena.length a) (fun i -> (h, i)) in
-  let feed = Array.concat (Array.to_list (Array.mapi rows arenas)) in
-  Array.stable_sort
-    (fun (h, i) (g, j) ->
-      let a = arenas.(h) and b = arenas.(g) in
-      match Int.compare (Arena.ts a i) (Arena.ts b j) with
-      | 0 -> (
-          match Intern.compare_context_id (Arena.ctx_id a i) (Arena.ctx_id b j) with
-          | 0 ->
-              Int.compare
-                (Activity.kind_priority (Arena.kind a i))
-                (Activity.kind_priority (Arena.kind b j))
-          | c -> c)
-      | c -> c)
-    feed;
-  List.init
-    ((Array.length feed + roll_records - 1) / roll_records)
-    (fun b ->
-      let batch = Hashtbl.create 8 in
-      for k = b * roll_records to min (Array.length feed) ((b + 1) * roll_records) - 1 do
-        let h, i = feed.(k) in
-        let sid = Arena.host_sid arenas.(h) in
-        if not (Hashtbl.mem batch sid) then Hashtbl.replace batch sid (Arena.create_sid sid);
-        Arena.append_row (Hashtbl.find batch sid) arenas.(h) i
-      done;
-      Hashtbl.fold (fun _ a acc -> a :: acc) batch []
+  let batches = ref [] and batch = Hashtbl.create 8 and rows = ref 0 in
+  let cut () =
+    batches :=
+      (Hashtbl.fold (fun _ a acc -> a :: acc) batch []
       |> List.sort (fun a b -> String.compare (Arena.hostname a) (Arena.hostname b)))
+      :: !batches;
+    Hashtbl.reset batch;
+    rows := 0
+  in
+  Arena.iter_merged arenas (fun h i ->
+      let sid = Arena.host_sid arenas.(h) in
+      if not (Hashtbl.mem batch sid) then Hashtbl.replace batch sid (Arena.create_sid sid);
+      Arena.append_row (Hashtbl.find batch sid) arenas.(h) i;
+      incr rows;
+      if !rows = roll_records then cut ());
+  if !rows > 0 then cut ();
+  List.rev !batches
 
-(* Convert a raw collection once and roll it into synthetic segments, as
-   a store ingest with no reduction would. *)
-let of_logs ?(roll_records = 65_536) collection =
-  let arenas = Arena.of_collection collection in
+(* Roll raw host arenas into synthetic segments, as a store ingest with
+   no reduction would. Unsorted inputs are sorted on a copy. *)
+let of_arenas ?(roll_records = 65_536) arenas =
+  let arenas = List.map Arena.sorted arenas in
   if Arena.total arenas = 0 then Error "pack: empty collection"
   else begin
     let batches =
@@ -209,13 +195,13 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
     stage "decode" (fun () ->
         match source with
         | `Store_dir dir -> of_store_dir dir
-        | `Logs logs -> of_logs ?roll_records logs)
+        | `Arenas arenas -> of_arenas ?roll_records arenas)
   in
   let records = Arena.total arenas in
   if records = 0 then Error "pack: store holds no records"
   else begin
     let source_label =
-      match source with `Store_dir dir -> "store:" ^ Filename.basename dir | `Logs _ -> "logs"
+      match source with `Store_dir dir -> "store:" ^ Filename.basename dir | `Arenas _ -> "logs"
     in
     let result = stage "correlate" (fun () -> Shard.correlate_arena ?jobs config arenas) in
     let cags = result.Correlator.cags in

@@ -1,19 +1,17 @@
 (** Packing a run into a [PTZ1] bundle.
 
     The packer embeds the store (segment bytes verbatim for a store
-    directory; synthetic no-reduction segments for an in-memory
-    collection), decodes those same bytes once into per-host
+    directory; synthetic no-reduction segments for in-memory host
+    arenas), decodes those same bytes once into per-host
     {!Trace.Arena}s merged into the canonical row order
-    ({!Store.Query.merge_native}, the order {!Reader.collection}
-    returns), correlates the rows ({!Core.Shard.correlate_arena}), and
-    serialises the resulting causal paths with a back-link per vertex
-    source. Correlation keeps each vertex's raw rows ({!Core.Cag.sources}:
-    host index in those arenas, raw row), so the back-links are a copy of
+    ({!Store.Query.merge_native}, the order {!Reader.query} returns),
+    correlates the rows ({!Core.Shard.correlate_arena}), and serialises
+    the resulting causal paths with a back-link per vertex source.
+    Correlation keeps each vertex's raw rows ({!Core.Cag.sources}: host
+    index in those arenas, raw row), so the back-links are a copy of
     them, exact by construction: no search, no match on record fields.
-    Pattern profiles, the
-    correlation configuration, an optional scenario description and an
-    optional telemetry snapshot ride along. A [`Logs] source is
-    converted to arenas once, at the boundary.
+    Pattern profiles, the correlation configuration, an optional scenario
+    description and an optional telemetry snapshot ride along.
 
     Each stage is timed into {!Telemetry.Registry.default} as
     [pt_bundle_pack_stage_seconds{stage}], and back-links are counted as
@@ -52,10 +50,11 @@ val pack :
   ?jobs:int ->
   ?roll_records:int ->
   config:Core.Correlator.config ->
-  source:[ `Store_dir of string | `Logs of Trace.Log.collection ] ->
+  source:[ `Store_dir of string | `Arenas of Trace.Arena.t list ] ->
   path:string ->
   unit ->
   (summary, string) result
 (** Write the bundle to [path] (atomically, via a temp file + rename).
-    [roll_records] (default 65536) sizes the synthetic segments of a
-    [`Logs] source; a [`Store_dir] source keeps its segmentation. *)
+    [roll_records] (default 65536) sizes the synthetic segments of an
+    [`Arenas] source (raw host arenas; unsorted ones are sorted on a
+    copy); a [`Store_dir] source keeps its segmentation. *)

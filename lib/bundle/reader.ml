@@ -84,8 +84,6 @@ let read_segment_native t (meta : Store.Segment.meta) =
     ~what:(Printf.sprintf "%s section %S" t.display name)
     meta
 
-let read_segment t meta = Result.map Arena.to_collection (read_segment_native t meta)
-
 (* The canonical record order every back-link indexes into: segments
    decoded in manifest order and merged by {!Store.Query.merge_native} —
    the order the packer resolved against, and the one a store query
@@ -100,13 +98,9 @@ let rows t =
       t.rows <- Some r;
       Ok r
 
-let collection t = Result.map (fun r -> Arena.to_collection (List.map snd r)) (rows t)
-
 let query ?telemetry ?pool ?jobs t predicate =
-  Result.map
-    (fun (arenas, stats) -> (Arena.to_collection arenas, stats))
-    (Store.Query.run_native_with ?telemetry ?pool ?jobs ~read:(read_segment_native t)
-       t.store_manifest predicate)
+  Store.Query.run_native_with ?telemetry ?pool ?jobs ~read:(read_segment_native t)
+    t.store_manifest predicate
 
 let paths t =
   match t.decoded_paths with

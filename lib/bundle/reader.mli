@@ -5,8 +5,8 @@
     Embedded segments decode straight into {!Trace.Arena} rows
     ({!Store.Segment.read_embedded_native}); the canonical row order is
     {!Store.Query.merge_native} over them, the same order the packer
-    resolved back-links against. Record lists are built only at the
-    edge of the functions below that return them.
+    resolved back-links against. A record is built only for a resolved
+    back-link.
 
     Decoded artifacts (the canonical rows, the path table, the profiles)
     are cached on the handle after first use, so a [walk] following a
@@ -33,25 +33,19 @@ val config : t -> (Core.Json.t option, string) result
 
 val store_manifest : t -> Store.Manifest.t
 
-val read_segment : t -> Store.Segment.meta -> (Trace.Log.collection, string) result
-(** Decode one embedded segment at its section offset. *)
-
-val collection : t -> (Trace.Log.collection, string) result
-(** The canonical record order: all embedded segments decoded in manifest
-    order and merged by {!Store.Query.merge_native}. Back-link
-    [(host, index)] coordinates index into this collection. The rows are
-    cached; the records are built on each call. *)
-
 val query :
   ?telemetry:Telemetry.Registry.t ->
   ?pool:Parallel.Pool.t ->
   ?jobs:int ->
   t ->
   Store.Query.predicate ->
-  (Trace.Log.collection * Store.Query.stats, string) result
+  (Trace.Arena.t list * Store.Query.stats, string) result
 (** {!Store.Query.run_native_with} against the embedded segments:
-    identical manifest pruning, parallel decode, merge and record
-    filtering as a directory-backed store query. *)
+    identical manifest pruning, parallel decode, merge and row filtering
+    as a directory-backed store query. With {!Store.Query.all} it returns
+    the canonical rows back-link [(host, index)] coordinates index into:
+    all embedded segments decoded in manifest order and merged by
+    {!Store.Query.merge_native} (hosts with no rows left out). *)
 
 val paths : t -> (Codec.decoded, string) result
 (** The correlated causal paths with their back-link table. Cached. *)

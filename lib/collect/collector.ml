@@ -21,10 +21,6 @@ type host_state = {
   g_watermark : R.gauge;
 }
 
-(* Nameable default so [deliver] can skip materialising records when only
-   the arena sink (or nobody) is listening. *)
-let default_on_activity (_ : Trace.Activity.t) = ()
-
 type t = {
   wire : Wire.t;
   node : Node.t;
@@ -33,7 +29,6 @@ type t = {
   recv_chunk : int;
   cpu_per_frame : Sim_time.span;
   cpu_per_record : Sim_time.span;
-  on_activity : Trace.Activity.t -> unit;
   on_arena : Trace.Arena.t -> unit;
   hosts : (string, host_state) Hashtbl.t;
   mutable decode_errors : int;
@@ -96,9 +91,6 @@ let deliver t s (f : Frame.t) =
     let lag = Sim_time.span_to_float_s (Sim_time.diff now ts) in
     Telemetry.Histogram.observe t.h_lag (Float.max 0. lag)
   done;
-  (* Records are materialised only when someone asked for them; the
-     native sink receives the frame's arena as-is. *)
-  if t.on_activity != default_on_activity then Trace.Arena.iter arena t.on_activity;
   t.on_arena arena
 
 let handle_frame t (f : Frame.t) =
@@ -196,8 +188,7 @@ let serve t sock =
   loop ()
 
 let create ?(telemetry = R.default) ?(recv_chunk = 8192) ?(cpu_per_frame = Sim_time.us 50)
-    ?(cpu_per_record = Sim_time.ns 500) ?(on_activity = default_on_activity)
-    ?(on_arena = fun _ -> ()) ~wire ~node ~port () =
+    ?(cpu_per_record = Sim_time.ns 500) ?(on_arena = fun _ -> ()) ~wire ~node ~port () =
   if recv_chunk <= 0 then invalid_arg "Collector.create: recv_chunk";
   let t =
     {
@@ -208,7 +199,6 @@ let create ?(telemetry = R.default) ?(recv_chunk = 8192) ?(cpu_per_frame = Sim_t
       recv_chunk;
       cpu_per_frame;
       cpu_per_record;
-      on_activity;
       on_arena;
       hosts = Hashtbl.create 8;
       decode_errors = 0;

@@ -3,10 +3,10 @@
     One collector node accepts agent connections, incrementally decodes
     PTC1 frames out of the byte stream (tolerating arbitrary TCP
     segmentation), reorders each host's frames by sequence number,
-    deduplicates retransmits, advances per-host watermarks and hands the
-    contained activities — in per-host order — to a sink, typically
-    {!Core.Online.observe}. It acknowledges cumulatively, so agents can
-    trim their spools and resume from the last ack after a crash.
+    deduplicates retransmits, advances per-host watermarks and hands each
+    delivered frame's rows — in per-host order — to a sink, typically
+    {!Core.Online.observe_arena}. It acknowledges cumulatively, so agents
+    can trim their spools and resume from the last ack after a crash.
 
     A frame's [oldest] header is the agent's resend horizon: sequence
     numbers below it that were never received are permanent losses
@@ -20,7 +20,6 @@ val create :
   ?recv_chunk:int ->
   ?cpu_per_frame:Simnet.Sim_time.span ->
   ?cpu_per_record:Simnet.Sim_time.span ->
-  ?on_activity:(Trace.Activity.t -> unit) ->
   ?on_arena:(Trace.Arena.t -> unit) ->
   wire:Wire.t ->
   node:Simnet.Node.t ->
@@ -29,12 +28,11 @@ val create :
   t
 (** Listen on [node]:[port]. Each delivered frame costs
     [cpu_per_frame + records * cpu_per_record] of collector CPU before
-    its activities reach the sinks (defaults 50 us + 500 ns).
-    [on_arena] receives each delivered frame's payload in the native
-    representation (the zero-materialisation path — feed it to
-    {!Core.Online.observe_arena} or {!Store.Writer.ingest_native});
-    [on_activity], when supplied, receives the same rows materialised as
-    records. [recv_chunk] is the recv-syscall buffer (default 8192). *)
+    its rows reach the sink (defaults 50 us + 500 ns). [on_arena]
+    receives each delivered frame's payload arena, with no record built
+    (feed it to {!Core.Online.observe_arena} or
+    {!Store.Writer.ingest_native}). [recv_chunk] is the recv-syscall
+    buffer (default 8192). *)
 
 val endpoint : t -> Simnet.Address.endpoint
 

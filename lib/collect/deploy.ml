@@ -54,8 +54,8 @@ let install ?(telemetry = R.default) ?(config = default_config) ?writer ?on_path
   in
   (* The collector is an extra, untraced machine on the same network.
      Delivery stays in the native representation end to end: each frame's
-     arena is teed row-by-row into the store writer (raw, pre-transform,
-     exactly like the old record tee) and fed to the online correlator. *)
+     arena is teed row by row into the store writer (raw, pre-transform)
+     and fed to the online correlator. *)
   let on_arena =
     match writer with
     | None -> Core.Online.observe_arena online

@@ -40,8 +40,10 @@ val install :
   Tiersim.Service.t ->
   t
 (** Must run before the simulation starts (the agents dial during the
-    run's first instants). [writer] tees every delivered record into a
-    trace store via {!Core.Online}'s [on_activity] hook. [on_path] fires
+    run's first instants). [writer] tees every delivered row into a
+    trace store: each delivered arena goes row by row through
+    {!Store.Writer.observe_row} (raw, before the transform) and then to
+    {!Core.Online.observe_arena}. [on_path] fires
     as each causal path completes out of the in-band feed, at the
     simulated instant the collector's delivered records support it — the
     hook a live diagnosis plane ([Diagnose.Live]) consumes. *)

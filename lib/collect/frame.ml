@@ -15,8 +15,6 @@ let max_boundary_len = 1 lsl 24
 
 let encode_payload_arena arena = Trace.Binary_format.encode_native [ arena ]
 
-let encode_payload ~host activities =
-  encode_payload_arena (Trace.Arena.of_log (Trace.Log.of_list ~hostname:host activities))
 
 let encode_with_boundary ~boundary ~seq ~oldest ~host ~watermark ~payload =
   if seq < 0 then invalid_arg "Frame.encode: negative seq";
@@ -62,7 +60,6 @@ type t = {
 }
 
 let records f = Trace.Arena.length f.arena
-let activities f = List.rev (Trace.Arena.fold f.arena (fun acc a -> a :: acc) [])
 
 (* ---- incremental decoding ----
 

@@ -39,8 +39,7 @@ type t = {
   host : string;
   watermark : Simnet.Sim_time.t;  (** Host-local clock of the batch cut. *)
   arena : Trace.Arena.t;
-      (** Decoded payload rows in file order — the native representation;
-          records are materialised only where a consumer wants them. *)
+      (** Decoded payload rows in file order. *)
   boundary : Trace.Boundary.t;
       (** Unresolved cross-host flows when the agent ran its partial
           correlation pass; empty otherwise. *)
@@ -48,10 +47,6 @@ type t = {
 
 val records : t -> int
 (** Row count of the payload. *)
-
-val activities : t -> Trace.Activity.t list
-(** The payload materialised as records, in payload order (tests and
-    record-level consumers; the hot path iterates [arena] directly). *)
 
 val magic : string
 (** ["PTC1"]. *)
@@ -62,10 +57,6 @@ val ack_magic : string
 val encode_payload_arena : Trace.Arena.t -> string
 (** The PTB1 payload bytes for one batch (what an agent spools) —
     {!Trace.Binary_format.encode_native} over the single host arena. *)
-
-val encode_payload : host:string -> Trace.Activity.t list -> string
-(** Record-list convenience over {!encode_payload_arena} (sorts into
-    {!Trace.Log} order first, like the store does). *)
 
 val encode :
   seq:int -> oldest:int -> host:string -> watermark:Simnet.Sim_time.t -> payload:string ->

@@ -3,14 +3,8 @@ module Arena = Trace.Arena
 module Sim_time = Simnet.Sim_time
 module R = Telemetry.Registry
 
-(* Nameable default so the arena path can detect "nobody is listening"
-   physically and skip materialising filtered-out rows just to tee them. *)
-let default_on_activity (_ : Trace.Activity.t) = ()
-
 type t = {
-  transform : Transform.config;
-  tmemo : Transform.memo;  (* per-id transform decisions for {!observe_arena} *)
-  on_activity : Trace.Activity.t -> unit;
+  tmemo : Transform.memo;  (* per-id transform decisions *)
   ordinals : (string, int ref) Hashtbl.t;
       (* per traced host: rows delivered so far, filtered ones included —
          the raw row index an offline run over the same logs sees *)
@@ -20,6 +14,7 @@ type t = {
   skew_allowance : Sim_time.span;
   mutable accepted : int;
   mutable resolved : int;
+  mutable peak_pending : int;
   mutable watermark : Sim_time.t;  (* latest fed local timestamp, any host *)
   mutable finished : bool;
   mutable seen_evictions : int;  (* ranker counts already mirrored *)
@@ -78,8 +73,8 @@ let drain t =
 
 let pending t = t.accepted - Ranker.resolved t.ranker
 
-let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
-    ?(on_path = fun _ -> ()) ?(on_activity = default_on_activity) ?(telemetry = R.default) () =
+let create ~config ~hosts ?straggler_timeout ?max_buffered ?(on_path = fun _ -> ())
+    ?(telemetry = R.default) () =
   let holder = ref None in
   let engine =
     Cag_engine.create
@@ -106,15 +101,13 @@ let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
   let ranker =
     Ranker.create_online ~window:config.Correlator.window
       ~skew_allowance:config.Correlator.skew_allowance
-      ~ablation:config.Correlator.ablation ?straggler_timeout ?max_buffered ?reorder_slack
+      ~ablation:config.Correlator.ablation ?straggler_timeout ?max_buffered
       ~has_mmap_send:(Cag_engine.has_mmap_send engine)
       ~hosts ()
   in
   let t =
     {
-      transform = config.Correlator.transform;
       tmemo = Transform.memo config.Correlator.transform;
-      on_activity;
       ordinals = Hashtbl.of_seq (List.to_seq (List.map (fun h -> (h, ref 0)) hosts));
       ranker;
       engine;
@@ -122,6 +115,7 @@ let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
       skew_allowance = config.Correlator.skew_allowance;
       accepted = 0;
       resolved = 0;
+      peak_pending = 0;
       watermark = Sim_time.zero;
       finished = false;
       seen_evictions = 0;
@@ -143,7 +137,7 @@ let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
           "pt_online_path_lag_seconds";
       m_quarantined =
         (fun reason ->
-          R.counter telemetry ~help:"Malformed records quarantined instead of raising"
+          R.counter telemetry ~help:"Out-of-contract records quarantined instead of raising"
             ~labels:[ ("reason", Ranker.reject_reason_to_string reason) ]
             "pt_online_quarantined_total");
       m_evictions =
@@ -179,41 +173,46 @@ let settle t ts = function
       if Sim_time.(ts > t.watermark) then t.watermark <- ts;
       drain t;
       sync_degraded t;
-      R.set t.m_pending (float_of_int (pending t))
+      let p = pending t in
+      if p > t.peak_pending then t.peak_pending <- p;
+      R.set t.m_pending (float_of_int p)
 
-(* Claim [n] ordinals of [host]'s delivered rows: the first one, or [-1]
-   for a host that is not traced. *)
-let take_ordinals t host n =
-  match Hashtbl.find_opt t.ordinals host with
+(* The counter of the rows [arena]'s host has delivered, or [None] for a
+   host that is not traced. *)
+let ordinals t arena = Hashtbl.find_opt t.ordinals (Arena.hostname arena)
+
+(* Claim the next [n] rows of a counter: the first one's index, or [-1]
+   without a counter. *)
+let claim counter n =
+  match counter with
   | Some next ->
       let first = !next in
       next := first + n;
       first
   | None -> -1
 
-let observe t raw =
-  t.on_activity raw;
-  let origin = take_ordinals t raw.Activity.context.Activity.host 1 in
-  match Transform.classify t.transform raw with
-  | None -> ()
-  | Some activity -> settle t activity.Activity.timestamp (Ranker.feed ~origin t.ranker activity)
+(* Feed row [i] of [arena], the [origin]th row its host delivered. *)
+let[@inline] observe_row t arena i ~origin =
+  let k = Transform.classify_row t.tmemo arena i in
+  if k >= 0 then begin
+    let ts = Arena.ts arena i in
+    settle t (Sim_time.of_ns ts)
+      (Ranker.feed_row t.ranker ~kind:k ~ts ~ctx:(Arena.ctx_id arena i)
+         ~flow:(Arena.flow_id arena i) ~size:(Arena.size arena i) ~origin)
+  end
 
 let observe_arena t arena =
-  (* Rows only need materialising when a tee listener wants the raw
-     record. *)
-  let tee = t.on_activity != default_on_activity in
-  let first = take_ordinals t (Arena.hostname arena) (Arena.length arena) in
+  (* One claim per arena: its rows are its host's next rows. *)
+  let first = claim (ordinals t arena) (Arena.length arena) in
   for i = 0 to Arena.length arena - 1 do
-    if tee then t.on_activity (Arena.get arena i);
-    let k = Transform.classify_row t.tmemo arena i in
-    if k >= 0 then begin
-      let ts = Arena.ts arena i in
-      settle t (Sim_time.of_ns ts)
-        (Ranker.feed_row t.ranker ~kind:k ~ts ~ctx:(Arena.ctx_id arena i)
-           ~flow:(Arena.flow_id arena i) ~size:(Arena.size arena i)
-           ~origin:(if first < 0 then -1 else first + i))
-    end
+    observe_row t arena i ~origin:(if first < 0 then -1 else first + i)
   done
+
+let replay t arenas =
+  let arenas = Array.of_list arenas in
+  let counters = Array.map (ordinals t) arenas in
+  Arena.iter_merged arenas (fun h i ->
+      observe_row t arenas.(h) i ~origin:(claim counters.(h) 1))
 
 let finish t =
   Ranker.close_input t.ranker;
@@ -232,12 +231,4 @@ let ranker_stats t = Ranker.stats t.ranker
 let engine_stats t = Cag_engine.stats t.engine
 let quarantine_log t = Ranker.quarantine_log t.ranker
 let stragglers_active t = Ranker.stragglers_active t.ranker
-
-let attach ~config ~probe ~hosts ?straggler_timeout ?max_buffered ?reorder_slack ?on_path
-    ?on_activity ?telemetry () =
-  let t =
-    create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack ?on_path
-      ?on_activity ?telemetry ()
-  in
-  Trace.Probe.add_listener probe (observe t);
-  t
+let peak_pending t = t.peak_pending

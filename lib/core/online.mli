@@ -3,14 +3,15 @@
     The paper runs its experiments offline but positions PreciseTracer's
     "low overhead and tolerance of noise" as making it "a promising
     tracing tool for using on production systems". This module provides
-    that mode: activities are pushed in as each node's tracer reports
-    them (e.g. via {!Trace.Probe.add_listener}), and completed causal
-    paths pop out with bounded lag.
+    that mode: each node's rows are pushed in as a collector delivers
+    them ({!observe_arena}; [Collect.Deploy] wires it to the in-band
+    collection plane), and completed causal paths pop out with bounded
+    lag. {!replay} feeds saved logs through the same path.
 
     Candidates are only committed once every node's feed watermark has
     passed their timestamp plus the skew allowance (see
-    {!Ranker.rank_step}), so the online run produces {e exactly} the same
-    CAGs as an offline run over the final logs — a property the test
+    {!Ranker.create_online}), so the online run produces {e exactly} the
+    same CAGs as an offline run over the final logs — a property the test
     suite asserts. The price is latency: a path completes at most
     [skew_allowance] (plus feeding lag) after its END activity.
 
@@ -25,11 +26,10 @@
       finishing while a straggler is evicted are flagged deformed
       ({!Cag.is_deformed}) and counted in
       [pt_online_deformed_paths_total];
-    - malformed records (unknown host, fed after {!finish}, duplicates,
-      timestamp regressions beyond the skew allowance, too-late records,
-      ports outside 0..65535)
-      are quarantined and counted in
-      [pt_online_quarantined_total{reason=...}] — {!observe} never
+    - out-of-contract records (unknown host, fed after {!finish},
+      duplicates, timestamp regressions beyond the skew allowance,
+      too-late records) are quarantined and counted in
+      [pt_online_quarantined_total{reason=...}] — {!observe_arena} never
       raises; regressions within the allowance are re-sorted into place;
     - [max_buffered] bounds held records: past it the ranker
       force-resolves the oldest window instead of waiting, and the
@@ -44,20 +44,14 @@ val create :
   hosts:string list ->
   ?straggler_timeout:Simnet.Sim_time.span ->
   ?max_buffered:int ->
-  ?reorder_slack:Simnet.Sim_time.span ->
   ?on_path:(Cag.t -> unit) ->
-  ?on_activity:(Trace.Activity.t -> unit) ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   t
 (** [hosts] are the traced nodes (each will feed one stream). [on_path]
-    fires as each causal path completes. [on_activity] fires on every
-    {e raw} observed activity before the BEGIN/END transform or any
-    filtering — the tee point for a capture-to-disk consumer such as a
-    store writer ([Store.Writer.observe]), so correlation and durable
-    capture share one feed. [straggler_timeout], [max_buffered] and
-    [reorder_slack] configure the degraded-feed behaviour described
-    above (all off by default). The run reports itself into
+    fires as each causal path completes. [straggler_timeout] and
+    [max_buffered] configure the degraded-feed behaviour described above
+    (both off by default). The run reports itself into
     [telemetry] (default {!Telemetry.Registry.default}): live pending
     depth ([pt_online_pending]), accepted activities, completed paths, the
     path-completion lag against the feed watermark
@@ -66,31 +60,31 @@ val create :
     offline {!Correlator.correlate} run records, so online and offline
     runs are comparable through one snapshot. *)
 
-val observe : t -> Trace.Activity.t -> unit
-(** Push one raw activity (SEND/RECEIVE, as the probe reports them). The
-    BEGIN/END transform and noise filters of the configuration are applied
-    here; progress is drained eagerly. Never raises: out-of-contract
-    records (including any fed after {!finish}) are quarantined and
-    counted instead.
-
-    Each record delivered for a traced host is that host's next raw row,
-    counted from 0 with filtered records included, so vertex
-    {!Cag.sources} name (index in [hosts], raw row): the coordinates an
-    offline run over the final logs gives the same vertices. *)
-
 val observe_arena : t -> Trace.Arena.t -> unit
-(** {!observe} over every row of an arena, in row order — the native feed
-    for collector batches and decoded segments. Transform decisions are
-    memoised per interned context/flow id, and surviving rows go to
-    {!Ranker.feed_row} as ids: no record is built and no {!Trace.Intern}
-    lookup is made per row (unless an [on_activity] tee needs the raw
-    record). Same quarantine-not-raise contract and
-    raw-row numbering as {!observe}: the arena's rows are its host's next
-    rows. *)
+(** Push every row of one host's arena (raw SEND/RECEIVE rows, as the
+    probe reports them), in row order — the native feed for collector
+    batches. The BEGIN/END transform and noise filters of the
+    configuration are applied here, memoised per interned context/flow
+    id, and surviving rows go to {!Ranker.feed_row} as ids: no record is
+    built and no {!Trace.Intern} lookup is made per row. Progress is
+    drained eagerly. Never raises: out-of-contract rows (including any
+    fed after {!finish}) are quarantined and counted instead.
+
+    The arena's rows are its host's next raw rows, counted from 0 with
+    filtered rows included, so vertex {!Cag.sources} name (index in
+    [hosts], raw row): the coordinates an offline run over the final
+    logs gives the same vertices. *)
+
+val replay : t -> Trace.Arena.t list -> unit
+(** Feed saved host arenas (each in {!Trace.Arena.sort_by_time} order,
+    one per host) row by row in arrival order: the
+    {!Trace.Arena.iter_merged} order, which is how a stable time sort of
+    all their records would interleave them. Raw-row numbering is as for
+    {!observe_arena}. Call {!finish} afterwards. *)
 
 val finish : t -> unit
 (** Declare the input complete and drain everything that remains.
-    Idempotent; further {!observe} calls are quarantined as [closed]. *)
+    Idempotent; rows fed afterwards are quarantined as [closed]. *)
 
 val paths : t -> Cag.t list
 (** Completed paths so far, in completion order. *)
@@ -102,6 +96,9 @@ val deformed : t -> Cag.t list
 val pending : t -> int
 (** Activities accepted but not yet resolved into a candidate. *)
 
+val peak_pending : t -> int
+(** The highest {!pending} seen after any accepted record. *)
+
 val stragglers_active : t -> int
 (** Streams currently evicted as stragglers. *)
 
@@ -110,18 +107,3 @@ val quarantine_log : t -> (Ranker.reject_reason * Trace.Activity.t) list
 
 val ranker_stats : t -> Ranker.stats
 val engine_stats : t -> Cag_engine.stats
-
-val attach :
-  config:Correlator.config ->
-  probe:Trace.Probe.t ->
-  hosts:string list ->
-  ?straggler_timeout:Simnet.Sim_time.span ->
-  ?max_buffered:int ->
-  ?reorder_slack:Simnet.Sim_time.span ->
-  ?on_path:(Cag.t -> unit) ->
-  ?on_activity:(Trace.Activity.t -> unit) ->
-  ?telemetry:Telemetry.Registry.t ->
-  unit ->
-  t
-(** Convenience: create and register on a probe, correlating live while a
-    simulation (or deployment) runs. Call {!finish} when the run ends. *)

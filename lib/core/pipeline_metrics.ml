@@ -21,7 +21,7 @@ let add_ranker_stats reg (s : Ranker.stats) =
   List.iter
     (fun (reason, n) ->
       R.add
-        (R.counter reg ~help:"Malformed records quarantined by the ranker"
+        (R.counter reg ~help:"Out-of-contract records quarantined by the ranker"
            ~labels:[ ("reason", Ranker.reject_reason_to_string reason) ]
            "pt_ranker_quarantined_total")
         n)

@@ -43,7 +43,7 @@ type stream = {
          waiting on this stream until its feed catches the watermark. *)
 }
 
-type reject_reason = Unknown_host | Closed | Duplicate | Regression | Stale | Malformed
+type reject_reason = Unknown_host | Closed | Duplicate | Regression | Stale
 
 let reject_reason_to_string = function
   | Unknown_host -> "unknown_host"
@@ -51,7 +51,6 @@ let reject_reason_to_string = function
   | Duplicate -> "duplicate"
   | Regression -> "regression"
   | Stale -> "stale"
-  | Malformed -> "malformed"
 
 let reason_index = function
   | Unknown_host -> 0
@@ -59,9 +58,8 @@ let reason_index = function
   | Duplicate -> 2
   | Regression -> 3
   | Stale -> 4
-  | Malformed -> 5
 
-let all_reject_reasons = [ Unknown_host; Closed; Duplicate; Regression; Stale; Malformed ]
+let all_reject_reasons = [ Unknown_host; Closed; Duplicate; Regression; Stale ]
 
 type feed_result = Accepted | Resorted | Quarantined of reject_reason
 
@@ -100,7 +98,6 @@ type t = {
   ablation : ablation;
   straggler_timeout : int option;
   max_buffered : int option;
-  reorder_slack : int;
   streams : stream array;  (* one per node log *)
   host_index : (string, int) Hashtbl.t;  (* host -> index in [streams] *)
   queues : int Deque.t array;  (* row indices into [streams.(i).rows] *)
@@ -202,8 +199,8 @@ let activity_of_row t ~kind ~ts ~ctx ~flow ~size =
 
 (* ---- construction ---- *)
 
-let make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reorder_slack
-    ~has_mmap_send streams =
+let make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~has_mmap_send
+    streams =
   let window = Sim_time.span_ns window and skew_allowance = Sim_time.span_ns skew_allowance in
   if window <= 0 then invalid_arg "Ranker.create: window must be positive";
   let host_index = Hashtbl.create (Array.length streams) in
@@ -214,10 +211,6 @@ let make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reo
     ablation;
     straggler_timeout = Option.map Sim_time.span_ns straggler_timeout;
     max_buffered;
-    (* A slack beyond the skew allowance is unusable: [feed] quarantines
-       regressions larger than the allowance, so no later record can
-       arrive below [last_ts - skew_allowance] anyway. *)
-    reorder_slack = Int.min (Sim_time.span_ns reorder_slack) skew_allowance;
     streams;
     host_index;
     queues = Array.map (fun (_ : stream) -> Deque.create ()) streams;
@@ -287,7 +280,7 @@ let create_native ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_abl
     ~has_mmap_send arenas =
   let t =
     make ~window ~skew_allowance ~ablation ~straggler_timeout:None ~max_buffered:None
-      ~reorder_slack:Sim_time.span_zero ~has_mmap_send
+      ~has_mmap_send
       (Array.of_list (List.map (stream ~closed:true) arenas))
   in
   Array.iteri (fun i _ -> sync_front t i) t.streams;
@@ -298,24 +291,19 @@ let create ~window ?skew_allowance ?ablation ~has_mmap_send collection =
     (Arena.of_collection collection)
 
 let create_online ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_ablation)
-    ?straggler_timeout ?max_buffered ?(reorder_slack = Sim_time.span_zero) ~has_mmap_send ~hosts
-    () =
-  make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reorder_slack
-    ~has_mmap_send
+    ?straggler_timeout ?max_buffered ~has_mmap_send ~hosts () =
+  make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~has_mmap_send
     (Array.of_list
        (List.map (fun host -> stream ~closed:false (Arena.create ~origins:true ~host ())) hosts))
 
 (* ---- buffer bookkeeping ---- *)
 
-let quarantine_record t reason a =
+let quarantine t reason ~kind ~ts ~ctx ~flow ~size =
   let r = reason_index reason in
   t.quarantine_counts.(r) <- t.quarantine_counts.(r) + 1;
   if Deque.length t.quarantine_log >= quarantine_cap then ignore (Deque.pop_front t.quarantine_log);
-  Deque.push_back t.quarantine_log (reason, a);
+  Deque.push_back t.quarantine_log (reason, activity_of_row t ~kind ~ts ~ctx ~flow ~size);
   Quarantined reason
-
-let quarantine t reason ~kind ~ts ~ctx ~flow ~size =
-  quarantine_record t reason (activity_of_row t ~kind ~ts ~ctx ~flow ~size)
 
 let close_input t = Array.iter (fun s -> s.closed <- true) t.streams
 
@@ -430,22 +418,6 @@ let feed_row t ~kind ~ts ~ctx ~flow ~size ~origin =
       Accepted
     end
   end
-
-(* Unknown-host and post-close records are turned away before interning,
-   so garbage does not grow the process-wide tables. A flow {!Intern}
-   cannot represent (a port outside 0..65535) has no id: [Malformed]. *)
-let feed ?(origin = -1) t (a : Activity.t) =
-  match Hashtbl.find_opt t.host_index a.context.host with
-  | None -> quarantine_record t Unknown_host a
-  | Some i when t.streams.(i).closed -> quarantine_record t Closed a
-  | Some _ -> (
-      let ctx = Intern.context_id a.context in
-      match Intern.flow_id a.message.flow with
-      | exception Invalid_argument _ -> quarantine_record t Malformed a
-      | flow ->
-          feed_row t
-            ~kind:(Activity.kind_to_code a.kind)
-            ~ts:(Sim_time.to_ns a.timestamp) ~ctx ~flow ~size:a.message.size ~origin)
 
 (* ---- the sliding window ---- *)
 
@@ -604,27 +576,21 @@ let straggler_skippable t s =
    order; with live input this is only safe once every still-open stream
    that has nothing buffered has reported past [ts + skew_allowance] - no
    future activity can then belong before it. Closed streams and streams
-   with buffered or fetched-but-unranked data behave exactly as offline.
-   With a non-zero [reorder_slack], every open stream must additionally
-   have reported past [ts + slack]: a record delayed by up to the slack
-   could otherwise still arrive and re-sort ahead of the candidate. *)
+   with buffered or fetched-but-unranked data behave exactly as offline. *)
 let safe_to_pop t ts =
-  let horizon = ts + t.skew_allowance and slack_floor = ts + t.reorder_slack in
+  let horizon = ts + t.skew_allowance in
   let ok = ref true in
   for i = 0 to Array.length t.streams - 1 do
     let s = t.streams.(i) in
-    if not s.closed then begin
-      let blocking =
-        (t.head_kind.(i) < 0 && t.front_ts.(i) = max_int && s.last_ts < horizon)
-        || (t.reorder_slack > 0 && s.last_ts < slack_floor)
-      in
-      if blocking && not (straggler_skippable t s) then ok := false
-    end
+    if
+      (not s.closed)
+      && t.head_kind.(i) < 0
+      && t.front_ts.(i) = max_int
+      && s.last_ts < horizon
+      && not (straggler_skippable t s)
+    then ok := false
   done;
   !ok
-
-let fully_consumed t =
-  Array.for_all (fun s -> s.closed) t.streams && Array.for_all (Int.equal max_int) t.front_ts
 
 (* Declaring a suspect stamped [ts] noise requires knowing nothing
    relevant is still on the wire: every open stream must have reported
@@ -744,11 +710,6 @@ let candidate t =
   let rows = candidate_rows t and r = t.candidate_row in
   activity_of_row t ~kind:(Arena.kind_code rows r) ~ts:(Arena.ts rows r)
     ~ctx:(Arena.ctx_id rows r) ~flow:(Arena.flow_id rows r) ~size:(Arena.size rows r)
-
-type step = Candidate of Activity.t | Need_input | Exhausted
-
-let rank_step t =
-  if next t then Candidate (candidate t) else if fully_consumed t then Exhausted else Need_input
 
 let rank t = if next t then Some (candidate t) else None
 

@@ -33,9 +33,8 @@
     ({!candidate_ctx}, {!candidate_flow}) and as one record
     ({!candidate}), built from a per-run id -> record cache that asks
     {!Trace.Intern} once per distinct id. {!create} (a
-    {!Trace.Log.collection}, through {!Trace.Arena.of_collection}),
-    {!feed} (an {!Trace.Activity.t}, interned), {!rank} and {!rank_step}
-    are adapters onto the same code. *)
+    {!Trace.Log.collection}, through {!Trace.Arena.of_collection}) and
+    {!rank} are adapters onto the same code. *)
 
 type t
 
@@ -47,9 +46,6 @@ type reject_reason =
   | Stale
       (** Late within the allowance, but behind what its stream already
           committed to the engine — too late to re-sort. *)
-  | Malformed
-      (** A field {!Trace.Intern} cannot represent, such as a port
-          outside 0..65535, so the record has no id. *)
 
 val reject_reason_to_string : reject_reason -> string
 (** Stable lower-snake label, used as the [reason] metric label. *)
@@ -139,13 +135,13 @@ val candidate : t -> Trace.Activity.t
 val rank : t -> Trace.Activity.t option
 (** {!next} then {!candidate}: the next candidate, or [None] when all
     input is consumed. (For rankers with open input, [None] can also mean
-    "need more input" — use {!rank_step} to distinguish.) *)
+    "need more input".) *)
 
 (** {1 Live operation}
 
     A ranker can also be driven online, as traces stream in from the
-    cluster: create it with the node list, [feed] activities as the probe
-    reports them, and pull candidates with {!next} or {!rank_step}.
+    cluster: create it with the node list, {!feed_row} rows as the
+    collector delivers them, and pull candidates with {!next}.
     Candidates are withheld until enough input has arrived that no
     later-fed activity could precede them (each stream's feed watermark
     must pass the candidate's timestamp plus the skew allowance), so
@@ -161,21 +157,17 @@ val rank : t -> Trace.Activity.t option
       evicted from the wait set, so a silent host cannot stall everyone
       else forever. If it later catches back up to within the timeout it
       is reintegrated (a resync), and its backlog is fetched normally.
-    - {b Input quarantine}: {!feed} never raises. Malformed records —
-      unknown host, post-close, duplicates, large timestamp regressions,
-      too-late records, unrepresentable fields — are counted per
-      {!reject_reason} and kept in a
-      bounded inspection log; regressions within the skew allowance are
-      re-sorted into place instead.
+    - {b Input quarantine}: {!feed_row} never raises. Out-of-contract
+      records — unknown host, post-close, duplicates, large timestamp
+      regressions, too-late records — are counted per {!reject_reason}
+      and kept in a bounded inspection log; regressions within the skew
+      allowance are re-sorted into place instead. (A port outside
+      0..65535 never gets this far: the text, PTB1 and PTC1 decoders
+      reject it, and an arena cannot hold one.)
     - {b Backpressure} ([max_buffered]): when held records (buffered plus
       unfetched backlog) exceed the bound, {!next} force-resolves the
       oldest window instead of waiting for reassuring input, so memory
-      stays bounded even when safety cannot be established.
-    - {b Reorder slack} ([reorder_slack], default zero): with a non-zero
-      slack every candidate additionally waits until all open streams have
-      reported past [candidate.ts + slack], which restores exact
-      offline equality when each stream's feed may be reordered by up to
-      the slack (clamped to the skew allowance). *)
+      stays bounded even when safety cannot be established. *)
 
 val create_online :
   window:Simnet.Sim_time.span ->
@@ -183,7 +175,6 @@ val create_online :
   ?ablation:ablation ->
   ?straggler_timeout:Simnet.Sim_time.span ->
   ?max_buffered:int ->
-  ?reorder_slack:Simnet.Sim_time.span ->
   has_mmap_send:(int -> bool) ->
   hosts:string list ->
   unit ->
@@ -194,29 +185,13 @@ val feed_row :
 (** Append one row, in {!Trace.Arena.append}'s encoding, to the stream of
     its context's host. [origin] is the row's raw row, reported back by
     {!candidate_origin} ([-1]: none); online streams keep it through
-    re-sorts and reclaims. Never raises: malformed records are
+    re-sorts and reclaims. Never raises: out-of-contract records are
     {!Quarantined} (counted per reason, logged in a bounded ring), and
     regressions within the skew allowance are {!Resorted} into place. A
     record is built only for a quarantined row. *)
 
-val feed : ?origin:int -> t -> Trace.Activity.t -> feed_result
-(** {!feed_row} of the activity's interned ids ([origin] defaults to
-    [-1]). Records of an unknown
-    host or fed after {!close_input} are quarantined before interning, so
-    they do not grow {!Trace.Intern}; a record that cannot be interned is
-    [Malformed]. Never raises. *)
-
 val close_input : t -> unit
 (** No more activities will be fed; pending candidates become decidable. *)
-
-type step =
-  | Candidate of Trace.Activity.t
-  | Need_input  (** Undecidable until more input is fed (or input closed). *)
-  | Exhausted  (** All input consumed. *)
-
-val rank_step : t -> step
-(** {!next}, with the candidate as its record and the two ways of having
-    none told apart. *)
 
 val buffered : t -> int
 (** Activities currently held in the ranker's queues. *)

@@ -21,8 +21,8 @@ let begin_code = 0
 let send_code = 1
 let end_code = 2
 
-(* One sweep over the time-merged feed of the host arenas: a k-way merge
-   in {!Arena.compare_across} order, ties broken by host index. The merge
+(* One sweep over the time-merged feed of the host arenas
+   ({!Arena.iter_merged}, the order {!Online.replay} feeds). The merge
    keeps each host's order, so a feed range [lo, hi) is one contiguous
    row range per host, and an epoch is stored as each host's first row.
 
@@ -51,17 +51,8 @@ let make_plan ~margin ~jobs arenas =
   let hosts = Array.length arenas in
   let n = Array.fold_left (fun acc a -> acc + Arena.length a) 0 arenas in
   let chunk = max 1 (n / max 1 (4 * jobs)) in
+  (* [pos.(h)]: host [h]'s rows swept so far, its next row in the feed. *)
   let pos = Array.make hosts 0 in
-  let next_host () =
-    let best = ref (-1) in
-    for h = 0 to hosts - 1 do
-      if
-        pos.(h) < Arena.length arenas.(h)
-        && (!best < 0 || Arena.compare_across arenas.(h) pos.(h) arenas.(!best) pos.(!best) < 0)
-      then best := h
-    done;
-    !best
-  in
   (* BEGIN is the client's receive (flow client->entry), END the reply
      send (flow entry->client): END looks up the reversed flow, so both
      key on the (client, entry) orientation. *)
@@ -76,33 +67,33 @@ let make_plan ~margin ~jobs arenas =
     Intern.Table.replace balances flow next
   in
   let margin = Sim_time.span_ns margin in
-  let cuts = ref 0 and lo = ref 0 and last_ts = ref 0 in
+  let cuts = ref 0 and lo = ref 0 and last_ts = ref 0 and i = ref 0 in
   let epochs = ref [] and starts = ref [ Array.copy pos ] in
-  for i = 0 to n - 1 do
-    let h = next_host () in
-    let a = arenas.(h) and r = pos.(h) in
-    let ts = Arena.ts a r in
-    if i > 0 && Intern.Table.length open_entry = 0 && !unbalanced = 0 && ts - !last_ts >= margin
-    then begin
-      incr cuts;
-      if i - !lo >= chunk then begin
-        epochs := (!lo, i) :: !epochs;
-        starts := Array.copy pos :: !starts;
-        lo := i
-      end
-    end;
-    let flow = Arena.flow_id a r in
-    (match Arena.kind_code a r with
-    | k when k = begin_code -> Intern.Table.replace open_entry flow ()
-    | k when k = end_code -> (
-        match Intern.reverse_flow_id flow with
-        | Some key -> Intern.Table.remove open_entry key
-        | None -> ())
-    | k when k = send_code -> adjust flow (Arena.size a r)
-    | _ -> adjust flow (-Arena.size a r));
-    pos.(h) <- r + 1;
-    last_ts := ts
-  done;
+  Arena.iter_merged arenas (fun h r ->
+      let a = arenas.(h) in
+      let ts = Arena.ts a r in
+      if
+        !i > 0 && Intern.Table.length open_entry = 0 && !unbalanced = 0 && ts - !last_ts >= margin
+      then begin
+        incr cuts;
+        if !i - !lo >= chunk then begin
+          epochs := (!lo, !i) :: !epochs;
+          starts := Array.copy pos :: !starts;
+          lo := !i
+        end
+      end;
+      let flow = Arena.flow_id a r in
+      (match Arena.kind_code a r with
+      | k when k = begin_code -> Intern.Table.replace open_entry flow ()
+      | k when k = end_code -> (
+          match Intern.reverse_flow_id flow with
+          | Some key -> Intern.Table.remove open_entry key
+          | None -> ())
+      | k when k = send_code -> adjust flow (Arena.size a r)
+      | _ -> adjust flow (-Arena.size a r));
+      pos.(h) <- r + 1;
+      last_ts := ts;
+      incr i);
   {
     arenas;
     epochs = Array.of_list (List.rev ((!lo, n) :: !epochs));
@@ -262,9 +253,6 @@ let correlate_arena ?(telemetry = R.default) ?pool ?jobs (cfg : Correlator.confi
           merge_results ~started results)
     end
   end
-
-let correlate ?telemetry ?pool ?jobs cfg collection =
-  correlate_arena ?telemetry ?pool ?jobs cfg (Arena.of_collection collection)
 
 (* The digest preimage lives in {!Hierarchy.render} now, shared with the
    hierarchical root's identity check; the bytes are unchanged. Ids are

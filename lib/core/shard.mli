@@ -13,9 +13,10 @@
     {!correlate_arena} works on arena rows end to end. It transforms the
     host arenas ({!Transform.apply_native}), then finds request-quiescent
     cuts (the same quiescence the ranker's watermark machinery waits for)
-    in one sweep over a k-way merge of their rows, keyed by {!Trace.Intern}
-    flow ids. The merge keeps each host's order, so an epoch is one
-    contiguous row range per host: each epoch's arenas are copied out
+    in one sweep over a k-way merge of their rows
+    ({!Trace.Arena.iter_merged}), keyed by {!Trace.Intern} flow ids. The
+    merge keeps each host's order, so an epoch is one contiguous row
+    range per host: each epoch's arenas are copied out
     with {!Trace.Arena.append_range} and run through
     {!Correlator.correlate_rows} in a worker domain of a
     {!Parallel.Pool}. The per-epoch results are merged back in epoch
@@ -24,8 +25,7 @@
     identical to the serial pipeline's. Requests that never close (lost
     ENDs) or flows that never balance (a silent host's unreceived sends)
     block all later cuts, so degraded feeds gracefully collapse toward
-    one big epoch: still correct, just less parallel. {!correlate} is the
-    record-list adapter onto it.
+    one big epoch: still correct, just less parallel.
 
     What is {e not} identical to serial: wall-clock fields
     ([correlation_time], the memory proxies, [peak_*] stats are
@@ -66,16 +66,6 @@ val correlate_arena :
     [pt_correlator_*]/[pt_ranker_*]/[pt_engine_*] metrics (counter
     totals match the serial run, see above) plus [pt_parallel_*]
     planning and per-epoch figures. *)
-
-val correlate :
-  ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
-  ?jobs:int ->
-  Correlator.config ->
-  Trace.Log.collection ->
-  Correlator.result
-(** {!correlate_arena} over the records packed with
-    {!Trace.Arena.of_collection}. *)
 
 val digest : Correlator.result -> string
 (** A canonical hex digest of everything the pattern/report layer shows:

@@ -12,27 +12,6 @@ let config ~entry_points ?(drop_programs = []) ?(drop_ports = []) () =
 
 let is_entry cfg ep = List.exists (Address.endpoint_equal ep) cfg.entry_points
 
-let filtered_out cfg (a : Activity.t) =
-  List.exists (String.equal a.context.program) cfg.drop_programs
-  || List.exists
-       (fun p -> a.message.flow.src.port = p || a.message.flow.dst.port = p)
-       cfg.drop_ports
-
-let classify cfg (a : Activity.t) =
-  if filtered_out cfg a then None
-  else
-    let kind =
-      match a.kind with
-      | Activity.Receive when is_entry cfg a.message.flow.dst -> Activity.Begin
-      | Activity.Send when is_entry cfg a.message.flow.src -> Activity.End_
-      | k -> k
-    in
-    Some { a with kind }
-
-let apply cfg collection = Trace.Log.map_activities (classify cfg) collection
-
-(* ---- native path ---- *)
-
 module Arena = Trace.Arena
 module Intern = Trace.Intern
 

@@ -26,17 +26,9 @@ val config :
   unit ->
   config
 
-val classify : config -> Trace.Activity.t -> Trace.Activity.t option
-(** [None] if filtered out; otherwise the activity with its kind rewritten
-    to BEGIN/END when it crosses an entry point. *)
-
-val apply : config -> Trace.Log.collection -> Trace.Log.collection
-
-(** {1 Native path}
-
-    Classification depends only on interned context and flow ids, so the
-    arena path memoises one decision per distinct id instead of matching
-    strings and endpoints per record. *)
+(** Classification depends only on interned context and flow ids, so
+    one decision is memoised per distinct id instead of matching strings
+    and endpoints per record. *)
 
 type memo
 (** Per-run decision cache; create one per feed with {!memo}. *)
@@ -48,8 +40,9 @@ val classify_row : memo -> Trace.Arena.t -> int -> int
     the row is filtered out. *)
 
 val apply_native : config -> Trace.Arena.t list -> Trace.Arena.t list
-(** {!apply} in the native representation (same per-record semantics); host arenas are preserved even when every
-    row is dropped, like {!apply} keeps empty logs, and each is sorted
-    into log order ({!Trace.Arena.sort_by_time}), as {!apply}'s logs
-    are. Each output arena has an origin column: every row knows the
-    input row it came from ({!Trace.Arena.origin}). *)
+(** {!classify_row} over every row: filtered rows are dropped and the
+    rest keep their rewritten kind. Host arenas are preserved even when
+    every row is dropped, and each is sorted into log order
+    ({!Trace.Arena.sort_by_time}), since the entry rewrite changes kind
+    priorities. Each output arena has an origin column: every row knows
+    the input row it came from ({!Trace.Arena.origin}). *)

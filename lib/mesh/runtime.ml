@@ -384,7 +384,8 @@ let pattern_count cags =
 let score_logs ?(window = Sim_time.ms 5) ?(jobs = 2) ~entries ~gt logs =
   let transform = Core.Transform.config ~entry_points:entries () in
   let cfg = Core.Correlator.config ~transform ~window () in
-  let result = Core.Correlator.correlate cfg logs in
+  let arenas = Trace.Arena.of_collection logs in
+  let result = Core.Correlator.correlate_arena cfg arenas in
   (* The oracle stamps visits from application code, which on a contended
      node runs only after the recv continuation clears the CPU run queue;
      the probe stamps the same recv inside the kernel at delivery. The
@@ -400,17 +401,14 @@ let score_logs ?(window = Sim_time.ms 5) ?(jobs = 2) ~entries ~gt logs =
   let sharded_identical =
     if jobs <= 1 then true
     else
-      let sharded = Core.Shard.correlate ~jobs cfg logs in
+      let sharded = Core.Shard.correlate_arena ~jobs cfg arenas in
       String.equal digest (Core.Shard.digest sharded)
-  in
-  let records =
-    List.fold_left (fun n log -> n + List.length (Trace.Log.to_list log)) 0 logs
   in
   {
     result;
     verdict;
     patterns = pattern_count result.Core.Correlator.cags;
-    records;
+    records = Trace.Arena.total arenas;
     digest;
     sharded_identical;
   }

@@ -62,9 +62,6 @@ let merge_native (collections : Trace.Arena.t list list) =
     (fun a b -> String.compare (Trace.Arena.hostname a) (Trace.Arena.hostname b))
     arenas
 
-let merge collections =
-  Trace.Arena.to_collection (merge_native (List.map Trace.Arena.of_collection collections))
-
 let ts_matches predicate ts =
   (match predicate.since_ns with Some s -> ts >= s | None -> true)
   && match predicate.until_ns with Some u -> ts <= u | None -> true
@@ -158,8 +155,3 @@ let run_native ?telemetry ?pool ?jobs ~dir predicate =
       run_native_with ?telemetry ?pool ?jobs
         ~read:(fun m -> Segment.read_native ~dir m)
         manifest predicate
-
-let run ?telemetry ?pool ?jobs ~dir predicate =
-  Result.map
-    (fun (arenas, stats) -> (Trace.Arena.to_collection arenas, stats))
-    (run_native ?telemetry ?pool ?jobs ~dir predicate)

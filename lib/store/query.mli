@@ -3,9 +3,9 @@
     Selection happens in two stages. First the {!Manifest} prunes: only
     segments whose index header overlaps the predicate are opened at all,
     so a query over a narrow time window of a long run decodes a small
-    fraction of the store. Then the surviving segments are decoded and
-    filtered record by record, and per-host logs from different segments
-    are merged back into one sorted collection. *)
+    fraction of the store. Then the surviving segments are decoded into
+    arenas, rows from different segments are merged back into one sorted
+    arena per host, and rows are filtered by integer compares. *)
 
 type predicate = {
   since_ns : int option;  (** Inclusive lower timestamp bound. *)
@@ -39,9 +39,6 @@ val merge_native : Trace.Arena.t list list -> Trace.Arena.t list
     hostname. Every reader of a store or bundle — queries, the bundle
     packer's back-links, [Bundle.Reader] — uses this one order. *)
 
-val merge : Trace.Log.collection list -> Trace.Log.collection
-(** {!merge_native} over record lists, converting at the edges. *)
-
 val run_native_with :
   ?telemetry:Telemetry.Registry.t ->
   ?pool:Parallel.Pool.t ->
@@ -55,8 +52,8 @@ val run_native_with :
     sections embedded in a bundle container — see [Bundle.Reader]).
     Segments decode straight into arenas; merge and filter are integer
     row copies. All pruning, parallel decode, merge and record filtering
-    is shared; the semantics and determinism guarantees of {!run}
-    apply. *)
+    is shared; the semantics and determinism guarantees of
+    {!run_native} apply. *)
 
 val run_native :
   ?telemetry:Telemetry.Registry.t ->
@@ -65,17 +62,8 @@ val run_native :
   dir:string ->
   predicate ->
   (Trace.Arena.t list * stats, string) result
-(** {!run} in the native representation; {!run} itself is this plus a
-    record-list materialisation. *)
-
-val run :
-  ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
-  ?jobs:int ->
-  dir:string ->
-  predicate ->
-  (Trace.Log.collection * stats, string) result
-(** Execute a query against the store at [dir]. Query wall time and
+(** Execute a query against the store at [dir]: one arena per matching
+    host, in {!merge_native} order. Query wall time and
     scan/return counts are recorded into [telemetry] under
     [pt_store_query_*].
 

@@ -172,11 +172,6 @@ let observe_row t ~host ~kind ~ts ~ctx ~flow ~size =
   t.pending <- t.pending + 1;
   if t.pending >= t.roll_records then flush t
 
-let observe t (a : Activity.t) =
-  Arena.append_activity (buffer_for t (Intern.string_id a.Activity.context.host)) a;
-  t.pending <- t.pending + 1;
-  if t.pending >= t.roll_records then flush t
-
 (* Interleave the per-host arenas in global (timestamp, context, kind)
    order — the same segment time-partitioning a live feed would produce,
    and exactly the order the text-era ingest got from stable-sorting the
@@ -185,16 +180,7 @@ let observe t (a : Activity.t) =
    comparisons are on ints. *)
 let ingest_native t arenas =
   let arenas =
-    List.filter_map
-      (fun a ->
-        if Arena.length a = 0 then None
-        else if Arena.is_sorted a then Some a
-        else begin
-          let c = Arena.copy a in
-          Arena.sort_by_time c;
-          Some c
-        end)
-      arenas
+    List.filter_map (fun a -> if Arena.length a = 0 then None else Some (Arena.sorted a)) arenas
     |> Array.of_list
   in
   let n = Array.length arenas in
@@ -292,8 +278,6 @@ let ingest_native t arenas =
       Array.iteri (fun j a -> dests.(j) <- buffer_for t (Arena.host_sid a)) arenas
     end
   done
-
-let ingest t collection = ingest_native t (Arena.of_collection collection)
 
 let close t =
   flush t;

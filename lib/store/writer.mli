@@ -2,11 +2,10 @@
 
     A writer buffers activities per host and rolls a new segment every
     [roll_records] activities, applying its reduction {!Policy} to each
-    batch before encoding — so an {!Core.Online} run (or a
-    {!Trace.Probe} listener) streams reduced segments to disk while the
-    service is still running. {!observe} has exactly the probe-listener
-    shape: [Trace.Probe.add_listener probe (Writer.observe w)] or
-    [Core.Online.create ~on_activity:(Writer.observe w)].
+    batch before encoding — so a live capture streams reduced segments to
+    disk while the service is still running: [Collect.Deploy] tees every
+    delivered arena through {!observe_row}, and {!ingest_native} takes
+    saved host arenas.
 
     Because reduction is per batch, a request that straddles a segment
     boundary is seen by two independent reduction passes; its unfinished
@@ -44,25 +43,17 @@ val create :
     non-[none] policy) and [correlate] is missing.
     @raise Failure if an existing manifest cannot be parsed. *)
 
-val observe : t -> Trace.Activity.t -> unit
-(** Buffer one activity (probe-listener compatible); rolls a segment when
-    the batch threshold is reached. *)
-
 val observe_row : t -> host:int -> kind:int -> ts:int -> ctx:int -> flow:int -> size:int -> unit
-(** The native form of {!observe}: [host] is an {!Trace.Intern.string_id},
-    [kind] an {!Trace.Activity.kind_to_code} code, [ctx]/[flow] interned
-    ids. One arena append, no allocation — the ingest hot path. *)
-
-val ingest : t -> Trace.Log.collection -> unit
-(** Feed a whole collection through {!observe}, interleaving the per-host
-    logs in global timestamp order — the same segment time-partitioning a
-    live feed would produce. Equivalent to
-    [ingest_native t (Trace.Arena.of_collection c)]. *)
+(** Buffer one row: [host] is an {!Trace.Intern.string_id}, [kind] an
+    {!Trace.Activity.kind_to_code} code, [ctx]/[flow] interned ids. One
+    arena append, no allocation; rolls a segment when the batch threshold
+    is reached. *)
 
 val ingest_native : t -> Trace.Arena.t list -> unit
-(** {!ingest} without leaving the native representation: a k-way merge of
-    the (sorted) arenas through {!observe_row}. Inputs are not mutated;
-    an unsorted arena is sorted on a copy. *)
+(** Feed whole host arenas, interleaved in global timestamp order — the
+    same segment time-partitioning a live feed would produce: a k-way
+    merge of the (sorted) arenas that moves runs of rows at a time.
+    Inputs are not mutated; an unsorted arena is sorted on a copy. *)
 
 val flush : t -> unit
 (** Force the current batch out as a segment (no-op when empty): the

@@ -201,22 +201,6 @@ let iter_native t f =
       ~size:(Array.unsafe_get t.size i)
   done
 
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f (get t i)
-  done
-
-let iteri_rows t f =
-  for i = 0 to t.len - 1 do
-    f i
-  done
-
-let fold t f acc =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (get t i)
-  done;
-  !acc
 
 (* Row order mirroring {!Activity.compare_by_time}: timestamp, then
    context (via the canonical records, so exactly compare_context), then
@@ -237,6 +221,29 @@ let compare_across a i b j =
   | c -> c
 
 let compare_rows t i j = match compare_across t i t j with 0 -> Int.compare i j | c -> c
+
+(* A linear scan over the heads: inputs are one arena per host, and the
+   comparisons are on ints. *)
+let iter_merged arenas f =
+  let k = Array.length arenas in
+  let pos = Array.make k 0 in
+  let rec loop () =
+    let best = ref (-1) in
+    for h = 0 to k - 1 do
+      if
+        pos.(h) < arenas.(h).len
+        && (!best < 0 || compare_across arenas.(h) pos.(h) arenas.(!best) pos.(!best) < 0)
+      then best := h
+    done;
+    let h = !best in
+    if h >= 0 then begin
+      let i = pos.(h) in
+      pos.(h) <- i + 1;
+      f h i;
+      loop ()
+    end
+  in
+  loop ()
 
 let is_sorted t =
   let ok = ref true in
@@ -295,7 +302,7 @@ let to_log t =
     done;
     log
   end
-  else Log.of_list ~hostname:(hostname t) (List.rev (fold t (fun acc a -> a :: acc) []))
+  else Log.of_list ~hostname:(hostname t) (List.init t.len (get t))
 
 let of_collection c = List.map of_log c
 let to_collection ts = List.map to_log ts
@@ -311,3 +318,11 @@ let copy t =
   if has_origins t then Array.blit t.origin 0 c.origin 0 t.len;
   c.len <- t.len;
   c
+
+let sorted t =
+  if is_sorted t then t
+  else begin
+    let c = copy t in
+    sort_by_time c;
+    c
+  end

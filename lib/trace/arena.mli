@@ -92,14 +92,10 @@ val get : t -> int -> Activity.t
 (** Materialise row [i] with canonical (shared) context and flow
     records. *)
 
-val iter : t -> (Activity.t -> unit) -> unit
-
 (** Visit each row's raw fields in order without materialising records —
     the encoder's inner loop. *)
 val iter_native :
   t -> (kind:int -> ts:int -> ctx:int -> flow:int -> size:int -> unit) -> unit
-val iteri_rows : t -> (int -> unit) -> unit
-val fold : t -> ('a -> Activity.t -> 'a) -> 'a -> 'a
 
 (** {1 Order} *)
 
@@ -112,9 +108,21 @@ val compare_rows : t -> int -> int -> int
 (** {!compare_across} within one arena, breaking full ties by row index —
     so sorting with it is stable. *)
 
+val iter_merged : t array -> (int -> int -> unit) -> unit
+(** [iter_merged arenas f] calls [f h i] for every row [i] of every
+    [arenas.(h)], in one k-way merge: {!compare_across} order, full ties
+    going to the lower arena index. With each arena in {!compare_rows}
+    order (as {!sort_by_time} leaves it), that is exactly the order
+    [List.stable_sort Activity.compare_by_time] gives the concatenated
+    records: the arrival order of a replayed feed. *)
+
 val is_sorted : t -> bool
 val sort_by_time : t -> unit
 (** In-place stable sort into {!compare_rows} order. *)
+
+val sorted : t -> t
+(** [t] itself when already in {!compare_rows} order, else a sorted
+    {!copy}: log order without mutating the input. *)
 
 val time_bounds : t -> (Simnet.Sim_time.t * Simnet.Sim_time.t) option
 (** [(min, max)] timestamp over all rows; [None] when empty. *)

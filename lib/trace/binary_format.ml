@@ -269,9 +269,9 @@ let get_tables r =
 
 (* ---- encoding ---- *)
 
-(* The traversal order (per log: hostname; per record: context host,
-   context program, context, flow) is exactly the order the record-list
-   encoder always used, so the bytes are unchanged. *)
+(* Tables are filled in traversal order (per log: hostname; per record:
+   context host, context program, context, flow), so the bytes depend
+   only on the rows. *)
 let encode_native arenas =
   let buf = w_create 65_536 in
   w_raw buf magic;
@@ -309,15 +309,12 @@ let encode_native arenas =
     arenas;
   w_contents buf
 
-let encode collection = encode_native (Arena.of_collection collection)
-
 (* The zero-copy decode: table entries are interned into the process-wide
    {!Intern} tables once each ({!get_tables}), then every record row is
    five varint reads and an {!Arena.append} — no string, context or flow
-   allocation per record. All the corruption guarantees of the
-   record-list decoder carry over: [Corrupt] offsets are absolute within
-   [data], counts are checked against the remaining input before any
-   allocation, and nothing escapes as an exception. *)
+   allocation per record. [Corrupt] offsets are absolute within [data],
+   counts are checked against the remaining input before any allocation,
+   and nothing escapes as an exception. *)
 let decode_native_region data ~pos ~len =
   decode_frame ~magic data ~pos ~len (fun r ->
       let { string_ids; context_ids = contexts; flow_ids = flows } = get_tables r in
@@ -352,18 +349,11 @@ let decode_native data =
   if not (is_binary data) then Error "not a PTB1 file"
   else decode_native_region data ~pos:0 ~len:(String.length data)
 
-let decode_region data ~pos ~len =
-  Result.map Arena.to_collection (decode_native_region data ~pos ~len)
-
-let decode data =
-  if not (is_binary data) then Error "not a PTB1 file"
-  else decode_region data ~pos:0 ~len:(String.length data)
-
-let save collection ~path =
+let save arenas ~path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (encode collection))
+    (fun () -> output_string oc (encode_native arenas))
 
 let is_binary_file ~path =
   match open_in_bin path with
@@ -383,4 +373,4 @@ let load ~path =
     (fun () ->
       let n = in_channel_length ic in
       let data = really_input_string ic n in
-      decode data)
+      decode_native data)

@@ -123,42 +123,30 @@ val is_binary_file : path:string -> bool
     unreadable or shorter-than-header files. Lets loaders auto-detect
     binary vs text traces without trusting the filename. *)
 
-val save : Log.collection -> path:string -> unit
-(** Write the whole collection into one file. *)
-
-val load : path:string -> (Log.collection, string) result
-(** Read a file written by {!save}. Errors name the offending offset. *)
-
-val encode : Log.collection -> string
-(** The raw encoded bytes (exposed for tests and benches). Equivalent to
-    [encode_native (Arena.of_collection c)] — the record-list API is a
-    wrapper over the native path, byte-for-byte. *)
-
-val decode : string -> (Log.collection, string) result
-
-(** {1 Native path}
+(** {1 Codec}
 
     The arena-backed codec the pipeline runs on: table entries are
     interned into the process-wide {!Intern} tables once per file, record
     rows decode straight into {!Arena}s with no per-record allocation.
-    Same bytes, same corruption guarantees (never raises, [Corrupt]
-    offsets absolute within [data]) as the record-list API above. *)
+    Decoding never raises; errors name the offending offset. *)
 
 val encode_native : Arena.t list -> string
+(** One log per arena, rows in arena order. *)
 
 val decode_native : string -> (Arena.t list, string) result
 (** Rows come back in file order (the order they were encoded), not
-    re-sorted; {!Arena.to_log} restores [Log] order when needed. *)
+    re-sorted; {!Arena.sort_by_time} restores log order when needed. *)
 
 val decode_native_region : string -> pos:int -> len:int -> (Arena.t list, string) result
-(** {!decode_native} for a payload embedded at [pos] (spanning [len])
-    inside a larger string; error offsets stay absolute within [data],
-    exactly as {!decode_region}. *)
-
-val decode_region : string -> pos:int -> len:int -> (Log.collection, string) result
 (** Decode a PTB1 payload embedded at [pos] (spanning [len] bytes) inside
     a larger string — e.g. a segment inside a bundle container — without
     copying it out. Every error offset is absolute within [data], so when
     [data] is a whole container file the offsets are container-relative.
-    [decode data] is [decode_region data ~pos:0 ~len:(String.length data)]
-    modulo the friendlier whole-file magic message. *)
+    [decode_native data] is this over the whole string, modulo the
+    friendlier whole-file magic message. *)
+
+val save : Arena.t list -> path:string -> unit
+(** Write the arenas into one file ({!encode_native}). *)
+
+val load : path:string -> (Arena.t list, string) result
+(** Read a file written by {!save} ({!decode_native}). *)

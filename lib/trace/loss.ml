@@ -38,23 +38,3 @@ let silence ~host ~after collection =
     ~pred:(fun a ->
       String.equal a.Activity.context.host host && Sim_time.(a.Activity.timestamp > after))
     collection
-
-let reorder_feed ~rng ~p ~max_delay collection =
-  let delayed =
-    List.concat_map
-      (fun log ->
-        List.map
-          (fun (a : Activity.t) ->
-            let delay =
-              if Rng.bernoulli rng ~p then
-                Rng.uniform_span rng ~lo:Sim_time.span_zero ~hi:max_delay
-              else Sim_time.span_zero
-            in
-            (Sim_time.add a.timestamp delay, a))
-          (Log.to_list log))
-      collection
-  in
-  (* Stable on the arrival key, so undelayed records keep their per-host
-     order and a delayed record regresses by at most [max_delay]. *)
-  List.map snd
-    (List.stable_sort (fun (k1, _) (k2, _) -> Sim_time.compare k1 k2) delayed)

@@ -17,15 +17,3 @@ val silence : host:string -> after:Simnet.Sim_time.t -> Log.collection -> Log.co
     network partition. The straggler scenario: the host keeps serving (its
     peers' SENDs/RECEIVEs still reference it) but its own log goes dark,
     which stalls a fault-intolerant online correlator forever. *)
-
-val reorder_feed :
-  rng:Simnet.Rng.t ->
-  p:float ->
-  max_delay:Simnet.Sim_time.span ->
-  Log.collection ->
-  Activity.t list
-(** Merge the collection into one observation feed in which each record is
-    independently delayed with probability [p] by up to [max_delay]: the
-    bounded out-of-order arrival an online collector sees over UDP or
-    per-CPU ring buffers. Per-host timestamp regressions in the result are
-    bounded by [max_delay]. *)

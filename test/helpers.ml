@@ -81,6 +81,28 @@ let correlate_raw ?(window = Sim_time.ms 10) ?skew_allowance logs =
   loop ();
   (engine, ranker)
 
+(* The BEGIN/END transform over record lists, for the record-fed
+   baselines and adapters under test. *)
+let transform_logs cfg logs =
+  Trace.Arena.to_collection (Core.Transform.apply_native cfg (Trace.Arena.of_collection logs))
+
+(* One record through the transform's row classification: [None] when
+   filtered out, else the record with its rewritten kind. *)
+let transform_record cfg (a : Activity.t) =
+  let arena = Trace.Arena.create ~capacity:1 ~host:a.context.host () in
+  Trace.Arena.append_activity arena a;
+  Option.map
+    (fun kind -> { a with kind })
+    (Activity.kind_of_code (Core.Transform.classify_row (Core.Transform.memo cfg) arena 0))
+
+(* Feed one record to an online run as a one-row arena, in whatever order
+   the caller chooses: the deliberately disordered feeds the quarantine
+   and re-sort tests need. *)
+let observe_record online (a : Activity.t) =
+  let arena = Trace.Arena.create ~capacity:1 ~host:a.context.host () in
+  Trace.Arena.append_activity arena a;
+  Core.Online.observe_arena online arena
+
 let check_valid cag =
   match Core.Cag.validate cag with
   | Ok () -> ()

@@ -12,7 +12,7 @@ module Sim_time = Simnet.Sim_time
 
 let run_spec spec =
   let outcome = Scenario.run spec in
-  let prepared = Transform.apply outcome.Scenario.transform outcome.Scenario.logs in
+  let prepared = H.transform_logs outcome.Scenario.transform outcome.Scenario.logs in
   let paths = Nesting.infer prepared in
   let verdict = Nesting.score ~ground_truth:outcome.ground_truth paths in
   (outcome, paths, verdict)
@@ -52,7 +52,7 @@ let test_precisetracer_beats_nesting () =
   let cfg = Correlator.config ~transform:outcome.Scenario.transform () in
   let result = Correlator.correlate cfg outcome.Scenario.logs in
   let precise = Accuracy.check ~ground_truth:outcome.ground_truth result.Correlator.cags in
-  let prepared = Transform.apply outcome.transform outcome.logs in
+  let prepared = H.transform_logs outcome.transform outcome.logs in
   let nesting = Nesting.score ~ground_truth:outcome.ground_truth (Nesting.infer prepared) in
   Alcotest.(check (float 0.0)) "precise = 100%" 1.0 precise.Accuracy.accuracy;
   Alcotest.(check bool) "nesting strictly worse" true
@@ -83,7 +83,7 @@ let test_nesting_completed_paths_only () =
 
 let dpm_eval spec =
   let outcome = Scenario.run spec in
-  let prepared = Transform.apply outcome.Scenario.transform outcome.Scenario.logs in
+  let prepared = H.transform_logs outcome.Scenario.transform outcome.Scenario.logs in
   let graph = Core.Dpm.build prepared in
   let stats = Core.Dpm.evaluate ~ground_truth:outcome.ground_truth graph in
   (graph, stats, outcome)
@@ -110,7 +110,7 @@ let test_dpm_phantoms_under_concurrency () =
 
 let test_dpm_enumeration_capped () =
   let outcome = Scenario.run concurrent_spec in
-  let prepared = Transform.apply outcome.Scenario.transform outcome.Scenario.logs in
+  let prepared = H.transform_logs outcome.Scenario.transform outcome.Scenario.logs in
   let graph = Core.Dpm.build prepared in
   let stats = Core.Dpm.evaluate ~max_paths:50 ~ground_truth:outcome.ground_truth graph in
   Alcotest.(check int) "cap honoured" 50 stats.Core.Dpm.paths_found;

@@ -8,6 +8,7 @@ module S = Tiersim.Scenario
 module Faults = Tiersim.Faults
 module Activity = Trace.Activity
 module Log = Trace.Log
+module Arena = Trace.Arena
 module Correlator = Core.Correlator
 module Pattern = Core.Pattern
 module Aggregate = Core.Aggregate
@@ -58,7 +59,11 @@ let config () =
   Correlator.config ~transform:o.S.transform ()
 
 let pack_logs ?roll_records ~path logs =
-  match Bundle.Pack.pack ?roll_records ~config:(config ()) ~source:(`Logs logs) ~path () with
+  match
+    Bundle.Pack.pack ?roll_records ~config:(config ())
+      ~source:(`Arenas (Arena.of_collection logs))
+      ~path ()
+  with
   | Ok summary -> summary
   | Error e -> Alcotest.failf "pack: %s" e
 
@@ -68,6 +73,11 @@ let reader path =
   | Error e -> Alcotest.failf "open %s: %s" path e
 
 let ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e
+
+(* The bundle's canonical records: every embedded row, in the order
+   back-links index. *)
+let canonical r =
+  Arena.to_collection (fst (ok "canonical rows" (Bundle.Reader.query r Store.Query.all)))
 
 let collection_equal a b =
   List.length a = List.length b
@@ -130,11 +140,13 @@ let test_roundtrip_collection () =
   let path, summary = Lazy.force control in
   let logs = (Lazy.force outcome).S.logs in
   let r = reader path in
-  let got = ok "collection" (Bundle.Reader.collection r) in
+  let got = canonical r in
   Alcotest.(check int) "summary records" (Log.total logs) summary.Bundle.Pack.records;
   Alcotest.(check bool)
     "embedded store reproduces the records" true
-    (collection_equal (Store.Query.merge [ logs ]) got)
+    (collection_equal
+       (Arena.to_collection (Store.Query.merge_native [ Arena.of_collection logs ]))
+       got)
 
 let test_roundtrip_paths_and_profiles () =
   let path, _ = Lazy.force control in
@@ -151,7 +163,7 @@ let test_roundtrip_paths_and_profiles () =
     (Json.to_string (Bundle.Codec.profiles_to_json recomputed));
   (* And they must match a fresh correlation of the same records. *)
   let o = Lazy.force outcome in
-  let result = Core.Shard.correlate (config ()) o.S.logs in
+  let result = Core.Shard.correlate_arena (config ()) (Arena.of_collection o.S.logs) in
   let fresh = Bundle.Codec.profiles_of_cags result.Correlator.cags in
   Alcotest.(check string)
     "profiles match a fresh correlation"
@@ -266,13 +278,13 @@ let packed_rows ~config source =
   in
   let r = reader path in
   let decoded = ok "paths" (Bundle.Reader.paths r) in
-  let canonical = ok "collection" (Bundle.Reader.collection r) in
+  let canonical = canonical r in
   let by_host =
     Array.map
       (fun h ->
         match List.find_opt (fun l -> String.equal (Log.hostname l) h) canonical with
         | Some l -> Array.of_list (Log.to_list l)
-        | None -> Alcotest.failf "link host %s has no log" h)
+        | None -> [||] (* a host with no rows: queries leave it out *))
       decoded.Bundle.Codec.link_hosts
   in
   (summary, decoded, canonical, by_host)
@@ -322,7 +334,7 @@ let check_links_match_reference (config, source) =
              incr count;
              let raw = by_host.(h).(r) in
              let transformed =
-               match Core.Transform.classify config.Correlator.transform raw with
+               match H.transform_record config.Correlator.transform raw with
                | Some a -> a
                | None ->
                    Alcotest.failf "linked row %s[%d] is filtered out" decoded.link_hosts.(h) r
@@ -339,7 +351,7 @@ let with_rubis_store f =
   let config, logs = rubis_golden () in
   with_dir @@ fun dir ->
   let w = Store.Writer.create ~roll_records:4096 ~dir () in
-  Store.Writer.ingest w logs;
+  Store.Writer.ingest_native w (Arena.of_collection logs);
   ignore (Store.Writer.close w);
   f (config, `Store_dir dir)
 
@@ -347,11 +359,11 @@ let test_links_reference_rubis_store () = with_rubis_store check_links_match_ref
 
 let test_links_reference_rubis_logs () =
   let config, logs = rubis_golden () in
-  check_links_match_reference (config, `Logs logs)
+  check_links_match_reference (config, `Arenas (Arena.of_collection logs))
 
 let test_links_reference_mesh () =
   let config, logs = mesh_control () in
-  check_links_match_reference (config, `Logs logs)
+  check_links_match_reference (config, `Arenas (Arena.of_collection logs))
 
 (* Logs drawn from tiny attribute pools, so identical rows are common;
    contexts name any of the hosts, so some records sit in another host's
@@ -393,7 +405,9 @@ let prop_tiny_pool_provenance =
   QCheck.Test.make ~name:"provenance on tiny pools" ~count:150 (QCheck.make gen_tiny_pools)
     (fun logs ->
       QCheck.assume (Log.total logs > 0);
-      let summary, decoded, _, by_host = packed_rows ~config:tiny_config (`Logs logs) in
+      let summary, decoded, _, by_host =
+        packed_rows ~config:tiny_config (`Arenas (Arena.of_collection logs))
+      in
       let seen = Hashtbl.create 64 in
       let kind_ok (v : Activity.kind) (raw : Activity.kind) =
         Activity.equal_kind v raw
@@ -461,7 +475,7 @@ let test_links_survive_compaction () =
   with_dir @@ fun out_dir ->
   let logs = (Lazy.force outcome).S.logs in
   let writer = Store.Writer.create ~roll_records:1024 ~dir:store_dir () in
-  Store.Writer.ingest writer logs;
+  Store.Writer.ingest_native writer (Arena.of_collection logs);
   let wstats = Store.Writer.close writer in
   Alcotest.(check bool) "multiple segments" true (wstats.Store.Writer.segments > 2);
   let pack_store path =
@@ -500,7 +514,7 @@ let test_query_matches_store () =
   with_dir @@ fun out_dir ->
   let logs = (Lazy.force outcome).S.logs in
   let writer = Store.Writer.create ~roll_records:1024 ~dir:store_dir () in
-  Store.Writer.ingest writer logs;
+  Store.Writer.ingest_native writer (Arena.of_collection logs);
   ignore (Store.Writer.close writer);
   let path = Filename.concat out_dir "b.ptz" in
   (match Bundle.Pack.pack ~config:(config ()) ~source:(`Store_dir store_dir) ~path () with
@@ -512,10 +526,10 @@ let test_query_matches_store () =
   let mid_ns = Simnet.Sim_time.to_ns mid.Activity.timestamp in
   let predicate = Store.Query.predicate ~since_ns:mid_ns () in
   let from_bundle, bstats = ok "bundle query" (Bundle.Reader.query r predicate) in
-  let from_store, sstats = ok "store query" (Store.Query.run ~dir:store_dir predicate) in
+  let from_store, sstats = ok "store query" (Store.Query.run_native ~dir:store_dir predicate) in
   Alcotest.(check bool)
     "bundle query equals store query" true
-    (collection_equal from_store from_bundle);
+    (collection_equal (Arena.to_collection from_store) (Arena.to_collection from_bundle));
   Alcotest.(check int)
     "same pruning" sstats.Store.Query.segments_scanned bstats.Store.Query.segments_scanned;
   Alcotest.(check bool)
@@ -573,19 +587,20 @@ let test_decode_region_offsets () =
     ok "header" (Store.Segment.parse_header_at seg ~pos:0 ~len:(String.length seg) ~what:"seg")
   in
   (* Decoding at the true offset succeeds... *)
-  (match Trace.Binary_format.decode_region seg ~pos:payload_pos ~len:payload_len with
-  | Ok c -> Alcotest.(check int) "records" (Log.total logs) (Log.total c)
-  | Error e -> Alcotest.failf "decode_region: %s" e);
+  (match Trace.Binary_format.decode_native_region seg ~pos:payload_pos ~len:payload_len with
+  | Ok c -> Alcotest.(check int) "records" (Log.total logs) (Arena.total c)
+  | Error e -> Alcotest.failf "decode_native_region: %s" e);
   (* ...and every failure names an absolute offset inside the region. *)
   expect_offset_error "truncated region"
     (Result.map ignore
-       (Trace.Binary_format.decode_region
+       (Trace.Binary_format.decode_native_region
           (String.sub seg 0 (payload_pos + (payload_len / 2)))
           ~pos:payload_pos
           ~len:(payload_len / 2)));
   expect_offset_error "bad region bounds"
     (Result.map ignore
-       (Trace.Binary_format.decode_region seg ~pos:payload_pos ~len:(payload_len + 10)))
+       (Trace.Binary_format.decode_native_region seg ~pos:payload_pos
+          ~len:(payload_len + 10)))
 
 (* ---- the path codec on its own ---- *)
 
@@ -637,7 +652,8 @@ let test_pathless_bundle_reads () =
     match
       Bundle.Pack.pack
         ~config:(Correlator.config ~transform:o.S.transform ())
-        ~source:(`Logs cut) ~path ()
+        ~source:(`Arenas (Arena.of_collection cut))
+        ~path ()
     with
     | Ok s -> s
     | Error e -> Alcotest.failf "pack: %s" e
@@ -717,7 +733,9 @@ let test_diff_names_diagnose_culprit () =
   with_dir @@ fun dir ->
   let control_path, _ = Lazy.force control in
   let a = reader control_path in
-  let baseline = Core.Shard.correlate (config ()) (Lazy.force outcome).S.logs in
+  let baseline =
+    Core.Shard.correlate_arena (config ()) (Arena.of_collection (Lazy.force outcome).S.logs)
+  in
   List.iter
     (fun (label, fault) ->
       let fo = fault_outcome (label, fault) in
@@ -725,7 +743,7 @@ let test_diff_names_diagnose_culprit () =
       ignore (pack_logs ~path:fpath fo.S.logs);
       let b = reader fpath in
       let d = ok "diff" (Bundle.Diff.diff a b) in
-      let observed = Core.Shard.correlate (config ()) fo.S.logs in
+      let observed = Core.Shard.correlate_arena (config ()) (Arena.of_collection fo.S.logs) in
       let expected = diagnose_culprit baseline.Correlator.cags observed.Correlator.cags in
       let got =
         Option.map
@@ -779,7 +797,9 @@ let test_config_and_telemetry_sections () =
   (match
      Bundle.Pack.pack
        ~telemetry:(Telemetry.Registry.snapshot reg)
-       ~scenario ~config:(config ()) ~source:(`Logs logs) ~path ()
+       ~scenario ~config:(config ())
+       ~source:(`Arenas (Arena.of_collection logs))
+       ~path ()
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "pack: %s" e);

@@ -48,6 +48,9 @@ let arbitrary_activity =
 
 (* A stream of frames with plausible headers (seq/oldest ascending per
    host). Only the codec is under test, so hosts may interleave. *)
+let encode_payload ~host acts =
+  Frame.encode_payload_arena (Trace.Arena.of_log (Log.of_list ~hostname:host acts))
+
 let arbitrary_frame_stream =
   let open QCheck.Gen in
   let frame i =
@@ -58,7 +61,7 @@ let arbitrary_frame_stream =
     let acts = List.map (fun (a : Activity.t) -> { a with Activity.context = { a.Activity.context with Activity.host } }) acts in
     return
       (Frame.encode ~seq:i ~oldest:(max 0 (i - back)) ~host ~watermark:(ST.of_ns wm)
-         ~payload:(Frame.encode_payload ~host acts))
+         ~payload:(encode_payload ~host acts))
   in
   let gen =
     int_range 1 6 >>= fun n ->
@@ -70,6 +73,14 @@ let arbitrary_frame_stream =
   in
   QCheck.make ~print:(fun fs -> Printf.sprintf "%d frames" (List.length fs)) gen
 
+(* Record-list edges onto the frame payload codec. *)
+let activities (f : Frame.t) = List.init (Frame.records f) (Trace.Arena.get f.Frame.arena)
+
+let sink_rows sink arena =
+  for i = 0 to Trace.Arena.length arena - 1 do
+    sink := Trace.Arena.get arena i :: !sink
+  done
+
 let decode_all bytes_chunks =
   let dec = Frame.Decoder.create () in
   List.iter (Frame.Decoder.feed dec) bytes_chunks;
@@ -80,14 +91,14 @@ let frame_equal (a : Frame.t) (b : Frame.t) =
   && String.equal a.Frame.host b.Frame.host
   && ST.equal a.Frame.watermark b.Frame.watermark
   && Frame.records a = Frame.records b
-  && List.for_all2 Activity.equal (Frame.activities a) (Frame.activities b)
+  && List.for_all2 Activity.equal (activities a) (activities b)
 
 (* ---- codec round trip ---- *)
 
 let test_frame_roundtrip () =
   let acts = List.concat_map Log.to_list (H.logs_of_request ()) in
   let web = List.filter (fun (a : Activity.t) -> a.Activity.context.host = "web") acts in
-  let payload = Frame.encode_payload ~host:"web" web in
+  let payload = encode_payload ~host:"web" web in
   let bytes = Frame.encode ~seq:7 ~oldest:3 ~host:"web" ~watermark:(ST.of_ns 123_456) ~payload in
   match decode_all [ bytes ] with
   | Error e -> Alcotest.failf "decode failed: %s" e
@@ -99,13 +110,13 @@ let test_frame_roundtrip () =
       Alcotest.(check int) "records" (List.length web) (Frame.records f);
       let sorted = Log.to_list (Log.of_list ~hostname:"web" web) in
       Alcotest.(check bool) "activities" true
-        (List.for_all2 Activity.equal sorted (Frame.activities f))
+        (List.for_all2 Activity.equal sorted (activities f))
   | Ok fs -> Alcotest.failf "expected 1 frame, got %d" (List.length fs)
 
 let test_empty_frame_roundtrip () =
   let bytes =
     Frame.encode ~seq:0 ~oldest:0 ~host:"db1" ~watermark:(ST.of_ns 5)
-      ~payload:(Frame.encode_payload ~host:"db1" [])
+      ~payload:(encode_payload ~host:"db1" [])
   in
   match decode_all [ bytes ] with
   | Ok [ f ] ->
@@ -146,9 +157,9 @@ let test_byte_by_byte_decode () =
   let frames =
     [
       Frame.encode ~seq:0 ~oldest:0 ~host:"web" ~watermark:(ST.of_ns 10)
-        ~payload:(Frame.encode_payload ~host:"web" web);
+        ~payload:(encode_payload ~host:"web" web);
       Frame.encode ~seq:1 ~oldest:1 ~host:"web" ~watermark:(ST.of_ns 20)
-        ~payload:(Frame.encode_payload ~host:"web" []);
+        ~payload:(encode_payload ~host:"web" []);
     ]
   in
   let stream = String.concat "" frames in
@@ -171,11 +182,11 @@ let test_truncation_never_errors () =
   let web = List.filter (fun (a : Activity.t) -> a.Activity.context.host = "web") acts in
   let f0 =
     Frame.encode ~seq:0 ~oldest:0 ~host:"web" ~watermark:(ST.of_ns 10)
-      ~payload:(Frame.encode_payload ~host:"web" web)
+      ~payload:(encode_payload ~host:"web" web)
   in
   let f1 =
     Frame.encode ~seq:1 ~oldest:0 ~host:"web" ~watermark:(ST.of_ns 20)
-      ~payload:(Frame.encode_payload ~host:"web" web)
+      ~payload:(encode_payload ~host:"web" web)
   in
   let stream = f0 ^ f1 in
   for len = 0 to String.length stream - 1 do
@@ -199,7 +210,7 @@ let test_byte_flip_corpus () =
   let web = List.filter (fun (a : Activity.t) -> a.Activity.context.host = "web") acts in
   let stream =
     Frame.encode ~seq:3 ~oldest:1 ~host:"web" ~watermark:(ST.of_ns 10)
-      ~payload:(Frame.encode_payload ~host:"web" web)
+      ~payload:(encode_payload ~host:"web" web)
   in
   for i = 0 to String.length stream - 1 do
     for bit = 0 to 7 do
@@ -222,7 +233,7 @@ let test_encode_rejects_negative_varints () =
      seq/oldest itself. *)
   (match
      Frame.encode ~seq:0 ~oldest:0 ~host:"w" ~watermark:(ST.of_ns (-1))
-       ~payload:(Frame.encode_payload ~host:"w" [])
+       ~payload:(encode_payload ~host:"w" [])
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative watermark accepted");
@@ -231,7 +242,7 @@ let test_encode_rejects_negative_varints () =
   | _ -> Alcotest.fail "negative ack accepted");
   match
     Frame.encode ~seq:(-1) ~oldest:0 ~host:"w" ~watermark:(ST.of_ns 0)
-      ~payload:(Frame.encode_payload ~host:"w" [])
+      ~payload:(encode_payload ~host:"w" [])
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative seq accepted"
@@ -244,7 +255,7 @@ let test_decoder_error_is_sticky () =
   | Ok _ -> Alcotest.fail "bad magic must error");
   Frame.Decoder.feed dec
     (Frame.encode ~seq:0 ~oldest:0 ~host:"w" ~watermark:(ST.of_ns 1)
-       ~payload:(Frame.encode_payload ~host:"w" []));
+       ~payload:(encode_payload ~host:"w" []));
   match Frame.Decoder.next dec with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a corrupt stream cannot resynchronise"
@@ -291,7 +302,7 @@ let make_micro ?(config = Agent.default_config) ?(collector_cpu_per_frame = ST.u
   let reg = R.create () in
   let collector =
     Collector.create ~telemetry:reg ~cpu_per_frame:collector_cpu_per_frame
-      ~on_activity:(fun a -> sink := a :: !sink)
+      ~on_arena:(sink_rows sink)
       ~wire ~node:cnode ~port:7441 ()
   in
   let agent =

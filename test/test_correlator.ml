@@ -51,6 +51,8 @@ let correlate ?(window = Sim_time.ms 10) ?(drop_programs = []) logs =
   in
   Correlator.correlate cfg logs
 
+let classify cfg a = Option.map (fun (a : Activity.t) -> a.kind) (H.transform_record cfg a)
+
 let test_transform_classifies () =
   let cfg = Transform.config ~entry_points:[ entry ] () in
   let begin_raw =
@@ -58,14 +60,14 @@ let test_transform_classifies () =
   in
   let end_raw = H.act ~kind:Activity.Send ~ts:1 ~ctx:H.web_ctx ~flow:H.web_client_flow ~size:1 in
   let inner = H.act ~kind:Activity.Send ~ts:2 ~ctx:H.web_ctx ~flow:H.web_app_flow ~size:1 in
-  (match Transform.classify cfg begin_raw with
-  | Some a -> Alcotest.(check bool) "BEGIN" true (Activity.equal_kind a.Activity.kind Activity.Begin)
+  (match classify cfg begin_raw with
+  | Some k -> Alcotest.(check bool) "BEGIN" true (Activity.equal_kind k Activity.Begin)
   | None -> Alcotest.fail "dropped");
-  (match Transform.classify cfg end_raw with
-  | Some a -> Alcotest.(check bool) "END" true (Activity.equal_kind a.Activity.kind Activity.End_)
+  (match classify cfg end_raw with
+  | Some k -> Alcotest.(check bool) "END" true (Activity.equal_kind k Activity.End_)
   | None -> Alcotest.fail "dropped");
-  match Transform.classify cfg inner with
-  | Some a -> Alcotest.(check bool) "SEND kept" true (Activity.equal_kind a.Activity.kind Activity.Send)
+  match classify cfg inner with
+  | Some k -> Alcotest.(check bool) "SEND kept" true (Activity.equal_kind k Activity.Send)
   | None -> Alcotest.fail "dropped"
 
 let test_transform_filters () =
@@ -80,8 +82,8 @@ let test_transform_filters () =
   let port22 =
     H.act ~kind:Activity.Send ~ts:0 ~ctx:H.web_ctx ~flow:(H.flow "1.1.1.1" 22 "2.2.2.2" 5) ~size:10
   in
-  Alcotest.(check bool) "program filtered" true (Transform.classify cfg sshd = None);
-  Alcotest.(check bool) "port filtered" true (Transform.classify cfg port22 = None)
+  Alcotest.(check bool) "program filtered" true (classify cfg sshd = None);
+  Alcotest.(check bool) "port filtered" true (classify cfg port22 = None)
 
 let test_pipeline_single_request () =
   (* End-to-end: raw logs in TCP_TRACE shape -> one valid CAG. *)
@@ -255,20 +257,41 @@ let collection_equal a b =
          && List.for_all2 Activity.equal (Log.to_list x) (Log.to_list y))
        a b
 
+(* The record-level transform the memoised row path replaced, kept as the
+   reference [Transform.apply_native] must reproduce record for record. *)
+let reference_apply (cfg : Transform.config) logs =
+  let is_entry ep = List.exists (Simnet.Address.endpoint_equal ep) cfg.entry_points in
+  Log.map_activities
+    (fun (a : Activity.t) ->
+      let flow = a.message.flow in
+      if
+        List.mem a.context.program cfg.drop_programs
+        || List.exists (fun p -> flow.src.port = p || flow.dst.port = p) cfg.drop_ports
+      then None
+      else
+        let kind =
+          match a.kind with
+          | Activity.Receive when is_entry flow.dst -> Activity.Begin
+          | Activity.Send when is_entry flow.src -> Activity.End_
+          | k -> k
+        in
+        Some { a with kind })
+    logs
+
 let test_apply_native_matches_apply () =
   let logs = raw_multi_request ~n:4 ~askew:1500 () in
   (* exercise every filter class *)
   let cfg =
     Transform.config ~entry_points:[ entry ] ~drop_programs:[ "java" ] ~drop_ports:[ 8009 ] ()
   in
-  let legacy = Transform.apply cfg logs in
+  let legacy = reference_apply cfg logs in
   let native =
     Trace.Arena.to_collection (Transform.apply_native cfg (Trace.Arena.of_collection logs))
   in
   Alcotest.(check bool) "filtered collections identical" true (collection_equal legacy native);
   (* and with no filter at all *)
   let cfg = Transform.config ~entry_points:[ entry ] () in
-  let legacy = Transform.apply cfg logs in
+  let legacy = reference_apply cfg logs in
   let native =
     Trace.Arena.to_collection (Transform.apply_native cfg (Trace.Arena.of_collection logs))
   in

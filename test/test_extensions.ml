@@ -204,9 +204,11 @@ let test_gc_bounds_mmap () =
 let test_gc_never_evicts_live () =
   (* On a clean trace the GC finds nothing to evict mid-run. *)
   let engine = Core.Cag_engine.create () in
-  let logs = Core.Transform.apply
+  let logs =
+    H.transform_logs
       (Core.Transform.config ~entry_points:[ H.ep "10.0.1.1" 80 ] ())
-      (H.logs_of_request ()) in
+      (H.logs_of_request ())
+  in
   let ranker =
     Core.Ranker.create ~window:(ST.ms 10)
       ~has_mmap_send:(Core.Cag_engine.has_mmap_send engine)
@@ -233,11 +235,7 @@ let online_replay outcome =
   let cfg = Core.Correlator.config ~transform:outcome.S.transform () in
   let hosts = List.map Trace.Log.hostname outcome.S.logs in
   let online = Online.create ~config:cfg ~hosts () in
-  let merged =
-    List.concat_map Trace.Log.to_list outcome.S.logs
-    |> List.stable_sort Trace.Activity.compare_by_time
-  in
-  List.iter (Online.observe online) merged;
+  Online.replay online (Trace.Arena.of_collection outcome.S.logs);
   online
 
 let test_online_matches_offline () =
@@ -308,7 +306,7 @@ let test_online_withholds_until_watermark () =
   let transform = Core.Transform.config ~entry_points:[ H.ep "10.0.1.1" 80 ] () in
   let cfg = Core.Correlator.config ~transform ~skew_allowance:(ST.ms 100) () in
   let online = Online.create ~config:cfg ~hosts:[ "web"; "app"; "db" ] () in
-  Online.observe online (List.hd w);
+  H.observe_record online (List.hd w);
   Alcotest.(check int) "withheld" 0 (List.length (Online.paths online));
   Alcotest.(check int) "pending" 1 (Online.pending online);
   Online.finish online;
@@ -317,7 +315,7 @@ let test_online_withholds_until_watermark () =
   Alcotest.(check int) "one deformed" 1 (List.length (Online.deformed online))
 
 let test_online_live_during_simulation () =
-  (* Attach to the probe and correlate while the simulation runs. *)
+  (* Listen on the probe and correlate while the simulation runs. *)
   let spec = { S.default with S.clients = 15; time_scale = 0.02 } in
   let up, runtime, down = S.stage_spans ~time_scale:spec.S.time_scale in
   let cfg =
@@ -334,11 +332,11 @@ let test_online_live_during_simulation () =
   in
   let live_count = ref 0 in
   let online =
-    Online.attach ~config:correlator_cfg ~probe:(Tiersim.Service.probe svc)
-      ~hosts:(Tiersim.Service.server_hostnames svc)
+    Online.create ~config:correlator_cfg ~hosts:(Tiersim.Service.server_hostnames svc)
       ~on_path:(fun _ -> incr live_count)
       ()
   in
+  Trace.Probe.add_listener (Tiersim.Service.probe svc) (H.observe_record online);
   let stop = ST.add (ST.add (ST.add ST.zero up) runtime) down in
   Tiersim.Client.start svc
     {

@@ -1,18 +1,16 @@
-(* Pinned output digests. The ranker, the engine and both feed paths
-   (record lists and arenas, offline and online) are free to change how
-   they work, never what they produce: each golden below was captured
-   from the record-list implementation and must stay byte-identical.
+(* Pinned output digests. The ranker, the engine and every feed path
+   (offline and online) are free to change how they work, never what they
+   produce: each golden below was captured from the record-list
+   implementation and must stay byte-identical.
 
    - [offline]: {!Core.Shard.digest} of the serial offline result, through
      both the record entry ([Correlator.correlate]) and the arena entry
      ([Correlator.correlate_arena]).
    - [online]: the same preimage over [Online.paths]/[Online.deformed],
-     fed in merged time order one row at a time, through both
-     [Online.observe] and [Online.observe_arena] (one-row arenas).
+     fed in merged time order one row at a time by [Online.replay].
    - [planner]: the epochs the sharded correlator cuts (see below).
    - [bundles]: the bytes [Bundle.Pack.pack] writes (see below). *)
 
-module Activity = Trace.Activity
 module Arena = Trace.Arena
 module Log = Trace.Log
 module S = Tiersim.Scenario
@@ -81,22 +79,18 @@ let pin what expected actual = Alcotest.(check string) what expected actual
 let paths_digest ~finished ~deformed =
   Digest.to_hex (Digest.string (Core.Hierarchy.render ~finished ~deformed))
 
-let merged logs =
-  List.concat_map Log.to_list logs |> List.stable_sort Activity.compare_by_time
-
-let online_digest cfg logs feed =
+let replay cfg logs =
   let online =
     Online.create ~telemetry:(Telemetry.Registry.create ()) ~config:cfg
       ~hosts:(List.map Log.hostname logs) ()
   in
-  List.iter (feed online) (merged logs);
+  Online.replay online (Arena.of_collection logs);
   Online.finish online;
-  paths_digest ~finished:(Online.paths online) ~deformed:(Online.deformed online)
+  online
 
-let one_row_arena online (a : Activity.t) =
-  let arena = Arena.create ~capacity:1 ~host:a.Activity.context.Activity.host () in
-  Arena.append_activity arena a;
-  Online.observe_arena online arena
+let online_digest cfg logs =
+  let online = replay cfg logs in
+  paths_digest ~finished:(Online.paths online) ~deformed:(Online.deformed online)
 
 let check_case c () =
   let cfg, logs = c.build () in
@@ -104,8 +98,7 @@ let check_case c () =
   pin "offline (records)" c.offline (Shard.digest (Correlator.correlate ~telemetry cfg logs));
   pin "offline (arenas)" c.offline
     (Shard.digest (Correlator.correlate_arena ~telemetry cfg (Arena.of_collection logs)));
-  pin "online (records)" c.online (online_digest cfg logs Online.observe);
-  pin "online (arenas)" c.online (online_digest cfg logs one_row_arena)
+  pin "online (replay)" c.online (online_digest cfg logs)
 
 (* The record entry is an adapter onto the arena core: on any topology
    the two must agree byte for byte. *)
@@ -194,7 +187,7 @@ let check_plan (_, build, cuts, by_jobs) () =
 (* Bundle goldens: the MD5 of the PTZ1 bytes [Bundle.Pack.pack] writes
    (no telemetry section) for the RUBiS Default run above, from a store
    directory rolled every 4096 records and from the same records as an
-   in-memory [`Logs] source cut into synthetic segments of the same size.
+   in-memory [`Arenas] source cut into synthetic segments of the same size.
    Captured before the packer moved onto arena rows; [~jobs:2] must
    produce the same bytes as [~jobs:1]. *)
 
@@ -236,7 +229,7 @@ let with_store logs f =
     ~finally:(fun () -> rm_rf tmp)
     (fun () ->
       let w = Store.Writer.create ~roll_records:4096 ~dir () in
-      Store.Writer.ingest w logs;
+      Store.Writer.ingest_native w (Arena.of_collection logs);
       ignore (Store.Writer.close w);
       f (`Store_dir dir))
 
@@ -259,7 +252,7 @@ let check_bundle_golden expected source_of () =
 let test_mesh_bundle_offline () =
   let cfg, logs = mesh_control () in
   let offline = Correlator.correlate_arena cfg (Arena.of_collection logs) in
-  let bytes = pack_bytes ~jobs:1 cfg (`Logs logs) in
+  let bytes = pack_bytes ~jobs:1 cfg (`Arenas (Arena.of_collection logs)) in
   let r = Result.get_ok (Bundle.Reader.of_string bytes) in
   let decoded = Result.get_ok (Bundle.Reader.paths r) in
   let finished = List.map (fun p -> p.Bundle.Codec.cag) decoded.Bundle.Codec.paths in
@@ -279,7 +272,8 @@ let paths_section bytes =
 
 let check_ptp1_jobs build () =
   let cfg, logs = build () in
-  let at jobs = paths_section (pack_bytes ~jobs cfg (`Logs logs)) in
+  let arenas = Arena.of_collection logs in
+  let at jobs = paths_section (pack_bytes ~jobs cfg (`Arenas arenas)) in
   let one = at 1 in
   List.iter
     (fun jobs ->
@@ -314,17 +308,8 @@ let check_online_sources_equal_offline build () =
   let expected = sources_by_path offline.Correlator.cags in
   Alcotest.(check bool) "every vertex has sources" true
     (expected <> [] && List.for_all (fun (_, vs) -> List.for_all (fun s -> s <> []) vs) expected);
-  List.iter
-    (fun (what, feed) ->
-      let online =
-        Online.create ~telemetry:(Telemetry.Registry.create ()) ~config:cfg
-          ~hosts:(List.map Log.hostname logs) ()
-      in
-      List.iter (feed online) (merged logs);
-      Online.finish online;
-      Alcotest.(check bool) ("online sources = offline, " ^ what) true
-        (expected = sources_by_path (Online.paths online)))
-    [ ("records", Online.observe); ("arenas", one_row_arena) ]
+  Alcotest.(check bool) "online sources = offline" true
+    (expected = sources_by_path (Online.paths (replay cfg logs)))
 
 let provenance_cases =
   [
@@ -346,7 +331,8 @@ let bundle_cases =
     Alcotest.test_case "RUBiS store dir" `Quick
       (check_bundle_golden "994b7cfcafd81c0d244749fe54ba1bca" with_store);
     Alcotest.test_case "RUBiS logs" `Quick
-      (check_bundle_golden "7965b2ecec7c94e7fb410d6faedc2463" (fun logs f -> f (`Logs logs)));
+      (check_bundle_golden "7965b2ecec7c94e7fb410d6faedc2463" (fun logs f ->
+           f (`Arenas (Arena.of_collection logs))));
     Alcotest.test_case "mesh control = offline" `Quick test_mesh_bundle_offline;
   ]
 

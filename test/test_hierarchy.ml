@@ -256,16 +256,19 @@ let test_collector_horizon_jump_replays_pending () =
   let reg = R.create () in
   let collector =
     Collector.create ~telemetry:reg
-      ~on_activity:(fun a -> sink := a :: !sink)
+      ~on_arena:(fun arena ->
+        for i = 0 to Trace.Arena.length arena - 1 do
+          sink := Trace.Arena.get arena i :: !sink
+        done)
       ~wire ~node:cnode ~port:7441 ()
   in
   let frame ~seq ~oldest i =
     let payload =
-      Frame.encode_payload ~host:"web1"
-        [
-          H.act ~kind:Activity.Send ~ts:(1_000_000 * (i + 1))
-            ~ctx:(H.ctx ~host:"web1" ()) ~flow:H.web_app_flow ~size:(100 + i);
-        ]
+      let row = Trace.Arena.create ~host:"web1" () in
+      Trace.Arena.append_activity row
+        (H.act ~kind:Activity.Send ~ts:(1_000_000 * (i + 1))
+           ~ctx:(H.ctx ~host:"web1" ()) ~flow:H.web_app_flow ~size:(100 + i));
+      Frame.encode_payload_arena row
     in
     Frame.encode ~seq ~oldest ~host:"web1" ~watermark:(ST.of_ns (1_000_000 * (i + 1)))
       ~payload
@@ -474,7 +477,10 @@ let test_cluster_hierarchy_matches_monolithic () =
     (report.Plane.root_ingest_bytes * 3 <= flat_bytes);
   Alcotest.(check bool) "level 0 already ships less than raw agents" true
     (report.Plane.agent_bytes_shipped < flat_bytes);
-  let raw_bytes = String.length (Trace.Binary_format.encode co.Scenario.all_logs) in
+  let raw_bytes =
+    String.length
+      (Trace.Binary_format.encode_native (Trace.Arena.of_collection co.Scenario.all_logs))
+  in
   Alcotest.(check bool) "root ingest is below even the one-shot raw archive" true
     (report.Plane.root_ingest_bytes * 3 <= raw_bytes);
   (* identity: the spliced root result is byte-identical to one

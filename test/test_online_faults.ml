@@ -1,14 +1,14 @@
 (* Tests for the fault-tolerant online pipeline: input quarantine (feed
    never raises), straggler eviction and resync, bounded-memory
-   backpressure, the reorder-slack equivalence with offline correlation,
-   and the GC safeguards (horizon clamp, evicted-send deformation). *)
+   backpressure, and the GC safeguards (horizon clamp, evicted-send
+   deformation). The feeds here are deliberately disordered, so records
+   go in one at a time rather than through [Online.replay]. *)
 
 module H = Test_helpers.Helpers
 module S = Tiersim.Scenario
 module Faults = Tiersim.Faults
 module Activity = Trace.Activity
 module Log = Trace.Log
-module Loss = Trace.Loss
 module Ranker = Core.Ranker
 module Online = Core.Online
 module ST = Simnet.Sim_time
@@ -30,21 +30,26 @@ let result : Ranker.feed_result Alcotest.testable =
     ( = )
 
 let online_ranker ?(window = ST.ms 10) ?(skew_allowance = ST.ms 10) ?straggler_timeout
-    ?max_buffered ?reorder_slack hosts =
+    ?max_buffered hosts =
   Ranker.create_online ~window ~skew_allowance ?straggler_timeout ?max_buffered
-    ?reorder_slack
     ~has_mmap_send:(fun _ -> false)
     ~hosts ()
+
+(* One record as a row, in the encoding a decoder fills arenas with. *)
+let feed r (a : Activity.t) =
+  Ranker.feed_row r
+    ~kind:(Activity.kind_to_code a.kind)
+    ~ts:(ST.to_ns a.timestamp)
+    ~ctx:(Trace.Intern.context_id a.context)
+    ~flow:(Trace.Intern.flow_id a.message.flow)
+    ~size:a.message.size ~origin:(-1)
 
 let web_begin ts = H.act ~kind:Activity.Begin ~ts ~ctx:H.web_ctx ~flow:H.client_web_flow ~size:1
 let app_begin ts = H.act ~kind:Activity.Begin ~ts ~ctx:H.app_ctx ~flow:H.web_app_flow ~size:1
 
+(* Every candidate decidable so far. *)
 let drain r =
-  let rec loop acc =
-    match Ranker.rank_step r with
-    | Ranker.Candidate a -> loop (a :: acc)
-    | Ranker.Need_input | Ranker.Exhausted -> List.rev acc
-  in
+  let rec loop acc = if Ranker.next r then loop (Ranker.candidate r :: acc) else List.rev acc in
   loop []
 
 let ms n = n * 1_000_000
@@ -55,88 +60,57 @@ let test_quarantine_unknown_host () =
   let r = online_ranker [ "web" ] in
   Alcotest.check result "unknown host quarantined"
     (Ranker.Quarantined Ranker.Unknown_host)
-    (Ranker.feed r (app_begin 0));
+    (feed r (app_begin 0));
   Alcotest.(check int) "logged" 1 (List.length (Ranker.quarantine_log r))
 
 let test_quarantine_after_close () =
   let r = online_ranker [ "web" ] in
   Ranker.close_input r;
   Alcotest.check result "post-close feed quarantined" (Ranker.Quarantined Ranker.Closed)
-    (Ranker.feed r (web_begin 0))
+    (feed r (web_begin 0))
 
 let test_quarantine_duplicate () =
   let r = online_ranker [ "web" ] in
   let a = web_begin 0 in
-  Alcotest.check result "first copy accepted" Ranker.Accepted (Ranker.feed r a);
+  Alcotest.check result "first copy accepted" Ranker.Accepted (feed r a);
   Alcotest.check result "second copy quarantined" (Ranker.Quarantined Ranker.Duplicate)
-    (Ranker.feed r a)
+    (feed r a)
 
 let test_quarantine_large_regression () =
   let r = online_ranker ~skew_allowance:(ST.ms 10) [ "web" ] in
-  Alcotest.check result "t=50ms" Ranker.Accepted (Ranker.feed r (web_begin (ms 50)));
+  Alcotest.check result "t=50ms" Ranker.Accepted (feed r (web_begin (ms 50)));
   Alcotest.check result "40 ms behind is beyond the allowance"
     (Ranker.Quarantined Ranker.Regression)
-    (Ranker.feed r (web_begin (ms 10)))
+    (feed r (web_begin (ms 10)))
 
 let test_quarantine_stale_behind_commit () =
   (* web commits (pops) up to t=1ms while app's report at t=20ms keeps the
      pipeline moving; a late web record at t=0.5ms is within the skew
      allowance but behind the committed order: Stale, not Resorted. *)
   let r = online_ranker ~skew_allowance:(ST.ms 10) [ "web"; "app" ] in
-  Alcotest.check result "web t=0" Ranker.Accepted (Ranker.feed r (web_begin 0));
-  Alcotest.check result "web t=1ms" Ranker.Accepted (Ranker.feed r (web_begin (ms 1)));
-  Alcotest.check result "app t=20ms" Ranker.Accepted (Ranker.feed r (app_begin (ms 20)));
+  Alcotest.check result "web t=0" Ranker.Accepted (feed r (web_begin 0));
+  Alcotest.check result "web t=1ms" Ranker.Accepted (feed r (web_begin (ms 1)));
+  Alcotest.check result "app t=20ms" Ranker.Accepted (feed r (app_begin (ms 20)));
   let popped = drain r in
   Alcotest.(check int) "web records committed" 2 (List.length popped);
   Alcotest.check result "late record behind the commit point"
     (Ranker.Quarantined Ranker.Stale)
-    (Ranker.feed r (web_begin 500_000));
+    (feed r (web_begin 500_000));
   Alcotest.(check (list (pair reason Alcotest.int)))
     "per-reason stats"
     [
       (Ranker.Unknown_host, 0); (Ranker.Closed, 0); (Ranker.Duplicate, 0);
-      (Ranker.Regression, 0); (Ranker.Stale, 1); (Ranker.Malformed, 0);
+      (Ranker.Regression, 0); (Ranker.Stale, 1);
     ]
     (Ranker.stats r).Ranker.quarantined
-
-(* A source port past 0xffff, as an unwrapped simulated port can be. *)
-let unrepresentable_flow = H.flow "10.0.0.1" 70_000 "10.0.1.1" 80
-
-let test_quarantine_malformed () =
-  let r = online_ranker [ "web" ] in
-  let a =
-    H.act ~kind:Activity.Receive ~ts:0 ~ctx:H.web_ctx ~flow:unrepresentable_flow ~size:1
-  in
-  Alcotest.check result "uninternable flow quarantined" (Ranker.Quarantined Ranker.Malformed)
-    (Ranker.feed r a);
-  Alcotest.(check bool) "logged as fed" true
-    (match Ranker.quarantine_log r with [ (_, b) ] -> b == a | _ -> false)
-
-let test_quarantine_before_interning () =
-  (* Garbage from unknown hosts or after close must not grow the
-     process-wide intern tables. *)
-  let r = online_ranker [ "web" ] in
-  let before = Trace.Intern.counts () in
-  let ghost = H.ctx ~host:"ghost-host-never-seen" ~pid:987_654 () in
-  let junk = H.act ~kind:Activity.Begin ~ts:0 ~ctx:ghost ~flow:unrepresentable_flow ~size:1 in
-  Alcotest.check result "unknown host" (Ranker.Quarantined Ranker.Unknown_host)
-    (Ranker.feed r junk);
-  Ranker.close_input r;
-  let late =
-    H.act ~kind:Activity.Begin ~ts:0
-      ~ctx:(H.ctx ~host:"web" ~pid:987_655 ())
-      ~flow:unrepresentable_flow ~size:1
-  in
-  Alcotest.check result "closed" (Ranker.Quarantined Ranker.Closed) (Ranker.feed r late);
-  Alcotest.(check bool) "intern tables unchanged" true (Trace.Intern.counts () = before)
 
 let test_resort_within_allowance () =
   (* A record 3 ms late (within the 10 ms allowance) is re-sorted into
      place: candidates still come out in timestamp order. *)
   let r = online_ranker ~skew_allowance:(ST.ms 10) [ "web" ] in
-  Alcotest.check result "t=0" Ranker.Accepted (Ranker.feed r (web_begin 0));
-  Alcotest.check result "t=5ms" Ranker.Accepted (Ranker.feed r (web_begin (ms 5)));
-  Alcotest.check result "t=2ms resorted" Ranker.Resorted (Ranker.feed r (web_begin (ms 2)));
+  Alcotest.check result "t=0" Ranker.Accepted (feed r (web_begin 0));
+  Alcotest.check result "t=5ms" Ranker.Accepted (feed r (web_begin (ms 5)));
+  Alcotest.check result "t=2ms resorted" Ranker.Resorted (feed r (web_begin (ms 2)));
   Ranker.close_input r;
   let ts = List.map (fun (a : Activity.t) -> ST.to_ns a.timestamp) (drain r) in
   Alcotest.(check (list int)) "timestamp order restored" [ 0; ms 2; ms 5 ] ts;
@@ -149,22 +123,22 @@ let test_regression_after_reclaim () =
   let r = online_ranker ~skew_allowance:(ST.ms 10) [ "web"; "app" ] in
   for i = 0 to 69 do
     Alcotest.check result "in order" Ranker.Accepted
-      (Ranker.feed r (web_begin (ms 20 + (i * 100_000))))
+      (feed r (web_begin (ms 20 + (i * 100_000))))
   done;
-  Alcotest.check result "app t=200ms" Ranker.Accepted (Ranker.feed r (app_begin (ms 200)));
+  Alcotest.check result "app t=200ms" Ranker.Accepted (feed r (app_begin (ms 200)));
   Alcotest.(check int) "web records committed" 70 (List.length (drain r));
   Alcotest.check result "behind the commit point" (Ranker.Quarantined Ranker.Stale)
-    (Ranker.feed r (web_begin (ms 25)));
+    (feed r (web_begin (ms 25)));
   Alcotest.check result "beyond the allowance" (Ranker.Quarantined Ranker.Regression)
-    (Ranker.feed r (web_begin (ms 10)))
+    (feed r (web_begin (ms 10)))
 
 (* ---- straggler eviction and resync ---- *)
 
 let test_straggler_eviction_and_resync () =
   let r = online_ranker ~straggler_timeout:(ST.ms 50) [ "web"; "app" ] in
-  ignore (Ranker.feed r (app_begin 0) : Ranker.feed_result);
+  ignore (feed r (app_begin 0) : Ranker.feed_result);
   for i = 0 to 20 do
-    ignore (Ranker.feed r (web_begin (ms (10 * i))) : Ranker.feed_result)
+    ignore (feed r (web_begin (ms (10 * i))) : Ranker.feed_result)
   done;
   (* app last reported at t=0 while the watermark is at t=200ms: far past
      the 50 ms timeout, so it must not stall web's candidates. *)
@@ -174,15 +148,15 @@ let test_straggler_eviction_and_resync () =
   Alcotest.(check int) "active straggler gauge" 1 (Ranker.stragglers_active r);
   (* app catches back up to within the timeout of the watermark. *)
   Alcotest.check result "catch-up accepted" Ranker.Accepted
-    (Ranker.feed r (app_begin (ms 180)));
+    (feed r (app_begin (ms 180)));
   Alcotest.(check int) "resynced" 1 (Ranker.stats r).Ranker.straggler_resyncs;
   Alcotest.(check int) "no active stragglers" 0 (Ranker.stragglers_active r)
 
 let test_no_eviction_without_timeout () =
   let r = online_ranker [ "web"; "app" ] in
-  ignore (Ranker.feed r (app_begin 0) : Ranker.feed_result);
+  ignore (feed r (app_begin 0) : Ranker.feed_result);
   for i = 0 to 20 do
-    ignore (Ranker.feed r (web_begin (ms (10 * i))) : Ranker.feed_result)
+    ignore (feed r (web_begin (ms (10 * i))) : Ranker.feed_result)
   done;
   let popped = drain r in
   (* Without a straggler timeout the silent stream stalls everything past
@@ -198,7 +172,7 @@ let test_backpressure_bounds_held_records () =
   (* app never reports: without backpressure every web record would sit
      buffered forever waiting for reassurance. *)
   for i = 0 to 199 do
-    ignore (Ranker.feed r (web_begin (ms i)) : Ranker.feed_result);
+    ignore (feed r (web_begin (ms i)) : Ranker.feed_result);
     ignore (drain r : Activity.t list);
     Alcotest.(check bool)
       (Printf.sprintf "held <= limit after record %d" i)
@@ -211,42 +185,11 @@ let test_backpressure_bounds_held_records () =
   ignore (drain r : Activity.t list);
   Alcotest.(check int) "every record still emitted" 200 (Ranker.stats r).Ranker.candidates
 
-(* ---- reorder slack: online equals offline under bounded reordering ---- *)
-
-let logs_of_requests n =
-  let reqs = List.init n (fun k -> H.simple_request ~base:(k * ms 15) ()) in
-  let pick f = List.concat_map f reqs in
-  [
-    Log.of_list ~hostname:"web" (pick (fun (w, _, _) -> w));
-    Log.of_list ~hostname:"app" (pick (fun (_, a, _) -> a));
-    Log.of_list ~hostname:"db" (pick (fun (_, _, d) -> d));
-  ]
+(* ---- never raises: adversarial feed accounting ---- *)
 
 let request_config () =
   let transform = Core.Transform.config ~entry_points:[ H.ep "10.0.1.1" 80 ] () in
   Core.Correlator.config ~transform ~window:(ST.ms 10) ()
-
-let prop_reordered_feed_matches_offline =
-  QCheck.Test.make ~count:25 ~name:"reordered feed + slack = offline multiset"
-    QCheck.(pair (int_bound 10_000) (int_range 1 6))
-    (fun (seed, n) ->
-      let logs = logs_of_requests n in
-      let cfg = request_config () in
-      let offline = Core.Correlator.correlate cfg logs in
-      let max_delay = ST.ms 2 in
-      let feed =
-        Loss.reorder_feed ~rng:(Simnet.Rng.create ~seed) ~p:0.3 ~max_delay logs
-      in
-      let online =
-        Online.create ~config:cfg ~hosts:[ "web"; "app"; "db" ] ~reorder_slack:max_delay ()
-      in
-      List.iter (Online.observe online) feed;
-      Online.finish online;
-      let sigs cags = List.sort compare (List.map Core.Pattern.signature_of cags) in
-      List.length (Online.quarantine_log online) = 0
-      && sigs (Online.paths online) = sigs offline.Core.Correlator.cags)
-
-(* ---- never raises: adversarial feed accounting ---- *)
 
 let prop_feed_never_raises_and_accounts =
   QCheck.Test.make ~count:50 ~name:"feed never raises; every record accounted"
@@ -259,7 +202,7 @@ let prop_feed_never_raises_and_accounts =
       let accepted = ref 0 in
       let half = List.length records / 2 in
       List.iteri
-        (fun i (h, ts_ms, k, bad_port) ->
+        (fun i (h, ts_ms, k, reply) ->
           if i = half then Ranker.close_input r;
           let host = List.nth [ "web"; "app"; "mars" ] h in
           let kind =
@@ -269,12 +212,12 @@ let prop_feed_never_raises_and_accounts =
             | 2 -> Activity.Receive
             | _ -> Activity.End_
           in
-          let flow = if bad_port then unrepresentable_flow else H.client_web_flow in
+          let flow = if reply then H.web_client_flow else H.client_web_flow in
           let a = H.act ~kind ~ts:(ms ts_ms) ~ctx:(H.ctx ~host ()) ~flow ~size:1 in
-          (match Ranker.feed r a with
+          (match feed r a with
           | Ranker.Accepted | Ranker.Resorted -> incr accepted
           | Ranker.Quarantined _ -> ());
-          ignore (Ranker.rank_step r : Ranker.step))
+          ignore (drain r : Activity.t list))
         records;
       ignore (drain r : Activity.t list);
       !accepted + Ranker.quarantined_total r = List.length records)
@@ -286,7 +229,7 @@ let test_observe_after_finish () =
   let cfg = request_config () in
   let online = Online.create ~config:cfg ~hosts:[ "web"; "app"; "db" ] () in
   Online.finish online;
-  List.iter (Online.observe online) w;
+  List.iter (H.observe_record online) w;
   let closed =
     List.filter (fun (r, _) -> r = Ranker.Closed) (Online.quarantine_log online)
   in
@@ -340,13 +283,10 @@ let test_silent_host_end_to_end () =
   let outcome = S.run spec in
   let cfg = Core.Correlator.config ~transform:outcome.S.transform () in
   let hosts = List.map Log.hostname outcome.S.logs in
-  let merged =
-    List.concat_map Log.to_list outcome.S.logs
-    |> List.stable_sort Activity.compare_by_time
-  in
+  let arenas = Trace.Arena.of_collection outcome.S.logs in
   let replay ?straggler_timeout () =
     let online = Online.create ~config:cfg ~hosts ?straggler_timeout () in
-    List.iter (Online.observe online) merged;
+    Online.replay online arenas;
     let live = List.length (Online.paths online) in
     Online.finish online;
     (online, live)
@@ -502,8 +442,6 @@ let () =
           Alcotest.test_case "duplicate" `Quick test_quarantine_duplicate;
           Alcotest.test_case "large regression" `Quick test_quarantine_large_regression;
           Alcotest.test_case "stale behind commit" `Quick test_quarantine_stale_behind_commit;
-          Alcotest.test_case "malformed" `Quick test_quarantine_malformed;
-          Alcotest.test_case "before interning" `Quick test_quarantine_before_interning;
           Alcotest.test_case "resort within allowance" `Quick test_resort_within_allowance;
           Alcotest.test_case "regression after reclaim" `Quick test_regression_after_reclaim;
           qtest prop_feed_never_raises_and_accounts;
@@ -517,7 +455,6 @@ let () =
       ( "backpressure",
         [ Alcotest.test_case "bounds held records" `Quick test_backpressure_bounds_held_records ]
       );
-      ("reorder", [ qtest prop_reordered_feed_matches_offline ]);
       ( "online",
         [
           Alcotest.test_case "observe after finish" `Quick test_observe_after_finish;

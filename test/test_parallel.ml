@@ -151,7 +151,9 @@ let test_plan_degrades_to_one_epoch () =
   let plan = Shard.plan ~jobs:4 cfg (Trace.Arena.of_collection logs) in
   Alcotest.(check int) "single epoch" 1 (Array.length (Shard.epoch_ranges plan));
   let serial = Correlator.correlate ~telemetry:(R.create ()) cfg logs in
-  let sharded = Shard.correlate ~telemetry:(R.create ()) ~jobs:4 cfg logs in
+  let sharded =
+    Shard.correlate_arena ~telemetry:(R.create ()) ~jobs:4 cfg (Trace.Arena.of_collection logs)
+  in
   Alcotest.(check string) "fallback identical" (Shard.digest serial) (Shard.digest sharded)
 
 (* ---- sharded = serial ---- *)
@@ -200,7 +202,9 @@ let check_shard_equals_serial ~jobs_list spec =
   List.iter
     (fun jobs ->
       let reg_p = R.create () in
-      let sharded = Shard.correlate ~telemetry:reg_p ~jobs cfg logs in
+      let sharded =
+        Shard.correlate_arena ~telemetry:reg_p ~jobs cfg (Trace.Arena.of_collection logs)
+      in
       Alcotest.(check string)
         (tag "digest at jobs=%d" jobs)
         (Shard.digest serial) (Shard.digest sharded);

@@ -35,12 +35,20 @@ let correlate_cfg () =
   let o = Lazy.force outcome in
   Correlator.config ~transform:o.S.transform ()
 
-(* Record-list edges onto the native segment codec. *)
+(* Record-list edges onto the native segment codec, writer and query. *)
 let write_segment ~dir ~id ~policy collection =
   Store.Segment.write_native ~dir ~id ~policy (Trace.Arena.of_collection collection)
 
 let read_segment ~dir meta =
   Result.map Trace.Arena.to_collection (Store.Segment.read_native ~dir meta)
+
+let ingest writer collection =
+  Store.Writer.ingest_native writer (Trace.Arena.of_collection collection)
+
+let query ~dir predicate =
+  Result.map
+    (fun (arenas, stats) -> (Trace.Arena.to_collection arenas, stats))
+    (Store.Query.run_native ~dir predicate)
 
 let collection_equal a b =
   List.length a = List.length b
@@ -167,7 +175,7 @@ let test_writer_rolls_segments () =
   with_dir @@ fun dir ->
   let collection = (Lazy.force outcome).S.logs in
   let writer = Store.Writer.create ~roll_records:500 ~dir () in
-  Store.Writer.ingest writer collection;
+  ingest writer collection;
   let stats = Store.Writer.close writer in
   Alcotest.(check bool)
     (Printf.sprintf "%d segments from %d records" stats.Store.Writer.segments
@@ -209,7 +217,7 @@ let test_ingest_native_unsorted_matches_sorted () =
   in
   with_dir @@ fun dir1 ->
   with_dir @@ fun dir2 ->
-  write_with dir1 (fun w -> Store.Writer.ingest w collection);
+  write_with dir1 (fun w -> ingest w collection);
   write_with dir2 (fun w ->
       let unsorted =
         List.map
@@ -226,7 +234,7 @@ let test_ingest_native_unsorted_matches_sorted () =
     (fun (name, b1) (_, b2) ->
       Alcotest.(check bool) (Printf.sprintf "%s byte-identical" name) true (String.equal b1 b2))
     files1 files2;
-  match Store.Query.run ~dir:dir2 Store.Query.all with
+  match query ~dir:dir2 Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (loaded, _) ->
       let by_host =
@@ -235,20 +243,44 @@ let test_ingest_native_unsorted_matches_sorted () =
       Alcotest.(check bool) "query returns the sorted records" true
         (collection_equal (by_host collection) (by_host loaded))
 
+(* The query over the records themselves: the predicate applied to each
+   host log, hosts in name order, empty ones left out. *)
+let record_query collection (p : Store.Query.predicate) =
+  let keep (a : Activity.t) =
+    let ts = Simnet.Sim_time.to_ns a.timestamp in
+    Option.fold ~none:true ~some:(fun s -> ts >= s) p.since_ns
+    && Option.fold ~none:true ~some:(fun u -> ts <= u) p.until_ns
+  in
+  List.filter_map
+    (fun log ->
+      let hostname = Log.hostname log in
+      let kept = List.filter keep (Log.to_list log) in
+      if kept = [] || not (Option.fold ~none:true ~some:(List.mem hostname) p.hosts) then None
+      else Some (Log.of_list ~hostname kept))
+    (List.sort (fun a b -> String.compare (Log.hostname a) (Log.hostname b)) collection)
+
 let test_query_native_matches_record_query () =
   with_dir @@ fun dir ->
   let collection = (Lazy.force outcome).S.logs in
   let writer = Store.Writer.create ~roll_records:700 ~dir () in
-  Store.Writer.ingest writer collection;
+  ingest writer collection;
   ignore (Store.Writer.close writer);
-  let predicate = Store.Query.predicate ~hosts:[ "web"; "db1" ] () in
-  match (Store.Query.run ~dir predicate, Store.Query.run_native ~dir predicate) with
-  | Ok (records, s1), Ok (arenas, s2) ->
-      Alcotest.(check bool) "same collection" true
-        (collection_equal records (Trace.Arena.to_collection arenas));
-      Alcotest.(check int) "same segments scanned" s1.Store.Query.segments_scanned
-        s2.Store.Query.segments_scanned
-  | Error e, _ | _, Error e -> Alcotest.fail e
+  let manifest = Result.get_ok (Store.Manifest.load ~dir) in
+  List.iter
+    (fun predicate ->
+      match Store.Query.run_native ~dir predicate with
+      | Ok (arenas, stats) ->
+          Alcotest.(check bool) "same collection" true
+            (collection_equal (record_query collection predicate)
+               (Trace.Arena.to_collection arenas));
+          Alcotest.(check int) "scans the selected segments"
+            (List.length (Store.Query.select manifest predicate))
+            stats.Store.Query.segments_scanned
+      | Error e -> Alcotest.fail e)
+    [
+      Store.Query.predicate ~hosts:[ "web"; "db1" ] ();
+      Store.Query.predicate ~since_ns:3_000_000_000 ~until_ns:4_000_000_000 ~hosts:[ "app1" ] ();
+    ]
 
 let test_writer_requires_correlate () =
   with_dir @@ fun dir ->
@@ -266,9 +298,9 @@ let test_roundtrip_fidelity () =
   let o = Lazy.force outcome in
   let cfg = correlate_cfg () in
   let writer = Store.Writer.create ~roll_records:1000 ~dir () in
-  Store.Writer.ingest writer o.S.logs;
+  ingest writer o.S.logs;
   ignore (Store.Writer.close writer);
-  match Store.Query.run ~dir Store.Query.all with
+  match query ~dir Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (loaded, _) ->
       Alcotest.(check bool) "activities identical" true (collection_equal o.S.logs loaded);
@@ -406,7 +438,7 @@ let test_reduction_head_and_boundaries () =
 let store_of_run dir =
   let o = Lazy.force outcome in
   let writer = Store.Writer.create ~roll_records:1000 ~dir () in
-  Store.Writer.ingest writer o.S.logs;
+  ingest writer o.S.logs;
   ignore (Store.Writer.close writer)
 
 let test_query_prunes_segments () =
@@ -426,7 +458,7 @@ let test_query_prunes_segments () =
       ~until_ns:(min_ts + (span * 55 / 100))
       ()
   in
-  match Store.Query.run ~dir narrow with
+  match query ~dir narrow with
   | Error e -> Alcotest.fail e
   | Ok (logs, stats) ->
       Alcotest.(check bool)
@@ -459,7 +491,7 @@ let test_query_boundary_inclusive () =
   Store.Manifest.save
     (Store.Manifest.add (Store.Manifest.add Store.Manifest.empty meta_a) meta_b)
     ~dir;
-  match Store.Query.run ~dir (Store.Query.predicate ~since_ns:200 ~until_ns:200 ()) with
+  match query ~dir (Store.Query.predicate ~since_ns:200 ~until_ns:200 ()) with
   | Error e -> Alcotest.fail e
   | Ok (logs, stats) ->
       Alcotest.(check int) "both segments scanned" 2 stats.Store.Query.segments_scanned;
@@ -474,13 +506,17 @@ let test_query_boundary_inclusive () =
 let test_query_host_filter () =
   with_dir @@ fun dir ->
   store_of_run dir;
-  match Store.Query.run ~dir (Store.Query.predicate ~hosts:[ "db1" ] ()) with
+  match query ~dir (Store.Query.predicate ~hosts:[ "db1" ] ()) with
   | Error e -> Alcotest.fail e
   | Ok (logs, _) ->
       Alcotest.(check (list string)) "only db1" [ "db1" ] (List.map Log.hostname logs);
       Alcotest.(check bool) "non-empty" true (Log.total logs > 0)
 
 (* ---- merge order ---- *)
+
+let merge segments =
+  Trace.Arena.to_collection
+    (Store.Query.merge_native (List.map Trace.Arena.of_collection segments))
 
 (* Rows tied on (timestamp, context, kind) that differ only in flow: the
    merge must keep them in segment order, not reverse them. *)
@@ -495,17 +531,17 @@ let test_merge_keeps_tied_rows () =
   in
   let log = Log.of_list ~hostname:"app" (tied @ [ later ]) in
   Alcotest.(check bool) "one segment unchanged" true
-    (collection_equal [ log ] (Store.Query.merge [ [ log ] ]));
+    (collection_equal [ log ] (merge [ [ log ] ]));
   let first = Log.of_list ~hostname:"app" tied in
   let second = Log.of_list ~hostname:"app" [ row 42004; later ] in
   let expected = Log.of_list ~hostname:"app" (tied @ [ row 42004; later ]) in
   Alcotest.(check bool) "segment order kept across segments" true
-    (collection_equal [ expected ] (Store.Query.merge [ [ first ]; [ second ] ]))
+    (collection_equal [ expected ] (merge [ [ first ]; [ second ] ]))
 
 (* Random multi-segment inputs drawn from tiny attribute pools, so rows
-   tie on (timestamp, context, kind) often. The record merge, the native
-   merge and the specification — per host, concatenate in segment order
-   and stable-sort by time — agree row for row. *)
+   tie on (timestamp, context, kind) often. The merge and the
+   specification — per host, concatenate in segment order and
+   stable-sort by time — agree row for row. *)
 let gen_segments =
   let open QCheck.Gen in
   let host = oneofl [ "h0"; "h1"; "h2" ] in
@@ -545,11 +581,7 @@ let prop_merge_agrees_with_native =
                |> List.stable_sort Activity.compare_by_time
                |> Log.of_list ~hostname)
       in
-      let native =
-        Trace.Arena.to_collection
-          (Store.Query.merge_native (List.map Trace.Arena.of_collection segments))
-      in
-      collection_equal spec (Store.Query.merge segments) && collection_equal spec native)
+      collection_equal spec (merge segments))
 
 (* ---- compaction ---- *)
 
@@ -557,7 +589,7 @@ let test_compaction_equivalence () =
   with_dir @@ fun dir ->
   store_of_run dir;
   let before =
-    match Store.Query.run ~dir Store.Query.all with
+    match query ~dir Store.Query.all with
     | Ok (logs, _) -> logs
     | Error e -> failwith e
   in
@@ -577,7 +609,7 @@ let test_compaction_equivalence () =
   let ids = List.map (fun (s : Store.Segment.meta) -> s.Store.Segment.id) m1.segments in
   Alcotest.(check int) "ids unique" (List.length ids)
     (List.length (List.sort_uniq compare ids));
-  match Store.Query.run ~dir Store.Query.all with
+  match query ~dir Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (after, _) ->
       Alcotest.(check bool) "query result unchanged" true (collection_equal before after)
@@ -618,11 +650,11 @@ let test_writer_with_reduction () =
     | Error e -> failwith e
   in
   let writer = Store.Writer.create ~policy ~correlate:cfg ~roll_records:2000 ~dir () in
-  Store.Writer.ingest writer o.S.logs;
+  ingest writer o.S.logs;
   let stats = Store.Writer.close writer in
   Alcotest.(check bool) "records reduced" true (stats.Store.Writer.records_out < stats.records_in);
   Alcotest.(check bool) "bytes reduced" true (stats.Store.Writer.bytes_out < stats.bytes_in);
-  match Store.Query.run ~dir Store.Query.all with
+  match query ~dir Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (reduced, _) ->
       (* Per-batch reduction's one caveat (see writer.mli): a request
@@ -638,34 +670,36 @@ let test_writer_with_reduction () =
         true
         (float_of_int deformed < 0.05 *. float_of_int (finished + deformed))
 
-(* ---- Online tee: live correlation and durable capture share one feed ---- *)
+(* ---- the shipped tee: in-band delivery feeds live correlation and the
+   store ---- *)
 
 let test_online_tee () =
   with_dir @@ fun dir ->
-  let o = Lazy.force outcome in
-  let cfg = correlate_cfg () in
   let writer = Store.Writer.create ~roll_records:1000 ~dir () in
-  let hosts = List.map Log.hostname o.S.logs in
-  let online =
-    Core.Online.create ~config:cfg ~hosts
-      ~on_activity:(Store.Writer.observe writer)
-      ~telemetry:(Telemetry.Registry.create ())
-      ()
+  let deploy = ref None in
+  let outcome =
+    S.run
+      ~before_run:(fun svc ->
+        deploy :=
+          Some
+            (Collect.Deploy.install ~telemetry:(Telemetry.Registry.create ()) ~writer svc))
+      ~after_run:(fun _ -> Collect.Deploy.finish (Option.get !deploy))
+      { S.default with S.clients = 40; time_scale = 0.05; seed = 11 }
   in
-  List.concat_map Log.to_list o.S.logs
-  |> List.stable_sort Activity.compare_by_time
-  |> List.iter (Core.Online.observe online);
-  Core.Online.finish online;
   ignore (Store.Writer.close writer);
-  (* The store captured the raw feed: querying it back returns exactly the
-     original collection, while the online run correlated the same feed. *)
-  match Store.Query.run ~dir Store.Query.all with
+  let online = Collect.Deploy.online (Option.get !deploy) in
+  (* The store captured the raw delivered feed: querying it back returns
+     exactly the run's collection, while the online run correlated the
+     same feed into the offline paths. *)
+  match query ~dir Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (loaded, _) ->
       Alcotest.(check bool) "store holds the raw feed" true
-        (collection_equal o.S.logs loaded);
-      Alcotest.(check int) "online paths match offline"
-        (List.length (Correlator.correlate cfg o.S.logs).Correlator.cags)
+        (collection_equal outcome.S.logs loaded);
+      let cfg = Correlator.config ~transform:outcome.S.transform () in
+      let offline = List.length (Correlator.correlate cfg outcome.S.logs).Correlator.cags in
+      Alcotest.(check bool) "paths correlated" true (offline > 0);
+      Alcotest.(check int) "online paths match offline" offline
         (List.length (Core.Online.paths online))
 
 let () =

@@ -294,10 +294,11 @@ let test_correlate_mirrors_stats () =
   check_mirrors snap result.Core.Correlator.ranker_stats
     result.Core.Correlator.engine_stats;
   let prepared =
-    Core.Transform.apply (hand_built_config ()).Core.Correlator.transform logs
+    Core.Transform.apply_native (hand_built_config ()).Core.Correlator.transform
+      (Trace.Arena.of_collection logs)
   in
   Alcotest.(check int) "pt_correlator_activities_total"
-    (Trace.Log.total prepared)
+    (Trace.Arena.total prepared)
     (counter_exn snap "pt_correlator_activities_total");
   Alcotest.(check int) "pt_correlator_paths_total{state=finished}"
     (List.length result.Core.Correlator.cags)
@@ -322,9 +323,7 @@ let test_offline_online_parity () =
       ~hosts:(List.map Trace.Log.hostname outcome.S.logs)
       ()
   in
-  List.concat_map Trace.Log.to_list outcome.S.logs
-  |> List.stable_sort Trace.Activity.compare_by_time
-  |> List.iter (Online.observe online);
+  Online.replay online (Trace.Arena.of_collection outcome.S.logs);
   Online.finish online;
   let off_snap = R.snapshot off and on_snap = R.snapshot on in
   (* Each registry mirrors its own run's legacy stats records... *)

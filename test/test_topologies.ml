@@ -116,11 +116,7 @@ let prop_online_equals_offline =
       let cfg = Core.Correlator.config ~transform () in
       let offline = Core.Correlator.correlate cfg logs in
       let online = Core.Online.create ~config:cfg ~hosts:b.hostnames () in
-      let merged =
-        List.concat_map Trace.Log.to_list logs
-        |> List.stable_sort Trace.Activity.compare_by_time
-      in
-      List.iter (Core.Online.observe online) merged;
+      Core.Online.replay online (Trace.Arena.of_collection logs);
       Core.Online.finish online;
       let sigs cags = List.map Core.Pattern.signature_of cags in
       sigs offline.Core.Correlator.cags = sigs (Core.Online.paths online))

@@ -334,6 +334,11 @@ let prop_loss_rate =
 
 (* ---- Binary format ---- *)
 
+(* The codec over record lists, converting at the edges. *)
+let encode collection = Trace.Binary_format.encode_native (Trace.Arena.of_collection collection)
+let decode data = Result.map Trace.Arena.to_collection (Trace.Binary_format.decode_native data)
+let save collection ~path = Trace.Binary_format.save (Trace.Arena.of_collection collection) ~path
+
 let text_size collection =
   List.fold_left
     (fun acc log ->
@@ -348,7 +353,7 @@ let test_binary_roundtrip () =
       { Tiersim.Scenario.default with Tiersim.Scenario.clients = 10; time_scale = 0.02 }
   in
   let collection = outcome.Tiersim.Scenario.logs in
-  match Trace.Binary_format.decode (Trace.Binary_format.encode collection) with
+  match decode (encode collection) with
   | Error e -> Alcotest.fail e
   | Ok loaded ->
       Alcotest.(check int) "log count" (List.length collection) (List.length loaded);
@@ -367,7 +372,7 @@ let test_binary_smaller_than_text () =
       { Tiersim.Scenario.default with Tiersim.Scenario.clients = 30; time_scale = 0.02 }
   in
   let collection = outcome.Tiersim.Scenario.logs in
-  let binary = String.length (Trace.Binary_format.encode collection) in
+  let binary = String.length (encode collection) in
   let text = text_size collection in
   Alcotest.(check bool)
     (Printf.sprintf "binary %d < text %d / 3" binary text)
@@ -376,26 +381,26 @@ let test_binary_smaller_than_text () =
 
 let test_binary_rejects_corruption () =
   let collection = H.logs_of_request () in
-  let encoded = Trace.Binary_format.encode collection in
-  (match Trace.Binary_format.decode "nope" with
+  let encoded = encode collection in
+  (match decode "nope" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad magic accepted");
-  (match Trace.Binary_format.decode (String.sub encoded 0 (String.length encoded / 2)) with
+  (match decode (String.sub encoded 0 (String.length encoded / 2)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncation accepted");
-  (match Trace.Binary_format.decode (encoded ^ "x") with
+  (match decode (encoded ^ "x") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted");
-  match Trace.Binary_format.decode encoded with
+  match decode encoded with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
 let test_binary_file_io () =
   let collection = H.logs_of_request () in
   let path = Filename.temp_file "pt" ".ptb" in
-  Trace.Binary_format.save collection ~path;
+  save collection ~path;
   (match Trace.Binary_format.load ~path with
-  | Ok loaded -> Alcotest.(check int) "total" (Log.total collection) (Log.total loaded)
+  | Ok loaded -> Alcotest.(check int) "total" (Log.total collection) (Trace.Arena.total loaded)
   | Error e -> Alcotest.fail e);
   Sys.remove path
 
@@ -404,7 +409,7 @@ let prop_binary_roundtrip =
     QCheck.(list_of_size (Gen.int_range 0 30) arbitrary_activity)
     (fun acts ->
       let collection = [ Log.of_list ~hostname:"n1" acts ] in
-      match Trace.Binary_format.decode (Trace.Binary_format.encode collection) with
+      match decode (encode collection) with
       | Ok [ loaded ] ->
           List.for_all2 Activity.equal (Log.to_list (List.hd collection)) (Log.to_list loaded)
       | Ok _ | Error _ -> false)
@@ -444,18 +449,18 @@ let collection_equal a b =
 let prop_binary_collection_roundtrip =
   QCheck.Test.make ~name:"binary roundtrip on randomized collections" ~count:100
     arbitrary_collection (fun collection ->
-      match Trace.Binary_format.decode (Trace.Binary_format.encode collection) with
+      match decode (encode collection) with
       | Ok loaded -> collection_equal collection loaded
       | Error _ -> false)
 
 let corpus_encoding () =
-  Trace.Binary_format.encode (H.logs_of_request ())
+  encode (H.logs_of_request ())
 
 let test_binary_truncation_corpus () =
   let encoded = corpus_encoding () in
   let n = String.length encoded in
   for len = 4 to n - 1 do
-    match Trace.Binary_format.decode (String.sub encoded 0 len) with
+    match decode (String.sub encoded 0 len) with
     | Ok _ -> Alcotest.failf "prefix of %d/%d bytes decoded" len n
     | Error msg ->
         if not (H.contains msg "offset") then
@@ -472,7 +477,7 @@ let test_binary_byte_flip_corpus () =
       for i = 0 to n - 1 do
         let b = Bytes.of_string encoded in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
-        match Trace.Binary_format.decode (Bytes.to_string b) with
+        match decode (Bytes.to_string b) with
         | Ok _ -> ()  (* flips in sizes/ports can still decode; that's fine *)
         | Error msg ->
             (* Magic damage is reported as a non-PTB1 file; everything past
@@ -487,7 +492,7 @@ let test_binary_byte_flip_corpus () =
 let test_binary_truncated_file_load () =
   let collection = H.logs_of_request () in
   let path = Filename.temp_file "pt" ".ptb" in
-  Trace.Binary_format.save collection ~path;
+  save collection ~path;
   let full = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (String.sub full 0 (String.length full - 7)));
@@ -531,12 +536,136 @@ let prop_native_roundtrip =
       | Ok loaded -> arenas_equal arenas loaded
       | Error _ -> false)
 
+(* The record-list PTB1 encoder the arena codec replaced, kept as the
+   reference its bytes must match: per-message string, context and flow
+   tables keyed by the records' fields, interned in traversal order. *)
+let reference_encode collection =
+  let module B = Trace.Binary_format in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf B.magic;
+  let table (type k) (module T : Hashtbl.S with type key = k) =
+    let tbl = T.create 16 and order = ref [] in
+    let index key =
+      match T.find_opt tbl key with
+      | Some i -> i
+      | None ->
+          let i = T.length tbl in
+          T.replace tbl key i;
+          order := key :: !order;
+          i
+    in
+    (index, fun () -> List.rev !order)
+  in
+  let string_index, strings = table (module Hashtbl.Make (String)) in
+  let context_index, contexts =
+    table
+      (module Hashtbl.Make (struct
+        type t = Activity.context
+
+        let equal = ( = )
+        let hash = Hashtbl.hash
+      end))
+  in
+  let flow_index, flows = table (module Simnet.Address.Flow_table) in
+  let context_of (c : Activity.context) =
+    ignore (string_index c.host);
+    ignore (string_index c.program);
+    context_index c
+  in
+  List.iter
+    (fun log ->
+      ignore (string_index (Log.hostname log));
+      List.iter
+        (fun (a : Activity.t) ->
+          ignore (context_of a.context);
+          ignore (flow_index a.message.flow))
+        (Log.to_list log))
+    collection;
+  let put = B.put_uvarint buf in
+  put (List.length (strings ()));
+  List.iter (B.put_string buf) (strings ());
+  put (List.length (contexts ()));
+  List.iter
+    (fun (c : Activity.context) ->
+      put (string_index c.host);
+      put (string_index c.program);
+      put c.pid;
+      put c.tid)
+    (contexts ());
+  put (List.length (flows ()));
+  List.iter
+    (fun (f : Simnet.Address.flow) ->
+      put (Simnet.Address.ip_to_int f.src.ip);
+      put f.src.port;
+      put (Simnet.Address.ip_to_int f.dst.ip);
+      put f.dst.port)
+    (flows ());
+  put (List.length collection);
+  List.iter
+    (fun log ->
+      put (string_index (Log.hostname log));
+      put (Log.length log);
+      let prev_ts = ref 0 in
+      List.iter
+        (fun (a : Activity.t) ->
+          put (Activity.kind_to_code a.kind);
+          let ts = Simnet.Sim_time.to_ns a.timestamp in
+          B.put_varint buf (ts - !prev_ts);
+          prev_ts := ts;
+          put (context_index a.context);
+          put (flow_index a.message.flow);
+          put a.message.size)
+        (Log.to_list log))
+    collection;
+  Buffer.contents buf
+
 let prop_native_bytes_match_legacy =
   QCheck.Test.make ~name:"encode_native bytes equal record-list encode bytes" ~count:100
     arbitrary_collection (fun collection ->
-      String.equal
-        (Trace.Binary_format.encode collection)
+      String.equal (reference_encode collection)
         (Trace.Binary_format.encode_native (Arena.of_collection collection)))
+
+(* Logs whose records tie often: timestamps from a tiny range, contexts
+   and kinds from tiny pools, and context hosts drawn independently of
+   the log they sit in, so rows tie on (timestamp, context, kind) within
+   a host and across hosts, and tie on timestamp alone with a different
+   context or kind. Flows and sizes tell tied rows apart. *)
+let tied_collection =
+  let open QCheck.Gen in
+  let activity =
+    map
+      (fun ((ts, host), (pid, kind), (port, size)) ->
+        H.act ~kind ~ts ~ctx:(H.ctx ~host ~pid ()) ~flow:(H.flow "10.0.0.1" port "10.0.0.2" 80)
+          ~size)
+      (triple
+         (pair (int_range 0 3) (oneofl [ "h0"; "h1" ]))
+         (pair (int_range 1 2) (oneofl Activity.[ Begin; Send; End_; Receive ]))
+         (pair (int_range 1 4) (int_range 1 3)))
+  in
+  let log i =
+    map (Log.of_list ~hostname:(Printf.sprintf "h%d" i)) (list_size (int_range 0 10) activity)
+  in
+  int_range 1 4 >>= fun hosts -> flatten_l (List.init hosts log)
+
+let prop_merge_is_stable_time_sort =
+  QCheck.Test.make ~name:"iter_merged = stable time sort of the concatenation" ~count:300
+    (QCheck.make
+       ~print:(fun c ->
+         String.concat " | "
+           (List.map
+              (fun l ->
+                Log.hostname l ^ ": "
+                ^ String.concat "; " (List.map (Format.asprintf "%a" Activity.pp) (Log.to_list l)))
+              c))
+       tied_collection)
+    (fun collection ->
+      let arenas = Array.of_list (Arena.of_collection collection) in
+      let visited = ref [] in
+      Arena.iter_merged arenas (fun h i -> visited := Arena.get arenas.(h) i :: !visited);
+      let expected =
+        List.stable_sort Activity.compare_by_time (List.concat_map Log.to_list collection)
+      in
+      List.equal Activity.equal expected (List.rev !visited))
 
 let prop_text_native_text_stable =
   (* Text import -> native codec roundtrip -> text export must be
@@ -733,6 +862,7 @@ let () =
           qtest prop_native_roundtrip;
           qtest prop_native_bytes_match_legacy;
           qtest prop_text_native_text_stable;
+          qtest prop_merge_is_stable_time_sort;
         ] );
       ( "ground_truth",
         [
