@@ -68,7 +68,10 @@ bundle-gate: build
 # collection plane next to its text logs — must correlate to byte-identical
 # path exports within each run, offline and (from a store) through the
 # online replay. The loader that reads all three formats lives in bin/,
-# so no unit test reaches it.
+# so no unit test reaches it. The same run on the hierarchical plane
+# (two replicas, two shards) must report no flagged-deformed path at the
+# root, and some under an agent crash; the flat plane must survive the
+# crash too.
 CLI_SIM = dune exec bin/precisetracer.exe -- simulate -c 40 --scale 0.05 --seed 11
 CLI_CORRELATE = dune exec bin/precisetracer.exe -- correlate
 cli-gate: build
@@ -87,6 +90,13 @@ cli-gate: build
 	cmp _cli_gate/text.json _cli_gate/store-online.json
 	cmp _cli_gate/collect-text.json _cli_gate/collect-store.json
 	cmp _cli_gate/collect-text.json _cli_gate/collect-store-online.json
+	$(CLI_SIM) --collect-shards 2 --replicas 2 > _cli_gate/hier.txt
+	cat _cli_gate/hier.txt
+	grep -q 'at the root (0 flagged deformed' _cli_gate/hier.txt
+	$(CLI_SIM) --collect-shards 2 --replicas 2 --fault agent-crash > _cli_gate/hier-crash.txt
+	cat _cli_gate/hier-crash.txt
+	grep -Eq 'at the root \([1-9][0-9]* flagged deformed' _cli_gate/hier-crash.txt
+	$(CLI_SIM) --collect --fault agent-crash
 	rm -rf _cli_gate
 
 # The pipeline benchmark (bench/pipeline/README.md), untraced, on all four

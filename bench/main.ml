@@ -1001,7 +1001,11 @@ let bench_collect () =
     let reg = Telemetry.Registry.create () in
     let deploy = ref None in
     let config =
-      { Collect.Deploy.default_config with Collect.Deploy.batch_records = batch }
+      {
+        Collect.Deploy.default_config with
+        Collect.Deploy.agent =
+          { Collect.Agent.default_config with Collect.Agent.batch_records = batch };
+      }
     in
     let outcome =
       S.run

@@ -326,25 +326,24 @@ let print_cluster_summary (co : S.cluster_outcome) =
 
 let print_hierarchy (report : Collect.Hierarchy.report) =
   let module P = Collect.Hierarchy in
-  Format.printf "hierarchy: %d causal paths at the root (%d deformed)@."
-    (List.length report.P.finished)
+  let flagged = List.length (List.filter Core.Cag.is_deformed report.P.finished) in
+  Format.printf "hierarchy: %d causal paths at the root (%d flagged deformed, %d unfinished)@."
+    (List.length report.P.finished) flagged
     (List.length report.P.deformed);
   Format.printf "  root digest %s@." report.P.digest;
   Format.printf
-    "  level 0: %d records observed, %d removed before framing (%d coalesced, %d local \
-     flows, %d fallbacks), %d boundary entries, %d bytes shipped@."
+    "  level 0: %d records observed, %d removed before framing (%d coalesced), %d bytes \
+     shipped@."
     report.P.agent_observed report.P.agent_reduced report.P.partial_coalesced
-    report.P.partial_local_flows report.P.partial_fallbacks report.P.boundary_entries
     report.P.agent_bytes_shipped;
   List.iter
     (fun (sh : P.shard_report) ->
       Format.printf
-        "  shard %d <- replicas [%s]: %d paths (%d deformed) from %d reduced records, %d \
-         boundary entries, %d PTP1 bytes to root@."
+        "  shard %d <- replicas [%s]: %d paths (%d unfinished) from %d reduced records, %d \
+         PTP1 bytes to root@."
         sh.P.shard_id
         (String.concat "," (List.map string_of_int sh.P.shard_replicas))
-        sh.P.paths_finished sh.P.paths_deformed sh.P.ingest_records
-        sh.P.shard_boundary_entries sh.P.output_bytes)
+        sh.P.paths_finished sh.P.paths_deformed sh.P.ingest_records sh.P.output_bytes)
     report.P.shard_reports;
   Format.printf "  root ingest: %d PTP1 bytes" report.P.root_ingest_bytes;
   if report.P.root_ingest_bytes > 0 then
@@ -456,9 +455,8 @@ let simulate_cmd =
       & info [ "agent-correlate" ]
           ~doc:
             "Run the agent-local partial-correlation pass (hierarchy level 0) on every \
-             traced host: prefilter, coalesce runs, resolve same-host flows, and ship \
-             reduced frames with an unresolved-boundary table. Without \
-             $(b,--collect-shards) a single level-1 shard is used.")
+             traced host: prefilter and coalesce runs, then ship the reduced frames. \
+             Without $(b,--collect-shards) a single level-1 shard is used.")
   in
   let topology =
     Arg.(
@@ -540,7 +538,7 @@ let simulate_cmd =
       exit 1
     end;
     if collect_shards < 0 then begin
-      Format.eprintf "--collect-shards must be at least 1@.";
+      Format.eprintf "--collect-shards must be 0 (off) or more@.";
       exit 1
     end;
     if replicas > 1 && not hierarchical then begin
@@ -549,6 +547,15 @@ let simulate_cmd =
          --agent-correlate@.";
       exit 1
     end;
+    let agent =
+      {
+        Collect.Agent.default_config with
+        Collect.Agent.batch_records = collect_batch;
+        max_spool_records = collect_buffer;
+        overflow = collect_overflow;
+        policy = agent_policy;
+      }
+    in
     if hierarchical then begin
       if collect || Option.is_some store_dir || Option.is_some bundle_out then begin
         Format.eprintf
@@ -564,14 +571,6 @@ let simulate_cmd =
       end;
       let shards = if collect_shards > 0 then collect_shards else 1 in
       let cluster = { S.base = spec; S.replicas } in
-      let agent =
-        {
-          Collect.Agent.default_config with
-          Collect.Agent.batch_records = collect_batch;
-          max_spool_records = collect_buffer;
-          overflow = collect_overflow;
-        }
-      in
       let config =
         { Collect.Hierarchy.default_config with Collect.Hierarchy.shards; agent }
       in
@@ -608,15 +607,7 @@ let simulate_cmd =
                 (Store.Writer.create ~policy:store_policy ~correlate
                    ~roll_records:segment_records ~dir ()))
           store_dir;
-        let config =
-          {
-            Collect.Deploy.default_config with
-            Collect.Deploy.batch_records = collect_batch;
-            max_spool_records = collect_buffer;
-            overflow = collect_overflow;
-            policy = agent_policy;
-          }
-        in
+        let config = { Collect.Deploy.default_config with Collect.Deploy.agent } in
         deploy := Some (Collect.Deploy.install ~config ?writer:!writer svc)
       end
     in

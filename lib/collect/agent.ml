@@ -17,7 +17,7 @@ type config = {
   overflow : overflow;
   policy : Store.Policy.t;
   correlate : Core.Correlator.config option;
-  partial : Core.Partial.config option;
+  partial : Core.Transform.config option;
   max_inflight_frames : int;
   cpu_per_record : Sim_time.span;
   cpu_per_frame : Sim_time.span;
@@ -45,7 +45,6 @@ let default_config =
 type entry = {
   seq : int;
   payload : string;
-  boundary : Trace.Boundary.t;  (* unresolved flows of a partially-correlated batch *)
   records : int;
   watermark : Sim_time.t;
   mutable sent : bool;  (* transmitted on the current connection *)
@@ -82,17 +81,10 @@ type t = {
   mutable flush_timer : Engine.timer option;
   reduce : Core.Correlator.config option;  (* set iff the policy reduces *)
   partial : Core.Partial.t option;
-  (* Boundary flows already shipped: each unresolved cross-host flow is
-     announced once, when it first enters the boundary, not re-listed in
-     every later frame that touches the connection. *)
-  shipped_boundary : (int * int * int * int, unit) Hashtbl.t;
   (* stats mirrors (exact per-run view; telemetry accumulates) *)
   mutable s_observed : int;
   mutable s_reduced : int;
   mutable s_partial_coalesced : int;
-  mutable s_partial_local_flows : int;
-  mutable s_partial_fallbacks : int;
-  mutable s_boundary_entries : int;
   s_dropped : (string, int ref) Hashtbl.t;
   mutable s_frames : int;
   mutable s_retransmits : int;
@@ -103,9 +95,6 @@ type t = {
   c_observed : R.counter;
   c_reduced : R.counter;
   c_partial_coalesced : R.counter;
-  c_partial_local_flows : R.counter;
-  c_partial_fallbacks : R.counter;
-  c_boundary_entries : R.counter;
   c_dropped : (string, R.counter) Hashtbl.t;
   c_frames : R.counter;
   c_retransmits : R.counter;
@@ -178,13 +167,9 @@ let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~coll
     flush_timer = None;
     reduce;
     partial = Option.map Core.Partial.create config.partial;
-    shipped_boundary = Hashtbl.create 64;
     s_observed = 0;
     s_reduced = 0;
     s_partial_coalesced = 0;
-    s_partial_local_flows = 0;
-    s_partial_fallbacks = 0;
-    s_boundary_entries = 0;
     s_dropped;
     s_frames = 0;
     s_retransmits = 0;
@@ -196,14 +181,6 @@ let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~coll
     c_partial_coalesced =
       counter "Rows merged into a local run head by the partial pass"
         "pt_hier_partial_coalesced_total";
-    c_partial_local_flows =
-      counter "Flows resolved inside the host by the partial pass"
-        "pt_hier_partial_local_flows_total";
-    c_partial_fallbacks =
-      counter "Batches shipped raw because the partial pass exceeded its budget"
-        "pt_hier_partial_fallbacks_total";
-    c_boundary_entries =
-      counter "Unresolved-boundary table entries shipped" "pt_hier_boundary_entries_total";
     c_dropped;
     c_frames = counter "Frame transmissions (including retransmits)" "pt_collect_frames_shipped_total";
     c_retransmits = counter "Frames retransmitted after reconnect" "pt_collect_retransmits_total";
@@ -237,9 +214,8 @@ let rec pump t =
           e.sent <- true;
           e.ever_sent <- true;
           let bytes =
-            Frame.encode_with_boundary ~boundary:e.boundary ~seq:e.seq
-              ~oldest:(oldest_resendable t) ~host:t.hostname ~watermark:e.watermark
-              ~payload:e.payload
+            Frame.encode ~seq:e.seq ~oldest:(oldest_resendable t) ~host:t.hostname
+              ~watermark:e.watermark ~payload:e.payload
           in
           t.s_frames <- t.s_frames + 1;
           R.incr t.c_frames;
@@ -348,42 +324,14 @@ let rec kick_encode t =
     in
     (* partial correlation runs after the policy step: it only removes
        what the downstream correlator would remove or merge itself *)
-    let kept, boundary =
+    let kept =
       match t.partial with
-      | None -> (kept, Trace.Boundary.empty)
+      | None -> kept
       | Some p ->
           let r = Core.Partial.reduce p kept in
-          if r.Core.Partial.fallback then begin
-            t.s_partial_fallbacks <- t.s_partial_fallbacks + 1;
-            R.incr t.c_partial_fallbacks
-          end
-          else begin
-            t.s_partial_coalesced <- t.s_partial_coalesced + r.Core.Partial.rows_coalesced;
-            R.add t.c_partial_coalesced r.Core.Partial.rows_coalesced;
-            t.s_partial_local_flows <- t.s_partial_local_flows + r.Core.Partial.local_flows;
-            R.add t.c_partial_local_flows r.Core.Partial.local_flows
-          end;
-          (* Announce each boundary flow once, when it first appears —
-             re-listing every open connection in every frame would eat
-             the reduction the partial pass just bought. *)
-          let fresh =
-            List.filter
-              (fun (e : Trace.Boundary.entry) ->
-                let key =
-                  (e.Trace.Boundary.src_ip, e.Trace.Boundary.src_port,
-                   e.Trace.Boundary.dst_ip, e.Trace.Boundary.dst_port)
-                in
-                if Hashtbl.mem t.shipped_boundary key then false
-                else begin
-                  Hashtbl.replace t.shipped_boundary key ();
-                  true
-                end)
-              r.Core.Partial.boundary
-          in
-          let b = List.length fresh in
-          t.s_boundary_entries <- t.s_boundary_entries + b;
-          R.add t.c_boundary_entries b;
-          (r.Core.Partial.arena, fresh)
+          t.s_partial_coalesced <- t.s_partial_coalesced + r.Core.Partial.rows_coalesced;
+          R.add t.c_partial_coalesced r.Core.Partial.rows_coalesced;
+          r.Core.Partial.arena
     in
     let kept_n = Trace.Arena.length kept in
     let payload = Frame.encode_payload_arena kept in
@@ -405,7 +353,6 @@ let rec kick_encode t =
             {
               seq = t.next_seq;
               payload;
-              boundary;
               records = kept_n;
               watermark;
               sent = false;
@@ -528,9 +475,6 @@ type stats = {
   observed : int;
   reduced : int;
   partial_coalesced : int;
-  partial_local_flows : int;
-  partial_fallbacks : int;
-  boundary_entries : int;
   dropped : (string * int) list;
   frames_shipped : int;
   retransmits : int;
@@ -546,9 +490,6 @@ let stats t =
     observed = t.s_observed;
     reduced = t.s_reduced;
     partial_coalesced = t.s_partial_coalesced;
-    partial_local_flows = t.s_partial_local_flows;
-    partial_fallbacks = t.s_partial_fallbacks;
-    boundary_entries = t.s_boundary_entries;
     dropped =
       Hashtbl.fold (fun reason r acc -> (reason, !r) :: acc) t.s_dropped []
       |> List.sort compare;

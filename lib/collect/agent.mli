@@ -45,13 +45,11 @@ type config = {
   policy : Store.Policy.t;  (** Agent-local reduction; {!Store.Policy.none} to ship raw. *)
   correlate : Core.Correlator.config option;
       (** Attribution config for a non-none [policy]. *)
-  partial : Core.Partial.config option;
-      (** Agent-local partial correlation (hierarchy level 0): prefilter,
-          run coalescing and same-host matching before framing; reduced
-          frames carry a {!Trace.Boundary} table listing each unresolved
-          cross-host flow {e once}, in the frame where it first crossed
-          the boundary (re-listing every open connection per frame would
-          eat the reduction). [None] ships batches unreduced. *)
+  partial : Core.Transform.config option;
+      (** Agent-local partial correlation (hierarchy level 0,
+          {!Core.Partial}) for the service transform given: prefilter and
+          run coalescing before framing. [None] ships batches
+          unreduced. *)
   max_inflight_frames : int;
       (** Send window: at most this many frames written to the socket
           but not yet acknowledged. Application-level flow control — the
@@ -113,9 +111,6 @@ type stats = {
       (** Records removed before framing — by the agent-local policy and
           by the partial-correlation pass (prefilter + coalescing). *)
   partial_coalesced : int;  (** Rows merged into a local run head. *)
-  partial_local_flows : int;  (** Flows resolved inside the host. *)
-  partial_fallbacks : int;  (** Batches shipped raw (budget exceeded). *)
-  boundary_entries : int;  (** Unresolved-boundary entries shipped. *)
   dropped : (string * int) list;
       (** Records lost, by reason: [agent_down], [buffer_full],
           [evicted], [crash]. Sorted by reason. *)

@@ -32,11 +32,9 @@ type t = {
   on_arena : Trace.Arena.t -> unit;
   hosts : (string, host_state) Hashtbl.t;
   mutable decode_errors : int;
-  mutable boundary_entries : int;
   telemetry : R.t;
   h_lag : Telemetry.Histogram.t;
   c_decode_errors : R.counter;
-  c_boundary_entries : R.counter;
 }
 
 let host_state t hostname =
@@ -73,12 +71,6 @@ let deliver t s (f : Frame.t) =
   let n = Trace.Arena.length arena in
   s.delivered_records <- s.delivered_records + n;
   R.add s.c_records n;
-  (match f.Frame.boundary with
-  | [] -> ()
-  | b ->
-      let nb = List.length b in
-      t.boundary_entries <- t.boundary_entries + nb;
-      R.add t.c_boundary_entries nb);
   if Sim_time.(f.Frame.watermark > s.watermark) then begin
     s.watermark <- f.Frame.watermark;
     R.set s.g_watermark (Sim_time.to_float_s f.Frame.watermark)
@@ -202,7 +194,6 @@ let create ?(telemetry = R.default) ?(recv_chunk = 8192) ?(cpu_per_frame = Sim_t
       on_arena;
       hosts = Hashtbl.create 8;
       decode_errors = 0;
-      boundary_entries = 0;
       telemetry;
       h_lag =
         R.histogram telemetry
@@ -211,10 +202,6 @@ let create ?(telemetry = R.default) ?(recv_chunk = 8192) ?(cpu_per_frame = Sim_t
       c_decode_errors =
         R.counter telemetry ~help:"Connections dropped on a corrupt frame stream"
           "pt_collect_decode_errors_total";
-      c_boundary_entries =
-        R.counter telemetry
-          ~help:"Unresolved-boundary entries delivered alongside reduced frames"
-          "pt_collect_boundary_entries_total";
     }
   in
   Tcp.listen (Wire.stack wire) node ~port ~accept:(fun sock -> serve t sock);
@@ -251,4 +238,3 @@ let delivered_records t =
   Hashtbl.fold (fun _ (s : host_state) acc -> acc + s.delivered_records) t.hosts 0
 
 let decode_errors t = t.decode_errors
-let boundary_entries t = t.boundary_entries

@@ -53,8 +53,3 @@ val delivered_records : t -> int
 
 val decode_errors : t -> int
 (** Connections dropped on a corrupt frame stream. *)
-
-val boundary_entries : t -> int
-(** Unresolved-boundary entries ({!Trace.Boundary}) delivered alongside
-    partially-correlated frames, all hosts — the level-0 reduction's
-    cross-host residue this collector's shard must still resolve. *)

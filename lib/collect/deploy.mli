@@ -15,20 +15,29 @@
     (resolving any still-open windows). *)
 
 type config = {
-  batch_records : int;
-  flush_interval : Simnet.Sim_time.span;
-  max_spool_records : int;
-  overflow : Agent.overflow;
-  policy : Store.Policy.t;  (** Agent-local reduction applied before shipping. *)
+  agent : Agent.config;
+      (** Per-host agent knobs. Its [correlate] field is set by the plane
+          from the service's transform when [policy] reduces. *)
   port : int;  (** Collector listen port. *)
-  window : Simnet.Sim_time.span option;  (** Correlation window (None: default). *)
-  straggler_timeout : Simnet.Sim_time.span option;
-  max_buffered : int option;
 }
 
 val default_config : config
-(** Agent defaults, no policy, port 7441, no straggler/backpressure
-    limits. *)
+(** {!Agent.default_config} (no policy), port 7441. *)
+
+val install_replica :
+  telemetry:Telemetry.Registry.t ->
+  agent:Agent.config ->
+  port:int ->
+  on_arena:(Trace.Arena.t -> unit) ->
+  replica:int ->
+  Tiersim.Service.t ->
+  Collector.t * Agent.t list
+(** The replica installer {!install} and {!Hierarchy.install} share:
+    create replica [replica]'s collector node ([collect<replica+1>] at
+    [10.<replica>.9.1], off the traced set) listening on [port] and
+    delivering into [on_arena], start one agent with config [agent] on
+    each of the web, app and db nodes (in that order), and schedule the
+    service's [Agent_crash] faults on them. *)
 
 type t
 

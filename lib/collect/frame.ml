@@ -9,14 +9,12 @@ let ack_magic = "PTA1"
    not a short read. *)
 let max_host_len = 4096
 let max_payload_len = 1 lsl 28
-let max_boundary_len = 1 lsl 24
 
 (* ---- encoding ---- *)
 
 let encode_payload_arena arena = Trace.Binary_format.encode_native [ arena ]
 
-
-let encode_with_boundary ~boundary ~seq ~oldest ~host ~watermark ~payload =
+let encode ~seq ~oldest ~host ~watermark ~payload =
   if seq < 0 then invalid_arg "Frame.encode: negative seq";
   if oldest < 0 then invalid_arg "Frame.encode: negative oldest";
   if String.length host > max_host_len then invalid_arg "Frame.encode: host too long";
@@ -29,19 +27,7 @@ let encode_with_boundary ~boundary ~seq ~oldest ~host ~watermark ~payload =
   B.put_uvarint buf (Sim_time.to_ns watermark);
   B.put_uvarint buf (String.length payload);
   Buffer.add_string buf payload;
-  (* boundary-table section; zero length when the agent did not run the
-     partial-correlation pass (or resolved everything locally) *)
-  (match boundary with
-  | [] -> B.put_uvarint buf 0
-  | _ ->
-      let bytes = Trace.Boundary.encode boundary in
-      B.put_uvarint buf (String.length bytes);
-      Buffer.add_string buf bytes);
   Buffer.contents buf
-
-let encode ~seq ~oldest ~host ~watermark ~payload =
-  encode_with_boundary ~boundary:Trace.Boundary.empty ~seq ~oldest ~host ~watermark
-    ~payload
 
 let encode_ack seq =
   if seq < 0 then invalid_arg "Frame.encode_ack: negative seq";
@@ -56,7 +42,6 @@ type t = {
   host : string;
   watermark : Sim_time.t;
   arena : Trace.Arena.t;  (* decoded payload rows, native representation *)
-  boundary : Trace.Boundary.t;  (* unresolved cross-host flows, possibly empty *)
 }
 
 let records f = Trace.Arena.length f.arena
@@ -176,12 +161,6 @@ let parse_frame c =
     raise (Bad (plen_at, Printf.sprintf "payload length %d exceeds limit" plen));
   let payload_at = abs_pos c in
   let payload = get_bytes c plen in
-  let blen_at = abs_pos c in
-  let blen = get_uvarint c in
-  if blen > max_boundary_len then
-    raise (Bad (blen_at, Printf.sprintf "boundary length %d exceeds limit" blen));
-  let boundary_at = abs_pos c in
-  let boundary_bytes = get_bytes c blen in
   match Trace.Binary_format.decode_native payload with
   | Error e -> raise (Bad (payload_at, Printf.sprintf "payload: %s" e))
   | Ok arenas ->
@@ -194,14 +173,7 @@ let parse_frame c =
             a
         | _ -> raise (Bad (payload_at, "payload holds more than one log"))
       in
-      let boundary =
-        if blen = 0 then Trace.Boundary.empty
-        else
-          match Trace.Boundary.decode boundary_bytes with
-          | Ok b -> b
-          | Error e -> raise (Bad (boundary_at, Printf.sprintf "boundary table: %s" e))
-      in
-      { seq; oldest; host; watermark; arena; boundary }
+      { seq; oldest; host; watermark; arena }
 
 module Decoder = struct
   type frame = t

@@ -15,10 +15,9 @@
     plen      uvarint  payload length in bytes
     payload   PTB1 bytes ({!Trace.Binary_format}) holding exactly one log
               for [host] (possibly empty)
-    blen      uvarint  boundary-table length in bytes (0 when absent)
-    boundary  PTBT bytes ({!Trace.Boundary}) — the unresolved cross-host
-              flows of a partially-correlated batch
     v}
+
+    The next frame's magic follows the payload directly.
 
     [oldest] is stamped at {e transmission} time, not encode time, so a
     retransmitted frame always carries the agent's current drop horizon.
@@ -40,9 +39,6 @@ type t = {
   watermark : Simnet.Sim_time.t;  (** Host-local clock of the batch cut. *)
   arena : Trace.Arena.t;
       (** Decoded payload rows in file order. *)
-  boundary : Trace.Boundary.t;
-      (** Unresolved cross-host flows when the agent ran its partial
-          correlation pass; empty otherwise. *)
 }
 
 val records : t -> int
@@ -61,16 +57,9 @@ val encode_payload_arena : Trace.Arena.t -> string
 val encode :
   seq:int -> oldest:int -> host:string -> watermark:Simnet.Sim_time.t -> payload:string ->
   string
-(** Wrap a spooled payload into one wire frame with an empty boundary
-    table. [oldest] is the agent's current resend horizon.
+(** Wrap a spooled payload into one wire frame. [oldest] is the agent's
+    current resend horizon.
     @raise Invalid_argument on negative [seq]/[oldest]. *)
-
-val encode_with_boundary :
-  boundary:Trace.Boundary.t ->
-  seq:int -> oldest:int -> host:string -> watermark:Simnet.Sim_time.t -> payload:string ->
-  string
-(** {!encode} with the batch's unresolved-boundary table attached (the
-    partially-correlating agent's transmit path). *)
 
 val encode_ack : int -> string
 (** One cumulative-ack mini-frame. *)

@@ -1,39 +1,16 @@
-module Engine = Simnet.Engine
-module Node = Simnet.Node
-module Sim_time = Simnet.Sim_time
-module Address = Simnet.Address
 module Service = Tiersim.Service
 module Scenario = Tiersim.Scenario
-module Faults = Tiersim.Faults
 module R = Telemetry.Registry
 
-type config = {
-  shards : int;
-  agent : Agent.config;
-  max_flows : int;
-  port : int;
-  window : Sim_time.span option;
-  straggler_timeout : Sim_time.span option;
-  max_buffered : int option;
-}
+type config = { shards : int; agent : Agent.config; port : int }
 
-let default_config =
-  {
-    shards = 4;
-    agent = Agent.default_config;
-    max_flows = 4096;
-    port = 7441;
-    window = None;
-    straggler_timeout = None;
-    max_buffered = None;
-  }
+let default_config = { shards = 4; agent = Agent.default_config; port = 7441 }
 
 type shard = {
   shard_id : int;
   members : int list;  (* replica indices, ascending *)
   online : Core.Online.t;
   mutable ingest_records : int;
-  mutable shard_collectors : Collector.t list;  (* of member replicas, newest first *)
 }
 
 type plane = { replica : int; plane_collector : Collector.t; plane_agents : Agent.t list }
@@ -54,7 +31,6 @@ and shard_report = {
   paths_finished : int;
   paths_deformed : int;
   ingest_records : int;
-  shard_boundary_entries : int;
   output_bytes : int;
 }
 
@@ -66,9 +42,6 @@ and report = {
   agent_observed : int;
   agent_reduced : int;
   partial_coalesced : int;
-  partial_local_flows : int;
-  partial_fallbacks : int;
-  boundary_entries : int;
   agent_bytes_shipped : int;
   delivered_records : int;
   root_ingest_bytes : int;
@@ -97,20 +70,15 @@ let create ?(telemetry = R.default) ?(config = default_config) (cluster : Scenar
               List.map (fun i -> Service.replica_entry_endpoint ~replica:i) members;
           }
         in
-        let correlate =
-          match config.window with
-          | Some window -> Core.Correlator.config ~transform ~window ()
-          | None -> Core.Correlator.config ~transform ()
-        in
         let hosts =
           List.concat_map (fun i -> Service.replica_server_hostnames ~replica:i) members
         in
         let online =
-          Core.Online.create ~config:correlate ~hosts
-            ?straggler_timeout:config.straggler_timeout
-            ?max_buffered:config.max_buffered ~telemetry ()
+          Core.Online.create
+            ~config:(Core.Correlator.config ~transform ())
+            ~hosts ~telemetry ()
         in
-        { shard_id = k; members; online; ingest_records = 0; shard_collectors = [] })
+        { shard_id = k; members; online; ingest_records = 0 })
   in
   { config; replicas; shard_count; shards; planes = []; telemetry; report = None }
 
@@ -129,70 +97,16 @@ let install t i svc =
   if i < 0 || i >= t.replicas then invalid_arg "Hierarchy.install: replica index";
   if List.exists (fun p -> p.replica = i) t.planes then
     invalid_arg "Hierarchy.install: replica already installed";
-  let engine = Service.engine svc in
   let sh = t.shards.(shard_of_replica t i) in
-  let wire = Wire.create (Service.stack svc) in
-  (* One collector machine per replica, inside the replica's own engine —
-     the level-1 fan-in point that forwards to the shard correlator. *)
-  let collector_node =
-    Node.create ~engine
-      ~hostname:(Printf.sprintf "collect%d" (i + 1))
-      ~ip:(Address.ip_of_string (Printf.sprintf "10.%d.9.1" i))
-      ~cores:2 ()
-  in
   let on_arena arena =
     sh.ingest_records <- sh.ingest_records + Trace.Arena.length arena;
     Core.Online.observe_arena sh.online arena
   in
-  let coll =
-    Collector.create ~telemetry:t.telemetry ~on_arena ~wire ~node:collector_node
-      ~port:t.config.port ()
+  let agent = { t.config.agent with Agent.partial = Some (Service.transform_config svc) } in
+  let coll, installed =
+    Deploy.install_replica ~telemetry:t.telemetry ~agent ~port:t.config.port ~on_arena
+      ~replica:i svc
   in
-  sh.shard_collectors <- coll :: sh.shard_collectors;
-  let agent_config =
-    {
-      t.config.agent with
-      Agent.partial =
-        Some
-          (Core.Partial.config
-             ~transform:(Service.transform_config svc)
-             ~max_flows:t.config.max_flows ());
-    }
-  in
-  let probe = Service.probe svc in
-  let installed =
-    List.map
-      (fun node ->
-        let a =
-          Agent.create ~telemetry:t.telemetry ~config:agent_config ~wire ~node
-            ~collector:(Collector.endpoint coll) ()
-        in
-        Agent.attach a probe;
-        Agent.start a;
-        a)
-      [ Service.web_node svc; Service.app_node svc; Service.db_node svc ]
-  in
-  let find_agent host =
-    List.find_opt (fun a -> String.equal (Agent.host a) host) installed
-  in
-  List.iter
-    (function
-      | Faults.Agent_crash { host; after; restart_after } -> (
-          match find_agent host with
-          | None -> ()
-          | Some a ->
-              ignore (Engine.schedule_after engine ~delay:after (fun () -> Agent.crash a));
-              Option.iter
-                (fun back ->
-                  ignore
-                    (Engine.schedule_after engine
-                       ~delay:(Sim_time.span_add after back)
-                       (fun () -> Agent.restart a)))
-                restart_after)
-      | Faults.Ejb_delay _ | Faults.Database_lock _ | Faults.Ejb_network _
-      | Faults.Host_silence _ | Faults.Tier_slow _ | Faults.Replica_slow _
-      | Faults.Key_skew _ -> ())
-    (Service.config svc).Service.faults;
   t.planes <- { replica = i; plane_collector = coll; plane_agents = installed } :: t.planes
 
 let finish t =
@@ -235,11 +149,6 @@ let finish t =
                           sh.shard_id e)
                in
                let dec_fin, dec_dfm = List.partition Core.Cag.is_finished decoded in
-               let boundary =
-                 List.fold_left
-                   (fun acc c -> acc + Collector.boundary_entries c)
-                   0 sh.shard_collectors
-               in
                let report =
                  {
                    shard_id = sh.shard_id;
@@ -247,7 +156,6 @@ let finish t =
                    paths_finished = List.length fin;
                    paths_deformed = List.length dfm;
                    ingest_records = sh.ingest_records;
-                   shard_boundary_entries = boundary;
                    output_bytes = String.length message;
                  }
                in
@@ -278,9 +186,6 @@ let finish t =
           agent_observed = agent_sum (fun s -> s.Agent.observed);
           agent_reduced = agent_sum (fun s -> s.Agent.reduced);
           partial_coalesced = agent_sum (fun s -> s.Agent.partial_coalesced);
-          partial_local_flows = agent_sum (fun s -> s.Agent.partial_local_flows);
-          partial_fallbacks = agent_sum (fun s -> s.Agent.partial_fallbacks);
-          boundary_entries = agent_sum (fun s -> s.Agent.boundary_entries);
           agent_bytes_shipped = agent_sum (fun s -> s.Agent.bytes_shipped);
           delivered_records =
             Array.fold_left (fun acc (sh : shard) -> acc + sh.ingest_records) 0 t.shards;

@@ -5,10 +5,9 @@
     cluster. This plane is the scale-out shape (§6 outlook, realised over
     the {!Tiersim.Scenario} cluster preset):
 
-    - {e level 0} — per-host agents run the bounded partial-correlation
-      pass ({!Core.Partial}): prefilter, run coalescing and same-host
-      flow resolution before framing. Frames ship reduced rows plus a
-      {!Trace.Boundary} table of unresolved cross-host flows.
+    - {e level 0} — per-host agents run the partial-correlation pass
+      ({!Core.Partial}): prefilter and run coalescing before framing.
+      Frames ship the reduced rows.
     - {e level 1} — each replica gets its own collector node (inside the
       replica's engine), but collectors feed {e shard} correlators: shard
       [k] owns the replicas [i] with [i mod shards = k] and runs one
@@ -28,18 +27,13 @@
 type config = {
   shards : int;  (** Level-1 shard count; capped at the replica count. *)
   agent : Agent.config;
-      (** Per-host agent knobs. Its [partial] field is overridden by the
-          plane (see [max_flows]); set the rest freely. *)
-  max_flows : int;  (** Partial-pass flow budget (raw fallback past it). *)
+      (** Per-host agent knobs. Its [partial] field is set by the plane to
+          the replica's transform; set the rest freely. *)
   port : int;  (** Every replica's collector listens on this port. *)
-  window : Simnet.Sim_time.span option;  (** Shard correlator window. *)
-  straggler_timeout : Simnet.Sim_time.span option;
-  max_buffered : int option;
 }
 
 val default_config : config
-(** 4 shards, default agent config, 4096-flow budget,
-    port 7441, correlator defaults. *)
+(** 4 shards, default agent config, port 7441. *)
 
 type t
 
@@ -50,11 +44,10 @@ val create : ?telemetry:Telemetry.Registry.t -> ?config:config -> Tiersim.Scenar
     @raise Invalid_argument on a non-positive shard count. *)
 
 val install : t -> int -> Tiersim.Service.t -> unit
-(** The [before_replica] hook: create replica [i]'s collector node
-    ([collect<i+1>], inside the replica's own engine), point it at shard
-    [i mod shards], and start partial-correlating agents on the
-    replica's three server nodes. Wires [Agent_crash] faults exactly
-    like {!Deploy.install}. *)
+(** The [before_replica] hook: {!Deploy.install_replica} with
+    partial-correlating agents, replica [i]'s collector node
+    ([collect<i+1>], inside the replica's own engine) delivering into
+    shard [i mod shards]. *)
 
 val shard_of_replica : t -> int -> int
 
@@ -73,7 +66,6 @@ type shard_report = {
   paths_finished : int;
   paths_deformed : int;
   ingest_records : int;  (** Reduced rows delivered into this shard. *)
-  shard_boundary_entries : int;
   output_bytes : int;  (** The shard's PTP1 message to the root. *)
 }
 
@@ -88,9 +80,6 @@ type report = {
   agent_observed : int;
   agent_reduced : int;
   partial_coalesced : int;
-  partial_local_flows : int;
-  partial_fallbacks : int;
-  boundary_entries : int;  (** Shipped by agents, summed over replicas. *)
   agent_bytes_shipped : int;  (** Level 0 -> 1 wire bytes, all replicas. *)
   delivered_records : int;  (** Level-1 ingest, all shards. *)
   root_ingest_bytes : int;  (** Level 1 -> 2: sum of PTP1 message sizes. *)

@@ -3,9 +3,8 @@
     A cluster-sized deployment cannot funnel every record to one
     correlator. The hierarchy splits the work into three levels:
 
-    - {e level 0} — per-host agents run a bounded partial-correlation
-      pass ({!Partial}) and ship reduced frames plus an unresolved-
-      boundary table ({!Trace.Boundary});
+    - {e level 0} — per-host agents run a partial-correlation pass
+      ({!Partial}) and ship reduced frames;
     - {e level 1} — N collector shards, each owning a partition of the
       {e entry connections} (in the cluster preset: of the service
       replicas), run {!Online} over the partial feeds of their partition

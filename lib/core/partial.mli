@@ -17,42 +17,18 @@
       the summed size — mirroring [Cag.Builder.grow_send] exactly.
       RECEIVE rows are never touched: a receive's completion timestamp
       depends on the matching send's total size, which only the
-      downstream engine knows.
-    - {b same-host matching} — flows whose both directions appear in the
-      host's own stream (loopback tiers) are resolved locally; only flows
-      that cross the host boundary enter the {!Trace.Boundary} table that
-      ships alongside the reduced batch.
-
-    The pass is bounded-memory: its flow table is capped at
-    [max_flows]; a batch that exceeds the budget is shipped raw, flagged
-    [fallback]. *)
-
-type config = {
-  transform : Transform.config;
-      (** The service transform the downstream correlator will apply;
-          used to prefilter (never to rewrite). *)
-  max_flows : int;
-      (** Flow-table budget per batch; exceeding it falls back to raw
-          shipping (default [4096]). *)
-}
-
-val config : transform:Transform.config -> ?max_flows:int -> unit -> config
+      downstream engine knows. *)
 
 type t
 
-val create : config -> t
-(** One per agent: holds the memoised per-id transform decisions. *)
+val create : Transform.config -> t
+(** One per agent, for the service transform the downstream correlator
+    will apply (used to prefilter, never to rewrite); holds the memoised
+    per-id transform decisions. *)
 
 type result = {
-  arena : Trace.Arena.t;
-      (** The reduced batch (the input arena itself on [fallback]). *)
-  boundary : Trace.Boundary.t;
-      (** Unresolved cross-host flows, sorted by endpoint quadruple. *)
-  rows_in : int;
-  rows_dropped : int;  (** Removed by the transform prefilter. *)
+  arena : Trace.Arena.t;  (** The reduced batch. *)
   rows_coalesced : int;  (** Merged into a preceding run head. *)
-  local_flows : int;  (** Flows fully resolved inside the host. *)
-  fallback : bool;  (** Batch shipped raw (flow budget exceeded). *)
 }
 
 val reduce : t -> Trace.Arena.t -> result

@@ -13,9 +13,7 @@ type result = {
   paths_fed : int;
 }
 
-let run ?(telemetry = Registry.default) ?config
-    ?(collect = Collect.Deploy.default_config) ?baseline ?onset ?on_verdict
-    (spec : S.spec) =
+let run ?(telemetry = Registry.default) ?config ?baseline ?onset ?on_verdict (spec : S.spec) =
   let time_scale = spec.S.time_scale in
   let measure_from, measure_until = S.runtime_session ~time_scale in
   let onset_span =
@@ -63,7 +61,7 @@ let run ?(telemetry = Registry.default) ?config
         match on_verdict with Some f -> List.iter f fired | None -> ()
       end
     in
-    deploy := Some (Collect.Deploy.install ~telemetry ~config:collect ~on_path svc)
+    deploy := Some (Collect.Deploy.install ~telemetry ~on_path svc)
   in
   let after_run _svc =
     match !deploy with Some d -> Collect.Deploy.finish d | None -> ()

@@ -1,11 +1,11 @@
 (** Live diagnosis: a scenario run watched through the in-band feed.
 
-    One call wires the whole tentpole together: run a {!Tiersim.Scenario}
+    One call wires the whole loop together: run a {!Tiersim.Scenario}
     with its faults held back until a mid-run onset, install the in-band
-    collection plane ({!Collect.Deploy.install}), feed every path the
-    collector completes into a streaming {!Detector} clocked by the
-    simulation engine, and grade the verdicts against the injected
-    ground truth ({!Verdict.score}).
+    collection plane with its default config ({!Collect.Deploy.install}),
+    feed every path the collector completes into a streaming {!Detector}
+    clocked by the simulation engine, and grade the verdicts against the
+    injected ground truth ({!Verdict.score}).
 
     The detector learns its baseline inline from the healthy pre-onset
     traffic (freezing at the start of the runtime session) unless one is
@@ -26,7 +26,6 @@ type result = {
 val run :
   ?telemetry:Telemetry.Registry.t ->
   ?config:Detector.config ->
-  ?collect:Collect.Deploy.config ->
   ?baseline:Baseline.t ->
   ?onset:Simnet.Sim_time.span ->
   ?on_verdict:(Detector.verdict -> unit) ->

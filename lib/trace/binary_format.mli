@@ -20,8 +20,8 @@ val magic : string
 
 (** {1 Codec primitives}
 
-    Shared with the other PT binary formats (the bundle's path table,
-    the boundary table):
+    Shared with the other PT binary formats (the store's segments, the
+    bundle's container and path table, the collection frames):
     unsigned LEB128 varints, zigzag-encoded signed varints,
     length-prefixed strings, and a bounds-checked reader whose [Corrupt]
     errors carry offsets absolute within [data]. *)

@@ -124,6 +124,39 @@ let test_empty_frame_roundtrip () =
       Alcotest.(check string) "host" "db1" f.Frame.host
   | Ok _ | Error _ -> Alcotest.fail "empty frame must decode"
 
+let test_frame_is_header_plus_payload () =
+  let acts = List.concat_map Log.to_list (H.logs_of_request ()) in
+  let payload =
+    encode_payload ~host:"app"
+      (List.filter (fun (a : Activity.t) -> a.Activity.context.host = "app") acts)
+  in
+  let header =
+    let b = Buffer.create 32 in
+    Buffer.add_string b Frame.magic;
+    List.iter (Trace.Binary_format.put_uvarint b) [ 4; 2; String.length "app" ];
+    Buffer.add_string b "app";
+    List.iter (Trace.Binary_format.put_uvarint b) [ 987_654_321; String.length payload ];
+    Buffer.contents b
+  in
+  let bytes =
+    Frame.encode ~seq:4 ~oldest:2 ~host:"app" ~watermark:(ST.of_ns 987_654_321) ~payload
+  in
+  Alcotest.(check string) "frame = header ^ payload" (header ^ payload) bytes;
+  (* a stray byte after the payload is the start of the next frame, not
+     part of this one *)
+  let dec = Frame.Decoder.create () in
+  Frame.Decoder.feed dec (bytes ^ "\x07");
+  (match Frame.Decoder.next dec with
+  | Ok (Some f) -> Alcotest.(check int) "frame decodes" 4 f.Frame.seq
+  | Ok None -> Alcotest.fail "complete frame reported incomplete"
+  | Error e -> Alcotest.failf "frame rejected: %s" e);
+  match Frame.Decoder.next dec with
+  | Error e ->
+      Alcotest.(check string) "stray byte is a bad magic at its offset"
+        (Printf.sprintf "offset %d: bad magic (expected \"PTC1\")" (String.length bytes))
+        e
+  | Ok _ -> Alcotest.fail "stray trailing byte accepted"
+
 (* ---- the QCheck chop property: segmentation cannot change the result ---- *)
 
 let chop_at cuts s =
@@ -496,6 +529,8 @@ let () =
         [
           Alcotest.test_case "frame round trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "empty frame" `Quick test_empty_frame_roundtrip;
+          Alcotest.test_case "frame is header plus payload" `Quick
+            test_frame_is_header_plus_payload;
           Alcotest.test_case "byte-by-byte decode" `Quick test_byte_by_byte_decode;
           Alcotest.test_case "truncation is need-more, not corruption" `Quick
             test_truncation_never_errors;

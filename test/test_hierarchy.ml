@@ -1,14 +1,13 @@
-(* Tests for the hierarchical scale-out correlation tree (PR 9): the
-   PTBT boundary codec, the agent-local partial-correlation pass, the
-   PTP1 shard-to-root message, the canonical root splice, the collector's
-   horizon-jump replay fix, determinism fixes in the detector and skew
-   estimator, and the closed-loop cluster where no component sees the
-   full feed yet the root's digest is byte-identical to a monolithic
-   correlator over the intact logs. *)
+(* Tests for the hierarchical scale-out correlation tree: the
+   agent-local partial-correlation pass, the PTP1 shard-to-root message,
+   the canonical root splice, the collector's horizon-jump replay fix,
+   determinism fixes in the detector and skew estimator, the closed-loop
+   cluster where no component sees the full feed yet the root's digest
+   is byte-identical to a monolithic correlator over the intact logs,
+   and an agent crash under the tree. *)
 
 module H = Test_helpers.Helpers
 module Activity = Trace.Activity
-module Boundary = Trace.Boundary
 module Frame = Collect.Frame
 module Wire = Collect.Wire
 module Collector = Collect.Collector
@@ -23,67 +22,6 @@ module ST = Simnet.Sim_time
 module R = Telemetry.Registry
 
 let qtest = QCheck_alcotest.to_alcotest
-
-(* ---- PTBT boundary-table codec ---- *)
-
-let arbitrary_boundary =
-  let open QCheck.Gen in
-  let entry =
-    int_range 0 0xFFFF >>= fun a ->
-    int_range 0 0xFFFF >>= fun b ->
-    int_range 1 65_535 >>= fun sport ->
-    int_range 1 65_535 >>= fun dport ->
-    int_range 0 1000 >>= fun out_rows ->
-    int_range 0 1_000_000 >>= fun out_bytes ->
-    int_range 0 1000 >>= fun in_rows ->
-    int_range 0 1_000_000 >>= fun in_bytes ->
-    return
-      {
-        Boundary.src_ip = a;
-        src_port = sport;
-        dst_ip = b;
-        dst_port = dport;
-        out_rows;
-        out_bytes;
-        in_rows;
-        in_bytes;
-      }
-  in
-  QCheck.make
-    ~print:(fun t -> Printf.sprintf "%d entries" (List.length t))
-    (list_size (int_range 0 40) entry)
-
-let prop_boundary_roundtrip =
-  QCheck.Test.make ~name:"PTBT round-trips" ~count:200 arbitrary_boundary (fun t ->
-      match Boundary.decode (Boundary.encode t) with
-      | Ok t' -> t = t'
-      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
-
-let test_boundary_corrupt () =
-  let bytes =
-    Boundary.encode
-      [
-        {
-          Boundary.src_ip = 7;
-          src_port = 80;
-          dst_ip = 9;
-          dst_port = 4040;
-          out_rows = 3;
-          out_bytes = 900;
-          in_rows = 0;
-          in_bytes = 0;
-        };
-      ]
-  in
-  (match Boundary.decode (String.sub bytes 0 (String.length bytes - 1)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated table decoded");
-  (match Boundary.decode (bytes ^ "x") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing bytes accepted");
-  match Boundary.decode ("XXXX" ^ String.sub bytes 4 (String.length bytes - 4)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad magic accepted"
 
 (* ---- a small monolithic run to feed the codec/splice tests ---- *)
 
@@ -155,20 +93,13 @@ let test_partial_identity () =
   let o = Lazy.force small_outcome in
   let cfg = Core.Correlator.config ~transform:o.Scenario.transform () in
   let arenas = Trace.Arena.of_collection o.Scenario.logs in
-  let p = Core.Partial.create (Core.Partial.config ~transform:o.Scenario.transform ()) in
+  let p = Core.Partial.create o.Scenario.transform in
   let reduced = List.map (Core.Partial.reduce p) arenas in
-  List.iter
-    (fun (r : Core.Partial.result) ->
-      Alcotest.(check bool) "no budget fallback" false r.Core.Partial.fallback)
-    reduced;
   let coalesced =
-    List.fold_left (fun acc r -> acc + r.Core.Partial.rows_coalesced) 0 reduced
-  in
-  let boundary =
-    List.fold_left (fun acc r -> acc + List.length r.Core.Partial.boundary) 0 reduced
+    List.fold_left (fun acc (r : Core.Partial.result) -> acc + r.Core.Partial.rows_coalesced)
+      0 reduced
   in
   Alcotest.(check bool) "coalescing happened" true (coalesced > 0);
-  Alcotest.(check bool) "boundary entries shipped" true (boundary > 0);
   let raw = Core.Correlator.correlate_arena cfg arenas in
   let red =
     Core.Correlator.correlate_arena cfg (List.map (fun r -> r.Core.Partial.arena) reduced)
@@ -181,58 +112,6 @@ let test_partial_identity () =
   Alcotest.(check bool) "fewer rows after reduction" true
     (rows (List.map (fun (r : Core.Partial.result) -> r.Core.Partial.arena) reduced)
     < rows arenas)
-
-let test_partial_local_flow_resolution () =
-  (* A loopback pair: both directions of one flow inside one host. The
-     partial pass resolves it locally — it never reaches the boundary
-     table — while the half-seen cross-host flow does. *)
-  let loop = H.flow "10.0.5.1" 40000 "10.0.5.1" 99 in
-  let cross = H.flow "10.0.5.1" 41000 "10.0.6.1" 80 in
-  let client = H.ctx ~host:"solo" ~program:"client" ~pid:1 ~tid:1 () in
-  let server = H.ctx ~host:"solo" ~program:"server" ~pid:2 ~tid:2 () in
-  let rows =
-    [
-      H.act ~kind:Activity.Send ~ts:1_000 ~ctx:client ~flow:loop ~size:64;
-      H.act ~kind:Activity.Receive ~ts:2_000 ~ctx:server ~flow:loop ~size:64;
-      H.act ~kind:Activity.Send ~ts:3_000 ~ctx:client ~flow:cross ~size:128;
-    ]
-  in
-  let arena = Trace.Arena.of_log (Trace.Log.of_list ~hostname:"solo" rows) in
-  let transform =
-    Core.Transform.config
-      ~entry_points:[ Simnet.Address.endpoint (Simnet.Address.ip_of_string "10.0.9.9") 80 ]
-      ()
-  in
-  let p = Core.Partial.create (Core.Partial.config ~transform ()) in
-  let r = Core.Partial.reduce p arena in
-  Alcotest.(check bool) "no fallback" false r.Core.Partial.fallback;
-  Alcotest.(check int) "loopback flow resolved locally" 1 r.Core.Partial.local_flows;
-  Alcotest.(check int) "only the cross-host flow is boundary" 1
-    (List.length r.Core.Partial.boundary);
-  let e = List.hd r.Core.Partial.boundary in
-  Alcotest.(check int) "boundary saw one outbound row" 1 e.Trace.Boundary.out_rows;
-  Alcotest.(check int) "boundary saw its bytes" 128 e.Trace.Boundary.out_bytes;
-  Alcotest.(check int) "no inbound rows on the half-seen flow" 0 e.Trace.Boundary.in_rows
-
-let test_partial_budget_fallback () =
-  let o = Lazy.force small_outcome in
-  let p =
-    Core.Partial.create
-      (Core.Partial.config ~transform:o.Scenario.transform ~max_flows:1 ())
-  in
-  let arenas = Trace.Arena.of_collection o.Scenario.logs in
-  let reduced = List.map (Core.Partial.reduce p) arenas in
-  Alcotest.(check bool) "tiny budget forces raw fallback" true
-    (List.exists (fun (r : Core.Partial.result) -> r.Core.Partial.fallback) reduced);
-  List.iter
-    (fun (r : Core.Partial.result) ->
-      if r.Core.Partial.fallback then begin
-        Alcotest.(check int) "fallback ships every row" r.Core.Partial.rows_in
-          (Trace.Arena.length r.Core.Partial.arena);
-        Alcotest.(check int) "fallback ships no boundary" 0
-          (List.length r.Core.Partial.boundary)
-      end)
-    reduced
 
 (* ---- collector: horizon-jump replay (the PR 9 bugfix) ---- *)
 
@@ -439,8 +318,6 @@ let test_cluster_hierarchy_matches_monolithic () =
   let report = Plane.finish plane in
   (* level-0 agents really reduced and resolved locally *)
   Alcotest.(check bool) "partial coalescing happened" true (report.Plane.partial_coalesced > 0);
-  Alcotest.(check int) "no budget fallbacks" 0 report.Plane.partial_fallbacks;
-  Alcotest.(check bool) "boundary tables shipped" true (report.Plane.boundary_entries > 0);
   (* level-1 sharding: every shard worked, none saw the whole feed *)
   Alcotest.(check int) "three shards" 3 (List.length report.Plane.shard_reports);
   List.iter
@@ -524,11 +401,66 @@ let test_cluster_hierarchy_matches_monolithic () =
                    0 hs.Collector.skipped_frames)
                (Collector.stats c))
 
+(* ---- the shared replica installer: agent crashes under the tree ---- *)
+
+let test_cluster_agent_crash () =
+  (* Deploy.install_replica wires Agent_crash for the hierarchy too: the
+     fault names app1, so only replica 0 (shard 0) loses records. *)
+  let scale = 0.02 in
+  let cluster =
+    {
+      Scenario.base =
+        {
+          Scenario.default with
+          Scenario.clients = 12;
+          time_scale = scale;
+          seed = 5;
+          faults =
+            [
+              Tiersim.Faults.agent_crash ~host:"app1"
+                ~after:(ST.span_scale scale (ST.ms 200_000))
+                ~restart_after:(Some (ST.span_scale scale (ST.ms 100_000)));
+            ];
+        };
+      replicas = 2;
+    }
+  in
+  let plane =
+    Plane.create ~telemetry:(R.create ())
+      ~config:{ Plane.default_config with Plane.shards = 2 }
+      cluster
+  in
+  let (_ : Scenario.cluster_outcome) =
+    Scenario.run_cluster ~before_replica:(Plane.install plane) cluster
+  in
+  let (_ : Plane.report) = Plane.finish plane in
+  let agents = Plane.agents plane in
+  Alcotest.(check int) "three agents per replica" 6 (List.length agents);
+  List.iter
+    (fun a ->
+      let s = Collect.Agent.stats a in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: observed = reduced + dropped + acked + spooled + queued"
+           (Collect.Agent.host a))
+        s.Collect.Agent.observed
+        (s.Collect.Agent.reduced + Collect.Agent.dropped_total s
+       + s.Collect.Agent.acked_records + s.Collect.Agent.spooled_records
+       + s.Collect.Agent.queued_records);
+      if String.equal (Collect.Agent.host a) "app1" then begin
+        Alcotest.(check bool) "app1 dropped records" true (Collect.Agent.dropped_total s > 0);
+        Alcotest.(check int) "app1 reconnected once" 2 s.Collect.Agent.connections
+      end)
+    agents;
+  let flagged k =
+    Core.Online.paths (Plane.shard_online plane k)
+    |> List.filter Core.Cag.is_deformed |> List.length
+  in
+  Alcotest.(check bool) "shard 0 flags outage-spanning paths" true (flagged 0 > 0);
+  Alcotest.(check int) "shard 1 flags none" 0 (flagged 1)
+
 let () =
   Alcotest.run "hierarchy"
     [
-      ( "boundary",
-        [ qtest prop_boundary_roundtrip; Alcotest.test_case "corrupt tables rejected" `Quick test_boundary_corrupt ] );
       ( "ptp1",
         [ Alcotest.test_case "round-trip preserves the digest" `Quick test_ptp1_roundtrip ] );
       ("splice", [ qtest prop_splice_invariance ]);
@@ -536,10 +468,6 @@ let () =
         [
           Alcotest.test_case "reduced feed correlates identically" `Quick
             test_partial_identity;
-          Alcotest.test_case "loopback flows resolve locally" `Quick
-            test_partial_local_flow_resolution;
-          Alcotest.test_case "flow budget falls back to raw" `Quick
-            test_partial_budget_fallback;
         ] );
       ( "collector",
         [
@@ -557,5 +485,6 @@ let () =
         [
           Alcotest.test_case "hierarchical = monolithic on 4 replicas" `Slow
             test_cluster_hierarchy_matches_monolithic;
+          Alcotest.test_case "agent crash on 2 replicas" `Quick test_cluster_agent_crash;
         ] );
     ]
