@@ -44,7 +44,9 @@ bench-gate: build
 # query (embedded-store pruning), walk (back-link resolution) and diff
 # (culprit naming) — so a bundle written by HEAD is always readable by
 # HEAD. The same run captured as a several-segment store directory must
-# pack to the same bytes at one, two and four jobs, and read back.
+# pack to the same bytes at one, two and four jobs, and read back; and
+# both pack sources (in-memory arenas and a store directory) must embed
+# the same rows, so their `bundle query -o` dumps cmp equal.
 bundle-gate: build
 	rm -rf _bundle_gate && mkdir -p _bundle_gate
 	dune exec bin/precisetracer.exe -- simulate -c 60 --scale 0.05 --seed 11 --bundle _bundle_gate/control.ptz
@@ -61,6 +63,9 @@ bundle-gate: build
 	cmp _bundle_gate/s1.ptz _bundle_gate/s4.ptz
 	dune exec bin/precisetracer.exe -- bundle walk _bundle_gate/s1.ptz
 	dune exec bin/precisetracer.exe -- bundle query _bundle_gate/s1.ptz
+	dune exec bin/precisetracer.exe -- bundle query _bundle_gate/control.ptz -o _bundle_gate/q-control
+	dune exec bin/precisetracer.exe -- bundle query _bundle_gate/s1.ptz -o _bundle_gate/q-store
+	cmp _bundle_gate/q-control/traces.ptb _bundle_gate/q-store/traces.ptb
 	rm -rf _bundle_gate
 
 # CLI import gate: one seeded run saved four ways — text logs, a binary

@@ -352,6 +352,24 @@ let print_hierarchy (report : Collect.Hierarchy.report) =
       report.P.agent_bytes_shipped;
   Format.printf "@."
 
+(* Save a run's traces to [dir] as text logs or one PTB1 file, plus its
+   ground truth when it has one. [arenas] spares a second conversion. *)
+let save_run ~binary ~dir ?gt ?arenas logs =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  (if binary then
+     let arenas =
+       match arenas with Some a -> Lazy.force a | None -> Trace.Arena.of_collection logs
+     in
+     Trace.Binary_format.save arenas ~path:(Filename.concat dir "traces.ptb")
+   else Trace.Log.save logs ~dir);
+  Option.iter
+    (fun gt -> Trace.Ground_truth.save gt ~path:(Filename.concat dir "ground_truth.txt"))
+    gt;
+  Format.printf "%s%s written to %s@."
+    (if binary then "traces.ptb" else "trace files")
+    (if Option.is_some gt then " and ground_truth.txt" else "")
+    dir
+
 let simulate_cmd =
   let out =
     Arg.(
@@ -512,16 +530,7 @@ let simulate_cmd =
             Format.printf "@.";
             (match out with
             | Some dir ->
-                if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                if binary then
-                  Trace.Binary_format.save (Trace.Arena.of_collection logs)
-                    ~path:(Filename.concat dir "traces.ptb")
-                else Trace.Log.save logs ~dir;
-                Trace.Ground_truth.save b.Mesh.Runtime.gt
-                  ~path:(Filename.concat dir "ground_truth.txt");
-                Format.printf "%s and ground_truth.txt written to %s@."
-                  (if binary then "traces.ptb" else "trace files")
-                  dir;
+                save_run ~binary ~dir ~gt:b.Mesh.Runtime.gt logs;
                 (* The generic correlate command defaults its entry
                    endpoint to the RUBiS web tier; mesh topologies listen
                    elsewhere, so tell the user what to pass. *)
@@ -579,17 +588,7 @@ let simulate_cmd =
       let report = Collect.Hierarchy.finish plane in
       print_cluster_summary co;
       print_hierarchy report;
-      (match out with
-      | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          if binary then
-            Trace.Binary_format.save (Trace.Arena.of_collection co.S.all_logs)
-              ~path:(Filename.concat dir "traces.ptb")
-          else Trace.Log.save co.S.all_logs ~dir;
-          Format.printf "%s written to %s@."
-            (if binary then "traces.ptb" else "trace files")
-            dir
-      | None -> ());
+      Option.iter (fun dir -> save_run ~binary ~dir co.S.all_logs) out;
       write_telemetry tfile tformat
     end
     else begin
@@ -615,18 +614,9 @@ let simulate_cmd =
     let outcome = S.run ~before_run ~after_run spec in
     print_summary outcome;
     let arenas = lazy (Trace.Arena.of_collection outcome.S.logs) in
-    (match out with
-    | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        if binary then
-          Trace.Binary_format.save (Lazy.force arenas) ~path:(Filename.concat dir "traces.ptb")
-        else Trace.Log.save outcome.S.logs ~dir;
-        Trace.Ground_truth.save outcome.S.ground_truth
-          ~path:(Filename.concat dir "ground_truth.txt");
-        Format.printf "%s and ground_truth.txt written to %s@."
-          (if binary then "traces.ptb" else "trace files")
-          dir
-    | None -> ());
+    Option.iter
+      (fun dir -> save_run ~binary ~dir ~gt:outcome.S.ground_truth ~arenas outcome.S.logs)
+      out;
     Option.iter print_collect !deploy;
     (match (store_dir, !writer) with
     | Some dir, Some w ->
@@ -668,8 +658,7 @@ let simulate_cmd =
 
 let transform_of_entry entry =
   Core.Transform.config ~entry_points:[ entry ]
-    ~drop_programs:[ "rlogin"; "rlogind"; "ssh"; "sshd"; "mysql" ]
-    ()
+    ~drop_programs:Tiersim.Service.standard_drop_programs ()
 
 let correlate_arenas ?jobs ~window ~entry arenas =
   Core.Shard.correlate_arena ?jobs
@@ -1195,13 +1184,9 @@ let store_ingest_cmd =
     match load_traces src with
     | Error e -> `Error (false, e)
     | Ok arenas ->
-        let transform =
-          Core.Transform.config ~entry_points:[ entry ]
-            ~drop_programs:[ "rlogin"; "rlogind"; "ssh"; "sshd"; "mysql" ]
-            ()
-        in
         let correlate =
-          Core.Correlator.config ~transform ~window:(window_of window_ms) ()
+          Core.Correlator.config ~transform:(transform_of_entry entry)
+            ~window:(window_of window_ms) ()
         in
         let writer =
           Store.Writer.create ~policy ~correlate ~roll_records:segment_records ~dir:dest ()

@@ -244,69 +244,24 @@ let profiles_to_json profiles = Json.List (List.map profile_to_json profiles)
 
 let ( let* ) = Result.bind
 
-let number = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error "expected a number"
-
-let float_field j name =
-  match Json.member name j with
-  | Some v -> Result.map_error (fun e -> Printf.sprintf "field %S: %s" name e) (number v)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let string_field j name =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
-
 let component_of_json j =
-  let* src = string_field j "src" in
-  let* dst = string_field j "dst" in
-  let* share = float_field j "share" in
-  let* mean_s = float_field j "mean_s" in
+  let* src = Json.string_field "src" j in
+  let* dst = Json.string_field "dst" j in
+  let* share = Json.float_field "share" j in
+  let* mean_s = Json.float_field "mean_s" j in
   Ok { comp = { Latency.src; dst }; share; mean_s }
 
 let profile_of_json j =
-  let* name = string_field j "name" in
-  let* signature = string_field j "signature" in
-  let* count =
-    match Json.member "count" j with
-    | Some (Json.Int n) -> Ok n
-    | _ -> Error "missing int field \"count\""
-  in
-  let* cag_ids =
-    match Json.member "cag_ids" j with
-    | Some (Json.List items) ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            match item with Json.Int i -> Ok (i :: acc) | _ -> Error "non-int cag id")
-          (Ok []) items
-        |> Result.map List.rev
-    | _ -> Error "missing list field \"cag_ids\""
-  in
-  let* mean_total_s = float_field j "mean_total_s" in
-  let* components =
-    match Json.member "components" j with
-    | Some (Json.List items) ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* c = component_of_json item in
-            Ok (c :: acc))
-          (Ok []) items
-        |> Result.map List.rev
-    | _ -> Error "missing list field \"components\""
-  in
+  let* name = Json.string_field "name" j in
+  let* signature = Json.string_field "signature" j in
+  let* count = Json.int_field "count" j in
+  let* cag_ids = Json.list_field "cag_ids" j in
+  let* cag_ids = Json.map_result (Json.as_int "cag_ids") cag_ids in
+  let* mean_total_s = Json.float_field "mean_total_s" j in
+  let* components = Json.list_field "components" j in
+  let* components = Json.map_result component_of_json components in
   Ok { name; signature; count; cag_ids; mean_total_s; components }
 
 let profiles_of_json = function
-  | Json.List items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* p = profile_of_json item in
-          Ok (p :: acc))
-        (Ok []) items
-      |> Result.map List.rev
+  | Json.List items -> Json.map_result profile_of_json items
   | _ -> Error "patterns section is not a list"

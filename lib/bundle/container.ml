@@ -91,18 +91,15 @@ let assemble ~manifest_extra sections =
 let ( let* ) = Result.bind
 
 let manifest_sections ~what manifest =
-  match Json.member "sections" manifest with
-  | Some (Json.List items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match (Json.member "name" item, Json.member "bytes" item, Json.member "crc32" item) with
-          | Some (Json.String name), Some (Json.Int bytes), Some (Json.Int crc) ->
-              Ok ((name, bytes, crc) :: acc)
-          | _ -> Error (Printf.sprintf "%s: malformed section entry in bundle manifest" what))
-        (Ok []) items
-      |> Result.map List.rev
-  | _ -> Error (Printf.sprintf "%s: bundle manifest has no section table" what)
+  Result.map_error (Printf.sprintf "%s: bundle manifest section table: %s" what)
+    (let* items = Json.list_field "sections" manifest in
+     Json.map_result
+       (fun item ->
+         let* name = Json.string_field "name" item in
+         let* bytes = Json.int_field "bytes" item in
+         let* crc = Json.int_field "crc32" item in
+         Ok (name, bytes, crc))
+       items)
 
 let parse ~what data =
   let len = String.length data in

@@ -119,48 +119,14 @@ let of_store_dir dir =
       List.map (fun (meta, data, _) -> (meta, data)) segments,
       Store.Query.merge_native (List.map (fun (_, _, arenas) -> arenas) segments) )
 
-(* Cut the time-merged feed ({!Arena.iter_merged}) every [roll_records]
-   rows and regroup each batch per host (hostname order) — the writer's
-   roll behaviour. *)
-let roll ~roll_records arenas =
-  let arenas = Array.of_list arenas in
-  let batches = ref [] and batch = Hashtbl.create 8 and rows = ref 0 in
-  let cut () =
-    batches :=
-      (Hashtbl.fold (fun _ a acc -> a :: acc) batch []
-      |> List.sort (fun a b -> String.compare (Arena.hostname a) (Arena.hostname b)))
-      :: !batches;
-    Hashtbl.reset batch;
-    rows := 0
-  in
-  Arena.iter_merged arenas (fun h i ->
-      let sid = Arena.host_sid arenas.(h) in
-      if not (Hashtbl.mem batch sid) then Hashtbl.replace batch sid (Arena.create_sid sid);
-      Arena.append_row (Hashtbl.find batch sid) arenas.(h) i;
-      incr rows;
-      if !rows = roll_records then cut ());
-  if !rows > 0 then cut ();
-  List.rev !batches
-
-(* Roll raw host arenas into synthetic segments, as a store ingest with
-   no reduction would. Unsorted inputs are sorted on a copy. *)
-let of_arenas ?(roll_records = 65_536) arenas =
-  let arenas = List.map Arena.sorted arenas in
-  if Arena.total arenas = 0 then Error "pack: empty collection"
-  else begin
-    let batches =
-      if Arena.total arenas <= roll_records then [ arenas ] else roll ~roll_records arenas
-    in
-    let manifest, rev_segments =
-      List.fold_left
-        (fun (manifest, acc) batch ->
-          let id = manifest.Store.Manifest.next_id in
-          let meta, data = Store.Segment.encode_native ~id ~policy:"none" batch in
-          (Store.Manifest.add manifest meta, (meta, data) :: acc))
-        (Store.Manifest.empty, []) batches
-    in
-    Ok (manifest, List.rev rev_segments, Store.Query.merge_native batches)
-  end
+(* Synthetic segments: the store a no-reduction ingest of the arenas
+   would write, cut by the store writer itself but held in memory. *)
+let of_arenas ?roll_records arenas =
+  let manifest, segments = Store.Writer.encode ?roll_records arenas in
+  Ok
+    ( manifest,
+      List.map (fun (s : Store.Writer.segment) -> (s.meta, s.data)) segments,
+      Store.Query.merge_native (List.map (fun (s : Store.Writer.segment) -> s.rows) segments) )
 
 (* ---- packing ---- *)
 

@@ -1,9 +1,10 @@
 (** Packing a run into a [PTZ1] bundle.
 
     The packer embeds the store (segment bytes verbatim for a store
-    directory; synthetic no-reduction segments for in-memory host
-    arenas), decodes those same bytes once into per-host
-    {!Trace.Arena}s merged into the canonical row order
+    directory; for in-memory host arenas, the no-reduction segments the
+    store writer cuts, held in memory by {!Store.Writer.encode}), gathers
+    the rows those segments hold (decoded from a directory's bytes) into
+    per-host {!Trace.Arena}s in the canonical row order
     ({!Store.Query.merge_native}, the order {!Reader.query} returns),
     correlates the rows ({!Core.Shard.correlate_arena}), and serialises
     the resulting causal paths with a back-link per vertex source.
@@ -55,6 +56,7 @@ val pack :
   unit ->
   (summary, string) result
 (** Write the bundle to [path] (atomically, via a temp file + rename).
-    [roll_records] (default 65536) sizes the synthetic segments of an
-    [`Arenas] source (raw host arenas; unsorted ones are sorted on a
-    copy); a [`Store_dir] source keeps its segmentation. *)
+    An [`Arenas] source (raw host arenas; unsorted ones are sorted on a
+    copy) embeds exactly the segments a {!Store.Writer} store of the same
+    rows holds; [roll_records] (default 65536) is that writer's roll. A
+    [`Store_dir] source keeps its segmentation. *)

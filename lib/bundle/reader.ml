@@ -31,13 +31,6 @@ let section_value t section of_json =
         section.Container.pos e)
     (of_json j)
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let require t name =
   match Container.find t.sections name with
   | Some s -> Ok s
@@ -93,7 +86,9 @@ let rows t =
   match t.rows with
   | Some r -> Ok r
   | None ->
-      let* decoded = map_result (read_segment_native t) t.store_manifest.Store.Manifest.segments in
+      let* decoded =
+        Json.map_result (read_segment_native t) t.store_manifest.Store.Manifest.segments
+      in
       let r = List.map (fun a -> (Arena.hostname a, a)) (Store.Query.merge_native decoded) in
       t.rows <- Some r;
       Ok r
@@ -145,4 +140,4 @@ let resolve t ~link_hosts (host, index) =
         else Ok (hostname, index, Arena.get arena index)
   end
 
-let resolve_links t ~link_hosts links = map_result (resolve t ~link_hosts) links
+let resolve_links t ~link_hosts links = Json.map_result (resolve t ~link_hosts) links

@@ -12,34 +12,37 @@ type overflow = Drop_oldest | Block
 
 type config = {
   batch_records : int;
-  flush_interval : Sim_time.span;
   max_spool_records : int;
   overflow : overflow;
   policy : Store.Policy.t;
   correlate : Core.Correlator.config option;
   partial : Core.Transform.config option;
   max_inflight_frames : int;
-  cpu_per_record : Sim_time.span;
-  cpu_per_frame : Sim_time.span;
-  send_chunk : int;
-  reconnect_delay : Sim_time.span;
 }
 
 let default_config =
   {
     batch_records = 256;
-    flush_interval = Sim_time.ms 50;
     max_spool_records = 65536;
     overflow = Drop_oldest;
     policy = Store.Policy.none;
     correlate = None;
     partial = None;
     max_inflight_frames = 8;
-    cpu_per_record = Sim_time.us 1;
-    cpu_per_frame = Sim_time.us 100;
-    send_chunk = 8192;
-    reconnect_delay = Sim_time.ms 100;
   }
+
+(* Cut a partial batch after this long, bounding delivery lag. *)
+let flush_interval = Sim_time.ms 50
+
+(* Encode/reduce CPU cost: a fixed cost per frame cut plus one per record. *)
+let cpu_per_frame = Sim_time.us 100
+let cpu_per_record = Sim_time.us 1
+
+(* Bytes per send syscall. *)
+let send_chunk = 8192
+
+(* Back-off before redialling. *)
+let reconnect_delay = Sim_time.ms 100
 
 (* A cut batch spooled as an encoded frame body, resendable until acked. *)
 type entry = {
@@ -123,7 +126,6 @@ let drop t reason n =
 let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~collector () =
   if config.batch_records <= 0 then invalid_arg "Agent.create: batch_records";
   if config.max_spool_records <= 0 then invalid_arg "Agent.create: max_spool_records";
-  if config.send_chunk <= 0 then invalid_arg "Agent.create: send_chunk";
   let reduce =
     if Store.Policy.is_none config.policy then None
     else if config.correlate = None then
@@ -222,7 +224,7 @@ let rec pump t =
           t.s_bytes <- t.s_bytes + String.length bytes;
           R.add t.c_bytes (String.length bytes);
           let epoch = t.epoch in
-          Wire.send t.wire sock ~proc:t.proc ~chunk:t.cfg.send_chunk bytes ~k:(fun () ->
+          Wire.send t.wire sock ~proc:t.proc ~chunk:send_chunk bytes ~k:(fun () ->
               if t.epoch = epoch then begin
                 t.sending <- false;
                 t.in_flight <- None;
@@ -291,7 +293,7 @@ and recv_loop t sock epoch dec =
         t.in_flight <- None;
         if t.alive then
           ignore
-            (Engine.schedule_after t.engine ~delay:t.cfg.reconnect_delay (fun () ->
+            (Engine.schedule_after t.engine ~delay:reconnect_delay (fun () ->
                  if t.epoch = epoch then connect t))
       end
       else begin
@@ -336,8 +338,8 @@ let rec kick_encode t =
     let kept_n = Trace.Arena.length kept in
     let payload = Frame.encode_payload_arena kept in
     let work =
-      Sim_time.span_add t.cfg.cpu_per_frame
-        (Sim_time.span_scale (float_of_int n) t.cfg.cpu_per_record)
+      Sim_time.span_add cpu_per_frame
+        (Sim_time.span_scale (float_of_int n) cpu_per_record)
     in
     let epoch = t.epoch in
     Cpu.submit (Node.cpu t.node) ~work (fun () ->
@@ -390,7 +392,7 @@ let arm_flush t =
   if t.flush_timer = None then
     t.flush_timer <-
       Some
-        (Engine.schedule_after t.engine ~delay:t.cfg.flush_interval (fun () ->
+        (Engine.schedule_after t.engine ~delay:flush_interval (fun () ->
              t.flush_timer <- None;
              if t.alive then cut t))
 

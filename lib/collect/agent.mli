@@ -37,9 +37,9 @@
 type overflow = Drop_oldest | Block
 
 type config = {
-  batch_records : int;  (** Cut a frame after this many records. *)
-  flush_interval : Simnet.Sim_time.span;
-      (** Cut a partial batch after this long, bounding delivery lag. *)
+  batch_records : int;
+      (** Cut a frame after this many records, or after 50 ms of
+          simulated time, whichever is first. *)
   max_spool_records : int;  (** Bound on batch + encode queue + spool. *)
   overflow : overflow;
   policy : Store.Policy.t;  (** Agent-local reduction; {!Store.Policy.none} to ship raw. *)
@@ -56,16 +56,14 @@ type config = {
           socket buffer is effectively unbounded, so without a window
           the agent would write its whole spool eagerly and overflow
           could never find an evictable (never-transmitted) frame. *)
-  cpu_per_record : Simnet.Sim_time.span;  (** Encode/reduce CPU cost per record. *)
-  cpu_per_frame : Simnet.Sim_time.span;  (** Fixed CPU cost per frame cut. *)
-  send_chunk : int;  (** Bytes per send syscall. *)
-  reconnect_delay : Simnet.Sim_time.span;  (** Back-off before redialling. *)
 }
+(** Fixed, not configurable: a frame cut costs 100 us plus 1 us per
+    record of agent CPU, sends go out in 8 KiB syscalls, and a dropped
+    connection is redialled after 100 ms. *)
 
 val default_config : config
-(** batch 256, flush 50 ms, spool 65536 records, [Drop_oldest], no
-    policy, window 8 frames, 1 us/record + 100 us/frame, 8 KiB chunks,
-    100 ms back-off. *)
+(** batch 256, spool 65536 records, [Drop_oldest], no policy, window 8
+    frames. *)
 
 type t
 

@@ -21,14 +21,17 @@ type host_state = {
   g_watermark : R.gauge;
 }
 
+(* Bytes per recv syscall, and the decode CPU cost per delivered record
+   on top of the per-frame cost. *)
+let recv_chunk = 8192
+let cpu_per_record = Sim_time.ns 500
+
 type t = {
   wire : Wire.t;
   node : Node.t;
   engine : Engine.t;
   port : int;
-  recv_chunk : int;
   cpu_per_frame : Sim_time.span;
-  cpu_per_record : Sim_time.span;
   on_arena : Trace.Arena.t -> unit;
   hosts : (string, host_state) Hashtbl.t;
   mutable decode_errors : int;
@@ -138,7 +141,7 @@ let serve t sock =
     else k ()
   in
   let rec loop () =
-    Wire.recv t.wire sock ~proc ~max:t.recv_chunk
+    Wire.recv t.wire sock ~proc ~max:recv_chunk
       ~k:(fun data ->
         if String.equal data "" then Tcp.close (Wire.stack t.wire) sock
         else begin
@@ -157,7 +160,7 @@ let serve t sock =
                       (Sim_time.span_add t.cpu_per_frame
                          (Sim_time.span_scale
                             (float_of_int (Frame.records f))
-                            t.cpu_per_record)))
+                            cpu_per_record)))
                   Sim_time.span_zero frames
               in
               Cpu.submit (Node.cpu t.node) ~work (fun () ->
@@ -179,18 +182,15 @@ let serve t sock =
   in
   loop ()
 
-let create ?(telemetry = R.default) ?(recv_chunk = 8192) ?(cpu_per_frame = Sim_time.us 50)
-    ?(cpu_per_record = Sim_time.ns 500) ?(on_arena = fun _ -> ()) ~wire ~node ~port () =
-  if recv_chunk <= 0 then invalid_arg "Collector.create: recv_chunk";
+let create ?(telemetry = R.default) ?(cpu_per_frame = Sim_time.us 50) ?(on_arena = fun _ -> ())
+    ~wire ~node ~port () =
   let t =
     {
       wire;
       node;
       engine = Node.engine node;
       port;
-      recv_chunk;
       cpu_per_frame;
-      cpu_per_record;
       on_arena;
       hosts = Hashtbl.create 8;
       decode_errors = 0;

@@ -17,9 +17,7 @@ type t
 
 val create :
   ?telemetry:Telemetry.Registry.t ->
-  ?recv_chunk:int ->
   ?cpu_per_frame:Simnet.Sim_time.span ->
-  ?cpu_per_record:Simnet.Sim_time.span ->
   ?on_arena:(Trace.Arena.t -> unit) ->
   wire:Wire.t ->
   node:Simnet.Node.t ->
@@ -27,12 +25,11 @@ val create :
   unit ->
   t
 (** Listen on [node]:[port]. Each delivered frame costs
-    [cpu_per_frame + records * cpu_per_record] of collector CPU before
-    its rows reach the sink (defaults 50 us + 500 ns). [on_arena]
-    receives each delivered frame's payload arena, with no record built
-    (feed it to {!Core.Online.observe_arena} or
-    {!Store.Writer.ingest_native}). [recv_chunk] is the recv-syscall
-    buffer (default 8192). *)
+    [cpu_per_frame] (default 50 us) plus 500 ns per record of collector
+    CPU before its rows reach the sink. [on_arena] receives each
+    delivered frame's payload arena, with no record built (feed it to
+    {!Core.Online.observe_arena} or {!Store.Writer.ingest_native}).
+    Reads go out in 8 KiB recv syscalls. *)
 
 val endpoint : t -> Simnet.Address.endpoint
 

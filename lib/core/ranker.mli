@@ -93,8 +93,8 @@ val create_native :
   has_mmap_send:(int -> bool) ->
   Trace.Arena.t list ->
   t
-(** One stream per arena, each in {!Trace.Arena.compare_rows} order (as
-    {!Trace.Arena.sort_by_time} leaves it); the rows are ranked in place
+(** One stream per arena, each in the order
+    {!Trace.Arena.sort_by_time} leaves it; the rows are ranked in place
     and never modified. [window] is the sliding-window size (any positive
     span; accuracy is independent of it, cost is not). [skew_allowance]
     bounds how far ahead of a suspect RECEIVE the ranker will look before

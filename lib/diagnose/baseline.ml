@@ -156,57 +156,23 @@ let to_json t =
 
 let ( let* ) r f = Result.bind r f
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "baseline: missing field %S" name)
-
-let as_string name = function
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "baseline: field %S is not a string" name)
-
-let as_int name = function
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "baseline: field %S is not an integer" name)
-
-let as_float name = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "baseline: field %S is not a number" name)
-
-let as_list name = function
-  | Json.List l -> Ok l
-  | _ -> Error (Printf.sprintf "baseline: field %S is not a list" name)
-
-let str_field name j = Result.bind (field name j) (as_string name)
-let int_field name j = Result.bind (field name j) (as_int name)
-let float_field name j = Result.bind (field name j) (as_float name)
-let list_field name j = Result.bind (field name j) (as_list name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let component_of_json j =
-  let* src = str_field "src" j in
-  let* dst = str_field "dst" j in
+  let* src = Json.string_field "src" j in
+  let* dst = Json.string_field "dst" j in
   Ok { Latency.src; dst }
 
 let pattern_of_json j =
-  let* signature = str_field "signature" j in
-  let* name = str_field "name" j in
-  let* count = int_field "count" j in
-  let* frequency = float_field "frequency" j in
-  let* mean_duration_s = float_field "mean_duration_s" j in
-  let* components = list_field "components" j in
-  let* components = map_result component_of_json components in
-  let* shares = list_field "shares" j in
-  let* shares = map_result (as_float "shares") shares in
+  let* signature = Json.string_field "signature" j in
+  let* name = Json.string_field "name" j in
+  let* count = Json.int_field "count" j in
+  let* frequency = Json.float_field "frequency" j in
+  let* mean_duration_s = Json.float_field "mean_duration_s" j in
+  let* components = Json.list_field "components" j in
+  let* components = Json.map_result component_of_json components in
+  let* shares = Json.list_field "shares" j in
+  let* shares = Json.map_result (Json.as_float "shares") shares in
   if List.length components <> List.length shares then
-    Error (Printf.sprintf "baseline: pattern %S has %d components but %d shares" name
+    Error (Printf.sprintf "pattern %S has %d components but %d shares" name
              (List.length components) (List.length shares))
   else
     Ok
@@ -221,16 +187,17 @@ let pattern_of_json j =
       }
 
 let of_json j =
-  let* tag = str_field "format" j in
-  if not (String.equal tag format_tag) then
-    Error (Printf.sprintf "baseline: unsupported format %S (expected %S)" tag format_tag)
-  else
-    let* total_paths = int_field "total_paths" j in
-    let* span_s = float_field "span_s" j in
-    let* throughput_rps = float_field "throughput_rps" j in
-    let* patterns = list_field "patterns" j in
-    let* patterns = map_result pattern_of_json patterns in
-    Ok { patterns; total_paths; span_s; throughput_rps }
+  Result.map_error (fun e -> "baseline: " ^ e)
+    (let* tag = Json.string_field "format" j in
+     if not (String.equal tag format_tag) then
+       Error (Printf.sprintf "unsupported format %S (expected %S)" tag format_tag)
+     else
+       let* total_paths = Json.int_field "total_paths" j in
+       let* span_s = Json.float_field "span_s" j in
+       let* throughput_rps = Json.float_field "throughput_rps" j in
+       let* patterns = Json.list_field "patterns" j in
+       let* patterns = Json.map_result pattern_of_json patterns in
+       Ok { patterns; total_paths; span_s; throughput_rps })
 
 let save t ~path =
   match open_out path with
@@ -245,5 +212,4 @@ let load ~path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | body ->
-      let* j = Json.of_string body in
-      of_json j
+      Result.map_error (Printf.sprintf "%s: %s" path) (Result.bind (Json.of_string body) of_json)

@@ -13,7 +13,6 @@ type kind =
   | Pattern_shift
   | Latency_shift
   | Throughput_drop
-  | Throughput_surge
 
 let kind_to_string = function
   | Share_drift -> "share_drift"
@@ -22,7 +21,6 @@ let kind_to_string = function
   | Pattern_shift -> "pattern_shift"
   | Latency_shift -> "latency_shift"
   | Throughput_drop -> "throughput_drop"
-  | Throughput_surge -> "throughput_surge"
 
 type verdict = {
   at : Sim_time.t;
@@ -62,14 +60,10 @@ type config = {
   window : int;
   min_window : int;
   share_threshold : float;
-  rearm_factor : float;
   mix_window : int;
   mix_tolerance : float;
   mix_min_frequency : float;
-  latency_factor : float;
   throughput_window_s : float;
-  throughput_factor : float;
-  detect_surge : bool;
 }
 
 let default_config =
@@ -79,15 +73,22 @@ let default_config =
     window = 80;
     min_window = 40;
     share_threshold = 0.10;
-    rearm_factor = 0.5;
     mix_window = 200;
     mix_tolerance = 0.15;
     mix_min_frequency = 0.05;
-    latency_factor = 2.5;
     throughput_window_s = 5.0;
-    throughput_factor = 3.0;
-    detect_surge = false;
   }
+
+(* Hysteresis: an alarm re-arms once its signal falls below its firing
+   threshold times this. *)
+let rearm_factor = 0.5
+
+(* A pattern's window-mean latency over its baseline mean that fires
+   [Latency_shift]. *)
+let latency_factor = 2.5
+
+(* The live path rate below baseline / this fires [Throughput_drop]. *)
+let throughput_factor = 3.0
 
 (* Per-pattern sliding state: latency-share observations plus the
    hysteresis flags for each §5.4 subject this pattern has implicated. *)
@@ -119,7 +120,6 @@ type t = {
   mix_flags : (string, mix_flags) Hashtbl.t;
   tp_times : float Queue.t;
   mutable drop_armed : bool;
-  mutable surge_armed : bool;
   mutable verdicts_rev : verdict list;
   mutable n_paths : int;
   c_paths : Registry.counter;
@@ -143,7 +143,6 @@ let create ?(config = default_config) ?baseline ?now
       mix_flags = Hashtbl.create 8;
       tp_times = Queue.create ();
       drop_armed = true;
-      surge_armed = true;
       verdicts_rev = [];
       n_paths = 0;
       c_paths =
@@ -306,7 +305,7 @@ let check_share t bl at ~signature ~name ps =
               end
               else begin
                 if
-                  s.severity < cfg.share_threshold *. cfg.rearm_factor
+                  s.severity < cfg.share_threshold *. rearm_factor
                   && not !armed
                 then armed := true;
                 None
@@ -335,7 +334,7 @@ let check_latency t bl at ~signature ~name ps ~top_suspect =
     | Some bp when bp.Baseline.mean_duration_s > 0.0 ->
         let mean = queue_mean ps.p_durations in
         let ratio = mean /. bp.Baseline.mean_duration_s in
-        if ratio >= cfg.latency_factor && ps.p_latency_armed then begin
+        if ratio >= latency_factor && ps.p_latency_armed then begin
           ps.p_latency_armed <- false;
           [
             fire t ~at ~kind:Latency_shift ~pattern:name ?culprit:top_suspect
@@ -349,7 +348,7 @@ let check_latency t bl at ~signature ~name ps ~top_suspect =
         end
         else begin
           if
-            ratio < cfg.latency_factor *. cfg.rearm_factor
+            ratio < latency_factor *. rearm_factor
             && not ps.p_latency_armed
           then ps.p_latency_armed <- true;
           []
@@ -393,7 +392,7 @@ let check_mix t bl at =
               else []
             else begin
               if
-                obs >= cfg.mix_min_frequency *. cfg.rearm_factor
+                obs >= cfg.mix_min_frequency *. rearm_factor
                 && not flags.m_vanish_armed
               then flags.m_vanish_armed <- true;
               let delta = Float.abs (obs -. bp.frequency) in
@@ -409,7 +408,7 @@ let check_mix t bl at =
               end
               else begin
                 if
-                  delta < cfg.mix_tolerance *. cfg.rearm_factor
+                  delta < cfg.mix_tolerance *. rearm_factor
                   && not flags.m_shift_armed
                 then flags.m_shift_armed <- true;
                 []
@@ -447,7 +446,7 @@ let check_mix t bl at =
           end
           else begin
             if
-              obs < cfg.mix_min_frequency *. cfg.rearm_factor
+              obs < cfg.mix_min_frequency *. rearm_factor
               && not flags.m_new_armed
             then flags.m_new_armed <- true;
             None
@@ -465,44 +464,18 @@ let check_throughput t bl at time_s =
     let rate =
       float_of_int (Queue.length t.tp_times) /. cfg.throughput_window_s
     in
-    let drop_thr = base /. cfg.throughput_factor in
-    let dropped =
-      if rate <= drop_thr && t.drop_armed then begin
-        t.drop_armed <- false;
-        [
-          fire t ~at ~kind:Throughput_drop ~baseline_value:base
-            ~observed_value:rate
-            (Printf.sprintf "throughput %.0f paths/s vs baseline %.0f paths/s"
-               rate base);
-        ]
-      end
-      else begin
-        if rate >= drop_thr /. cfg.rearm_factor && not t.drop_armed then
-          t.drop_armed <- true;
-        []
-      end
-    in
-    let surged =
-      if not cfg.detect_surge then []
-      else begin
-        let surge_thr = base *. cfg.throughput_factor in
-        if rate >= surge_thr && t.surge_armed then begin
-          t.surge_armed <- false;
-          [
-            fire t ~at ~kind:Throughput_surge ~baseline_value:base
-              ~observed_value:rate
-              (Printf.sprintf
-                 "throughput %.0f paths/s vs baseline %.0f paths/s" rate base);
-          ]
-        end
-        else begin
-          if rate <= surge_thr *. cfg.rearm_factor && not t.surge_armed then
-            t.surge_armed <- true;
-          []
-        end
-      end
-    in
-    dropped @ surged
+    let drop_thr = base /. throughput_factor in
+    if rate <= drop_thr && t.drop_armed then begin
+      t.drop_armed <- false;
+      [
+        fire t ~at ~kind:Throughput_drop ~baseline_value:base ~observed_value:rate
+          (Printf.sprintf "throughput %.0f paths/s vs baseline %.0f paths/s" rate base);
+      ]
+    end
+    else begin
+      if rate >= drop_thr /. rearm_factor && not t.drop_armed then t.drop_armed <- true;
+      []
+    end
   end
 
 let judge t bl at cag =

@@ -12,14 +12,15 @@
       interaction).
     - {b Pattern-mix anomalies}: a baseline pattern vanishes, a new
       pattern appears, or a pattern's frequency shifts beyond tolerance.
-    - {b Latency shift}: a pattern's mean end-to-end latency grows by
-      more than [latency_factor] over its baseline mean.
-    - {b Throughput drop/surge}: the overall path completion rate falls
-      below (or, when enabled, rises above) the baseline rate.
+    - {b Latency shift}: a pattern's window-mean end-to-end latency
+      reaches 2.5x its baseline mean.
+    - {b Throughput drop}: the overall path completion rate falls to a
+      third of the baseline rate.
 
     Every alarm class has hysteresis: a verdict fires once per
-    excursion, then re-arms only after the signal recovers below
-    [rearm_factor] of its firing threshold. Each verdict increments
+    excursion, then re-arms only after the signal recedes a factor of
+    two past its firing threshold (below half of it; above twice it for
+    a throughput drop). Each verdict increments
     [pt_diagnose_alerts_total{kind,comp,pattern}]. *)
 
 type kind =
@@ -29,7 +30,6 @@ type kind =
   | Pattern_shift
   | Latency_shift
   | Throughput_drop
-  | Throughput_surge
 
 val kind_to_string : kind -> string
 
@@ -62,9 +62,6 @@ type config = {
   share_threshold : float;
       (** Minimum {!Core.Analysis} suspect severity (share delta) that
           fires {!Share_drift}. Default 0.10. *)
-  rearm_factor : float;
-      (** Hysteresis: re-arm when the signal falls below threshold
-          times this. Default 0.5. *)
   mix_window : int;  (** Pattern-mix ring size, paths. Default 200. *)
   mix_tolerance : float;
       (** Absolute frequency delta that fires {!Pattern_shift}.
@@ -72,17 +69,9 @@ type config = {
   mix_min_frequency : float;
       (** Patterns rarer than this (baseline or observed) are ignored
           by mix detection. Default 0.05. *)
-  latency_factor : float;
-      (** Window-mean latency over baseline mean that fires
-          {!Latency_shift}. Default 2.5. *)
   throughput_window_s : float;
       (** Sliding wall of stream time over which the live rate is
           estimated. Default 5.0. *)
-  throughput_factor : float;
-      (** Rate below baseline/factor fires {!Throughput_drop}; above
-          baseline*factor fires {!Throughput_surge}. Default 3.0. *)
-  detect_surge : bool;
-      (** Surges are off by default: ramps legitimately overshoot. *)
 }
 
 val default_config : config

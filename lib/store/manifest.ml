@@ -41,19 +41,11 @@ let save t ~dir =
   Sys.rename tmp (path ~dir)
 
 let of_json j =
-  match (Json.member "next_id" j, Json.member "segments" j) with
-  | Some (Json.Int next_id), Some (Json.List items) ->
-      let rec metas acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest -> (
-            match Segment.meta_of_json item with
-            | Ok m -> metas (m :: acc) rest
-            | Error e -> Error e)
-      in
-      Result.map
-        (fun segments -> { next_id; segments = sort_segments segments })
-        (metas [] items)
-  | _ -> Error "manifest: missing next_id or segments"
+  let ( let* ) = Result.bind in
+  let* next_id = Json.int_field "next_id" j in
+  let* items = Json.list_field "segments" j in
+  let* segments = Json.map_result Segment.meta_of_json items in
+  Ok { next_id; segments = sort_segments segments }
 
 let load ~dir =
   let p = path ~dir in

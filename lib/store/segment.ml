@@ -36,42 +36,22 @@ let meta_to_json m =
       ("policy", Json.String m.policy);
     ]
 
-let int_field j name =
-  match Json.member name j with
-  | Some (Json.Int n) -> Ok n
-  | _ -> Error (Printf.sprintf "segment meta: missing int field %S" name)
-
-let string_field j name =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "segment meta: missing string field %S" name)
-
 let ( let* ) = Result.bind
 
 let meta_of_json j =
-  let* id = int_field j "id" in
-  let* file = string_field j "file" in
-  let* min_ts_ns = int_field j "min_ts_ns" in
-  let* max_ts_ns = int_field j "max_ts_ns" in
-  let* hosts =
-    match Json.member "hosts" j with
-    | Some (Json.List items) ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            match item with
-            | Json.String h -> Ok (h :: acc)
-            | _ -> Error "segment meta: non-string host")
-          (Ok []) items
-        |> Result.map List.rev
-    | _ -> Error "segment meta: missing list field \"hosts\""
-  in
-  let* records = int_field j "records" in
-  let* bytes = int_field j "bytes" in
-  let* raw_records = int_field j "raw_records" in
-  let* raw_bytes = int_field j "raw_bytes" in
-  let* policy = string_field j "policy" in
-  Ok { id; file; min_ts_ns; max_ts_ns; hosts; records; bytes; raw_records; raw_bytes; policy }
+  Result.map_error (fun e -> "segment meta: " ^ e)
+    (let* id = Json.int_field "id" j in
+     let* file = Json.string_field "file" j in
+     let* min_ts_ns = Json.int_field "min_ts_ns" j in
+     let* max_ts_ns = Json.int_field "max_ts_ns" j in
+     let* hosts = Json.list_field "hosts" j in
+     let* hosts = Json.map_result (Json.as_string "hosts") hosts in
+     let* records = Json.int_field "records" j in
+     let* bytes = Json.int_field "bytes" j in
+     let* raw_records = Json.int_field "raw_records" j in
+     let* raw_bytes = Json.int_field "raw_bytes" j in
+     let* policy = Json.string_field "policy" j in
+     Ok { id; file; min_ts_ns; max_ts_ns; hosts; records; bytes; raw_records; raw_bytes; policy })
 
 let time_bounds arenas =
   let lo = ref max_int and hi = ref min_int in
@@ -115,13 +95,14 @@ let encode_native ~id ~policy ?raw_records ?raw_bytes arenas =
   Buffer.add_string buf payload;
   (meta, Buffer.contents buf)
 
-let write_data ~dir (meta, data) =
+let write ~dir meta data =
   let oc = open_out_bin (Filename.concat dir meta.file) in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data);
-  meta
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
 
 let write_native ~dir ~id ~policy ?raw_records ?raw_bytes arenas =
-  write_data ~dir (encode_native ~id ~policy ?raw_records ?raw_bytes arenas)
+  let meta, data = encode_native ~id ~policy ?raw_records ?raw_bytes arenas in
+  write ~dir meta data;
+  meta
 
 let read_file path =
   match open_in_bin path with

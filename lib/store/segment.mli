@@ -55,6 +55,10 @@ val encode_native :
     @raise Invalid_argument when the arenas hold no row (the caller
     should simply not emit a segment). *)
 
+val write : dir:string -> meta -> string -> unit
+(** Write {!encode_native}'s bytes to [dir] under [meta.file]. Raises
+    [Sys_error] on I/O failure. *)
+
 val write_native :
   dir:string ->
   id:int ->

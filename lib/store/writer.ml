@@ -1,6 +1,4 @@
-module Activity = Trace.Activity
 module Arena = Trace.Arena
-module Intern = Trace.Intern
 module R = Telemetry.Registry
 
 type stats = {
@@ -18,8 +16,10 @@ let pp_stats ppf s =
     "%d segments; %d -> %d records, %d -> %d bytes; %d/%d requests kept" s.segments
     s.records_in s.records_out s.bytes_in s.bytes_out s.requests_kept s.requests_seen
 
+type segment = { meta : Segment.meta; data : string; rows : Arena.t list }
+
 type t = {
-  dir : string;
+  dir : string option;  (* [None]: segments are held in memory *)
   policy : Policy.t;
   policy_str : string;
   reduce : Core.Correlator.config option;  (* set iff the policy reduces *)
@@ -28,6 +28,7 @@ type t = {
   buffers : (int, Arena.t) Hashtbl.t;  (* host string id -> batch arena *)
   mutable pending : int;
   mutable manifest : Manifest.t;
+  mutable held : segment list;  (* newest first; in-memory writers only *)
   mutable stats : stats;
   m_segments : R.counter;
   m_records_in : R.counter;
@@ -53,21 +54,8 @@ let rec mkdir_p dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ())
   end
 
-let create ?(telemetry = R.default) ?(policy = Policy.none) ?correlate
-    ?(roll_records = 65536) ~dir () =
-  let reduce =
-    if Policy.is_none policy then None
-    else if Option.is_none correlate then
-      invalid_arg "Writer.create: a reduction policy needs a ~correlate config"
-    else correlate
-  in
-  if roll_records <= 0 then invalid_arg "Writer.create: roll_records must be positive";
-  mkdir_p dir;
-  let manifest =
-    if Manifest.exists ~dir then
-      match Manifest.load ~dir with Ok m -> m | Error e -> failwith e
-    else Manifest.empty
-  in
+let make ~telemetry ~policy ~reduce ~roll_records ~dir manifest =
+  if roll_records <= 0 then invalid_arg "Writer: roll_records must be positive";
   {
     dir;
     policy;
@@ -78,6 +66,7 @@ let create ?(telemetry = R.default) ?(policy = Policy.none) ?correlate
     buffers = Hashtbl.create 16;
     pending = 0;
     manifest;
+    held = [];
     stats = zero_stats;
     m_segments =
       R.counter telemetry ~help:"Segments written by the store writer"
@@ -95,6 +84,20 @@ let create ?(telemetry = R.default) ?(policy = Policy.none) ?correlate
       R.histogram telemetry ~help:"Store segment flush wall time, seconds"
         "pt_store_flush_seconds";
   }
+
+let create ?(telemetry = R.default) ?(policy = Policy.none) ?correlate
+    ?(roll_records = 65536) ~dir () =
+  let reduce =
+    if Policy.is_none policy then None
+    else if Option.is_none correlate then
+      invalid_arg "Writer.create: a reduction policy needs a ~correlate config"
+    else correlate
+  in
+  let t = make ~telemetry ~policy ~reduce ~roll_records ~dir:(Some dir) Manifest.empty in
+  mkdir_p dir;
+  if Manifest.exists ~dir then
+    t.manifest <- (match Manifest.load ~dir with Ok m -> m | Error e -> failwith e);
+  t
 
 let stats t = t.stats
 
@@ -131,11 +134,15 @@ let flush t =
       if records_out = 0 then None
       else begin
         let id = t.manifest.Manifest.next_id in
-        let meta =
-          Segment.write_native ~dir:t.dir ~id ~policy:t.policy_str ~raw_records ?raw_bytes kept
+        let meta, data =
+          Segment.encode_native ~id ~policy:t.policy_str ~raw_records ?raw_bytes kept
         in
         t.manifest <- Manifest.add t.manifest meta;
-        Manifest.save t.manifest ~dir:t.dir;
+        (match t.dir with
+        | Some dir ->
+            Segment.write ~dir meta data;
+            Manifest.save t.manifest ~dir
+        | None -> t.held <- { meta; data; rows = kept } :: t.held);
         Some meta
       end
     in
@@ -173,113 +180,44 @@ let observe_row t ~host ~kind ~ts ~ctx ~flow ~size =
   if t.pending >= t.roll_records then flush t
 
 (* Interleave the per-host arenas in global (timestamp, context, kind)
-   order — the same segment time-partitioning a live feed would produce,
-   and exactly the order the text-era ingest got from stable-sorting the
-   concatenated lists (ties across inputs resolve by input position). A
-   linear scan over the heads is plenty: inputs are per-host, and the
-   comparisons are on ints. *)
+   order ({!Arena.merge_runs}) — the same segment time-partitioning a
+   live feed would produce — and cut each run at the roll boundary. A
+   host's batch arena is looked up once per segment, when its first row
+   lands, and forgotten at each flush. *)
 let ingest_native t arenas =
-  let arenas =
-    List.filter_map (fun a -> if Arena.length a = 0 then None else Some (Arena.sorted a)) arenas
-    |> Array.of_list
-  in
-  let n = Array.length arenas in
-  let cursor = Array.make n 0 in
-  let len = Array.map Arena.length arenas in
-  (* Ties on timestamp are rare, so the scan compares only the head
-     timestamps and falls back to the full (context, kind, input index)
-     ordering on an exact tie. *)
-  let tie_break i j =
-    let a = arenas.(i) and b = arenas.(j) in
-    let ai = cursor.(i) and bj = cursor.(j) in
-    match Intern.compare_context_id (Arena.ctx_id a ai) (Arena.ctx_id b bj) with
-    | 0 -> (
-        match
-          Int.compare
-            (Activity.kind_priority (Arena.kind a ai))
-            (Activity.kind_priority (Arena.kind b bj))
-        with
-        | 0 -> Int.compare i j
-        | c -> c)
-    | c -> c
-  in
-  (* One destination batch arena per input (inputs are per-host), looked
-     up once and refreshed after each flush swaps the buffers out — not a
-     hash probe per record. *)
-  let dests = Array.map (fun a -> buffer_for t (Arena.host_sid a)) arenas in
-  (* Head timestamps live in a plain int array so the scan is array reads
-     and compares; each advance refreshes one slot. *)
-  let head_ts =
-    Array.init n (fun i -> if len.(i) > 0 then Arena.ts arenas.(i) 0 else max_int)
-  in
-  (* First index in [lo+1, cap) of [a] whose timestamp reaches [bound]:
-     exponential probe then binary search, assuming ts.(lo) < bound. *)
-  let gallop_hi a ~lo ~cap bound =
-    let prev = ref lo and step = ref 1 in
-    let probe = ref (lo + 1) in
-    while !probe < cap && Arena.ts a !probe < bound do
-      prev := !probe;
-      step := !step * 2;
-      probe := lo + !step
-    done;
-    let l = ref (!prev + 1) and r = ref (min !probe cap) in
-    while !l < !r do
-      let m = (!l + !r) / 2 in
-      if Arena.ts a m < bound then l := m + 1 else r := m
-    done;
-    !l
-  in
-  let remaining = ref 0 in
-  Array.iter (fun l -> remaining := !remaining + l) len;
-  while !remaining > 0 do
-    (* Best head, plus the runner-up timestamp bounding its run. *)
-    let best = ref (-1) and best_ts = ref max_int and next_ts = ref max_int in
-    for i = 0 to n - 1 do
-      if cursor.(i) < len.(i) then begin
-        let ts = head_ts.(i) in
-        if !best < 0 then begin
-          best := i;
-          best_ts := ts
+  let arenas = Array.of_list (List.map Arena.sorted arenas) in
+  let dests = Array.make (Array.length arenas) None in
+  Arena.merge_runs arenas (fun h lo hi ->
+      let src = arenas.(h) and lo = ref lo in
+      while !lo < hi do
+        let dest =
+          match dests.(h) with
+          | Some d -> d
+          | None ->
+              let d = buffer_for t (Arena.host_sid src) in
+              dests.(h) <- Some d;
+              d
+        in
+        let n = min (hi - !lo) (t.roll_records - t.pending) in
+        Arena.append_range dest src ~lo:!lo ~hi:(!lo + n);
+        lo := !lo + n;
+        t.pending <- t.pending + n;
+        if t.pending >= t.roll_records then begin
+          flush t;
+          Array.fill dests 0 (Array.length dests) None
         end
-        else if ts < !best_ts then begin
-          next_ts := !best_ts;
-          best := i;
-          best_ts := ts
-        end
-        else if ts = !best_ts && tie_break i !best < 0 then begin
-          next_ts := !best_ts;
-          best := i
-        end
-        else if ts < !next_ts then next_ts := ts
-      end
-    done;
-    let i = !best in
-    let a = arenas.(i) in
-    let lo = cursor.(i) in
-    (* The whole strictly-smaller run moves in one blit: the merge is
-       stable per input, so a run is a contiguous slice and only its cut
-       points (roll boundary, or a cross-arena timestamp tie needing the
-       full tie-break) are decided row by row. *)
-    let room = t.roll_records - t.pending in
-    let cap = if room < len.(i) - lo then lo + room else len.(i) in
-    let hi =
-      if !best_ts = !next_ts then lo + 1
-      else if !next_ts = max_int then cap
-      else gallop_hi a ~lo ~cap !next_ts
-    in
-    let hi = max hi (lo + 1) in
-    Arena.append_range dests.(i) a ~lo ~hi;
-    cursor.(i) <- hi;
-    head_ts.(i) <- (if hi < len.(i) then Arena.ts a hi else max_int);
-    remaining := !remaining - (hi - lo);
-    t.pending <- t.pending + (hi - lo);
-    if t.pending >= t.roll_records then begin
-      flush t;
-      Array.iteri (fun j a -> dests.(j) <- buffer_for t (Arena.host_sid a)) arenas
-    end
-  done
+      done)
 
 let close t =
   flush t;
-  Manifest.save t.manifest ~dir:t.dir;
+  Option.iter (fun dir -> Manifest.save t.manifest ~dir) t.dir;
   t.stats
+
+let encode ?(roll_records = 65536) arenas =
+  let t =
+    make ~telemetry:(R.create ()) ~policy:Policy.none ~reduce:None ~roll_records ~dir:None
+      Manifest.empty
+  in
+  ingest_native t arenas;
+  flush t;
+  (t.manifest, List.rev t.held)

@@ -5,7 +5,9 @@
     batch before encoding — so a live capture streams reduced segments to
     disk while the service is still running: [Collect.Deploy] tees every
     delivered arena through {!observe_row}, and {!ingest_native} takes
-    saved host arenas.
+    saved host arenas. It is the one segment roller: the bundle packer's
+    synthetic segments come from {!encode}, the same roll held in memory.
+    A segment lists only the hosts with rows in it.
 
     Because reduction is per batch, a request that straddles a segment
     boundary is seen by two independent reduction passes; its unfinished
@@ -51,9 +53,9 @@ val observe_row : t -> host:int -> kind:int -> ts:int -> ctx:int -> flow:int -> 
 
 val ingest_native : t -> Trace.Arena.t list -> unit
 (** Feed whole host arenas, interleaved in global timestamp order — the
-    same segment time-partitioning a live feed would produce: a k-way
-    merge of the (sorted) arenas that moves runs of rows at a time.
-    Inputs are not mutated; an unsorted arena is sorted on a copy. *)
+    same segment time-partitioning a live feed would produce: the runs of
+    {!Trace.Arena.merge_runs}, cut at the roll boundary. Inputs are not
+    mutated; an unsorted arena is sorted on a copy. *)
 
 val flush : t -> unit
 (** Force the current batch out as a segment (no-op when empty): the
@@ -65,3 +67,17 @@ val close : t -> stats
     segment, so a crash loses at most the open batch. *)
 
 val stats : t -> stats
+
+type segment = {
+  meta : Segment.meta;
+  data : string;  (** The exact bytes {!Segment.write} puts on disk. *)
+  rows : Trace.Arena.t list;  (** The encoded per-host arenas, hostname order. *)
+}
+
+val encode : ?roll_records:int -> Trace.Arena.t list -> Manifest.t * segment list
+(** The store an {!ingest_native} of the arenas into a fresh writer with
+    policy {!Policy.none} would write, held in memory instead: its
+    manifest and segments, oldest first. Nothing touches the disk, and
+    the writer's own [pt_store_*] metrics go to a private registry, so
+    they never count in-memory segments. [roll_records] defaults to
+    65536. *)

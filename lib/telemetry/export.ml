@@ -117,37 +117,15 @@ let to_json_string ?(indent = true) families = Json.to_string ~indent (to_json f
 
 let ( let* ) = Result.bind
 
-let number = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error "expected a number"
-
-let float_field j name =
-  match Json.member name j with
-  | Some v -> Result.map_error (fun e -> Printf.sprintf "field %S: %s" name e) (number v)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field j name =
-  match Json.member name j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing int field %S" name)
-
 let labels_of_json = function
   | Some (Json.Obj pairs) ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
-          match v with
-          | Json.String s -> Ok ((k, s) :: acc)
-          | _ -> Error (Printf.sprintf "label %S is not a string" k))
-        (Ok []) pairs
-      |> Result.map List.rev
+      Json.map_result (fun (k, v) -> Result.map (fun s -> (k, s)) (Json.as_string k v)) pairs
   | Some _ -> Error "labels is not an object"
   | None -> Ok []
 
 let bucket_of_json j =
-  let* upper = float_field j "le" in
-  let* cumulative = int_field j "cumulative" in
+  let* upper = Json.float_field "le" j in
+  let* cumulative = Json.int_field "cumulative" j in
   Ok { Histogram.upper; cumulative }
 
 let sample_of_json kind j =
@@ -155,31 +133,21 @@ let sample_of_json kind j =
   let* value =
     match kind with
     | "counter" ->
-        let* v = int_field j "value" in
+        let* v = Json.int_field "value" j in
         Ok (Registry.Counter v)
     | "gauge" ->
-        let* v = float_field j "value" in
+        let* v = Json.float_field "value" j in
         Ok (Registry.Gauge v)
     | "histogram" ->
-        let* count = int_field j "count" in
-        let* sum = float_field j "sum" in
-        let* min_v = float_field j "min" in
-        let* max_v = float_field j "max" in
-        let* p50 = float_field j "p50" in
-        let* p90 = float_field j "p90" in
-        let* p99 = float_field j "p99" in
-        let* buckets =
-          match Json.member "buckets" j with
-          | Some (Json.List items) ->
-              List.fold_left
-                (fun acc item ->
-                  let* acc = acc in
-                  let* b = bucket_of_json item in
-                  Ok (b :: acc))
-                (Ok []) items
-              |> Result.map List.rev
-          | _ -> Error "missing bucket list"
-        in
+        let* count = Json.int_field "count" j in
+        let* sum = Json.float_field "sum" j in
+        let* min_v = Json.float_field "min" j in
+        let* max_v = Json.float_field "max" j in
+        let* p50 = Json.float_field "p50" j in
+        let* p90 = Json.float_field "p90" j in
+        let* p99 = Json.float_field "p99" j in
+        let* buckets = Json.list_field "buckets" j in
+        let* buckets = Json.map_result bucket_of_json buckets in
         Ok (Registry.Hist { count; sum; min_v; max_v; p50; p90; p99; buckets })
     | other -> Error (Printf.sprintf "unknown family type %S" other)
   in
@@ -187,43 +155,21 @@ let sample_of_json kind j =
 
 let family_of_json name j =
   let* help =
-    match Json.member "help" j with
-    | Some (Json.String s) -> Ok s
-    | Some _ -> Error "help is not a string"
-    | None -> Ok ""
+    match Json.member "help" j with None -> Ok "" | Some _ -> Json.string_field "help" j
   in
-  let* kind =
-    match Json.member "type" j with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error "missing family type"
-  in
+  let* kind = Json.string_field "type" j in
+  let* samples = Json.list_field "samples" j in
   let* samples =
-    match Json.member "samples" j with
-    | Some (Json.List items) ->
-        if String.equal kind "untyped" then Ok []
-        else
-          List.fold_left
-            (fun acc item ->
-              let* acc = acc in
-              let* s = sample_of_json kind item in
-              Ok (s :: acc))
-            (Ok []) items
-          |> Result.map List.rev
-    | _ -> Error "missing sample list"
+    if String.equal kind "untyped" then Ok [] else Json.map_result (sample_of_json kind) samples
   in
   Ok { Registry.name; help; samples }
 
 let of_json = function
   | Json.Obj pairs ->
-      List.fold_left
-        (fun acc (name, j) ->
-          let* acc = acc in
-          let* f =
-            Result.map_error
-              (fun e -> Printf.sprintf "telemetry family %S: %s" name e)
-              (family_of_json name j)
-          in
-          Ok (f :: acc))
-        (Ok []) pairs
-      |> Result.map List.rev
+      Json.map_result
+        (fun (name, j) ->
+          Result.map_error
+            (fun e -> Printf.sprintf "telemetry family %S: %s" name e)
+            (family_of_json name j))
+        pairs
   | _ -> Error "telemetry snapshot is not an object"

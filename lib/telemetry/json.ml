@@ -245,3 +245,32 @@ let of_string s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
+
+(* ---- field decoders ---- *)
+
+let field name j =
+  match member name j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let expected name what = Error (Printf.sprintf "field %S: expected %s" name what)
+let as_string name = function String s -> Ok s | _ -> expected name "a string"
+let as_int name = function Int i -> Ok i | _ -> expected name "an integer"
+
+let as_float name = function
+  | Float f -> Ok f
+  | Int i -> Ok (float_of_int i)
+  | _ -> expected name "a number"
+
+let as_list name = function List l -> Ok l | _ -> expected name "a list"
+let string_field name j = Result.bind (field name j) (as_string name)
+let int_field name j = Result.bind (field name j) (as_int name)
+let float_field name j = Result.bind (field name j) (as_float name)
+let list_field name j = Result.bind (field name j) (as_list name)
+
+let map_result f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> ( match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
+  in
+  go [] xs

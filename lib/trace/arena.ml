@@ -165,9 +165,8 @@ let append_row dst src i =
     ~ts:src.ts.(i) ~ctx:src.ctx.(i) ~flow:src.flow.(i) ~size:src.size.(i);
   if has_origins dst then dst.origin.(dst.len - 1) <- origin src i
 
-(* Bulk row copy: the writer's ingest merge advances in whole runs, and a
-   run is four [Array.blit]s and a [Bytes.blit] instead of per-row
-   appends. *)
+(* Bulk row copy: {!merge_runs} hands over whole runs, and a run is four
+   [Array.blit]s and a [Bytes.blit] instead of per-row appends. *)
 let append_range dst src ~lo ~hi =
   if lo < 0 || hi > src.len || lo > hi then invalid_arg "Arena.append_range";
   let n = hi - lo in
@@ -222,28 +221,70 @@ let compare_across a i b j =
 
 let compare_rows t i j = match compare_across t i t j with 0 -> Int.compare i j | c -> c
 
-(* A linear scan over the heads: inputs are one arena per host, and the
-   comparisons are on ints. *)
-let iter_merged arenas f =
+(* First row in [lo+1, cap) of [t] whose timestamp reaches [bound], given
+   that row [lo]'s is below it: exponential probe, then binary search. *)
+let gallop t ~lo ~cap bound =
+  let prev = ref lo and step = ref 1 and probe = ref (lo + 1) in
+  while !probe < cap && t.ts.(!probe) < bound do
+    prev := !probe;
+    step := 2 * !step;
+    probe := lo + !step
+  done;
+  let l = ref (!prev + 1) and r = ref (min !probe cap) in
+  while !l < !r do
+    let m = (!l + !r) / 2 in
+    if t.ts.(m) < bound then l := m + 1 else r := m
+  done;
+  !l
+
+(* Each step scans the heads (inputs are one arena per host) for the
+   least row and the runner-up timestamp, then hands over the least
+   head's whole run of rows strictly below that timestamp: those precede
+   every other head, in their own arena's order. Only a timestamp tie
+   between heads falls back to the full row order, one row at a time. *)
+let merge_runs arenas f =
   let k = Array.length arenas in
   let pos = Array.make k 0 in
-  let rec loop () =
-    let best = ref (-1) in
+  let remaining = ref 0 in
+  Array.iter (fun a -> remaining := !remaining + a.len) arenas;
+  while !remaining > 0 do
+    let best = ref (-1) and best_ts = ref max_int and next_ts = ref max_int in
     for h = 0 to k - 1 do
-      if
-        pos.(h) < arenas.(h).len
-        && (!best < 0 || compare_across arenas.(h) pos.(h) arenas.(!best) pos.(!best) < 0)
-      then best := h
+      let a = arenas.(h) and i = pos.(h) in
+      if i < a.len then begin
+        let ts = a.ts.(i) in
+        if !best < 0 then begin
+          best := h;
+          best_ts := ts
+        end
+        else if
+          ts < !best_ts
+          || (ts = !best_ts && compare_across a i arenas.(!best) pos.(!best) < 0)
+        then begin
+          next_ts := !best_ts;
+          best := h;
+          best_ts := ts
+        end
+        else if ts < !next_ts then next_ts := ts
+      end
     done;
     let h = !best in
-    if h >= 0 then begin
-      let i = pos.(h) in
-      pos.(h) <- i + 1;
-      f h i;
-      loop ()
-    end
-  in
-  loop ()
+    let a = arenas.(h) and lo = pos.(h) in
+    let hi =
+      if !best_ts = !next_ts then lo + 1
+      else if !next_ts = max_int then a.len
+      else gallop a ~lo ~cap:a.len !next_ts
+    in
+    pos.(h) <- hi;
+    remaining := !remaining - (hi - lo);
+    f h lo hi
+  done
+
+let iter_merged arenas f =
+  merge_runs arenas (fun h lo hi ->
+      for i = lo to hi - 1 do
+        f h i
+      done)
 
 let is_sorted t =
   let ok = ref true in

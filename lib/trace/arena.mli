@@ -12,7 +12,9 @@
 
     Arenas double in capacity as they fill ([pt_arena_grows_total],
     [pt_arena_peak_rows]); rows are in whatever order they were appended
-    until {!sort_by_time}.
+    until {!sort_by_time}. {!merge_runs} is the one k-way time merge of
+    host arenas: the store writer's segment roller, the shard planner
+    and the online replay all consume its order.
 
     {b Origins.} A derived arena (the transform's output, a shard epoch,
     an online ranker stream) can carry a sixth column: the raw row each
@@ -104,24 +106,28 @@ val compare_across : t -> int -> t -> int -> int
     as {!Activity.compare_by_time} orders the records (timestamp, context,
     kind priority); [0] on a full tie. *)
 
-val compare_rows : t -> int -> int -> int
-(** {!compare_across} within one arena, breaking full ties by row index —
-    so sorting with it is stable. *)
+val merge_runs : t array -> (int -> int -> int -> unit) -> unit
+(** [merge_runs arenas f] is the k-way time merge of [arenas], each in
+    {!sort_by_time} order: it calls [f h lo hi] for consecutive runs of
+    rows [lo, hi) of [arenas.(h)] (never empty, and each arena's runs
+    contiguous from row 0), and the runs concatenated are every row in
+    {!compare_across} order, full ties going to the lower arena index.
+    That is exactly the order [List.stable_sort Activity.compare_by_time]
+    gives the concatenated records: the arrival order of a replayed feed.
+    A run is every row of the least head below the runner-up timestamp,
+    so callers copy it with one {!append_range}; the merge itself
+    allocates nothing per run. *)
 
 val iter_merged : t array -> (int -> int -> unit) -> unit
-(** [iter_merged arenas f] calls [f h i] for every row [i] of every
-    [arenas.(h)], in one k-way merge: {!compare_across} order, full ties
-    going to the lower arena index. With each arena in {!compare_rows}
-    order (as {!sort_by_time} leaves it), that is exactly the order
-    [List.stable_sort Activity.compare_by_time] gives the concatenated
-    records: the arrival order of a replayed feed. *)
+(** {!merge_runs} one row at a time: [f h i] for row [i] of
+    [arenas.(h)]. *)
 
-val is_sorted : t -> bool
 val sort_by_time : t -> unit
-(** In-place stable sort into {!compare_rows} order. *)
+(** In-place stable sort into {!compare_across} order (full ties keep
+    their row order). *)
 
 val sorted : t -> t
-(** [t] itself when already in {!compare_rows} order, else a sorted
+(** [t] itself when already in {!sort_by_time} order, else a sorted
     {!copy}: log order without mutating the input. *)
 
 val time_bounds : t -> (Simnet.Sim_time.t * Simnet.Sim_time.t) option

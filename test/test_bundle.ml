@@ -365,6 +365,52 @@ let test_links_reference_mesh () =
   let config, logs = mesh_control () in
   check_links_match_reference (config, `Arenas (Arena.of_collection logs))
 
+(* An [`Arenas] source embeds the store writer's own segments: every
+   segment section is byte for byte the file a [Store.Writer] store of
+   the same rows holds, and the embedded manifest is that store's. Mesh
+   control at roll 1000 cuts a segment in which db1 has no row. *)
+let test_arenas_segments_are_the_writers () =
+  List.iter
+    (fun (name, (config, logs)) ->
+      List.iter
+        (fun roll_records ->
+          let what = Printf.sprintf "%s at roll %d" name roll_records in
+          with_dir @@ fun store ->
+          with_dir @@ fun out ->
+          let w = Store.Writer.create ~roll_records ~dir:store () in
+          Store.Writer.ingest_native w (Arena.of_collection logs);
+          ignore (Store.Writer.close w);
+          let path = Filename.concat out "b.ptz" in
+          ignore
+            (ok what
+               (Bundle.Pack.pack ~roll_records ~config
+                  ~source:(`Arenas (Arena.of_collection logs))
+                  ~path ()));
+          let data = read_file path in
+          let _, sections = ok "parse" (Bundle.Container.parse ~what:path data) in
+          let section name =
+            match Bundle.Container.find sections name with
+            | Some s -> String.sub data s.Bundle.Container.pos s.Bundle.Container.len
+            | None -> Alcotest.failf "%s: no %s section" what name
+          in
+          let manifest = ok "manifest" (Store.Manifest.load ~dir:store) in
+          Alcotest.(check string)
+            (what ^ ": manifest")
+            (Json.to_string (Store.Manifest.to_json manifest))
+            (Json.to_string
+               (Store.Manifest.to_json (Bundle.Reader.store_manifest (reader path))));
+          List.iter
+            (fun (m : Store.Segment.meta) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: segment %d bytes" what m.Store.Segment.id)
+                true
+                (String.equal
+                   (read_file (Filename.concat store m.Store.Segment.file))
+                   (section (Printf.sprintf "segments/%06d" m.Store.Segment.id))))
+            manifest.Store.Manifest.segments)
+        [ 1000; 4096 ])
+    [ ("RUBiS", rubis_golden ()); ("mesh control", mesh_control ()) ]
+
 (* Logs drawn from tiny attribute pools, so identical rows are common;
    contexts name any of the hosts, so some records sit in another host's
    log. Flows run either way across the entry endpoint, so the transform
@@ -847,6 +893,8 @@ let () =
             test_links_reference_rubis_store;
           Alcotest.test_case "RUBiS logs links = reference" `Quick test_links_reference_rubis_logs;
           Alcotest.test_case "mesh control links = reference" `Quick test_links_reference_mesh;
+          Alcotest.test_case "arenas source embeds the writer's segments" `Quick
+            test_arenas_segments_are_the_writers;
           QCheck_alcotest.to_alcotest prop_tiny_pool_provenance;
         ] );
       ( "query",

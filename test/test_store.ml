@@ -187,6 +187,34 @@ let test_writer_rolls_segments () =
   | Ok m -> Alcotest.(check int) "manifest agrees" stats.records_out (Store.Manifest.total_records m)
   | Error e -> Alcotest.fail e
 
+(* A segment lists the hosts with rows in it and no other: on mesh
+   control (16 clients x 20 requests, seed 7) at roll 1000, db1 is idle
+   for a whole segment, which must then carry no db1 host table. *)
+let test_writer_lists_only_hosts_with_rows () =
+  with_dir @@ fun dir ->
+  let spec = Option.get (Mesh.Presets.spec_of ~seed:7 "control") in
+  let b = Mesh.Runtime.build { spec with Mesh.Spec.clients = 16; requests_per_client = 20 } in
+  Simnet.Engine.run b.Mesh.Runtime.engine;
+  let writer = Store.Writer.create ~roll_records:1000 ~dir () in
+  ingest writer (Trace.Probe.logs b.Mesh.Runtime.probe);
+  ignore (Store.Writer.close writer);
+  let manifest = Result.get_ok (Store.Manifest.load ~dir) in
+  List.iter
+    (fun (m : Store.Segment.meta) ->
+      let arenas = Result.get_ok (Store.Segment.read_native ~dir m) in
+      let what = Printf.sprintf "segment %d" m.Store.Segment.id in
+      List.iter
+        (fun a ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s has rows" what (Trace.Arena.hostname a))
+            true
+            (Trace.Arena.length a > 0))
+        arenas;
+      Alcotest.(check (list string))
+        (what ^ ": hosts") m.Store.Segment.hosts
+        (List.map Trace.Arena.hostname arenas))
+    manifest.Store.Manifest.segments
+
 let read_file p = In_channel.with_open_bin p In_channel.input_all
 
 let store_files dir =
@@ -724,6 +752,8 @@ let () =
       ( "writer",
         [
           Alcotest.test_case "rolls segments" `Quick test_writer_rolls_segments;
+          Alcotest.test_case "segments list only hosts with rows" `Quick
+            test_writer_lists_only_hosts_with_rows;
           Alcotest.test_case "native ingest: unsorted equals sorted" `Quick
             test_ingest_native_unsorted_matches_sorted;
           Alcotest.test_case "native query equals record query" `Quick

@@ -246,6 +246,24 @@ let test_json_parser_errors () =
   | Ok j -> Alcotest.failf "unicode escape decoded wrong: %s" (Json.to_string j)
   | Error e -> Alcotest.failf "unicode escape rejected: %s" e
 
+let test_json_field_decoders () =
+  let j =
+    Json.Obj [ ("n", Json.Int 3); ("s", Json.String "x"); ("l", Json.List [ Json.Int 1 ]) ]
+  in
+  let err = function Ok _ -> Alcotest.fail "accepted" | Error e -> e in
+  Alcotest.(check (result int string)) "int" (Ok 3) (Json.int_field "n" j);
+  Alcotest.(check (result (float 0.) string)) "int as float" (Ok 3.) (Json.float_field "n" j);
+  Alcotest.(check string) "missing" "missing field \"m\"" (err (Json.int_field "m" j));
+  Alcotest.(check string)
+    "wrong type" "field \"s\": expected an integer"
+    (err (Json.int_field "s" j));
+  Alcotest.(check (result (list int) string))
+    "elements" (Ok [ 1 ])
+    (Result.bind (Json.list_field "l" j) (Json.map_result (Json.as_int "l")));
+  Alcotest.(check string)
+    "first element error" "field \"l\": expected a string"
+    (err (Json.map_result (Json.as_string "l") [ Json.Int 1; Json.Null ]))
+
 (* ---- Pipeline mirroring (acceptance) ---- *)
 
 let counter_exn snap ?labels name =
@@ -399,6 +417,7 @@ let () =
           Alcotest.test_case "json parses" `Quick test_json_export_parses;
           Alcotest.test_case "json roundtrip" `Quick test_json_parser_roundtrip;
           Alcotest.test_case "json errors" `Quick test_json_parser_errors;
+          Alcotest.test_case "json field decoders" `Quick test_json_field_decoders;
         ] );
       ( "pipeline",
         [

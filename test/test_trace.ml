@@ -660,12 +660,25 @@ let prop_merge_is_stable_time_sort =
        tied_collection)
     (fun collection ->
       let arenas = Array.of_list (Arena.of_collection collection) in
-      let visited = ref [] in
-      Arena.iter_merged arenas (fun h i -> visited := Arena.get arenas.(h) i :: !visited);
       let expected =
         List.stable_sort Activity.compare_by_time (List.concat_map Log.to_list collection)
       in
-      List.equal Activity.equal expected (List.rev !visited))
+      let visited = ref [] in
+      Arena.iter_merged arenas (fun h i -> visited := Arena.get arenas.(h) i :: !visited);
+      (* merge_runs: non-empty runs, contiguous from row 0 in each arena,
+         covering every row, concatenating to the same order *)
+      let next = Array.make (Array.length arenas) 0 and contiguous = ref true in
+      let runs = ref [] in
+      Arena.merge_runs arenas (fun h lo hi ->
+          if lo >= hi || lo <> next.(h) then contiguous := false;
+          next.(h) <- hi;
+          for i = lo to hi - 1 do
+            runs := Arena.get arenas.(h) i :: !runs
+          done);
+      List.equal Activity.equal expected (List.rev !visited)
+      && !contiguous
+      && Array.for_all2 (fun n a -> n = Arena.length a) next arenas
+      && List.equal Activity.equal expected (List.rev !runs))
 
 let prop_text_native_text_stable =
   (* Text import -> native codec roundtrip -> text export must be
