@@ -76,7 +76,8 @@ bundle-gate: build
 # so no unit test reaches it. The same run on the hierarchical plane
 # (two replicas, two shards) must report no flagged-deformed path at the
 # root, and some under an agent crash; the flat plane must survive the
-# crash too.
+# crash too. A truncated store segment and a truncated bundle are runtime
+# failures: exit 1 (not Cmdliner's 124) with an error naming an offset.
 CLI_SIM = dune exec bin/precisetracer.exe -- simulate -c 40 --scale 0.05 --seed 11
 CLI_CORRELATE = dune exec bin/precisetracer.exe -- correlate
 cli-gate: build
@@ -95,6 +96,16 @@ cli-gate: build
 	cmp _cli_gate/text.json _cli_gate/store-online.json
 	cmp _cli_gate/collect-text.json _cli_gate/collect-store.json
 	cmp _cli_gate/collect-text.json _cli_gate/collect-store-online.json
+	cp -r _cli_gate/store _cli_gate/cut-store
+	head -c 300 _cli_gate/store/seg-000000.pts > _cli_gate/cut-store/seg-000000.pts
+	$(CLI_CORRELATE) _cli_gate/cut-store 2> _cli_gate/cut-store.err; test $$? -eq 1
+	cat _cli_gate/cut-store.err
+	grep -q 'offset [0-9]' _cli_gate/cut-store.err
+	dune exec bin/precisetracer.exe -- bundle pack _cli_gate/store -o _cli_gate/store.ptz
+	head -c 2000 _cli_gate/store.ptz > _cli_gate/cut.ptz
+	dune exec bin/precisetracer.exe -- bundle walk _cli_gate/cut.ptz 2> _cli_gate/cut-bundle.err; test $$? -eq 1
+	cat _cli_gate/cut-bundle.err
+	grep -q 'offset [0-9]' _cli_gate/cut-bundle.err
 	$(CLI_SIM) --collect-shards 2 --replicas 2 > _cli_gate/hier.txt
 	cat _cli_gate/hier.txt
 	grep -q 'at the root (0 flagged deformed' _cli_gate/hier.txt

@@ -141,6 +141,13 @@ let policy_conv =
   in
   Cmdliner.Arg.conv (parse, Store.Policy.pp)
 
+(* An input that cannot be read or decoded is a runtime failure: exit 1,
+   like every other. [`Error] in [Term.ret] is Cmdliner's command-line
+   error (exit 124), kept for arguments the CLI itself rejects. *)
+let failed msg =
+  Format.eprintf "precisetracer: %s@." msg;
+  exit 1
+
 (* Load traces from DIR as one arena per host, whatever their format: a
    segmented store (has a MANIFEST.json), binary PTB1 files (recognised
    by magic, any filename) and/or per-node *.trace text files — mixed
@@ -795,7 +802,7 @@ let correlate_cmd =
       bundle_out tfile tformat =
     let jobs = jobs_of jobs in
     match load_traces ~jobs dir with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok arenas ->
         Format.printf "loaded %d activities from %d nodes@." (Trace.Arena.total arenas)
           (List.length arenas);
@@ -873,7 +880,7 @@ let evaluate_cmd =
     match from with
     | Some dir -> (
         match load_traces ~jobs dir with
-        | Error e -> `Error (false, e)
+        | Error e -> failed e
         | Ok arenas -> (
             Format.printf "loaded %d activities from %d nodes@." (Trace.Arena.total arenas)
               (List.length arenas);
@@ -881,8 +888,7 @@ let evaluate_cmd =
             print_correlation result;
             let gt_path = Filename.concat dir "ground_truth.txt" in
             match Trace.Ground_truth.load ~path:gt_path with
-            | Error e ->
-                `Error (false, Printf.sprintf "cannot score %s: %s" gt_path e)
+            | Error e -> failed (Printf.sprintf "cannot score %s: %s" gt_path e)
             | Ok gt ->
                 let verdict =
                   Core.Accuracy.check ~ground_truth:gt result.Core.Correlator.cags
@@ -1078,7 +1084,7 @@ let diagnose_cmd =
           | Error e -> Error e)
     in
     match loaded with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok baseline ->
         let config =
           let d = { Diagnose.Detector.default_config with Diagnose.Detector.share_threshold } in
@@ -1182,7 +1188,7 @@ let store_ingest_cmd =
   in
   let run src dest policy segment_records window_ms entry tfile tformat =
     match load_traces src with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok arenas ->
         let correlate =
           Core.Correlator.config ~transform:(transform_of_entry entry)
@@ -1259,7 +1265,7 @@ let store_query_cmd =
     match
       Store.Query.run_native ~jobs:(jobs_of jobs) ~dir (predicate_of since_ms until_ms hosts)
     with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok (arenas, stats) ->
         Format.printf "%a@." Store.Query.pp_stats stats;
         print_host_counts arenas;
@@ -1299,7 +1305,7 @@ let store_compact_cmd =
   let run dir min_records retain tfile tformat =
     let retain_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) retain in
     match Store.Compact.run ?retain_ns ~min_records ~dir () with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok stats ->
         Format.printf "%a@." Store.Compact.pp_stats stats;
         write_telemetry tfile tformat;
@@ -1313,7 +1319,7 @@ let store_compact_cmd =
 let store_stat_cmd =
   let run dir =
     match Store.Manifest.load ~dir with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok manifest ->
         let t =
           Core.Report.table ~title:(Printf.sprintf "store %s" dir)
@@ -1421,7 +1427,7 @@ let bundle_pack_cmd =
       else Result.map (fun arenas -> `Arenas arenas) (load_traces ~jobs src)
     in
     match source with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok source ->
         let telemetry =
           if embed_telemetry then Some Telemetry.Registry.(snapshot default) else None
@@ -1438,7 +1444,7 @@ let bundle_pack_cmd =
 let bundle_info_cmd =
   let run path =
     match Bundle.Reader.open_file path with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok reader ->
         let sections = Bundle.Reader.sections reader in
         let t = Core.Report.table ~title:path ~columns:[ "section"; "offset"; "bytes" ] in
@@ -1492,10 +1498,10 @@ let bundle_walk_cmd =
   in
   let run path cag_id pattern index json_file =
     match Bundle.Reader.open_file path with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok reader -> (
         match Bundle.Walk.view reader ?cag_id ?pattern ?index () with
-        | Error e -> `Error (false, e)
+        | Error e -> failed e
         | Ok view ->
             Format.printf "%a@." Bundle.Walk.pp view;
             write_json_out json_file (Bundle.Walk.to_json view);
@@ -1527,12 +1533,12 @@ let bundle_query_cmd =
   in
   let run path since_ms until_ms hosts jobs out =
     match Bundle.Reader.open_file path with
-    | Error e -> `Error (false, e)
+    | Error e -> failed e
     | Ok reader -> (
         match
           Bundle.Reader.query ~jobs:(jobs_of jobs) reader (predicate_of since_ms until_ms hosts)
         with
-        | Error e -> `Error (false, e)
+        | Error e -> failed e
         | Ok (arenas, stats) ->
             Format.printf "%a@." Store.Query.pp_stats stats;
             print_host_counts arenas;
@@ -1557,10 +1563,10 @@ let bundle_query_cmd =
 let bundle_diff_cmd =
   let run path_a path_b json_file =
     match (Bundle.Reader.open_file path_a, Bundle.Reader.open_file path_b) with
-    | Error e, _ | _, Error e -> `Error (false, e)
+    | Error e, _ | _, Error e -> failed e
     | Ok a, Ok b -> (
         match Bundle.Diff.diff a b with
-        | Error e -> `Error (false, e)
+        | Error e -> failed e
         | Ok d ->
             Format.printf "%a@." Bundle.Diff.pp d;
             write_json_out json_file (Bundle.Diff.to_json d);

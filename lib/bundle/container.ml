@@ -1,4 +1,5 @@
 module Json = Core.Json
+module B = Trace.Binary_format
 
 let magic = "PTZ1"
 
@@ -13,22 +14,6 @@ let rec sort_json = function
         |> List.sort (fun (a, _) (b, _) -> String.compare a b))
   | Json.List items -> Json.List (List.map sort_json items)
   | (Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.String _) as j -> j
-
-(* ---- fixed-width integers ---- *)
-
-let u64be n =
-  let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (Char.chr ((n lsr ((7 - i) * 8)) land 0xff))
-  done;
-  Bytes.to_string b
-
-let read_u64be s pos =
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor Char.code s.[pos + i]
-  done;
-  !v
 
 (* ---- crc32 (IEEE 802.3, the zlib polynomial) ---- *)
 
@@ -73,18 +58,18 @@ let assemble ~manifest_extra sections =
           :: manifest_extra))
   in
   let manifest_str = Json.to_string ~indent:true manifest in
-  let buf = Buffer.create 65_536 in
-  Buffer.add_string buf magic;
-  Trace.Binary_format.put_u32be buf (String.length manifest_str);
-  Buffer.add_string buf manifest_str;
+  let w = B.w_create 65_536 in
+  B.w_raw w magic;
+  B.w_u32be w (String.length manifest_str);
+  B.w_raw w manifest_str;
   List.iter
     (fun (name, body) ->
-      Trace.Binary_format.put_u32be buf (String.length name);
-      Buffer.add_string buf name;
-      Buffer.add_string buf (u64be (String.length body));
-      Buffer.add_string buf body)
+      B.w_u32be w (String.length name);
+      B.w_raw w name;
+      B.w_u64be w (String.length body);
+      B.w_raw w body)
     sections;
-  Buffer.contents buf
+  B.w_contents w
 
 (* ---- parsing ---- *)
 
@@ -103,81 +88,58 @@ let manifest_sections ~what manifest =
 
 let parse ~what data =
   let len = String.length data in
-  if len < 8 || not (String.equal (String.sub data 0 4) magic) then
-    Error (Printf.sprintf "%s: not a PTZ1 bundle at offset 0" what)
-  else begin
-    let manifest_len = Trace.Binary_format.read_u32be data 4 in
-    if manifest_len < 0 || 8 + manifest_len > len then
-      Error (Printf.sprintf "%s: truncated bundle manifest at offset 4" what)
-    else
-      match Json.of_string (String.sub data 8 manifest_len) with
-      | Error e -> Error (Printf.sprintf "%s: bad bundle manifest at offset 8: %s" what e)
-      | Ok manifest -> (
-          let* declared = manifest_sections ~what manifest in
-          (* Walk the frames, checking each against the declaration. *)
-          let rec frames acc declared pos =
-            if pos = len then
-              match declared with
-              | [] -> Ok (List.rev acc)
-              | (name, _, _) :: _ ->
-                  Error
-                    (Printf.sprintf "%s: section %S declared but missing at offset %d" what name
-                       pos)
-            else if len - pos < 4 then
-              Error (Printf.sprintf "%s: truncated section header at offset %d" what pos)
-            else begin
-              let name_len = Trace.Binary_format.read_u32be data pos in
-              if name_len < 0 || name_len > len - pos - 4 then
-                Error (Printf.sprintf "%s: section name overruns input at offset %d" what pos)
-              else begin
-                let name = String.sub data (pos + 4) name_len in
-                let body_len_at = pos + 4 + name_len in
-                if len - body_len_at < 8 then
-                  Error
-                    (Printf.sprintf "%s: truncated section length at offset %d" what body_len_at)
-                else begin
-                  let body_len = read_u64be data body_len_at in
-                  let body_at = body_len_at + 8 in
-                  if body_len < 0 || body_len > len - body_at then
-                    Error
-                      (Printf.sprintf "%s: section %S body overruns input at offset %d" what name
-                         body_at)
-                  else
+  let r = B.reader data ~pos:0 ~len in
+  let fail fmt = Printf.ksprintf (fun msg -> Error (Printf.sprintf "%s: %s" what msg)) fmt in
+  if len < 8 || not (String.equal (B.get_bytes r 4) magic) then
+    fail "not a PTZ1 bundle at offset 0"
+  else
+    match Json.of_string (B.get_bytes r (B.get_u32be r)) with
+    | exception B.End_of_input -> fail "truncated bundle manifest at offset 4"
+    | Error e -> fail "bad bundle manifest at offset 8: %s" e
+    | Ok manifest -> (
+        let* declared = manifest_sections ~what manifest in
+        (* Walk the frames, checking each against the declaration. *)
+        let rec frames acc declared =
+          let pos = r.B.pos in
+          if pos = len then
+            match declared with
+            | [] -> Ok (List.rev acc)
+            | (name, _, _) :: _ -> fail "section %S declared but missing at offset %d" name pos
+          else
+            match B.get_u32be r with
+            | exception B.End_of_input -> fail "truncated section header at offset %d" pos
+            | name_len when name_len > len - r.B.pos ->
+                fail "section name overruns input at offset %d" pos
+            | name_len -> (
+                let name = B.get_bytes r name_len in
+                let body_len_at = r.B.pos in
+                match B.get_u64be r with
+                | exception B.End_of_input ->
+                    fail "truncated section length at offset %d" body_len_at
+                | body_len when body_len < 0 || body_len > len - r.B.pos ->
+                    fail "section %S body overruns input at offset %d" name r.B.pos
+                | body_len -> (
+                    let body_at = r.B.pos in
                     match declared with
-                    | [] ->
-                        Error
-                          (Printf.sprintf "%s: undeclared section %S at offset %d" what name pos)
-                    | (dname, dbytes, dcrc) :: declared ->
-                        if not (String.equal dname name) then
-                          Error
-                            (Printf.sprintf
-                               "%s: section %S at offset %d where manifest declares %S" what name
-                               pos dname)
-                        else if dbytes <> body_len then
-                          Error
-                            (Printf.sprintf
-                               "%s: section %S at offset %d is %d bytes, manifest declares %d"
-                               what name pos body_len dbytes)
+                    | [] -> fail "undeclared section %S at offset %d" name pos
+                    | (dname, _, _) :: _ when not (String.equal dname name) ->
+                        fail "section %S at offset %d where manifest declares %S" name pos dname
+                    | (_, dbytes, _) :: _ when dbytes <> body_len ->
+                        fail "section %S at offset %d is %d bytes, manifest declares %d" name pos
+                          body_len dbytes
+                    | (_, _, dcrc) :: declared ->
+                        let crc = crc32 ~pos:body_at ~len:body_len data in
+                        if crc <> dcrc then
+                          fail
+                            "section %S fails checksum at offset %d (crc32 %08x, manifest \
+                             declares %08x)"
+                            name body_at crc dcrc
                         else begin
-                          let crc = crc32 ~pos:body_at ~len:body_len data in
-                          if crc <> dcrc then
-                            Error
-                              (Printf.sprintf
-                                 "%s: section %S fails checksum at offset %d (crc32 %08x, \
-                                  manifest declares %08x)"
-                                 what name body_at crc dcrc)
-                          else
-                            frames
-                              ({ name; pos = body_at; len = body_len } :: acc)
-                              declared (body_at + body_len)
-                        end
-                end
-              end
-            end
-          in
-          match frames [] declared (8 + manifest_len) with
-          | Error e -> Error e
-          | Ok sections -> Ok (manifest, sections))
-  end
+                          r.B.pos <- body_at + body_len;
+                          frames ({ name; pos = body_at; len = body_len } :: acc) declared
+                        end))
+        in
+        let* sections = frames [] declared in
+        Ok (manifest, sections))
 
 let find sections name = List.find_opt (fun s -> String.equal s.name name) sections

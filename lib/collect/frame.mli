@@ -28,9 +28,13 @@
     seq   uvarint  every frame with seq <= this has been delivered
     v}
 
-    Both directions decode incrementally: the decoders accept bytes in
+    Both directions encode through {!Trace.Binary_format}'s writer and
+    decode incrementally on its reader: the decoders accept bytes in
     arbitrary chunks (TCP coalescing splits frames anywhere, including
-    mid-varint) and distinguish "need more bytes" from corruption. *)
+    mid-varint) and queue them in a {!Trace.Binary_format.writer}. Each
+    [next] parses the queued bytes in place; the reader running off the
+    end ([End_of_input]) means "need more bytes" and allocates nothing,
+    while [Corrupt] is corruption. *)
 
 type t = {
   seq : int;

@@ -1,58 +1,34 @@
 module Tcp = Simnet.Tcp
+module B = Trace.Binary_format
 
-(* Per-direction byte fifo: contents pushed by the sender, popped by the
-   receiver in the amounts Tcp.recv reports. Tcp is reliable and
-   in-order, so the fifo and the simulated stream stay in lockstep. *)
-type fifo = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
-
-let fifo_create () = { buf = Bytes.create 4096; start = 0; stop = 0 }
-
-let fifo_push f s =
-  let n = String.length s in
-  if f.stop + n > Bytes.length f.buf then begin
-    let live = f.stop - f.start in
-    Bytes.blit f.buf f.start f.buf 0 live;
-    f.start <- 0;
-    f.stop <- live;
-    if live + n > Bytes.length f.buf then begin
-      let nb = Bytes.create (max (live + n) (2 * Bytes.length f.buf)) in
-      Bytes.blit f.buf 0 nb 0 live;
-      f.buf <- nb
-    end
-  end;
-  Bytes.blit_string s 0 f.buf f.stop n;
-  f.stop <- f.stop + n
-
-let fifo_pop f n =
-  assert (n <= f.stop - f.start);
-  let s = Bytes.sub_string f.buf f.start n in
-  f.start <- f.start + n;
-  s
-
+(* Per-direction byte queue: contents pushed by the sender, popped by
+   the receiver in the amounts Tcp.recv reports. Tcp is reliable and
+   in-order, so the queue and the simulated stream stay in lockstep. *)
 type t = {
   stack : Tcp.stack;
-  streams : (int * bool, fifo) Hashtbl.t;  (* (conn, client-to-server?) *)
+  streams : (int * bool, B.writer) Hashtbl.t;  (* (conn, client-to-server?) *)
+  r : B.reader;
 }
 
-let create stack = { stack; streams = Hashtbl.create 64 }
+let create stack = { stack; streams = Hashtbl.create 64; r = B.reader "" ~pos:0 ~len:0 }
 let stack t = t.stack
 
 let channel t sock ~sending =
   let c2s = if sending then Tcp.is_client_side sock else not (Tcp.is_client_side sock) in
   let key = (Tcp.conn_id sock, c2s) in
   match Hashtbl.find_opt t.streams key with
-  | Some f -> f
+  | Some q -> q
   | None ->
-      let f = fifo_create () in
-      Hashtbl.replace t.streams key f;
-      f
+      let q = B.w_create 4096 in
+      Hashtbl.replace t.streams key q;
+      q
 
 let send t sock ~proc ?(chunk = 8192) bytes ~k =
   if chunk <= 0 then invalid_arg "Wire.send: chunk must be positive";
   let len = String.length bytes in
   if len = 0 then k ()
   else begin
-    fifo_push (channel t sock ~sending:true) bytes;
+    B.w_raw (channel t sock ~sending:true) bytes;
     let rec loop remaining =
       if remaining <= 0 then k ()
       else
@@ -65,4 +41,11 @@ let send t sock ~proc ?(chunk = 8192) bytes ~k =
 let recv t sock ~proc ?(max = 8192) ~k () =
   if max <= 0 then invalid_arg "Wire.recv: max must be positive";
   Tcp.recv t.stack sock ~proc ~max ~k:(fun n ->
-      if n = 0 then k "" else k (fifo_pop (channel t sock ~sending:false) n))
+      if n = 0 then k ""
+      else begin
+        let q = channel t sock ~sending:false in
+        B.w_read q t.r;
+        let bytes = B.get_bytes t.r n in
+        B.w_drop q n;
+        k bytes
+      end)

@@ -3,7 +3,9 @@
     {!Simnet.Tcp} models syscalls and link occupancy but carries sizes,
     not bytes; actual contents travel in a side channel keyed by
     (connection, direction), exactly as {!Simnet.Messaging} ships its
-    typed payloads. [send] pushes the bytes and issues chunked
+    typed payloads. Each direction's bytes wait in a
+    {!Trace.Binary_format.writer}, the byte queue the frame decoders use
+    too. [send] pushes the bytes and issues chunked
     [tcp_sendmsg] syscalls for their length — so shipping a frame
     consumes real simulated bandwidth and, on traced nodes, probe
     overhead (unless the sending process is exempted); [recv] performs

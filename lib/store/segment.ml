@@ -1,5 +1,6 @@
 module Json = Core.Json
 module Sim_time = Simnet.Sim_time
+module B = Trace.Binary_format
 
 type meta = {
   id : int;
@@ -88,12 +89,12 @@ let encode_native ~id ~policy ?raw_records ?raw_bytes arenas =
     }
   in
   let header = Json.to_string (meta_to_json meta) in
-  let buf = Buffer.create (String.length payload + String.length header + 8) in
-  Buffer.add_string buf magic;
-  Trace.Binary_format.put_u32be buf (String.length header);
-  Buffer.add_string buf header;
-  Buffer.add_string buf payload;
-  (meta, Buffer.contents buf)
+  let w = B.w_create (String.length payload + String.length header + 8) in
+  B.w_raw w magic;
+  B.w_u32be w (String.length header);
+  B.w_raw w header;
+  B.w_raw w payload;
+  (meta, B.w_contents w)
 
 let write ~dir meta data =
   let oc = open_out_bin (Filename.concat dir meta.file) in
@@ -119,21 +120,19 @@ let read_file path =
 let parse_header_at data ~pos ~len ~what =
   if pos < 0 || len < 0 || pos + len > String.length data then
     Error (Printf.sprintf "%s: segment region [%d, %d) exceeds input" what pos (pos + len))
-  else if len < 8 || not (String.equal (String.sub data pos 4) magic) then
-    Error (Printf.sprintf "%s: not a PTS1 segment at offset %d" what pos)
   else begin
-    let header_len = Trace.Binary_format.read_u32be data (pos + 4) in
-    if 8 + header_len > len then
-      Error (Printf.sprintf "%s: truncated segment header at offset %d" what (pos + 4))
+    let r = B.reader data ~pos ~len in
+    if len < 8 || not (String.equal (B.get_bytes r 4) magic) then
+      Error (Printf.sprintf "%s: not a PTS1 segment at offset %d" what pos)
     else
-      match Json.of_string (String.sub data (pos + 8) header_len) with
+      match Json.of_string (B.get_bytes r (B.get_u32be r)) with
+      | exception B.End_of_input ->
+          Error (Printf.sprintf "%s: truncated segment header at offset %d" what (pos + 4))
       | Error e -> Error (Printf.sprintf "%s: bad segment header at offset %d: %s" what (pos + 8) e)
       | Ok j -> (
           match meta_of_json j with
           | Error e -> Error (Printf.sprintf "%s: at offset %d: %s" what (pos + 8) e)
-          | Ok meta ->
-              let skip = 8 + header_len in
-              Ok (meta, pos + skip, len - skip))
+          | Ok meta -> Ok (meta, r.B.pos, r.B.limit - r.B.pos))
   end
 
 let parse_header data ~path =

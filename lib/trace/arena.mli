@@ -63,7 +63,9 @@ val drop_front : t -> int -> unit
     @raise Invalid_argument unless [0 <= n <= length t]. *)
 
 val clear : t -> unit
-(** Forget all rows, keep capacity (writer buffer reuse). *)
+(** Forget all rows and keep the capacity. The agent's crash path empties
+    its open batch with it; the store writer does not reuse its batch
+    arenas (it starts fresh ones after every flush). *)
 
 val copy : t -> t
 

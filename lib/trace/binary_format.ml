@@ -1,61 +1,37 @@
 let magic = "PTB1"
 
-(* ---- varint primitives (unsigned LEB128; signed values zigzagged) ---- *)
+(* ---- the writer: a growable byte queue ----
+
+   Every PT encoder appends here; the incremental decoders (the
+   collection plane's PTC1/PTA1 streams) and the simulated TCP side
+   channel also consume from the front ([start]). The record loop emits
+   through [unsafe_set] after one up-front [w_ensure] per row: [Buffer]'s
+   per-char bounds checks cost real time at millions of varints per
+   second. Unsigned LEB128 varints; signed values zigzagged. *)
+type writer = { mutable bytes : Bytes.t; mutable start : int; mutable wpos : int }
+
+let w_create n = { bytes = Bytes.create (max 64 n); start = 0; wpos = 0 }
+
+(* Room for [n] more bytes: slide the unconsumed bytes to the front,
+   then grow if that is not enough. *)
+let w_ensure w n =
+  let cap = Bytes.length w.bytes in
+  if w.wpos + n > cap then begin
+    let live = w.wpos - w.start in
+    let dst = if live + n > cap then Bytes.create (max (live + n) (2 * cap)) else w.bytes in
+    Bytes.blit w.bytes w.start dst 0 live;
+    w.bytes <- dst;
+    w.start <- 0;
+    w.wpos <- live
+  end
+
+let zigzag n = (n lsl 1) lxor (n asr 62)
+let unzigzag n = (n lsr 1) lxor (-(n land 1))
 
 (* An explicit raise, not [assert]: asserts compile out under --release,
    and a negative here (e.g. a size that went negative upstream) must
    never silently emit bytes the decoder cannot reject. *)
-let put_uvarint buf n =
-  if n < 0 then
-    invalid_arg (Printf.sprintf "Binary_format.put_uvarint: negative value %d" n);
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
-
-let zigzag n = (n lsl 1) lxor (n asr 62)
-let unzigzag n = (n lsr 1) lxor (-(n land 1))
-let put_varint buf n = put_uvarint buf (zigzag n)
-
-let put_string buf s =
-  put_uvarint buf (String.length s);
-  Buffer.add_string buf s
-
-(* The native encoder's writer: a growable [Bytes.t] with an inlined
-   LEB128 loop. [Buffer]'s per-char bounds checks and the closure-heavy
-   recursion in {!put_uvarint} cost real time at millions of varints per
-   second; emitting through [unsafe_set] after one up-front [ensure] per
-   field halves the encode wall time. Byte output is identical. *)
-type writer = { mutable bytes : Bytes.t; mutable wpos : int }
-
-let w_create n = { bytes = Bytes.create (max 64 n); wpos = 0 }
-
-let w_ensure w n =
-  let cap = Bytes.length w.bytes in
-  if w.wpos + n > cap then begin
-    let grown = Bytes.create (max (w.wpos + n) (2 * cap)) in
-    Bytes.blit w.bytes 0 grown 0 w.wpos;
-    w.bytes <- grown
-  end
-
-let w_uvarint w n =
-  if n < 0 then
-    invalid_arg (Printf.sprintf "Binary_format.put_uvarint: negative value %d" n);
-  w_ensure w 10;
-  let n = ref n in
-  let b = w.bytes in
-  let p = ref w.wpos in
-  while !n >= 0x80 do
-    Bytes.unsafe_set b !p (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
-    incr p;
-    n := !n lsr 7
-  done;
-  Bytes.unsafe_set b !p (Char.unsafe_chr !n);
-  w.wpos <- !p + 1
+let negative n = invalid_arg (Printf.sprintf "Binary_format.w_uvarint: negative value %d" n)
 
 (* Raw varint store into pre-ensured space: the record loop reserves one
    row's worst case up front and skips the per-field capacity check. The
@@ -70,12 +46,12 @@ let unsafe_uv bytes pos n =
   Bytes.unsafe_set bytes !p (Char.unsafe_chr !n);
   !p + 1
 
-let w_string w s =
-  let n = String.length s in
-  w_uvarint w n;
-  w_ensure w n;
-  Bytes.blit_string s 0 w.bytes w.wpos n;
-  w.wpos <- w.wpos + n
+let w_uvarint w n =
+  if n < 0 then negative n;
+  w_ensure w 10;
+  w.wpos <- unsafe_uv w.bytes w.wpos n
+
+let w_varint w n = w_uvarint w (zigzag n)
 
 let w_raw w s =
   let n = String.length s in
@@ -83,36 +59,70 @@ let w_raw w s =
   Bytes.blit_string s 0 w.bytes w.wpos n;
   w.wpos <- w.wpos + n
 
-let w_varint w n = w_uvarint w (zigzag n)
-let w_contents w = Bytes.sub_string w.bytes 0 w.wpos
+let w_string w s =
+  w_uvarint w (String.length s);
+  w_raw w s
 
-(* Big-endian 32-bit fields: the store segment and bundle container
+(* Big-endian fixed-width fields: the store segment and bundle container
    headers. *)
-let put_u32be buf n = Buffer.add_int32_be buf (Int32.of_int n)
-let read_u32be s pos = Int32.to_int (String.get_int32_be s pos) land 0xffff_ffff
+let w_u32be w n =
+  w_ensure w 4;
+  Bytes.set_int32_be w.bytes w.wpos (Int32.of_int n);
+  w.wpos <- w.wpos + 4
 
-(* [limit] is one past the last readable byte: decoding an embedded
+let w_u64be w n =
+  w_ensure w 8;
+  Bytes.set_int64_be w.bytes w.wpos (Int64.of_int n);
+  w.wpos <- w.wpos + 8
+
+let w_contents w = Bytes.sub_string w.bytes w.start (w.wpos - w.start)
+let w_length w = w.wpos - w.start
+
+let w_drop w n =
+  if n < 0 || n > w_length w then invalid_arg "Binary_format.w_drop: beyond the queued bytes";
+  w.start <- w.start + n
+
+(* ---- the reader ----
+
+   [limit] is one past the last readable byte: decoding an embedded
    payload (a segment inside a bundle container) sets [pos]/[limit] to the
    payload's region, and every offset in a [Corrupt] error stays absolute
-   within [data] — i.e. container-relative with no copying. *)
-type reader = { data : string; mutable pos : int; limit : int }
+   within [data] — i.e. container-relative with no copying. Running off
+   [limit] raises [End_of_input] with [pos] left at the field that needed
+   the bytes: corruption for a whole message, "need more" for a stream. *)
+type reader = { mutable data : Bytes.t; mutable pos : int; mutable limit : int }
 
 exception Corrupt of int * string
+exception End_of_input
+
+let reader data ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length data then
+    invalid_arg "Binary_format.reader: region exceeds input";
+  { data = Bytes.unsafe_of_string data; pos; limit = pos + len }
+
+let w_read w r =
+  r.data <- w.bytes;
+  r.pos <- w.start;
+  r.limit <- w.wpos
 
 let byte r =
-  if r.pos >= r.limit then raise (Corrupt (r.pos, "unexpected end of input"));
-  let c = Char.code r.data.[r.pos] in
+  if r.pos >= r.limit then raise End_of_input;
+  let c = Char.code (Bytes.get r.data r.pos) in
   r.pos <- r.pos + 1;
   c
 
+(* A loop over local refs, not a local recursive function: the closure
+   such a function captures [r] in would be allocated on every call. *)
 let get_uvarint r =
-  let rec go shift acc =
-    if shift > 62 then raise (Corrupt (r.pos, "varint too long"));
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    if !shift > 62 then raise (Corrupt (r.pos, "varint too long"));
     let b = byte r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b land 0x80 <> 0
+  done;
+  !acc
 
 let get_varint r = unzigzag (get_uvarint r)
 
@@ -126,18 +136,42 @@ let get_count r what =
     raise (Corrupt (r.pos, Printf.sprintf "%s count %d exceeds remaining input" what n));
   n
 
+let get_bytes r n =
+  if n > r.limit - r.pos then raise End_of_input;
+  let s = Bytes.sub_string r.data r.pos n in
+  r.pos <- r.pos + n;
+  s
+
 let get_string r =
   let n = get_uvarint r in
   if r.pos + n > r.limit then raise (Corrupt (r.pos, "string overruns input"));
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+  get_bytes r n
 
 let get_index r table what =
   let i = get_uvarint r in
   if i < 0 || i >= Array.length table then
     raise (Corrupt (r.pos, what ^ " index out of range"));
   table.(i)
+
+(* Byte by byte, so a stream decoder rejects a wrong first byte without
+   waiting for the rest; the offset is the first byte that differs. *)
+let expect_magic r m =
+  for i = 0 to String.length m - 1 do
+    if byte r <> Char.code m.[i] then
+      raise (Corrupt (r.pos - 1, Printf.sprintf "bad magic (expected %S)" m))
+  done
+
+let get_u32be r =
+  if r.limit - r.pos < 4 then raise End_of_input;
+  let v = Int32.to_int (Bytes.get_int32_be r.data r.pos) land 0xffff_ffff in
+  r.pos <- r.pos + 4;
+  v
+
+let get_u64be r =
+  if r.limit - r.pos < 8 then raise End_of_input;
+  let v = Int64.to_int (Bytes.get_int64_be r.data r.pos) in
+  r.pos <- r.pos + 8;
+  v
 
 (* [decode_frame] is every framed payload's outer shell: region bounds,
    magic, the body, then no trailing bytes. Offsets stay absolute within
@@ -150,12 +184,14 @@ let decode_frame ~magic data ~pos ~len body =
   else if len < m || not (String.equal (String.sub data pos m) magic) then
     Error (Printf.sprintf "corrupt at offset %d: no %s magic" pos magic)
   else begin
-    let r = { data; pos = pos + m; limit = pos + len } in
+    let r = reader data ~pos:(pos + m) ~len:(len - m) in
     match body r with
     | v ->
         if r.pos <> r.limit then
           Error (Printf.sprintf "corrupt at offset %d: trailing garbage" r.pos)
         else Ok v
+    | exception End_of_input ->
+        Error (Printf.sprintf "corrupt at offset %d: unexpected end of input" r.pos)
     | exception Corrupt (p, msg) -> Error (Printf.sprintf "corrupt at offset %d: %s" p msg)
     | exception Invalid_argument msg ->
         Error (Printf.sprintf "corrupt at offset %d: %s" r.pos msg)
@@ -295,8 +331,7 @@ let encode_native arenas =
       w_uvarint buf (Arena.length a);
       let prev_ts = ref 0 in
       Arena.iter_native a (fun ~kind ~ts ~ctx ~flow ~size ->
-          if size < 0 then
-            invalid_arg (Printf.sprintf "Binary_format.put_uvarint: negative value %d" size);
+          if size < 0 then negative size;
           (* worst case per row: 1 + 10 + 5 + 5 + 5 varint bytes *)
           w_ensure buf 26;
           let b = buf.bytes in

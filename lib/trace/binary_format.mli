@@ -20,29 +20,95 @@ val magic : string
 
 (** {1 Codec primitives}
 
-    Shared with the other PT binary formats (the store's segments, the
-    bundle's container and path table, the collection frames):
-    unsigned LEB128 varints, zigzag-encoded signed varints,
-    length-prefixed strings, and a bounds-checked reader whose [Corrupt]
-    errors carry offsets absolute within [data]. *)
+    The one byte writer and the one byte cursor of every PT binary
+    format: PTB1 here, the store's PTS1 segments, the bundle's PTZ1
+    container and PTP1 path table, and the collection plane's PTC1
+    frames and PTA1 acks. Integers are unsigned LEB128 varints
+    (zigzag-encoded when signed), strings a uvarint length plus bytes,
+    and the fixed-width header fields big-endian. *)
+
+(** {2 Writer}
+
+    A growable byte queue. Encoders append at the end and take
+    {!w_contents}; a stream decoder appends what arrives, points a
+    {!reader} at the queued bytes ({!w_read}) and drops what it has
+    consumed ({!w_drop}). *)
+
+type writer
+
+val w_create : int -> writer
+(** An empty queue with room for about [n] bytes; it grows as needed. *)
+
+val w_uvarint : writer -> int -> unit
+(** @raise Invalid_argument on a negative value. *)
+
+val w_varint : writer -> int -> unit
+val w_raw : writer -> string -> unit
+
+val w_string : writer -> string -> unit
+(** A uvarint length, then the bytes. *)
+
+val w_u32be : writer -> int -> unit
+val w_u64be : writer -> int -> unit
+(** Big-endian 32- and 64-bit fields, for the fixed-width headers of the
+    store segment and the bundle container. *)
+
+val w_contents : writer -> string
+(** The queued bytes (everything written and not dropped). *)
+
+val w_length : writer -> int
+(** How many bytes are queued. *)
+
+val w_drop : writer -> int -> unit
+(** Consume [n] bytes from the front.
+    @raise Invalid_argument past the queued bytes. *)
+
+(** {2 Reader}
+
+    A bounds-checked cursor over [data.[pos] .. data.[limit - 1]].
+    Offsets in its errors are absolute within [data], so a payload read
+    in place inside a larger file reports file-relative offsets. *)
 
 exception Corrupt of int * string
+(** [Corrupt (offset, msg)]: the bytes at [offset] cannot be what the
+    format says. *)
 
-type reader = { data : string; mutable pos : int; limit : int }
+exception End_of_input
+(** A read needs bytes past [limit]; the reader's [pos] is left at the
+    field that needed them. A whole message treats this as truncation
+    ({!decode_frame}); a stream decoder as "wait for more bytes". Raising
+    it allocates nothing. *)
 
-val put_uvarint : Buffer.t -> int -> unit
-val put_varint : Buffer.t -> int -> unit
-val put_string : Buffer.t -> string -> unit
+type reader = { mutable data : Bytes.t; mutable pos : int; mutable limit : int }
+
+val reader : string -> pos:int -> len:int -> reader
+(** A reader over the [len] bytes at [pos].
+    @raise Invalid_argument if the region exceeds the string. *)
+
+val w_read : writer -> reader -> unit
+(** Point the reader at the writer's queued bytes, in place: no copy, no
+    allocation. Valid until the writer is next written to or dropped
+    from. *)
 
 val get_uvarint : reader -> int
 val get_varint : reader -> int
-val get_string : reader -> string
 
-val put_u32be : Buffer.t -> int -> unit
-val read_u32be : string -> int -> int
-(** Big-endian unsigned 32-bit fields, for the fixed-width headers of the
-    store segment and bundle container. [read_u32be s pos] reads
-    [s.[pos] .. s.[pos + 3]]; @raise Invalid_argument past the end. *)
+val get_string : reader -> string
+(** A length-prefixed string; a length past [limit] is [Corrupt]
+    ["string overruns input"]. *)
+
+val get_bytes : reader -> int -> string
+(** The next [n] bytes; [End_of_input] if fewer are left. *)
+
+val get_u32be : reader -> int
+val get_u64be : reader -> int
+(** The fixed-width fields {!w_u32be} and {!w_u64be} write ([get_u32be]
+    is never negative). *)
+
+val expect_magic : reader -> string -> unit
+(** Match the bytes one at a time, raising [Corrupt] ["bad magic
+    (expected "M")"] at the first that differs, so a stream rejects a
+    wrong first byte without waiting for the rest. *)
 
 val get_count : reader -> string -> int
 (** Read a count varint, raising [Corrupt] if it exceeds the remaining
@@ -58,23 +124,11 @@ val decode_frame :
 (** The outer shell of every framed payload embedded at [pos] (spanning
     [len] bytes) in [data]: check the region bounds and the [magic]
     prefix, run the body on a reader positioned after the magic and
-    limited to the region, and reject trailing bytes. [Corrupt] and
-    [Invalid_argument] escaping the body become
-    ["corrupt at offset N: msg"] errors ([Invalid_argument] at the
+    limited to the region, and reject trailing bytes. [Corrupt],
+    [End_of_input] and [Invalid_argument] escaping the body become
+    ["corrupt at offset N: msg"] errors ([End_of_input] reads
+    ["unexpected end of input"]; [Invalid_argument] is placed at the
     cursor); offsets are absolute within [data]. *)
-
-(** {2 Writer}
-
-    A growable byte buffer with an inlined LEB128 loop — the encoders'
-    fast alternative to [Buffer] plus {!put_uvarint}; same bytes. *)
-
-type writer
-
-val w_create : int -> writer
-val w_uvarint : writer -> int -> unit
-val w_varint : writer -> int -> unit
-val w_raw : writer -> string -> unit
-val w_contents : writer -> string
 
 (** {2 Interning tables}
 

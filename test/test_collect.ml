@@ -131,11 +131,20 @@ let test_frame_is_header_plus_payload () =
       (List.filter (fun (a : Activity.t) -> a.Activity.context.host = "app") acts)
   in
   let header =
+    (* a test-local LEB128 writer: the expected bytes share no code with
+       the encoder under test *)
     let b = Buffer.create 32 in
+    let rec put n =
+      if n < 0x80 then Buffer.add_char b (Char.chr n)
+      else begin
+        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+        put (n lsr 7)
+      end
+    in
     Buffer.add_string b Frame.magic;
-    List.iter (Trace.Binary_format.put_uvarint b) [ 4; 2; String.length "app" ];
+    List.iter put [ 4; 2; String.length "app" ];
     Buffer.add_string b "app";
-    List.iter (Trace.Binary_format.put_uvarint b) [ 987_654_321; String.length payload ];
+    List.iter put [ 987_654_321; String.length payload ];
     Buffer.contents b
   in
   let bytes =
@@ -292,6 +301,16 @@ let test_decoder_error_is_sticky () =
   match Frame.Decoder.next dec with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a corrupt stream cannot resynchronise"
+
+(* A nine-byte length varint can decode negative: that is corruption at
+   the length field, not an exception out of [next]. *)
+let test_negative_length_is_corruption () =
+  let dec = Frame.Decoder.create () in
+  Frame.Decoder.feed dec ("PTC1\x00\x00" ^ String.make 8 '\x80' ^ "\x40");
+  match Frame.Decoder.next dec with
+  | Error e -> Alcotest.(check bool) "names the length field" true (H.contains e "offset 6: host length")
+  | Ok _ -> Alcotest.fail "negative host length accepted"
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
 
 (* ---- ack codec ---- *)
 
@@ -536,6 +555,8 @@ let () =
             test_truncation_never_errors;
           Alcotest.test_case "byte-flip corpus" `Slow test_byte_flip_corpus;
           Alcotest.test_case "decoder error is sticky" `Quick test_decoder_error_is_sticky;
+          Alcotest.test_case "negative length is corruption" `Quick
+            test_negative_length_is_corruption;
           Alcotest.test_case "negative varints rejected" `Quick
             test_encode_rejects_negative_varints;
           qtest prop_chopped_stream_decodes_identically;

@@ -9,7 +9,8 @@
    - [online]: the same preimage over [Online.paths]/[Online.deformed],
      fed in merged time order one row at a time by [Online.replay].
    - [planner]: the epochs the sharded correlator cuts (see below).
-   - [bundles]: the bytes [Bundle.Pack.pack] writes (see below). *)
+   - [bundles]: the bytes [Bundle.Pack.pack] writes (see below).
+   - [frames]: the PTC1 frames and PTA1 acks of the collection plane. *)
 
 module Arena = Trace.Arena
 module Log = Trace.Log
@@ -336,6 +337,41 @@ let bundle_cases =
     Alcotest.test_case "mesh control = offline" `Quick test_mesh_bundle_offline;
   ]
 
+(* Collection-plane goldens: the MD5 of the PTC1 stream an agent would
+   ship for the RUBiS Default run above, each host's rows cut into
+   256-row frames (seq = oldest = frame index, watermark = the frame's
+   last timestamp), and of the PTA1 acks for every seq. *)
+
+let frame_rows = 256
+
+let collect_streams () =
+  let _, logs = rubis () in
+  let frames = Buffer.create 65_536 and acks = Buffer.create 256 in
+  List.iter
+    (fun a ->
+      let n = Arena.length a in
+      let rec cut seq lo =
+        if lo < n then begin
+          let hi = min n (lo + frame_rows) in
+          let chunk = Arena.create_sid ~capacity:(hi - lo) (Arena.host_sid a) in
+          Arena.append_range chunk a ~lo ~hi;
+          Buffer.add_string frames
+            (Collect.Frame.encode ~seq ~oldest:seq ~host:(Arena.hostname a)
+               ~watermark:(ST.of_ns (Arena.ts a (hi - 1)))
+               ~payload:(Collect.Frame.encode_payload_arena chunk));
+          Buffer.add_string acks (Collect.Frame.encode_ack seq);
+          cut (seq + 1) hi
+        end
+      in
+      cut 0 0)
+    (Arena.of_collection logs);
+  (Buffer.contents frames, Buffer.contents acks)
+
+let test_collect_streams () =
+  let frames, acks = collect_streams () in
+  pin "PTC1 md5" "a3cbd6ecc7187b8df22fdffa3d713d45" (Digest.to_hex (Digest.string frames));
+  pin "PTA1 md5" "1f367ff128dd7d42b5493c0e79891a4e" (Digest.to_hex (Digest.string acks))
+
 let () =
   Alcotest.run "goldens"
     [
@@ -347,4 +383,5 @@ let () =
           plan_cases );
       ("bundles", bundle_cases);
       ("sources", provenance_cases);
+      ("frames", [ Alcotest.test_case "RUBiS PTC1 frames and PTA1 acks" `Quick test_collect_streams ]);
     ]

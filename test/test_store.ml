@@ -119,11 +119,41 @@ let test_segment_roundtrip () =
   | Ok loaded -> Alcotest.(check bool) "payload identical" true (collection_equal collection loaded)
   | Error e -> Alcotest.fail e
 
+(* Every prefix of a small segment and every header byte XOR 0x01, 0x80
+   and 0xff: each decodes to an error or to the identical rows, and none
+   raises. A prefix is always an error, and names an offset. *)
 let test_segment_rejects_corruption () =
   with_dir @@ fun dir ->
   let meta = write_segment ~dir ~id:0 ~policy:"none" (H.logs_of_request ()) in
   let path = Filename.concat dir meta.Store.Segment.file in
   let data = In_channel.with_open_bin path In_channel.input_all in
+  let expected = Result.get_ok (read_segment ~dir meta) in
+  let decode what bytes =
+    match
+      Store.Segment.read_embedded_native ~data:bytes ~pos:0 ~len:(String.length bytes) ~what meta
+    with
+    | Ok arenas ->
+        if not (collection_equal expected (Trace.Arena.to_collection arenas)) then
+          Alcotest.failf "%s: decoded different rows" what;
+        None
+    | Error e -> Some e
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  for len = 0 to String.length data - 1 do
+    match decode (Printf.sprintf "prefix %d" len) (String.sub data 0 len) with
+    | None -> Alcotest.failf "prefix of %d bytes accepted" len
+    | Some e ->
+        if not (H.contains e "offset") then Alcotest.failf "prefix of %d: %S names no offset" len e
+  done;
+  let header_end = 8 + Int32.to_int (String.get_int32_be data 4) in
+  for i = 0 to header_end - 1 do
+    List.iter
+      (fun mask ->
+        let b = Bytes.of_string data in
+        Bytes.set b i (Char.chr (Char.code data.[i] lxor mask));
+        ignore (decode (Printf.sprintf "byte %d xor %#x" i mask) (Bytes.to_string b)))
+      [ 0x01; 0x80; 0xff ]
+  done;
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (String.sub data 0 (String.length data - 3)));
   (match read_segment ~dir meta with

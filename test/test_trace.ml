@@ -506,17 +506,18 @@ let test_binary_truncated_file_load () =
 
 module Arena = Trace.Arena
 
-let test_put_uvarint_negative () =
-  let buf = Buffer.create 8 in
-  (match Trace.Binary_format.put_uvarint buf (-1) with
+let test_w_uvarint_negative () =
+  let module B = Trace.Binary_format in
+  let w = B.w_create 8 in
+  (match B.w_uvarint w (-1) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative varint accepted");
-  (match Trace.Binary_format.put_uvarint buf min_int with
+  (match B.w_uvarint w min_int with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "min_int varint accepted");
-  Trace.Binary_format.put_uvarint buf 0;
-  Trace.Binary_format.put_uvarint buf max_int;
-  Alcotest.(check bool) "valid values still encode" true (Buffer.length buf > 0)
+  B.w_uvarint w 0;
+  B.w_uvarint w max_int;
+  Alcotest.(check bool) "valid values still encode" true (B.w_length w > 0)
 
 let arena_rows a =
   List.init (Arena.length a) (fun i ->
@@ -538,11 +539,20 @@ let prop_native_roundtrip =
 
 (* The record-list PTB1 encoder the arena codec replaced, kept as the
    reference its bytes must match: per-message string, context and flow
-   tables keyed by the records' fields, interned in traversal order. *)
+   tables keyed by the records' fields, interned in traversal order. It
+   carries its own LEB128 writer, so it shares no varint code with the
+   encoder it checks. *)
 let reference_encode collection =
-  let module B = Trace.Binary_format in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf B.magic;
+  let rec put n =
+    if n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+      put (n lsr 7)
+    end
+  in
+  let put_signed n = put ((n lsl 1) lxor (n asr 62)) in
+  Buffer.add_string buf Trace.Binary_format.magic;
   let table (type k) (module T : Hashtbl.S with type key = k) =
     let tbl = T.create 16 and order = ref [] in
     let index key =
@@ -581,9 +591,12 @@ let reference_encode collection =
           ignore (flow_index a.message.flow))
         (Log.to_list log))
     collection;
-  let put = B.put_uvarint buf in
   put (List.length (strings ()));
-  List.iter (B.put_string buf) (strings ());
+  List.iter
+    (fun s ->
+      put (String.length s);
+      Buffer.add_string buf s)
+    (strings ());
   put (List.length (contexts ()));
   List.iter
     (fun (c : Activity.context) ->
@@ -610,7 +623,7 @@ let reference_encode collection =
         (fun (a : Activity.t) ->
           put (Activity.kind_to_code a.kind);
           let ts = Simnet.Sim_time.to_ns a.timestamp in
-          B.put_varint buf (ts - !prev_ts);
+          put_signed (ts - !prev_ts);
           prev_ts := ts;
           put (context_index a.context);
           put (flow_index a.message.flow);
@@ -869,7 +882,7 @@ let () =
         ] );
       ( "native_format",
         [
-          Alcotest.test_case "put_uvarint rejects negatives" `Quick test_put_uvarint_negative;
+          Alcotest.test_case "w_uvarint rejects negatives" `Quick test_w_uvarint_negative;
           Alcotest.test_case "truncation corpus (native)" `Quick test_native_truncation_corpus;
           Alcotest.test_case "byte-flip corpus (native)" `Quick test_native_byte_flip_corpus;
           qtest prop_native_roundtrip;
