@@ -72,8 +72,10 @@ bundle-gate: build
 # PTB1 file, a several-segment store, and a store teed in-band by the
 # collection plane next to its text logs — must correlate to byte-identical
 # path exports within each run, offline and (from a store) through the
-# online replay. The loader that reads all three formats lives in bin/,
-# so no unit test reaches it. The same run on the hierarchical plane
+# online replay; the offline and online store runs must also report the
+# same path, candidate and CAG counts under the same telemetry names. The
+# loader that reads all three formats lives in bin/, so no unit test
+# reaches it. The same run on the hierarchical plane
 # (two replicas, two shards) must report no flagged-deformed path at the
 # root, and some under an agent crash; the flat plane must survive the
 # crash too. A truncated store segment and a truncated bundle are runtime
@@ -89,7 +91,16 @@ cli-gate: build
 	for d in text binary store collect-store collect-text; do \
 		$(CLI_CORRELATE) _cli_gate/$$d --json _cli_gate/$$d.json || exit 1; \
 	done
-	$(CLI_CORRELATE) _cli_gate/store --online --json _cli_gate/store-online.json
+	$(CLI_CORRELATE) _cli_gate/store --online --json _cli_gate/store-online.json \
+		--telemetry _cli_gate/store-online.prom --telemetry-format prom
+	$(CLI_CORRELATE) _cli_gate/store --telemetry _cli_gate/store.prom --telemetry-format prom
+	for m in 'pt_correlator_paths_total{state="finished"}' pt_ranker_candidates_total \
+		pt_engine_cags_finished_total; do \
+		off=$$(awk -v m="$$m" '$$1 == m' _cli_gate/store.prom); \
+		on=$$(awk -v m="$$m" '$$1 == m' _cli_gate/store-online.prom); \
+		echo "telemetry parity: offline '$$off', online '$$on'"; \
+		test -n "$$off" && test "$$off" = "$$on" || exit 1; \
+	done
 	$(CLI_CORRELATE) _cli_gate/collect-store --online --json _cli_gate/collect-store-online.json
 	cmp _cli_gate/text.json _cli_gate/binary.json
 	cmp _cli_gate/text.json _cli_gate/store.json

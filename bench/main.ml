@@ -112,6 +112,34 @@ let emit_json file =
    this fraction of the committed reference before failing. *)
 let gate_slack = 0.5
 
+(* The fresh scalar [key] of [figure], as last recorded. *)
+let fresh_scalar figure key =
+  List.find_map
+    (fun (fig, (k, v)) -> if String.equal fig figure && String.equal k key then Some v else None)
+    !scalars
+
+let as_float = function
+  | Some (Json.Float f) -> Some f
+  | Some (Json.Int i) -> Some (float_of_int i)
+  | _ -> None
+
+(* [figures.<figure>.results] of a committed BENCH_*.json reference run,
+   or [None] when the file is unreadable or lacks it. *)
+let committed_results file figure =
+  let ( let* ) = Option.bind in
+  let* body =
+    match In_channel.with_open_bin file In_channel.input_all with
+    | body -> Some body
+    | exception Sys_error _ -> None
+  in
+  let* doc = Result.to_option (Json.of_string body) in
+  let* figures = Json.member "figures" doc in
+  let* fig = Json.member figure figures in
+  Json.member "results" fig
+
+let committed_float file figure key =
+  Option.bind (committed_results file figure) (fun r -> as_float (Json.member key r))
+
 (* The reduction half of the store gate is deterministic, like the
    hierarchy gate: on the noise-free run [causal] keeps every byte, no
    policy moves the top-3 pattern ranks, and every kept request
@@ -156,37 +184,8 @@ let run_gate file =
   | failures ->
       List.iter (Printf.eprintf "bench gate: reduction fidelity — %s\n") failures;
       exit 1);
-  let fresh =
-    List.fold_left
-      (fun acc (fig, (key, v)) ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            if String.equal fig "store" && String.equal key "ingest_records_per_s" then
-              match v with
-              | Json.Float f -> Some f
-              | Json.Int i -> Some (float_of_int i)
-              | _ -> None
-            else None)
-      None !scalars
-  in
-  let reference =
-    let ( let* ) = Option.bind in
-    let* body =
-      match In_channel.with_open_bin file In_channel.input_all with
-      | body -> Some body
-      | exception Sys_error _ -> None
-    in
-    let* doc = Result.to_option (Json.of_string body) in
-    let* figures = Json.member "figures" doc in
-    let* store = Json.member "store" figures in
-    let* results = Json.member "results" store in
-    let* v = Json.member "ingest_records_per_s" results in
-    match v with
-    | Json.Float f -> Some f
-    | Json.Int i -> Some (float_of_int i)
-    | _ -> None
-  in
+  let fresh = as_float (fresh_scalar "store" "ingest_records_per_s") in
+  let reference = committed_float file "store" "ingest_records_per_s" in
   match (fresh, reference) with
   | None, _ ->
       Printf.eprintf "bench gate: no fresh store figure (run with --figure store)\n";
@@ -216,32 +215,8 @@ let run_gate file =
 let hierarchy_reduction_target = 3.0
 
 let run_hierarchy_gate file =
-  let fresh key =
-    List.fold_left
-      (fun acc (fig, (k, v)) ->
-        match acc with
-        | Some _ -> acc
-        | None -> if String.equal fig "hierarchy" && String.equal k key then Some v else None)
-      None !scalars
-  in
-  let as_float = function
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  let reference =
-    let ( let* ) = Option.bind in
-    let* body =
-      match In_channel.with_open_bin file In_channel.input_all with
-      | body -> Some body
-      | exception Sys_error _ -> None
-    in
-    let* doc = Result.to_option (Json.of_string body) in
-    let* figures = Json.member "figures" doc in
-    let* fig = Json.member "hierarchy" figures in
-    let* results = Json.member "results" fig in
-    as_float (Json.member "root_reduction" results)
-  in
+  let fresh = fresh_scalar "hierarchy" in
+  let reference = committed_float file "hierarchy" "root_reduction" in
   match (as_float (fresh "root_reduction"), fresh "identical", reference) with
   | None, _, _ | _, None, _ ->
       Printf.eprintf
@@ -280,31 +255,8 @@ let mesh_accuracy_floor = 0.95
 let mesh_accuracy_slack = 0.02
 
 let run_mesh_gate file =
-  let fresh key =
-    List.fold_left
-      (fun acc (fig, (k, v)) ->
-        match acc with
-        | Some _ -> acc
-        | None -> if String.equal fig "mesh" && String.equal k key then Some v else None)
-      None !scalars
-  in
-  let as_float = function
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  let reference_results =
-    let ( let* ) = Option.bind in
-    let* body =
-      match In_channel.with_open_bin file In_channel.input_all with
-      | body -> Some body
-      | exception Sys_error _ -> None
-    in
-    let* doc = Result.to_option (Json.of_string body) in
-    let* figures = Json.member "figures" doc in
-    let* fig = Json.member "mesh" figures in
-    Json.member "results" fig
-  in
+  let fresh = fresh_scalar "mesh" in
+  let reference_results = committed_results file "mesh" in
   let fail fmt = Printf.eprintf ("bench gate: " ^^ fmt ^^ "\n") in
   let ok = ref true in
   List.iter

@@ -25,7 +25,6 @@ type stats = {
 type t = {
   mmap : Cag.vertex Deque.t Intern.Table.t;  (* flow id -> outstanding SENDs *)
   cmap : Cag.vertex Intern.Table.t;  (* context id -> latest vertex *)
-  on_finished : Cag.t -> unit;
   mutable rev_finished : Cag.t list;
   open_cags : (int, Cag.t) Hashtbl.t;  (* unfinished, by cag_id *)
   mutable next_cag_id : int;
@@ -45,11 +44,10 @@ type t = {
   mutable evicted_sends : int;
 }
 
-let create ?(on_finished = fun _ -> ()) () =
+let create () =
   {
     mmap = Intern.Table.create 1024;
     cmap = Intern.Table.create 256;
-    on_finished;
     rev_finished = [];
     open_cags = Hashtbl.create 64;
     next_cag_id = 0;
@@ -158,8 +156,7 @@ let finish_cag t cag =
   t.cags_finished <- t.cags_finished + 1;
   t.rev_finished <- cag :: t.rev_finished;
   Hashtbl.remove t.open_cags cag.Cag.cag_id;
-  t.live_vertices <- t.live_vertices - Cag.size cag;
-  t.on_finished cag
+  t.live_vertices <- t.live_vertices - Cag.size cag
 
 let handle_end t ctx flow source (a : Activity.t) =
   match cmap_parent t ctx with
@@ -196,11 +193,13 @@ let handle_send t ctx flow source (a : Activity.t) =
       (* Consecutive sends of one logical message: accumulate size. If the
          earlier bytes were already fully matched (a fast receiver drained
          them before this syscall was ranked — possible because Rule 1
-         outranks Rule 2), the vertex left the mmap and must re-enter it. *)
-      let was_drained = parent.Cag.unreceived = 0 in
+         outranks Rule 2), the vertex left the mmap and must re-enter it.
+         A receive read that straddled into this syscall's bytes drained
+         it past zero: the vertex re-enters only if bytes are still owed. *)
+      let was_drained = parent.Cag.unreceived <= 0 in
       Cag.Builder.grow_send parent a.message.size;
       Cag.Builder.add_source parent source;
-      if was_drained then mmap_push_front t flow parent;
+      if was_drained && parent.Cag.unreceived > 0 then mmap_push_front t flow parent;
       t.send_merges <- t.send_merges + 1
   | Some parent ->
       let v = Cag.Builder.fresh_row ~ctx ~flow ~source a in
@@ -327,6 +326,8 @@ let gc t ~older_than =
   List.iter (Intern.Table.remove t.mmap) !stale_flows;
   !evicted
 let finished t = List.rev t.rev_finished
+let finished_count t = t.cags_finished
+let last_finished t = List.hd t.rev_finished
 
 (* Ids grow in creation order, which is the order reported. *)
 let unfinished t =

@@ -34,8 +34,9 @@ type stats = {
           CAGs (recycled thread serving a new request). *)
   orphans : int;  (** Vertices correlated outside any CAG. *)
   crossed_boundaries : int;
-      (** RECEIVEs spanning two logical messages; impossible under the
-          request/response discipline, counted defensively. *)
+      (** RECEIVEs that drained a SEND past its bytes: a read straddling
+          into a continuation syscall not yet ranked (DESIGN.md
+          clarification 5), or one spanning two logical messages. *)
   mmap_entries : int;  (** Outstanding SEND vertices right now. *)
   live_vertices : int;  (** Vertices of unfinished CAGs plus orphans. *)
   peak_live_vertices : int;
@@ -47,8 +48,7 @@ type stats = {
 
 type t
 
-val create : ?on_finished:(Cag.t -> unit) -> unit -> t
-(** [on_finished] fires as each CAG completes (its END correlated). *)
+val create : unit -> t
 
 val has_mmap_send : t -> int -> bool
 (** Rule 1's probe, by {!Trace.Intern} flow id; wire this into
@@ -70,6 +70,14 @@ val step : t -> Trace.Activity.t -> unit
 
 val finished : t -> Cag.t list
 (** Completed CAGs, in completion order. *)
+
+val finished_count : t -> int
+(** [List.length (finished t)] in O(1). A step completes at most one CAG
+    (its END correlated): compare the count around a step to learn
+    whether it did. *)
+
+val last_finished : t -> Cag.t
+(** The most recently completed CAG. Raises [Failure] before the first. *)
 
 val unfinished : t -> Cag.t list
 (** CAGs begun but not yet (or never) completed — deformed paths under

@@ -8,10 +8,14 @@
     {!Transform} pass has rewritten entry-point activities into
     BEGIN/END and dropped name-filterable noise.
 
-    There is one correlation core, {!correlate_rows}: the rank/step/gc
-    loop over transformed arena rows. {!correlate_arena} transforms
-    packed rows and runs it; {!correlate} is the record-list adapter onto
-    {!correlate_arena}; {!Shard} runs the core once per epoch. *)
+    There is one rank/commit loop, {!Session}: it owns the ranker and the
+    engine, commits every candidate, collects the engine's garbage,
+    samples memory and publishes the run's telemetry once, on close.
+    {!correlate_rows} runs a session over a native ranker;
+    {!correlate_arena} transforms packed rows and runs it; {!correlate}
+    is the record-list adapter onto {!correlate_arena}; {!Shard} runs
+    {!correlate_rows} once per epoch; {!Online} runs a session over an
+    online ranker as rows stream in. *)
 
 type config = {
   transform : Transform.config;
@@ -44,6 +48,46 @@ type result = {
       (** [peak_memory_proxy] scaled by a per-record footprint estimate. *)
 }
 
+(** The one rank/commit loop, shared by offline, sharded and online
+    correlation.
+
+    A session commits each candidate {!Ranker.next} pops through
+    {!Cag_engine.step_ids} with the candidate's ids and {!Cag.source}.
+    Every 4096 commits it evicts mmap SENDs older than twice the skew
+    allowance behind the candidate (clamped at time zero). After every
+    commit it samples window occupancy and the held records: {!Ranker.held}
+    plus live vertices plus mmap entries, the Fig. 11 memory proxy. *)
+module Session : sig
+  type t
+
+  val create :
+    ?telemetry:Telemetry.Registry.t ->
+    ?on_path:(Ranker.t -> Cag.t -> unit) ->
+    config ->
+    (has_mmap_send:(int -> bool) -> Ranker.t) ->
+    t
+  (** A session over the ranker the last argument builds around the
+      session engine's Rule 1 probe. [on_path] fires after each commit
+      that completed a CAG, with the ranker as it stood at that commit.
+      Only the [skew_allowance] of the configuration is read here; the
+      ranker's own settings are the builder's. *)
+
+  val ranker : t -> Ranker.t
+  val engine : t -> Cag_engine.t
+
+  val run : t -> unit
+  (** Commit candidates until {!Ranker.next} has none to give. *)
+
+  val close : t -> unit
+  (** Publish the run into [telemetry] (default
+      {!Telemetry.Registry.default}): every {!Ranker.stats} and
+      {!Cag_engine.stats} field as [pt_ranker_*] and [pt_engine_*],
+      [pt_correlator_commits_total], [pt_correlator_paths_total{state}]
+      and [pt_correlator_peak_memory_records] (see docs/TELEMETRY.md).
+      Counters add, since registry counters are cumulative across the
+      runs of a process. Closing again does nothing. *)
+end
+
 val correlate :
   ?telemetry:Telemetry.Registry.t ->
   ?on_path:(Cag.t -> unit) ->
@@ -55,9 +99,7 @@ val correlate :
     use. The records are packed with {!Trace.Arena.of_collection} and run
     through {!correlate_arena}. The run also reports itself into
     [telemetry] (default {!Telemetry.Registry.default}): per-stage wall
-    time, activities in, commits, window occupancy, the path counts, and
-    the full {!Ranker.stats}/{!Cag_engine.stats} mirror (see
-    docs/TELEMETRY.md for the catalogue). *)
+    time, activities in, and what {!Session.close} publishes. *)
 
 val correlate_arena :
   ?telemetry:Telemetry.Registry.t ->
@@ -79,9 +121,9 @@ val correlate_rows :
   config ->
   Trace.Arena.t list ->
   result
-(** The rank/step/gc loop alone — the one correlation core — over per-host
-    arenas the {!Transform} pass has already been applied to, each in log
-    order ({!Trace.Arena.sort_by_time}). {!Shard} runs it once per epoch
-    in a worker domain. [started] (a [Unix.gettimeofday] stamp) backdates
-    [correlation_time] so callers can account setup they did
-    themselves. *)
+(** A {!Session} over {!Ranker.create_native}, run to completion and
+    closed, over per-host arenas the {!Transform} pass has already been
+    applied to, each in log order ({!Trace.Arena.sort_by_time}). {!Shard}
+    runs it once per epoch in a worker domain. [started] (a
+    [Unix.gettimeofday] stamp) backdates [correlation_time] so callers can
+    account setup they did themselves. *)

@@ -28,14 +28,20 @@
       [pt_online_deformed_paths_total];
     - out-of-contract records (unknown host, fed after {!finish},
       duplicates, timestamp regressions beyond the skew allowance,
-      too-late records) are quarantined and counted in
-      [pt_online_quarantined_total{reason=...}] — {!observe_arena} never
-      raises; regressions within the allowance are re-sorted into place;
+      too-late records) are quarantined and counted per reason in
+      {!ranker_stats} — {!observe_arena} never raises; regressions within
+      the allowance are re-sorted into place;
     - [max_buffered] bounds held records: past it the ranker
-      force-resolves the oldest window instead of waiting, and the
-      [pt_online_peak_memory_records] gauge mirrors the peak footprint
-      (ranker held records + engine live vertices + mmap entries), the
-      online analogue of the offline Fig. 11 memory proxy. *)
+      force-resolves the oldest window instead of waiting.
+
+    {1 One loop}
+
+    The rank/commit loop is a {!Correlator.Session} over
+    {!Ranker.create_online}, the loop every offline and sharded run uses
+    too. This module adds only what is online-only: the per-id transform
+    memo and raw-row ordinals, feeding and its quarantine results, the
+    pending gauge, the path-lag histogram and the straggler-deformed
+    marking. *)
 
 type t
 
@@ -52,13 +58,16 @@ val create :
     fires as each causal path completes. [straggler_timeout] and
     [max_buffered] configure the degraded-feed behaviour described above
     (both off by default). The run reports itself into
-    [telemetry] (default {!Telemetry.Registry.default}): live pending
-    depth ([pt_online_pending]), accepted activities, completed paths, the
-    path-completion lag against the feed watermark
-    ([pt_online_path_lag_seconds]), the degraded-feed counters, and — on
-    {!finish} — the same {!Ranker.stats}/{!Cag_engine.stats} mirror an
-    offline {!Correlator.correlate} run records, so online and offline
-    runs are comparable through one snapshot. *)
+    [telemetry] (default {!Telemetry.Registry.default}): live, the
+    accepted activities ([pt_online_observed_total]), pending depth
+    ([pt_online_pending]), streams evicted as stragglers
+    ([pt_online_stragglers_active]), the path-completion lag against the
+    feed watermark ([pt_online_path_lag_seconds]) and the paths flagged
+    deformed ([pt_online_deformed_paths_total]); on {!finish}, everything
+    {!Correlator.Session.close} publishes — the same metric names an
+    offline run reports, so online and offline runs are comparable
+    through one snapshot. Rows quarantined after {!finish} are counted in
+    {!ranker_stats} only. *)
 
 val observe_arena : t -> Trace.Arena.t -> unit
 (** Push every row of one host's arena (raw SEND/RECEIVE rows, as the
@@ -98,9 +107,6 @@ val pending : t -> int
 
 val peak_pending : t -> int
 (** The highest {!pending} seen after any accepted record. *)
-
-val stragglers_active : t -> int
-(** Streams currently evicted as stragglers. *)
 
 val quarantine_log : t -> (Ranker.reject_reason * Trace.Activity.t) list
 (** Most recent quarantined records (bounded ring). *)

@@ -27,6 +27,9 @@ type stream = {
       (* Rows the stream counts as its own: the unfetched ones plus those
          fetched since the consumed prefix was last reclaimed. *)
   mutable closed : bool;
+  fed : bool;
+      (* Rows arrive through [feed_row] and count as backlog until
+         fetched; a native stream's rows belong to the caller. *)
   mutable last_ts : int;  (* highest in-order feed timestamp *)
   mutable last_kind : int;
       (* the previous record accepted ([-1]: none yet, so the next one is
@@ -266,6 +269,7 @@ let stream ~closed rows =
     cursor = 0;
     listed = n;
     closed;
+    fed = not closed;
     last_ts = (if n = 0 then 0 else Arena.ts rows (n - 1));
     last_kind = -1;
     last_fed_ts = 0;
@@ -452,13 +456,13 @@ let fetch_until t deadline =
   for i = 0 to Array.length t.streams - 1 do
     if t.front_ts.(i) <= deadline then begin
       let s = t.streams.(i) in
-      let n = Arena.length s.rows in
+      let n = Arena.length s.rows and first = s.cursor in
       while s.cursor < n && Arena.ts s.rows s.cursor <= deadline do
         Deque.push_back t.queues.(i) s.cursor;
         note_buffered t i s.cursor;
-        s.cursor <- s.cursor + 1;
-        t.backlog <- t.backlog - 1
+        s.cursor <- s.cursor + 1
       done;
+      if s.fed then t.backlog <- t.backlog - (s.cursor - first);
       sync_front t i;
       sync_head t i;
       reclaim t i
@@ -714,9 +718,8 @@ let candidate t =
 let rank t = if next t then Some (candidate t) else None
 
 let buffered t = t.buffered
+let watermark t = Sim_time.of_ns t.watermark
 let resolved t = t.candidates + t.noise_discarded
-let stragglers_evicted t = t.stragglers_evicted
-let straggler_resyncs t = t.straggler_resyncs
 
 let stragglers_active t =
   Array.fold_left (fun n s -> if s.lagging && not s.closed then n + 1 else n) 0 t.streams

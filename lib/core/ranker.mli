@@ -197,18 +197,20 @@ val buffered : t -> int
 (** Activities currently held in the ranker's queues. *)
 
 val held : t -> int
-(** Buffered activities plus the unfetched backlog — everything the
-    ranker currently holds; the quantity bounded by [max_buffered] and
-    the online peak-memory proxy. *)
+(** Buffered activities plus the unfetched backlog of fed rows —
+    everything the ranker currently holds; the quantity bounded by
+    [max_buffered] and the ranker's share of the peak-memory proxy. A
+    native ranker's rows belong to its caller, so there it is
+    {!buffered}. *)
+
+val watermark : t -> Simnet.Sim_time.t
+(** The latest timestamp accepted by {!feed_row} on any stream (zero
+    before the first, and always for a native ranker). *)
 
 val resolved : t -> int
 (** Candidates committed plus RECEIVEs discarded as noise: the records
-    that have left the ranker for good. *)
-
-val stragglers_evicted : t -> int
-val straggler_resyncs : t -> int
-(** The {!stats} fields of the same name. These three accessors cost
-    O(1), for bookkeeping per fed record; {!stats} builds a record. *)
+    that have left the ranker for good. O(1), for bookkeeping per fed
+    record; {!stats} builds a record. *)
 
 val stragglers_active : t -> int
 (** Open streams currently evicted as stragglers. *)

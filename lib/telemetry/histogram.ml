@@ -42,14 +42,17 @@ let index t v =
     in
     max 0 (min (Array.length t.counts - 1) i)
 
-let observe t v =
-  if not (Float.is_nan v) then
+let observe_n t v n =
+  if n > 0 && not (Float.is_nan v) then
     locked t (fun () ->
-        t.counts.(index t v) <- t.counts.(index t v) + 1;
-        t.count <- t.count + 1;
-        t.sum <- t.sum +. v;
+        let i = index t v in
+        t.counts.(i) <- t.counts.(i) + n;
+        t.count <- t.count + n;
+        t.sum <- t.sum +. (v *. float_of_int n);
         if v < t.min_v then t.min_v <- v;
         if v > t.max_v then t.max_v <- v)
+
+let observe t v = observe_n t v 1
 
 let count t = locked t (fun () -> t.count)
 let sum t = locked t (fun () -> t.sum)

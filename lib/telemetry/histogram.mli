@@ -23,6 +23,10 @@ val observe : t -> float -> unit
 (** NaN is ignored; zero and negative values count into the lowest bucket
     (they preserve [count]/[sum]/[min] exactly). *)
 
+val observe_n : t -> float -> int -> unit
+(** [observe_n t v n] is [n] observations of [v] at once ([n <= 0]: none);
+    for integer-valued [v] the result equals [n] calls of {!observe}. *)
+
 val count : t -> int
 val sum : t -> float
 

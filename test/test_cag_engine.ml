@@ -106,6 +106,33 @@ let test_rule1_race_reopen () =
       Alcotest.(check int) "six vertices" 6 (Cag.size cag)
   | _ -> Alcotest.fail "one CAG"
 
+let test_straddling_read_reopens () =
+  (* SEND 16184 then SEND 250 on one flow; the receiver reads 8192, 8192
+     (straddling both syscalls) and 50. Rule 1 delivers both 8192-byte
+     reads before the SEND 250 is ranked, draining the SEND 200 bytes past
+     zero; the grown SEND must re-enter the mmap for the 50-byte tail. *)
+  let engine =
+    run_engine [ b 0; ws 1 16184; ar 2 8192; ar 3 8192; ws 4 250; ar 5 50 ]
+  in
+  let stats = Cag_engine.stats engine in
+  Alcotest.(check int) "no unmatched" 0 stats.Cag_engine.unmatched_receives;
+  Alcotest.(check int) "crossed once" 1 stats.crossed_boundaries;
+  Alcotest.(check int) "receive merge" 1 stats.receive_merges;
+  Alcotest.(check int) "empty mmap" 0 (Cag_engine.mmap_entries engine);
+  match Cag_engine.unfinished engine with
+  | [ cag ] -> (
+      let receives =
+        List.filter
+          (fun (v : Cag.vertex) ->
+            Activity.equal_kind v.Cag.activity.Activity.kind Activity.Receive)
+          (Cag.vertices cag)
+      in
+      match receives with
+      | [ v ] -> Alcotest.(check int) "one RECEIVE of the whole message" 16434
+                   v.Cag.activity.Activity.message.size
+      | _ -> Alcotest.failf "%d RECEIVE vertices" (List.length receives))
+  | _ -> Alcotest.fail "one open CAG"
+
 let test_end_merge () =
   (* Response sent to the client in three syscalls: one END vertex. *)
   let engine = run_engine [ b 0; ws 1 10; ar 2 10; as_ 3 10; wr 4 10; e 5 8192; e 6 8192; e 7 1000 ] in
@@ -195,11 +222,17 @@ let test_lost_end_leaves_deformed () =
   Alcotest.(check int) "unfinished" 0 stats.Cag_engine.cags_finished;
   Alcotest.(check int) "one deformed" 1 (List.length (Cag_engine.unfinished engine))
 
-let test_on_finished_callback () =
-  let seen = ref [] in
-  let engine = Cag_engine.create ~on_finished:(fun cag -> seen := Cag.size cag :: !seen) () in
-  List.iter (Cag_engine.step engine) [ b 0; ws 1 10; ar 2 10; as_ 3 10; wr 4 10; e 5 10 ];
-  Alcotest.(check (list int)) "callback fired with CAG" [ 6 ] !seen
+let test_finished_count_and_last () =
+  let engine = Cag_engine.create () in
+  let counts =
+    List.map
+      (fun a ->
+        Cag_engine.step engine a;
+        Cag_engine.finished_count engine)
+      [ b 0; ws 1 10; ar 2 10; as_ 3 10; wr 4 10; e 5 10 ]
+  in
+  Alcotest.(check (list int)) "only the END completes a CAG" [ 0; 0; 0; 0; 0; 1 ] counts;
+  Alcotest.(check int) "last finished is the CAG" 6 (Cag.size (Cag_engine.last_finished engine))
 
 let test_live_vertex_accounting () =
   let engine = Cag_engine.create () in
@@ -245,6 +278,8 @@ let () =
           Alcotest.test_case "consecutive sends merge" `Quick test_send_merge;
           Alcotest.test_case "Fig. 4 n-to-n matching" `Quick test_fig4_n_to_n;
           Alcotest.test_case "rule-1 race reopens the send" `Quick test_rule1_race_reopen;
+          Alcotest.test_case "straddling read reopens the send" `Quick
+            test_straddling_read_reopens;
           Alcotest.test_case "multi-part END merges" `Quick test_end_merge;
         ] );
       ( "contexts and reuse",
@@ -263,7 +298,7 @@ let () =
         ] );
       ( "bookkeeping",
         [
-          Alcotest.test_case "on_finished callback" `Quick test_on_finished_callback;
+          Alcotest.test_case "finished count and last CAG" `Quick test_finished_count_and_last;
           Alcotest.test_case "live vertex accounting" `Quick test_live_vertex_accounting;
           Alcotest.test_case "mmap tracking" `Quick test_mmap_entries_tracking;
         ] );

@@ -278,25 +278,100 @@ let gauge_exn snap name =
   | Some _ -> Alcotest.failf "%s is not a gauge" name
   | None -> Alcotest.failf "%s missing from registry" name
 
+(* Every field of both stats records, destructured without [_] so a field
+   added to either record fails to compile here until it is exported. *)
 let check_mirrors snap (rstats : Core.Ranker.stats) (estats : Core.Cag_engine.stats) =
   let ceq name v = Alcotest.(check int) name v (counter_exn snap name) in
-  ceq "pt_ranker_fetched_total" rstats.Core.Ranker.fetched;
-  ceq "pt_ranker_candidates_total" rstats.Core.Ranker.candidates;
-  ceq "pt_ranker_noise_discarded_total" rstats.Core.Ranker.noise_discarded;
-  ceq "pt_ranker_promotions_total" rstats.Core.Ranker.promotions;
-  ceq "pt_ranker_forced_fetches_total" rstats.Core.Ranker.forced_fetches;
-  ceq "pt_ranker_forced_discards_total" rstats.Core.Ranker.forced_discards;
-  feq "pt_ranker_peak_buffered"
-    (float_of_int rstats.Core.Ranker.peak_buffered)
-    (gauge_exn snap "pt_ranker_peak_buffered");
-  ceq "pt_engine_cags_started_total" estats.Core.Cag_engine.cags_started;
-  ceq "pt_engine_cags_finished_total" estats.Core.Cag_engine.cags_finished;
-  ceq "pt_engine_send_merges_total" estats.Core.Cag_engine.send_merges;
-  ceq "pt_engine_receive_merges_total" estats.Core.Cag_engine.receive_merges;
-  ceq "pt_engine_orphans_total" estats.Core.Cag_engine.orphans;
-  feq "pt_engine_peak_live_vertices"
-    (float_of_int estats.Core.Cag_engine.peak_live_vertices)
-    (gauge_exn snap "pt_engine_peak_live_vertices")
+  let geq name v = feq name (float_of_int v) (gauge_exn snap name) in
+  let {
+    Core.Ranker.fetched;
+    candidates;
+    noise_discarded;
+    promotions;
+    forced_fetches;
+    forced_discards;
+    peak_buffered;
+    resorted;
+    quarantined;
+    stragglers_evicted;
+    straggler_resyncs;
+    backpressure_pops;
+  } =
+    rstats
+  in
+  ceq "pt_ranker_fetched_total" fetched;
+  ceq "pt_ranker_candidates_total" candidates;
+  ceq "pt_ranker_noise_discarded_total" noise_discarded;
+  ceq "pt_ranker_promotions_total" promotions;
+  ceq "pt_ranker_forced_fetches_total" forced_fetches;
+  ceq "pt_ranker_forced_discards_total" forced_discards;
+  geq "pt_ranker_peak_buffered" peak_buffered;
+  ceq "pt_ranker_resorted_total" resorted;
+  Alcotest.(check int) "every reject reason listed"
+    (List.length Core.Ranker.all_reject_reasons) (List.length quarantined);
+  List.iter
+    (fun (reason, n) ->
+      let label = Core.Ranker.reject_reason_to_string reason in
+      Alcotest.(check int)
+        ("pt_ranker_quarantined_total{reason=" ^ label ^ "}")
+        n
+        (counter_exn snap ~labels:[ ("reason", label) ] "pt_ranker_quarantined_total"))
+    quarantined;
+  ceq "pt_ranker_stragglers_evicted_total" stragglers_evicted;
+  ceq "pt_ranker_straggler_resyncs_total" straggler_resyncs;
+  ceq "pt_ranker_backpressure_pops_total" backpressure_pops;
+  let {
+    Core.Cag_engine.cags_started;
+    cags_finished;
+    send_merges;
+    end_merges;
+    receive_merges;
+    partial_receives;
+    unmatched_receives;
+    thread_reuse_blocked;
+    orphans;
+    crossed_boundaries;
+    mmap_entries;
+    live_vertices;
+    peak_live_vertices;
+    evicted_sends;
+  } =
+    estats
+  in
+  ceq "pt_engine_cags_started_total" cags_started;
+  ceq "pt_engine_cags_finished_total" cags_finished;
+  ceq "pt_engine_send_merges_total" send_merges;
+  ceq "pt_engine_end_merges_total" end_merges;
+  ceq "pt_engine_receive_merges_total" receive_merges;
+  ceq "pt_engine_partial_receives_total" partial_receives;
+  ceq "pt_engine_unmatched_receives_total" unmatched_receives;
+  ceq "pt_engine_thread_reuse_blocked_total" thread_reuse_blocked;
+  ceq "pt_engine_orphans_total" orphans;
+  ceq "pt_engine_crossed_boundaries_total" crossed_boundaries;
+  geq "pt_engine_mmap_entries" mmap_entries;
+  geq "pt_engine_live_vertices" live_vertices;
+  geq "pt_engine_peak_live_vertices" peak_live_vertices;
+  ceq "pt_engine_evicted_sends_total" evicted_sends;
+  ceq "pt_correlator_commits_total" candidates;
+  Alcotest.(check int) "pt_correlator_paths_total{state=finished}" cags_finished
+    (counter_exn snap ~labels:[ ("state", "finished") ] "pt_correlator_paths_total");
+  Alcotest.(check int) "pt_correlator_paths_total{state=deformed}"
+    (cags_started - cags_finished)
+    (counter_exn snap ~labels:[ ("state", "deformed") ] "pt_correlator_paths_total")
+
+(* The names an online run used to export beside the shared ones. *)
+let check_no_online_twins snap =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is gone") true
+        (not (List.exists (fun (f : R.family) -> f.R.name = name) snap)))
+    [
+      "pt_online_paths_total";
+      "pt_online_quarantined_total";
+      "pt_online_stragglers_evicted_total";
+      "pt_online_straggler_resyncs_total";
+      "pt_online_peak_memory_records";
+    ]
 
 let hand_built_config () =
   Core.Correlator.config
@@ -364,12 +439,57 @@ let test_offline_online_parity () =
     ];
   Alcotest.(check int) "online paths counter = offline cags"
     (List.length off_result.Core.Correlator.cags)
-    (counter_exn on_snap "pt_online_paths_total");
+    (counter_exn on_snap ~labels:[ ("state", "finished") ] "pt_correlator_paths_total");
+  check_no_online_twins on_snap;
+  Alcotest.(check bool) "online peak memory exported" true
+    (gauge_exn on_snap "pt_correlator_peak_memory_records" > 0.0);
   (* finish is idempotent: the stats mirror must not double-count. *)
   Online.finish online;
   Alcotest.(check int) "finish idempotent"
     (counter_exn on_snap "pt_engine_cags_finished_total")
     (counter_exn (R.snapshot on) "pt_engine_cags_finished_total")
+
+let test_degraded_online_mirrors_stats () =
+  (* A host falls silent mid-run (a straggler eviction) and a host nobody
+     traces feeds rows (quarantined): both leave the online run only as
+     [pt_ranker_*] counters. *)
+  let spec =
+    {
+      S.default with
+      S.clients = 20;
+      time_scale = 0.02;
+      faults =
+        [
+          Tiersim.Faults.host_silence ~host:"app1"
+            ~after:(ST.span_scale 0.02 (ST.ms 300_000));
+        ];
+    }
+  in
+  let outcome = S.run spec in
+  let cfg = Core.Correlator.config ~transform:outcome.S.transform () in
+  let reg = R.create () in
+  let online =
+    Online.create ~config:cfg ~telemetry:reg
+      ~hosts:(List.map Trace.Log.hostname outcome.S.logs)
+      ~straggler_timeout:(ST.ms 500) ()
+  in
+  Online.replay online (Trace.Arena.of_collection outcome.S.logs);
+  let ghost = Trace.Arena.create ~host:"ghost" () in
+  List.iter
+    (fun ts ->
+      Trace.Arena.append_activity ghost
+        (H.act ~kind:Trace.Activity.Send ~ts
+           ~ctx:{ H.web_ctx with Trace.Activity.host = "ghost" }
+           ~flow:H.web_app_flow ~size:10))
+    [ 1; 2; 3 ];
+  Online.observe_arena online ghost;
+  Online.finish online;
+  let rstats = Online.ranker_stats online in
+  Alcotest.(check bool) "a straggler was evicted" true (rstats.Core.Ranker.stragglers_evicted >= 1);
+  Alcotest.(check int) "ghost rows quarantined" 3 (Core.Ranker.(List.assoc Unknown_host rstats.quarantined));
+  let snap = R.snapshot reg in
+  check_mirrors snap rstats (Online.engine_stats online);
+  check_no_online_twins snap
 
 let test_tiersim_metrics_over_histogram () =
   let m = Tiersim.Metrics.create () in
@@ -425,6 +545,8 @@ let () =
             test_correlate_mirrors_stats;
           Alcotest.test_case "offline/online parity" `Quick
             test_offline_online_parity;
+          Alcotest.test_case "degraded online feed mirrors stats" `Quick
+            test_degraded_online_mirrors_stats;
           Alcotest.test_case "tiersim metrics" `Quick
             test_tiersim_metrics_over_histogram;
         ] );

@@ -62,6 +62,22 @@ let test_many_clients_contention () =
     (check_perfect
        { Topo.default_spec with Topo.clients = 20; requests_per_client = 8; seed = 41 })
 
+let test_straddling_chunk () =
+  (* 16184-byte syscalls leave a 250-byte tail that one 8192-byte read
+     straddles into; every window must still score 1.0 with no forced
+     discard (it scored 11/15 at 5 and 50 ms before the engine re-entered
+     the grown SEND into the mmap). *)
+  List.iter
+    (fun ms ->
+      let result, _ =
+        check_perfect ~window:(ST.ms ms)
+          { Topo.default_spec with Topo.chunk = 16184; seed = 164; clients = 3 }
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "no forced discards at %d ms" ms)
+        0 result.Core.Correlator.ranker_stats.Core.Ranker.forced_discards)
+    [ 1; 5; 50 ]
+
 let prop_random_topologies_perfect =
   QCheck.Test.make ~name:"100% accuracy on random topologies" ~count:25
     QCheck.(
@@ -134,6 +150,7 @@ let () =
           Alcotest.test_case "tiny syscall chunks" `Quick test_tiny_chunks;
           Alcotest.test_case "heavy skew, small window" `Quick test_heavy_skew_small_window;
           Alcotest.test_case "client contention" `Quick test_many_clients_contention;
+          Alcotest.test_case "read straddling a send boundary" `Quick test_straddling_chunk;
         ] );
       ( "properties",
         [
