@@ -94,8 +94,7 @@ cli-gate: build
 	$(CLI_CORRELATE) _cli_gate/store --online --json _cli_gate/store-online.json \
 		--telemetry _cli_gate/store-online.prom --telemetry-format prom
 	$(CLI_CORRELATE) _cli_gate/store --telemetry _cli_gate/store.prom --telemetry-format prom
-	for m in 'pt_correlator_paths_total{state="finished"}' pt_ranker_candidates_total \
-		pt_engine_cags_finished_total; do \
+	for m in 'pt_correlator_paths_total{state="finished"}' pt_ranker_candidates_total; do \
 		off=$$(awk -v m="$$m" '$$1 == m' _cli_gate/store.prom); \
 		on=$$(awk -v m="$$m" '$$1 == m' _cli_gate/store-online.prom); \
 		echo "telemetry parity: offline '$$off', online '$$on'"; \

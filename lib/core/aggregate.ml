@@ -9,40 +9,43 @@ type t = {
   mean_total_s : float;
 }
 
+let first_finished (pattern : Pattern.t) = List.find_opt Cag.is_finished pattern.Pattern.cags
+
+let finished_count (pattern : Pattern.t) =
+  List.fold_left (fun n c -> if Cag.is_finished c then n + 1 else n) 0 pattern.Pattern.cags
+
+(* The hop components, read off the first finished member's critical
+   path; the pattern's span columns hold the same hops for every member. *)
+let components ?normalize ~what (pattern : Pattern.t) =
+  match first_finished pattern with
+  | Some cag -> Latency.critical_path ?normalize cag
+  | None -> invalid_arg (what ^ ": no finished CAGs")
+
+let duration_s cag = Sim_time.span_to_float_s (Cag.duration cag)
+
 let of_pattern ?normalize (pattern : Pattern.t) =
-  let members = List.filter Cag.is_finished pattern.Pattern.cags in
-  if members = [] then invalid_arg "Aggregate.of_pattern: no finished CAGs";
-  let paths = List.map (Latency.critical_path ?normalize) members in
-  let n = List.length paths in
-  let hop_count = List.length (List.hd paths) in
-  let () =
-    List.iter
-      (fun p ->
-        if List.length p <> hop_count then
-          invalid_arg "Aggregate.of_pattern: members are not isomorphic")
-      paths
-  in
-  let matrix = List.map Array.of_list paths in
+  let path = components ?normalize ~what:"Aggregate.of_pattern" pattern in
+  let n = finished_count pattern in
   let hops =
-    List.init hop_count (fun i ->
-        let samples =
-          List.map
-            (fun row -> Sim_time.span_to_float_s row.(i).Latency.span)
-            matrix
-        in
-        let mean = List.fold_left ( +. ) 0.0 samples /. float_of_int n in
-        let var =
-          List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 samples
-          /. float_of_int n
-        in
-        {
-          comp = (List.hd matrix).(i).Latency.comp;
-          mean_s = mean;
-          std_s = sqrt var;
-        })
+    List.mapi
+      (fun i (hop : Latency.hop) ->
+        let column = pattern.Pattern.spans.(i) in
+        let sum = ref 0.0 in
+        for j = 0 to n - 1 do
+          sum := !sum +. Float.Array.get column j
+        done;
+        let mean = !sum /. float_of_int n in
+        let squares = ref 0.0 in
+        for j = 0 to n - 1 do
+          squares := !squares +. ((Float.Array.get column j -. mean) ** 2.0)
+        done;
+        { comp = hop.Latency.comp; mean_s = mean; std_s = sqrt (!squares /. float_of_int n) })
+      path
   in
   let mean_total_s =
-    List.fold_left (fun acc cag -> acc +. Sim_time.span_to_float_s (Cag.duration cag)) 0.0 members
+    List.fold_left
+      (fun acc cag -> if Cag.is_finished cag then acc +. duration_s cag else acc)
+      0.0 pattern.Pattern.cags
     /. float_of_int n
   in
   { pattern_name = pattern.Pattern.name; count = n; hops; mean_total_s }
@@ -97,53 +100,114 @@ let percentile sorted p =
   if n = 0 then 0.0
   else sorted.(max 0 (min (n - 1) (int_of_float (Float.round (p *. float_of_int (n - 1))))))
 
+(* Ascending in-place sort of finite samples: a top-down merge sort over
+   [lo, hi) through [tmp], insertion sort on short runs. Every comparison
+   is a float comparison, with no closure call. *)
+let sort_floats (a : float array) =
+  let insertion lo hi =
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  in
+  let tmp = Array.make (Array.length a) 0.0 in
+  let rec sort lo hi =
+    if hi - lo <= 16 then insertion lo hi
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort lo mid;
+      sort mid hi;
+      if a.(mid - 1) > a.(mid) then begin
+        Array.blit a lo tmp lo (mid - lo);
+        let i = ref lo and j = ref mid and k = ref lo in
+        while !i < mid && !j < hi do
+          if tmp.(!i) <= a.(!j) then begin
+            a.(!k) <- tmp.(!i);
+            incr i
+          end
+          else begin
+            a.(!k) <- a.(!j);
+            incr j
+          end;
+          incr k
+        done;
+        Array.blit tmp !i a !k (mid - !i)
+      end
+    end
+  in
+  sort 0 (Array.length a)
+
+(* The finite samples, sorted ascending. *)
+let sorted_samples samples =
+  let n = Float.Array.length samples in
+  let finite = ref 0 in
+  for i = 0 to n - 1 do
+    if Float.is_finite (Float.Array.get samples i) then incr finite
+  done;
+  let a = Array.make !finite 0.0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let x = Float.Array.get samples i in
+    if Float.is_finite x then begin
+      a.(!k) <- x;
+      incr k
+    end
+  done;
+  sort_floats a;
+  a
+
 (* Drop non-finite samples (NaN, +/-inf) and sort ascending. *)
-let sorted_finite samples =
-  let finite = Array.of_list (List.filter Float.is_finite samples) in
-  Array.sort Float.compare finite;
-  finite
+let sorted_finite samples = sorted_samples (Float.Array.of_list samples)
 
-let finished_paths ?normalize (pattern : Pattern.t) =
-  let members = List.filter Cag.is_finished pattern.Pattern.cags in
-  if members = [] then invalid_arg "Aggregate: no finished CAGs";
-  (members, List.map (Latency.critical_path ?normalize) members)
+let top sorted = if Array.length sorted = 0 then 0.0 else sorted.(Array.length sorted - 1)
 
-let hop_tails ?normalize pattern =
-  let _, paths = finished_paths ?normalize pattern in
-  let matrix = List.map Array.of_list paths in
-  let hop_count = Array.length (List.hd matrix) in
-  List.init hop_count (fun i ->
-      let samples =
-        List.map (fun row -> Sim_time.span_to_float_s row.(i).Latency.span) matrix
-        |> sorted_finite
-      in
+let hop_tails ?normalize (pattern : Pattern.t) =
+  let path = components ?normalize ~what:"Aggregate" pattern in
+  List.mapi
+    (fun i (hop : Latency.hop) ->
+      let samples = sorted_samples pattern.Pattern.spans.(i) in
       {
-        tail_comp = (List.hd matrix).(i).Latency.comp;
+        tail_comp = hop.Latency.comp;
         p50_s = percentile samples 0.50;
         p90_s = percentile samples 0.90;
         p99_s = percentile samples 0.99;
-        tail_max_s = (if Array.length samples = 0 then 0.0 else samples.(Array.length samples - 1));
+        tail_max_s = top samples;
       })
+    path
 
 type total_tail = { t_p50_s : float; t_p90_s : float; t_p99_s : float; t_max_s : float }
 
-let total_tail pattern =
-  let members, _ = finished_paths pattern in
-  let samples =
-    List.map (fun cag -> Sim_time.span_to_float_s (Cag.duration cag)) members |> sorted_finite
-  in
+let total_tail (pattern : Pattern.t) =
+  let n = finished_count pattern in
+  if n = 0 then invalid_arg "Aggregate: no finished CAGs";
+  let durations = Float.Array.create n in
+  ignore
+    (List.fold_left
+       (fun k cag ->
+         if Cag.is_finished cag then begin
+           Float.Array.set durations k (duration_s cag);
+           k + 1
+         end
+         else k)
+       0 pattern.Pattern.cags);
+  let samples = sorted_samples durations in
   {
     t_p50_s = percentile samples 0.50;
     t_p90_s = percentile samples 0.90;
     t_p99_s = percentile samples 0.99;
-    t_max_s = (if Array.length samples = 0 then 0.0 else samples.(Array.length samples - 1));
+    t_max_s = top samples;
   }
 
 let pp_tails ppf pattern =
   let tt = total_tail pattern in
   Format.fprintf ppf "@[<v>tail of %s (n=%d): total p50 %.1fms p90 %.1fms p99 %.1fms max %.1fms"
     pattern.Pattern.name
-    (List.length (List.filter Cag.is_finished pattern.Pattern.cags))
+    (finished_count pattern)
     (tt.t_p50_s *. 1e3) (tt.t_p90_s *. 1e3) (tt.t_p99_s *. 1e3) (tt.t_max_s *. 1e3);
   List.iter
     (fun h ->

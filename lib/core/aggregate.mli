@@ -3,7 +3,12 @@
     For a causal path pattern, the paper averages its n isomorphic CAGs
     into one {e average causal path} and reads component latencies off it.
     Members of a pattern have positionally identical critical paths, so
-    hops aggregate index-wise. *)
+    hops aggregate index-wise.
+
+    Everything here reads the spans {!Pattern.classify} recorded
+    ({!Pattern.t.spans}, one column per hop) and the members' durations;
+    no CAG is walked again. The hop components come from one
+    {!Latency.critical_path} call on the first finished member. *)
 
 type hop_stat = {
   comp : Latency.component;

@@ -133,7 +133,6 @@ module Session = struct
   let publish_engine reg (s : Cag_engine.stats) =
     let c name help v = R.add (R.counter reg ~help name) v in
     c "pt_engine_cags_started_total" "CAGs begun (BEGIN correlated)" s.cags_started;
-    c "pt_engine_cags_finished_total" "CAGs completed (END correlated)" s.cags_finished;
     c "pt_engine_send_merges_total" "SEND syscalls folded into an earlier SEND vertex"
       s.send_merges;
     c "pt_engine_end_merges_total" "END syscalls folded into an earlier END vertex" s.end_merges;
@@ -165,10 +164,6 @@ module Session = struct
       let e = Cag_engine.stats s.engine in
       publish_ranker reg (Ranker.stats s.ranker);
       publish_engine reg e;
-      R.add
-        (R.counter reg ~help:"Candidates committed to the CAG engine"
-           "pt_correlator_commits_total")
-        s.commits;
       let paths state n =
         R.add
           (R.counter reg ~help:"Causal paths produced" ~labels:[ ("state", state) ]

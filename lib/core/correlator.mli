@@ -82,8 +82,10 @@ module Session : sig
   (** Publish the run into [telemetry] (default
       {!Telemetry.Registry.default}): every {!Ranker.stats} and
       {!Cag_engine.stats} field as [pt_ranker_*] and [pt_engine_*],
-      [pt_correlator_commits_total], [pt_correlator_paths_total{state}]
-      and [pt_correlator_peak_memory_records] (see docs/TELEMETRY.md).
+      [pt_correlator_paths_total{state}] and
+      [pt_correlator_peak_memory_records] (see docs/TELEMETRY.md). Each
+      fact has one name: the commits are [pt_ranker_candidates_total],
+      the finished CAGs [pt_correlator_paths_total{state="finished"}].
       Counters add, since registry counters are cumulative across the
       runs of a process. Closing again does nothing. *)
 end

@@ -18,38 +18,39 @@ type hop = {
 }
 
 (* Walking back from END: a RECEIVE follows its message parent, everything
-   else its context parent. *)
+   else its context parent, each falling back to the other kind. A vertex
+   has at most two parents, and when it has two they are of different
+   kinds. The root is its own causal parent. *)
 let causal_parent (v : Cag.vertex) =
-  let prefer kind =
-    List.find_opt (fun (k, _) -> k = kind) v.Cag.parents |> Option.map snd
-  in
-  match v.Cag.activity.Activity.kind with
-  | Activity.Receive -> (
-      match prefer Cag.Message_edge with Some p -> Some p | None -> prefer Cag.Context_edge)
-  | Activity.Begin | Activity.End_ | Activity.Send -> (
-      match prefer Cag.Context_edge with Some p -> Some p | None -> prefer Cag.Message_edge)
+  match v.Cag.parents with
+  | [] -> v
+  | [ (_, p) ] -> p
+  | (k, p) :: (_, q) :: _ ->
+      let preferred =
+        match v.Cag.activity.Activity.kind with
+        | Activity.Receive -> Cag.Message_edge
+        | Activity.Begin | Activity.End_ | Activity.Send -> Cag.Context_edge
+      in
+      if k = preferred then p else q
 
 let critical_path ?(normalize = fun s -> s) cag =
   if not (Cag.is_finished cag) then invalid_arg "Latency.critical_path: CAG not finished";
   let program (v : Cag.vertex) = normalize v.Cag.activity.Activity.context.program in
   let rec back v acc =
-    match causal_parent v with
-    | None -> acc
-    | Some p ->
-        let hop =
-          {
-            comp = { src = program p; dst = program v };
-            parent = p;
-            child = v;
-            span =
-              Sim_time.diff v.Cag.activity.Activity.timestamp p.Cag.activity.Activity.timestamp;
-          }
-        in
-        back p (hop :: acc)
+    let p = causal_parent v in
+    if p == v then acc
+    else
+      back p
+        ({
+           comp = { src = program p; dst = program v };
+           parent = p;
+           child = v;
+           span = Sim_time.diff v.Cag.activity.Activity.timestamp p.Cag.activity.Activity.timestamp;
+         }
+        :: acc)
   in
-  let vertices = Cag.vertices cag in
-  let last = List.nth vertices (List.length vertices - 1) in
-  back last []
+  (* The END, which a finished CAG added last. *)
+  match cag.Cag.rev_vertices with last :: _ -> back last [] | [] -> assert false
 
 let breakdown ?normalize cag =
   let hops = critical_path ?normalize cag in

@@ -32,6 +32,12 @@ type hop = {
   span : Simnet.Sim_time.span;
 }
 
+val causal_parent : Cag.vertex -> Cag.vertex
+(** The vertex the critical path steps back to: a RECEIVE's message
+    parent, any other vertex's context parent, either falling back to the
+    parent of the other kind. A vertex with no parent (the root) is its
+    own causal parent. *)
+
 val critical_path : ?normalize:(string -> string) -> Cag.t -> hop list
 (** The BEGIN->END chain of a finished CAG, in causal order. [normalize]
     maps program names to tier labels (default: identity).

@@ -1,34 +1,95 @@
 module Activity = Trace.Activity
+module Intern = Trace.Intern
+module Sim_time = Simnet.Sim_time
 
-type t = { signature : string; name : string; cags : Cag.t list }
+type t = { signature : string; name : string; cags : Cag.t list; spans : Float.Array.t array }
 
 let count t = List.length t.cags
 
+(* ---- One CAG laid out by position ---- *)
+
+(* Reused across the CAGs of one call: the current CAG's vertices in
+   insertion order. The engine and the path codec adopt each vertex as
+   they create it, so vids increase in that order and a parent's position
+   is a binary search. *)
+type layout = { mutable verts : Cag.vertex array; mutable len : int }
+
+let rec fill verts i = function
+  | (v : Cag.vertex) :: rest ->
+      verts.(i) <- v;
+      fill verts (i - 1) rest
+  | [] -> ()
+
+let load l (cag : Cag.t) =
+  let n = Cag.size cag in
+  if Array.length l.verts < n then
+    l.verts <- Array.make (max n (2 * Array.length l.verts)) (Cag.root cag);
+  fill l.verts (n - 1) cag.Cag.rev_vertices;
+  l.len <- n
+
+let rec search verts vid lo hi =
+  if lo >= hi then raise Not_found;
+  let mid = (lo + hi) / 2 in
+  let m = verts.(mid).Cag.vid in
+  if m = vid then mid
+  else if m < vid then search verts vid (mid + 1) hi
+  else search verts vid lo mid
+
+let position l (p : Cag.vertex) = search l.verts p.Cag.vid 0 l.len
+
+let edge_tag = function Cag.Context_edge -> 'c' | Cag.Message_edge -> 'm'
+
+(* Emit a vertex's parents as (edge tag, position) pairs in ascending
+   order. {!Cag.Builder.add_edge} allows at most two parents. *)
+let add_parents add buf l (v : Cag.vertex) =
+  match v.Cag.parents with
+  | [] -> ()
+  | [ (k, p) ] -> add buf (edge_tag k) (position l p)
+  | [ (k1, p1); (k2, p2) ] ->
+      let t1 = edge_tag k1 and i1 = position l p1 in
+      let t2 = edge_tag k2 and i2 = position l p2 in
+      if t1 < t2 || (t1 = t2 && i1 <= i2) then begin
+        add buf t1 i1;
+        add buf t2 i2
+      end
+      else begin
+        add buf t2 i2;
+        add buf t1 i1
+      end
+  | _ -> assert false
+
+(* ---- The signature string ---- *)
+
+let rec add_decimal buf i =
+  if i >= 10 then add_decimal buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+let add_signature_parent buf tag i =
+  Buffer.add_char buf '<';
+  Buffer.add_char buf tag;
+  add_decimal buf i
+
+let signature_in buf l =
+  for i = 0 to l.len - 1 do
+    let v = l.verts.(i) in
+    let a = v.Cag.activity in
+    Buffer.add_string buf (Activity.kind_to_string a.Activity.kind);
+    Buffer.add_char buf '/';
+    Buffer.add_string buf a.context.host;
+    Buffer.add_char buf '/';
+    Buffer.add_string buf a.context.program;
+    add_parents add_signature_parent buf l v;
+    Buffer.add_char buf ';'
+  done
+
 let signature_of cag =
-  let vertices = Cag.vertices cag in
-  let position = Hashtbl.create 16 in
-  List.iteri (fun i (v : Cag.vertex) -> Hashtbl.replace position v.Cag.vid i) vertices;
+  let l = { verts = [||]; len = 0 } in
+  load l cag;
   let buf = Buffer.create 256 in
-  List.iter
-    (fun (v : Cag.vertex) ->
-      let a = v.Cag.activity in
-      Buffer.add_string buf (Activity.kind_to_string a.Activity.kind);
-      Buffer.add_char buf '/';
-      Buffer.add_string buf a.context.host;
-      Buffer.add_char buf '/';
-      Buffer.add_string buf a.context.program;
-      let parents =
-        List.map
-          (fun (kind, (p : Cag.vertex)) ->
-            let tag = match kind with Cag.Context_edge -> 'c' | Cag.Message_edge -> 'm' in
-            (tag, Hashtbl.find position p.Cag.vid))
-          v.Cag.parents
-        |> List.sort compare
-      in
-      List.iter (fun (tag, i) -> Buffer.add_string buf (Printf.sprintf "<%c%d" tag i)) parents;
-      Buffer.add_char buf ';')
-    vertices;
+  signature_in buf l;
   Buffer.contents buf
+
+(* ---- Names ---- *)
 
 let route programs =
   let rec dedup = function
@@ -38,44 +99,184 @@ let route programs =
   in
   String.concat ">" (dedup programs)
 
+let program (v : Cag.vertex) = v.Cag.activity.Activity.context.program
+
 let name_of cag =
   if Cag.is_finished cag then
-    let hops = Latency.critical_path cag in
-    match hops with
-    | [] -> (Cag.root cag).Cag.activity.Activity.context.program
-    | first :: _ ->
-        route
-          (first.Latency.parent.Cag.activity.Activity.context.program
-          :: List.map (fun h -> h.Latency.child.Cag.activity.Activity.context.program) hops)
-  else
-    route
-      (List.map (fun (v : Cag.vertex) -> v.Cag.activity.Activity.context.program) (Cag.vertices cag))
+    (* The critical path's vertices, collected walking back from END. *)
+    let rec back v acc =
+      let p = Latency.causal_parent v in
+      if p == v then acc else back p (program p :: acc)
+    in
+    match cag.Cag.rev_vertices with
+    | last :: _ -> route (back last [ program last ])
+    | [] -> assert false
+  else route (List.map program (Cag.vertices cag))
+
+(* ---- Classification ---- *)
+
+let rec add_uvarint buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (n land 0x7f lor 0x80));
+    add_uvarint buf (n lsr 7)
+  end
+
+let add_key_parent buf tag i = add_uvarint buf ((2 * i) + if tag = 'c' then 0 else 1)
+
+(* Per-call state: the layout, the key buffer, the critical-path spans of
+   the current CAG (END first) and the (host, program) entity of every
+   context seen, memoised by context id so the intern table is consulted
+   once per distinct context. *)
+type scratch = {
+  layout : layout;
+  key : Buffer.t;
+  mutable hops : Float.Array.t;
+  mutable entity_of_ctx : int array;
+  entities : (int * int, int) Hashtbl.t;
+}
+
+let entity s ctx =
+  if ctx >= Array.length s.entity_of_ctx then begin
+    let bigger = Array.make (max (ctx + 1) (2 * Array.length s.entity_of_ctx)) (-1) in
+    Array.blit s.entity_of_ctx 0 bigger 0 (Array.length s.entity_of_ctx);
+    s.entity_of_ctx <- bigger
+  end;
+  let e = s.entity_of_ctx.(ctx) in
+  if e >= 0 then e
+  else begin
+    let host, program, _, _ = Intern.context_parts_of_id ctx in
+    let e =
+      match Hashtbl.find s.entities (host, program) with
+      | e -> e
+      | exception Not_found ->
+          let e = Hashtbl.length s.entities in
+          Hashtbl.add s.entities (host, program) e;
+          e
+    in
+    s.entity_of_ctx.(ctx) <- e;
+    e
+  end
+
+(* The grouping key of the loaded CAG: per vertex, its kind and parent
+   count, its entity, then its sorted (edge tag, parent position) pairs,
+   all as varints. *)
+let key_in s =
+  let l = s.layout and buf = s.key in
+  Buffer.clear buf;
+  for i = 0 to l.len - 1 do
+    let v = l.verts.(i) in
+    add_uvarint buf
+      (Activity.kind_to_code v.Cag.activity.Activity.kind + (4 * List.length v.Cag.parents));
+    add_uvarint buf (entity s v.Cag.ctx_id);
+    add_parents add_key_parent buf l v
+  done
+
+(* Walk the loaded (finished) CAG's critical path back from END, storing
+   each hop's span in seconds; returns the hop count. *)
+let rec spans_from s (v : Cag.vertex) k =
+  let p = Latency.causal_parent v in
+  if p == v then k
+  else begin
+    if k = Float.Array.length s.hops then begin
+      let bigger = Float.Array.create (2 * k) in
+      Float.Array.blit s.hops 0 bigger 0 k;
+      s.hops <- bigger
+    end;
+    Float.Array.set s.hops k
+      (Sim_time.span_to_float_s
+         (Sim_time.diff v.Cag.activity.Activity.timestamp p.Cag.activity.Activity.timestamp));
+    spans_from s p (k + 1)
+  end
+
+let spans_in s = spans_from s s.layout.verts.(s.layout.len - 1) 0
+
+type group = {
+  first : Cag.t;
+  mutable rev_members : Cag.t list;
+  mutable members : int;
+  mutable columns : Float.Array.t array;  (* One per hop, [capacity] long. *)
+  mutable capacity : int;
+  mutable finished : int;
+}
+
+(* Append the [hops] spans in [s.hops] (END first) to the group's columns
+   (causal order). *)
+let record g s hops =
+  if g.finished = 0 then begin
+    g.columns <- Array.init hops (fun _ -> Float.Array.create 8);
+    g.capacity <- 8
+  end
+  else if g.finished = g.capacity then begin
+    let capacity = 2 * g.capacity in
+    g.columns <-
+      Array.map
+        (fun c ->
+          let bigger = Float.Array.create capacity in
+          Float.Array.blit c 0 bigger 0 g.finished;
+          bigger)
+        g.columns;
+    g.capacity <- capacity
+  end;
+  for h = 0 to hops - 1 do
+    Float.Array.set g.columns.(h) g.finished (Float.Array.get s.hops (hops - 1 - h))
+  done;
+  g.finished <- g.finished + 1
+
+let pattern_of g signature =
+  {
+    signature;
+    name = name_of g.first;
+    cags = List.rev g.rev_members;
+    spans =
+      Array.map
+        (fun c -> if g.finished = g.capacity then c else Float.Array.sub c 0 g.finished)
+        g.columns;
+  }
 
 let classify cags =
-  let table = Hashtbl.create 16 in
-  let order = ref [] in
+  let s =
+    {
+      layout = { verts = [||]; len = 0 };
+      key = Buffer.create 256;
+      hops = Float.Array.create 16;
+      entity_of_ctx = [||];
+      entities = Hashtbl.create 16;
+    }
+  in
+  let table = Hashtbl.create 64 in
+  let rev_groups = ref [] in
   List.iter
     (fun cag ->
-      let signature = signature_of cag in
-      match Hashtbl.find_opt table signature with
-      | Some members -> members := cag :: !members
-      | None ->
-          Hashtbl.replace table signature (ref [ cag ]);
-          order := signature :: !order)
+      load s.layout cag;
+      key_in s;
+      let key = Buffer.contents s.key in
+      let g =
+        match Hashtbl.find table key with
+        | g -> g
+        | exception Not_found ->
+            let g =
+              {
+                first = cag;
+                rev_members = [];
+                members = 0;
+                columns = [||];
+                capacity = 0;
+                finished = 0;
+              }
+            in
+            Hashtbl.add table key g;
+            rev_groups := g :: !rev_groups;
+            g
+      in
+      g.rev_members <- cag :: g.rev_members;
+      g.members <- g.members + 1;
+      if Cag.is_finished cag then record g s (spans_in s))
     cags;
-  let patterns =
-    List.rev_map
-      (fun signature ->
-        let members = List.rev !(Hashtbl.find table signature) in
-        { signature; name = name_of (List.hd members); cags = members })
-      !order
-  in
-  List.sort
-    (fun a b ->
-      match Int.compare (count b) (count a) with
-      | 0 -> String.compare a.signature b.signature
-      | c -> c)
-    patterns
+  List.rev_map (fun g -> (g, signature_of g.first)) !rev_groups
+  |> List.stable_sort (fun (a, sa) (b, sb) ->
+         match Int.compare b.members a.members with 0 -> String.compare sa sb | c -> c)
+  |> List.map (fun (g, signature) -> pattern_of g signature)
 
 let pp ppf t =
   Format.fprintf ppf "pattern %s: %d path%s" t.name (count t)

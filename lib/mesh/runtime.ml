@@ -378,8 +378,7 @@ type score = {
   sharded_identical : bool;
 }
 
-let pattern_count cags =
-  List.length (List.sort_uniq String.compare (List.map Core.Pattern.signature_of cags))
+let pattern_count cags = List.length (Core.Pattern.classify cags)
 
 let score_logs ?(window = Sim_time.ms 5) ?(jobs = 2) ~entries ~gt logs =
   let transform = Core.Transform.config ~entry_points:entries () in

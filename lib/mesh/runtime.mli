@@ -37,7 +37,7 @@ val build : Spec.t -> built
 type score = {
   result : Core.Correlator.result;
   verdict : Core.Accuracy.verdict;
-  patterns : int;  (** Distinct path signatures. *)
+  patterns : int;  (** Path patterns, as {!Core.Pattern.classify} groups them. *)
   records : int;  (** Probe activities correlated. *)
   digest : string;  (** {!Core.Shard.digest} of the serial result. *)
   sharded_identical : bool;
@@ -46,6 +46,7 @@ type score = {
 }
 
 val pattern_count : Core.Cag.t list -> int
+(** [List.length (Core.Pattern.classify cags)]. *)
 
 val score_logs :
   ?window:Simnet.Sim_time.span ->

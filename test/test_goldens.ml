@@ -372,6 +372,410 @@ let test_collect_streams () =
   pin "PTC1 md5" "a3cbd6ecc7187b8df22fdffa3d713d45" (Digest.to_hex (Digest.string frames));
   pin "PTA1 md5" "1f367ff128dd7d42b5493c0e79891a4e" (Digest.to_hex (Digest.string acks))
 
+(* Classification and aggregation goldens: the MD5 of a rendering of
+   [Pattern.classify] over a run's finished and unfinished paths (pattern
+   order, counts, signatures, names, member ids) and, per pattern, of
+   [Aggregate.of_pattern], [hop_tails] and [total_tail], every float
+   printed exactly with %h. Captured from the string-keyed classifier
+   whose aggregates walked every member's critical path again. *)
+
+module Cag = Core.Cag
+module Pattern = Core.Pattern
+module Aggregate = Core.Aggregate
+module Latency = Core.Latency
+
+let render_aggregates ?normalize cags =
+  let b = Buffer.create 65_536 in
+  let pr fmt = Printf.bprintf b fmt in
+  let guard f = try f () with Invalid_argument m -> pr "  raises %s\n" m in
+  List.iter
+    (fun (p : Pattern.t) ->
+      pr "pattern %s n=%d sig=%s\n " p.Pattern.name (Pattern.count p) p.Pattern.signature;
+      List.iter
+        (fun (c : Cag.t) -> pr " %d%s" c.Cag.cag_id (if Cag.is_finished c then "" else "u"))
+        p.Pattern.cags;
+      pr "\n";
+      guard (fun () ->
+          let a = Aggregate.of_pattern ?normalize p in
+          pr "  avg %s n=%d total=%h\n" a.Aggregate.pattern_name a.Aggregate.count
+            a.Aggregate.mean_total_s;
+          List.iter
+            (fun (h : Aggregate.hop_stat) ->
+              pr "  hop %s %h %h\n" (Latency.component_label h.Aggregate.comp) h.Aggregate.mean_s
+                h.Aggregate.std_s)
+            a.Aggregate.hops);
+      guard (fun () ->
+          List.iter
+            (fun (h : Aggregate.hop_tail) ->
+              pr "  tail %s %h %h %h %h\n"
+                (Latency.component_label h.Aggregate.tail_comp)
+                h.Aggregate.p50_s h.Aggregate.p90_s h.Aggregate.p99_s h.Aggregate.tail_max_s)
+            (Aggregate.hop_tails ?normalize p));
+      guard (fun () ->
+          let t = Aggregate.total_tail p in
+          pr "  total %h %h %h %h\n" t.Aggregate.t_p50_s t.Aggregate.t_p90_s t.Aggregate.t_p99_s
+            t.Aggregate.t_max_s))
+    (Pattern.classify cags);
+  Buffer.contents b
+
+let mesh_preset ?(clients = 16) ?(requests = 20) name =
+  let spec = Option.get (Mesh.Presets.spec_of ~seed:7 name) in
+  let spec = { spec with Mesh.Spec.clients; requests_per_client = requests } in
+  let b = Mesh.Runtime.build spec in
+  Simnet.Engine.run b.Mesh.Runtime.engine;
+  let transform = Core.Transform.config ~entry_points:b.Mesh.Runtime.entries () in
+  (Correlator.config ~transform ~window:(ST.ms 5) (), Trace.Probe.logs b.Mesh.Runtime.probe)
+
+let aggregate_cases =
+  [
+    ("RUBiS Default, seed 42", (fun () -> rubis ()), 3, "c58c04024d9d77b051522e12144f46eb");
+    ("mesh control", (fun () -> mesh_control ()), 0, "cdbc05d650d4b1113e757e1f9d11ffaa");
+    ( "mesh cascading_failure, 32 clients x 100 requests",
+      (fun () -> mesh_preset ~clients:32 ~requests:100 "cascading_failure"),
+      707,
+      "8dab1d341d9db751ec149c3b27a31852" );
+  ]
+
+let check_aggregates (_, build, patterns, expected) () =
+  let cfg, logs = build () in
+  let r = Correlator.correlate_arena cfg (Arena.of_collection logs) in
+  let cags = r.Correlator.cags @ r.Correlator.deformed in
+  if patterns > 0 then
+    Alcotest.(check int) "patterns" patterns (List.length (Pattern.classify cags));
+  pin "classify + aggregate md5" expected (Digest.to_hex (Digest.string (render_aggregates cags)))
+
+(* A test-local copy of the string-keyed classifier and the list-based
+   aggregates the library ran before patterns were keyed by interned ids
+   and carried their members' critical-path spans: the reference model
+   the one-pass classifier must reproduce exactly. *)
+module Reference = struct
+  module Activity = Trace.Activity
+
+  let causal_parent (v : Cag.vertex) =
+    let prefer kind = List.find_opt (fun (k, _) -> k = kind) v.Cag.parents |> Option.map snd in
+    match v.Cag.activity.Activity.kind with
+    | Activity.Receive -> (
+        match prefer Cag.Message_edge with Some p -> Some p | None -> prefer Cag.Context_edge)
+    | Activity.Begin | Activity.End_ | Activity.Send -> (
+        match prefer Cag.Context_edge with Some p -> Some p | None -> prefer Cag.Message_edge)
+
+  let critical_path ?(normalize = fun s -> s) cag =
+    if not (Cag.is_finished cag) then invalid_arg "Latency.critical_path: CAG not finished";
+    let program (v : Cag.vertex) = normalize v.Cag.activity.Activity.context.program in
+    let rec back v acc =
+      match causal_parent v with
+      | None -> acc
+      | Some p ->
+          let hop =
+            {
+              Latency.comp = { Latency.src = program p; dst = program v };
+              parent = p;
+              child = v;
+              span = ST.diff v.Cag.activity.Activity.timestamp p.Cag.activity.Activity.timestamp;
+            }
+          in
+          back p (hop :: acc)
+    in
+    let vertices = Cag.vertices cag in
+    back (List.nth vertices (List.length vertices - 1)) []
+
+  let signature_of cag =
+    let vertices = Cag.vertices cag in
+    let position = Hashtbl.create 16 in
+    List.iteri (fun i (v : Cag.vertex) -> Hashtbl.replace position v.Cag.vid i) vertices;
+    let buf = Buffer.create 256 in
+    List.iter
+      (fun (v : Cag.vertex) ->
+        let a = v.Cag.activity in
+        Buffer.add_string buf (Activity.kind_to_string a.Activity.kind);
+        Buffer.add_char buf '/';
+        Buffer.add_string buf a.context.host;
+        Buffer.add_char buf '/';
+        Buffer.add_string buf a.context.program;
+        let parents =
+          List.map
+            (fun (kind, (p : Cag.vertex)) ->
+              let tag = match kind with Cag.Context_edge -> 'c' | Cag.Message_edge -> 'm' in
+              (tag, Hashtbl.find position p.Cag.vid))
+            v.Cag.parents
+          |> List.sort compare
+        in
+        List.iter (fun (tag, i) -> Buffer.add_string buf (Printf.sprintf "<%c%d" tag i)) parents;
+        Buffer.add_char buf ';')
+      vertices;
+    Buffer.contents buf
+
+  let route programs =
+    let rec dedup = function
+      | a :: (b :: _ as rest) when String.equal a b -> dedup rest
+      | a :: rest -> a :: dedup rest
+      | [] -> []
+    in
+    String.concat ">" (dedup programs)
+
+  let name_of cag =
+    if Cag.is_finished cag then
+      match critical_path cag with
+      | [] -> (Cag.root cag).Cag.activity.Activity.context.program
+      | first :: _ as hops ->
+          route
+            (first.Latency.parent.Cag.activity.Activity.context.program
+            :: List.map (fun h -> h.Latency.child.Cag.activity.Activity.context.program) hops)
+    else
+      route
+        (List.map
+           (fun (v : Cag.vertex) -> v.Cag.activity.Activity.context.program)
+           (Cag.vertices cag))
+
+  (* (signature, name, members), ordered as [Pattern.classify] orders. *)
+  let classify cags =
+    let table = Hashtbl.create 16 in
+    let order = ref [] in
+    List.iter
+      (fun cag ->
+        let signature = signature_of cag in
+        match Hashtbl.find_opt table signature with
+        | Some members -> members := cag :: !members
+        | None ->
+            Hashtbl.replace table signature (ref [ cag ]);
+            order := signature :: !order)
+      cags;
+    List.rev_map
+      (fun signature ->
+        let members = List.rev !(Hashtbl.find table signature) in
+        (signature, name_of (List.hd members), members))
+      !order
+    |> List.sort (fun (sa, _, a) (sb, _, b) ->
+           match Int.compare (List.length b) (List.length a) with
+           | 0 -> String.compare sa sb
+           | c -> c)
+
+  let span_s = ST.span_to_float_s
+
+  let of_pattern ?normalize (name, cags) =
+    let members = List.filter Cag.is_finished cags in
+    if members = [] then invalid_arg "Aggregate.of_pattern: no finished CAGs";
+    let matrix = List.map (fun c -> Array.of_list (critical_path ?normalize c)) members in
+    let n = List.length matrix in
+    let hops =
+      List.init
+        (Array.length (List.hd matrix))
+        (fun i ->
+          let samples = List.map (fun row -> span_s row.(i).Latency.span) matrix in
+          let mean = List.fold_left ( +. ) 0.0 samples /. float_of_int n in
+          let var =
+            List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 samples
+            /. float_of_int n
+          in
+          { Aggregate.comp = (List.hd matrix).(i).Latency.comp; mean_s = mean; std_s = sqrt var })
+    in
+    let mean_total_s =
+      List.fold_left (fun acc cag -> acc +. span_s (Cag.duration cag)) 0.0 members
+      /. float_of_int n
+    in
+    { Aggregate.pattern_name = name; count = n; hops; mean_total_s }
+
+  let sorted_finite samples =
+    let finite = Array.of_list (List.filter Float.is_finite samples) in
+    Array.sort Float.compare finite;
+    finite
+
+  let last a = if Array.length a = 0 then 0.0 else a.(Array.length a - 1)
+
+  let finished cags =
+    let members = List.filter Cag.is_finished cags in
+    if members = [] then invalid_arg "Aggregate: no finished CAGs";
+    members
+
+  let hop_tails ?normalize cags =
+    let matrix =
+      List.map (fun c -> Array.of_list (critical_path ?normalize c)) (finished cags)
+    in
+    List.init
+      (Array.length (List.hd matrix))
+      (fun i ->
+        let s = sorted_finite (List.map (fun row -> span_s row.(i).Latency.span) matrix) in
+        {
+          Aggregate.tail_comp = (List.hd matrix).(i).Latency.comp;
+          p50_s = Aggregate.percentile s 0.50;
+          p90_s = Aggregate.percentile s 0.90;
+          p99_s = Aggregate.percentile s 0.99;
+          tail_max_s = last s;
+        })
+
+  let total_tail cags =
+    let s = sorted_finite (List.map (fun c -> span_s (Cag.duration c)) (finished cags)) in
+    {
+      Aggregate.t_p50_s = Aggregate.percentile s 0.50;
+      t_p90_s = Aggregate.percentile s 0.90;
+      t_p99_s = Aggregate.percentile s 0.99;
+      t_max_s = last s;
+    }
+
+  (* [render_aggregates]'s bytes, from the reference model. *)
+  let render ?normalize cags =
+    let b = Buffer.create 65_536 in
+    let pr fmt = Printf.bprintf b fmt in
+    let guard f = try f () with Invalid_argument m -> pr "  raises %s\n" m in
+    List.iter
+      (fun (signature, name, members) ->
+        pr "pattern %s n=%d sig=%s\n " name (List.length members) signature;
+        List.iter
+          (fun (c : Cag.t) -> pr " %d%s" c.Cag.cag_id (if Cag.is_finished c then "" else "u"))
+          members;
+        pr "\n";
+        guard (fun () ->
+            let a = of_pattern ?normalize (name, members) in
+            pr "  avg %s n=%d total=%h\n" a.Aggregate.pattern_name a.Aggregate.count
+              a.Aggregate.mean_total_s;
+            List.iter
+              (fun (h : Aggregate.hop_stat) ->
+                pr "  hop %s %h %h\n" (Latency.component_label h.Aggregate.comp)
+                  h.Aggregate.mean_s h.Aggregate.std_s)
+              a.Aggregate.hops);
+        guard (fun () ->
+            List.iter
+              (fun (h : Aggregate.hop_tail) ->
+                pr "  tail %s %h %h %h %h\n"
+                  (Latency.component_label h.Aggregate.tail_comp)
+                  h.Aggregate.p50_s h.Aggregate.p90_s h.Aggregate.p99_s h.Aggregate.tail_max_s)
+              (hop_tails ?normalize members));
+        guard (fun () ->
+            let t = total_tail members in
+            pr "  total %h %h %h %h\n" t.Aggregate.t_p50_s t.Aggregate.t_p90_s
+              t.Aggregate.t_p99_s t.Aggregate.t_max_s))
+      (classify cags);
+    Buffer.contents b
+end
+
+(* Same patterns (signature, name, physically the same members, in
+   order) and the same rendering, floats compared bit for bit. *)
+let matches_reference ?normalize cags =
+  let expected = Reference.classify cags in
+  let actual = Pattern.classify cags in
+  List.length expected = List.length actual
+  && List.for_all2
+       (fun (signature, name, members) (p : Pattern.t) ->
+         String.equal signature p.Pattern.signature
+         && String.equal signature (Pattern.signature_of (List.hd members))
+         && String.equal name p.Pattern.name
+         && List.length members = List.length p.Pattern.cags
+         && List.for_all2 ( == ) members p.Pattern.cags)
+       expected actual
+  && String.equal (Reference.render ?normalize cags) (render_aggregates ?normalize cags)
+
+(* Random call trees, their feeds cut short at a random row so that some
+   paths stay unfinished, classified with and without a tier-merging
+   [normalize]. *)
+let prop_classify_matches_reference =
+  QCheck.Test.make ~name:"random topologies: classify + aggregate = string-keyed reference"
+    ~count:12
+    QCheck.(quad (int_range 2 5) (int_range 1 6) (int_range 50 100) (int_range 1 1000))
+    (fun (tiers, clients, keep_pct, seed) ->
+      (* Shallow, narrow trees repeat their shapes, so patterns have
+         several members to aggregate. *)
+      let spec =
+        {
+          Topo.default_spec with
+          Topo.tiers;
+          clients;
+          requests_per_client = 8;
+          max_depth = 1 + (seed mod 3);
+          max_fanout = 1 + (seed / 3 mod 2);
+          seed;
+        }
+      in
+      let b = Topo.build spec in
+      Simnet.Engine.run b.Topo.engine;
+      let cut a =
+        let hi = Arena.length a * keep_pct / 100 in
+        let chunk = Arena.create_sid ~capacity:(max 1 hi) (Arena.host_sid a) in
+        Arena.append_range chunk a ~lo:0 ~hi;
+        chunk
+      in
+      let arenas = List.map cut (Arena.of_collection (Trace.Probe.logs b.Topo.probe)) in
+      let transform = Core.Transform.config ~entry_points:[ b.Topo.entry ] () in
+      let cfg = Correlator.config ~transform ~window:(ST.ms 5) () in
+      let r = Correlator.correlate_arena cfg arenas in
+      let cags = r.Correlator.cags @ r.Correlator.deformed in
+      let tier p = if String.length p > 3 && String.sub p 0 3 = "svc" then "svc" else p in
+      matches_reference cags && matches_reference ~normalize:tier cags)
+
+(* Hand-built paths: BEGIN -> SEND -> RECEIVE -> END, one web and one app
+   context, either finished or left open. *)
+let hand_path ?(host = "web1") ?(program = "httpd") ?(finished = true) ~cag_id t0 =
+  let ctx host program = { Trace.Activity.host; program; pid = 1; tid = 1 } in
+  let flow =
+    Simnet.Address.flow
+      ~src:(Simnet.Address.endpoint (Simnet.Address.ip_of_string "10.0.0.1") 80)
+      ~dst:(Simnet.Address.endpoint (Simnet.Address.ip_of_string "10.0.0.2") 8080)
+  in
+  let act kind ts context =
+    {
+      Trace.Activity.kind;
+      timestamp = ST.of_ns (t0 + ts);
+      context;
+      message = { Trace.Activity.flow; size = 10 };
+    }
+  in
+  let web = ctx host program and app = ctx "app1" "java" in
+  let root = Cag.Builder.fresh_vertex (act Trace.Activity.Begin 0 web) in
+  let cag = Cag.Builder.create ~cag_id root in
+  let add kind ts context edge parent =
+    let v = Cag.Builder.fresh_vertex (act kind ts context) in
+    Cag.Builder.adopt cag v;
+    Cag.Builder.add_edge edge ~parent ~child:v;
+    v
+  in
+  let s = add Trace.Activity.Send (10 + cag_id) web Cag.Context_edge root in
+  let r = add Trace.Activity.Receive (25 + (3 * cag_id)) app Cag.Message_edge s in
+  ignore (add Trace.Activity.End_ (40 + (7 * cag_id)) web Cag.Context_edge r);
+  if finished then Cag.Builder.finish cag;
+  cag
+
+let test_unfinished_members () =
+  let cags =
+    [
+      hand_path ~finished:false ~cag_id:0 0;
+      hand_path ~cag_id:1 100;
+      hand_path ~finished:false ~cag_id:2 200;
+      hand_path ~cag_id:3 300;
+    ]
+  in
+  Alcotest.(check int) "one pattern" 1 (List.length (Pattern.classify cags));
+  Alcotest.(check bool) "= reference" true (matches_reference cags);
+  let a = Aggregate.of_pattern (List.hd (Pattern.classify cags)) in
+  Alcotest.(check int) "finished members aggregated" 2 a.Aggregate.count
+
+let test_all_unfinished () =
+  let cags = List.init 3 (fun i -> hand_path ~finished:false ~cag_id:i (100 * i)) in
+  let p = List.hd (Pattern.classify cags) in
+  let raises what expected f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument m -> Alcotest.(check string) what expected m
+  in
+  raises "of_pattern" "Aggregate.of_pattern: no finished CAGs" (fun () ->
+      ignore (Aggregate.of_pattern p));
+  raises "hop_tails" "Aggregate: no finished CAGs" (fun () -> ignore (Aggregate.hop_tails p));
+  raises "total_tail" "Aggregate: no finished CAGs" (fun () -> ignore (Aggregate.total_tail p));
+  Alcotest.(check bool) "= reference" true (matches_reference cags)
+
+let test_one_member () =
+  let cags = [ hand_path ~cag_id:5 0 ] in
+  Alcotest.(check bool) "= reference" true (matches_reference cags);
+  let t = List.hd (Aggregate.hop_tails (List.hd (Pattern.classify cags))) in
+  Alcotest.(check bool) "p50 = max" true (t.Aggregate.p50_s = t.Aggregate.tail_max_s)
+
+(* The signature string joins host and program with '/', so "a/b" on
+   "c" and "a" on "b/c" render alike; the grouping key holds the two
+   names apart. *)
+let test_separator_in_names () =
+  let a = hand_path ~host:"a/b" ~program:"c" ~cag_id:0 0 in
+  let b = hand_path ~host:"a" ~program:"b/c" ~cag_id:1 100 in
+  Alcotest.(check string) "same signature string" (Pattern.signature_of a) (Pattern.signature_of b);
+  Alcotest.(check int) "two patterns" 2 (List.length (Pattern.classify [ a; b ]))
+
 let () =
   Alcotest.run "goldens"
     [
@@ -384,4 +788,16 @@ let () =
       ("bundles", bundle_cases);
       ("sources", provenance_cases);
       ("frames", [ Alcotest.test_case "RUBiS PTC1 frames and PTA1 acks" `Quick test_collect_streams ]);
+      ( "aggregates",
+        List.map
+          (fun ((name, _, _, _) as c) -> Alcotest.test_case name `Quick (check_aggregates c))
+          aggregate_cases );
+      ( "classify",
+        [
+          QCheck_alcotest.to_alcotest prop_classify_matches_reference;
+          Alcotest.test_case "pattern with unfinished members" `Quick test_unfinished_members;
+          Alcotest.test_case "pattern with no finished member" `Quick test_all_unfinished;
+          Alcotest.test_case "one-member pattern" `Quick test_one_member;
+          Alcotest.test_case "separators inside names" `Quick test_separator_in_names;
+        ] );
     ]

@@ -169,13 +169,11 @@ let test_plan_degrades_to_one_epoch () =
 let invariant_counters =
   [
     "pt_correlator_activities_total";
-    "pt_correlator_commits_total";
     "pt_correlator_paths_total";
     "pt_ranker_fetched_total";
     "pt_ranker_candidates_total";
     "pt_ranker_noise_discarded_total";
     "pt_engine_cags_started_total";
-    "pt_engine_cags_finished_total";
     "pt_engine_send_merges_total";
     "pt_engine_end_merges_total";
     "pt_engine_receive_merges_total";
@@ -270,6 +268,16 @@ let test_percentile_degenerate_inputs () =
     [ 0.0; 0.5; 0.9; 0.99; 1.0 ];
   Alcotest.(check (float 0.0)) "empty is 0" 0.0 (Aggregate.percentile [||] 0.99)
 
+(* The sort behind sorted_finite against the library sort, on runs long
+   enough to merge and with repeated values. *)
+let prop_sorted_finite_sorts =
+  QCheck.Test.make ~name:"sorted_finite = finite samples under Array.sort" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 300) (oneof [ float; map float_of_int (int_range (-5) 5) ]))
+    (fun samples ->
+      let expected = Array.of_list (List.filter Float.is_finite samples) in
+      Array.sort Float.compare expected;
+      Aggregate.sorted_finite samples = expected)
+
 (* ---- share clamping (satellite) ---- *)
 
 let share_flags reg = counter_total (R.snapshot reg) "pt_latency_share_out_of_range_total"
@@ -323,6 +331,7 @@ let () =
         [
           Alcotest.test_case "non-finite samples dropped" `Quick test_percentile_drops_non_finite;
           Alcotest.test_case "degenerate inputs" `Quick test_percentile_degenerate_inputs;
+          QCheck_alcotest.to_alcotest prop_sorted_finite_sorts;
         ] );
       ( "report",
         [

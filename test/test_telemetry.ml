@@ -339,7 +339,6 @@ let check_mirrors snap (rstats : Core.Ranker.stats) (estats : Core.Cag_engine.st
     estats
   in
   ceq "pt_engine_cags_started_total" cags_started;
-  ceq "pt_engine_cags_finished_total" cags_finished;
   ceq "pt_engine_send_merges_total" send_merges;
   ceq "pt_engine_end_merges_total" end_merges;
   ceq "pt_engine_receive_merges_total" receive_merges;
@@ -352,12 +351,18 @@ let check_mirrors snap (rstats : Core.Ranker.stats) (estats : Core.Cag_engine.st
   geq "pt_engine_live_vertices" live_vertices;
   geq "pt_engine_peak_live_vertices" peak_live_vertices;
   ceq "pt_engine_evicted_sends_total" evicted_sends;
-  ceq "pt_correlator_commits_total" candidates;
   Alcotest.(check int) "pt_correlator_paths_total{state=finished}" cags_finished
     (counter_exn snap ~labels:[ ("state", "finished") ] "pt_correlator_paths_total");
   Alcotest.(check int) "pt_correlator_paths_total{state=deformed}"
     (cags_started - cags_finished)
-    (counter_exn snap ~labels:[ ("state", "deformed") ] "pt_correlator_paths_total")
+    (counter_exn snap ~labels:[ ("state", "deformed") ] "pt_correlator_paths_total");
+  (* One name per fact: commits are the ranker's candidates, finished
+     CAGs are the finished paths. *)
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is gone") true
+        (not (List.exists (fun (f : R.family) -> f.R.name = name) snap)))
+    [ "pt_correlator_commits_total"; "pt_engine_cags_finished_total" ]
 
 (* The names an online run used to export beside the shared ones. *)
 let check_no_online_twins snap =
@@ -433,7 +438,6 @@ let test_offline_online_parity () =
       "pt_ranker_fetched_total";
       "pt_ranker_candidates_total";
       "pt_engine_cags_started_total";
-      "pt_engine_cags_finished_total";
       "pt_engine_send_merges_total";
       "pt_engine_receive_merges_total";
     ];
@@ -445,9 +449,10 @@ let test_offline_online_parity () =
     (gauge_exn on_snap "pt_correlator_peak_memory_records" > 0.0);
   (* finish is idempotent: the stats mirror must not double-count. *)
   Online.finish online;
-  Alcotest.(check int) "finish idempotent"
-    (counter_exn on_snap "pt_engine_cags_finished_total")
-    (counter_exn (R.snapshot on) "pt_engine_cags_finished_total")
+  let finished snap =
+    counter_exn snap ~labels:[ ("state", "finished") ] "pt_correlator_paths_total"
+  in
+  Alcotest.(check int) "finish idempotent" (finished on_snap) (finished (R.snapshot on))
 
 let test_degraded_online_mirrors_stats () =
   (* A host falls silent mid-run (a straggler eviction) and a host nobody
