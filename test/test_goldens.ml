@@ -788,7 +788,7 @@ let () =
       ("bundles", bundle_cases);
       ("sources", provenance_cases);
       ("frames", [ Alcotest.test_case "RUBiS PTC1 frames and PTA1 acks" `Quick test_collect_streams ]);
-      ( "aggregates",
+      ( "patterns",
         List.map
           (fun ((name, _, _, _) as c) -> Alcotest.test_case name `Quick (check_aggregates c))
           aggregate_cases );
