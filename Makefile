@@ -46,7 +46,9 @@ bench-gate: build
 # HEAD. The same run captured as a several-segment store directory must
 # pack to the same bytes at one, two and four jobs, and read back; and
 # both pack sources (in-memory arenas and a store directory) must embed
-# the same rows, so their `bundle query -o` dumps cmp equal.
+# the same rows, so their `bundle query -o` dumps cmp equal. The JSON of
+# `bundle diff` must name the same culprit subject as `diagnose --json`
+# on the same seed and fault; no unit test reaches the CLI's JSON writers.
 bundle-gate: build
 	rm -rf _bundle_gate && mkdir -p _bundle_gate
 	dune exec bin/precisetracer.exe -- simulate -c 60 --scale 0.05 --seed 11 --bundle _bundle_gate/control.ptz
@@ -54,7 +56,12 @@ bundle-gate: build
 	dune exec bin/precisetracer.exe -- bundle info _bundle_gate/control.ptz
 	dune exec bin/precisetracer.exe -- bundle query _bundle_gate/control.ptz --since-ms 500
 	dune exec bin/precisetracer.exe -- bundle walk _bundle_gate/control.ptz
-	dune exec bin/precisetracer.exe -- bundle diff _bundle_gate/control.ptz _bundle_gate/fault.ptz
+	dune exec bin/precisetracer.exe -- bundle diff _bundle_gate/control.ptz _bundle_gate/fault.ptz --json _bundle_gate/diff.json
+	dune exec bin/precisetracer.exe -- diagnose -c 60 --scale 0.05 --seed 11 --fault ejb-delay --json _bundle_gate/diagnose.json
+	diff=$$(awk -F'"' '/"culprit"/ { c = 1 } c && $$2 == "subject" { print $$4; exit }' _bundle_gate/diff.json); \
+	diag=$$(awk -F'"' '$$2 == "subject" { print $$4; exit }' _bundle_gate/diagnose.json); \
+	echo "culprit: bundle diff '$$diff', diagnose '$$diag'"; \
+	test -n "$$diff" && test "$$diff" = "$$diag"
 	dune exec bin/precisetracer.exe -- simulate -c 60 --scale 0.05 --seed 11 --store _bundle_gate/store --segment-records 2000
 	dune exec bin/precisetracer.exe -- bundle pack _bundle_gate/store -o _bundle_gate/s1.ptz --jobs 1
 	dune exec bin/precisetracer.exe -- bundle pack _bundle_gate/store -o _bundle_gate/s2.ptz --jobs 2

@@ -1593,31 +1593,19 @@ let bench_diagnose () =
 
 (* ---- ext-14: single-file trace bundles (lib/bundle) ---- *)
 
-(* The offline diagnose culprit: most frequent observed pattern the
-   baseline also saw, compared share-against-share (§5.4). `bundle diff`
-   must blame the same subject from the packed profiles alone. *)
+(* The offline diagnose culprit (§5.4): `bundle diff` must blame the
+   same subject from the packed profiles alone. *)
 let diagnose_culprit baseline_result fault_result =
-  let base_patterns = Pattern.classify baseline_result.Correlator.cags in
-  let obs_patterns = Pattern.classify fault_result.Correlator.cags in
-  let find name =
-    List.find_opt (fun p -> String.equal p.Pattern.name name) base_patterns
-  in
-  let rec pick = function
-    | [] -> None
-    | o :: rest -> (
-        match find o.Pattern.name with Some b -> Some (b, o) | None -> pick rest)
-  in
-  match pick obs_patterns with
-  | None -> None
-  | Some (b, o) -> (
-      let report =
-        Core.Analysis.diagnose
-          ~baseline:(Aggregate.of_pattern b)
-          ~observed:(Aggregate.of_pattern o)
-      in
-      match report.Core.Analysis.suspects with
-      | s :: _ -> Some (Core.Analysis.subject_label s.Core.Analysis.subject)
-      | [] -> None)
+  let profiles (r : Correlator.result) = Core.Analysis.profiles_of_cags r.Correlator.cags in
+  match
+    Core.Analysis.compare_runs ~baseline:(profiles baseline_result)
+      ~observed:(profiles fault_result) ()
+  with
+  | Error _ -> None
+  | Ok pairs ->
+      Option.map
+        (fun (s : Core.Analysis.suspect) -> Core.Analysis.subject_label s.Core.Analysis.subject)
+        (Core.Analysis.culprit pairs)
 
 let bench_bundle () =
   let clients = if !quick then 100 else 200 in

@@ -270,8 +270,8 @@ let scenario_json (spec : S.spec) =
         match spec.S.fault_onset with None -> Null | Some s -> Int (ST.span_ns s) );
     ]
 
-let pack_bundle ?telemetry ?scenario ?jobs ~config ~source path =
-  match Bundle.Pack.pack ?telemetry ?scenario ?jobs ~config ~source ~path () with
+let pack_bundle ?embed_telemetry ?scenario ?jobs ~config ~source path =
+  match Bundle.Pack.pack ?embed_telemetry ?scenario ?jobs ~config ~source ~path () with
   | Ok summary -> Format.printf "%a@." Bundle.Pack.pp_summary summary
   | Error e ->
       Format.eprintf "cannot pack bundle: %s@." e;
@@ -940,32 +940,6 @@ let write_json_file path j =
         exit 1
   end
 
-let report_to_json ~pattern (report : Core.Analysis.report) =
-  let delta (d : Core.Analysis.delta) =
-    Core.Json.Obj
-      [
-        ("component", Core.Json.String (Core.Latency.component_label d.Core.Analysis.comp));
-        ("baseline_pct", Core.Json.Float d.Core.Analysis.baseline_pct);
-        ("observed_pct", Core.Json.Float d.Core.Analysis.observed_pct);
-        ("change_pp", Core.Json.Float d.Core.Analysis.change_pp);
-      ]
-  in
-  let suspect (s : Core.Analysis.suspect) =
-    Core.Json.Obj
-      [
-        ("subject", Core.Json.String (Core.Analysis.subject_label s.Core.Analysis.subject));
-        ("severity", Core.Json.Float s.Core.Analysis.severity);
-        ("reason", Core.Json.String s.Core.Analysis.reason);
-      ]
-  in
-  Core.Json.Obj
-    [
-      ("mode", Core.Json.String "offline");
-      ("pattern", Core.Json.String pattern);
-      ("deltas", Core.Json.List (List.map delta report.Core.Analysis.deltas));
-      ("suspects", Core.Json.List (List.map suspect report.Core.Analysis.suspects));
-    ]
-
 let diagnose_cmd =
   let baseline_clients =
     Arg.(
@@ -1024,53 +998,36 @@ let diagnose_cmd =
       & info [ "share-threshold" ] ~docv:"F"
           ~doc:"Live mode: minimum latency-share drift severity that fires a verdict.")
   in
-  let run_offline spec baseline_clients pattern_name json tfile tformat =
-    let classify_run spec =
+  let run_offline spec baseline_clients pattern json tfile tformat =
+    let profile_run spec =
       let outcome = S.run spec in
       let cfg = Core.Correlator.config ~transform:outcome.S.transform () in
       let result = Core.Correlator.correlate cfg outcome.S.logs in
-      Core.Pattern.classify result.Core.Correlator.cags
+      Core.Analysis.profiles_of_cags result.Core.Correlator.cags
     in
-    let base_patterns =
-      classify_run
+    let baseline =
+      profile_run
         { spec with S.clients = baseline_clients; faults = []; fault_onset = None; max_threads = 250 }
     in
-    let obs_patterns = classify_run spec in
-    let find_by_name name = List.find_opt (fun p -> String.equal p.Core.Pattern.name name) in
-    let picked =
-      match pattern_name with
-      | Some name -> (
-          match (find_by_name name base_patterns, find_by_name name obs_patterns) with
-          | Some b, Some o -> Ok (name, b, o)
-          | None, _ -> Error (Printf.sprintf "pattern %S absent from the baseline run" name)
-          | _, None -> Error (Printf.sprintf "pattern %S absent from the observed run" name))
-      | None ->
-          (* Most frequent observed pattern that the baseline run also saw
-             (classify orders by descending population). *)
-          let rec pick = function
-            | [] -> Error "no pattern present in both runs"
-            | o :: rest -> (
-                match find_by_name o.Core.Pattern.name base_patterns with
-                | Some b -> Ok (o.Core.Pattern.name, b, o)
-                | None -> pick rest)
-          in
-          pick obs_patterns
-    in
-    match picked with
+    match Core.Analysis.compare_runs ?pattern ~baseline ~observed:(profile_run spec) () with
     | Error e -> `Error (false, e)
-    | Ok (name, b, o) ->
-        let report =
-          Core.Analysis.diagnose
-            ~baseline:(Core.Aggregate.of_pattern b)
-            ~observed:(Core.Aggregate.of_pattern o)
-        in
+    | Ok pairs ->
+        (* never empty: an empty pairing is an error *)
+        let { Core.Analysis.baseline = b; observed = o; report } = List.hd pairs in
+        let name = o.Core.Analysis.name in
         (* With --json - the human report moves to stderr so stdout stays
            machine-parseable. *)
         let hum = if json = Some "-" then Format.err_formatter else Format.std_formatter in
         Format.fprintf hum "pattern %s: %d baseline paths vs %d observed paths@." name
-          (Core.Pattern.count b) (Core.Pattern.count o);
+          b.Core.Analysis.count o.Core.Analysis.count;
         Format.fprintf hum "%a@." Core.Analysis.pp_report report;
-        Option.iter (fun f -> write_json_file f (report_to_json ~pattern:name report)) json;
+        Option.iter
+          (fun f ->
+            write_json_file f
+              (Core.Json.Obj
+                 ([ ("mode", Core.Json.String "offline"); ("pattern", Core.Json.String name) ]
+                 @ Core.Analysis.report_fields report)))
+          json;
         write_telemetry tfile tformat;
         `Ok ()
   in
@@ -1429,10 +1386,7 @@ let bundle_pack_cmd =
     match source with
     | Error e -> failed e
     | Ok source ->
-        let telemetry =
-          if embed_telemetry then Some Telemetry.Registry.(snapshot default) else None
-        in
-        pack_bundle ?telemetry ~jobs ~config ~source out;
+        pack_bundle ~embed_telemetry ~jobs ~config ~source out;
         `Ok ()
   in
   Cmd.v
@@ -1464,10 +1418,10 @@ let bundle_info_cmd =
         (match Bundle.Reader.profiles reader with
         | Ok profiles ->
             List.iter
-              (fun (p : Bundle.Codec.profile) ->
-                Format.printf "  %-48s %6d paths  mean %8.3f ms@." p.Bundle.Codec.name
-                  p.Bundle.Codec.count
-                  (p.Bundle.Codec.mean_total_s *. 1e3))
+              (fun (p : Core.Analysis.profile) ->
+                Format.printf "  %-48s %6d paths  mean %8.3f ms@." p.Core.Analysis.name
+                  p.Core.Analysis.count
+                  (p.Core.Analysis.mean_total_s *. 1e3))
               profiles
         | Error e -> Format.printf "  (patterns unavailable: %s)@." e);
         `Ok ()

@@ -3,10 +3,6 @@ module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 module B = Trace.Binary_format
 module Cag = Core.Cag
-module Pattern = Core.Pattern
-module Aggregate = Core.Aggregate
-module Latency = Core.Latency
-module Json = Core.Json
 
 let magic = "PTP1"
 
@@ -166,102 +162,3 @@ let decode data ~pos ~len =
       let path_count = B.get_count r "path" in
       let paths = List.init path_count (fun _ -> read_path r ~contexts ~flows ~host_count) in
       { link_hosts; paths })
-
-(* ---- pattern profiles ---- *)
-
-type component_stat = { comp : Latency.component; share : float; mean_s : float }
-
-type profile = {
-  name : string;
-  signature : string;
-  count : int;
-  cag_ids : int list;
-  mean_total_s : float;
-  components : component_stat list;
-}
-
-let shares profile = List.map (fun c -> (c.comp, c.share)) profile.components
-
-let profiles_of_cags cags =
-  List.map
-    (fun (p : Pattern.t) ->
-      let cag_ids = List.map (fun (c : Cag.t) -> c.Cag.cag_id) p.Pattern.cags in
-      let finished = List.filter Cag.is_finished p.Pattern.cags in
-      let mean_total_s, components =
-        match finished with
-        | [] -> (0.0, [])
-        | _ ->
-            let agg = Aggregate.of_pattern p in
-            let latencies = Aggregate.component_latencies agg in
-            let components =
-              List.map
-                (fun (comp, share) ->
-                  let mean_s =
-                    match
-                      List.find_opt (fun (c, _) -> Latency.equal_component c comp) latencies
-                    with
-                    | Some (_, m) -> m
-                    | None -> 0.0
-                  in
-                  { comp; share; mean_s })
-                (Aggregate.component_percentages agg)
-            in
-            (agg.Aggregate.mean_total_s, components)
-      in
-      {
-        name = p.Pattern.name;
-        signature = p.Pattern.signature;
-        count = Pattern.count p;
-        cag_ids;
-        mean_total_s;
-        components;
-      })
-    (Pattern.classify cags)
-
-let profile_to_json p =
-  Json.Obj
-    [
-      ("name", Json.String p.name);
-      ("signature", Json.String p.signature);
-      ("count", Json.Int p.count);
-      ("cag_ids", Json.List (List.map (fun i -> Json.Int i) p.cag_ids));
-      ("mean_total_s", Json.Float p.mean_total_s);
-      ( "components",
-        Json.List
-          (List.map
-             (fun c ->
-               Json.Obj
-                 [
-                   ("src", Json.String c.comp.Latency.src);
-                   ("dst", Json.String c.comp.Latency.dst);
-                   ("share", Json.Float c.share);
-                   ("mean_s", Json.Float c.mean_s);
-                 ])
-             p.components) );
-    ]
-
-let profiles_to_json profiles = Json.List (List.map profile_to_json profiles)
-
-let ( let* ) = Result.bind
-
-let component_of_json j =
-  let* src = Json.string_field "src" j in
-  let* dst = Json.string_field "dst" j in
-  let* share = Json.float_field "share" j in
-  let* mean_s = Json.float_field "mean_s" j in
-  Ok { comp = { Latency.src; dst }; share; mean_s }
-
-let profile_of_json j =
-  let* name = Json.string_field "name" j in
-  let* signature = Json.string_field "signature" j in
-  let* count = Json.int_field "count" j in
-  let* cag_ids = Json.list_field "cag_ids" j in
-  let* cag_ids = Json.map_result (Json.as_int "cag_ids") cag_ids in
-  let* mean_total_s = Json.float_field "mean_total_s" j in
-  let* components = Json.list_field "components" j in
-  let* components = Json.map_result component_of_json components in
-  Ok { name; signature; count; cag_ids; mean_total_s; components }
-
-let profiles_of_json = function
-  | Json.List items -> Json.map_result profile_of_json items
-  | _ -> Error "patterns section is not a list"

@@ -1,5 +1,4 @@
-(** Bundle payload codecs: the [PTP1] causal-path table and the pattern
-    profile JSON.
+(** The bundle's [PTP1] causal-path table codec.
 
     The path table serialises every correlated CAG with stable ids and a
     {e back-link table}: per vertex, the [(host, record)] coordinates of
@@ -37,27 +36,3 @@ val decode : string -> pos:int -> len:int -> (decoded, string) result
     them; patterns and latency breakdowns computed from
     the decoded CAGs are identical to the live run's). All errors name
     bundle-relative offsets. *)
-
-(** {1 Pattern profiles} *)
-
-type component_stat = { comp : Core.Latency.component; share : float; mean_s : float }
-
-type profile = {
-  name : string;  (** Tier route, e.g. ["httpd>java>mysqld>java>httpd"]. *)
-  signature : string;  (** {!Core.Pattern.signature_of} canonical form. *)
-  count : int;
-  cag_ids : int list;  (** Member path ids, in input order. *)
-  mean_total_s : float;  (** 0 when the pattern has no finished member. *)
-  components : component_stat list;  (** In critical-path appearance order. *)
-}
-
-val shares : profile -> (Core.Latency.component * float) list
-(** The percentage profile in the form {!Core.Analysis.compare_profiles}
-    consumes. *)
-
-val profiles_of_cags : Core.Cag.t list -> profile list
-(** Classify and aggregate — the packer's source of truth, identical to
-    what the live pipeline reports ({!Core.Pattern.classify} order). *)
-
-val profiles_to_json : profile list -> Core.Json.t
-val profiles_of_json : Core.Json.t -> (profile list, string) result

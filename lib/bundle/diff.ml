@@ -1,20 +1,13 @@
 module Analysis = Core.Analysis
-module Latency = Core.Latency
 module Json = Core.Json
 
 type mix_delta = {
   name : string;
+  signature : string;
   count_a : int;
   count_b : int;
   freq_a : float;
   freq_b : float;
-}
-
-type pattern_report = {
-  p_name : string;
-  p_count_a : int;
-  p_count_b : int;
-  report : Analysis.report;
 }
 
 type t = {
@@ -23,67 +16,49 @@ type t = {
   total_a : int;
   total_b : int;
   mix : mix_delta list;
-  reports : pattern_report list;
+  reports : Analysis.pair list;
   culprit : Analysis.suspect option;
 }
 
 let ( let* ) = Result.bind
 
-let totals profiles = List.fold_left (fun acc (p : Codec.profile) -> acc + p.Codec.count) 0 profiles
+let total = List.fold_left (fun acc (p : Analysis.profile) -> acc + p.Analysis.count) 0
 
-let find_profile profiles name =
-  List.find_opt (fun (p : Codec.profile) -> String.equal p.Codec.name name) profiles
+let count_of profiles signature =
+  total
+    (List.filter (fun (p : Analysis.profile) -> String.equal p.Analysis.signature signature) profiles)
 
 let diff a b =
   let* pa = Reader.profiles a in
   let* pb = Reader.profiles b in
-  let total_a = totals pa and total_b = totals pb in
-  let freq total count = if total = 0 then 0.0 else float_of_int count /. float_of_int total in
-  let names =
-    List.map (fun (p : Codec.profile) -> p.Codec.name) pb
-    @ List.filter_map
-        (fun (p : Codec.profile) ->
-          if find_profile pb p.Codec.name = None then Some p.Codec.name else None)
-        pa
+  let total_a = total pa and total_b = total pb in
+  let freq n count = if n = 0 then 0.0 else float_of_int count /. float_of_int n in
+  (* One row per signature: B's patterns, then those only A has. *)
+  let rows =
+    pb @ List.filter (fun (p : Analysis.profile) -> count_of pb p.Analysis.signature = 0) pa
   in
   let mix =
     List.map
-      (fun name ->
-        let count_a = match find_profile pa name with Some p -> p.Codec.count | None -> 0 in
-        let count_b = match find_profile pb name with Some p -> p.Codec.count | None -> 0 in
-        { name; count_a; count_b; freq_a = freq total_a count_a; freq_b = freq total_b count_b })
-      names
+      (fun { Analysis.name; signature; _ } ->
+        let count_a = count_of pa signature and count_b = count_of pb signature in
+        {
+          name;
+          signature;
+          count_a;
+          count_b;
+          freq_a = freq total_a count_a;
+          freq_b = freq total_b count_b;
+        })
+      rows
     |> List.sort (fun x y ->
            compare
-             (Float.abs (y.freq_b -. y.freq_a), y.name)
-             (Float.abs (x.freq_b -. x.freq_a), x.name))
+             (Float.abs (y.freq_b -. y.freq_a), y.name, y.signature)
+             (Float.abs (x.freq_b -. x.freq_a), x.name, x.signature))
   in
-  (* Per-pattern latency-share reports for patterns both bundles profiled,
-     in bundle-B frequency order (classify order of B). *)
+  (* Without a pattern filter, the only failure is an empty pairing:
+     no pattern with profiles in both runs, hence no culprit. *)
   let reports =
-    List.filter_map
-      (fun (pb_profile : Codec.profile) ->
-        match find_profile pa pb_profile.Codec.name with
-        | Some pa_profile when pa_profile.Codec.components <> [] && pb_profile.Codec.components <> []
-          ->
-            Some
-              {
-                p_name = pb_profile.Codec.name;
-                p_count_a = pa_profile.Codec.count;
-                p_count_b = pb_profile.Codec.count;
-                report =
-                  Analysis.compare_profiles ~baseline:(Codec.shares pa_profile)
-                    ~observed:(Codec.shares pb_profile);
-              }
-        | Some _ | None -> None)
-      pb
-  in
-  (* The culprit: top suspect of the most frequent shared pattern — the
-     same selection the offline diagnose command defaults to. *)
-  let culprit =
-    match reports with
-    | { report = { Analysis.suspects = s :: _; _ }; _ } :: _ -> Some s
-    | _ -> None
+    Result.value (Analysis.compare_runs ~baseline:pa ~observed:pb ()) ~default:[]
   in
   Ok
     {
@@ -93,7 +68,7 @@ let diff a b =
       total_b;
       mix;
       reports;
-      culprit;
+      culprit = Analysis.culprit reports;
     }
 
 let pp ppf d =
@@ -106,9 +81,9 @@ let pp ppf d =
         (m.freq_a *. 100.0) (m.freq_b *. 100.0))
     d.mix;
   List.iter
-    (fun r ->
-      Format.fprintf ppf "@,@,pattern %s (%d vs %d paths):@,%a" r.p_name r.p_count_a r.p_count_b
-        Analysis.pp_report r.report)
+    (fun { Analysis.baseline; observed; report } ->
+      Format.fprintf ppf "@,@,pattern %s (%d vs %d paths):@,%a" observed.Analysis.name
+        baseline.Analysis.count observed.Analysis.count Analysis.pp_report report)
     d.reports;
   (match d.culprit with
   | Some s ->
@@ -119,23 +94,6 @@ let pp ppf d =
   Format.fprintf ppf "@]"
 
 let to_json d =
-  let delta (x : Analysis.delta) =
-    Json.Obj
-      [
-        ("component", Json.String (Latency.component_label x.Analysis.comp));
-        ("baseline_pct", Json.Float x.Analysis.baseline_pct);
-        ("observed_pct", Json.Float x.Analysis.observed_pct);
-        ("change_pp", Json.Float x.Analysis.change_pp);
-      ]
-  in
-  let suspect (s : Analysis.suspect) =
-    Json.Obj
-      [
-        ("subject", Json.String (Analysis.subject_label s.Analysis.subject));
-        ("severity", Json.Float s.Analysis.severity);
-        ("reason", Json.String s.Analysis.reason);
-      ]
-  in
   Json.Obj
     [
       ("bundle_a", Json.String d.bundle_a);
@@ -158,15 +116,14 @@ let to_json d =
       ( "patterns",
         Json.List
           (List.map
-             (fun r ->
+             (fun { Analysis.baseline; observed; report } ->
                Json.Obj
-                 [
-                   ("pattern", Json.String r.p_name);
-                   ("count_a", Json.Int r.p_count_a);
-                   ("count_b", Json.Int r.p_count_b);
-                   ("deltas", Json.List (List.map delta r.report.Analysis.deltas));
-                   ("suspects", Json.List (List.map suspect r.report.Analysis.suspects));
-                 ])
+                 ([
+                    ("pattern", Json.String observed.Analysis.name);
+                    ("count_a", Json.Int baseline.Analysis.count);
+                    ("count_b", Json.Int observed.Analysis.count);
+                  ]
+                 @ Analysis.report_fields report))
              d.reports) );
-      ("culprit", match d.culprit with Some s -> suspect s | None -> Json.Null);
+      ("culprit", match d.culprit with Some s -> Analysis.suspect_to_json s | None -> Json.Null);
     ]

@@ -4,6 +4,7 @@ module Sim_time = Simnet.Sim_time
 module Cag = Core.Cag
 module Correlator = Core.Correlator
 module Shard = Core.Shard
+module Analysis = Core.Analysis
 module Json = Core.Json
 module R = Telemetry.Registry
 
@@ -156,7 +157,7 @@ let stage name f =
   ignore (R.histogram R.default ~help:"Bundle pack wall time per stage, seconds" ~labels family);
   R.time R.default ~labels family f
 
-let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
+let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~source ~path () =
   let* manifest, segments, arenas =
     stage "decode" (fun () ->
         match source with
@@ -180,7 +181,7 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
           n)
       [ ("resolved", links); ("unresolved", unresolved) ];
     let hosts = List.map Arena.hostname arenas in
-    let profiles = stage "profile" (fun () -> Codec.profiles_of_cags cags) in
+    let profiles = stage "profile" (fun () -> Analysis.profiles_of_cags cags) in
     let json_body j = Json.to_string ~indent:true (Container.sort_json j) in
     let paths_body =
       stage "encode" (fun () -> Codec.encode ~link_hosts:(Array.of_list hosts) paths)
@@ -193,11 +194,12 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
       @ List.map
           (fun ((meta : Store.Segment.meta), data) -> (section_of_segment meta.Store.Segment.id, data))
           segments
-      @ [ ("paths", paths_body); ("patterns", json_body (Codec.profiles_to_json profiles)) ]
+      @ [ ("paths", paths_body); ("patterns", json_body (Analysis.profiles_to_json profiles)) ]
       @
-      match telemetry with
-      | Some families -> [ ("telemetry", json_body (Telemetry.Export.to_json families)) ]
-      | None -> []
+      (* after the encode stage: every stage time except [write]'s *)
+      if embed_telemetry then
+        [ ("telemetry", json_body (Telemetry.Export.to_json (R.snapshot R.default))) ]
+      else []
     in
     let min_ts_ns, max_ts_ns =
       List.fold_left

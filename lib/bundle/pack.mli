@@ -11,8 +11,9 @@
     Correlation keeps each vertex's raw rows ({!Core.Cag.sources}: host
     index in those arenas, raw row), so the back-links are a copy of
     them, exact by construction: no search, no match on record fields.
-    Pattern profiles, the correlation configuration, an optional scenario
-    description and an optional telemetry snapshot ride along.
+    Pattern profiles ({!Core.Analysis.profile}), the correlation
+    configuration, an optional scenario description and an optional
+    telemetry snapshot ride along.
 
     Each stage is timed into {!Telemetry.Registry.default} as
     [pt_bundle_pack_stage_seconds{stage}], and back-links are counted as
@@ -22,8 +23,9 @@
     payload carries no wall-clock timestamps (activity timestamps are
     virtual sim-time), JSON keys are sorted, section order is fixed, and
     correlation output is byte-identical at any [jobs] (see
-    {!Core.Shard}). The telemetry snapshot is caller-provided, so leaving
-    it out keeps repacking reproducible. *)
+    {!Core.Shard}). The telemetry snapshot holds wall-clock stage times,
+    so it is left out unless asked for; packing without it is
+    reproducible. *)
 
 type summary = {
   out_path : string;
@@ -46,7 +48,7 @@ val pp_summary : Format.formatter -> summary -> unit
 (** {1 Packing} *)
 
 val pack :
-  ?telemetry:Telemetry.Registry.family list ->
+  ?embed_telemetry:bool ->
   ?scenario:Core.Json.t ->
   ?jobs:int ->
   ?roll_records:int ->
@@ -59,4 +61,7 @@ val pack :
     An [`Arenas] source (raw host arenas; unsorted ones are sorted on a
     copy) embeds exactly the segments a {!Store.Writer} store of the same
     rows holds; [roll_records] (default 65536) is that writer's roll. A
-    [`Store_dir] source keeps its segmentation. *)
+    [`Store_dir] source keeps its segmentation. With [embed_telemetry]
+    (default false), a [telemetry] section holds a snapshot of
+    {!Telemetry.Registry.default} taken after the [encode] stage: it
+    holds every stage time of this pack except [write]'s. *)

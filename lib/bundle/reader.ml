@@ -9,7 +9,7 @@ type t = {
   store_manifest : Store.Manifest.t;
   mutable rows : (string * Arena.t) list option;
   mutable decoded_paths : Codec.decoded option;
-  mutable profiles : Codec.profile list option;
+  mutable profiles : Core.Analysis.profile list option;
 }
 
 let ( let* ) = Result.bind
@@ -115,7 +115,7 @@ let profiles t =
   | Some p -> Ok p
   | None ->
       let* s = require t "patterns" in
-      let* p = section_value t s Codec.profiles_of_json in
+      let* p = section_value t s Core.Analysis.profiles_of_json in
       t.profiles <- Some p;
       Ok p
 

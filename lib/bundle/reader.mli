@@ -50,7 +50,7 @@ val query :
 val paths : t -> (Codec.decoded, string) result
 (** The correlated causal paths with their back-link table. Cached. *)
 
-val profiles : t -> (Codec.profile list, string) result
+val profiles : t -> (Core.Analysis.profile list, string) result
 (** Pattern profiles, in {!Core.Pattern.classify} order (most frequent
     first). Cached. *)
 

@@ -2,6 +2,7 @@ module Activity = Trace.Activity
 module Sim_time = Simnet.Sim_time
 module Cag = Core.Cag
 module Latency = Core.Latency
+module Analysis = Core.Analysis
 module Json = Core.Json
 
 type record_ref = { host : string; index : int; activity : Activity.t }
@@ -45,20 +46,21 @@ let find_path decoded reader ?cag_id ?pattern ?(index = 0) () =
             | p :: _ -> Ok p
             | [] -> Error (Printf.sprintf "%s: bundle holds no patterns" display))
         | Some name -> (
-            match List.find_opt (fun (p : Codec.profile) -> String.equal p.Codec.name name) profiles with
+            let name_of (p : Analysis.profile) = p.Analysis.name in
+            match List.find_opt (fun p -> String.equal (name_of p) name) profiles with
             | Some p -> Ok p
             | None ->
                 Error
                   (Printf.sprintf "%s: no pattern %S (have: %s)" display name
-                     (String.concat ", " (List.map (fun (p : Codec.profile) -> p.Codec.name) profiles))))
+                     (String.concat ", " (List.map name_of profiles))))
       in
       let* id =
-        match List.nth_opt profile.Codec.cag_ids index with
+        match List.nth_opt profile.Analysis.cag_ids index with
         | Some id -> Ok id
         | None ->
             Error
               (Printf.sprintf "%s: pattern %S has %d members, index %d out of range" display
-                 profile.Codec.name (List.length profile.Codec.cag_ids) index)
+                 profile.Analysis.name (List.length profile.Analysis.cag_ids) index)
       in
       path_of_id id ~missing:(Printf.sprintf "pattern member %d missing from paths" id)
 

@@ -183,3 +183,150 @@ let pp_report ppf r =
         (fun s -> Format.fprintf ppf "@,  %-24s %s" (subject_label s.subject) s.reason)
         suspects);
   Format.fprintf ppf "@]"
+
+(* ---- pattern profiles ---- *)
+
+type component_stat = { comp : Latency.component; share : float; mean_s : float }
+
+type profile = {
+  name : string;
+  signature : string;
+  count : int;
+  cag_ids : int list;
+  mean_total_s : float;
+  components : component_stat list;
+}
+
+let profiles_of_cags cags =
+  List.map
+    (fun (p : Pattern.t) ->
+      let mean_total_s, components =
+        if not (List.exists Cag.is_finished p.Pattern.cags) then (0.0, [])
+        else
+          let agg = Aggregate.of_pattern p in
+          let latencies = Aggregate.component_latencies agg in
+          let stat (comp, share) =
+            let mean_s =
+              match List.find_opt (fun (c, _) -> Latency.equal_component c comp) latencies with
+              | Some (_, m) -> m
+              | None -> 0.0
+            in
+            { comp; share; mean_s }
+          in
+          (agg.Aggregate.mean_total_s, List.map stat (Aggregate.component_percentages agg))
+      in
+      {
+        name = p.Pattern.name;
+        signature = p.Pattern.signature;
+        count = Pattern.count p;
+        cag_ids = List.map (fun (c : Cag.t) -> c.Cag.cag_id) p.Pattern.cags;
+        mean_total_s;
+        components;
+      })
+    (Pattern.classify cags)
+
+let profile_to_json p =
+  Json.Obj
+    [
+      ("name", Json.String p.name);
+      ("signature", Json.String p.signature);
+      ("count", Json.Int p.count);
+      ("cag_ids", Json.List (List.map (fun i -> Json.Int i) p.cag_ids));
+      ("mean_total_s", Json.Float p.mean_total_s);
+      ( "components",
+        Json.List
+          (List.map
+             (fun c ->
+               Json.Obj
+                 [
+                   ("src", Json.String c.comp.Latency.src);
+                   ("dst", Json.String c.comp.Latency.dst);
+                   ("share", Json.Float c.share);
+                   ("mean_s", Json.Float c.mean_s);
+                 ])
+             p.components) );
+    ]
+
+let profiles_to_json profiles = Json.List (List.map profile_to_json profiles)
+
+let ( let* ) = Result.bind
+
+let component_of_json j =
+  let* src = Json.string_field "src" j in
+  let* dst = Json.string_field "dst" j in
+  let* share = Json.float_field "share" j in
+  let* mean_s = Json.float_field "mean_s" j in
+  Ok { comp = { Latency.src; dst }; share; mean_s }
+
+let profile_of_json j =
+  let* name = Json.string_field "name" j in
+  let* signature = Json.string_field "signature" j in
+  let* count = Json.int_field "count" j in
+  let* cag_ids = Json.list_field "cag_ids" j in
+  let* cag_ids = Json.map_result (Json.as_int "cag_ids") cag_ids in
+  let* mean_total_s = Json.float_field "mean_total_s" j in
+  let* components = Json.list_field "components" j in
+  let* components = Json.map_result component_of_json components in
+  Ok { name; signature; count; cag_ids; mean_total_s; components }
+
+let profiles_of_json = function
+  | Json.List items -> Json.map_result profile_of_json items
+  | _ -> Error "patterns section is not a list"
+
+(* ---- comparing two runs ---- *)
+
+type pair = { baseline : profile; observed : profile; report : report }
+
+let shares profile = List.map (fun c -> (c.comp, c.share)) profile.components
+
+let compare_runs ?pattern ~baseline ~observed () =
+  let named run profiles =
+    match pattern with
+    | None -> Ok profiles
+    | Some name -> (
+        match List.filter (fun p -> String.equal p.name name) profiles with
+        | [] -> Error (Printf.sprintf "pattern %S absent from the %s run" name run)
+        | named -> Ok named)
+  in
+  let* baseline = named "baseline" baseline in
+  let* observed = named "observed" observed in
+  let pairs =
+    List.filter_map
+      (fun o ->
+        match List.find_opt (fun b -> String.equal b.signature o.signature) baseline with
+        | Some b when b.components <> [] && o.components <> [] ->
+            Some
+              {
+                baseline = b;
+                observed = o;
+                report = compare_profiles ~baseline:(shares b) ~observed:(shares o);
+              }
+        | Some _ | None -> None)
+      observed
+  in
+  if pairs = [] then Error "no pattern present in both runs" else Ok pairs
+
+let culprit = function { report = { suspects = s :: _; _ }; _ } :: _ -> Some s | _ -> None
+
+let suspect_to_json s =
+  Json.Obj
+    [
+      ("subject", Json.String (subject_label s.subject));
+      ("severity", Json.Float s.severity);
+      ("reason", Json.String s.reason);
+    ]
+
+let report_fields r =
+  let delta (d : delta) =
+    Json.Obj
+      [
+        ("component", Json.String (Latency.component_label d.comp));
+        ("baseline_pct", Json.Float d.baseline_pct);
+        ("observed_pct", Json.Float d.observed_pct);
+        ("change_pp", Json.Float d.change_pp);
+      ]
+  in
+  [
+    ("deltas", Json.List (List.map delta r.deltas));
+    ("suspects", Json.List (List.map suspect_to_json r.suspects));
+  ]

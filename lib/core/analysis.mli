@@ -61,3 +61,65 @@ val diagnose :
 (** Convenience wrapper over {!Aggregate.component_percentages}. *)
 
 val pp_report : Format.formatter -> report -> unit
+
+(** {1 Pattern profiles}
+
+    One pattern's §5.4 summary: its population and its average causal
+    path's per-component latency share and mean. The offline [diagnose]
+    profiles two correlated runs; a bundle persists the packed run's
+    profiles as its [patterns] section (docs/BUNDLE.md). *)
+
+type component_stat = { comp : Latency.component; share : float; mean_s : float }
+
+type profile = {
+  name : string;  (** Tier route, e.g. ["httpd>java>mysqld>java>httpd"]. *)
+  signature : string;  (** {!Pattern.signature_of} canonical form. *)
+  count : int;
+  cag_ids : int list;  (** Member path ids, in input order. *)
+  mean_total_s : float;  (** 0 when the pattern has no finished member. *)
+  components : component_stat list;
+      (** In critical-path appearance order; empty when the pattern has
+          no finished member. *)
+}
+
+val profiles_of_cags : Cag.t list -> profile list
+(** Classify and aggregate: one profile per pattern, in
+    {!Pattern.classify} order (most frequent first). *)
+
+val profiles_to_json : profile list -> Json.t
+val profiles_of_json : Json.t -> (profile list, string) result
+
+(** {1 Comparing two runs} *)
+
+type pair = {
+  baseline : profile;
+  observed : profile;  (** Same signature as [baseline]. *)
+  report : report;  (** [baseline]'s shares against [observed]'s. *)
+}
+
+val compare_runs :
+  ?pattern:string ->
+  baseline:profile list ->
+  observed:profile list ->
+  unit ->
+  (pair list, string) result
+(** Pair each observed profile, in order, with the baseline profile of
+    the same signature (a pattern is a class of isomorphic CAGs, so two
+    patterns sharing a route name are still told apart), and compare
+    their shares. Pairs where either side has no components are skipped.
+    With [pattern], only the profiles of that name take part.
+
+    Errors: ["pattern \"P\" absent from the baseline run"] (or
+    [observed run]) when [pattern] names no profile of that run, and
+    ["no pattern present in both runs"] when no pair is left. *)
+
+val culprit : pair list -> suspect option
+(** The top suspect of the first pair: the subject [diagnose] and
+    [bundle diff] blame. *)
+
+val report_fields : report -> (string * Json.t) list
+(** A report's [deltas] and [suspects], as fields for the caller's JSON
+    object. *)
+
+val suspect_to_json : suspect -> Json.t
+(** [{"subject", "severity", "reason"}]. *)

@@ -52,29 +52,6 @@ let cag_to_json cag =
 
 let paths_to_json cags = Json.List (List.map cag_to_json cags)
 
-let pattern_summary_to_json patterns =
-  Json.List
-    (List.map
-       (fun p ->
-         let finished = List.filter Cag.is_finished p.Pattern.cags in
-         let profile =
-           match finished with
-           | [] -> Json.Null
-           | _ ->
-               let avg = Aggregate.of_pattern p in
-               Json.Obj
-                 (List.map
-                    (fun (c, pct) -> (Latency.component_label c, Json.Float pct))
-                    (Aggregate.component_percentages avg))
-         in
-         Json.Obj
-           [
-             ("route", Json.String p.Pattern.name);
-             ("paths", Json.Int (Pattern.count p));
-             ("latency_percentages", profile);
-           ])
-       patterns)
-
 let verdict_to_json (v : Accuracy.verdict) =
   Json.Obj
     [

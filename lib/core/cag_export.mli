@@ -18,8 +18,4 @@ val cag_to_json : Cag.t -> Json.t
 val paths_to_json : Cag.t list -> Json.t
 (** A JSON array of CAGs. *)
 
-val pattern_summary_to_json : Pattern.t list -> Json.t
-(** Per-pattern name, population, and (for finished members) the average
-    path's component latency percentages. *)
-
 val verdict_to_json : Accuracy.verdict -> Json.t

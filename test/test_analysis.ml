@@ -357,6 +357,88 @@ let test_diagnose_healthy () =
   let report = Analysis.compare_profiles ~baseline:profile ~observed:profile in
   Alcotest.(check int) "no suspects" 0 (List.length report.Analysis.suspects)
 
+(* ---- comparing two runs ---- *)
+
+(* A profile whose java2java share is [java] (httpd2httpd has the rest);
+   [java = None] is a pattern with no finished member. *)
+let profile ?(count = 1) name signature java =
+  let components =
+    match java with
+    | None -> []
+    | Some share ->
+        [
+          { Analysis.comp = comp "java" "java"; share; mean_s = 0.0 };
+          { Analysis.comp = comp "httpd" "httpd"; share = 1.0 -. share; mean_s = 0.0 };
+        ]
+  in
+  { Analysis.name; signature; count; cag_ids = []; mean_total_s = 0.0; components }
+
+let compare_runs ?pattern baseline observed =
+  Analysis.compare_runs ?pattern ~baseline ~observed ()
+
+let paired pairs =
+  List.map
+    (fun { Analysis.baseline; observed; _ } ->
+      (baseline.Analysis.signature, observed.Analysis.signature))
+    pairs
+
+let culprit_label pairs =
+  Option.map (fun s -> Analysis.subject_label s.Analysis.subject) (Analysis.culprit pairs)
+
+let test_runs_order_and_join () =
+  (* Observed classify order decides; two patterns named "r" stay apart. *)
+  let baseline = [ profile "r" "s2" (Some 0.5); profile "q" "s1" (Some 0.1) ] in
+  let observed =
+    [
+      profile ~count:9 "q" "s1" (Some 0.6); profile "r" "s3" (Some 0.9);
+      profile "r" "s2" (Some 0.5);
+    ]
+  in
+  let pairs = Result.get_ok (compare_runs baseline observed) in
+  Alcotest.(check (list (pair string string)))
+    "observed order, joined by signature" [ ("s1", "s1"); ("s2", "s2") ] (paired pairs);
+  Alcotest.(check (option string)) "culprit from the first pair" (Some "tier java")
+    (culprit_label pairs);
+  (* The first pair decides even when it has no suspect. *)
+  let quiet = Result.get_ok (compare_runs baseline (List.rev observed)) in
+  Alcotest.(check (list (pair string string)))
+    "reversed order" [ ("s2", "s2"); ("s1", "s1") ] (paired quiet);
+  Alcotest.(check (option string)) "quiet first pair" None (culprit_label quiet)
+
+let test_runs_skip_without_components () =
+  let baseline =
+    [ profile "a" "sa" (Some 0.1); profile "b" "sb" None; profile "c" "sc" (Some 0.1) ]
+  in
+  let observed =
+    [ profile "a" "sa" None; profile "b" "sb" (Some 0.5); profile "c" "sc" (Some 0.5) ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "only pairs with components on both sides" [ ("sc", "sc") ]
+    (paired (Result.get_ok (compare_runs baseline observed)))
+
+let test_runs_pattern_and_errors () =
+  let baseline =
+    [ profile "a" "sa" (Some 0.1); profile "b" "sb" (Some 0.1); profile "x" "sx" (Some 0.1) ]
+  in
+  let observed =
+    [ profile "a" "sa" (Some 0.5); profile "b" "sb" (Some 0.2); profile "y" "sy" (Some 0.1) ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "--pattern keeps that name" [ ("sb", "sb") ]
+    (paired (Result.get_ok (compare_runs ~pattern:"b" baseline observed)));
+  let error ?pattern baseline observed =
+    match compare_runs ?pattern baseline observed with Ok _ -> "" | Error e -> e
+  in
+  Alcotest.(check string) "absent from both"
+    "pattern \"z\" absent from the baseline run" (error ~pattern:"z" baseline observed);
+  Alcotest.(check string) "absent from the observed run"
+    "pattern \"x\" absent from the observed run" (error ~pattern:"x" baseline observed);
+  Alcotest.(check string) "absent from the baseline run"
+    "pattern \"y\" absent from the baseline run" (error ~pattern:"y" baseline observed);
+  Alcotest.(check string) "same name, other signature" "no pattern present in both runs"
+    (error [ profile "a" "s1" (Some 0.1) ] [ profile "a" "s2" (Some 0.1) ]);
+  Alcotest.(check string) "nothing shared" "no pattern present in both runs" (error [] observed)
+
 let test_report_render () =
   let t = Report.table ~title:"Fig. X" ~columns:[ "clients"; "value" ] in
   Report.add_row t [ "100"; Report.cell_pct 0.463 ];
@@ -412,6 +494,10 @@ let () =
           Alcotest.test_case "interaction fault" `Quick test_diagnose_interaction;
           Alcotest.test_case "network fault" `Quick test_diagnose_network;
           Alcotest.test_case "healthy profile" `Quick test_diagnose_healthy;
+          Alcotest.test_case "runs: order and signature join" `Quick test_runs_order_and_join;
+          Alcotest.test_case "runs: pairs need components" `Quick
+            test_runs_skip_without_components;
+          Alcotest.test_case "runs: --pattern and errors" `Quick test_runs_pattern_and_errors;
         ] );
       ( "report",
         [ Alcotest.test_case "table rendering" `Quick test_report_render ] );

@@ -156,19 +156,19 @@ let test_roundtrip_paths_and_profiles () =
   (* The decoded graphs must regenerate the packed profiles byte for byte:
      same patterns, same counts, same §5.4 component breakdowns. *)
   let packed = ok "profiles" (Bundle.Reader.profiles r) in
-  let recomputed = Bundle.Codec.profiles_of_cags cags in
+  let recomputed = Analysis.profiles_of_cags cags in
   Alcotest.(check string)
     "profiles byte-identical after decode"
-    (Json.to_string (Bundle.Codec.profiles_to_json packed))
-    (Json.to_string (Bundle.Codec.profiles_to_json recomputed));
+    (Json.to_string (Analysis.profiles_to_json packed))
+    (Json.to_string (Analysis.profiles_to_json recomputed));
   (* And they must match a fresh correlation of the same records. *)
   let o = Lazy.force outcome in
   let result = Core.Shard.correlate_arena (config ()) (Arena.of_collection o.S.logs) in
-  let fresh = Bundle.Codec.profiles_of_cags result.Correlator.cags in
+  let fresh = Analysis.profiles_of_cags result.Correlator.cags in
   Alcotest.(check string)
     "profiles match a fresh correlation"
-    (Json.to_string (Bundle.Codec.profiles_to_json fresh))
-    (Json.to_string (Bundle.Codec.profiles_to_json packed));
+    (Json.to_string (Analysis.profiles_to_json fresh))
+    (Json.to_string (Analysis.profiles_to_json packed));
   let by_id =
     List.fold_left
       (fun m (c : Cag.t) -> (c.Cag.cag_id, c) :: m)
@@ -491,9 +491,9 @@ let test_walk_resolves_every_hop () =
   let profiles = ok "profiles" (Bundle.Reader.profiles r) in
   Alcotest.(check bool) "has patterns" true (profiles <> []);
   List.iter
-    (fun (p : Bundle.Codec.profile) ->
-      let view = ok "walk" (Bundle.Walk.view r ~pattern:p.Bundle.Codec.name ()) in
-      Alcotest.(check string) "walk lands on the pattern" p.Bundle.Codec.name view.Bundle.Walk.pattern;
+    (fun (p : Analysis.profile) ->
+      let view = ok "walk" (Bundle.Walk.view r ~pattern:p.Analysis.name ()) in
+      Alcotest.(check string) "walk lands on the pattern" p.Analysis.name view.Bundle.Walk.pattern;
       Alcotest.(check bool) "has hops" true (view.Bundle.Walk.hops <> []);
       Alcotest.(check bool)
         "begin resolves" true
@@ -508,7 +508,7 @@ let test_walk_resolves_every_hop () =
       List.iter
         (fun (h : Bundle.Walk.hop) ->
           if h.Bundle.Walk.records = [] then
-            Alcotest.failf "pattern %s: hop %s resolves to no records" p.Bundle.Codec.name
+            Alcotest.failf "pattern %s: hop %s resolves to no records" p.Analysis.name
               (Core.Latency.component_label h.Bundle.Walk.comp))
         view.Bundle.Walk.hops)
     profiles
@@ -821,13 +821,50 @@ let test_diff_self_is_quiet () =
         (Float.abs (m.Bundle.Diff.freq_b -. m.Bundle.Diff.freq_a) < 1e-12))
     d.Bundle.Diff.mix;
   List.iter
-    (fun (r : Bundle.Diff.pattern_report) ->
+    (fun (r : Analysis.pair) ->
       List.iter
         (fun (x : Analysis.delta) ->
           Alcotest.(check bool)
             "no share change" true
             (Float.abs x.Analysis.change_pp < 1e-9))
-        r.Bundle.Diff.report.Analysis.deltas)
+        r.Analysis.report.Analysis.deltas)
+    d.Bundle.Diff.reports
+
+(* Mesh fan-out gives one route name many signatures (ROADMAP item 1):
+   the mix must hold one row per signature and every report must pair a
+   pattern with itself, as `bundle pack` of `simulate --topology control
+   --seed 7` and `--topology hotspot_key --seed 7` at the mesh entry. *)
+let test_diff_mesh_keys_by_signature () =
+  with_dir @@ fun dir ->
+  let pack preset =
+    let b = Mesh.Runtime.build (Option.get (Mesh.Presets.spec_of ~seed:7 preset)) in
+    Simnet.Engine.run b.Mesh.Runtime.engine;
+    let transform = Core.Transform.config ~entry_points:b.Mesh.Runtime.entries () in
+    let path = Filename.concat dir (preset ^ ".ptz") in
+    ignore
+      (ok "pack"
+         (Bundle.Pack.pack
+            ~config:(Correlator.config ~transform ~window:(Simnet.Sim_time.ms 10) ())
+            ~source:(`Arenas (Arena.of_collection (Trace.Probe.logs b.Mesh.Runtime.probe)))
+            ~path ()));
+    reader path
+  in
+  let d = ok "diff" (Bundle.Diff.diff (pack "control") (pack "hotspot_key")) in
+  let mix = d.Bundle.Diff.mix in
+  let signatures = List.map (fun (m : Bundle.Diff.mix_delta) -> m.Bundle.Diff.signature) mix in
+  Alcotest.(check int)
+    "no repeated signature"
+    (List.length signatures)
+    (List.length (List.sort_uniq String.compare signatures));
+  let sum f = List.fold_left (fun acc m -> acc + f m) 0 mix in
+  Alcotest.(check int) "count_a sums to total_a" d.Bundle.Diff.total_a
+    (sum (fun m -> m.Bundle.Diff.count_a));
+  Alcotest.(check int) "count_b sums to total_b" d.Bundle.Diff.total_b
+    (sum (fun m -> m.Bundle.Diff.count_b));
+  List.iter
+    (fun { Analysis.baseline; observed; _ } ->
+      Alcotest.(check string)
+        "a report pairs one signature" baseline.Analysis.signature observed.Analysis.signature)
     d.Bundle.Diff.reports
 
 (* ---- scenario + telemetry sections ---- *)
@@ -835,15 +872,13 @@ let test_diff_self_is_quiet () =
 let test_config_and_telemetry_sections () =
   with_dir @@ fun dir ->
   let logs = (Lazy.force outcome).S.logs in
-  let reg = Telemetry.Registry.create () in
+  let reg = Telemetry.Registry.default in
   let c = Telemetry.Registry.counter reg ~help:"test" "pt_test_total" in
   Telemetry.Registry.incr c;
   let scenario = Json.Obj [ ("clients", Json.Int 120) ] in
   let path = Filename.concat dir "t.ptz" in
   (match
-     Bundle.Pack.pack
-       ~telemetry:(Telemetry.Registry.snapshot reg)
-       ~scenario ~config:(config ())
+     Bundle.Pack.pack ~embed_telemetry:true ~scenario ~config:(config ())
        ~source:(`Arenas (Arena.of_collection logs))
        ~path ()
    with
@@ -867,6 +902,31 @@ let test_config_and_telemetry_sections () =
       Alcotest.(check bool) "snapshot round-trips" true found
   | None -> Alcotest.fail "no telemetry section"
 
+(* The snapshot is taken after the encode stage, so it holds this pack's
+   own stage times: one correlate observation more than before the pack. *)
+let test_telemetry_holds_pack_stages () =
+  with_dir @@ fun dir ->
+  let correlate_count families =
+    match
+      Telemetry.Registry.find_sample families
+        ~labels:[ ("stage", "correlate") ]
+        "pt_bundle_pack_stage_seconds"
+    with
+    | Some (Telemetry.Registry.Hist { count; _ }) -> count
+    | Some _ | None -> 0
+  in
+  let before = correlate_count (Telemetry.Registry.snapshot Telemetry.Registry.default) in
+  let path = Filename.concat dir "t.ptz" in
+  ignore
+    (ok "pack"
+       (Bundle.Pack.pack ~embed_telemetry:true ~config:(config ())
+          ~source:(`Arenas (Arena.of_collection (Lazy.force outcome).S.logs))
+          ~path ()));
+  match ok "telemetry" (Bundle.Reader.telemetry (reader path)) with
+  | Some families ->
+      Alcotest.(check int) "this pack's correlate stage" (before + 1) (correlate_count families)
+  | None -> Alcotest.fail "no telemetry section"
+
 let () =
   Alcotest.run "bundle"
     [
@@ -883,6 +943,8 @@ let () =
             test_roundtrip_paths_and_profiles;
           Alcotest.test_case "config and telemetry sections" `Quick
             test_config_and_telemetry_sections;
+          Alcotest.test_case "telemetry holds the pack stages" `Quick
+            test_telemetry_holds_pack_stages;
         ] );
       ( "back-links",
         [
@@ -916,5 +978,7 @@ let () =
         [
           Alcotest.test_case "names the diagnose culprit" `Quick test_diff_names_diagnose_culprit;
           Alcotest.test_case "self-diff is quiet" `Quick test_diff_self_is_quiet;
+          Alcotest.test_case "mesh rows and pairs by signature" `Quick
+            test_diff_mesh_keys_by_signature;
         ] );
     ]

@@ -164,17 +164,6 @@ let test_export_edge_indices_valid () =
       | _ -> Alcotest.fail "edges not a list")
   | _ -> Alcotest.fail "not an object"
 
-let test_export_pattern_summary () =
-  let cag = one_cag () in
-  let patterns = Core.Pattern.classify [ cag; cag ] in
-  match Cag_export.pattern_summary_to_json patterns with
-  | Json.List [ Json.Obj fields ] ->
-      Alcotest.(check bool) "paths = 2" true (List.assoc "paths" fields = Json.Int 2);
-      (match List.assoc "latency_percentages" fields with
-      | Json.Obj pcts -> Alcotest.(check int) "7 components" 7 (List.length pcts)
-      | _ -> Alcotest.fail "no profile")
-  | _ -> Alcotest.fail "expected one pattern"
-
 (* ---- Cag_render ---- *)
 
 let test_render_lanes () =
@@ -315,7 +304,6 @@ let () =
         [
           Alcotest.test_case "schema" `Quick test_export_schema;
           Alcotest.test_case "edge indices" `Quick test_export_edge_indices_valid;
-          Alcotest.test_case "pattern summary" `Quick test_export_pattern_summary;
         ] );
       ( "cag_render",
         [
