@@ -87,8 +87,14 @@ bundle-gate: build
 # root, and some under an agent crash; the flat plane must survive the
 # crash too. A truncated store segment and a truncated bundle are runtime
 # failures: exit 1 (not Cmdliner's 124) with an error naming an offset.
+# Outputs: "--json -" prints the document alone on stdout (the same bytes
+# as --json FILE) and leaves no file named "-"; an unwritable output, and
+# a diagnose run whose --pattern neither run has, exit 1; a preset name
+# that mesh or simulate --topology does not take is a bad command line:
+# 124 with usage ("random" has no declarative spec and is no prefix).
 CLI_SIM = dune exec bin/precisetracer.exe -- simulate -c 40 --scale 0.05 --seed 11
 CLI_CORRELATE = dune exec bin/precisetracer.exe -- correlate
+CLI_EXE = $(CURDIR)/_build/default/bin/precisetracer.exe
 cli-gate: build
 	rm -rf _cli_gate && mkdir -p _cli_gate
 	$(CLI_SIM) -o _cli_gate/text
@@ -130,6 +136,21 @@ cli-gate: build
 	cat _cli_gate/hier-crash.txt
 	grep -Eq 'at the root \([1-9][0-9]* flagged deformed' _cli_gate/hier-crash.txt
 	$(CLI_SIM) --collect --fault agent-crash
+	cd _cli_gate && $(CLI_EXE) correlate text --json - > text-stdout.json
+	cmp _cli_gate/text.json _cli_gate/text-stdout.json
+	cd _cli_gate && $(CLI_EXE) bundle diff store.ptz store.ptz --json diff.json
+	cd _cli_gate && $(CLI_EXE) bundle diff store.ptz store.ptz --json - > diff-stdout.json
+	cmp _cli_gate/diff.json _cli_gate/diff-stdout.json
+	test ! -e _cli_gate/-
+	$(CLI_CORRELATE) _cli_gate/text --json /nonexistent/x.json 2> _cli_gate/write.err; test $$? -eq 1
+	grep -q 'cannot write /nonexistent/x.json' _cli_gate/write.err
+	dune exec bin/precisetracer.exe -- store query _cli_gate/store -o /nonexistent/q 2> _cli_gate/write.err; test $$? -eq 1
+	grep -q 'cannot write /nonexistent/q' _cli_gate/write.err
+	dune exec bin/precisetracer.exe -- diagnose -c 60 --scale 0.05 --seed 11 --fault db-lock --pattern nope; test $$? -eq 1
+	dune exec bin/precisetracer.exe -- mesh nope 2> _cli_gate/usage.err; test $$? -eq 124
+	grep -q '^Usage:' _cli_gate/usage.err
+	dune exec bin/precisetracer.exe -- simulate --topology random 2> _cli_gate/usage.err; test $$? -eq 124
+	grep -q '^Usage:' _cli_gate/usage.err
 	rm -rf _cli_gate
 
 # The pipeline benchmark (bench/pipeline/README.md), untraced, on all four

@@ -10,7 +10,8 @@
    --jobs adds an extra domain count to the parallel figure's 1/2/4 grid.
    Default: everything, at time_scale 0.1 (stage durations shrunk 10x;
    service times, think times and all rates untouched, so shapes match the
-   paper's full-length runs).
+   paper's full-length runs). An unknown argument, figure or telemetry
+   format exits 2 before any figure runs.
 
    --telemetry emits a self-profile of the pipeline's own metrics (metric
    catalogue in docs/TELEMETRY.md) alongside the tables, including a
@@ -46,7 +47,7 @@ module Json = Telemetry.Json
 let time_scale = ref 0.1
 let quick = ref false
 let telemetry_out = ref None
-let telemetry_format = ref `Prom
+let telemetry_format : Core.Telemetry_report.format ref = ref `Prom
 let json_out = ref None
 let jobs_override = ref None
 let gate_file = ref None
@@ -1900,6 +1901,12 @@ let resolve = function
   | "13" -> Some ("12", bench_fig12_13)
   | id -> List.find_opt (fun (name, _) -> String.equal name id) all_figures
 
+(* A mistyped flag must not silently turn a gate off: exit 2 before any
+   figure runs. *)
+let usage_error msg =
+  Printf.eprintf "%s\n" msg;
+  exit 2
+
 let () =
   let selected = ref [] in
   let rec parse = function
@@ -1908,7 +1915,7 @@ let () =
         (match resolve id with
         | Some f -> selected := f :: !selected
         | None when String.equal id "all" -> selected := List.rev all_figures @ !selected
-        | None -> Printf.eprintf "unknown figure %S\n" id);
+        | None -> usage_error (Printf.sprintf "unknown figure %S" id));
         parse rest
     | "--scale" :: s :: rest ->
         time_scale := float_of_string s;
@@ -1935,15 +1942,11 @@ let () =
         gate_mesh_file := Some file;
         parse rest
     | "--telemetry-format" :: fmt :: rest ->
-        (match fmt with
-        | "prom" -> telemetry_format := `Prom
-        | "json" -> telemetry_format := `Json
-        | "report" -> telemetry_format := `Report
-        | _ -> Printf.eprintf "unknown telemetry format %S (prom|json|report)\n" fmt);
+        (match List.assoc_opt fmt Core.Telemetry_report.formats with
+        | Some f -> telemetry_format := f
+        | None -> usage_error (Printf.sprintf "unknown telemetry format %S (prom|json|report)" fmt));
         parse rest
-    | arg :: rest ->
-        Printf.eprintf "unknown argument %S\n" arg;
-        parse rest
+    | arg :: _ -> usage_error (Printf.sprintf "unknown argument %S" arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
   let figures =
@@ -1979,12 +1982,8 @@ let () =
   (match !telemetry_out with
   | None -> ()
   | Some file ->
-      let families = Telemetry.Registry.(snapshot default) in
       let body =
-        match !telemetry_format with
-        | `Prom -> Telemetry.Export.to_prometheus families
-        | `Json -> Telemetry.Export.to_json_string families ^ "\n"
-        | `Report -> Core.Telemetry_report.render families
+        Core.Telemetry_report.export !telemetry_format Telemetry.Registry.(snapshot default)
       in
       if String.equal file "-" then print_string body
       else begin

@@ -4,16 +4,21 @@
      simulate   run the simulated three-tier testbed, optionally saving
                 per-node TCP_TRACE files or streaming a segmented store
      correlate  turn a directory of trace files (text, binary or a
-                segmented store) into causal paths
-     evaluate   simulate + correlate + score against the oracle, or
-                correlate + score saved traces (--from)
+                segmented store) into causal paths, scored against the
+                oracle saved next to them
+     evaluate   simulate + correlate + score against the oracle
      diagnose   compare a suspect configuration against a healthy baseline
                 and print the suspected components
      store      ingest | query | compact | stat on segmented trace stores
      bundle     pack | info | walk | query | diff on single-file PTZ1
                 recordings
      mesh       run a declarative microservice-mesh scenario preset
-                end-to-end and score the correlator against its oracle *)
+                end-to-end and score the correlator against its oracle
+
+   Documents (--json, --telemetry) and -o directories are written by
+   [write_output], where "-" as a document path is stdout; every write,
+   stores and bundles included, fails through [writing]. Exit 1 is a
+   runtime failure ([failed]), exit 124 a command line the CLI rejects. *)
 
 module S = Tiersim.Scenario
 module Workload = Tiersim.Workload
@@ -141,12 +146,91 @@ let policy_conv =
   in
   Cmdliner.Arg.conv (parse, Store.Policy.pp)
 
-(* An input that cannot be read or decoded is a runtime failure: exit 1,
-   like every other. [`Error] in [Term.ret] is Cmdliner's command-line
-   error (exit 124), kept for arguments the CLI itself rejects. *)
+(* A mesh preset among [names], matched exactly: Cmdliner's [enum] also
+   takes a prefix, and "random" would then run "random_mesh". *)
+let preset_conv names =
+  let parse s =
+    if List.mem s names then Ok s
+    else Error (Printf.sprintf "unknown preset %s (try: %s)" s (String.concat ", " names))
+  in
+  Arg.conv' (parse, Format.pp_print_string)
+
+(* ---- failures and outputs ---- *)
+
+(* A failure that comes from the run's data (an input that cannot be read
+   or decoded, an output that cannot be written, runs with nothing to
+   compare) exits 1. A command line the CLI rejects exits 124, Cmdliner's
+   own code for a bad command line. *)
 let failed msg =
   Format.eprintf "precisetracer: %s@." msg;
   exit 1
+
+let usage_error msg =
+  Format.eprintf "precisetracer: %s@." msg;
+  exit Cmd.Exit.cli_error
+
+let or_fail = function Ok x -> x | Error e -> failed e
+
+(* Run [f], which writes [path]; a write that fails is a runtime failure
+   that names [path]. *)
+let writing path f =
+  try f ()
+  with Sys_error msg | Fun.Finally_raised (Sys_error msg) ->
+    let prefix = path ^ ": " in
+    let msg =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    failed (Printf.sprintf "cannot write %s: %s" path msg)
+
+(* The channel of the documents sent to "-": the process's stdout. The
+   first such document moves file descriptor 1 to stderr, so that all else
+   printed (the human report, from any module or domain) goes to stderr
+   and stdout holds the documents alone. *)
+let stdout_documents =
+  lazy
+    (flush stdout;
+     let oc = Unix.out_channel_of_descr (Unix.dup Unix.stdout) in
+     Unix.dup2 Unix.stderr Unix.stdout;
+     oc)
+
+(* Every document and directory the CLI writes. A document is a string,
+   and "-" as its path is stdout; a directory is made if missing and
+   filled by [save]. *)
+let write_output ~what path output =
+  match output with
+  | `Document body when String.equal path "-" ->
+      let oc = Lazy.force stdout_documents in
+      output_string oc body;
+      flush oc
+  | _ ->
+      writing path (fun () ->
+          match output with
+          | `Document body ->
+              (* close explicitly: a failed flush must surface *)
+              Out_channel.with_open_bin path (fun oc ->
+                  output_string oc body;
+                  close_out oc)
+          | `Dir save ->
+              if not (Sys.file_exists path) then Sys.mkdir path 0o755;
+              save path);
+      Format.printf "%s written to %s@." what path
+
+let write_json ?(what = "json") path json =
+  write_output ~what path (`Document (Core.Json.to_string ~indent:true json ^ "\n"))
+
+(* A document flag takes a FILE, "-" for stdout. Given "-", it moves the
+   human report to stderr before the command prints anything. *)
+let document_arg long ~doc =
+  let to_stdout = function
+    | Some "-" as path ->
+        ignore (Lazy.force stdout_documents);
+        path
+    | path -> path
+  in
+  let doc = doc ^ "; \"-\" writes to stdout." in
+  Term.(const to_stdout $ Arg.(value & opt (some string) None & info [ long ] ~docv:"FILE" ~doc))
 
 (* Load traces from DIR as one arena per host, whatever their format: a
    segmented store (has a MANIFEST.json), binary PTB1 files (recognised
@@ -197,47 +281,44 @@ let load_traces ?jobs dir =
                          dir)
                 | collections -> Ok (Store.Query.merge_native collections))))
 
+(* The oracle saved next to a run's traces, if there is one. An unreadable
+   one is reported and skipped: the traces are still worth correlating. *)
+let read_ground_truth dir =
+  let path = Filename.concat dir "ground_truth.txt" in
+  if not (Sys.file_exists path) then None
+  else
+    match Trace.Ground_truth.load ~path with
+    | Ok gt -> Some gt
+    | Error e ->
+        Format.printf "could not read %s: %s@." path e;
+        None
+
 (* ---- telemetry self-profile ---- *)
 
-let telemetry_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "telemetry" ] ~docv:"FILE"
-        ~doc:
-          "Write the pipeline's own metrics (correlator, simnet, probe; see docs/TELEMETRY.md) \
-           to $(docv) after the run; \"-\" writes to stdout.")
+let telemetry =
+  let file =
+    document_arg "telemetry"
+      ~doc:
+        "Write the pipeline's own metrics (correlator, simnet, probe; see docs/TELEMETRY.md) \
+         to $(docv) after the run"
+  in
+  let format =
+    Arg.(
+      value
+      & opt (enum Core.Telemetry_report.formats) `Prom
+      & info [ "telemetry-format" ] ~docv:"FORMAT"
+          ~doc:
+            "Self-profile format: $(b,prom) (Prometheus text exposition), $(b,json), or \
+             $(b,report) (human-readable tables).")
+  in
+  Term.(const (fun file format -> (file, format)) $ file $ format)
 
-let telemetry_format =
-  Arg.(
-    value
-    & opt (enum [ ("prom", `Prom); ("json", `Json); ("report", `Report) ]) `Prom
-    & info [ "telemetry-format" ] ~docv:"FORMAT"
-        ~doc:
-          "Self-profile format: $(b,prom) (Prometheus text exposition), $(b,json), or \
-           $(b,report) (human-readable tables).")
-
-let write_telemetry file format =
-  match file with
-  | None -> ()
-  | Some file ->
-      let families = Telemetry.Registry.(snapshot default) in
-      let body =
-        match format with
-        | `Prom -> Telemetry.Export.to_prometheus families
-        | `Json -> Telemetry.Export.to_json_string families ^ "\n"
-        | `Report -> Core.Telemetry_report.render families
-      in
-      if String.equal file "-" then print_string body
-      else begin
-        match open_out file with
-        | oc ->
-            Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc body);
-            Format.printf "telemetry written to %s@." file
-        | exception Sys_error msg ->
-            Format.eprintf "cannot write telemetry: %s@." msg;
-            exit 1
-      end
+let write_telemetry (file, format) =
+  Option.iter
+    (fun path ->
+      write_output ~what:"telemetry" path
+        (`Document (Core.Telemetry_report.export format Telemetry.Registry.(snapshot default))))
+    file
 
 (* ---- bundle packing shared by simulate/correlate/bundle pack ---- *)
 
@@ -271,11 +352,36 @@ let scenario_json (spec : S.spec) =
     ]
 
 let pack_bundle ?embed_telemetry ?scenario ?jobs ~config ~source path =
-  match Bundle.Pack.pack ?embed_telemetry ?scenario ?jobs ~config ~source ~path () with
+  match
+    writing path (fun () ->
+        Bundle.Pack.pack ?embed_telemetry ?scenario ?jobs ~config ~source ~path ())
+  with
   | Ok summary -> Format.printf "%a@." Bundle.Pack.pp_summary summary
-  | Error e ->
-      Format.eprintf "cannot pack bundle: %s@." e;
-      exit 1
+  | Error e -> failed ("cannot pack bundle: " ^ e)
+
+(* ---- stores shared by simulate and store ingest ---- *)
+
+(* Close a store, put the run's oracle next to its segments (so that
+   [correlate] scores it) and print its stats. *)
+let close_store ?ground_truth dir writer =
+  let stats =
+    writing dir (fun () ->
+        let stats = Store.Writer.close writer in
+        Option.iter
+          (fun gt -> Trace.Ground_truth.save gt ~path:(Filename.concat dir "ground_truth.txt"))
+          ground_truth;
+        stats)
+  in
+  Format.printf "store %s: %a@." dir Store.Writer.pp_stats stats
+
+let open_store ~policy ~correlate ~segment_records dir =
+  writing dir (fun () ->
+      Store.Writer.create ~policy ~correlate ~roll_records:segment_records ~dir ())
+
+let write_store ~policy ~correlate ~segment_records ?ground_truth dir arenas =
+  let writer = open_store ~policy ~correlate ~segment_records dir in
+  writing dir (fun () -> Store.Writer.ingest_native writer arenas);
+  close_store ?ground_truth dir writer
 
 (* ---- simulate ---- *)
 
@@ -362,20 +468,22 @@ let print_hierarchy (report : Collect.Hierarchy.report) =
 (* Save a run's traces to [dir] as text logs or one PTB1 file, plus its
    ground truth when it has one. [arenas] spares a second conversion. *)
 let save_run ~binary ~dir ?gt ?arenas logs =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  (if binary then
-     let arenas =
-       match arenas with Some a -> Lazy.force a | None -> Trace.Arena.of_collection logs
-     in
-     Trace.Binary_format.save arenas ~path:(Filename.concat dir "traces.ptb")
-   else Trace.Log.save logs ~dir);
-  Option.iter
-    (fun gt -> Trace.Ground_truth.save gt ~path:(Filename.concat dir "ground_truth.txt"))
-    gt;
-  Format.printf "%s%s written to %s@."
+  let what =
     (if binary then "traces.ptb" else "trace files")
-    (if Option.is_some gt then " and ground_truth.txt" else "")
-    dir
+    ^ if Option.is_some gt then " and ground_truth.txt" else ""
+  in
+  write_output ~what dir
+    (`Dir
+      (fun dir ->
+        (if binary then
+           let arenas =
+             match arenas with Some a -> Lazy.force a | None -> Trace.Arena.of_collection logs
+           in
+           Trace.Binary_format.save arenas ~path:(Filename.concat dir "traces.ptb")
+         else Trace.Log.save logs ~dir);
+        Option.iter
+          (fun gt -> Trace.Ground_truth.save gt ~path:(Filename.concat dir "ground_truth.txt"))
+          gt))
 
 let simulate_cmd =
   let out =
@@ -462,7 +570,7 @@ let simulate_cmd =
           ~doc:
             "Scale the testbed out to $(docv) independent service replicas ($(docv) x 3 \
              traced hosts, the cluster preset). Above 1 this requires the hierarchical \
-             plane: $(b,--collect-shards) or $(b,--agent-correlate).")
+             plane, $(b,--collect-shards).")
   in
   let collect_shards =
     Arg.(
@@ -470,23 +578,18 @@ let simulate_cmd =
       & info [ "collect-shards" ] ~docv:"N"
           ~doc:
             "Run the hierarchical collection plane with $(docv) level-1 collector shards: \
-             per-host agents partial-correlate before shipping, each shard correlates a \
-             partition of the entry connections, and the root splices the shards' PTP1 \
-             path tables (see docs/COLLECT.md). Implies $(b,--agent-correlate).")
-  in
-  let agent_correlate =
-    Arg.(
-      value & flag
-      & info [ "agent-correlate" ]
-          ~doc:
-            "Run the agent-local partial-correlation pass (hierarchy level 0) on every \
-             traced host: prefilter and coalesce runs, then ship the reduced frames. \
-             Without $(b,--collect-shards) a single level-1 shard is used.")
+             per-host agents partial-correlate before shipping (hierarchy level 0), each \
+             shard correlates a partition of the entry connections, and the root splices \
+             the shards' PTP1 path tables (see docs/COLLECT.md). $(b,1) runs level 0 \
+             behind a single shard.")
   in
   let topology =
+    let declarative =
+      List.filter (fun n -> Mesh.Presets.spec_of ~seed:0 n <> None) Mesh.Presets.names
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (preset_conv declarative)) None
       & info [ "topology" ] ~docv:"PRESET"
           ~doc:
             "Simulate a declarative microservice-mesh preset (see $(b,precisetracer mesh \
@@ -494,111 +597,42 @@ let simulate_cmd =
              $(b,--binary) apply; use the $(b,mesh) subcommand to also correlate and \
              score.")
   in
-  let run spec out binary store_dir store_policy segment_records collect collect_batch
-      collect_buffer collect_overflow agent_policy replicas collect_shards agent_correlate
-      bundle_out topology tfile tformat =
-    let hierarchical = collect_shards > 0 || agent_correlate in
-    (match topology with
-    | None -> ()
-    | Some preset ->
-        if
-          collect || hierarchical || replicas > 1
-          || Option.is_some store_dir
-          || Option.is_some bundle_out
-        then begin
-          Format.eprintf
-            "--topology runs the mesh simulator and supports only --seed, -o and \
-             --binary; use the mesh subcommand to correlate and score@.";
-          exit 1
-        end;
-        (match Mesh.Presets.spec_of ~seed:spec.S.seed preset with
-        | None ->
-            Format.eprintf
-              "--topology %s: not a declarative mesh preset (try: %s)@." preset
-              (String.concat ", "
-                 (List.filter
-                    (fun n -> Mesh.Presets.spec_of ~seed:0 n <> None)
-                    Mesh.Presets.names));
-            exit 1
-        | Some mspec ->
-            let b = Mesh.Runtime.build mspec in
-            Simnet.Engine.run b.Mesh.Runtime.engine;
-            let logs = Trace.Probe.logs b.Mesh.Runtime.probe in
-            Format.printf
-              "mesh %s: %d requests completed, %d activities captured on %d hosts@."
-              preset
-              (Trace.Ground_truth.count b.Mesh.Runtime.gt)
-              (Trace.Probe.activity_count b.Mesh.Runtime.probe)
-              (List.length b.Mesh.Runtime.hostnames);
-            Format.printf "served:";
-            List.iter
-              (fun (h, n) -> Format.printf " %s=%d" h n)
-              (Mesh.Runtime.served b);
-            Format.printf "@.";
-            (match out with
-            | Some dir ->
-                save_run ~binary ~dir ~gt:b.Mesh.Runtime.gt logs;
-                (* The generic correlate command defaults its entry
-                   endpoint to the RUBiS web tier; mesh topologies listen
-                   elsewhere, so tell the user what to pass. *)
-                (match b.Mesh.Runtime.entries with
-                | e :: _ ->
-                    Format.printf "correlate with: precisetracer correlate %s --entry %a@."
-                      dir Simnet.Address.pp_endpoint e
-                | [] -> ())
-            | None -> ());
-            write_telemetry tfile tformat;
-            exit 0));
-    if replicas < 1 then begin
-      Format.eprintf "--replicas must be at least 1@.";
-      exit 1
-    end;
-    if collect_shards < 0 then begin
-      Format.eprintf "--collect-shards must be 0 (off) or more@.";
-      exit 1
-    end;
-    if replicas > 1 && not hierarchical then begin
-      Format.eprintf
-        "--replicas above 1 needs the hierarchical plane: add --collect-shards N or \
-         --agent-correlate@.";
-      exit 1
-    end;
-    let agent =
-      {
-        Collect.Agent.default_config with
-        Collect.Agent.batch_records = collect_batch;
-        max_spool_records = collect_buffer;
-        overflow = collect_overflow;
-        policy = agent_policy;
-      }
-    in
-    if hierarchical then begin
-      if collect || Option.is_some store_dir || Option.is_some bundle_out then begin
-        Format.eprintf
-          "--collect-shards/--agent-correlate run their own collection plane and cannot \
-           be combined with --collect, --store or --bundle@.";
-        exit 1
-      end;
-      if not (Store.Policy.is_none agent_policy) then begin
-        Format.eprintf
-          "--agent-policy does not apply under --agent-correlate: the partial-correlation \
-           pass is the agent-local reduction@.";
-        exit 1
-      end;
-      let shards = if collect_shards > 0 then collect_shards else 1 in
-      let cluster = { S.base = spec; S.replicas } in
-      let config =
-        { Collect.Hierarchy.default_config with Collect.Hierarchy.shards; agent }
-      in
-      let plane = Collect.Hierarchy.create ~config cluster in
-      let co = S.run_cluster ~before_replica:(Collect.Hierarchy.install plane) cluster in
-      let report = Collect.Hierarchy.finish plane in
-      print_cluster_summary co;
-      print_hierarchy report;
-      Option.iter (fun dir -> save_run ~binary ~dir co.S.all_logs) out;
-      write_telemetry tfile tformat
-    end
-    else begin
+  let run_mesh ~seed ~out ~binary preset =
+    (* --topology takes only presets with a declarative spec *)
+    let b = Mesh.Runtime.build (Option.get (Mesh.Presets.spec_of ~seed preset)) in
+    Simnet.Engine.run b.Mesh.Runtime.engine;
+    Format.printf "mesh %s: %d requests completed, %d activities captured on %d hosts@." preset
+      (Trace.Ground_truth.count b.Mesh.Runtime.gt)
+      (Trace.Probe.activity_count b.Mesh.Runtime.probe)
+      (List.length b.Mesh.Runtime.hostnames);
+    Format.printf "served:";
+    List.iter (fun (h, n) -> Format.printf " %s=%d" h n) (Mesh.Runtime.served b);
+    Format.printf "@.";
+    Option.iter
+      (fun dir ->
+        save_run ~binary ~dir ~gt:b.Mesh.Runtime.gt (Trace.Probe.logs b.Mesh.Runtime.probe);
+        (* The generic correlate command defaults its entry endpoint to
+           the RUBiS web tier; mesh topologies listen elsewhere, so tell
+           the user what to pass. *)
+        match b.Mesh.Runtime.entries with
+        | e :: _ ->
+            Format.printf "correlate with: precisetracer correlate %s --entry %a@." dir
+              Simnet.Address.pp_endpoint e
+        | [] -> ())
+      out
+  in
+  let run_hierarchy ~agent ~shards ~replicas ~out ~binary spec =
+    let cluster = { S.base = spec; S.replicas } in
+    let config = { Collect.Hierarchy.default_config with Collect.Hierarchy.shards; agent } in
+    let plane = Collect.Hierarchy.create ~config cluster in
+    let co = S.run_cluster ~before_replica:(Collect.Hierarchy.install plane) cluster in
+    let report = Collect.Hierarchy.finish plane in
+    print_cluster_summary co;
+    print_hierarchy report;
+    Option.iter (fun dir -> save_run ~binary ~dir co.S.all_logs) out
+  in
+  let run_flat ~agent ~collect ~out ~binary ~store_dir ~store_policy ~segment_records
+      ~bundle_out spec =
     let deploy = ref None in
     let writer = ref None in
     let before_run svc =
@@ -608,10 +642,7 @@ let simulate_cmd =
             let correlate =
               Core.Correlator.config ~transform:(Tiersim.Service.transform_config svc) ()
             in
-            writer :=
-              Some
-                (Store.Writer.create ~policy:store_policy ~correlate
-                   ~roll_records:segment_records ~dir ()))
+            writer := Some (open_store ~policy:store_policy ~correlate ~segment_records dir))
           store_dir;
         let config = { Collect.Deploy.default_config with Collect.Deploy.agent } in
         deploy := Some (Collect.Deploy.install ~config ?writer:!writer svc)
@@ -625,41 +656,68 @@ let simulate_cmd =
       (fun dir -> save_run ~binary ~dir ~gt:outcome.S.ground_truth ~arenas outcome.S.logs)
       out;
     Option.iter print_collect !deploy;
+    let ground_truth = outcome.S.ground_truth in
     (match (store_dir, !writer) with
     | Some dir, Some w ->
         (* --collect --store: the writer was fed in-band by the collector *)
-        let stats = Store.Writer.close w in
-        Trace.Ground_truth.save outcome.S.ground_truth
-          ~path:(Filename.concat dir "ground_truth.txt");
-        Format.printf "store %s: %a@." dir Store.Writer.pp_stats stats
+        close_store ~ground_truth dir w
     | Some dir, None ->
         let correlate = Core.Correlator.config ~transform:outcome.S.transform () in
-        let writer =
-          Store.Writer.create ~policy:store_policy ~correlate
-            ~roll_records:segment_records ~dir ()
-        in
-        Store.Writer.ingest_native writer (Lazy.force arenas);
-        let stats = Store.Writer.close writer in
-        Trace.Ground_truth.save outcome.S.ground_truth
-          ~path:(Filename.concat dir "ground_truth.txt");
-        Format.printf "store %s: %a@." dir Store.Writer.pp_stats stats
+        write_store ~policy:store_policy ~correlate ~segment_records ~ground_truth dir
+          (Lazy.force arenas)
     | None, _ -> ());
     Option.iter
       (fun path ->
         let config = Core.Correlator.config ~transform:outcome.S.transform () in
         pack_bundle ~scenario:(scenario_json spec) ~config
           ~source:(`Arenas (Lazy.force arenas)) path)
-      bundle_out;
-    write_telemetry tfile tformat
-    end
+      bundle_out
+  in
+  let run spec out binary store_dir store_policy segment_records collect collect_batch
+      collect_buffer collect_overflow agent_policy replicas collect_shards bundle_out topology
+      telemetry =
+    if replicas < 1 then usage_error "--replicas must be at least 1";
+    if collect_shards < 0 then usage_error "--collect-shards must be 0 (off) or more";
+    let agent =
+      {
+        Collect.Agent.default_config with
+        Collect.Agent.batch_records = collect_batch;
+        max_spool_records = collect_buffer;
+        overflow = collect_overflow;
+        policy = agent_policy;
+      }
+    in
+    let flat_only = collect || Option.is_some store_dir || Option.is_some bundle_out in
+    (match topology with
+    | Some preset ->
+        if flat_only || collect_shards > 0 || replicas > 1 then
+          usage_error
+            "--topology runs the mesh simulator and supports only --seed, -o and --binary; \
+             use the mesh subcommand to correlate and score";
+        run_mesh ~seed:spec.S.seed ~out ~binary preset
+    | None when collect_shards > 0 ->
+        if flat_only then
+          usage_error
+            "--collect-shards runs its own collection plane and cannot be combined with \
+             --collect, --store or --bundle";
+        if not (Store.Policy.is_none agent_policy) then
+          usage_error
+            "--agent-policy does not apply under --collect-shards: the partial-correlation \
+             pass is the agent-local reduction";
+        run_hierarchy ~agent ~shards:collect_shards ~replicas ~out ~binary spec
+    | None ->
+        if replicas > 1 then
+          usage_error "--replicas above 1 needs the hierarchical plane: add --collect-shards N";
+        run_flat ~agent ~collect ~out ~binary ~store_dir ~store_policy ~segment_records
+          ~bundle_out spec);
+    write_telemetry telemetry
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the simulated three-tier testbed.")
     Term.(
       const run $ spec_term $ out $ binary $ store_out $ store_policy $ segment_records
       $ collect $ collect_batch $ collect_buffer $ collect_overflow $ agent_policy
-      $ replicas $ collect_shards $ agent_correlate $ bundle_out_arg $ topology
-      $ telemetry_file $ telemetry_format)
+      $ replicas $ collect_shards $ bundle_out_arg $ topology $ telemetry)
 
 (* ---- correlate ---- *)
 
@@ -667,15 +725,9 @@ let transform_of_entry entry =
   Core.Transform.config ~entry_points:[ entry ]
     ~drop_programs:Tiersim.Service.standard_drop_programs ()
 
-let correlate_arenas ?jobs ~window ~entry arenas =
-  Core.Shard.correlate_arena ?jobs
-    (Core.Correlator.config ~transform:(transform_of_entry entry) ~window ())
-    arenas
-
 (* Replay saved host arenas through the online pipeline in arrival order,
    as a live collector would deliver them. *)
-let correlate_online ~window ~entry ?straggler_timeout ?max_buffered arenas =
-  let config = Core.Correlator.config ~transform:(transform_of_entry entry) ~window () in
+let correlate_online ~config ?straggler_timeout ?max_buffered arenas =
   let hosts = List.map Trace.Arena.hostname arenas in
   let live = ref 0 in
   let online =
@@ -758,14 +810,10 @@ let correlate_cmd =
       & info [] ~docv:"DIR"
           ~doc:
             "Directory of traces: a segmented store, binary PTB1 files (auto-detected by \
-             magic) and/or *.trace text files.")
+             magic) and/or *.trace text files. A $(docv)/ground_truth.txt scores the \
+             paths.")
   in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Export all causal paths as JSON to $(docv).")
-  in
+  let json = document_arg "json" ~doc:"Export all causal paths as JSON to $(docv)" in
   let show =
     Arg.(
       value & opt int 0
@@ -798,147 +846,77 @@ let correlate_cmd =
             "Online: bound held records at $(docv); past it the oldest window is \
              force-resolved instead of waiting for input.")
   in
-  let run dir window_ms entry jobs json_out show online straggler_timeout_ms max_buffered
-      bundle_out tfile tformat =
+  let run dir window_ms entry jobs json show online straggler_timeout_ms max_buffered
+      bundle_out telemetry =
     let jobs = jobs_of jobs in
-    match load_traces ~jobs dir with
-    | Error e -> failed e
-    | Ok arenas ->
-        Format.printf "loaded %d activities from %d nodes@." (Trace.Arena.total arenas)
-          (List.length arenas);
-        let window = window_of window_ms in
-        let cags =
-          if online then begin
-            let ((t, _) as run) =
-              correlate_online ~window ~entry
-                ?straggler_timeout:(Option.map window_of straggler_timeout_ms)
-                ?max_buffered arenas
-            in
-            print_online run;
-            Core.Online.paths t
-          end
-          else begin
-            let result = correlate_arenas ~jobs ~window ~entry arenas in
-            print_correlation result;
-            result.Core.Correlator.cags
-          end
+    let arenas = or_fail (load_traces ~jobs dir) in
+    Format.printf "loaded %d activities from %d nodes@." (Trace.Arena.total arenas)
+      (List.length arenas);
+    let config =
+      Core.Correlator.config ~transform:(transform_of_entry entry) ~window:(window_of window_ms)
+        ()
+    in
+    let cags =
+      if online then begin
+        let ((t, _) as run) =
+          correlate_online ~config
+            ?straggler_timeout:(Option.map window_of straggler_timeout_ms)
+            ?max_buffered arenas
         in
-        List.iteri
-          (fun i cag -> if i < show then Format.printf "@.%s" (Core.Cag_render.render cag))
-          cags;
-        (match json_out with
-        | Some file ->
-            let oc = open_out file in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc
-                  (Core.Json.to_string ~indent:true (Core.Cag_export.paths_to_json cags)));
-            Format.printf "@.paths exported to %s@." file
-        | None -> ());
-        (* score against a saved oracle when one sits next to the traces *)
-        let gt_path = Filename.concat dir "ground_truth.txt" in
-        if Sys.file_exists gt_path then begin
-          match Trace.Ground_truth.load ~path:gt_path with
-          | Ok gt ->
-              let verdict = Core.Accuracy.check ~ground_truth:gt cags in
-              Format.printf "@.%a@." Core.Accuracy.pp_verdict verdict
-          | Error e -> Format.printf "@.could not read %s: %s@." gt_path e
-        end;
-        Option.iter
-          (fun path ->
-            let config =
-              Core.Correlator.config ~transform:(transform_of_entry entry) ~window ()
-            in
-            pack_bundle ~jobs ~config ~source:(`Arenas arenas) path)
-          bundle_out;
-        write_telemetry tfile tformat;
-        `Ok ()
+        print_online run;
+        Core.Online.paths t
+      end
+      else begin
+        let result = Core.Shard.correlate_arena ~jobs config arenas in
+        print_correlation result;
+        result.Core.Correlator.cags
+      end
+    in
+    List.iteri
+      (fun i cag -> if i < show then Format.printf "@.%s" (Core.Cag_render.render cag))
+      cags;
+    Option.iter (fun path -> write_json ~what:"paths" path (Core.Cag_export.paths_to_json cags)) json;
+    Option.iter
+      (fun gt ->
+        Format.printf "@.%a@." Core.Accuracy.pp_verdict (Core.Accuracy.check ~ground_truth:gt cags))
+      (read_ground_truth dir);
+    Option.iter (pack_bundle ~jobs ~config ~source:(`Arenas arenas)) bundle_out;
+    write_telemetry telemetry
   in
   Cmd.v
     (Cmd.info "correlate" ~doc:"Correlate saved trace files into causal paths.")
     Term.(
-      ret
-        (const run $ dir $ window_ms $ entry_arg $ jobs_arg $ json_out $ show $ online
-       $ straggler_timeout_ms $ max_buffered $ bundle_out_arg $ telemetry_file
-       $ telemetry_format))
+      const run $ dir $ window_ms $ entry_arg $ jobs_arg $ json $ show $ online
+      $ straggler_timeout_ms $ max_buffered $ bundle_out_arg $ telemetry)
 
 (* ---- evaluate ---- *)
 
 let evaluate_cmd =
-  let from =
-    Arg.(
-      value
-      & opt (some dir) None
-      & info [ "from" ] ~docv:"DIR"
-          ~doc:
-            "Skip the simulation: correlate saved traces from $(docv) (trace files or a \
-             segmented store) and score them against $(docv)/ground_truth.txt.")
-  in
-  let run spec window_ms from entry jobs tfile tformat =
-    let jobs = jobs_of jobs in
-    match from with
-    | Some dir -> (
-        match load_traces ~jobs dir with
-        | Error e -> failed e
-        | Ok arenas -> (
-            Format.printf "loaded %d activities from %d nodes@." (Trace.Arena.total arenas)
-              (List.length arenas);
-            let result = correlate_arenas ~jobs ~window:(window_of window_ms) ~entry arenas in
-            print_correlation result;
-            let gt_path = Filename.concat dir "ground_truth.txt" in
-            match Trace.Ground_truth.load ~path:gt_path with
-            | Error e -> failed (Printf.sprintf "cannot score %s: %s" gt_path e)
-            | Ok gt ->
-                let verdict =
-                  Core.Accuracy.check ~ground_truth:gt result.Core.Correlator.cags
-                in
-                Format.printf "@.%a@." Core.Accuracy.pp_verdict verdict;
-                write_telemetry tfile tformat;
-                `Ok ()))
-    | None ->
-        let outcome = S.run spec in
-        print_summary outcome;
-        let cfg =
-          Core.Correlator.config ~transform:outcome.S.transform
-            ~window:(window_of window_ms) ()
-        in
-        let result =
-          Core.Shard.correlate_arena ~jobs cfg (Trace.Arena.of_collection outcome.S.logs)
-        in
-        print_correlation result;
-        let verdict =
-          Core.Accuracy.check ~ground_truth:outcome.S.ground_truth
-            result.Core.Correlator.cags
-        in
-        Format.printf "@.%a@." Core.Accuracy.pp_verdict verdict;
-        write_telemetry tfile tformat;
-        `Ok ()
+  let run spec window_ms jobs telemetry =
+    let outcome = S.run spec in
+    print_summary outcome;
+    let cfg =
+      Core.Correlator.config ~transform:outcome.S.transform ~window:(window_of window_ms) ()
+    in
+    let result =
+      Core.Shard.correlate_arena ~jobs:(jobs_of jobs) cfg
+        (Trace.Arena.of_collection outcome.S.logs)
+    in
+    print_correlation result;
+    let verdict =
+      Core.Accuracy.check ~ground_truth:outcome.S.ground_truth result.Core.Correlator.cags
+    in
+    Format.printf "@.%a@." Core.Accuracy.pp_verdict verdict;
+    write_telemetry telemetry
   in
   Cmd.v
     (Cmd.info "evaluate"
        ~doc:
-         "Simulate, correlate, and score accuracy against the oracle — or score saved \
-          traces with --from.")
-    Term.(
-      ret
-        (const run $ spec_term $ window_ms $ from $ entry_arg $ jobs_arg $ telemetry_file
-       $ telemetry_format))
+         "Simulate, correlate, and score accuracy against the oracle. To score saved \
+          traces, $(b,correlate) their directory.")
+    Term.(const run $ spec_term $ window_ms $ jobs_arg $ telemetry)
 
 (* ---- diagnose ---- *)
-
-let write_json_file path j =
-  let body = Core.Json.to_string ~indent:true j ^ "\n" in
-  if String.equal path "-" then print_string body
-  else begin
-    match open_out path with
-    | oc ->
-        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc body);
-        Format.printf "json written to %s@." path
-    | exception Sys_error msg ->
-        Format.eprintf "cannot write json: %s@." msg;
-        exit 1
-  end
 
 let diagnose_cmd =
   let baseline_clients =
@@ -967,13 +945,8 @@ let diagnose_cmd =
              detector — verdicts print as they fire, then the run is scored against the \
              injected ground truth (see docs/DIAGNOSE.md).")
   in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the structured result (report, or verdicts + score) to $(docv); \
-                \"-\" writes to stdout.")
+  let json =
+    document_arg "json" ~doc:"Write the structured result (report, or verdicts + score) to $(docv)"
   in
   let baseline_file =
     Arg.(
@@ -985,11 +958,8 @@ let diagnose_cmd =
              from the run's healthy up-ramp.")
   in
   let save_baseline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-baseline" ] ~docv:"FILE"
-          ~doc:"Live mode: save the baseline the detector ran with (for later --baseline).")
+    document_arg "save-baseline"
+      ~doc:"Live mode: save the baseline the detector ran with (for later --baseline)"
   in
   let share_threshold =
     Arg.(
@@ -998,7 +968,7 @@ let diagnose_cmd =
       & info [ "share-threshold" ] ~docv:"F"
           ~doc:"Live mode: minimum latency-share drift severity that fires a verdict.")
   in
-  let run_offline spec baseline_clients pattern json tfile tformat =
+  let run_offline spec baseline_clients pattern json =
     let profile_run spec =
       let outcome = S.run spec in
       let cfg = Core.Correlator.config ~transform:outcome.S.transform () in
@@ -1009,90 +979,67 @@ let diagnose_cmd =
       profile_run
         { spec with S.clients = baseline_clients; faults = []; fault_onset = None; max_threads = 250 }
     in
-    match Core.Analysis.compare_runs ?pattern ~baseline ~observed:(profile_run spec) () with
-    | Error e -> `Error (false, e)
-    | Ok pairs ->
-        (* never empty: an empty pairing is an error *)
-        let { Core.Analysis.baseline = b; observed = o; report } = List.hd pairs in
-        let name = o.Core.Analysis.name in
-        (* With --json - the human report moves to stderr so stdout stays
-           machine-parseable. *)
-        let hum = if json = Some "-" then Format.err_formatter else Format.std_formatter in
-        Format.fprintf hum "pattern %s: %d baseline paths vs %d observed paths@." name
-          b.Core.Analysis.count o.Core.Analysis.count;
-        Format.fprintf hum "%a@." Core.Analysis.pp_report report;
-        Option.iter
-          (fun f ->
-            write_json_file f
-              (Core.Json.Obj
-                 ([ ("mode", Core.Json.String "offline"); ("pattern", Core.Json.String name) ]
-                 @ Core.Analysis.report_fields report)))
-          json;
-        write_telemetry tfile tformat;
-        `Ok ()
-  in
-  let run_live spec json baseline_file save_baseline share_threshold tfile tformat =
-    let loaded =
-      match baseline_file with
-      | None -> Ok None
-      | Some path -> (
-          match Diagnose.Baseline.load ~path with
-          | Ok b -> Ok (Some b)
-          | Error e -> Error e)
+    (* never empty: an empty pairing is an error *)
+    let { Core.Analysis.baseline = b; observed = o; report } =
+      List.hd (or_fail (Core.Analysis.compare_runs ?pattern ~baseline ~observed:(profile_run spec) ()))
     in
-    match loaded with
-    | Error e -> failed e
-    | Ok baseline ->
-        let config =
-          let d = { Diagnose.Detector.default_config with Diagnose.Detector.share_threshold } in
-          match baseline with
-          | Some _ -> d
-          | None ->
-              (* Learning inline: freeze at the end of the up-ramp. *)
-              {
-                d with
-                Diagnose.Detector.freeze_after =
-                  Some (fst (S.runtime_session ~time_scale:spec.S.time_scale));
-              }
-        in
-        let hum = if json = Some "-" then Format.err_formatter else Format.std_formatter in
-        let r =
-          Diagnose.Live.run ~config ?baseline
-            ~on_verdict:(fun v -> Format.fprintf hum "%a@." Diagnose.Detector.pp_verdict v)
-            spec
-        in
-        Format.fprintf hum "@.%d paths watched in-band, %d verdicts@." r.Diagnose.Live.paths_fed
-          (List.length r.Diagnose.Live.verdicts);
-        Format.fprintf hum "%a@." Diagnose.Verdict.pp_score r.Diagnose.Live.score;
-        (match (save_baseline, r.Diagnose.Live.baseline) with
-        | Some path, Some bl -> (
-            match Diagnose.Baseline.save bl ~path with
-            | Ok () -> Format.fprintf hum "baseline saved to %s@." path
-            | Error e ->
-                Format.eprintf "cannot save baseline: %s@." e;
-                exit 1)
-        | Some _, None -> Format.eprintf "no baseline learned; nothing saved@."
-        | None, _ -> ());
-        Option.iter
-          (fun f ->
-            write_json_file f
-              (Core.Json.Obj
-                 [
-                   ("mode", Core.Json.String "live");
-                   ( "verdicts",
-                     Core.Json.List
-                       (List.map Diagnose.Detector.verdict_to_json r.Diagnose.Live.verdicts) );
-                   ("score", Diagnose.Verdict.score_to_json r.Diagnose.Live.score);
-                   ("paths_fed", Core.Json.Int r.Diagnose.Live.paths_fed);
-                 ]))
-          json;
-        write_telemetry tfile tformat;
-        `Ok ()
+    let name = o.Core.Analysis.name in
+    Format.printf "pattern %s: %d baseline paths vs %d observed paths@." name
+      b.Core.Analysis.count o.Core.Analysis.count;
+    Format.printf "%a@." Core.Analysis.pp_report report;
+    Option.iter
+      (fun path ->
+        write_json path
+          (Core.Json.Obj
+             ([ ("mode", Core.Json.String "offline"); ("pattern", Core.Json.String name) ]
+             @ Core.Analysis.report_fields report)))
+      json
+  in
+  let run_live spec json baseline_file save_baseline share_threshold =
+    let baseline = Option.map (fun path -> or_fail (Diagnose.Baseline.load ~path)) baseline_file in
+    let config =
+      let d = { Diagnose.Detector.default_config with Diagnose.Detector.share_threshold } in
+      match baseline with
+      | Some _ -> d
+      | None ->
+          (* Learning inline: freeze at the end of the up-ramp. *)
+          {
+            d with
+            Diagnose.Detector.freeze_after =
+              Some (fst (S.runtime_session ~time_scale:spec.S.time_scale));
+          }
+    in
+    let r =
+      Diagnose.Live.run ~config ?baseline
+        ~on_verdict:(fun v -> Format.printf "%a@." Diagnose.Detector.pp_verdict v)
+        spec
+    in
+    Format.printf "@.%d paths watched in-band, %d verdicts@." r.Diagnose.Live.paths_fed
+      (List.length r.Diagnose.Live.verdicts);
+    Format.printf "%a@." Diagnose.Verdict.pp_score r.Diagnose.Live.score;
+    (match (save_baseline, r.Diagnose.Live.baseline) with
+    | Some path, Some bl -> write_json ~what:"baseline" path (Diagnose.Baseline.to_json bl)
+    | Some _, None -> Format.eprintf "no baseline learned; nothing saved@."
+    | None, _ -> ());
+    Option.iter
+      (fun path ->
+        write_json path
+          (Core.Json.Obj
+             [
+               ("mode", Core.Json.String "live");
+               ( "verdicts",
+                 Core.Json.List
+                   (List.map Diagnose.Detector.verdict_to_json r.Diagnose.Live.verdicts) );
+               ("score", Diagnose.Verdict.score_to_json r.Diagnose.Live.score);
+               ("paths_fed", Core.Json.Int r.Diagnose.Live.paths_fed);
+             ]))
+      json
   in
   let run spec live baseline_clients pattern_name json baseline_file save_baseline
-      share_threshold tfile tformat =
-    if live then run_live spec json baseline_file save_baseline share_threshold tfile tformat
-    else run_offline spec baseline_clients pattern_name json tfile tformat
+      share_threshold telemetry =
+    if live then run_live spec json baseline_file save_baseline share_threshold
+    else run_offline spec baseline_clients pattern_name json;
+    write_telemetry telemetry
   in
   Cmd.v
     (Cmd.info "diagnose"
@@ -1101,9 +1048,50 @@ let diagnose_cmd =
           against a healthy baseline (offline), or watch a live run's in-band path feed \
           with the streaming detector (--live).")
     Term.(
-      ret
-        (const run $ spec_term $ live $ baseline_clients $ pattern_arg $ json_file
-       $ baseline_file $ save_baseline $ share_threshold $ telemetry_file $ telemetry_format))
+      const run $ spec_term $ live $ baseline_clients $ pattern_arg $ json $ baseline_file
+      $ save_baseline $ share_threshold $ telemetry)
+
+(* ---- store and bundle queries ---- *)
+
+(* The time-range/host filter and -o DIR that store query and bundle
+   query share. *)
+let query_term =
+  let ms name ~doc = Arg.(value & opt (some float) None & info [ name ] ~docv:"MS" ~doc) in
+  let since = ms "since-ms" ~doc:"Keep only activities at or after $(docv) (virtual milliseconds)."
+  and until = ms "until-ms" ~doc:"Keep only activities at or before $(docv) (virtual milliseconds)."
+  and hosts =
+    Arg.(
+      value & opt_all string []
+      & info [ "host" ] ~docv:"HOST" ~doc:"Keep only this node's log. Repeatable.")
+  and out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "o"; "out" ] ~docv:"DIR"
+          ~doc:"Write the matching activities to $(docv)/traces.ptb (binary).")
+  in
+  let query since_ms until_ms hosts out =
+    let ns_of ms = int_of_float (ms *. 1e6) in
+    ( Store.Query.predicate
+        ?since_ns:(Option.map ns_of since_ms)
+        ?until_ns:(Option.map ns_of until_ms)
+        ?hosts:(match hosts with [] -> None | hs -> Some hs)
+        (),
+      out )
+  in
+  Term.(const query $ since $ until $ hosts $ out)
+
+let print_query out (arenas, stats) =
+  Format.printf "%a@." Store.Query.pp_stats stats;
+  List.iter
+    (fun a ->
+      Format.printf "  %-10s %d activities@." (Trace.Arena.hostname a) (Trace.Arena.length a))
+    arenas;
+  Option.iter
+    (fun dir ->
+      write_output ~what:"traces.ptb" dir
+        (`Dir (fun dir -> Trace.Binary_format.save arenas ~path:(Filename.concat dir "traces.ptb"))))
+    out
 
 (* ---- store ---- *)
 
@@ -1143,105 +1131,29 @@ let store_ingest_cmd =
       & info [ "segment-records" ] ~docv:"N"
           ~doc:"Roll a new segment every $(docv) activities.")
   in
-  let run src dest policy segment_records window_ms entry tfile tformat =
-    match load_traces src with
-    | Error e -> failed e
-    | Ok arenas ->
-        let correlate =
-          Core.Correlator.config ~transform:(transform_of_entry entry)
-            ~window:(window_of window_ms) ()
-        in
-        let writer =
-          Store.Writer.create ~policy ~correlate ~roll_records:segment_records ~dir:dest ()
-        in
-        Store.Writer.ingest_native writer arenas;
-        let stats = Store.Writer.close writer in
-        let gt_src = Filename.concat src "ground_truth.txt" in
-        if Sys.file_exists gt_src && not (String.equal src dest) then begin
-          match Trace.Ground_truth.load ~path:gt_src with
-          | Ok gt -> Trace.Ground_truth.save gt ~path:(Filename.concat dest "ground_truth.txt")
-          | Error _ -> ()
-        end;
-        Format.printf "ingested into %s: %a@." dest Store.Writer.pp_stats stats;
-        write_telemetry tfile tformat;
-        `Ok ()
+  let run src dest policy segment_records window_ms entry telemetry =
+    let arenas = or_fail (load_traces src) in
+    let correlate =
+      Core.Correlator.config ~transform:(transform_of_entry entry) ~window:(window_of window_ms) ()
+    in
+    let ground_truth = if String.equal src dest then None else read_ground_truth src in
+    write_store ~policy ~correlate ~segment_records ?ground_truth dest arenas;
+    write_telemetry telemetry
   in
   Cmd.v
     (Cmd.info "ingest" ~doc:"Stream a trace directory into a segmented store, reducing online.")
     Term.(
-      ret
-        (const run $ src $ dest $ policy $ segment_records $ window_ms $ entry_arg
-       $ telemetry_file $ telemetry_format))
-
-let since_until_args =
-  let since =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "since-ms" ] ~docv:"MS"
-          ~doc:"Keep only activities at or after $(docv) (virtual milliseconds).")
-  in
-  let until =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "until-ms" ] ~docv:"MS"
-          ~doc:"Keep only activities at or before $(docv) (virtual milliseconds).")
-  in
-  (since, until)
-
-let predicate_of since_ms until_ms hosts =
-  let ns_of ms = int_of_float (ms *. 1e6) in
-  Store.Query.predicate
-    ?since_ns:(Option.map ns_of since_ms)
-    ?until_ns:(Option.map ns_of until_ms)
-    ?hosts:(match hosts with [] -> None | hs -> Some hs)
-    ()
-
-let print_host_counts arenas =
-  List.iter
-    (fun a ->
-      Format.printf "  %-10s %d activities@." (Trace.Arena.hostname a) (Trace.Arena.length a))
-    arenas
+      const run $ src $ dest $ policy $ segment_records $ window_ms $ entry_arg $ telemetry)
 
 let store_query_cmd =
-  let since, until = since_until_args in
-  let hosts =
-    Arg.(
-      value & opt_all string []
-      & info [ "host" ] ~docv:"HOST" ~doc:"Keep only this node's log. Repeatable.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"DIR"
-          ~doc:"Write the matching activities to $(docv)/traces.ptb (binary).")
-  in
-  let run dir since_ms until_ms hosts jobs out tfile tformat =
-    match
-      Store.Query.run_native ~jobs:(jobs_of jobs) ~dir (predicate_of since_ms until_ms hosts)
-    with
-    | Error e -> failed e
-    | Ok (arenas, stats) ->
-        Format.printf "%a@." Store.Query.pp_stats stats;
-        print_host_counts arenas;
-        (match out with
-        | Some odir ->
-            if not (Sys.file_exists odir) then Sys.mkdir odir 0o755;
-            Trace.Binary_format.save arenas ~path:(Filename.concat odir "traces.ptb");
-            Format.printf "written to %s/traces.ptb@." odir
-        | None -> ());
-        write_telemetry tfile tformat;
-        `Ok ()
+  let run dir (predicate, out) jobs telemetry =
+    print_query out (or_fail (Store.Query.run_native ~jobs:(jobs_of jobs) ~dir predicate));
+    write_telemetry telemetry
   in
   Cmd.v
     (Cmd.info "query"
        ~doc:"Time-range/host query over a store; cold segments are pruned via the manifest.")
-    Term.(
-      ret
-        (const run $ store_dir_arg $ since $ until $ hosts $ jobs_arg $ out $ telemetry_file
-       $ telemetry_format))
+    Term.(const run $ store_dir_arg $ query_term $ jobs_arg $ telemetry)
 
 let store_compact_cmd =
   let min_records =
@@ -1259,63 +1171,56 @@ let store_compact_cmd =
             "Retention window: delete segments entirely older than $(docv) virtual \
              milliseconds before the store's newest activity.")
   in
-  let run dir min_records retain tfile tformat =
+  let run dir min_records retain telemetry =
     let retain_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) retain in
-    match Store.Compact.run ?retain_ns ~min_records ~dir () with
-    | Error e -> failed e
-    | Ok stats ->
-        Format.printf "%a@." Store.Compact.pp_stats stats;
-        write_telemetry tfile tformat;
-        `Ok ()
+    let stats = or_fail (Store.Compact.run ?retain_ns ~min_records ~dir ()) in
+    Format.printf "%a@." Store.Compact.pp_stats stats;
+    write_telemetry telemetry
   in
   Cmd.v
     (Cmd.info "compact" ~doc:"Merge small segments and apply retention.")
-    Term.(
-      ret (const run $ store_dir_arg $ min_records $ retain $ telemetry_file $ telemetry_format))
+    Term.(const run $ store_dir_arg $ min_records $ retain $ telemetry)
 
 let store_stat_cmd =
   let run dir =
-    match Store.Manifest.load ~dir with
-    | Error e -> failed e
-    | Ok manifest ->
-        let t =
-          Core.Report.table ~title:(Printf.sprintf "store %s" dir)
-            ~columns:
-              [ "id"; "records"; "bytes"; "raw records"; "raw bytes"; "from (s)"; "to (s)";
-                "hosts"; "policy" ]
-        in
-        List.iter
-          (fun (m : Store.Segment.meta) ->
-            Core.Report.add_row t
-              [
-                Core.Report.cell_int m.Store.Segment.id;
-                Core.Report.cell_int m.records;
-                Core.Report.cell_int m.bytes;
-                Core.Report.cell_int m.raw_records;
-                Core.Report.cell_int m.raw_bytes;
-                Printf.sprintf "%.3f" (float_of_int m.min_ts_ns /. 1e9);
-                Printf.sprintf "%.3f" (float_of_int m.max_ts_ns /. 1e9);
-                String.concat "+" m.hosts;
-                m.policy;
-              ])
-          manifest.Store.Manifest.segments;
-        Core.Report.print t;
-        let raw_bytes =
-          List.fold_left
-            (fun acc (m : Store.Segment.meta) -> acc + m.Store.Segment.raw_bytes)
-            0 manifest.Store.Manifest.segments
-        in
-        let bytes = Store.Manifest.total_bytes manifest in
-        Format.printf "%d segments, %d records, %d payload bytes (%.1fx reduction)@."
-          (List.length manifest.Store.Manifest.segments)
-          (Store.Manifest.total_records manifest)
-          bytes
-          (if bytes = 0 then 1.0 else float_of_int raw_bytes /. float_of_int bytes);
-        `Ok ()
+    let manifest = or_fail (Store.Manifest.load ~dir) in
+    let t =
+      Core.Report.table ~title:(Printf.sprintf "store %s" dir)
+        ~columns:
+          [ "id"; "records"; "bytes"; "raw records"; "raw bytes"; "from (s)"; "to (s)";
+            "hosts"; "policy" ]
+    in
+    List.iter
+      (fun (m : Store.Segment.meta) ->
+        Core.Report.add_row t
+          [
+            Core.Report.cell_int m.Store.Segment.id;
+            Core.Report.cell_int m.records;
+            Core.Report.cell_int m.bytes;
+            Core.Report.cell_int m.raw_records;
+            Core.Report.cell_int m.raw_bytes;
+            Printf.sprintf "%.3f" (float_of_int m.min_ts_ns /. 1e9);
+            Printf.sprintf "%.3f" (float_of_int m.max_ts_ns /. 1e9);
+            String.concat "+" m.hosts;
+            m.policy;
+          ])
+      manifest.Store.Manifest.segments;
+    Core.Report.print t;
+    let raw_bytes =
+      List.fold_left
+        (fun acc (m : Store.Segment.meta) -> acc + m.Store.Segment.raw_bytes)
+        0 manifest.Store.Manifest.segments
+    in
+    let bytes = Store.Manifest.total_bytes manifest in
+    Format.printf "%d segments, %d records, %d payload bytes (%.1fx reduction)@."
+      (List.length manifest.Store.Manifest.segments)
+      (Store.Manifest.total_records manifest)
+      bytes
+      (if bytes = 0 then 1.0 else float_of_int raw_bytes /. float_of_int bytes)
   in
   Cmd.v
     (Cmd.info "stat" ~doc:"Describe a store from its manifest alone (no payload decoding).")
-    Term.(ret (const run $ store_dir_arg))
+    Term.(const run $ store_dir_arg)
 
 let store_cmd =
   Cmd.group
@@ -1330,23 +1235,9 @@ let bundle_file_arg ~at ~docv =
     & pos at (some file) None
     & info [] ~docv ~doc:"A PTZ1 bundle file (see docs/BUNDLE.md).")
 
-let json_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"Also write the result as JSON to $(docv).")
+let open_bundle path = or_fail (Bundle.Reader.open_file path)
 
-let write_json_out file json =
-  Option.iter
-    (fun file ->
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Core.Json.to_string ~indent:true json);
-          output_char oc '\n');
-      Format.printf "written to %s@." file)
-    file
+let result_json_arg = document_arg "json" ~doc:"Also write the result as JSON to $(docv)"
 
 let bundle_pack_cmd =
   let src =
@@ -1380,55 +1271,47 @@ let bundle_pack_cmd =
         ()
     in
     let source =
-      if Store.Manifest.exists ~dir:src then Ok (`Store_dir src)
-      else Result.map (fun arenas -> `Arenas arenas) (load_traces ~jobs src)
+      if Store.Manifest.exists ~dir:src then `Store_dir src
+      else `Arenas (or_fail (load_traces ~jobs src))
     in
-    match source with
-    | Error e -> failed e
-    | Ok source ->
-        pack_bundle ~embed_telemetry ~jobs ~config ~source out;
-        `Ok ()
+    pack_bundle ~embed_telemetry ~jobs ~config ~source out
   in
   Cmd.v
     (Cmd.info "pack"
        ~doc:"Pack a store or trace directory into a single-file PTZ1 bundle.")
-    Term.(
-      ret (const run $ src $ out $ window_ms $ entry_arg $ jobs_arg $ embed_telemetry))
+    Term.(const run $ src $ out $ window_ms $ entry_arg $ jobs_arg $ embed_telemetry)
 
 let bundle_info_cmd =
   let run path =
-    match Bundle.Reader.open_file path with
-    | Error e -> failed e
-    | Ok reader ->
-        let sections = Bundle.Reader.sections reader in
-        let t = Core.Report.table ~title:path ~columns:[ "section"; "offset"; "bytes" ] in
+    let reader = open_bundle path in
+    let sections = Bundle.Reader.sections reader in
+    let t = Core.Report.table ~title:path ~columns:[ "section"; "offset"; "bytes" ] in
+    List.iter
+      (fun (s : Bundle.Container.section) ->
+        Core.Report.add_row t
+          [
+            s.Bundle.Container.name;
+            Core.Report.cell_int s.Bundle.Container.pos;
+            Core.Report.cell_int s.Bundle.Container.len;
+          ])
+      sections;
+    Core.Report.print t;
+    (match Bundle.Reader.summary_json reader with
+    | Some summary -> Format.printf "%s@." (Core.Json.to_string ~indent:true summary)
+    | None -> ());
+    match Bundle.Reader.profiles reader with
+    | Ok profiles ->
         List.iter
-          (fun (s : Bundle.Container.section) ->
-            Core.Report.add_row t
-              [
-                s.Bundle.Container.name;
-                Core.Report.cell_int s.Bundle.Container.pos;
-                Core.Report.cell_int s.Bundle.Container.len;
-              ])
-          sections;
-        Core.Report.print t;
-        (match Bundle.Reader.summary_json reader with
-        | Some summary -> Format.printf "%s@." (Core.Json.to_string ~indent:true summary)
-        | None -> ());
-        (match Bundle.Reader.profiles reader with
-        | Ok profiles ->
-            List.iter
-              (fun (p : Core.Analysis.profile) ->
-                Format.printf "  %-48s %6d paths  mean %8.3f ms@." p.Core.Analysis.name
-                  p.Core.Analysis.count
-                  (p.Core.Analysis.mean_total_s *. 1e3))
-              profiles
-        | Error e -> Format.printf "  (patterns unavailable: %s)@." e);
-        `Ok ()
+          (fun (p : Core.Analysis.profile) ->
+            Format.printf "  %-48s %6d paths  mean %8.3f ms@." p.Core.Analysis.name
+              p.Core.Analysis.count
+              (p.Core.Analysis.mean_total_s *. 1e3))
+          profiles
+    | Error e -> Format.printf "  (patterns unavailable: %s)@." e
   in
   Cmd.v
     (Cmd.info "info" ~doc:"Describe a bundle: sections, packer summary, pattern profiles.")
-    Term.(ret (const run $ bundle_file_arg ~at:0 ~docv:"BUNDLE"))
+    Term.(const run $ bundle_file_arg ~at:0 ~docv:"BUNDLE")
 
 let bundle_walk_cmd =
   let cag_id =
@@ -1450,16 +1333,10 @@ let bundle_walk_cmd =
       & opt (some int) None
       & info [ "index" ] ~docv:"I" ~doc:"Which member of the pattern to walk (default 0).")
   in
-  let run path cag_id pattern index json_file =
-    match Bundle.Reader.open_file path with
-    | Error e -> failed e
-    | Ok reader -> (
-        match Bundle.Walk.view reader ?cag_id ?pattern ?index () with
-        | Error e -> failed e
-        | Ok view ->
-            Format.printf "%a@." Bundle.Walk.pp view;
-            write_json_out json_file (Bundle.Walk.to_json view);
-            `Ok ())
+  let run path cag_id pattern index json =
+    let view = or_fail (Bundle.Walk.view (open_bundle path) ?cag_id ?pattern ?index ()) in
+    Format.printf "%a@." Bundle.Walk.pp view;
+    Option.iter (fun path -> write_json path (Bundle.Walk.to_json view)) json
   in
   Cmd.v
     (Cmd.info "walk"
@@ -1467,64 +1344,27 @@ let bundle_walk_cmd =
          "Step one request's causal path tier by tier: per-hop latency shares plus the raw \
           records behind every hop.")
     Term.(
-      ret
-        (const run $ bundle_file_arg ~at:0 ~docv:"BUNDLE" $ cag_id $ pattern $ index
-       $ json_out_arg))
+      const run $ bundle_file_arg ~at:0 ~docv:"BUNDLE" $ cag_id $ pattern $ index
+      $ result_json_arg)
 
 let bundle_query_cmd =
-  let since, until = since_until_args in
-  let hosts =
-    Arg.(
-      value & opt_all string []
-      & info [ "host" ] ~docv:"HOST" ~doc:"Keep only this node's log. Repeatable.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"DIR"
-          ~doc:"Write the matching activities to $(docv)/traces.ptb (binary).")
-  in
-  let run path since_ms until_ms hosts jobs out =
-    match Bundle.Reader.open_file path with
-    | Error e -> failed e
-    | Ok reader -> (
-        match
-          Bundle.Reader.query ~jobs:(jobs_of jobs) reader (predicate_of since_ms until_ms hosts)
-        with
-        | Error e -> failed e
-        | Ok (arenas, stats) ->
-            Format.printf "%a@." Store.Query.pp_stats stats;
-            print_host_counts arenas;
-            (match out with
-            | Some odir ->
-                if not (Sys.file_exists odir) then Sys.mkdir odir 0o755;
-                Trace.Binary_format.save arenas ~path:(Filename.concat odir "traces.ptb");
-                Format.printf "written to %s/traces.ptb@." odir
-            | None -> ());
-            `Ok ())
+  let run path (predicate, out) jobs =
+    print_query out
+      (or_fail (Bundle.Reader.query ~jobs:(jobs_of jobs) (open_bundle path) predicate))
   in
   Cmd.v
     (Cmd.info "query"
        ~doc:
          "Time-range/host query over a bundle's embedded store: the same manifest pruning \
           as a directory store, decoding segments in place.")
-    Term.(
-      ret
-        (const run $ bundle_file_arg ~at:0 ~docv:"BUNDLE" $ since $ until $ hosts $ jobs_arg
-       $ out))
+    Term.(const run $ bundle_file_arg ~at:0 ~docv:"BUNDLE" $ query_term $ jobs_arg)
 
 let bundle_diff_cmd =
-  let run path_a path_b json_file =
-    match (Bundle.Reader.open_file path_a, Bundle.Reader.open_file path_b) with
-    | Error e, _ | _, Error e -> failed e
-    | Ok a, Ok b -> (
-        match Bundle.Diff.diff a b with
-        | Error e -> failed e
-        | Ok d ->
-            Format.printf "%a@." Bundle.Diff.pp d;
-            write_json_out json_file (Bundle.Diff.to_json d);
-            `Ok ())
+  let run path_a path_b json =
+    let a = open_bundle path_a in
+    let d = or_fail (Bundle.Diff.diff a (open_bundle path_b)) in
+    Format.printf "%a@." Bundle.Diff.pp d;
+    Option.iter (fun path -> write_json path (Bundle.Diff.to_json d)) json
   in
   Cmd.v
     (Cmd.info "diff"
@@ -1532,11 +1372,10 @@ let bundle_diff_cmd =
          "Compare two bundles (baseline vs observed): pattern-mix drift, per-pattern \
           latency-share deltas, and the culprit subject.")
     Term.(
-      ret
-        (const run
-        $ bundle_file_arg ~at:0 ~docv:"BASELINE"
-        $ bundle_file_arg ~at:1 ~docv:"OBSERVED"
-        $ json_out_arg))
+      const run
+      $ bundle_file_arg ~at:0 ~docv:"BASELINE"
+      $ bundle_file_arg ~at:1 ~docv:"OBSERVED"
+      $ result_json_arg)
 
 let bundle_cmd =
   Cmd.group
@@ -1574,7 +1413,7 @@ let mesh_cmd =
   let preset_arg =
     Arg.(
       value
-      & pos 0 (some string) None
+      & pos 0 (some (preset_conv Mesh.Presets.names)) None
       & info [] ~docv:"PRESET"
           ~doc:"Scenario preset to run; omit (or pass $(b,--list)) to list them.")
   in
@@ -1610,32 +1449,20 @@ let mesh_cmd =
     | "random_mesh" -> "seeded random declarative DAG with caches and fan-out"
     | _ -> ""
   in
-  let run preset list seed jobs window_ms json_file =
-    match (preset, list) with
-    | None, _ | _, true ->
-        List.iter
-          (fun n -> Format.printf "%-22s %s@." n (describe n))
-          Mesh.Presets.names;
-        `Ok ()
-    | Some preset, false ->
-        if not (List.mem preset Mesh.Presets.names) then
-          `Error
-            ( false,
-              Printf.sprintf "unknown preset %s (try: %s)" preset
-                (String.concat ", " Mesh.Presets.names) )
-        else begin
-          let window = ST.us (int_of_float (window_ms *. 1000.)) in
-          let r = Mesh.Presets.run ~window ~jobs ~seed preset in
-          Format.printf "%a@." Mesh.Presets.pp_report r;
-          (match r.Mesh.Presets.served with
-          | [] -> ()
-          | served ->
-              Format.printf "served:";
-              List.iter (fun (h, n) -> Format.printf " %s=%d" h n) served;
-              Format.printf "@.");
-          write_json_out json_file (mesh_report_json r);
-          `Ok ()
-        end
+  let run preset list seed jobs window_ms json =
+    match preset with
+    | Some preset when not list ->
+        let window = ST.us (int_of_float (window_ms *. 1000.)) in
+        let r = Mesh.Presets.run ~window ~jobs ~seed preset in
+        Format.printf "%a@." Mesh.Presets.pp_report r;
+        (match r.Mesh.Presets.served with
+        | [] -> ()
+        | served ->
+            Format.printf "served:";
+            List.iter (fun (h, n) -> Format.printf " %s=%d" h n) served;
+            Format.printf "@.");
+        Option.iter (fun path -> write_json path (mesh_report_json r)) json
+    | _ -> List.iter (fun n -> Format.printf "%-22s %s@." n (describe n)) Mesh.Presets.names
   in
   Cmd.v
     (Cmd.info "mesh"
@@ -1644,9 +1471,8 @@ let mesh_cmd =
           service DAG, correlate its traces (serial and sharded) and score the derived \
           paths against the built-in oracle (see docs/MESH.md).")
     Term.(
-      ret
-        (const run $ preset_arg $ list_flag $ mesh_seed $ mesh_jobs $ mesh_window_ms
-       $ json_out_arg))
+      const run $ preset_arg $ list_flag $ mesh_seed $ mesh_jobs $ mesh_window_ms
+      $ result_json_arg)
 
 let () =
   let info =

@@ -42,6 +42,12 @@ let tables families =
     (fun (n, t) -> if !n > 0 then Some t else None)
     [ (counted, counters); (gauged, gauges); (histed, hists) ]
 
-let render families = String.concat "\n" (List.map Report.render (tables families))
+type format = [ `Prom | `Json | `Report ]
 
-let print families = List.iter Report.print (tables families)
+let formats = [ ("prom", `Prom); ("json", `Json); ("report", `Report) ]
+
+let export format families =
+  match format with
+  | `Prom -> Telemetry.Export.to_prometheus families
+  | `Json -> Telemetry.Export.to_json_string families ^ "\n"
+  | `Report -> String.concat "\n" (List.map Report.render (tables families))
