@@ -79,8 +79,10 @@ bundle-gate: build
 # PTB1 file, a several-segment store, and a store teed in-band by the
 # collection plane next to its text logs — must correlate to byte-identical
 # path exports within each run, offline and (from a store) through the
-# online replay; the offline and online store runs must also report the
-# same path, candidate and CAG counts under the same telemetry names. The
+# online replay; the offline and online store runs, and the offline run
+# that also packs a bundle (which packs the paths it made, not a second
+# correlation), must also report the same path, candidate and CAG counts
+# under the same telemetry names. The
 # loader that reads all three formats lives in bin/, so no unit test
 # reaches it. The same run on the hierarchical plane
 # (two replicas, two shards) must report no flagged-deformed path at the
@@ -88,8 +90,10 @@ bundle-gate: build
 # crash too. A truncated store segment and a truncated bundle are runtime
 # failures: exit 1 (not Cmdliner's 124) with an error naming an offset.
 # Outputs: "--json -" prints the document alone on stdout (the same bytes
-# as --json FILE) and leaves no file named "-"; an unwritable output, and
-# a diagnose run whose --pattern neither run has, exit 1; a preset name
+# as --json FILE) and leaves no file named "-", and a second "-" document
+# is a usage error (124); an unwritable output, and a diagnose run whose
+# --pattern neither run has, exit 1; an unwritable bundle is reported
+# under its own name, with no ".tmp" file left behind; a preset name
 # that mesh or simulate --topology does not take is a bad command line:
 # 124 with usage ("random" has no declarative spec and is no prefix).
 CLI_SIM = dune exec bin/precisetracer.exe -- simulate -c 40 --scale 0.05 --seed 11
@@ -107,11 +111,14 @@ cli-gate: build
 	$(CLI_CORRELATE) _cli_gate/store --online --json _cli_gate/store-online.json \
 		--telemetry _cli_gate/store-online.prom --telemetry-format prom
 	$(CLI_CORRELATE) _cli_gate/store --telemetry _cli_gate/store.prom --telemetry-format prom
+	$(CLI_CORRELATE) _cli_gate/store --bundle _cli_gate/store-paths.ptz \
+		--telemetry _cli_gate/store-bundle.prom --telemetry-format prom
 	for m in 'pt_correlator_paths_total{state="finished"}' pt_ranker_candidates_total; do \
 		off=$$(awk -v m="$$m" '$$1 == m' _cli_gate/store.prom); \
 		on=$$(awk -v m="$$m" '$$1 == m' _cli_gate/store-online.prom); \
-		echo "telemetry parity: offline '$$off', online '$$on'"; \
-		test -n "$$off" && test "$$off" = "$$on" || exit 1; \
+		packed=$$(awk -v m="$$m" '$$1 == m' _cli_gate/store-bundle.prom); \
+		echo "telemetry parity: offline '$$off', online '$$on', with --bundle '$$packed'"; \
+		test -n "$$off" && test "$$off" = "$$on" && test "$$off" = "$$packed" || exit 1; \
 	done
 	$(CLI_CORRELATE) _cli_gate/collect-store --online --json _cli_gate/collect-store-online.json
 	cmp _cli_gate/text.json _cli_gate/binary.json
@@ -142,6 +149,16 @@ cli-gate: build
 	cd _cli_gate && $(CLI_EXE) bundle diff store.ptz store.ptz --json - > diff-stdout.json
 	cmp _cli_gate/diff.json _cli_gate/diff-stdout.json
 	test ! -e _cli_gate/-
+	$(CLI_CORRELATE) _cli_gate/text --json - --telemetry - > _cli_gate/two.out 2> _cli_gate/usage.err; \
+		test $$? -eq 124
+	grep -q 'already writes to stdout' _cli_gate/usage.err
+	$(CLI_SIM) --bundle /nonexistent/q.ptz 2> _cli_gate/write.err; test $$? -eq 1
+	cat _cli_gate/write.err
+	grep -q 'cannot write /nonexistent/q.ptz: ' _cli_gate/write.err
+	! grep -q '\.tmp' _cli_gate/write.err
+	mkdir _cli_gate/dir.ptz
+	$(CLI_CORRELATE) _cli_gate/text --bundle _cli_gate/dir.ptz; test $$? -eq 1
+	test ! -e _cli_gate/dir.ptz.tmp
 	$(CLI_CORRELATE) _cli_gate/text --json /nonexistent/x.json 2> _cli_gate/write.err; test $$? -eq 1
 	grep -q 'cannot write /nonexistent/x.json' _cli_gate/write.err
 	dune exec bin/precisetracer.exe -- store query _cli_gate/store -o /nonexistent/q 2> _cli_gate/write.err; test $$? -eq 1

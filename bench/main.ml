@@ -1624,9 +1624,12 @@ let bench_bundle () =
     let outcome = run spec in
     let path = Filename.concat dir (name ^ ".ptz") in
     let t0 = Unix.gettimeofday () in
+    (* the run's one correlation stays inside the pack time *)
+    let arenas = Store.Query.merge_native [ Trace.Arena.of_collection outcome.S.logs ] in
+    let r = Core.Shard.correlate_arena config arenas in
     match
       Bundle.Pack.pack ~roll_records:4096 ~config
-        ~source:(`Arenas (Trace.Arena.of_collection outcome.S.logs)) ~path ()
+        ~source:(`Run (arenas, r.Correlator.cags, r.Correlator.deformed)) ~path ()
     with
     | Error e -> failwith e
     | Ok summary -> (path, summary, Unix.gettimeofday () -. t0)

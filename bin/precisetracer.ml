@@ -221,10 +221,13 @@ let write_json ?(what = "json") path json =
   write_output ~what path (`Document (Core.Json.to_string ~indent:true json ^ "\n"))
 
 (* A document flag takes a FILE, "-" for stdout. Given "-", it moves the
-   human report to stderr before the command prints anything. *)
+   human report to stderr before the command prints anything. Only one
+   document of a run may take stdout: two would run together. *)
 let document_arg long ~doc =
   let to_stdout = function
     | Some "-" as path ->
+        if Lazy.is_val stdout_documents then
+          usage_error (Printf.sprintf "--%s -: another document already writes to stdout" long);
         ignore (Lazy.force stdout_documents);
         path
     | path -> path
@@ -358,6 +361,11 @@ let pack_bundle ?embed_telemetry ?scenario ?jobs ~config ~source path =
   with
   | Ok summary -> Format.printf "%a@." Bundle.Pack.pp_summary summary
   | Error e -> failed ("cannot pack bundle: " ^ e)
+
+(* A pack source for canonical arenas that no run has correlated yet. *)
+let correlated_run ?jobs config arenas =
+  let r = Core.Shard.correlate_arena ?jobs config arenas in
+  `Run (arenas, r.Core.Correlator.cags, r.Core.Correlator.deformed)
 
 (* ---- stores shared by simulate and store ingest ---- *)
 
@@ -670,7 +678,8 @@ let simulate_cmd =
       (fun path ->
         let config = Core.Correlator.config ~transform:outcome.S.transform () in
         pack_bundle ~scenario:(scenario_json spec) ~config
-          ~source:(`Arenas (Lazy.force arenas)) path)
+          ~source:(correlated_run config (Store.Query.merge_native [ Lazy.force arenas ]))
+          path)
       bundle_out
   in
   let run spec out binary store_dir store_policy segment_records collect collect_batch
@@ -856,7 +865,7 @@ let correlate_cmd =
       Core.Correlator.config ~transform:(transform_of_entry entry) ~window:(window_of window_ms)
         ()
     in
-    let cags =
+    let cags, unfinished =
       if online then begin
         let ((t, _) as run) =
           correlate_online ~config
@@ -864,12 +873,12 @@ let correlate_cmd =
             ?max_buffered arenas
         in
         print_online run;
-        Core.Online.paths t
+        (Core.Online.paths t, Core.Online.deformed t)
       end
       else begin
         let result = Core.Shard.correlate_arena ~jobs config arenas in
         print_correlation result;
-        result.Core.Correlator.cags
+        (result.Core.Correlator.cags, result.Core.Correlator.deformed)
       end
     in
     List.iteri
@@ -880,7 +889,7 @@ let correlate_cmd =
       (fun gt ->
         Format.printf "@.%a@." Core.Accuracy.pp_verdict (Core.Accuracy.check ~ground_truth:gt cags))
       (read_ground_truth dir);
-    Option.iter (pack_bundle ~jobs ~config ~source:(`Arenas arenas)) bundle_out;
+    Option.iter (pack_bundle ~config ~source:(`Run (arenas, cags, unfinished))) bundle_out;
     write_telemetry telemetry
   in
   Cmd.v
@@ -1272,7 +1281,7 @@ let bundle_pack_cmd =
     in
     let source =
       if Store.Manifest.exists ~dir:src then `Store_dir src
-      else `Arenas (or_fail (load_traces ~jobs src))
+      else correlated_run ~jobs config (or_fail (load_traces ~jobs src))
     in
     pack_bundle ~embed_telemetry ~jobs ~config ~source out
   in

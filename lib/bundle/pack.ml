@@ -37,10 +37,11 @@ let section_of_segment id = Printf.sprintf "segments/%06d" id
 
    Correlation ran on the very arenas the bundle embeds, so every vertex
    source already is a (host index, raw row) coordinate into them: the
-   back-links are a copy. A source with no raw row (a record-adapter
-   input) cannot be linked and is counted instead. *)
+   back-links are a copy, less the hosts with no rows, which no segment
+   lists. A source with no raw row (a record-adapter input) cannot be
+   linked and is counted instead. *)
 
-let link_paths cags =
+let link_paths ~host_link cags =
   let links = ref 0 and unresolved = ref 0 in
   (* newest-first sources folded back into observation order *)
   let link acc s =
@@ -50,7 +51,7 @@ let link_paths cags =
     end
     else begin
       incr links;
-      (Cag.source_host s, Cag.source_row s) :: acc
+      (host_link.(Cag.source_host s), Cag.source_row s) :: acc
     end
   in
   let path (cag : Cag.t) =
@@ -102,32 +103,30 @@ let read_file path =
    what the bundle carries. *)
 let of_store_dir dir =
   let* manifest = Store.Manifest.load ~dir in
-  let* rev_segments =
-    List.fold_left
-      (fun acc (meta : Store.Segment.meta) ->
-        let* acc = acc in
+  let* segments =
+    Json.map_result
+      (fun (meta : Store.Segment.meta) ->
         let path = Filename.concat dir meta.Store.Segment.file in
         let* data = read_file path in
         let* arenas =
           Store.Segment.read_embedded_native ~data ~pos:0 ~len:(String.length data) ~what:path meta
         in
-        Ok ((meta, data, arenas) :: acc))
-      (Ok []) manifest.Store.Manifest.segments
+        Ok ((meta, data), arenas))
+      manifest.Store.Manifest.segments
   in
-  let segments = List.rev rev_segments in
-  Ok
-    ( manifest,
-      List.map (fun (meta, data, _) -> (meta, data)) segments,
-      Store.Query.merge_native (List.map (fun (_, _, arenas) -> arenas) segments) )
+  Ok (manifest, List.map fst segments, Store.Query.merge_native (List.map snd segments))
 
-(* Synthetic segments: the store a no-reduction ingest of the arenas
-   would write, cut by the store writer itself but held in memory. *)
-let of_arenas ?roll_records arenas =
-  let manifest, segments = Store.Writer.encode ?roll_records arenas in
-  Ok
-    ( manifest,
-      List.map (fun (s : Store.Writer.segment) -> (s.meta, s.data)) segments,
-      Store.Query.merge_native (List.map (fun (s : Store.Writer.segment) -> s.rows) segments) )
+(* Synthetic segments: the store a no-reduction ingest of a run's arenas
+   would write, cut by the store writer itself but held in memory. Their
+   rows merge back into the same arenas only if those are canonical. *)
+let of_run ?roll_records arenas =
+  let rec by_name = function
+    | a :: (b :: _ as rest) -> Arena.hostname a < Arena.hostname b && by_name rest
+    | _ -> true
+  in
+  if by_name arenas && List.for_all (fun a -> Arena.sorted a == a) arenas then
+    Ok (Store.Writer.encode ?roll_records arenas)
+  else Error "pack: run arenas are not in Store.Query.merge_native order"
 
 (* ---- packing ---- *)
 
@@ -148,9 +147,21 @@ let summary_json ~summary ~min_ts_ns ~max_ts_ns =
         ("unresolved_links", Json.Int summary.unresolved_links);
       ] )
 
+(* A failure names [path], not the temp file, and removes the temp file. *)
 let write_file ~path data =
-  Out_channel.with_open_bin (path ^ ".tmp") (fun oc -> Out_channel.output_string oc data);
-  Sys.rename (path ^ ".tmp") path
+  let tmp = path ^ ".tmp" in
+  try
+    Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
+    Sys.rename tmp path
+  with Sys_error msg | Fun.Finally_raised (Sys_error msg) ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    let prefix = tmp ^ ": " in
+    let msg =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    raise (Sys_error (path ^ ": " ^ msg))
 
 let stage name f =
   let family = "pt_bundle_pack_stage_seconds" and labels = [ ("stage", name) ] in
@@ -158,21 +169,24 @@ let stage name f =
   R.time R.default ~labels family f
 
 let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~source ~path () =
-  let* manifest, segments, arenas =
-    stage "decode" (fun () ->
-        match source with
-        | `Store_dir dir -> of_store_dir dir
-        | `Arenas arenas -> of_arenas ?roll_records arenas)
+  let* source_label, manifest, segments, arenas, (cags, unfinished) =
+    match source with
+    | `Run (arenas, cags, unfinished) ->
+        let* manifest, segments = stage "decode" (fun () -> of_run ?roll_records arenas) in
+        Ok ("logs", manifest, segments, arenas, (cags, unfinished))
+    | `Store_dir dir ->
+        let* manifest, segments, arenas = stage "decode" (fun () -> of_store_dir dir) in
+        let r = stage "correlate" (fun () -> Shard.correlate_arena ?jobs config arenas) in
+        Ok ("store:" ^ Filename.basename dir, manifest, segments, arenas, (r.cags, r.deformed))
   in
   let records = Arena.total arenas in
   if records = 0 then Error "pack: store holds no records"
   else begin
-    let source_label =
-      match source with `Store_dir dir -> "store:" ^ Filename.basename dir | `Arenas _ -> "logs"
+    let kept = ref 0 in
+    let host_link =
+      Array.of_list (List.map (fun a -> if Arena.length a > 0 then incr kept; !kept - 1) arenas)
     in
-    let result = stage "correlate" (fun () -> Shard.correlate_arena ?jobs config arenas) in
-    let cags = result.Correlator.cags in
-    let paths, links, unresolved = stage "link" (fun () -> link_paths cags) in
+    let paths, links, unresolved = stage "link" (fun () -> link_paths ~host_link cags) in
     List.iter
       (fun (state, n) ->
         R.add
@@ -180,7 +194,7 @@ let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~sourc
              ~labels:[ ("state", state) ] "pt_bundle_links_total")
           n)
       [ ("resolved", links); ("unresolved", unresolved) ];
-    let hosts = List.map Arena.hostname arenas in
+    let hosts = List.map Arena.hostname (List.filter (fun a -> Arena.length a > 0) arenas) in
     let profiles = stage "profile" (fun () -> Analysis.profiles_of_cags cags) in
     let json_body j = Json.to_string ~indent:true (Container.sort_json j) in
     let paths_body =
@@ -216,7 +230,7 @@ let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~sourc
         segments = List.length segments;
         store_bytes = List.fold_left (fun acc (_, d) -> acc + String.length d) 0 segments;
         cags = List.length cags;
-        deformed = List.length (List.filter Cag.is_deformed cags) + List.length result.deformed;
+        deformed = List.length (List.filter Cag.is_deformed cags) + List.length unfinished;
         patterns = List.length profiles;
         links;
         unresolved_links = unresolved;

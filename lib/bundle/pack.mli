@@ -1,22 +1,24 @@
 (** Packing a run into a [PTZ1] bundle.
 
-    The packer embeds the store (segment bytes verbatim for a store
-    directory; for in-memory host arenas, the no-reduction segments the
-    store writer cuts, held in memory by {!Store.Writer.encode}), gathers
-    the rows those segments hold (decoded from a directory's bytes) into
-    per-host {!Trace.Arena}s in the canonical row order
-    ({!Store.Query.merge_native}, the order {!Reader.query} returns),
-    correlates the rows ({!Core.Shard.correlate_arena}), and serialises
-    the resulting causal paths with a back-link per vertex source.
-    Correlation keeps each vertex's raw rows ({!Core.Cag.sources}: host
-    index in those arenas, raw row), so the back-links are a copy of
-    them, exact by construction: no search, no match on record fields.
-    Pattern profiles ({!Core.Analysis.profile}), the correlation
-    configuration, an optional scenario description and an optional
-    telemetry snapshot ride along.
+    The packer embeds a store and the causal paths correlated from its
+    rows, with a back-link per vertex source. A [`Run] is a correlation
+    that already ran, offline, sharded or online: its host arenas in
+    {!Store.Query.merge_native} order, embedded as the segments
+    {!Store.Writer.encode} cuts, and its finished and unfinished paths.
+    A [`Store_dir] holds no paths: its segments are embedded verbatim,
+    merged into that order and correlated here
+    ({!Core.Shard.correlate_arena}). Either way each vertex kept its raw
+    rows ({!Core.Cag.sources}: host index in those arenas, raw row), so
+    the back-links are a copy, exact by construction. Pattern profiles
+    ({!Core.Analysis.profile}), the correlation configuration, an
+    optional scenario description and an optional telemetry snapshot
+    ride along. [simulate --collect --bundle] packs an offline run of the
+    probe logs: the collector numbers a host's rows in delivery order,
+    not in the probe log's.
 
     Each stage is timed into {!Telemetry.Registry.default} as
-    [pt_bundle_pack_stage_seconds{stage}], and back-links are counted as
+    [pt_bundle_pack_stage_seconds{stage}], [correlate] only for a store
+    directory, and back-links are counted as
     [pt_bundle_links_total{state}] (docs/TELEMETRY.md).
 
     Determinism: identical inputs produce byte-identical bundles — the
@@ -53,15 +55,18 @@ val pack :
   ?jobs:int ->
   ?roll_records:int ->
   config:Core.Correlator.config ->
-  source:[ `Store_dir of string | `Arenas of Trace.Arena.t list ] ->
+  source:
+    [ `Store_dir of string | `Run of Trace.Arena.t list * Core.Cag.t list * Core.Cag.t list ] ->
   path:string ->
   unit ->
   (summary, string) result
-(** Write the bundle to [path] (atomically, via a temp file + rename).
-    An [`Arenas] source (raw host arenas; unsorted ones are sorted on a
-    copy) embeds exactly the segments a {!Store.Writer} store of the same
-    rows holds; [roll_records] (default 65536) is that writer's roll. A
-    [`Store_dir] source keeps its segmentation. With [embed_telemetry]
+(** Write the bundle to [path] (atomically, via a temp file + rename; a
+    failed write raises [Sys_error] naming [path], leaving no temp file).
+    A [`Run (arenas, finished, unfinished)] embeds the segments a
+    {!Store.Writer} store of [arenas] holds, rolled every [roll_records]
+    (default 65536); arenas in any other order are an [Error], since the
+    back-links would name other rows. A [`Store_dir] keeps its
+    segmentation and is correlated at [jobs]. With [embed_telemetry]
     (default false), a [telemetry] section holds a snapshot of
     {!Telemetry.Registry.default} taken after the [encode] stage: it
     holds every stage time of this pack except [write]'s. *)

@@ -23,7 +23,7 @@ let encode ~seq ~oldest ~host ~watermark ~payload =
   B.w_uvarint w seq;
   B.w_uvarint w oldest;
   B.w_string w host;
-  B.w_uvarint w (Sim_time.to_ns watermark);
+  B.w_varint w (Sim_time.to_ns watermark);
   B.w_string w payload;
   B.w_contents w
 
@@ -104,7 +104,7 @@ let parse_frame r =
   let seq = B.get_uvarint r in
   let oldest = B.get_uvarint r in
   let host = get_bounded r ~limit:max_host_len "host" in
-  let watermark = Sim_time.of_ns (B.get_uvarint r) in
+  let watermark = Sim_time.of_ns (B.get_varint r) in
   let payload = get_bounded r ~limit:max_payload_len "payload" in
   let payload_at = r.B.pos - String.length payload in
   let bad msg = raise (B.Corrupt (payload_at, msg)) in

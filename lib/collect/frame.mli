@@ -10,8 +10,9 @@
                        missing seq below it was dropped at the agent and
                        will never arrive, so the collector may skip it
     host      uvarint length + bytes
-    watermark uvarint  host-local clock (ns) of the newest record observed
-                       when the batch was cut
+    watermark varint   host-local clock (ns) of the newest record observed
+                       when the batch was cut; zigzag-signed, since a
+                       clock running behind starts below zero
     plen      uvarint  payload length in bytes
     payload   PTB1 bytes ({!Trace.Binary_format}) holding exactly one log
               for [host] (possibly empty)

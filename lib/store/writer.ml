@@ -16,8 +16,6 @@ let pp_stats ppf s =
     "%d segments; %d -> %d records, %d -> %d bytes; %d/%d requests kept" s.segments
     s.records_in s.records_out s.bytes_in s.bytes_out s.requests_kept s.requests_seen
 
-type segment = { meta : Segment.meta; data : string; rows : Arena.t list }
-
 type t = {
   dir : string option;  (* [None]: segments are held in memory *)
   policy : Policy.t;
@@ -28,7 +26,7 @@ type t = {
   buffers : (int, Arena.t) Hashtbl.t;  (* host string id -> batch arena *)
   mutable pending : int;
   mutable manifest : Manifest.t;
-  mutable held : segment list;  (* newest first; in-memory writers only *)
+  mutable held : (Segment.meta * string) list;  (* newest first; in-memory writers only *)
   mutable stats : stats;
   m_segments : R.counter;
   m_records_in : R.counter;
@@ -142,7 +140,7 @@ let flush t =
         | Some dir ->
             Segment.write ~dir meta data;
             Manifest.save t.manifest ~dir
-        | None -> t.held <- { meta; data; rows = kept } :: t.held);
+        | None -> t.held <- (meta, data) :: t.held);
         Some meta
       end
     in

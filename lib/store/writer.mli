@@ -68,16 +68,11 @@ val close : t -> stats
 
 val stats : t -> stats
 
-type segment = {
-  meta : Segment.meta;
-  data : string;  (** The exact bytes {!Segment.write} puts on disk. *)
-  rows : Trace.Arena.t list;  (** The encoded per-host arenas, hostname order. *)
-}
-
-val encode : ?roll_records:int -> Trace.Arena.t list -> Manifest.t * segment list
+val encode : ?roll_records:int -> Trace.Arena.t list -> Manifest.t * (Segment.meta * string) list
 (** The store an {!ingest_native} of the arenas into a fresh writer with
     policy {!Policy.none} would write, held in memory instead: its
-    manifest and segments, oldest first. Nothing touches the disk, and
+    manifest and segments (each with the exact bytes {!Segment.write}
+    puts on disk), oldest first. Nothing touches the disk, and
     the writer's own [pt_store_*] metrics go to a private registry, so
     they never count in-memory segments. [roll_records] defaults to
     65536. *)

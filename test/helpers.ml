@@ -115,3 +115,10 @@ let contains s sub =
 
 let span_testable =
   Alcotest.testable Sim_time.pp_span (fun a b -> Sim_time.compare_span a b = 0)
+
+(* A bundle pack source for host arenas: put in the canonical row order,
+   correlated once. *)
+let run_source ?jobs config arenas =
+  let arenas = Store.Query.merge_native [ arenas ] in
+  let r = Core.Shard.correlate_arena ?jobs config arenas in
+  `Run (arenas, r.Core.Correlator.cags, r.Core.Correlator.deformed)

@@ -61,7 +61,7 @@ let config () =
 let pack_logs ?roll_records ~path logs =
   match
     Bundle.Pack.pack ?roll_records ~config:(config ())
-      ~source:(`Arenas (Arena.of_collection logs))
+      ~source:(H.run_source (config ()) (Arena.of_collection logs))
       ~path ()
   with
   | Ok summary -> summary
@@ -359,13 +359,13 @@ let test_links_reference_rubis_store () = with_rubis_store check_links_match_ref
 
 let test_links_reference_rubis_logs () =
   let config, logs = rubis_golden () in
-  check_links_match_reference (config, `Arenas (Arena.of_collection logs))
+  check_links_match_reference (config, H.run_source config (Arena.of_collection logs))
 
 let test_links_reference_mesh () =
   let config, logs = mesh_control () in
-  check_links_match_reference (config, `Arenas (Arena.of_collection logs))
+  check_links_match_reference (config, H.run_source config (Arena.of_collection logs))
 
-(* An [`Arenas] source embeds the store writer's own segments: every
+(* A [`Run] source embeds the store writer's own segments: every
    segment section is byte for byte the file a [Store.Writer] store of
    the same rows holds, and the embedded manifest is that store's. Mesh
    control at roll 1000 cuts a segment in which db1 has no row. *)
@@ -384,7 +384,7 @@ let test_arenas_segments_are_the_writers () =
           ignore
             (ok what
                (Bundle.Pack.pack ~roll_records ~config
-                  ~source:(`Arenas (Arena.of_collection logs))
+                  ~source:(H.run_source config (Arena.of_collection logs))
                   ~path ()));
           let data = read_file path in
           let _, sections = ok "parse" (Bundle.Container.parse ~what:path data) in
@@ -452,7 +452,7 @@ let prop_tiny_pool_provenance =
     (fun logs ->
       QCheck.assume (Log.total logs > 0);
       let summary, decoded, _, by_host =
-        packed_rows ~config:tiny_config (`Arenas (Arena.of_collection logs))
+        packed_rows ~config:tiny_config (H.run_source tiny_config (Arena.of_collection logs))
       in
       let seen = Hashtbl.create 64 in
       let kind_ok (v : Activity.kind) (raw : Activity.kind) =
@@ -694,12 +694,10 @@ let test_pathless_bundle_reads () =
   in
   with_dir @@ fun dir ->
   let path = Filename.concat dir "cut.ptz" in
+  let config = Correlator.config ~transform:o.S.transform () in
   let summary =
     match
-      Bundle.Pack.pack
-        ~config:(Correlator.config ~transform:o.S.transform ())
-        ~source:(`Arenas (Arena.of_collection cut))
-        ~path ()
+      Bundle.Pack.pack ~config ~source:(H.run_source config (Arena.of_collection cut)) ~path ()
     with
     | Ok s -> s
     | Error e -> Alcotest.failf "pack: %s" e
@@ -841,12 +839,9 @@ let test_diff_mesh_keys_by_signature () =
     Simnet.Engine.run b.Mesh.Runtime.engine;
     let transform = Core.Transform.config ~entry_points:b.Mesh.Runtime.entries () in
     let path = Filename.concat dir (preset ^ ".ptz") in
-    ignore
-      (ok "pack"
-         (Bundle.Pack.pack
-            ~config:(Correlator.config ~transform ~window:(Simnet.Sim_time.ms 10) ())
-            ~source:(`Arenas (Arena.of_collection (Trace.Probe.logs b.Mesh.Runtime.probe)))
-            ~path ()));
+    let config = Correlator.config ~transform ~window:(Simnet.Sim_time.ms 10) () in
+    let arenas = Arena.of_collection (Trace.Probe.logs b.Mesh.Runtime.probe) in
+    ignore (ok "pack" (Bundle.Pack.pack ~config ~source:(H.run_source config arenas) ~path ()));
     reader path
   in
   let d = ok "diff" (Bundle.Diff.diff (pack "control") (pack "hotspot_key")) in
@@ -879,7 +874,7 @@ let test_config_and_telemetry_sections () =
   let path = Filename.concat dir "t.ptz" in
   (match
      Bundle.Pack.pack ~embed_telemetry:true ~scenario ~config:(config ())
-       ~source:(`Arenas (Arena.of_collection logs))
+       ~source:(H.run_source (config ()) (Arena.of_collection logs))
        ~path ()
    with
   | Ok _ -> ()
@@ -902,9 +897,65 @@ let test_config_and_telemetry_sections () =
       Alcotest.(check bool) "snapshot round-trips" true found
   | None -> Alcotest.fail "no telemetry section"
 
+(* A run's pack holds that run's own paths. On mesh control the online
+   run orders some concurrent sibling calls unlike the offline one, so a
+   pack that correlated again would hold other paths. A bundle keeps
+   only the count of unfinished paths, so both digests take the online
+   run's. *)
+let test_online_run_packs_its_paths () =
+  with_dir @@ fun dir ->
+  let config, logs = mesh_control () in
+  let arenas = Store.Query.merge_native [ Arena.of_collection logs ] in
+  let online =
+    Core.Online.create ~telemetry:(Telemetry.Registry.create ()) ~config
+      ~hosts:(List.map Arena.hostname arenas) ()
+  in
+  Core.Online.replay online arenas;
+  Core.Online.finish online;
+  let path = Filename.concat dir "online.ptz" in
+  let source = `Run (arenas, Core.Online.paths online, Core.Online.deformed online) in
+  ignore (ok "pack" (Bundle.Pack.pack ~config ~source ~path ()));
+  let decoded = ok "paths" (Bundle.Reader.paths (reader path)) in
+  let offline = Core.Shard.correlate_arena ~jobs:1 config arenas in
+  let with_cags cags =
+    Core.Shard.digest { offline with Correlator.cags; deformed = Core.Online.deformed online }
+  in
+  let online_digest = with_cags (Core.Online.paths online) in
+  Alcotest.(check bool) "online paths differ from offline" false
+    (String.equal online_digest (Core.Shard.digest offline));
+  Alcotest.(check string) "packed paths = online paths" online_digest
+    (with_cags (List.map (fun p -> p.Bundle.Codec.cag) decoded.Bundle.Codec.paths))
+
+(* Back-links index the run's arenas, which must be in the order the
+   embedded segments merge back into. *)
+let test_non_canonical_run_refused () =
+  with_dir @@ fun dir ->
+  let config = config () in
+  let (`Run (arenas, cags, unfinished)) =
+    H.run_source config (Arena.of_collection (Lazy.force outcome).S.logs)
+  in
+  let reversed_rows =
+    let a = List.hd arenas in
+    let r = Arena.create_sid (Arena.host_sid a) in
+    for i = Arena.length a - 1 downto 0 do
+      Arena.append_row r a i
+    done;
+    r :: List.tl arenas
+  in
+  List.iter
+    (fun (what, arenas) ->
+      let path = Filename.concat dir "bad.ptz" in
+      match Bundle.Pack.pack ~config ~source:(`Run (arenas, cags, unfinished)) ~path () with
+      | Ok _ -> Alcotest.failf "%s: packed" what
+      | Error _ -> Alcotest.(check bool) (what ^ ": nothing written") false (Sys.file_exists path))
+    [ ("hosts out of name order", List.rev arenas); ("rows out of time order", reversed_rows) ]
+
 (* The snapshot is taken after the encode stage, so it holds this pack's
-   own stage times: one correlate observation more than before the pack. *)
+   own stage times. Packing a store directory correlates: one correlate
+   observation more than before the pack. A run was correlated before
+   its pack, which adds none. *)
 let test_telemetry_holds_pack_stages () =
+  with_dir @@ fun store ->
   with_dir @@ fun dir ->
   let correlate_count families =
     match
@@ -915,17 +966,22 @@ let test_telemetry_holds_pack_stages () =
     | Some (Telemetry.Registry.Hist { count; _ }) -> count
     | Some _ | None -> 0
   in
+  let arenas = Arena.of_collection (Lazy.force outcome).S.logs in
+  let w = Store.Writer.create ~dir:store () in
+  Store.Writer.ingest_native w arenas;
+  ignore (Store.Writer.close w);
+  let packed source =
+    let path = Filename.concat dir "t.ptz" in
+    ignore
+      (ok "pack" (Bundle.Pack.pack ~embed_telemetry:true ~config:(config ()) ~source ~path ()));
+    match ok "telemetry" (Bundle.Reader.telemetry (reader path)) with
+    | Some families -> correlate_count families
+    | None -> Alcotest.fail "no telemetry section"
+  in
   let before = correlate_count (Telemetry.Registry.snapshot Telemetry.Registry.default) in
-  let path = Filename.concat dir "t.ptz" in
-  ignore
-    (ok "pack"
-       (Bundle.Pack.pack ~embed_telemetry:true ~config:(config ())
-          ~source:(`Arenas (Arena.of_collection (Lazy.force outcome).S.logs))
-          ~path ()));
-  match ok "telemetry" (Bundle.Reader.telemetry (reader path)) with
-  | Some families ->
-      Alcotest.(check int) "this pack's correlate stage" (before + 1) (correlate_count families)
-  | None -> Alcotest.fail "no telemetry section"
+  Alcotest.(check int) "the store pack's correlate stage" (before + 1) (packed (`Store_dir store));
+  Alcotest.(check int) "none for a run's pack" (before + 1)
+    (packed (H.run_source (config ()) arenas))
 
 let () =
   Alcotest.run "bundle"
@@ -945,6 +1001,10 @@ let () =
             test_config_and_telemetry_sections;
           Alcotest.test_case "telemetry holds the pack stages" `Quick
             test_telemetry_holds_pack_stages;
+          Alcotest.test_case "online run packs its own paths" `Quick
+            test_online_run_packs_its_paths;
+          Alcotest.test_case "non-canonical run is refused" `Quick
+            test_non_canonical_run_refused;
         ] );
       ( "back-links",
         [

@@ -18,6 +18,7 @@ module Tcp = Simnet.Tcp
 module Address = Simnet.Address
 module ST = Simnet.Sim_time
 module R = Telemetry.Registry
+module S = Tiersim.Scenario
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -144,7 +145,8 @@ let test_frame_is_header_plus_payload () =
     Buffer.add_string b Frame.magic;
     List.iter put [ 4; 2; String.length "app" ];
     Buffer.add_string b "app";
-    List.iter put [ 987_654_321; String.length payload ];
+    (* the watermark is signed: zigzag maps w >= 0 to 2w *)
+    List.iter put [ 2 * 987_654_321; String.length payload ];
     Buffer.contents b
   in
   let bytes =
@@ -270,15 +272,8 @@ let test_byte_flip_corpus () =
 
 let test_encode_rejects_negative_varints () =
   (* Frame's LEB128 writer raises [Invalid_argument] on negatives (it
-     used to be an [assert], invisible in release builds); the negative
-     watermark path reaches it directly since [encode] range-checks only
-     seq/oldest itself. *)
-  (match
-     Frame.encode ~seq:0 ~oldest:0 ~host:"w" ~watermark:(ST.of_ns (-1))
-       ~payload:(encode_payload ~host:"w" [])
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative watermark accepted");
+     used to be an [assert], invisible in release builds). The watermark
+     is signed: a clock running behind starts below zero. *)
   (match Frame.encode_ack (-3) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative ack accepted");
@@ -288,6 +283,80 @@ let test_encode_rejects_negative_varints () =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative seq accepted"
+
+(* A host whose clock runs behind starts below zero. Its timestamps
+   round-trip through every encoder: PTB1 rows, PTS1 segments, PTC1
+   frames (watermark included) and PTP1 path tables. *)
+let test_negative_timestamps_roundtrip () =
+  let ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e in
+  let logs = H.logs_of_request ~base:(-50_000_000) () in
+  let arenas = Trace.Arena.of_collection logs in
+  let rows arenas =
+    List.concat_map (fun a -> List.init (Trace.Arena.length a) (Trace.Arena.get a)) arenas
+  in
+  let same what decoded =
+    Alcotest.(check bool) what true (List.equal Activity.equal (rows arenas) (rows decoded))
+  in
+  Alcotest.(check bool) "a first timestamp below zero" true
+    (List.exists (fun a -> Trace.Arena.ts a 0 < 0) arenas);
+  same "PTB1"
+    (ok "PTB1" (Trace.Binary_format.decode_native (Trace.Binary_format.encode_native arenas)));
+  let meta, data = Store.Segment.encode_native ~id:0 ~policy:"none" arenas in
+  same "PTS1"
+    (ok "PTS1"
+       (Store.Segment.read_embedded_native ~data ~pos:0 ~len:(String.length data) ~what:"PTS1"
+          meta));
+  List.iter
+    (fun a ->
+      let host = Trace.Arena.hostname a and watermark = ST.of_ns (Trace.Arena.ts a 0) in
+      match
+        decode_all
+          [ Frame.encode ~seq:0 ~oldest:0 ~host ~watermark ~payload:(Frame.encode_payload_arena a) ]
+      with
+      | Ok [ f ] ->
+          Alcotest.(check int) "PTC1 watermark" (ST.to_ns watermark) (ST.to_ns f.Frame.watermark);
+          Alcotest.(check bool) "PTC1 rows" true
+            (List.equal Activity.equal (rows [ a ]) (rows [ f.Frame.arena ]))
+      | Ok _ -> Alcotest.fail "PTC1: expected one frame"
+      | Error e -> Alcotest.failf "PTC1: %s" e)
+    arenas;
+  let engine, _ = H.correlate_raw logs in
+  let cags = Core.Cag_engine.finished engine in
+  let bytes =
+    Bundle.Codec.encode ~link_hosts:[||]
+      (List.map (fun cag -> { Bundle.Codec.cag; links = [||] }) cags)
+  in
+  let decoded = ok "PTP1" (Bundle.Codec.decode bytes ~pos:0 ~len:(String.length bytes)) in
+  let stamps cags =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun (v : Core.Cag.vertex) -> ST.to_ns v.Core.Cag.activity.Activity.timestamp)
+          (Core.Cag.vertices c))
+      cags
+  in
+  Alcotest.(check bool) "a path below zero" true (List.exists (fun t -> t < 0) (stamps cags));
+  let decoded = List.map (fun (p : Bundle.Codec.path) -> p.Bundle.Codec.cag) decoded.paths in
+  Alcotest.(check (list int)) "PTP1 timestamps" (stamps cags) (stamps decoded)
+
+(* The in-band plane under 200 ms of skew: agents on a host whose clock
+   runs behind ship watermarks below zero, and the online run still
+   correlates every path the offline run does. *)
+let test_deploy_under_skew () =
+  let deploy = ref None in
+  let outcome =
+    S.run
+      ~before_run:(fun svc ->
+        deploy := Some (Collect.Deploy.install ~telemetry:(R.create ()) svc))
+      ~after_run:(fun _ -> Collect.Deploy.finish (Option.get !deploy))
+      { S.default with S.clients = 40; time_scale = 0.05; seed = 11; skew = ST.ms 200 }
+  in
+  let cfg = Core.Correlator.config ~transform:outcome.S.transform () in
+  let offline = Core.Correlator.correlate_arena cfg (Trace.Arena.of_collection outcome.S.logs) in
+  Alcotest.(check bool) "paths correlated" true (offline.Core.Correlator.cags <> []);
+  Alcotest.(check int) "online paths = offline"
+    (List.length offline.Core.Correlator.cags)
+    (List.length (Core.Online.paths (Collect.Deploy.online (Option.get !deploy))))
 
 let test_decoder_error_is_sticky () =
   let dec = Frame.Decoder.create () in
@@ -559,6 +628,8 @@ let () =
             test_negative_length_is_corruption;
           Alcotest.test_case "negative varints rejected" `Quick
             test_encode_rejects_negative_varints;
+          Alcotest.test_case "timestamps below zero round-trip" `Quick
+            test_negative_timestamps_roundtrip;
           qtest prop_chopped_stream_decodes_identically;
           qtest prop_ack_stream_chop;
         ] );
@@ -572,5 +643,6 @@ let () =
           Alcotest.test_case "block overflow drops incoming" `Quick
             test_micro_block_overflow;
           Alcotest.test_case "agent-local reduction" `Quick test_agent_local_reduction;
+          Alcotest.test_case "in-band plane under 200 ms skew" `Quick test_deploy_under_skew;
         ] );
     ]
