@@ -24,20 +24,16 @@ test-parallel: build
 bench-quick: build
 	dune exec bench/main.exe -- --quick --figure store --figure degraded --figure collect --figure hierarchy --figure mesh --figure parallel --figure diagnose --figure bundle --json BENCH.json
 
-# Regression gates: run the store and hierarchy figures fresh. The store
-# gate compares native-arena ingest throughput against the committed
-# reference run (BENCH_store.json) and fails below half of it — wide
-# enough to absorb shared-host timing noise, tight enough to catch a
-# real hot-path regression. The hierarchy gate is deterministic: the
-# root's feed-volume reduction must stay at or above the 3x target (and
-# half the committed BENCH_hierarchy.json figure), and the hierarchical
-# digest must stay byte-identical to the monolithic correlator's. The
-# mesh gate is deterministic too: every scenario preset must correlate
-# at or above 0.95 accuracy (and within 0.02 of the committed
-# BENCH_mesh.json), the faultless control must stay free of false
-# positives, and serial/sharded correlation must stay byte-identical.
+# Ingest-throughput gate: run the store figure fresh and compare its
+# native-arena ingest throughput against the committed reference run
+# (BENCH_store.json); fail below half of it — wide enough to absorb
+# shared-host timing noise, tight enough to catch a real hot-path
+# regression. The store, hierarchy and mesh figures' deterministic checks
+# (reduction fidelity, root reduction and digest identity, preset accuracy
+# and serial = sharded) are tests in `dune runtest`: test_store,
+# test_hierarchy and test_mesh.
 bench-gate: build
-	dune exec bench/main.exe -- --quick --figure store --figure hierarchy --figure mesh --gate BENCH_store.json --gate-hierarchy BENCH_hierarchy.json --gate-mesh BENCH_mesh.json
+	dune exec bench/main.exe -- --quick --figure store --gate BENCH_store.json
 
 # Bundle round-trip gate: record a control and a faulted run as PTZ1
 # bundles, then exercise every reader path — info (container framing),
@@ -84,7 +80,11 @@ bundle-gate: build
 # correlation), must also report the same path, candidate and CAG counts
 # under the same telemetry names. The
 # loader that reads all three formats lives in bin/, so no unit test
-# reaches it. The same run on the hierarchical plane
+# reaches it. Empty *.trace files add no host: with two beside the text
+# logs, the online replay still emits the same paths live (a host with no
+# rows would hold every path back until close), and a directory whose
+# trace files are all empty is an error (exit 1, "no traces in").
+# The same run on the hierarchical plane
 # (two replicas, two shards) must report no flagged-deformed path at the
 # root, and some under an agent crash; the flat plane must survive the
 # crash too. A truncated store segment and a truncated bundle are runtime
@@ -121,6 +121,19 @@ cli-gate: build
 		test -n "$$off" && test "$$off" = "$$on" && test "$$off" = "$$packed" || exit 1; \
 	done
 	$(CLI_CORRELATE) _cli_gate/collect-store --online --json _cli_gate/collect-store-online.json
+	cp -r _cli_gate/text _cli_gate/text-empty
+	: > _cli_gate/text-empty/aa0.trace
+	: > _cli_gate/text-empty/zz1.trace
+	$(CLI_CORRELATE) _cli_gate/text --online > _cli_gate/text-online.txt
+	$(CLI_CORRELATE) _cli_gate/text-empty --online --json _cli_gate/text-empty-online.json \
+		> _cli_gate/text-empty-online.txt
+	grep 'emitted live' _cli_gate/text-empty-online.txt
+	test "$$(grep 'emitted live' _cli_gate/text-online.txt)" = \
+		"$$(grep 'emitted live' _cli_gate/text-empty-online.txt)"
+	cmp _cli_gate/text.json _cli_gate/text-empty-online.json
+	mkdir _cli_gate/no-rows && : > _cli_gate/no-rows/web1.trace
+	$(CLI_CORRELATE) _cli_gate/no-rows 2> _cli_gate/no-rows.err; test $$? -eq 1
+	grep -q 'no traces in' _cli_gate/no-rows.err
 	cmp _cli_gate/text.json _cli_gate/binary.json
 	cmp _cli_gate/text.json _cli_gate/store.json
 	cmp _cli_gate/text.json _cli_gate/store-online.json

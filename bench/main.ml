@@ -1,12 +1,16 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§5), plus the extensions listed in DESIGN.md.
+   evaluation (§5), plus the extensions listed in DESIGN.md. Invariants
+   of those runs (mesh accuracy, hierarchy reduction and digest identity,
+   reduction fidelity, live diagnosis) are checked by `dune runtest`, and
+   per-layer speeds by the pipeline benchmark (bench/pipeline); the
+   figures here only report them.
 
    Usage: main.exe [--figure ID]... [--scale S] [--quick] [--jobs N]
-                   [--json FILE] [--gate FILE] [--gate-hierarchy FILE]
-                   [--gate-mesh FILE]
+                   [--json FILE] [--gate FILE]
                    [--telemetry FILE] [--telemetry-format prom|json|report]
-     IDs: accuracy 8 9 10 11 12 13 14 15 16 17 baseline loss micro store
-          degraded collect hierarchy mesh parallel diagnose bundle all
+     IDs: accuracy 8 9 10 11 12 13 14 15 16 17 baseline loss ablation
+          formats skewfix online store degraded collect hierarchy mesh
+          parallel diagnose bundle all
    --jobs adds an extra domain count to the parallel figure's 1/2/4 grid.
    Default: everything, at time_scale 0.1 (stage durations shrunk 10x;
    service times, think times and all rates untouched, so shapes match the
@@ -23,9 +27,8 @@
    tables.
 
    --gate FILE compares the fresh store figure's ingest throughput
-   against the committed reference in FILE (BENCH_store.json) and checks
-   its reduction fidelity, exiting non-zero on regression — the
-   `make bench-gate` CI stage. *)
+   against the committed reference in FILE (BENCH_store.json), exiting
+   non-zero on regression — the `make bench-gate` CI stage. *)
 
 module S = Tiersim.Scenario
 module Workload = Tiersim.Workload
@@ -51,8 +54,6 @@ let telemetry_format : Core.Telemetry_report.format ref = ref `Prom
 let json_out = ref None
 let jobs_override = ref None
 let gate_file = ref None
-let gate_hierarchy_file = ref None
-let gate_mesh_file = ref None
 
 (* Set by a figure whose invariant check (not a timing) failed; the
    harness exits non-zero after writing its outputs. *)
@@ -113,20 +114,15 @@ let emit_json file =
    this fraction of the committed reference before failing. *)
 let gate_slack = 0.5
 
-(* The fresh scalar [key] of [figure], as last recorded. *)
-let fresh_scalar figure key =
-  List.find_map
-    (fun (fig, (k, v)) -> if String.equal fig figure && String.equal k key then Some v else None)
-    !scalars
-
 let as_float = function
   | Some (Json.Float f) -> Some f
   | Some (Json.Int i) -> Some (float_of_int i)
   | _ -> None
 
-(* [figures.<figure>.results] of a committed BENCH_*.json reference run,
-   or [None] when the file is unreadable or lacks it. *)
-let committed_results file figure =
+(* [figures.store.results.ingest_records_per_s] of a committed
+   BENCH_store.json reference run, or [None] when the file is unreadable
+   or lacks it. *)
+let committed_ingest file =
   let ( let* ) = Option.bind in
   let* body =
     match In_channel.with_open_bin file In_channel.input_all with
@@ -135,59 +131,20 @@ let committed_results file figure =
   in
   let* doc = Result.to_option (Json.of_string body) in
   let* figures = Json.member "figures" doc in
-  let* fig = Json.member figure figures in
-  Json.member "results" fig
-
-let committed_float file figure key =
-  Option.bind (committed_results file figure) (fun r -> as_float (Json.member key r))
-
-(* The reduction half of the store gate is deterministic, like the
-   hierarchy gate: on the noise-free run [causal] keeps every byte, no
-   policy moves the top-3 pattern ranks, and every kept request
-   re-correlates to its original path. *)
-let reduction_failures () =
-  let store =
-    List.rev !scalars
-    |> List.filter_map (fun (fig, kv) -> if String.equal fig "store" then Some kv else None)
-  in
-  let int_of key = match List.assoc_opt key store with Some (Json.Int i) -> Some i | _ -> None in
-  let strip ~suffix key =
-    if String.ends_with ~suffix key then
-      Some (String.sub key 0 (String.length key - String.length suffix))
-    else None
-  in
-  let causal =
-    match List.assoc_opt "reduction_causal_ratio" store with
-    | Some (Json.Float r) when r = 1.0 -> []
-    | Some v -> [ Printf.sprintf "reduction_causal_ratio is %s, not 1.0" (Json.to_string v) ]
-    | None -> [ "no reduction_causal_ratio (run with --figure store)" ]
-  in
-  causal
-  @ List.concat_map
-      (fun (key, v) ->
-        match (strip ~suffix:"_top3_kept" key, strip ~suffix:"_paths_identical" key, v) with
-        | Some _, _, Json.Int 1 -> []
-        | Some _, _, _ -> [ Printf.sprintf "%s: top-3 pattern ranks changed" key ]
-        | None, Some policy, Json.Int identical -> (
-            match int_of (policy ^ "_requests_kept") with
-            | Some kept when kept = identical -> []
-            | kept ->
-                [
-                  Printf.sprintf "%s: %d paths identical of %s kept requests" policy identical
-                    (match kept with Some k -> string_of_int k | None -> "?");
-                ])
-        | _ -> [])
-      store
+  let* store = Json.member "store" figures in
+  let* results = Json.member "results" store in
+  as_float (Json.member "ingest_records_per_s" results)
 
 let run_gate file =
-  (match reduction_failures () with
-  | [] -> Printf.printf "bench gate: reduction keeps whole requests and top-3 ranks — ok\n"
-  | failures ->
-      List.iter (Printf.eprintf "bench gate: reduction fidelity — %s\n") failures;
-      exit 1);
-  let fresh = as_float (fresh_scalar "store" "ingest_records_per_s") in
-  let reference = committed_float file "store" "ingest_records_per_s" in
-  match (fresh, reference) with
+  let fresh =
+    as_float
+      (List.find_map
+         (fun (fig, (k, v)) ->
+           if String.equal fig "store" && String.equal k "ingest_records_per_s" then Some v
+           else None)
+         !scalars)
+  in
+  match (fresh, committed_ingest file) with
   | None, _ ->
       Printf.eprintf "bench gate: no fresh store figure (run with --figure store)\n";
       exit 1
@@ -207,106 +164,6 @@ let run_gate file =
         Printf.printf
           "bench gate: ingest %.0f records/s >= %.0f (%.0f%% of committed %.0f) — ok\n" fresh
           floor (100.0 *. gate_slack) reference
-
-(* The hierarchy gate is not a timing gate: the simulation is deterministic,
-   so the feed-volume reduction and the digest identity must hold exactly.
-   It fails when the root's ingest reduction drops below the 3x target (or
-   well below the committed reference) or when the hierarchical digest stops
-   matching the monolithic correlator. *)
-let hierarchy_reduction_target = 3.0
-
-let run_hierarchy_gate file =
-  let fresh = fresh_scalar "hierarchy" in
-  let reference = committed_float file "hierarchy" "root_reduction" in
-  match (as_float (fresh "root_reduction"), fresh "identical", reference) with
-  | None, _, _ | _, None, _ ->
-      Printf.eprintf
-        "bench gate: no fresh hierarchy figure (run with --figure hierarchy)\n";
-      exit 1
-  | _, _, None ->
-      Printf.eprintf "bench gate: cannot read root_reduction from %s\n" file;
-      exit 1
-  | Some reduction, Some identical, Some reference ->
-      let floor = Float.max hierarchy_reduction_target (gate_slack *. reference) in
-      if not (match identical with Json.Bool b -> b | _ -> false) then begin
-        Printf.eprintf
-          "bench gate: hierarchical digest no longer matches the monolithic correlator\n";
-        exit 1
-      end
-      else if reduction < floor then begin
-        Printf.eprintf
-          "bench gate: root feed-volume reduction %.1fx is below %.1fx (target %.1fx, \
-           committed %.1fx in %s)\n"
-          reduction floor hierarchy_reduction_target reference file;
-        exit 1
-      end
-      else
-        Printf.printf
-          "bench gate: root feed-volume reduction %.1fx >= %.1fx, digest identical — ok\n"
-          reduction floor
-
-(* The mesh gate is correctness-first, like the hierarchy gate: the
-   simulation is deterministic, so every scenario preset must correlate
-   at or above the accuracy floor, the faultless control must produce
-   zero false positives, and the serial and sharded correlations must
-   stay byte-identical. The committed reference (BENCH_mesh.json) guards
-   against a preset silently degrading across changes: fresh accuracy may
-   not drop more than [mesh_accuracy_slack] below it. *)
-let mesh_accuracy_floor = 0.95
-let mesh_accuracy_slack = 0.02
-
-let run_mesh_gate file =
-  let fresh = fresh_scalar "mesh" in
-  let reference_results = committed_results file "mesh" in
-  let fail fmt = Printf.eprintf ("bench gate: " ^^ fmt ^^ "\n") in
-  let ok = ref true in
-  List.iter
-    (fun preset ->
-      let acc_key = "accuracy_" ^ preset in
-      match as_float (fresh acc_key) with
-      | None ->
-          fail "no fresh mesh figure for preset %s (run with --figure mesh)" preset;
-          ok := false
-      | Some accuracy ->
-          let reference =
-            Option.bind reference_results (fun r -> as_float (Json.member acc_key r))
-          in
-          let floor =
-            match reference with
-            | Some r -> Float.max mesh_accuracy_floor (r -. mesh_accuracy_slack)
-            | None -> mesh_accuracy_floor
-          in
-          if accuracy < floor then begin
-            fail "mesh preset %s: accuracy %.4f below %.4f%s" preset accuracy floor
-              (match reference with
-              | Some r -> Printf.sprintf " (committed %.4f in %s)" r file
-              | None -> "");
-            ok := false
-          end;
-          (match fresh ("identical_" ^ preset) with
-          | Some (Json.Bool true) -> ()
-          | _ ->
-              fail "mesh preset %s: serial and sharded correlations differ" preset;
-              ok := false))
-    Mesh.Presets.names;
-  (match as_float (fresh "fp_control") with
-  | Some 0.0 -> ()
-  | Some fp ->
-      fail "mesh control run reported %.0f false positives (must be 0)" fp;
-      ok := false
-  | None ->
-      fail "no fresh mesh control figure (run with --figure mesh)";
-      ok := false);
-  if Option.is_none reference_results then begin
-    fail "cannot read mesh results from %s" file;
-    ok := false
-  end;
-  if not !ok then exit 1;
-  Printf.printf
-    "bench gate: all %d mesh presets at or above %.2f accuracy, control clean, digests \
-     identical — ok\n"
-    (List.length Mesh.Presets.names)
-    mesh_accuracy_floor
 
 (* ---- memoised scenario runs and correlations ---- *)
 
@@ -334,7 +191,7 @@ let correlate ?(window = ST.ms 10) spec =
       r
 
 (* The BEGIN/END transform over record lists, for the baselines
-   (nesting, DPM) and the record-fed micro-benchmark that take them. *)
+   (nesting, DPM) that take them. *)
 let transform_logs cfg logs =
   Trace.Arena.to_collection (Transform.apply_native cfg (Trace.Arena.of_collection logs))
 
@@ -1623,8 +1480,6 @@ let bench_bundle () =
   let pack name spec =
     let outcome = run spec in
     let path = Filename.concat dir (name ^ ".ptz") in
-    let t0 = Unix.gettimeofday () in
-    (* the run's one correlation stays inside the pack time *)
     let arenas = Store.Query.merge_native [ Trace.Arena.of_collection outcome.S.logs ] in
     let r = Core.Shard.correlate_arena config arenas in
     match
@@ -1632,11 +1487,11 @@ let bench_bundle () =
         ~source:(`Run (arenas, r.Correlator.cags, r.Correlator.deformed)) ~path ()
     with
     | Error e -> failwith e
-    | Ok summary -> (path, summary, Unix.gettimeofday () -. t0)
+    | Ok summary -> (path, summary)
   in
-  let control_path, summary, pack_s = pack "control" control_spec in
-  (* Pack throughput and bundle size vs the same records as a raw store. *)
-  let records_per_s = float_of_int summary.Bundle.Pack.records /. pack_s in
+  let control_path, summary = pack "control" control_spec in
+  (* Bundle size vs the same records as a raw store (pack speed is the
+     pipeline benchmark's pack layer). *)
   let overhead =
     float_of_int summary.Bundle.Pack.bytes
     /. float_of_int (max 1 summary.Bundle.Pack.store_bytes)
@@ -1644,8 +1499,7 @@ let bench_bundle () =
   let t_pack =
     Report.table ~title:"ext-14a: bundle pack (control run)"
       ~columns:
-        [ "records"; "paths"; "back-links"; "bundle bytes"; "store bytes"; "overhead";
-          "pack (s)"; "records/s" ]
+        [ "records"; "paths"; "back-links"; "bundle bytes"; "store bytes"; "overhead" ]
   in
   Report.add_row t_pack
     [
@@ -1655,15 +1509,12 @@ let bench_bundle () =
       Report.cell_int summary.Bundle.Pack.bytes;
       Report.cell_int summary.Bundle.Pack.store_bytes;
       Printf.sprintf "%.2fx" overhead;
-      Report.cell_float ~decimals:4 pack_s;
-      Report.cell_float ~decimals:0 records_per_s;
     ];
   Report.print t_pack;
   record_int ~figure:"bundle" "pack_records" summary.Bundle.Pack.records;
   record_int ~figure:"bundle" "pack_links" summary.Bundle.Pack.links;
   record_int ~figure:"bundle" "unresolved_links" summary.Bundle.Pack.unresolved_links;
   record_int ~figure:"bundle" "bundle_bytes" summary.Bundle.Pack.bytes;
-  record_float ~figure:"bundle" "pack_records_per_s" records_per_s;
   record_float ~figure:"bundle" "store_overhead_ratio" overhead;
   (* Cold open: walk a request and query the embedded store from scratch. *)
   let cold f =
@@ -1693,8 +1544,7 @@ let bench_bundle () =
     Report.table
       ~title:"ext-14b: bundle diff vs diagnose across the fault matrix"
       ~columns:
-        [ "case"; "bundle bytes"; "pack (s)"; "diff (s)"; "diff culprit";
-          "diagnose culprit"; "agree" ]
+        [ "case"; "bundle bytes"; "diff (s)"; "diff culprit"; "diagnose culprit"; "agree" ]
   in
   let control_result = correlate control_spec in
   List.iter
@@ -1702,7 +1552,7 @@ let bench_bundle () =
       let spec =
         { (base_spec ()) with S.name = label; clients; faults = [ fault ] }
       in
-      let path, fsummary, fpack_s = pack label spec in
+      let path, fsummary = pack label spec in
       let t0 = Unix.gettimeofday () in
       let diff_culprit =
         match (Bundle.Reader.open_file control_path, Bundle.Reader.open_file path) with
@@ -1728,7 +1578,6 @@ let bench_bundle () =
         [
           label;
           Report.cell_int fsummary.Bundle.Pack.bytes;
-          Report.cell_float ~decimals:4 fpack_s;
           Report.cell_float ~decimals:4 diff_s;
           Option.value diff_culprit ~default:"-";
           Option.value expected ~default:"-";
@@ -1745,69 +1594,13 @@ let bench_bundle () =
     ];
   Report.print t_diff
 
-(* ---- bechamel micro-benchmarks ---- *)
-
-let micro_tests () =
-  let spec = { (base_spec ()) with S.clients = 100; time_scale = 0.02 } in
-  let outcome = run spec in
-  let prepared = transform_logs outcome.S.transform outcome.S.logs in
-  let correlate_once () =
-    let engine = Core.Cag_engine.create () in
-    let ranker =
-      Core.Ranker.create ~window:(ST.ms 10)
-        ~has_mmap_send:(Core.Cag_engine.has_mmap_send engine)
-        prepared
-    in
-    let rec loop () =
-      match Core.Ranker.rank ranker with
-      | None -> ()
-      | Some a ->
-          Core.Cag_engine.step engine a;
-          loop ()
-    in
-    loop ();
-    Core.Cag_engine.finished engine
-  in
-  let cags = correlate_once () in
-  let one_line =
-    Trace.Raw_format.to_line (List.concat_map Trace.Log.to_list prepared |> List.hd)
-  in
-  let open Bechamel in
-  [
-    Test.make ~name:"correlate-trace" (Staged.stage (fun () -> ignore (correlate_once ())));
-    Test.make ~name:"pattern-signature"
-      (Staged.stage (fun () -> ignore (Pattern.signature_of (List.hd cags))));
-    Test.make ~name:"classify-patterns" (Staged.stage (fun () -> ignore (Pattern.classify cags)));
-    Test.make ~name:"critical-path"
-      (Staged.stage (fun () -> ignore (Latency.critical_path (List.hd cags))));
-    Test.make ~name:"raw-parse"
-      (Staged.stage (fun () -> ignore (Trace.Raw_format.of_line one_line)));
-  ]
-
-let bench_micro () =
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Bechamel.Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let grouped = Test.make_grouped ~name:"kernel" ~fmt:"%s %s" (micro_tests ()) in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "== bechamel micro-benchmarks (ns/run, OLS) ==";
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> Printf.printf "%-28s %12.1f\n" name est
-      | Some _ | None -> Printf.printf "%-28s (no estimate)\n" name)
-    results;
-  print_newline ()
-
-(* ---- mesh: adversarial scenario presets + correlation throughput ---- *)
+(* ---- mesh: adversarial scenario presets ---- *)
 
 let bench_mesh () =
   let jobs = Option.value !jobs_override ~default:2 in
   (* The presets are deterministic and quick at any --scale, so the same
-     numbers land in BENCH_mesh.json on every machine — the mesh gate
-     compares them exactly, not within a timing slack. *)
+     numbers land in BENCH_mesh.json on every machine; test_mesh holds
+     every preset to them. *)
   let t =
     Report.table
       ~title:
@@ -1839,35 +1632,7 @@ let bench_mesh () =
       if String.equal name "cascading_failure" then
         record_int ~figure:"mesh" "retries_cascading" r.retries)
     Mesh.Presets.names;
-  Report.print t;
-  (* Correlation throughput as the DAG widens: random declarative meshes
-     with a fixed workload, correlated serially. *)
-  let sweep = if !quick then [ 4; 8 ] else [ 4; 6; 8; 12 ] in
-  let s =
-    Report.table ~title:"ext-17: correlation throughput vs mesh width (serial)"
-      ~columns:[ "tiers"; "hosts"; "records"; "paths"; "corr ms"; "records/s" ]
-  in
-  List.iter
-    (fun tiers ->
-      let spec = Mesh.Spec.random ~tiers ~seed:21 () in
-      let spec = { spec with Mesh.Spec.clients = 12; requests_per_client = 6 } in
-      let b, sc = Mesh.Runtime.run ~jobs:1 spec in
-      let secs = sc.Mesh.Runtime.result.Core.Correlator.correlation_time in
-      let throughput = float_of_int sc.records /. Float.max 1e-9 secs in
-      Report.add_row s
-        [
-          Report.cell_int tiers;
-          Report.cell_int (List.length b.Mesh.Runtime.hostnames);
-          Report.cell_int sc.records;
-          Report.cell_int (List.length sc.result.Core.Correlator.cags);
-          Report.cell_float ~decimals:2 (secs *. 1e3);
-          Report.cell_int (int_of_float throughput);
-        ];
-      record_float ~figure:"mesh"
-        (Printf.sprintf "records_per_s_%dt" tiers)
-        throughput)
-    sweep;
-  Report.print s
+  Report.print t
 
 (* ---- driver ---- *)
 
@@ -1896,7 +1661,6 @@ let all_figures =
     ("parallel", bench_parallel);
     ("diagnose", bench_diagnose);
     ("bundle", bench_bundle);
-    ("micro", bench_micro);
   ]
 
 let resolve = function
@@ -1938,12 +1702,6 @@ let () =
     | "--gate" :: file :: rest ->
         gate_file := Some file;
         parse rest
-    | "--gate-hierarchy" :: file :: rest ->
-        gate_hierarchy_file := Some file;
-        parse rest
-    | "--gate-mesh" :: file :: rest ->
-        gate_mesh_file := Some file;
-        parse rest
     | "--telemetry-format" :: fmt :: rest ->
         (match List.assoc_opt fmt Core.Telemetry_report.formats with
         | Some f -> telemetry_format := f
@@ -1980,8 +1738,6 @@ let () =
     figures;
   (match !json_out with None -> () | Some file -> emit_json file);
   (match !gate_file with None -> () | Some file -> run_gate file);
-  (match !gate_hierarchy_file with None -> () | Some file -> run_hierarchy_gate file);
-  (match !gate_mesh_file with None -> () | Some file -> run_mesh_gate file);
   (match !telemetry_out with
   | None -> ()
   | Some file ->

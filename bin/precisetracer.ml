@@ -238,7 +238,8 @@ let document_arg long ~doc =
 (* Load traces from DIR as one arena per host, whatever their format: a
    segmented store (has a MANIFEST.json), binary PTB1 files (recognised
    by magic, any filename) and/or per-node *.trace text files — mixed
-   contents are merged in the store's canonical row order. *)
+   contents are merged in the store's canonical row order, which leaves
+   out hosts with no rows; files without a row are no traces. *)
 let load_traces ?jobs dir =
   if Store.Manifest.exists ~dir then
     Result.map fst (Store.Query.run_native ?jobs ~dir Store.Query.all)
@@ -275,14 +276,14 @@ let load_traces ?jobs dir =
             match texts with
             | Error e -> Error e
             | Ok texts -> (
-                match bins @ texts with
+                match Store.Query.merge_native (bins @ texts) with
                 | [] ->
                     Error
                       (Printf.sprintf
                          "no traces in %s (expected a store MANIFEST.json, PTB1 files or \
                           *.trace files)"
                          dir)
-                | collections -> Ok (Store.Query.merge_native collections))))
+                | arenas -> Ok arenas)))
 
 (* The oracle saved next to a run's traces, if there is one. An unreadable
    one is reported and skipped: the traces are still worth correlating. *)

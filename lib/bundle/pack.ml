@@ -37,11 +37,10 @@ let section_of_segment id = Printf.sprintf "segments/%06d" id
 
    Correlation ran on the very arenas the bundle embeds, so every vertex
    source already is a (host index, raw row) coordinate into them: the
-   back-links are a copy, less the hosts with no rows, which no segment
-   lists. A source with no raw row (a record-adapter input) cannot be
-   linked and is counted instead. *)
+   back-links are a copy. A source with no raw row (a record-adapter
+   input) cannot be linked and is counted instead. *)
 
-let link_paths ~host_link cags =
+let link_paths cags =
   let links = ref 0 and unresolved = ref 0 in
   (* newest-first sources folded back into observation order *)
   let link acc s =
@@ -51,7 +50,7 @@ let link_paths ~host_link cags =
     end
     else begin
       incr links;
-      (host_link.(Cag.source_host s), Cag.source_row s) :: acc
+      (Cag.source_host s, Cag.source_row s) :: acc
     end
   in
   let path (cag : Cag.t) =
@@ -118,13 +117,15 @@ let of_store_dir dir =
 
 (* Synthetic segments: the store a no-reduction ingest of a run's arenas
    would write, cut by the store writer itself but held in memory. Their
-   rows merge back into the same arenas only if those are canonical. *)
+   rows merge back into the same arenas only if those are canonical:
+   sorted, named in order, none empty. *)
 let of_run ?roll_records arenas =
   let rec by_name = function
     | a :: (b :: _ as rest) -> Arena.hostname a < Arena.hostname b && by_name rest
     | _ -> true
   in
-  if by_name arenas && List.for_all (fun a -> Arena.sorted a == a) arenas then
+  if by_name arenas && List.for_all (fun a -> Arena.length a > 0 && Arena.sorted a == a) arenas
+  then
     Ok (Store.Writer.encode ?roll_records arenas)
   else Error "pack: run arenas are not in Store.Query.merge_native order"
 
@@ -182,11 +183,7 @@ let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~sourc
   let records = Arena.total arenas in
   if records = 0 then Error "pack: store holds no records"
   else begin
-    let kept = ref 0 in
-    let host_link =
-      Array.of_list (List.map (fun a -> if Arena.length a > 0 then incr kept; !kept - 1) arenas)
-    in
-    let paths, links, unresolved = stage "link" (fun () -> link_paths ~host_link cags) in
+    let paths, links, unresolved = stage "link" (fun () -> link_paths cags) in
     List.iter
       (fun (state, n) ->
         R.add
@@ -194,7 +191,7 @@ let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~sourc
              ~labels:[ ("state", state) ] "pt_bundle_links_total")
           n)
       [ ("resolved", links); ("unresolved", unresolved) ];
-    let hosts = List.map Arena.hostname (List.filter (fun a -> Arena.length a > 0) arenas) in
+    let hosts = List.map Arena.hostname arenas in
     let profiles = stage "profile" (fun () -> Analysis.profiles_of_cags cags) in
     let json_body j = Json.to_string ~indent:true (Container.sort_json j) in
     let paths_body =

@@ -199,15 +199,6 @@ let of_json j =
        let* patterns = Json.map_result pattern_of_json patterns in
        Ok { patterns; total_paths; span_s; throughput_rps })
 
-let save t ~path =
-  match open_out path with
-  | exception Sys_error e -> Error e
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Json.to_string ~indent:true (to_json t) ^ "\n"));
-      Ok ()
-
 let load ~path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e

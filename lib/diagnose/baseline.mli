@@ -13,8 +13,8 @@
     near-steady-state profile rather than one diluted by the ramp's
     lightly-loaded early paths.
 
-    Baselines persist to JSON ({!save}/{!load}), so a profile learned on
-    one healthy run can be reused to watch any number of later runs. *)
+    Baselines persist to JSON ({!to_json}/{!load}), so a profile learned
+    on one healthy run can be reused to watch any number of later runs. *)
 
 type pattern_profile = {
   signature : string;  (** Canonical pattern signature ({!Core.Pattern}). *)
@@ -65,6 +65,6 @@ val of_paths : ?capacity:int -> Core.Cag.t list -> t
 val to_json : t -> Core.Json.t
 val of_json : Core.Json.t -> (t, string) result
 
-val save : t -> path:string -> (unit, string) result
 val load : path:string -> (t, string) result
-(** Indented-JSON file round-trip; errors name the offending field. *)
+(** Read a baseline file holding {!to_json}'s document; errors name the
+    file and the offending field. *)

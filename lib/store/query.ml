@@ -34,7 +34,8 @@ let select manifest predicate =
 (* The one canonical merge: logs of one hostname across segments
    concatenate by integer row blits into one arena per host, in segment
    order, then one stable sort per host — rows tied on (timestamp,
-   context, kind) keep their segment order. *)
+   context, kind) keep their segment order. A host with no rows gets no
+   arena. *)
 let merge_native (collections : Trace.Arena.t list list) =
   let by_host : (int, Trace.Arena.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -54,7 +55,7 @@ let merge_native (collections : Trace.Arena.t list list) =
                 acc
           in
           Trace.Arena.append_range acc src ~lo:0 ~hi:(Trace.Arena.length src))
-        arenas)
+        (List.filter (fun a -> Trace.Arena.length a > 0) arenas))
     collections;
   let arenas = Hashtbl.fold (fun _ a acc -> a :: acc) by_host [] in
   List.iter Trace.Arena.sort_by_time arenas;

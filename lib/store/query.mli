@@ -36,8 +36,9 @@ val merge_native : Trace.Arena.t list list -> Trace.Arena.t list
     same hostname are concatenated in segment order and stable-sorted
     per host ({!Trace.Arena.sort_by_time}), so rows tied on (timestamp,
     context, kind) keep their segment order; result ordered by
-    hostname. Every reader of a store or bundle — queries, the bundle
-    packer's back-links, [Bundle.Reader] — uses this one order. *)
+    hostname, with no arena for a host that has no rows. Every reader
+    of a store or bundle — queries, the bundle packer's back-links,
+    [Bundle.Reader] — uses this one order. *)
 
 val run_native_with :
   ?telemetry:Telemetry.Registry.t ->

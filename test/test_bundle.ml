@@ -948,7 +948,11 @@ let test_non_canonical_run_refused () =
       match Bundle.Pack.pack ~config ~source:(`Run (arenas, cags, unfinished)) ~path () with
       | Ok _ -> Alcotest.failf "%s: packed" what
       | Error _ -> Alcotest.(check bool) (what ^ ": nothing written") false (Sys.file_exists path))
-    [ ("hosts out of name order", List.rev arenas); ("rows out of time order", reversed_rows) ]
+    [
+      ("hosts out of name order", List.rev arenas);
+      ("rows out of time order", reversed_rows);
+      ("a host with no rows", Arena.create ~host:"aa0" () :: arenas);
+    ]
 
 (* The snapshot is taken after the encode stage, so it holds this pack's
    own stage times. Packing a store directory correlates: one correlate

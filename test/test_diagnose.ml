@@ -99,9 +99,8 @@ let test_baseline_round_trip () =
   Alcotest.(check (float 1e-6)) "shares sum to 1" 1.0 sum;
   Alcotest.(check bool) "throughput learned" true (bl.Baseline.throughput_rps > 0.0);
   let path = Filename.temp_file "pt_baseline" ".json" in
-  (match Baseline.save bl ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save: %s" e);
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Core.Json.to_string ~indent:true (Baseline.to_json bl)));
   let bl' =
     match Baseline.load ~path with
     | Ok b -> b
@@ -346,8 +345,8 @@ let test_scorer_mapping () =
 
 (* ---- live end to end ---- *)
 
-let live_spec name faults =
-  { S.default with S.name; clients = 50; time_scale = 0.05; faults }
+let live_spec ?(clients = 50) name faults =
+  { S.default with S.name; clients; time_scale = 0.05; faults }
 
 let test_live_detects_mid_run_fault () =
   let reg = Telemetry.Registry.create () in
@@ -386,6 +385,16 @@ let test_live_control_is_silent () =
   Alcotest.(check bool) "control scored correct" true s.Verdict.correct;
   Alcotest.(check int) "zero false alarms" 0 s.Verdict.false_alarms
 
+(* The rest of the fault matrix, at the diagnose figure's quick size (60
+   clients): each fault is named live, with no false alarm. *)
+let test_live_names fault subject () =
+  let reg = Telemetry.Registry.create () in
+  let r = Diagnose.Live.run ~telemetry:reg (live_spec ~clients:60 "live" [ fault ]) in
+  let s = r.Diagnose.Live.score in
+  Alcotest.(check bool) "correct culprit" true s.Verdict.correct;
+  Alcotest.(check (option string)) "first culprit" (Some subject) s.Verdict.first_culprit;
+  Alcotest.(check int) "no false alarms" 0 s.Verdict.false_alarms
+
 let () =
   Alcotest.run "diagnose"
     [
@@ -419,5 +428,9 @@ let () =
             test_live_detects_mid_run_fault;
           Alcotest.test_case "faultless control silent" `Quick
             test_live_control_is_silent;
+          Alcotest.test_case "db-lock named live" `Quick
+            (test_live_names Faults.database_lock "tier mysqld");
+          Alcotest.test_case "ejb-network named live" `Quick
+            (test_live_names Faults.ejb_network "network of tier java");
         ] );
     ]

@@ -352,6 +352,12 @@ let test_cluster_hierarchy_matches_monolithic () =
   in
   Alcotest.(check bool) "root ingests >=3x less than a flat funnel" true
     (report.Plane.root_ingest_bytes * 3 <= flat_bytes);
+  (* The second floor: half the committed BENCH_hierarchy.json
+     reduction (11.9x). *)
+  let reduction = float_of_int flat_bytes /. float_of_int report.Plane.root_ingest_bytes in
+  if reduction < 5.95 then
+    Alcotest.failf "root feed-volume reduction %.2fx is below 5.95x (%d flat / %d root bytes)"
+      reduction flat_bytes report.Plane.root_ingest_bytes;
   Alcotest.(check bool) "level 0 already ships less than raw agents" true
     (report.Plane.agent_bytes_shipped < flat_bytes);
   let raw_bytes =

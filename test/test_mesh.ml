@@ -15,7 +15,9 @@ module GT = Trace.Ground_truth
 let qtest = QCheck_alcotest.to_alcotest
 let run name = P.run ~jobs:2 name
 
-let check_quality ?(floor = 0.95) (r : P.report) =
+(* Every preset reads 1.0 in the committed BENCH_mesh.json; the default
+   floor allows 0.02 below it. *)
+let check_quality ?(floor = 0.98) (r : P.report) =
   if r.P.accuracy < floor then
     Alcotest.failf "%s: accuracy %.4f below %.2f (%d/%d, fp %d, fn %d)" r.preset
       r.accuracy floor r.correct r.total_requests r.false_positives

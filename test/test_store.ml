@@ -409,13 +409,21 @@ let fingerprint cag =
         a.Activity.message.size ))
     (Core.Cag.vertices cag)
 
+let originals =
+  lazy
+    (let baseline = Correlator.correlate (correlate_cfg ()) (Lazy.force outcome).S.logs in
+     let seen = Hashtbl.create 1024 in
+     List.iter (fun c -> Hashtbl.replace seen (fingerprint c) ()) baseline.Correlator.cags;
+     seen)
+
 (* How many of the paths [result] found are identical to a path of the
    unreduced run. *)
 let paths_identical result =
-  let baseline = Correlator.correlate (correlate_cfg ()) (Lazy.force outcome).S.logs in
-  let seen = Hashtbl.create 1024 in
-  List.iter (fun c -> Hashtbl.replace seen (fingerprint c) ()) baseline.Correlator.cags;
+  let seen = Lazy.force originals in
   List.length (List.filter (fun c -> Hashtbl.mem seen (fingerprint c)) result.Correlator.cags)
+
+(* The sampling grid of the bench's reduction figure (ext-9c). *)
+let sampling_grid = [ "causal,sample=0.5@1"; "causal,sample=0.25@1"; "causal,sample=0.1@1" ]
 
 let test_reduction_fidelity () =
   let o = Lazy.force outcome in
@@ -437,9 +445,16 @@ let test_reduction_fidelity () =
   let result = Correlator.correlate cfg reduced in
   Alcotest.(check int) "every kept request is an identical path" stats.Store.Reduce.requests_kept
     (paths_identical result);
-  Alcotest.(check (list string)) "top-3 pattern ranks unchanged"
-    (top_names 3 (Pattern.classify baseline.Correlator.cags))
-    (top_names 3 (Pattern.classify result.Correlator.cags))
+  let top3 (r : Correlator.result) = top_names 3 (Pattern.classify r.Correlator.cags) in
+  Alcotest.(check (list string)) "top-3 pattern ranks unchanged" (top3 baseline) (top3 result);
+  List.iter
+    (fun policy ->
+      let reduced, _ = reduce policy in
+      Alcotest.(check (list string))
+        (policy ^ ": top-3 pattern ranks unchanged")
+        (top3 baseline)
+        (top3 (Correlator.correlate cfg reduced)))
+    sampling_grid
 
 let test_reduction_keeps_whole_requests () =
   let o = Lazy.force outcome in
@@ -461,16 +476,21 @@ let test_reduction_keeps_whole_requests () =
             sources)
         (Core.Cag.vertices cag))
     (native.Correlator.cags @ native.Correlator.deformed);
-  let reduced, stats = reduce "causal,sample=0.5@2" in
-  let result = Correlator.correlate cfg reduced in
   (* Whole causal paths survive or vanish: no orphaned halves, so the
      reduced trace correlates with zero deformed CAGs and every kept
      request comes back as its original path. *)
-  Alcotest.(check int) "no deformed paths" 0 (List.length result.Correlator.deformed);
-  Alcotest.(check int) "kept requests = paths" stats.Store.Reduce.requests_kept
-    (List.length result.Correlator.cags);
-  Alcotest.(check int) "kept requests = identical paths" stats.Store.Reduce.requests_kept
-    (paths_identical result)
+  List.iter
+    (fun policy ->
+      let reduced, stats = reduce policy in
+      let result = Correlator.correlate cfg reduced in
+      let kept = stats.Store.Reduce.requests_kept in
+      Alcotest.(check int) (policy ^ ": no deformed paths") 0
+        (List.length result.Correlator.deformed);
+      Alcotest.(check int) (policy ^ ": kept requests = paths") kept
+        (List.length result.Correlator.cags);
+      Alcotest.(check int) (policy ^ ": kept requests = identical paths") kept
+        (paths_identical result))
+    ("causal,sample=0.5@2" :: sampling_grid)
 
 let test_reduction_deterministic () =
   let r1, s1 = reduce "sample=0.3@9" in
@@ -599,7 +619,8 @@ let test_merge_keeps_tied_rows () =
 (* Random multi-segment inputs drawn from tiny attribute pools, so rows
    tie on (timestamp, context, kind) often. The merge and the
    specification — per host, concatenate in segment order and
-   stable-sort by time — agree row for row. *)
+   stable-sort by time; a host with no rows is left out — agree row for
+   row. *)
 let gen_segments =
   let open QCheck.Gen in
   let host = oneofl [ "h0"; "h1"; "h2" ] in
@@ -638,6 +659,7 @@ let prop_merge_agrees_with_native =
                  segments
                |> List.stable_sort Activity.compare_by_time
                |> Log.of_list ~hostname)
+        |> List.filter (fun log -> Log.length log > 0)
       in
       collection_equal spec (merge segments))
 
