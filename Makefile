@@ -96,6 +96,9 @@ bundle-gate: build
 # under its own name, with no ".tmp" file left behind; a preset name
 # that mesh or simulate --topology does not take is a bad command line:
 # 124 with usage ("random" has no declarative spec and is no prefix).
+# A live baseline saved from a healthy run arms a later db-lock run, which
+# must name tier mysqld; a baseline file in the retired pt-baseline-1
+# format exits 1 with an error naming the file.
 CLI_SIM = dune exec bin/precisetracer.exe -- simulate -c 40 --scale 0.05 --seed 11
 CLI_CORRELATE = dune exec bin/precisetracer.exe -- correlate
 CLI_EXE = $(CURDIR)/_build/default/bin/precisetracer.exe
@@ -181,6 +184,15 @@ cli-gate: build
 	grep -q '^Usage:' _cli_gate/usage.err
 	dune exec bin/precisetracer.exe -- simulate --topology random 2> _cli_gate/usage.err; test $$? -eq 124
 	grep -q '^Usage:' _cli_gate/usage.err
+	$(CLI_EXE) diagnose --live -c 60 --scale 0.05 --seed 11 --save-baseline _cli_gate/baseline.json
+	$(CLI_EXE) diagnose --live -c 60 --scale 0.05 --seed 11 --fault db-lock \
+		--baseline _cli_gate/baseline.json --json - > _cli_gate/live.json
+	grep -q '"first_culprit": "tier mysqld"' _cli_gate/live.json
+	sed 's/"pt-baseline-2"/"pt-baseline-1"/' _cli_gate/baseline.json > _cli_gate/baseline-v1.json
+	$(CLI_EXE) diagnose --live -c 60 --scale 0.05 --seed 11 \
+		--baseline _cli_gate/baseline-v1.json 2> _cli_gate/baseline-v1.err; test $$? -eq 1
+	cat _cli_gate/baseline-v1.err
+	grep -q '_cli_gate/baseline-v1.json: baseline: unsupported format' _cli_gate/baseline-v1.err
 	rm -rf _cli_gate
 
 # The pipeline benchmark (bench/pipeline/README.md), untraced, on all four

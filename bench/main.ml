@@ -1597,21 +1597,18 @@ let bench_bundle () =
 (* ---- mesh: adversarial scenario presets ---- *)
 
 let bench_mesh () =
-  let jobs = Option.value !jobs_override ~default:2 in
   (* The presets are deterministic and quick at any --scale, so the same
      numbers land in BENCH_mesh.json on every machine; test_mesh holds
      every preset to them. *)
   let t =
     Report.table
       ~title:
-        (Printf.sprintf "ext-17: mesh scenario presets (seed %d, %d-way shard check)"
-           Mesh.Presets.default_seed jobs)
-      ~columns:
-        [ "preset"; "accuracy"; "fp"; "paths"; "patterns"; "retries"; "records"; "sharded=" ]
+        (Printf.sprintf "ext-17: mesh scenario presets (seed %d)" Mesh.Presets.default_seed)
+      ~columns:[ "preset"; "accuracy"; "fp"; "paths"; "patterns"; "retries"; "records" ]
   in
   List.iter
     (fun name ->
-      let r = Mesh.Presets.run ~jobs name in
+      let r = Mesh.Presets.run name in
       Report.add_row t
         [
           name;
@@ -1621,10 +1618,8 @@ let bench_mesh () =
           Report.cell_int r.patterns;
           Report.cell_int r.retries;
           Report.cell_int r.records;
-          (if r.sharded_identical then "yes" else "NO");
         ];
       record_float ~figure:"mesh" ("accuracy_" ^ name) r.accuracy;
-      record_scalar ~figure:"mesh" ("identical_" ^ name) (Json.Bool r.sharded_identical);
       if String.equal name "control" then begin
         record_int ~figure:"mesh" "fp_control" r.false_positives;
         record_int ~figure:"mesh" "patterns_control" r.patterns

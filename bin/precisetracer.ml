@@ -1415,7 +1415,6 @@ let mesh_report_json (r : Mesh.Presets.report) =
       ("async_jobs", Int r.async_jobs);
       ("served", Obj (List.map (fun (h, n) -> (h, Int n)) r.served));
       ("digest", String r.digest);
-      ("sharded_identical", Bool r.sharded_identical);
       ("correlation_time_s", Float r.correlation_time);
     ]
 
@@ -1436,14 +1435,6 @@ let mesh_cmd =
       & opt int Mesh.Presets.default_seed
       & info [ "seed" ] ~docv:"N" ~doc:"Random seed (skews, workload, topology).")
   in
-  let mesh_jobs =
-    Arg.(
-      value & opt int 2
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the sharded correlation pass whose digest is checked \
-             against the serial one. Output is identical at any value.")
-  in
   let mesh_window_ms =
     Arg.(
       value & opt float 5.0
@@ -1459,11 +1450,11 @@ let mesh_cmd =
     | "random_mesh" -> "seeded random declarative DAG with caches and fan-out"
     | _ -> ""
   in
-  let run preset list seed jobs window_ms json =
+  let run preset list seed window_ms json =
     match preset with
     | Some preset when not list ->
         let window = ST.us (int_of_float (window_ms *. 1000.)) in
-        let r = Mesh.Presets.run ~window ~jobs ~seed preset in
+        let r = Mesh.Presets.run ~window ~seed preset in
         Format.printf "%a@." Mesh.Presets.pp_report r;
         (match r.Mesh.Presets.served with
         | [] -> ()
@@ -1478,10 +1469,10 @@ let mesh_cmd =
     (Cmd.info "mesh"
        ~doc:
          "Run a declarative microservice-mesh scenario preset end-to-end: simulate the \
-          service DAG, correlate its traces (serial and sharded) and score the derived \
+          service DAG, correlate its traces and score the derived \
           paths against the built-in oracle (see docs/MESH.md).")
     Term.(
-      const run $ preset_arg $ list_flag $ mesh_seed $ mesh_jobs $ mesh_window_ms
+      const run $ preset_arg $ list_flag $ mesh_seed $ mesh_window_ms
       $ result_json_arg)
 
 let () =

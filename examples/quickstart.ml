@@ -99,8 +99,9 @@ let () =
         "component breakdown (cross-node shares absorb the backend's +400us clock skew - the \
          paper accepts the same inaccuracy; intra-node shares and the total are exact):@.";
       List.iter
-        (fun (c, pct) ->
-          Format.printf "  %-16s %5.1f%%@." (Core.Latency.component_label c) (100.0 *. pct))
-        (Core.Latency.percentages (Core.Latency.breakdown cag));
+        (fun (c : Core.Analysis.component_stat) ->
+          Format.printf "  %-16s %5.1f%%@." (Core.Latency.component_label c.comp)
+            (100.0 *. c.share))
+        (List.hd (Core.Analysis.profiles_of_cags [ cag ])).Core.Analysis.components;
       Format.printf "@.graphviz (pipe to `dot -Tsvg`):@.%s@." (Core.Cag.to_dot cag)
   | cags -> Format.printf "expected one causal path, got %d@." (List.length cags)

@@ -86,6 +86,9 @@ val profiles_of_cags : Cag.t list -> profile list
 (** Classify and aggregate: one profile per pattern, in
     {!Pattern.classify} order (most frequent first). *)
 
+val shares : profile -> (Latency.component * float) list
+(** The components' shares, ready for {!compare_profiles}. *)
+
 val profiles_to_json : profile list -> Json.t
 val profiles_of_json : Json.t -> (profile list, string) result
 

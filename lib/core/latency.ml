@@ -66,10 +66,3 @@ let breakdown ?normalize cag =
   in
   List.iter add hops;
   List.rev_map (fun comp -> (comp, Hashtbl.find table (component_label comp))) !order
-
-let percentages parts =
-  let total =
-    List.fold_left (fun acc (_, s) -> acc + Sim_time.span_ns s) 0 parts |> float_of_int
-  in
-  if total = 0.0 then List.map (fun (c, _) -> (c, 0.0)) parts
-  else List.map (fun (c, s) -> (c, float_of_int (Sim_time.span_ns s) /. total)) parts

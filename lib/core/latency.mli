@@ -46,7 +46,3 @@ val critical_path : ?normalize:(string -> string) -> Cag.t -> hop list
 val breakdown : ?normalize:(string -> string) -> Cag.t -> (component * Simnet.Sim_time.span) list
 (** Critical-path hop spans summed per component, in first-appearance
     order. The spans sum to {!Cag.duration}. *)
-
-val percentages : (component * Simnet.Sim_time.span) list -> (component * float) list
-(** Each component's share of the total, in [0, 1] (clamping is not
-    applied: extreme clock skew can push individual shares outside). *)

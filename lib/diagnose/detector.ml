@@ -1,6 +1,5 @@
 module Cag = Core.Cag
 module Pattern = Core.Pattern
-module Latency = Core.Latency
 module Analysis = Core.Analysis
 module Json = Core.Json
 module Sim_time = Simnet.Sim_time
@@ -90,13 +89,10 @@ let latency_factor = 2.5
 (* The live path rate below baseline / this fires [Throughput_drop]. *)
 let throughput_factor = 3.0
 
-(* Per-pattern sliding state: latency-share observations plus the
+(* Per-pattern sliding state: the pattern's most recent paths plus the
    hysteresis flags for each §5.4 subject this pattern has implicated. *)
 type pstate = {
-  p_components : Latency.component list;
-  p_arity : int;
-  p_shares : float array Queue.t;
-  p_durations : float Queue.t;
+  p_window : Cag.t Queue.t;
   p_share_armed : (string, bool ref) Hashtbl.t;
   mutable p_latency_armed : bool;
 }
@@ -163,7 +159,7 @@ let create ?(config = default_config) ?baseline ?now
   | Some bl ->
       t.bl <- Some bl;
       Registry.set t.g_baseline_patterns
-        (float_of_int (List.length bl.Baseline.patterns))
+        (float_of_int (List.length bl.Baseline.profiles))
   | None -> ());
   t
 
@@ -201,11 +197,6 @@ let fire t ~at ~kind ?pattern ?culprit ~baseline_value ~observed_value reason =
        "pt_diagnose_alerts_total");
   v
 
-let queue_mean q =
-  let n = Queue.length q in
-  if n = 0 then 0.0
-  else Queue.fold (fun acc v -> acc +. v) 0.0 q /. float_of_int n
-
 let ring_push q cap v =
   Queue.push v q;
   if Queue.length q > cap then ignore (Queue.pop q)
@@ -217,7 +208,7 @@ let freeze_now t at =
   t.bl <- Some bl;
   t.frozen_at_s <- Sim_time.to_float_s at;
   Registry.set t.g_baseline_patterns
-    (float_of_int (List.length bl.Baseline.patterns))
+    (float_of_int (List.length bl.Baseline.profiles))
 
 let learn_path t at cag =
   Baseline.learn t.learner cag;
@@ -232,16 +223,13 @@ let learn_path t at cag =
 
 (* ---- judged stream ---- *)
 
-let pstate_for t ~signature ~components =
+let pstate_for t signature =
   match Hashtbl.find_opt t.patterns signature with
   | Some ps -> ps
   | None ->
       let ps =
         {
-          p_components = components;
-          p_arity = List.length components;
-          p_shares = Queue.create ();
-          p_durations = Queue.create ();
+          p_window = Queue.create ();
           p_share_armed = Hashtbl.create 8;
           p_latency_armed = true;
         }
@@ -257,103 +245,102 @@ let mix_flags_for t signature =
       Hashtbl.replace t.mix_flags signature f;
       f
 
-let window_profile ps =
-  let acc = Array.make ps.p_arity 0.0 in
-  Queue.iter (fun shares -> Array.iteri (fun i v -> acc.(i) <- acc.(i) +. v) shares)
-    ps.p_shares;
-  let n = float_of_int (Queue.length ps.p_shares) in
-  List.mapi (fun i c -> (c, acc.(i) /. n)) ps.p_components
-
-(* Share drift: compare the pattern's window-mean profile against its
+(* Share drift: compare the profile of the pattern's window against its
    baseline profile and let the §5.4 rules name the culprit. Each subject
    fires once per excursion, re-arming when its severity recedes below
    [share_threshold * rearm_factor]. Returns the fired verdicts plus the
    top live suspect (for latency-shift attribution). *)
-let check_share t bl at ~signature ~name ps =
+let check_share t at ~name ps ~(baseline : Analysis.profile)
+    ~(observed : Analysis.profile) =
   let cfg = t.config in
-  if Queue.length ps.p_shares < cfg.min_window then ([], None)
-  else
-    match Baseline.find bl ~signature with
-    | Some bp when List.length bp.Baseline.components = ps.p_arity ->
-        Registry.incr t.c_windows;
-        let observed = window_profile ps in
-        let report =
-          Analysis.compare_profiles ~baseline:(Baseline.profile bp) ~observed
+  let report =
+    Analysis.compare_profiles ~baseline:(Analysis.shares baseline)
+      ~observed:(Analysis.shares observed)
+  in
+  let live = Hashtbl.create 8 in
+  let fired =
+    List.filter_map
+      (fun (s : Analysis.suspect) ->
+        let label = Analysis.subject_label s.subject in
+        Hashtbl.replace live label s.severity;
+        let armed =
+          match Hashtbl.find_opt ps.p_share_armed label with
+          | Some r -> r
+          | None ->
+              let r = ref true in
+              Hashtbl.replace ps.p_share_armed label r;
+              r
         in
-        let live = Hashtbl.create 8 in
-        let fired =
-          List.filter_map
-            (fun (s : Analysis.suspect) ->
-              let label = Analysis.subject_label s.subject in
-              Hashtbl.replace live label s.severity;
-              let armed =
-                match Hashtbl.find_opt ps.p_share_armed label with
-                | Some r -> r
-                | None ->
-                    let r = ref true in
-                    Hashtbl.replace ps.p_share_armed label r;
-                    r
-              in
-              if s.severity >= cfg.share_threshold && !armed then begin
-                armed := false;
-                Some
-                  (fire t ~at ~kind:Share_drift ~pattern:name
-                     ~culprit:s.subject ~baseline_value:0.0
-                     ~observed_value:s.severity
-                     (Printf.sprintf "pattern %s: %s (severity %.2f) — %s" name
-                        label s.severity s.reason))
-              end
-              else begin
-                if
-                  s.severity < cfg.share_threshold *. rearm_factor
-                  && not !armed
-                then armed := true;
-                None
-              end)
-            report.Analysis.suspects
-        in
-        (* Subjects that dropped out of the suspect list entirely have
-           recovered: re-arm them. *)
-        Hashtbl.iter
-          (fun label armed ->
-            if (not !armed) && not (Hashtbl.mem live label) then armed := true)
-          ps.p_share_armed;
-        let top =
-          match report.Analysis.suspects with
-          | s :: _ -> Some s.Analysis.subject
-          | [] -> None
-        in
-        (fired, top)
-    | _ -> ([], None)
-
-let check_latency t bl at ~signature ~name ps ~top_suspect =
-  let cfg = t.config in
-  if Queue.length ps.p_durations < cfg.min_window then []
-  else
-    match Baseline.find bl ~signature with
-    | Some bp when bp.Baseline.mean_duration_s > 0.0 ->
-        let mean = queue_mean ps.p_durations in
-        let ratio = mean /. bp.Baseline.mean_duration_s in
-        if ratio >= latency_factor && ps.p_latency_armed then begin
-          ps.p_latency_armed <- false;
-          [
-            fire t ~at ~kind:Latency_shift ~pattern:name ?culprit:top_suspect
-              ~baseline_value:bp.Baseline.mean_duration_s ~observed_value:mean
-              (Printf.sprintf
-                 "pattern %s: mean latency %.1fms vs baseline %.1fms (x%.1f)"
-                 name (1000.0 *. mean)
-                 (1000.0 *. bp.Baseline.mean_duration_s)
-                 ratio);
-          ]
+        if s.severity >= cfg.share_threshold && !armed then begin
+          armed := false;
+          Some
+            (fire t ~at ~kind:Share_drift ~pattern:name
+               ~culprit:s.subject ~baseline_value:0.0
+               ~observed_value:s.severity
+               (Printf.sprintf "pattern %s: %s (severity %.2f) — %s" name
+                  label s.severity s.reason))
         end
         else begin
           if
-            ratio < latency_factor *. rearm_factor
-            && not ps.p_latency_armed
-          then ps.p_latency_armed <- true;
-          []
-        end
-    | _ -> []
+            s.severity < cfg.share_threshold *. rearm_factor
+            && not !armed
+          then armed := true;
+          None
+        end)
+      report.Analysis.suspects
+  in
+  (* Subjects that dropped out of the suspect list entirely have
+     recovered: re-arm them. *)
+  Hashtbl.iter
+    (fun label armed ->
+      if (not !armed) && not (Hashtbl.mem live label) then armed := true)
+    ps.p_share_armed;
+  let top =
+    match report.Analysis.suspects with
+    | s :: _ -> Some s.Analysis.subject
+    | [] -> None
+  in
+  (fired, top)
+
+let check_latency t at ~name ps ~(baseline : Analysis.profile)
+    ~(observed : Analysis.profile) ~top_suspect =
+  if baseline.mean_total_s <= 0.0 then []
+  else
+    let ratio = observed.mean_total_s /. baseline.mean_total_s in
+    if ratio >= latency_factor && ps.p_latency_armed then begin
+      ps.p_latency_armed <- false;
+      [
+        fire t ~at ~kind:Latency_shift ~pattern:name ?culprit:top_suspect
+          ~baseline_value:baseline.mean_total_s ~observed_value:observed.mean_total_s
+          (Printf.sprintf
+             "pattern %s: mean latency %.1fms vs baseline %.1fms (x%.1f)"
+             name (1000.0 *. observed.mean_total_s)
+             (1000.0 *. baseline.mean_total_s)
+             ratio);
+      ]
+    end
+    else begin
+      if
+        ratio < latency_factor *. rearm_factor
+        && not ps.p_latency_armed
+      then ps.p_latency_armed <- true;
+      []
+    end
+
+(* A pattern is judged once its window holds [min_window] paths and the
+   baseline knows it: the window's average causal path against the
+   baseline's, on shares and on mean latency. *)
+let check_pattern t bl at ~signature ~name ps =
+  match Baseline.find bl ~signature with
+  | Some baseline
+    when baseline.components <> [] && Queue.length ps.p_window >= t.config.min_window -> (
+      match Analysis.profiles_of_cags (List.of_seq (Queue.to_seq ps.p_window)) with
+      | observed :: _ ->
+          Registry.incr t.c_windows;
+          let share_verdicts, top_suspect = check_share t at ~name ps ~baseline ~observed in
+          share_verdicts @ check_latency t at ~name ps ~baseline ~observed ~top_suspect
+      | [] -> [])
+  | _ -> []
 
 let check_mix t bl at =
   let cfg = t.config in
@@ -373,8 +360,9 @@ let check_mix t bl at =
     (* Baseline patterns: vanished or frequency-shifted. *)
     let from_baseline =
       List.concat_map
-        (fun (bp : Baseline.pattern_profile) ->
-          if bp.frequency < cfg.mix_min_frequency then []
+        (fun (bp : Analysis.profile) ->
+          let bp_frequency = Baseline.frequency bl bp in
+          if bp_frequency < cfg.mix_min_frequency then []
           else begin
             let obs = freq bp.signature in
             let flags = mix_flags_for t bp.signature in
@@ -383,10 +371,10 @@ let check_mix t bl at =
                 flags.m_vanish_armed <- false;
                 [
                   fire t ~at ~kind:Pattern_vanished ~pattern:bp.name
-                    ~baseline_value:bp.frequency ~observed_value:0.0
+                    ~baseline_value:bp_frequency ~observed_value:0.0
                     (Printf.sprintf
                        "pattern %s vanished (baseline frequency %.0f%%)" bp.name
-                       (100.0 *. bp.frequency));
+                       (100.0 *. bp_frequency));
                 ]
               end
               else []
@@ -395,15 +383,15 @@ let check_mix t bl at =
                 obs >= cfg.mix_min_frequency *. rearm_factor
                 && not flags.m_vanish_armed
               then flags.m_vanish_armed <- true;
-              let delta = Float.abs (obs -. bp.frequency) in
+              let delta = Float.abs (obs -. bp_frequency) in
               if delta >= cfg.mix_tolerance && flags.m_shift_armed then begin
                 flags.m_shift_armed <- false;
                 [
                   fire t ~at ~kind:Pattern_shift ~pattern:bp.name
-                    ~baseline_value:bp.frequency ~observed_value:obs
+                    ~baseline_value:bp_frequency ~observed_value:obs
                     (Printf.sprintf
                        "pattern %s frequency %.0f%% vs baseline %.0f%%" bp.name
-                       (100.0 *. obs) (100.0 *. bp.frequency));
+                       (100.0 *. obs) (100.0 *. bp_frequency));
                 ]
               end
               else begin
@@ -415,7 +403,7 @@ let check_mix t bl at =
               end
             end
           end)
-        bl.Baseline.patterns
+        bl.Baseline.profiles
     in
     (* Observed patterns absent from the baseline.  [freqs] is a hash
        table, so collect the candidate signatures and sort them before
@@ -486,8 +474,6 @@ let judge t bl at cag =
   if t.frozen_at_s = neg_infinity then t.frozen_at_s <- Sim_time.to_float_s at;
   let signature = Pattern.signature_of cag in
   let name = Pattern.name_of cag in
-  let parts = Latency.percentages (Latency.breakdown cag) in
-  let components = List.map fst parts in
   Hashtbl.replace t.names signature name;
   ring_push t.mix_ring cfg.mix_window signature;
   let time_s = Sim_time.to_float_s at in
@@ -498,17 +484,12 @@ let judge t bl at cag =
   do
     ignore (Queue.pop t.tp_times)
   done;
-  let ps = pstate_for t ~signature ~components in
-  if List.length components = ps.p_arity then begin
-    ring_push ps.p_shares cfg.window (Array.of_list (List.map snd parts));
-    ring_push ps.p_durations cfg.window
-      (Sim_time.span_to_float_s (Cag.duration cag))
-  end;
-  let share_verdicts, top_suspect = check_share t bl at ~signature ~name ps in
-  let latency_verdicts = check_latency t bl at ~signature ~name ps ~top_suspect in
+  let ps = pstate_for t signature in
+  ring_push ps.p_window cfg.window cag;
+  let pattern_verdicts = check_pattern t bl at ~signature ~name ps in
   let mix_verdicts = check_mix t bl at in
   let tp_verdicts = check_throughput t bl at time_s in
-  share_verdicts @ latency_verdicts @ mix_verdicts @ tp_verdicts
+  pattern_verdicts @ mix_verdicts @ tp_verdicts
 
 let observe t cag =
   if not (Cag.is_finished cag) then []

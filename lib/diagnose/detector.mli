@@ -6,8 +6,9 @@
     structured, timestamped {!verdict}s when the stream departs from a
     healthy {!Baseline.t}:
 
-    - {b Share drift}: a pattern's latency-share profile shifts; the
-      culprit is named in the paper's §5.4 vocabulary via
+    - {b Share drift}: a pattern's latency-share profile — the
+      {!Core.Analysis.profiles_of_cags} profile of its most recent
+      paths, against the baseline's — shifts; the culprit is named in the paper's §5.4 vocabulary via
       {!Core.Analysis.compare_profiles} (tier / tier network /
       interaction).
     - {b Pattern-mix anomalies}: a baseline pattern vanishes, a new
@@ -56,9 +57,9 @@ type config = {
       (** Freeze the inline-learned baseline at this stream instant
           instead of after [warmup_paths] paths (a live run freezes at
           the end of the up-ramp). Default [None]. *)
-  window : int;  (** Per-pattern observation ring size. Default 80. *)
+  window : int;  (** Recent paths kept per pattern. Default 80. *)
   min_window : int;
-      (** Observations required before a pattern is judged. Default 40. *)
+      (** Paths required before a pattern is judged. Default 40. *)
   share_threshold : float;
       (** Minimum {!Core.Analysis} suspect severity (share delta) that
           fires {!Share_drift}. Default 0.10. *)

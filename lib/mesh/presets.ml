@@ -126,7 +126,6 @@ type report = {
   async_jobs : int;
   served : (string * int) list;
   digest : string;
-  sharded_identical : bool;
   correlation_time : float;
 }
 
@@ -148,20 +147,19 @@ let report_of_score ~preset ~seed ~stats ~served (s : Runtime.score) =
     async_jobs = (match stats with Some st -> st.async_jobs | None -> 0);
     served;
     digest = s.digest;
-    sharded_identical = s.sharded_identical;
     correlation_time = s.result.Core.Correlator.correlation_time;
   }
 
 let default_seed = 7
 
-let run ?window ?jobs ?(seed = default_seed) name =
+let run ?window ?(seed = default_seed) name =
   match name with
   | "random" ->
       let spec = { Random_spec.default_spec with seed; clients = 6; tiers = 4 } in
       let b = Random_spec.build spec in
       Simnet.Engine.run b.Random_spec.engine;
       let s =
-        Runtime.score_logs ?window ?jobs ~entries:[ b.entry ] ~gt:b.gt
+        Runtime.score_logs ?window ~entries:[ b.entry ] ~gt:b.gt
           (Trace.Probe.logs b.probe)
       in
       report_of_score ~preset:name ~seed ~stats:None ~served:[] s
@@ -171,7 +169,7 @@ let run ?window ?jobs ?(seed = default_seed) name =
           Printf.ksprintf invalid_arg "Mesh.Presets.run: unknown preset %s (try: %s)"
             name (String.concat ", " names)
       | Some spec ->
-          let b, s = Runtime.run ?window ?jobs spec in
+          let b, s = Runtime.run ?window spec in
           report_of_score ~preset:name ~seed ~stats:(Some b.Runtime.stats)
             ~served:(Runtime.served b) s)
 
@@ -180,8 +178,7 @@ let pp_report ppf r =
     "@[<v>preset %s (seed %d)@,\
      accuracy %.4f (%d/%d correct, fp %d, fn %d)@,\
      paths %d, patterns %d, records %d@,\
-     retries %d, cache %d hit / %d miss, async jobs %d@,\
-     sharded identical: %b@]"
+     retries %d, cache %d hit / %d miss, async jobs %d@]"
     r.preset r.seed r.accuracy r.correct r.total_requests r.false_positives
     r.false_negatives r.paths r.patterns r.records r.retries r.cache_hits
-    r.cache_misses r.async_jobs r.sharded_identical
+    r.cache_misses r.async_jobs

@@ -42,13 +42,12 @@ type report = {
   async_jobs : int;
   served : (string * int) list;  (** Per-host handled requests. *)
   digest : string;
-  sharded_identical : bool;
   correlation_time : float;
 }
 
 val run :
-  ?window:Simnet.Sim_time.span -> ?jobs:int -> ?seed:int -> string -> report
-(** Build, simulate, correlate (serial and sharded) and score one preset
+  ?window:Simnet.Sim_time.span -> ?seed:int -> string -> report
+(** Build, simulate, correlate and score one preset
     end-to-end. @raise Invalid_argument on unknown names. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -375,12 +375,11 @@ type score = {
   patterns : int;
   records : int;
   digest : string;
-  sharded_identical : bool;
 }
 
 let pattern_count cags = List.length (Core.Pattern.classify cags)
 
-let score_logs ?(window = Sim_time.ms 5) ?(jobs = 2) ~entries ~gt logs =
+let score_logs ?(window = Sim_time.ms 5) ~entries ~gt logs =
   let transform = Core.Transform.config ~entry_points:entries () in
   let cfg = Core.Correlator.config ~transform ~window () in
   let arenas = Trace.Arena.of_collection logs in
@@ -396,24 +395,16 @@ let score_logs ?(window = Sim_time.ms 5) ?(jobs = 2) ~entries ~gt logs =
     Core.Accuracy.check ~tolerance:(Sim_time.ms 2) ~ground_truth:gt
       result.Core.Correlator.cags
   in
-  let digest = Core.Shard.digest result in
-  let sharded_identical =
-    if jobs <= 1 then true
-    else
-      let sharded = Core.Shard.correlate_arena ~jobs cfg arenas in
-      String.equal digest (Core.Shard.digest sharded)
-  in
   {
     result;
     verdict;
     patterns = pattern_count result.Core.Correlator.cags;
     records = Trace.Arena.total arenas;
-    digest;
-    sharded_identical;
+    digest = Core.Shard.digest result;
   }
 
-let run ?window ?jobs spec =
+let run ?window spec =
   let b = build spec in
   Engine.run b.engine;
-  let s = score_logs ?window ?jobs ~entries:b.entries ~gt:b.gt (Trace.Probe.logs b.probe) in
+  let s = score_logs ?window ~entries:b.entries ~gt:b.gt (Trace.Probe.logs b.probe) in
   (b, s)

@@ -39,10 +39,7 @@ type score = {
   verdict : Core.Accuracy.verdict;
   patterns : int;  (** Path patterns, as {!Core.Pattern.classify} groups them. *)
   records : int;  (** Probe activities correlated. *)
-  digest : string;  (** {!Core.Shard.digest} of the serial result. *)
-  sharded_identical : bool;
-      (** Serial and [jobs]-sharded correlation produced byte-identical
-          results (trivially true when [jobs <= 1]). *)
+  digest : string;  (** {!Core.Shard.digest} of the result. *)
 }
 
 val pattern_count : Core.Cag.t list -> int
@@ -50,14 +47,12 @@ val pattern_count : Core.Cag.t list -> int
 
 val score_logs :
   ?window:Simnet.Sim_time.span ->
-  ?jobs:int ->
   entries:Simnet.Address.endpoint list ->
   gt:Trace.Ground_truth.t ->
   Trace.Log.collection ->
   score
-(** Correlate (serial, default 5 ms window), check accuracy against the
-    oracle, and verify serial/sharded digest identity (default [jobs] 2). *)
+(** Correlate (serial, default 5 ms window) and check accuracy against
+    the oracle. *)
 
-val run :
-  ?window:Simnet.Sim_time.span -> ?jobs:int -> Spec.t -> built * score
+val run : ?window:Simnet.Sim_time.span -> Spec.t -> built * score
 (** [build], drive the simulation to completion, then {!score_logs}. *)

@@ -46,12 +46,6 @@ let test_breakdown_sums_under_skew () =
   let total = List.fold_left (fun acc (_, s) -> acc + Sim_time.span_ns s) 0 parts in
   Alcotest.(check int) "still telescopes" (Sim_time.span_ns (Cag.duration cag)) total
 
-let test_percentages_sum_to_one () =
-  let cag = one_cag () in
-  let pcts = Latency.percentages (Latency.breakdown cag) in
-  let total = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 pcts in
-  Alcotest.(check (float 1e-9)) "100%" 1.0 total
-
 let test_normalize_programs () =
   let cag = one_cag () in
   let normalize p = if String.equal p "mysqld" then "db" else p in
@@ -461,7 +455,6 @@ let () =
           Alcotest.test_case "critical path chain" `Quick test_critical_path_chain;
           Alcotest.test_case "breakdown telescopes" `Quick test_breakdown_sums_to_duration;
           Alcotest.test_case "telescopes under skew" `Quick test_breakdown_sums_under_skew;
-          Alcotest.test_case "percentages sum to one" `Quick test_percentages_sum_to_one;
           Alcotest.test_case "program normalization" `Quick test_normalize_programs;
           Alcotest.test_case "unfinished rejected" `Quick test_unfinished_rejected;
         ] );

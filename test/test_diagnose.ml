@@ -89,13 +89,14 @@ let test_baseline_round_trip () =
   in
   let bl = Baseline.of_paths cags in
   Alcotest.(check int) "paths" 50 bl.Baseline.total_paths;
-  Alcotest.(check int) "patterns" 2 (List.length bl.Baseline.patterns);
-  let top = List.hd bl.Baseline.patterns in
-  Alcotest.(check string) "dominant pattern" "httpd>java>mysqld>java>httpd"
-    top.Baseline.name;
-  Alcotest.(check (float 1e-9)) "frequency" 0.8 top.Baseline.frequency;
-  Alcotest.(check (float 1e-6)) "mean duration" 0.009 top.Baseline.mean_duration_s;
-  let sum = Array.fold_left ( +. ) 0.0 top.Baseline.shares in
+  Alcotest.(check int) "patterns" 2 (List.length bl.Baseline.profiles);
+  Alcotest.(check bool) "profiles are the offline §5.4 profiles" true
+    (bl.Baseline.profiles = Analysis.profiles_of_cags cags);
+  let top = List.hd bl.Baseline.profiles in
+  Alcotest.(check string) "dominant pattern" "httpd>java>mysqld>java>httpd" top.Analysis.name;
+  Alcotest.(check (float 1e-9)) "frequency" 0.8 (Baseline.frequency bl top);
+  Alcotest.(check (float 1e-6)) "mean duration" 0.009 top.Analysis.mean_total_s;
+  let sum = List.fold_left (fun acc c -> acc +. c.Analysis.share) 0.0 top.Analysis.components in
   Alcotest.(check (float 1e-6)) "shares sum to 1" 1.0 sum;
   Alcotest.(check bool) "throughput learned" true (bl.Baseline.throughput_rps > 0.0);
   let path = Filename.temp_file "pt_baseline" ".json" in
@@ -107,23 +108,45 @@ let test_baseline_round_trip () =
     | Error e -> Alcotest.failf "load: %s" e
   in
   Sys.remove path;
-  Alcotest.(check int) "total round-trips" bl.Baseline.total_paths bl'.Baseline.total_paths;
-  Alcotest.(check (float 1e-9)) "throughput round-trips" bl.Baseline.throughput_rps
-    bl'.Baseline.throughput_rps;
-  List.iter2
-    (fun (p : Baseline.pattern_profile) (p' : Baseline.pattern_profile) ->
-      Alcotest.(check string) "signature" p.Baseline.signature p'.Baseline.signature;
-      Alcotest.(check int) "count" p.Baseline.count p'.Baseline.count;
-      Alcotest.(check (float 1e-9)) "frequency" p.Baseline.frequency p'.Baseline.frequency;
-      Array.iteri
-        (fun i v -> Alcotest.(check (float 1e-9)) "share" v p'.Baseline.shares.(i))
-        p.Baseline.shares)
-    bl.Baseline.patterns bl'.Baseline.patterns
+  Alcotest.(check bool) "baseline round-trips" true (bl' = bl)
+
+(* The per-path share document this format replaced. *)
+let baseline_v1 =
+  let open Core.Json in
+  Obj
+    [
+      ("format", String "pt-baseline-1");
+      ("total_paths", Int 40);
+      ("span_s", Float 0.78);
+      ("throughput_rps", Float 51.3);
+      ( "patterns",
+        List
+          [
+            Obj
+              [
+                ("signature", String "b/web/httpd<;");
+                ("name", String "httpd");
+                ("count", Int 40);
+                ("frequency", Float 1.0);
+                ("mean_duration_s", Float 0.009);
+                ("components", List [ Obj [ ("src", String "httpd"); ("dst", String "httpd") ] ]);
+                ("shares", List [ Float 1.0 ]);
+              ];
+          ] );
+    ]
 
 let test_baseline_rejects_bad_json () =
-  (match Baseline.of_json (Core.Json.Obj [ ("format", Core.Json.String "nope") ]) with
-  | Ok _ -> Alcotest.fail "accepted an unknown format tag"
-  | Error e -> Alcotest.(check bool) "names the tag" true (String.length e > 0));
+  List.iter
+    (fun (what, doc) ->
+      match Baseline.of_json doc with
+      | Ok _ -> Alcotest.failf "accepted %s" what
+      | Error e ->
+          Alcotest.(check bool) (what ^ ": names the format") true
+            (H.contains e "unsupported format"))
+    [
+      ("an unknown format tag", Core.Json.Obj [ ("format", Core.Json.String "nope") ]);
+      ("a pt-baseline-1 document", baseline_v1);
+    ];
   match Baseline.load ~path:"/nonexistent/pt_baseline.json" with
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
   | Error _ -> ()
@@ -134,9 +157,9 @@ let test_baseline_sliding_window () =
   let fresh = healthy 50 ~from:600_000_000 ~spacing:20_000_000 in
   let bl = Baseline.of_paths ~capacity:50 (drifted @ fresh) in
   Alcotest.(check int) "window holds capacity" 50 bl.Baseline.total_paths;
-  Alcotest.(check int) "one pattern" 1 (List.length bl.Baseline.patterns);
-  let top = List.hd bl.Baseline.patterns in
-  Alcotest.(check (float 1e-6)) "drifted paths aged out" 0.009 top.Baseline.mean_duration_s
+  Alcotest.(check int) "one pattern" 1 (List.length bl.Baseline.profiles);
+  let top = List.hd bl.Baseline.profiles in
+  Alcotest.(check (float 1e-6)) "drifted paths aged out" 0.009 top.Analysis.mean_total_s
 
 (* ---- detector: share drift ---- *)
 
@@ -395,6 +418,33 @@ let test_live_names fault subject () =
   Alcotest.(check (option string)) "first culprit" (Some subject) s.Verdict.first_culprit;
   Alcotest.(check int) "no false alarms" 0 s.Verdict.false_alarms
 
+(* A baseline saved from one healthy run arms the detector of another:
+   frozen from a control run, written and read back as JSON, it watches a
+   db-lock run from its first judged path. *)
+let test_live_supplied_baseline () =
+  let reg = Telemetry.Registry.create () in
+  let control = Diagnose.Live.run ~telemetry:reg (live_spec ~clients:60 "live-control" []) in
+  let saved =
+    match control.Diagnose.Live.baseline with
+    | Some bl -> Core.Json.to_string (Baseline.to_json bl)
+    | None -> Alcotest.fail "control run froze no baseline"
+  in
+  let baseline =
+    match Result.bind (Core.Json.of_string saved) Baseline.of_json with
+    | Ok bl -> bl
+    | Error e -> Alcotest.failf "reload: %s" e
+  in
+  let r =
+    Diagnose.Live.run ~telemetry:reg ~baseline
+      (live_spec ~clients:60 "live" [ Faults.database_lock ])
+  in
+  let s = r.Diagnose.Live.score in
+  Alcotest.(check bool) "ran with the supplied baseline" true
+    (r.Diagnose.Live.baseline = Some baseline);
+  Alcotest.(check bool) "correct culprit" true s.Verdict.correct;
+  Alcotest.(check (option string)) "first culprit" (Some "tier mysqld") s.Verdict.first_culprit;
+  Alcotest.(check int) "no false alarms" 0 s.Verdict.false_alarms
+
 let () =
   Alcotest.run "diagnose"
     [
@@ -432,5 +482,7 @@ let () =
             (test_live_names Faults.database_lock "tier mysqld");
           Alcotest.test_case "ejb-network named live" `Quick
             (test_live_names Faults.ejb_network "network of tier java");
+          Alcotest.test_case "db-lock named against a saved baseline" `Quick
+            test_live_supplied_baseline;
         ] );
     ]

@@ -13,7 +13,27 @@ module ST = Simnet.Sim_time
 module GT = Trace.Ground_truth
 
 let qtest = QCheck_alcotest.to_alcotest
-let run name = P.run ~jobs:2 name
+let run name = P.run name
+
+(* The preset's traces, simulated again from the same seed and correlated
+   on two shards: the digest {!P.run} reports for its serial correlation.
+   [random] is the call tree {!P.run} builds for it. *)
+let sharded_digest (r : P.report) =
+  let entries, logs =
+    match P.spec_of ~seed:r.P.seed r.P.preset with
+    | Some spec ->
+        let b = Runtime.build spec in
+        Simnet.Engine.run b.Runtime.engine;
+        (b.Runtime.entries, Trace.Probe.logs b.Runtime.probe)
+    | None ->
+        let module R = Mesh.Random_spec in
+        let b = R.build { R.default_spec with R.seed = r.P.seed; clients = 6; tiers = 4 } in
+        Simnet.Engine.run b.R.engine;
+        ([ b.R.entry ], Trace.Probe.logs b.R.probe)
+  in
+  let transform = Core.Transform.config ~entry_points:entries () in
+  let cfg = Core.Correlator.config ~transform ~window:(ST.ms 5) () in
+  Core.Shard.digest (Core.Shard.correlate_arena ~jobs:2 cfg (Trace.Arena.of_collection logs))
 
 (* Every preset reads 1.0 in the committed BENCH_mesh.json; the default
    floor allows 0.02 below it. *)
@@ -22,7 +42,7 @@ let check_quality ?(floor = 0.98) (r : P.report) =
     Alcotest.failf "%s: accuracy %.4f below %.2f (%d/%d, fp %d, fn %d)" r.preset
       r.accuracy floor r.correct r.total_requests r.false_positives
       r.false_negatives;
-  Alcotest.(check bool) (r.preset ^ ": serial == sharded") true r.sharded_identical
+  Alcotest.(check string) (r.preset ^ ": serial == sharded") r.digest (sharded_digest r)
 
 let test_control () =
   let r = run "control" in
@@ -41,7 +61,7 @@ let test_cascading_failure () =
   (* A retried duplicate flow lands a second visit on the same host
      (fresh connection, fresh context) inside one correlated path. *)
   let spec = Option.get (P.spec_of ~seed:P.default_seed "cascading_failure") in
-  let _, s = Runtime.run ~jobs:1 spec in
+  let _, s = Runtime.run spec in
   let has_duplicate_host cag =
     let visits = Core.Accuracy.visits_of_cag cag in
     let hosts = List.map (fun (v : GT.visit) -> v.context.Trace.Activity.host) visits in
@@ -69,7 +89,7 @@ let test_canary_slow_version () =
   (* The canary (api replica 2 = host api3) runs 6x slow: its oracle
      visit durations must dominate a healthy replica's. *)
   let spec = Option.get (P.spec_of ~seed:P.default_seed "canary_slow_version") in
-  let b, _ = Runtime.run ~jobs:1 spec in
+  let b, _ = Runtime.run spec in
   let mean_visit host =
     let tot = ref 0.0 and n = ref 0 in
     List.iter
@@ -95,7 +115,7 @@ let test_thundering_herd () =
   let spec = Option.get (P.spec_of ~seed:P.default_seed "thundering_herd") in
   Alcotest.(check bool) "every request's job reaches the worker" true
     (r.async_jobs >= spec.Spec.clients * spec.Spec.requests_per_client);
-  let b, _ = Runtime.run ~jobs:1 spec in
+  let b, _ = Runtime.run spec in
   (* Every client fires at the same instant: the first wave's entry
      visits all begin within a few milliseconds of each other. *)
   let begins =
@@ -225,7 +245,7 @@ let prop_random_meshes_perfect =
               t.calls)
           spec.Spec.tiers
       in
-      let _, s = Runtime.run ~jobs:1 spec in
+      let _, s = Runtime.run spec in
       has_concurrent
       && s.Runtime.verdict.Core.Accuracy.accuracy = 1.0
       && s.verdict.false_positives = 0
@@ -237,8 +257,8 @@ let prop_presets_hold_across_seeds =
     (fun seed ->
       List.for_all
         (fun name ->
-          let r = P.run ~jobs:2 ~seed name in
-          r.P.accuracy >= 0.95 && r.sharded_identical)
+          let r = P.run ~seed name in
+          r.P.accuracy >= 0.95 && String.equal r.P.digest (sharded_digest r))
         [ "cascading_failure"; "hotspot_key"; "canary_slow_version" ])
 
 let () =
