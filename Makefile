@@ -96,6 +96,9 @@ bundle-gate: build
 # under its own name, with no ".tmp" file left behind; a preset name
 # that mesh or simulate --topology does not take is a bad command line:
 # 124 with usage ("random" has no declarative spec and is no prefix).
+# A pack times the stages decode, profile, encode (back-links included)
+# and write; `bundle pack STORE` adds correlate, while `correlate
+# --bundle` packs the paths it made and has none.
 # A live baseline saved from a healthy run arms a later db-lock run, which
 # must name tier mysqld; a baseline file in the retired pt-baseline-1
 # format exits 1 with an error naming the file.
@@ -147,7 +150,16 @@ cli-gate: build
 	$(CLI_CORRELATE) _cli_gate/cut-store 2> _cli_gate/cut-store.err; test $$? -eq 1
 	cat _cli_gate/cut-store.err
 	grep -q 'offset [0-9]' _cli_gate/cut-store.err
-	dune exec bin/precisetracer.exe -- bundle pack _cli_gate/store -o _cli_gate/store.ptz
+	dune exec bin/precisetracer.exe -- bundle pack _cli_gate/store -o _cli_gate/store.ptz \
+		--telemetry _cli_gate/store-pack.prom --telemetry-format prom
+	for f in store-bundle store-pack; do \
+		stages=$$(sed -n 's/^pt_bundle_pack_stage_seconds_count{stage="\([a-z]*\)"} 1$$/\1/p' _cli_gate/$$f.prom | sort | tr '\n' ' '); \
+		echo "pack stages ($$f): $$stages"; \
+		case $$f in \
+			store-bundle) test "$$stages" = "decode encode profile write " || exit 1 ;; \
+			store-pack) test "$$stages" = "correlate decode encode profile write " || exit 1 ;; \
+		esac; \
+	done
 	head -c 2000 _cli_gate/store.ptz > _cli_gate/cut.ptz
 	dune exec bin/precisetracer.exe -- bundle walk _cli_gate/cut.ptz 2> _cli_gate/cut-bundle.err; test $$? -eq 1
 	cat _cli_gate/cut-bundle.err

@@ -1274,7 +1274,7 @@ let bundle_pack_cmd =
             "Embed a snapshot of the packer's own metrics as a $(b,telemetry) section. Off \
              by default so that repacking the same input stays byte-identical.")
   in
-  let run src out window_ms entry jobs embed_telemetry =
+  let run src out window_ms entry jobs embed_telemetry telemetry =
     let jobs = jobs_of jobs in
     let config =
       Core.Correlator.config ~transform:(transform_of_entry entry) ~window:(window_of window_ms)
@@ -1284,12 +1284,14 @@ let bundle_pack_cmd =
       if Store.Manifest.exists ~dir:src then `Store_dir src
       else correlated_run ~jobs config (or_fail (load_traces ~jobs src))
     in
-    pack_bundle ~embed_telemetry ~jobs ~config ~source out
+    pack_bundle ~embed_telemetry ~jobs ~config ~source out;
+    write_telemetry telemetry
   in
   Cmd.v
     (Cmd.info "pack"
        ~doc:"Pack a store or trace directory into a single-file PTZ1 bundle.")
-    Term.(const run $ src $ out $ window_ms $ entry_arg $ jobs_arg $ embed_telemetry)
+    Term.(
+      const run $ src $ out $ window_ms $ entry_arg $ jobs_arg $ embed_telemetry $ telemetry)
 
 let bundle_info_cmd =
   let run path =

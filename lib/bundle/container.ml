@@ -15,29 +15,51 @@ let rec sort_json = function
   | Json.List items -> Json.List (List.map sort_json items)
   | (Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.String _) as j -> j
 
-(* ---- crc32 (IEEE 802.3, the zlib polynomial) ---- *)
+(* ---- crc32 (IEEE 802.3, the zlib polynomial) ----
 
-let crc_table =
+   Slicing-by-8: table [k] advances a byte's contribution by [k] more
+   bytes, so eight bytes fold into the crc with eight independent
+   lookups instead of a chain of eight. *)
+
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for i = 256 to (8 * 256) - 1 do
+       let prev = t.(i - 256) in
+       t.(i) <- (prev lsr 8) lxor t.(prev land 0xff)
+     done;
+     t)
 
 let crc32 ?(pos = 0) ?len s =
   let len = Option.value ~default:(String.length s - pos) len in
-  let table = Lazy.force crc_table in
-  let c = ref 0xffffffff in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Container.crc32";
+  let t = Lazy.force crc_tables in
+  let get k b = Array.unsafe_get t ((k lsl 8) lor (b land 0xff)) in
+  let word i = Int32.to_int (String.get_int32_le s i) land 0xffffffff in
+  let c = ref 0xffffffff and i = ref pos in
+  while !i + 8 <= pos + len do
+    let lo = !c lxor word !i and hi = word (!i + 4) in
+    c :=
+      get 7 lo lxor get 6 (lo lsr 8) lxor get 5 (lo lsr 16) lxor get 4 (lo lsr 24)
+      lxor get 3 hi lxor get 2 (hi lsr 8) lxor get 1 (hi lsr 16) lxor get 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < pos + len do
+    c := get 0 (!c lxor Char.code (String.unsafe_get s !i)) lxor (!c lsr 8);
+    incr i
   done;
   !c lxor 0xffffffff
 
-(* ---- assembling ---- *)
+(* ---- writing ---- *)
 
-let assemble ~manifest_extra sections =
+let manifest_string ~manifest_extra sections =
   let section_entries =
     List.map
       (fun (name, body) ->
@@ -49,27 +71,54 @@ let assemble ~manifest_extra sections =
           ])
       sections
   in
-  let manifest =
-    sort_json
-      (Json.Obj
-         (( "format", Json.Int 1 )
+  Json.to_string ~indent:true
+    (sort_json
+       (Json.Obj
+          (( "format", Json.Int 1 )
           :: ("kind", Json.String "precisetracer-bundle")
           :: ("sections", Json.List section_entries)
-          :: manifest_extra))
-  in
-  let manifest_str = Json.to_string ~indent:true manifest in
-  let w = B.w_create 65_536 in
-  B.w_raw w magic;
-  B.w_u32be w (String.length manifest_str);
-  B.w_raw w manifest_str;
-  List.iter
-    (fun (name, body) ->
-      B.w_u32be w (String.length name);
-      B.w_raw w name;
-      B.w_u64be w (String.length body);
-      B.w_raw w body)
-    sections;
-  B.w_contents w
+          :: manifest_extra)))
+
+(* The manifest first, then every section straight from its string: the
+   bundle is never built in memory. A failure names [path], not the temp
+   file, and removes the temp file. *)
+let write ~path ~manifest_extra sections =
+  let manifest = manifest_string ~manifest_extra sections in
+  let tmp = path ^ ".tmp" in
+  try
+    let bytes =
+      Out_channel.with_open_bin tmp (fun oc ->
+          (* headers go through a small writer, bodies straight out *)
+          let w = B.w_create 64 in
+          let output_header () =
+            Out_channel.output_string oc (B.w_contents w);
+            B.w_drop w (B.w_length w)
+          in
+          B.w_raw w magic;
+          B.w_u32be w (String.length manifest);
+          B.w_raw w manifest;
+          output_header ();
+          List.iter
+            (fun (name, body) ->
+              B.w_u32be w (String.length name);
+              B.w_raw w name;
+              B.w_u64be w (String.length body);
+              output_header ();
+              Out_channel.output_string oc body)
+            sections;
+          pos_out oc)
+    in
+    Sys.rename tmp path;
+    bytes
+  with Sys_error msg | Fun.Finally_raised (Sys_error msg) ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    let prefix = tmp ^ ": " in
+    let msg =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    raise (Sys_error (path ^ ": " ^ msg))
 
 (* ---- parsing ---- *)
 

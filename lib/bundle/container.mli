@@ -23,10 +23,10 @@
     count and crc32 per section, in file order) and a summary written by
     {!Pack}. Section bodies are opaque here; {!Reader} knows the names.
 
-    Bundles are byte-deterministic: {!assemble} is a pure function of its
-    inputs (sorted JSON keys, fixed section order chosen by the packer, no
-    wall-clock anywhere), so packing identical inputs twice yields
-    identical files. *)
+    Bundles are byte-deterministic: the bytes {!write} writes are a pure
+    function of its inputs (sorted JSON keys, fixed section order chosen
+    by the packer, no wall-clock anywhere), so packing identical inputs
+    twice yields identical files. *)
 
 val magic : string
 (** ["PTZ1"]. *)
@@ -41,12 +41,20 @@ val sort_json : Core.Json.t -> Core.Json.t
 
 val crc32 : ?pos:int -> ?len:int -> string -> int
 (** IEEE CRC-32 (the zlib polynomial) of a substring; guards each section
-    against silent corruption. *)
+    against silent corruption.
+    @raise Invalid_argument if the substring is out of bounds. *)
 
-val assemble : manifest_extra:(string * Core.Json.t) list -> (string * string) list -> string
-(** [assemble ~manifest_extra sections] builds the whole bundle from
-    [(name, body)] sections, in the given order. [manifest_extra] adds
-    summary fields to the manifest object. *)
+val write :
+  path:string -> manifest_extra:(string * Core.Json.t) list -> (string * string) list -> int
+(** [write ~path ~manifest_extra sections] writes the bundle of
+    [(name, body)] sections, in the given order, and returns its size in
+    bytes. [manifest_extra] adds summary fields to the manifest object.
+    Each section's crc32 is taken first; then the magic, the manifest and
+    every section are streamed to [path ^ ".tmp"], which is renamed to
+    [path] — the bundle is never built in memory, and a reader never
+    sees a partial file.
+    @raise Sys_error naming [path] (not the temp file) when the write or
+    rename fails; the temp file is removed. *)
 
 val parse : what:string -> string -> (Core.Json.t * section list, string) result
 (** Validate the framing: magic, manifest JSON, every declared section

@@ -33,38 +33,6 @@ let ( let* ) = Result.bind
 
 let section_of_segment id = Printf.sprintf "segments/%06d" id
 
-(* ---- back-links: the raw rows behind each vertex ----
-
-   Correlation ran on the very arenas the bundle embeds, so every vertex
-   source already is a (host index, raw row) coordinate into them: the
-   back-links are a copy. A source with no raw row (a record-adapter
-   input) cannot be linked and is counted instead. *)
-
-let link_paths cags =
-  let links = ref 0 and unresolved = ref 0 in
-  (* newest-first sources folded back into observation order *)
-  let link acc s =
-    if s = Cag.no_row then begin
-      incr unresolved;
-      acc
-    end
-    else begin
-      incr links;
-      (Cag.source_host s, Cag.source_row s) :: acc
-    end
-  in
-  let path (cag : Cag.t) =
-    (* vertices newest first, filled in from the end *)
-    let links = Array.make (Cag.size cag) [] in
-    List.iteri
-      (fun i (v : Cag.vertex) ->
-        links.(Array.length links - 1 - i) <- List.fold_left link [] v.Cag.rev_sources)
-      cag.Cag.rev_vertices;
-    { Codec.cag; links }
-  in
-  let paths = List.map path cags in
-  (paths, !links, !unresolved)
-
 (* ---- config section ---- *)
 
 let endpoint_str (e : Address.endpoint) = Format.asprintf "%a" Address.pp_endpoint e
@@ -148,22 +116,6 @@ let summary_json ~summary ~min_ts_ns ~max_ts_ns =
         ("unresolved_links", Json.Int summary.unresolved_links);
       ] )
 
-(* A failure names [path], not the temp file, and removes the temp file. *)
-let write_file ~path data =
-  let tmp = path ^ ".tmp" in
-  try
-    Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
-    Sys.rename tmp path
-  with Sys_error msg | Fun.Finally_raised (Sys_error msg) ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    let prefix = tmp ^ ": " in
-    let msg =
-      if String.starts_with ~prefix msg then
-        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
-      else msg
-    in
-    raise (Sys_error (path ^ ": " ^ msg))
-
 let stage name f =
   let family = "pt_bundle_pack_stage_seconds" and labels = [ ("stage", name) ] in
   ignore (R.histogram R.default ~help:"Bundle pack wall time per stage, seconds" ~labels family);
@@ -183,20 +135,20 @@ let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~sourc
   let records = Arena.total arenas in
   if records = 0 then Error "pack: store holds no records"
   else begin
-    let paths, links, unresolved = stage "link" (fun () -> link_paths cags) in
+    let hosts = List.map Arena.hostname arenas in
+    let profiles = stage "profile" (fun () -> Analysis.profiles_of_cags cags) in
+    let json_body j = Json.to_string ~indent:true (Container.sort_json j) in
+    (* Correlation ran on the very arenas the bundle embeds, so every
+       vertex source already is a (host index, raw row) coordinate into
+       them: the encoder copies them as back-links. *)
+    let paths = stage "encode" (fun () -> Codec.encode ~link_hosts:(Array.of_list hosts) cags) in
     List.iter
       (fun (state, n) ->
         R.add
           (R.counter R.default ~help:"Bundle back-links by resolution outcome"
              ~labels:[ ("state", state) ] "pt_bundle_links_total")
           n)
-      [ ("resolved", links); ("unresolved", unresolved) ];
-    let hosts = List.map Arena.hostname arenas in
-    let profiles = stage "profile" (fun () -> Analysis.profiles_of_cags cags) in
-    let json_body j = Json.to_string ~indent:true (Container.sort_json j) in
-    let paths_body =
-      stage "encode" (fun () -> Codec.encode ~link_hosts:(Array.of_list hosts) paths)
-    in
+      [ ("resolved", paths.Codec.links); ("unresolved", paths.Codec.unresolved_links) ];
     let sections =
       [
         ("config", json_body (config_json ~config ~scenario ~source_label));
@@ -205,7 +157,10 @@ let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~sourc
       @ List.map
           (fun ((meta : Store.Segment.meta), data) -> (section_of_segment meta.Store.Segment.id, data))
           segments
-      @ [ ("paths", paths_body); ("patterns", json_body (Analysis.profiles_to_json profiles)) ]
+      @ [
+          ("paths", paths.Codec.bytes);
+          ("patterns", json_body (Analysis.profiles_to_json profiles));
+        ]
       @
       (* after the encode stage: every stage time except [write]'s *)
       if embed_telemetry then
@@ -229,14 +184,15 @@ let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~sourc
         cags = List.length cags;
         deformed = List.length (List.filter Cag.is_deformed cags) + List.length unfinished;
         patterns = List.length profiles;
-        links;
-        unresolved_links = unresolved;
+        links = paths.Codec.links;
+        unresolved_links = paths.Codec.unresolved_links;
       }
     in
     stage "write" (fun () ->
-        let data =
-          Container.assemble ~manifest_extra:[ summary_json ~summary ~min_ts_ns ~max_ts_ns ] sections
+        let bytes =
+          Container.write ~path
+            ~manifest_extra:[ summary_json ~summary ~min_ts_ns ~max_ts_ns ]
+            sections
         in
-        write_file ~path data;
-        Ok { summary with bytes = String.length data })
+        Ok { summary with bytes })
   end

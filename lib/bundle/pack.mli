@@ -8,17 +8,19 @@
     A [`Store_dir] holds no paths: its segments are embedded verbatim,
     merged into that order and correlated here
     ({!Core.Shard.correlate_arena}). Either way each vertex kept its raw
-    rows ({!Core.Cag.sources}: host index in those arenas, raw row), so
-    the back-links are a copy, exact by construction. Pattern profiles
+    rows ({!Core.Cag.sources}: host index in those arenas, raw row), and
+    {!Codec.encode} writes them as its back-links while it encodes the
+    path table, exact by construction. Pattern profiles
     ({!Core.Analysis.profile}), the correlation configuration, an
     optional scenario description and an optional telemetry snapshot
     ride along. [simulate --collect --bundle] packs an offline run of the
     probe logs: the collector numbers a host's rows in delivery order,
     not in the probe log's.
 
-    Each stage is timed into {!Telemetry.Registry.default} as
-    [pt_bundle_pack_stage_seconds{stage}], [correlate] only for a store
-    directory, and back-links are counted as
+    Each stage — [decode], [correlate] (a store directory only),
+    [profile], [encode] (back-links included) and [write] — is timed into
+    {!Telemetry.Registry.default} as
+    [pt_bundle_pack_stage_seconds{stage}], and back-links are counted as
     [pt_bundle_links_total{state}] (docs/TELEMETRY.md).
 
     Determinism: identical inputs produce byte-identical bundles — the
@@ -60,8 +62,9 @@ val pack :
   path:string ->
   unit ->
   (summary, string) result
-(** Write the bundle to [path] (atomically, via a temp file + rename; a
-    failed write raises [Sys_error] naming [path], leaving no temp file).
+(** Write the bundle to [path] ({!Container.write}: streamed to a temp
+    file and renamed; a failed write raises [Sys_error] naming [path],
+    leaving no temp file).
     A [`Run (arenas, finished, unfinished)] embeds the segments a
     {!Store.Writer} store of [arenas] holds, rolled every [roll_records]
     (default 65536); arenas in any other order are an [Error], since the

@@ -124,8 +124,9 @@ let telemetry t =
   | None -> Ok None
   | Some s -> Result.map Option.some (section_value t s Telemetry.Export.of_json)
 
-let resolve t ~link_hosts (host, index) =
-  if host < 0 || host >= Array.length link_hosts then
+let resolve t ~link_hosts source =
+  let host = Core.Cag.source_host source and index = Core.Cag.source_row source in
+  if host >= Array.length link_hosts then
     Error (Printf.sprintf "%s: back-link host index %d out of range" t.display host)
   else begin
     let hostname = link_hosts.(host) in
@@ -133,11 +134,11 @@ let resolve t ~link_hosts (host, index) =
     match List.assoc_opt hostname rows with
     | None -> Error (Printf.sprintf "%s: back-link names unknown host %S" t.display hostname)
     | Some arena ->
-        if index < 0 || index >= Arena.length arena then
+        if index >= Arena.length arena then
           Error
             (Printf.sprintf "%s: back-link record index %d out of range for host %S (%d records)"
                t.display index hostname (Arena.length arena))
         else Ok (hostname, index, Arena.get arena index)
   end
 
-let resolve_links t ~link_hosts links = Json.map_result (resolve t ~link_hosts) links
+let resolve_links t ~link_hosts v = Json.map_result (resolve t ~link_hosts) (Core.Cag.sources v)

@@ -58,12 +58,14 @@ val telemetry : t -> (Telemetry.Registry.family list option, string) result
 (** The embedded telemetry snapshot, if the packer included one. *)
 
 val resolve :
-  t -> link_hosts:string array -> int * int -> (string * int * Trace.Activity.t, string) result
-(** Resolve one back-link to [(hostname, record index, raw activity)]:
-    the record is materialised from its canonical row. *)
+  t -> link_hosts:string array -> int -> (string * int * Trace.Activity.t, string) result
+(** Resolve one back-link, a {!Core.Cag.source} of a decoded vertex, to
+    [(hostname, record index, raw activity)]: the record is materialised
+    from its canonical row. *)
 
 val resolve_links :
   t ->
   link_hosts:string array ->
-  (int * int) list ->
+  Core.Cag.vertex ->
   ((string * int * Trace.Activity.t) list, string) result
+(** Every back-link of a decoded vertex, in {!Core.Cag.sources} order. *)

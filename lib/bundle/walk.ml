@@ -71,14 +71,8 @@ let view reader ?cag_id ?pattern ?index () =
   if not (Cag.is_finished cag) then
     Error (Printf.sprintf "%s: path %d is unfinished" (Reader.display reader) cag.Cag.cag_id)
   else begin
-    let link_hosts = decoded.Codec.link_hosts in
-    let vertices = Cag.vertices cag in
-    let position = Hashtbl.create 16 in
-    List.iteri (fun i (v : Cag.vertex) -> Hashtbl.replace position v.Cag.vid i) vertices;
     let records_of v =
-      let i = Hashtbl.find position v.Cag.vid in
-      let links = if i < Array.length path.Codec.links then path.Codec.links.(i) else [] in
-      let* resolved = Reader.resolve_links reader ~link_hosts links in
+      let* resolved = Reader.resolve_links reader ~link_hosts:decoded.Codec.link_hosts v in
       Ok (List.map (fun (host, index, activity) -> { host; index; activity }) resolved)
     in
     let duration_ns = Sim_time.span_ns (Cag.duration cag) in

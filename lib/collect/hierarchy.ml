@@ -137,8 +137,7 @@ let finish t =
                let fin = Core.Online.paths sh.online in
                let dfm = Core.Online.deformed sh.online in
                let message =
-                 Bundle.Codec.encode ~link_hosts:[||]
-                   (List.map (fun cag -> { Bundle.Codec.cag; links = [||] }) (fin @ dfm))
+                 (Bundle.Codec.encode ~link_hosts:[||] (fin @ dfm)).Bundle.Codec.bytes
                in
                let decoded =
                  match Bundle.Codec.decode message ~pos:0 ~len:(String.length message) with

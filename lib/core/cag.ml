@@ -212,6 +212,15 @@ let validate t =
     List.fold_left check_parent (Ok ()) v.parents
   in
   let* () = List.fold_left check_vertex (Ok ()) vs in
+  (* Vids increase in insertion order: {!Pattern.Layout} finds a
+     parent's position by binary search on vid. *)
+  let rec increasing = function
+    | a :: (b :: _ as rest) ->
+        if a.vid < b.vid then increasing rest
+        else fail "CAG %d: vertex %d added after vertex %d" t.cag_id b.vid a.vid
+    | _ -> Ok ()
+  in
+  let* () = increasing vs in
   (* Reachability from the root. *)
   let reached = Hashtbl.create 16 in
   let rec visit v =

@@ -36,8 +36,8 @@ type vertex = private {
       (** Provenance, newest first: one {!source} per input row folded
           into this vertex (the creating one plus each merged syscall), or
           {!no_row} for an input that came with no raw row — see
-          {!sources}. The back-link table of trace bundles is built from
-          this. *)
+          {!sources}. A trace bundle's path table writes these as its
+          back-links. *)
   mutable rev_pending_sources : int list;
       (** Engine bookkeeping on SEND vertices: the sources of partial
           RECEIVE chunks of the in-flight message, transferred to the
@@ -63,6 +63,10 @@ and t = private {
     was correlated from and [row] is the raw row
     ({!Trace.Arena.origin}) in that host's arena. *)
 
+val row_bits : int
+(** A source holds its row in its low [row_bits] (40) bits and its host
+    above them, so a row is below [2^row_bits]. *)
+
 val source : host:int -> row:int -> int
 (** {!no_row} when [host] or [row] is negative. *)
 
@@ -71,7 +75,7 @@ val source_row : int -> int
 
 val no_row : int
 (** The source of an input that came with no raw row (the record
-    adapter {!Cag_engine.step}, a decoded bundle path). *)
+    adapter {!Cag_engine.step}, a decoded path vertex with no back-link). *)
 
 module Builder : sig
   (** Mutating operations, reserved for the correlation engine. *)
@@ -139,9 +143,10 @@ val sources : vertex -> int list
     order: the creating row, then every syscall merged into it (multi-part
     SENDs/ENDs, the RECEIVE chunks of a message received piecewise).
     Non-empty for paths correlated from arenas
-    ({!Cag_engine.step_ids} with rows); empty on record-adapter paths
-    ({!Cag_engine.step}) and on decoded ones, whose inputs carry no raw
-    row. Trace bundles copy these as back-links. *)
+    ({!Cag_engine.step_ids} with rows) and for paths decoded from a
+    bundle, whose back-links they are; empty on record-adapter paths
+    ({!Cag_engine.step}) and on decoded path tables shipped without
+    back-links (a hierarchy shard's). *)
 
 val root : t -> vertex
 val is_finished : t -> bool
@@ -174,7 +179,8 @@ val validate : t -> (unit, string) result
 (** Check the paper's structural invariants: single root; every non-root
     vertex reachable from it; at most two parents; two parents only on a
     RECEIVE, one per relation kind; parents precede children (acyclicity);
-    finished CAGs start with BEGIN and end with END. *)
+    vids increase in insertion order; finished CAGs start with BEGIN and
+    end with END. *)
 
 val contexts : t -> Trace.Activity.context list
 (** Distinct contexts in first-touch order. *)

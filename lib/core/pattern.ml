@@ -10,32 +10,38 @@ let count t = List.length t.cags
 
 (* Reused across the CAGs of one call: the current CAG's vertices in
    insertion order. The engine and the path codec adopt each vertex as
-   they create it, so vids increase in that order and a parent's position
-   is a binary search. *)
-type layout = { mutable verts : Cag.vertex array; mutable len : int }
+   they create it, so vids increase in that order ({!Cag.validate}) and a
+   parent's position is a binary search. *)
+module Layout = struct
+  type t = { mutable verts : Cag.vertex array; mutable len : int }
 
-let rec fill verts i = function
-  | (v : Cag.vertex) :: rest ->
-      verts.(i) <- v;
-      fill verts (i - 1) rest
-  | [] -> ()
+  let create () = { verts = [||]; len = 0 }
 
-let load l (cag : Cag.t) =
-  let n = Cag.size cag in
-  if Array.length l.verts < n then
-    l.verts <- Array.make (max n (2 * Array.length l.verts)) (Cag.root cag);
-  fill l.verts (n - 1) cag.Cag.rev_vertices;
-  l.len <- n
+  let rec fill verts i = function
+    | (v : Cag.vertex) :: rest ->
+        verts.(i) <- v;
+        fill verts (i - 1) rest
+    | [] -> ()
 
-let rec search verts vid lo hi =
-  if lo >= hi then raise Not_found;
-  let mid = (lo + hi) / 2 in
-  let m = verts.(mid).Cag.vid in
-  if m = vid then mid
-  else if m < vid then search verts vid (mid + 1) hi
-  else search verts vid lo mid
+  let load l (cag : Cag.t) =
+    let n = Cag.size cag in
+    if Array.length l.verts < n then
+      l.verts <- Array.make (max n (2 * Array.length l.verts)) (Cag.root cag);
+    fill l.verts (n - 1) cag.Cag.rev_vertices;
+    l.len <- n
 
-let position l (p : Cag.vertex) = search l.verts p.Cag.vid 0 l.len
+  let rec search verts vid lo hi =
+    if lo >= hi then raise Not_found;
+    let mid = (lo + hi) / 2 in
+    let m = verts.(mid).Cag.vid in
+    if m = vid then mid
+    else if m < vid then search verts vid (mid + 1) hi
+    else search verts vid lo mid
+
+  let position l (p : Cag.vertex) = search l.verts p.Cag.vid 0 l.len
+end
+
+let position = Layout.position
 
 let edge_tag = function Cag.Context_edge -> 'c' | Cag.Message_edge -> 'm'
 
@@ -69,7 +75,7 @@ let add_signature_parent buf tag i =
   Buffer.add_char buf tag;
   add_decimal buf i
 
-let signature_in buf l =
+let signature_in buf (l : Layout.t) =
   for i = 0 to l.len - 1 do
     let v = l.verts.(i) in
     let a = v.Cag.activity in
@@ -83,8 +89,8 @@ let signature_in buf l =
   done
 
 let signature_of cag =
-  let l = { verts = [||]; len = 0 } in
-  load l cag;
+  let l = Layout.create () in
+  Layout.load l cag;
   let buf = Buffer.create 256 in
   signature_in buf l;
   Buffer.contents buf
@@ -129,7 +135,7 @@ let add_key_parent buf tag i = add_uvarint buf ((2 * i) + if tag = 'c' then 0 el
    context seen, memoised by context id so the intern table is consulted
    once per distinct context. *)
 type scratch = {
-  layout : layout;
+  layout : Layout.t;
   key : Buffer.t;
   mutable hops : Float.Array.t;
   mutable entity_of_ctx : int array;
@@ -237,7 +243,7 @@ let pattern_of g signature =
 let classify cags =
   let s =
     {
-      layout = { verts = [||]; len = 0 };
+      layout = Layout.create ();
       key = Buffer.create 256;
       hops = Float.Array.create 16;
       entity_of_ctx = [||];
@@ -248,7 +254,7 @@ let classify cags =
   let rev_groups = ref [] in
   List.iter
     (fun cag ->
-      load s.layout cag;
+      Layout.load s.layout cag;
       key_in s;
       let key = Buffer.contents s.key in
       let g =

@@ -48,3 +48,23 @@ val classify : Cag.t list -> t list
     ties by signature, then by first appearance. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** One CAG's vertices by causal position, in an array reused across
+    the CAGs of one pass: {!classify} and the bundle's path codec lay
+    each CAG out once instead of building a vid table. *)
+module Layout : sig
+  type t = private { mutable verts : Cag.vertex array; mutable len : int }
+  (** [verts.(i)], [i < len], is the loaded CAG's [i]-th vertex in
+      insertion (= causal) order. *)
+
+  val create : unit -> t
+
+  val load : t -> Cag.t -> unit
+  (** Lay a CAG out, growing the array when it is too short. *)
+
+  val position : t -> Cag.vertex -> int
+  (** A vertex's position in the loaded CAG: a binary search on vid,
+      since vids increase in insertion order ({!Cag.validate}).
+      @raise Not_found if the vertex is not in it. *)
+end
+

@@ -16,47 +16,59 @@ module Arena = Trace.Arena
 module Intern = Trace.Intern
 
 (* Classification depends only on the context (program drop) and the flow
-   (port drop, entry rewrite) — both interned ids — so decisions are
-   computed once per distinct id and every further row with the same ids
-   is two int-keyed memo hits. *)
+   (port drop, entry rewrite) — both dense interned ids — so decisions are
+   computed once per distinct id and kept in two flat arrays indexed by
+   id, [-1] while undecided: every further row with the same ids is two
+   array reads. An id issued after [memo] was created grows its array. *)
 type memo = {
   cfg : config;
-  ctx_drop : (int, bool) Hashtbl.t;  (* context id -> dropped by program *)
-  flow_fate : (int, int) Hashtbl.t;  (* flow id -> fate bits below *)
+  mutable ctx_drop : int array;  (* context id -> 1 dropped by program, 0 kept *)
+  mutable flow_fate : int array;  (* flow id -> fate bits below *)
 }
 
 let fate_drop = 1 (* flow touches a dropped port *)
 let fate_begin = 2 (* dst is an entry point: RECEIVE -> BEGIN *)
 let fate_end = 4 (* src is an entry point: SEND -> END *)
 
-let memo cfg = { cfg; ctx_drop = Hashtbl.create 64; flow_fate = Hashtbl.create 256 }
+let memo cfg =
+  let _, contexts, flows = Intern.counts () in
+  { cfg; ctx_drop = Array.make (max 64 contexts) (-1); flow_fate = Array.make (max 256 flows) (-1) }
+
+let grow decisions id =
+  let grown = Array.make (max (id + 1) (2 * Array.length decisions)) (-1) in
+  Array.blit decisions 0 grown 0 (Array.length decisions);
+  grown
 
 let ctx_dropped m ctx =
-  match Hashtbl.find_opt m.ctx_drop ctx with
-  | Some b -> b
-  | None ->
-      let c = Intern.context_of_id ctx in
-      let b = List.exists (String.equal c.Activity.program) m.cfg.drop_programs in
-      Hashtbl.add m.ctx_drop ctx b;
-      b
+  if ctx >= Array.length m.ctx_drop then m.ctx_drop <- grow m.ctx_drop ctx;
+  let d = m.ctx_drop.(ctx) in
+  if d >= 0 then d = 1
+  else begin
+    let c = Intern.context_of_id ctx in
+    let b = List.exists (String.equal c.Activity.program) m.cfg.drop_programs in
+    m.ctx_drop.(ctx) <- Bool.to_int b;
+    b
+  end
 
 let flow_fate m flow =
-  match Hashtbl.find_opt m.flow_fate flow with
-  | Some f -> f
-  | None ->
-      let fl = Intern.flow_of_id flow in
-      let f =
-        if
-          List.exists
-            (fun p -> fl.Address.src.port = p || fl.Address.dst.port = p)
-            m.cfg.drop_ports
-        then fate_drop
-        else
-          (if is_entry m.cfg fl.Address.dst then fate_begin else 0)
-          lor if is_entry m.cfg fl.Address.src then fate_end else 0
-      in
-      Hashtbl.add m.flow_fate flow f;
-      f
+  if flow >= Array.length m.flow_fate then m.flow_fate <- grow m.flow_fate flow;
+  let f = m.flow_fate.(flow) in
+  if f >= 0 then f
+  else begin
+    let fl = Intern.flow_of_id flow in
+    let f =
+      if
+        List.exists
+          (fun p -> fl.Address.src.port = p || fl.Address.dst.port = p)
+          m.cfg.drop_ports
+      then fate_drop
+      else
+        (if is_entry m.cfg fl.Address.dst then fate_begin else 0)
+        lor if is_entry m.cfg fl.Address.src then fate_end else 0
+    in
+    m.flow_fate.(flow) <- f;
+    f
+  end
 
 (* The rewritten kind code of row [i], or [-1] when the row is filtered
    out. *)

@@ -31,7 +31,12 @@ val config :
     and endpoints per record. *)
 
 type memo
-(** Per-run decision cache; create one per feed with {!memo}. *)
+(** Per-run decision cache; create one per feed with {!memo}. It holds
+    two [int] arrays indexed by the dense {!Trace.Intern} context and
+    flow ids, [-1] while an id is undecided, so a row's decision is two
+    array reads. An id issued after the memo was created (a flow first
+    seen mid-feed) grows its array. Not domain-safe: one memo per
+    domain. *)
 
 val memo : config -> memo
 

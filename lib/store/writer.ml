@@ -26,6 +26,7 @@ type t = {
   buffers : (int, Arena.t) Hashtbl.t;  (* host string id -> batch arena *)
   mutable pending : int;
   mutable manifest : Manifest.t;
+  mutable saved : bool;  (* [manifest] is on disk; each flush saves what it adds *)
   mutable held : (Segment.meta * string) list;  (* newest first; in-memory writers only *)
   mutable stats : stats;
   m_segments : R.counter;
@@ -64,6 +65,7 @@ let make ~telemetry ~policy ~reduce ~roll_records ~dir manifest =
     buffers = Hashtbl.create 16;
     pending = 0;
     manifest;
+    saved = false;
     held = [];
     stats = zero_stats;
     m_segments =
@@ -139,7 +141,8 @@ let flush t =
         (match t.dir with
         | Some dir ->
             Segment.write ~dir meta data;
-            Manifest.save t.manifest ~dir
+            Manifest.save t.manifest ~dir;
+            t.saved <- true
         | None -> t.held <- (meta, data) :: t.held);
         Some meta
       end
@@ -206,9 +209,11 @@ let ingest_native t arenas =
         end
       done)
 
+(* The manifest on disk is current once a flush has saved it; a run
+   that wrote no segment still leaves one. *)
 let close t =
   flush t;
-  Option.iter (fun dir -> Manifest.save t.manifest ~dir) t.dir;
+  if not t.saved then Option.iter (fun dir -> Manifest.save t.manifest ~dir) t.dir;
   t.stats
 
 let encode ?(roll_records = 65536) arenas =

@@ -64,7 +64,9 @@ val flush : t -> unit
 
 val close : t -> stats
 (** Flush and return the run's totals. The manifest is saved after every
-    segment, so a crash loses at most the open batch. *)
+    segment, so a crash loses at most the open batch; [close] saves it
+    itself only when this writer wrote no segment, so a store that got
+    none still has its manifest. *)
 
 val stats : t -> stats
 

@@ -99,11 +99,26 @@ let control =
 
 (* ---- container framing ---- *)
 
+(* A written bundle, read back. *)
+let write_sections sections =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "c.ptz" in
+  let bytes = Bundle.Container.write ~path ~manifest_extra:[] sections in
+  let data = read_file path in
+  Alcotest.(check int) "write returns the file size" (String.length data) bytes;
+  Alcotest.(check bool) "no temp file left" false (Sys.file_exists (path ^ ".tmp"));
+  data
+
 let test_container_roundtrip () =
+  (* the CRC-32 check value, whole and as a substring off any alignment *)
+  Alcotest.(check int) "crc32 check value" 0xcbf43926 (Bundle.Container.crc32 "123456789");
+  Alcotest.(check int)
+    "crc32 of a substring" 0xcbf43926
+    (Bundle.Container.crc32 ~pos:3 ~len:9 "xyz123456789abc");
   let sections =
     [ ("config", "{}"); ("segments/000000", String.make 1000 'x'); ("paths", "payload") ]
   in
-  let data = Bundle.Container.assemble ~manifest_extra:[] sections in
+  let data = write_sections sections in
   let _, parsed = ok "parse" (Bundle.Container.parse ~what:"t" data) in
   Alcotest.(check int) "section count" 3 (List.length parsed);
   List.iter
@@ -118,9 +133,9 @@ let test_container_roundtrip () =
 
 let test_container_deterministic () =
   let sections = [ ("b", "bbb"); ("a", "aaa") ] in
-  let d1 = Bundle.Container.assemble ~manifest_extra:[] sections in
-  let d2 = Bundle.Container.assemble ~manifest_extra:[] sections in
-  Alcotest.(check string) "assemble is pure" d1 d2
+  let d1 = write_sections sections in
+  let d2 = write_sections sections in
+  Alcotest.(check string) "write is pure" d1 d2
 
 (* ---- pack determinism ---- *)
 
@@ -194,18 +209,12 @@ let test_every_vertex_resolves () =
   let hosts = decoded.Bundle.Codec.link_hosts in
   List.iter
     (fun (p : Bundle.Codec.path) ->
-      let vertices = Cag.vertices p.Bundle.Codec.cag in
-      Alcotest.(check int)
-        (Printf.sprintf "links rows for path %d" p.Bundle.Codec.cag.Cag.cag_id)
-        (List.length vertices)
-        (Array.length p.Bundle.Codec.links);
-      List.iteri
-        (fun i (v : Cag.vertex) ->
-          let links = p.Bundle.Codec.links.(i) in
-          if links = [] then
+      List.iter
+        (fun (v : Cag.vertex) ->
+          if Cag.sources v = [] then
             Alcotest.failf "path %d vertex %d has no backing records"
               p.Bundle.Codec.cag.Cag.cag_id v.Cag.vid;
-          let resolved = ok "resolve" (Bundle.Reader.resolve_links r ~link_hosts:hosts links) in
+          let resolved = ok "resolve" (Bundle.Reader.resolve_links r ~link_hosts:hosts v) in
           (* The activity that stamped the vertex (the creating record, or
              the completing chunk of a merged receive) is always among the
              backing records. *)
@@ -218,8 +227,12 @@ let test_every_vertex_resolves () =
           then
             Alcotest.failf "path %d vertex %d: no backing record carries its timestamp"
               p.Bundle.Codec.cag.Cag.cag_id v.Cag.vid)
-        vertices)
+        (Cag.vertices p.Bundle.Codec.cag))
     decoded.Bundle.Codec.paths
+
+(* A decoded vertex's back-links as (host index, record index) pairs. *)
+let links_of (v : Cag.vertex) =
+  List.map (fun s -> (Cag.source_host s, Cag.source_row s)) (Cag.sources v)
 
 (* The oracle for back-links: the search-based resolver packing used
    before vertices carried their raw rows, rebuilt on an index. One queue
@@ -329,8 +342,10 @@ let check_links_match_reference (config, source) =
   let count = ref 0 in
   List.iter
     (fun (p : Bundle.Codec.path) ->
-      Array.iter
-        (List.iter (fun (h, r) ->
+      List.iter
+        (fun v ->
+          List.iter
+            (fun (h, r) ->
              incr count;
              let raw = by_host.(h).(r) in
              let transformed =
@@ -342,8 +357,9 @@ let check_links_match_reference (config, source) =
              Alcotest.(check (option (pair int int)))
                (Printf.sprintf "path %d link" p.Bundle.Codec.cag.Cag.cag_id)
                (Reference_resolver.resolve index transformed)
-               (Some (host_index decoded.link_hosts.(h), r))))
-        p.Bundle.Codec.links)
+               (Some (host_index decoded.link_hosts.(h), r)))
+            (links_of v))
+        (Cag.vertices p.Bundle.Codec.cag))
     decoded.Bundle.Codec.paths;
   Alcotest.(check int) "every link checked" summary.Bundle.Pack.links !count
 
@@ -463,9 +479,9 @@ let prop_tiny_pool_provenance =
       summary.Bundle.Pack.unresolved_links = 0
       && List.for_all
            (fun (p : Bundle.Codec.path) ->
-             List.for_all2
-               (fun (v : Cag.vertex) links ->
-                 let a = v.Cag.activity in
+             List.for_all
+               (fun (v : Cag.vertex) ->
+                 let a = v.Cag.activity and links = links_of v in
                  links <> []
                  && List.exists
                       (fun (h, r) ->
@@ -481,8 +497,7 @@ let prop_tiny_pool_provenance =
                         && Simnet.Address.flow_equal raw.message.flow a.message.flow
                         && kind_ok a.kind raw.kind)
                       links)
-               (Cag.vertices p.Bundle.Codec.cag)
-               (Array.to_list p.Bundle.Codec.links))
+               (Cag.vertices p.Bundle.Codec.cag))
            decoded.Bundle.Codec.paths)
 
 let test_walk_resolves_every_hop () =
@@ -651,36 +666,45 @@ let test_decode_region_offsets () =
 (* ---- the path codec on its own ---- *)
 
 let decode_message msg = Bundle.Codec.decode msg ~pos:0 ~len:(String.length msg)
+let encode ~link_hosts cags = (Bundle.Codec.encode ~link_hosts cags).Bundle.Codec.bytes
+let cags_of (d : Bundle.Codec.decoded) = List.map (fun p -> p.Bundle.Codec.cag) d.Bundle.Codec.paths
 
 (* A link host no vertex mentions must still land in the string table. *)
 let test_unmentioned_link_host () =
-  let msg = Bundle.Codec.encode ~link_hosts:[| "web"; "ghost" |] [] in
+  let msg = encode ~link_hosts:[| "web"; "ghost" |] [] in
   let d = ok "decode" (decode_message msg) in
   Alcotest.(check (array string)) "link hosts" [| "web"; "ghost" |] d.Bundle.Codec.link_hosts;
   Alcotest.(check int) "no paths" 0 (List.length d.Bundle.Codec.paths)
 
-(* A links array is one entry per vertex or empty (no links); any other
-   length is a caller bug, refused rather than padded or cut. *)
-let test_links_length_checked () =
-  let path, _ = Lazy.force control in
-  let decoded = ok "paths" (Bundle.Reader.paths (reader path)) in
-  let p = List.hd decoded.Bundle.Codec.paths in
-  let n = Array.length p.Bundle.Codec.links in
-  let encode links =
-    Bundle.Codec.encode ~link_hosts:decoded.Bundle.Codec.link_hosts
-      [ { p with Bundle.Codec.links } ]
-  in
-  ignore (encode p.Bundle.Codec.links : string);
-  ignore (encode [||] : string);
+(* Decoded back-links are vertex sources again: a packed store bundle's
+   paths section, decoded and re-encoded, is the same bytes with the
+   same link counts; without link hosts the same paths carry no links. *)
+let test_links_reencode_identical () =
+  with_rubis_store @@ fun (config, source) ->
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "s.ptz" in
+  let summary = ok "pack" (Bundle.Pack.pack ~config ~source ~path ()) in
+  let data = read_file path in
+  let _, sections = ok "parse" (Bundle.Container.parse ~what:path data) in
+  let s = Option.get (Bundle.Container.find sections "paths") in
+  let packed = String.sub data s.Bundle.Container.pos s.Bundle.Container.len in
+  let decoded = ok "decode" (decode_message packed) in
+  let again = Bundle.Codec.encode ~link_hosts:decoded.Bundle.Codec.link_hosts (cags_of decoded) in
+  Alcotest.(check bool) "back-links were packed" true (summary.Bundle.Pack.links > 0);
+  Alcotest.(check bool) "re-encoded bytes are identical" true (String.equal packed again.bytes);
+  Alcotest.(check (pair int int))
+    "link counts"
+    (summary.Bundle.Pack.links, summary.Bundle.Pack.unresolved_links)
+    (again.links, again.unresolved_links);
+  let bare = Bundle.Codec.encode ~link_hosts:[||] (cags_of decoded) in
+  Alcotest.(check (pair int int))
+    "no link hosts, no links" (0, 0) (bare.links, bare.unresolved_links);
   List.iter
-    (fun (what, links) ->
-      match encode links with
-      | _ -> Alcotest.failf "%s: encoded" what
-      | exception Invalid_argument _ -> ())
-    [
-      ("one short", Array.sub p.Bundle.Codec.links 0 (n - 1));
-      ("one long", Array.append p.Bundle.Codec.links [| [ (0, 0) ] |]);
-    ]
+    (fun (p : Bundle.Codec.path) ->
+      List.iter
+        (fun v -> if Cag.sources v <> [] then Alcotest.fail "a vertex kept a source")
+        (Cag.vertices p.Bundle.Codec.cag))
+    (ok "decode bare" (decode_message bare.bytes)).Bundle.Codec.paths
 
 (* End to end: logs cut so short that no path forms still pack into a
    bundle whose paths section reads back. *)
@@ -727,8 +751,8 @@ let test_codec_corpus () =
     | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
   in
   List.iter
-    (fun (label, link_hosts, paths) ->
-      let msg = Bundle.Codec.encode ~link_hosts paths in
+    (fun (label, link_hosts, cags) ->
+      let msg = encode ~link_hosts cags in
       let n = String.length msg in
       for len = 0 to n - 1 do
         check_input (Printf.sprintf "%s: prefix %d/%d" label len n) (String.sub msg 0 len)
@@ -742,9 +766,39 @@ let test_codec_corpus () =
           done)
         [ 0x01; 0x80; 0xff ])
     [
-      ("links", decoded.Bundle.Codec.link_hosts, sample);
-      ("no links", [||], List.map (fun (p : Bundle.Codec.path) -> { p with links = [||] }) sample);
-    ]
+      ("links", decoded.Bundle.Codec.link_hosts, cags_of { decoded with paths = sample });
+      ("no links", [||], cags_of { decoded with paths = sample });
+    ];
+  (* A link row is below 2^Cag.row_bits: one past it is an offset-named
+     error, not a source that names another host. *)
+  let one_vertex ~row =
+    let module B = Trace.Binary_format in
+    let t = B.tables () in
+    let ctx = B.table_context t (Trace.Intern.context_id (H.ctx ~host:"web" ())) in
+    let flow = B.table_flow t (Trace.Intern.flow_id (H.flow "10.0.0.1" 9 "10.0.0.2" 80)) in
+    let host = B.table_string t (Trace.Intern.string_id "web") in
+    let w = B.w_create 64 in
+    B.w_raw w Bundle.Codec.magic;
+    B.w_tables w t;
+    (* link hosts [web]; one path: id 7, unfinished, one vertex: a BEGIN
+       at 1 ns (zigzag 2) of size 1 with no parent and one link *)
+    List.iter (B.w_uvarint w)
+      [ 1; host; 1; 7; 0; 1; Activity.kind_to_code Activity.Begin; 2; ctx; flow; 1; 0; 1; 0; row ];
+    B.w_contents w
+  in
+  let last = (1 lsl Cag.row_bits) - 1 in
+  (match decode_message (one_vertex ~row:last) with
+  | Ok { paths = [ p ]; _ } ->
+      Alcotest.(check (list int))
+        "largest row round-trips" [ Cag.source ~host:0 ~row:last ]
+        (Cag.sources (Cag.root p.Bundle.Codec.cag))
+  | Ok _ -> Alcotest.fail "largest row: expected one path"
+  | Error e -> Alcotest.failf "largest row: %s" e);
+  match decode_message (one_vertex ~row:(last + 1)) with
+  | Ok _ -> Alcotest.fail "a row of 2^40 decoded"
+  | Error e ->
+      if not (H.contains e "offset" && H.contains e "link row") then
+        Alcotest.failf "row 2^40: %s" e
 
 (* ---- diff vs diagnose ---- *)
 
@@ -1034,7 +1088,7 @@ let () =
       ( "path codec",
         [
           Alcotest.test_case "unmentioned link host" `Quick test_unmentioned_link_host;
-          Alcotest.test_case "links length is checked" `Quick test_links_length_checked;
+          Alcotest.test_case "re-encode is byte-identical" `Quick test_links_reencode_identical;
           Alcotest.test_case "pathless bundle reads back" `Quick test_pathless_bundle_reads;
           Alcotest.test_case "truncation and byte-flip corpus" `Quick test_codec_corpus;
         ] );

@@ -323,8 +323,7 @@ let test_negative_timestamps_roundtrip () =
   let engine, _ = H.correlate_raw logs in
   let cags = Core.Cag_engine.finished engine in
   let bytes =
-    Bundle.Codec.encode ~link_hosts:[||]
-      (List.map (fun cag -> { Bundle.Codec.cag; links = [||] }) cags)
+    (Bundle.Codec.encode ~link_hosts:[||] cags).Bundle.Codec.bytes
   in
   let decoded = ok "PTP1" (Bundle.Codec.decode bytes ~pos:0 ~len:(String.length bytes)) in
   let stamps cags =

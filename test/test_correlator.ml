@@ -15,15 +15,16 @@ let entry = H.ep "10.0.1.1" 80
 
 (* Raw (SEND/RECEIVE only) logs for n interleaved requests across three
    nodes, with per-node skews. Request i runs on its own web worker but
-   they overlap in time. *)
-let raw_multi_request ?(n = 5) ?(askew = 0) ?(dskew = 0) () =
+   they overlap in time. Client, web and app sit at [net].0.1, [net].1.1
+   and [net].2.1; the entry point is [net].1.1:80. *)
+let raw_multi_request ?(n = 5) ?(askew = 0) ?(dskew = 0) ?(net = "10.0") () =
   let per_request i =
     let base = i * 300_000 in
     let web_ctx = H.ctx ~host:"web" ~program:"httpd" ~pid:(10 + i) ~tid:(10 + i) () in
     let app_ctx = H.ctx ~host:"app" ~program:"java" ~pid:20 ~tid:(210 + i) () in
-    let client_flow = H.flow "10.0.0.1" (40_000 + i) "10.0.1.1" 80 in
+    let client_flow = H.flow (net ^ ".0.1") (40_000 + i) (net ^ ".1.1") 80 in
     let back_flow = Simnet.Address.reverse client_flow in
-    let wa_flow = H.flow "10.0.1.1" (41_000 + i) "10.0.2.1" 8009 in
+    let wa_flow = H.flow (net ^ ".1.1") (41_000 + i) (net ^ ".2.1") 8009 in
     let aw_flow = Simnet.Address.reverse wa_flow in
     let w t = base + t and a t = base + t + askew in
     ( [
@@ -258,25 +259,149 @@ let collection_equal a b =
        a b
 
 (* The record-level transform the memoised row path replaced, kept as the
-   reference [Transform.apply_native] must reproduce record for record. *)
-let reference_apply (cfg : Transform.config) logs =
+   reference [Transform.apply_native] must reproduce record for record:
+   program match, port match, then the entry-point BEGIN/END rewrite. *)
+let reference_record (cfg : Transform.config) (a : Activity.t) =
   let is_entry ep = List.exists (Simnet.Address.endpoint_equal ep) cfg.entry_points in
-  Log.map_activities
-    (fun (a : Activity.t) ->
-      let flow = a.message.flow in
-      if
-        List.mem a.context.program cfg.drop_programs
-        || List.exists (fun p -> flow.src.port = p || flow.dst.port = p) cfg.drop_ports
-      then None
-      else
-        let kind =
-          match a.kind with
-          | Activity.Receive when is_entry flow.dst -> Activity.Begin
-          | Activity.Send when is_entry flow.src -> Activity.End_
-          | k -> k
-        in
-        Some { a with kind })
+  let flow = a.message.flow in
+  if
+    List.mem a.context.program cfg.drop_programs
+    || List.exists (fun p -> flow.src.port = p || flow.dst.port = p) cfg.drop_ports
+  then None
+  else
+    let kind =
+      match a.kind with
+      | Activity.Receive when is_entry flow.dst -> Activity.Begin
+      | Activity.Send when is_entry flow.src -> Activity.End_
+      | k -> k
+    in
+    Some { a with kind }
+
+let reference_apply cfg logs = Log.map_activities (reference_record cfg) logs
+
+(* Per host: the kept records with the raw row each came from, in log
+   order (a stable time sort, since the rewrite changes kind priorities). *)
+let reference_rows cfg logs =
+  List.map
+    (fun log ->
+      Log.to_list log
+      |> List.mapi (fun i a -> Option.map (fun a -> (a, i)) (reference_record cfg a))
+      |> List.filter_map Fun.id
+      |> List.stable_sort (fun (a, _) (b, _) -> Activity.compare_by_time a b))
     logs
+
+let native_rows cfg logs =
+  List.map
+    (fun out ->
+      List.init (Trace.Arena.length out) (fun i ->
+          (Trace.Arena.get out i, Trace.Arena.origin out i)))
+    (Transform.apply_native cfg (Trace.Arena.of_collection logs))
+
+(* Random configurations drawn from what a trace holds: entry points
+   among its flows' endpoints, dropped programs among its contexts'
+   programs, dropped ports among its flows' ports. *)
+let gen_transform logs =
+  let acts = List.concat_map Log.to_list logs in
+  let uniq l = List.sort_uniq compare l in
+  let endpoints =
+    uniq
+      (List.concat_map
+         (fun (a : Activity.t) -> [ a.message.flow.src; a.message.flow.dst ])
+         acts)
+  in
+  let programs = uniq (List.map (fun (a : Activity.t) -> a.context.program) acts) in
+  let ports = uniq (List.map (fun (e : Simnet.Address.endpoint) -> e.port) endpoints) in
+  let open QCheck.Gen in
+  let some pool n = list_size (int_bound n) (oneofl pool) in
+  map
+    (fun (entry_points, drop_programs, drop_ports) ->
+      Transform.config ~entry_points ~drop_programs ~drop_ports ())
+    (triple (some endpoints 4) (some programs 2) (some ports 3))
+
+let print_transform (cfg : Transform.config) =
+  Format.asprintf "entry [%a] drop programs [%s] drop ports [%s]"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space Simnet.Address.pp_endpoint)
+    cfg.entry_points
+    (String.concat " " cfg.drop_programs)
+    (String.concat " " (List.map string_of_int cfg.drop_ports))
+
+let prop_apply_native_is_reference (name, logs) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "apply_native = per-row reference on %s" name)
+    ~count:25
+    (QCheck.make ~print:print_transform (gen_transform (Lazy.force logs)))
+    (fun cfg ->
+      let logs = Lazy.force logs in
+      List.for_all2
+        (List.equal (fun (a, i) (b, j) -> Activity.equal a b && i = j))
+        (reference_rows cfg logs) (native_rows cfg logs))
+
+let rubis_paper_noise =
+  lazy
+    (let module S = Tiersim.Scenario in
+     (S.run
+        {
+          S.default with
+          S.clients = 30;
+          time_scale = 0.05;
+          seed = 5;
+          noise = S.Paper_noise { db_connections = 2 };
+        })
+       .S.logs)
+
+let mesh_control =
+  lazy
+    (let spec = Option.get (Mesh.Presets.spec_of ~seed:7 "control") in
+     let b = Mesh.Runtime.build { spec with Mesh.Spec.clients = 8; requests_per_client = 10 } in
+     Simnet.Engine.run b.Mesh.Runtime.engine;
+     Trace.Probe.logs b.Mesh.Runtime.probe)
+
+(* An online run's memo is sized to the ids interned when it is created;
+   a flow or context interned later grows it mid-feed. Every request
+   here is on flows and contexts interned after [Online.create] and past
+   the memo's initial size, and is still classified as offline. *)
+let test_online_memo_grows () =
+  let net = "10.251" in
+  let cfg =
+    Correlator.config
+      ~transform:(Transform.config ~entry_points:[ H.ep (net ^ ".1.1") 80 ] ())
+      ()
+  in
+  let online =
+    Core.Online.create ~telemetry:(Telemetry.Registry.create ()) ~config:cfg
+      ~hosts:[ "web"; "app" ] ()
+  in
+  let _, contexts, flows = Trace.Intern.counts () in
+  for i = 0 to max contexts flows + 300 do
+    ignore
+      (Trace.Intern.flow_id (H.flow "10.252.0.1" (i mod 60_000) "10.252.0.2" (1 + (i / 60_000))));
+    ignore (Trace.Intern.context_id (H.ctx ~host:"memo-filler" ~pid:i ()))
+  done;
+  let logs =
+    List.map
+      (fun log ->
+        (* fresh contexts too: every worker on a new pid *)
+        Log.of_list ~hostname:(Log.hostname log)
+          (List.map
+             (fun (a : Activity.t) ->
+               { a with context = { a.context with pid = a.context.pid + 70_000 } })
+             (Log.to_list log)))
+      (raw_multi_request ~n:6 ~net ())
+  in
+  let arenas = Trace.Arena.of_collection logs in
+  let first = Trace.Arena.get (List.hd arenas) 0 in
+  Alcotest.(check bool) "flows interned past the memo" true
+    (Trace.Intern.flow_id first.Activity.message.flow > max 256 flows);
+  Alcotest.(check bool) "contexts interned past the memo" true
+    (Trace.Intern.context_id first.Activity.context > max 64 contexts);
+  Core.Online.replay online (List.map Trace.Arena.sorted arenas);
+  Core.Online.finish online;
+  let offline = Correlator.correlate_arena cfg arenas in
+  let signatures cags = List.sort compare (List.map Core.Pattern.signature_of cags) in
+  Alcotest.(check int) "every request finished" 6 (List.length (Core.Online.paths online));
+  Alcotest.(check (list string))
+    "online = offline" (signatures offline.Correlator.cags)
+    (signatures (Core.Online.paths online))
 
 let test_apply_native_matches_apply () =
   let logs = raw_multi_request ~n:4 ~askew:1500 () in
@@ -323,6 +448,9 @@ let () =
         [
           Alcotest.test_case "BEGIN/END classification" `Quick test_transform_classifies;
           Alcotest.test_case "attribute filters" `Quick test_transform_filters;
+          qtest (prop_apply_native_is_reference ("RUBiS paper noise", rubis_paper_noise));
+          qtest (prop_apply_native_is_reference ("mesh control", mesh_control));
+          Alcotest.test_case "online memo grows mid-feed" `Quick test_online_memo_grows;
         ] );
       ( "pipeline",
         [

@@ -44,8 +44,7 @@ let test_ptp1_roundtrip () =
   let all = r.Core.Correlator.cags @ r.Core.Correlator.deformed in
   Alcotest.(check bool) "run produced paths" true (List.length r.Core.Correlator.cags > 50);
   let message =
-    Bundle.Codec.encode ~link_hosts:[||]
-      (List.map (fun cag -> { Bundle.Codec.cag; links = [||] }) all)
+    (Bundle.Codec.encode ~link_hosts:[||] all).Bundle.Codec.bytes
   in
   let decoded =
     match Bundle.Codec.decode message ~pos:0 ~len:(String.length message) with

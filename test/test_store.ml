@@ -217,6 +217,33 @@ let test_writer_rolls_segments () =
   | Ok m -> Alcotest.(check int) "manifest agrees" stats.records_out (Store.Manifest.total_records m)
   | Error e -> Alcotest.fail e
 
+(* Every segment saves the manifest, so [close] after a flush leaves the
+   file alone (a save renames a fresh temp file over it, which would give
+   it a new inode); a writer that wrote no segment still leaves one. *)
+let test_writer_saves_manifest_once () =
+  with_dir @@ fun dir ->
+  let writer = Store.Writer.create ~roll_records:500 ~dir () in
+  ingest writer (Lazy.force outcome).S.logs;
+  Store.Writer.flush writer;
+  let inode () = (Unix.stat (Filename.concat dir Store.Manifest.file)).Unix.st_ino in
+  let flushed = inode () in
+  let stats = Store.Writer.close writer in
+  Alcotest.(check int) "close does not save it again" flushed (inode ());
+  (match Store.Manifest.load ~dir with
+  | Ok m ->
+      Alcotest.(check int)
+        "every segment listed" stats.Store.Writer.segments
+        (List.length m.Store.Manifest.segments)
+  | Error e -> Alcotest.fail e);
+  with_dir @@ fun empty ->
+  ignore (Store.Writer.close (Store.Writer.create ~dir:empty ()));
+  match Store.Manifest.load ~dir:empty with
+  | Ok m ->
+      Alcotest.(check int)
+        "an empty store has its manifest" 0
+        (List.length m.Store.Manifest.segments)
+  | Error e -> Alcotest.fail e
+
 (* A segment lists the hosts with rows in it and no other: on mesh
    control (16 clients x 20 requests, seed 7) at roll 1000, db1 is idle
    for a whole segment, which must then carry no db1 host table. *)
@@ -804,6 +831,8 @@ let () =
       ( "writer",
         [
           Alcotest.test_case "rolls segments" `Quick test_writer_rolls_segments;
+          Alcotest.test_case "close saves the manifest once" `Quick
+            test_writer_saves_manifest_once;
           Alcotest.test_case "segments list only hosts with rows" `Quick
             test_writer_lists_only_hosts_with_rows;
           Alcotest.test_case "native ingest: unsorted equals sorted" `Quick
