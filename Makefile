@@ -1,6 +1,6 @@
 # Minimal CI entry points. `make ci` is what a pipeline should run.
 
-.PHONY: all build test test-parallel fmt bench-quick bench-gate bundle-gate cli-gate bench-pipeline ci clean
+.PHONY: all build test test-parallel fmt bench-quick bench-gate bundle-gate cli-gate examples bench-pipeline ci clean
 
 all: build
 
@@ -207,6 +207,22 @@ cli-gate: build
 	grep -q '_cli_gate/baseline-v1.json: baseline: unsupported format' _cli_gate/baseline-v1.err
 	rm -rf _cli_gate
 
+# Run the five examples, which `dune build` compiles but nothing else
+# runs (~4 s). trace_files writes into _examples/, removed afterwards;
+# online_monitor, the one caller of `Detector.create ~now` outside
+# `Diagnose.Live`, must name the database tier.
+EXAMPLE = $(CURDIR)/_build/default/examples
+examples: build
+	rm -rf _examples && mkdir -p _examples
+	$(EXAMPLE)/quickstart.exe
+	$(EXAMPLE)/bottleneck_hunt.exe
+	$(EXAMPLE)/fault_injection.exe
+	$(EXAMPLE)/trace_files.exe _examples
+	$(EXAMPLE)/online_monitor.exe > _examples/online_monitor.out
+	cat _examples/online_monitor.out
+	grep -q 'first culprit named: tier mysqld' _examples/online_monitor.out
+	rm -rf _examples
+
 # The pipeline benchmark (bench/pipeline/README.md), untraced, on all four
 # workloads at its full run length; fails unless every run prints
 # "correct":true. Not part of `ci`: `dune runtest` already runs its smoke.
@@ -226,7 +242,7 @@ fmt:
 		echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-ci: fmt build test test-parallel bench-quick bench-gate bundle-gate cli-gate
+ci: fmt build test test-parallel bench-quick bench-gate bundle-gate cli-gate examples
 
 clean:
 	dune clean

@@ -1007,18 +1007,7 @@ let diagnose_cmd =
   in
   let run_live spec json baseline_file save_baseline share_threshold =
     let baseline = Option.map (fun path -> or_fail (Diagnose.Baseline.load ~path)) baseline_file in
-    let config =
-      let d = { Diagnose.Detector.default_config with Diagnose.Detector.share_threshold } in
-      match baseline with
-      | Some _ -> d
-      | None ->
-          (* Learning inline: freeze at the end of the up-ramp. *)
-          {
-            d with
-            Diagnose.Detector.freeze_after =
-              Some (fst (S.runtime_session ~time_scale:spec.S.time_scale));
-          }
-    in
+    let config = { Diagnose.Detector.default_config with Diagnose.Detector.share_threshold } in
     let r =
       Diagnose.Live.run ~config ?baseline
         ~on_verdict:(fun v -> Format.printf "%a@." Diagnose.Detector.pp_verdict v)

@@ -60,7 +60,6 @@ let open_file path =
   | exception Sys_error msg -> Error msg
 
 let display t = t.display
-let manifest_json t = t.manifest
 let sections t = t.sections
 let store_manifest t = t.store_manifest
 let summary_json t = Json.member "summary" t.manifest

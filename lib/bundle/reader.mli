@@ -23,7 +23,6 @@ val of_string : ?display:string -> string -> (t, string) result
 (** Same over in-memory bytes; [display] names the bundle in errors. *)
 
 val display : t -> string
-val manifest_json : t -> Core.Json.t
 val sections : t -> Container.section list
 val summary_json : t -> Core.Json.t option
 (** The packer's summary object from the manifest. *)

@@ -108,7 +108,6 @@ type t = {
 }
 
 let host t = t.hostname
-let is_up t = t.alive
 let batch_n t = Trace.Arena.length t.batch
 let held t = batch_n t + t.queued + t.spool_records
 let oldest_resendable t = match t.spool with e :: _ -> e.seq | [] -> t.next_seq

@@ -101,8 +101,6 @@ val restart : t -> unit
 (** Restart after a {!crash}: new process, reconnect, resend unacked
     spool. No-op while alive. *)
 
-val is_up : t -> bool
-
 type stats = {
   observed : int;  (** Own-host records accepted from the probe. *)
   reduced : int;

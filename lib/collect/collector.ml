@@ -34,7 +34,6 @@ type t = {
   cpu_per_frame : Sim_time.span;
   on_arena : Trace.Arena.t -> unit;
   hosts : (string, host_state) Hashtbl.t;
-  mutable decode_errors : int;
   telemetry : R.t;
   h_lag : Telemetry.Histogram.t;
   c_decode_errors : R.counter;
@@ -148,7 +147,6 @@ let serve t sock =
           Frame.Decoder.feed dec data;
           match Frame.Decoder.drain dec with
           | Error _ ->
-              t.decode_errors <- t.decode_errors + 1;
               R.incr t.c_decode_errors;
               Tcp.close (Wire.stack t.wire) sock
           | Ok [] -> loop ()
@@ -193,7 +191,6 @@ let create ?(telemetry = R.default) ?(cpu_per_frame = Sim_time.us 50) ?(on_arena
       cpu_per_frame;
       on_arena;
       hosts = Hashtbl.create 8;
-      decode_errors = 0;
       telemetry;
       h_lag =
         R.histogram telemetry
@@ -236,5 +233,3 @@ let stats t =
 
 let delivered_records t =
   Hashtbl.fold (fun _ (s : host_state) acc -> acc + s.delivered_records) t.hosts 0
-
-let decode_errors t = t.decode_errors

@@ -47,6 +47,3 @@ val stats : t -> (string * host_stats) list
 
 val delivered_records : t -> int
 (** Total records handed to the sink, all hosts. *)
-
-val decode_errors : t -> int
-(** Connections dropped on a corrupt frame stream. *)

@@ -26,8 +26,6 @@ let compare_subject a b =
   | Interaction a, Interaction b -> (
       match String.compare a.src b.src with 0 -> String.compare a.dst b.dst | c -> c)
 
-let equal_subject a b = compare_subject a b = 0
-
 type suspect = { subject : subject; reason : string; severity : float }
 type report = { deltas : delta list; suspects : suspect list }
 
@@ -197,33 +195,32 @@ type profile = {
   components : component_stat list;
 }
 
-let profiles_of_cags cags =
-  List.map
-    (fun (p : Pattern.t) ->
-      let mean_total_s, components =
-        if not (List.exists Cag.is_finished p.Pattern.cags) then (0.0, [])
-        else
-          let agg = Aggregate.of_pattern p in
-          let latencies = Aggregate.component_latencies agg in
-          let stat (comp, share) =
-            let mean_s =
-              match List.find_opt (fun (c, _) -> Latency.equal_component c comp) latencies with
-              | Some (_, m) -> m
-              | None -> 0.0
-            in
-            { comp; share; mean_s }
-          in
-          (agg.Aggregate.mean_total_s, List.map stat (Aggregate.component_percentages agg))
+let profile_of_pattern (p : Pattern.t) =
+  let mean_total_s, components =
+    if not (List.exists Cag.is_finished p.Pattern.cags) then (0.0, [])
+    else
+      let agg = Aggregate.of_pattern p in
+      let latencies = Aggregate.component_latencies agg in
+      let stat (comp, share) =
+        let mean_s =
+          match List.find_opt (fun (c, _) -> Latency.equal_component c comp) latencies with
+          | Some (_, m) -> m
+          | None -> 0.0
+        in
+        { comp; share; mean_s }
       in
-      {
-        name = p.Pattern.name;
-        signature = p.Pattern.signature;
-        count = Pattern.count p;
-        cag_ids = List.map (fun (c : Cag.t) -> c.Cag.cag_id) p.Pattern.cags;
-        mean_total_s;
-        components;
-      })
-    (Pattern.classify cags)
+      (agg.Aggregate.mean_total_s, List.map stat (Aggregate.component_percentages agg))
+  in
+  {
+    name = p.Pattern.name;
+    signature = p.Pattern.signature;
+    count = Pattern.count p;
+    cag_ids = List.map (fun (c : Cag.t) -> c.Cag.cag_id) p.Pattern.cags;
+    mean_total_s;
+    components;
+  }
+
+let profiles_of_cags cags = List.map profile_of_pattern (Pattern.classify cags)
 
 let profile_to_json p =
   Json.Obj

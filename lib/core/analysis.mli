@@ -38,7 +38,6 @@ val subject_label : subject -> string
 (** ["tier java"], ["network of tier java"], ["interaction httpd->java"]. *)
 
 val compare_subject : subject -> subject -> int
-val equal_subject : subject -> subject -> bool
 
 type suspect = {
   subject : subject;  (** Tier or interaction under suspicion. *)
@@ -82,9 +81,12 @@ type profile = {
           no finished member. *)
 }
 
+val profile_of_pattern : Pattern.t -> profile
+(** Aggregate one pattern ({!Aggregate.of_pattern}) into its profile. *)
+
 val profiles_of_cags : Cag.t list -> profile list
-(** Classify and aggregate: one profile per pattern, in
-    {!Pattern.classify} order (most frequent first). *)
+(** Classify and aggregate: {!profile_of_pattern} of each
+    {!Pattern.classify} pattern, in its order (most frequent first). *)
 
 val shares : profile -> (Latency.component * float) list
 (** The components' shares, ready for {!compare_profiles}. *)

@@ -73,5 +73,3 @@ let clamp_share ?(telemetry = Telemetry.Registry.default) f =
     Float.max 0.0 (Float.min 1.0 f)
   end
   else f
-
-let cell_share ?telemetry f = cell_pct (clamp_share ?telemetry f)

@@ -34,8 +34,4 @@ val clamp_share : ?telemetry:Telemetry.Registry.t -> float -> float
     [pt_latency_share_out_of_range_total] in [telemetry] (default
     registry) so the skew is flagged instead of silently prettified. *)
 
-val cell_share : ?telemetry:Telemetry.Registry.t -> float -> string
-(** [cell_pct] of [clamp_share]: the cell to use for any share of a
-    latency profile. *)
-
 val cell_span : Simnet.Sim_time.span -> string

@@ -78,8 +78,8 @@ let default_config =
     throughput_window_s = 5.0;
   }
 
-(* Hysteresis: an alarm re-arms once its signal falls below its firing
-   threshold times this. *)
+(* An alarm re-arms once its signal falls below its firing threshold
+   times this (rises above it divided by this, for a throughput drop). *)
 let rearm_factor = 0.5
 
 (* A pattern's window-mean latency over its baseline mean that fires
@@ -89,19 +89,11 @@ let latency_factor = 2.5
 (* The live path rate below baseline / this fires [Throughput_drop]. *)
 let throughput_factor = 3.0
 
-(* Per-pattern sliding state: the pattern's most recent paths plus the
-   hysteresis flags for each §5.4 subject this pattern has implicated. *)
-type pstate = {
-  p_window : Cag.t Queue.t;
-  p_share_armed : (string, bool ref) Hashtbl.t;
-  mutable p_latency_armed : bool;
-}
-
-type mix_flags = {
-  mutable m_new_armed : bool;
-  mutable m_vanish_armed : bool;
-  mutable m_shift_armed : bool;
-}
+(* What an alarm watches: its kind, the pattern's signature and the §5.4
+   subject, [""] where one does not apply. Never the culprit a verdict
+   names: a latency shift names the pattern's current top suspect, which
+   moves during one excursion. *)
+type alarm = { kind : kind; signature : string; subject : string }
 
 type t = {
   config : config;
@@ -110,12 +102,12 @@ type t = {
   learner : Baseline.builder;
   mutable bl : Baseline.t option;
   mutable frozen_at_s : float;
-  patterns : (string, pstate) Hashtbl.t;
-  mix_ring : string Queue.t;
-  names : (string, string) Hashtbl.t;
-  mix_flags : (string, mix_flags) Hashtbl.t;
+  windows : (string, Pattern.t Queue.t) Hashtbl.t;
+      (* Per signature, its most recent paths as one-member patterns. *)
+  mix_ring : string Queue.t;  (* The last [mix_window] paths' signatures. *)
+  mix_counts : (string, int) Hashtbl.t;  (* Per signature in [mix_ring]. *)
   tp_times : float Queue.t;
-  mutable drop_armed : bool;
+  tripped : (alarm, unit) Hashtbl.t;
   mutable verdicts_rev : verdict list;
   mutable n_paths : int;
   c_paths : Registry.counter;
@@ -133,12 +125,11 @@ let create ?(config = default_config) ?baseline ?now
       learner = Baseline.builder ~capacity:config.warmup_paths ();
       bl = None;
       frozen_at_s = neg_infinity;
-      patterns = Hashtbl.create 8;
+      windows = Hashtbl.create 8;
       mix_ring = Queue.create ();
-      names = Hashtbl.create 8;
-      mix_flags = Hashtbl.create 8;
+      mix_counts = Hashtbl.create 8;
       tp_times = Queue.create ();
-      drop_armed = true;
+      tripped = Hashtbl.create 16;
       verdicts_rev = [];
       n_paths = 0;
       c_paths =
@@ -168,11 +159,11 @@ let baseline t = t.bl
 let verdicts t = List.rev t.verdicts_rev
 let paths_seen t = t.n_paths
 
-let fire t ~at ~kind ?pattern ?culprit ~baseline_value ~observed_value reason =
+let fire t alarm ~at ?pattern ?culprit ~baseline_value ~observed_value reason =
   let v =
     {
       at;
-      kind;
+      kind = alarm.kind;
       pattern;
       culprit;
       baseline_value;
@@ -191,15 +182,25 @@ let fire t ~at ~kind ?pattern ?culprit ~baseline_value ~observed_value reason =
        ~labels:
          [
            ("comp", comp);
-           ("kind", kind_to_string kind);
+           ("kind", kind_to_string alarm.kind);
            ("pattern", Option.value pattern ~default:"all");
          ]
        "pt_diagnose_alerts_total");
   v
 
-let ring_push q cap v =
-  Queue.push v q;
-  if Queue.length q > cap then ignore (Queue.pop q)
+(* The one hysteresis rule: an alarm fires once when [fires] holds, its
+   verdict made by [verdict] from [fire], then stays quiet until [rearms]
+   holds. *)
+let trip t alarm ~fires ~rearms verdict =
+  if Hashtbl.mem t.tripped alarm then begin
+    if rearms then Hashtbl.remove t.tripped alarm;
+    []
+  end
+  else if fires then begin
+    Hashtbl.replace t.tripped alarm ();
+    [ verdict (fire t alarm) ]
+  end
+  else []
 
 (* ---- warmup ---- *)
 
@@ -223,123 +224,93 @@ let learn_path t at cag =
 
 (* ---- judged stream ---- *)
 
-let pstate_for t signature =
-  match Hashtbl.find_opt t.patterns signature with
-  | Some ps -> ps
-  | None ->
-      let ps =
-        {
-          p_window = Queue.create ();
-          p_share_armed = Hashtbl.create 8;
-          p_latency_armed = true;
-        }
-      in
-      Hashtbl.replace t.patterns signature ps;
-      ps
-
-let mix_flags_for t signature =
-  match Hashtbl.find_opt t.mix_flags signature with
-  | Some f -> f
-  | None ->
-      let f = { m_new_armed = true; m_vanish_armed = true; m_shift_armed = true } in
-      Hashtbl.replace t.mix_flags signature f;
-      f
-
 (* Share drift: compare the profile of the pattern's window against its
-   baseline profile and let the §5.4 rules name the culprit. Each subject
-   fires once per excursion, re-arming when its severity recedes below
-   [share_threshold * rearm_factor]. Returns the fired verdicts plus the
-   top live suspect (for latency-shift attribution). *)
-let check_share t at ~name ps ~(baseline : Analysis.profile)
-    ~(observed : Analysis.profile) =
-  let cfg = t.config in
+   baseline profile and let the §5.4 rules name the culprit; each subject
+   is its own alarm. Returns the fired verdicts plus the top live suspect
+   (for latency-shift attribution). *)
+let check_share t at ~(baseline : Analysis.profile) ~(observed : Analysis.profile) =
+  let threshold = t.config.share_threshold and name = observed.name in
   let report =
     Analysis.compare_profiles ~baseline:(Analysis.shares baseline)
       ~observed:(Analysis.shares observed)
   in
-  let live = Hashtbl.create 8 in
+  let suspects = report.Analysis.suspects in
+  let subject (s : Analysis.suspect) = Analysis.subject_label s.subject in
   let fired =
-    List.filter_map
+    List.concat_map
       (fun (s : Analysis.suspect) ->
-        let label = Analysis.subject_label s.subject in
-        Hashtbl.replace live label s.severity;
-        let armed =
-          match Hashtbl.find_opt ps.p_share_armed label with
-          | Some r -> r
-          | None ->
-              let r = ref true in
-              Hashtbl.replace ps.p_share_armed label r;
-              r
-        in
-        if s.severity >= cfg.share_threshold && !armed then begin
-          armed := false;
-          Some
-            (fire t ~at ~kind:Share_drift ~pattern:name
-               ~culprit:s.subject ~baseline_value:0.0
-               ~observed_value:s.severity
-               (Printf.sprintf "pattern %s: %s (severity %.2f) — %s" name
-                  label s.severity s.reason))
-        end
-        else begin
-          if
-            s.severity < cfg.share_threshold *. rearm_factor
-            && not !armed
-          then armed := true;
-          None
-        end)
-      report.Analysis.suspects
+        let label = subject s in
+        trip t
+          { kind = Share_drift; signature = observed.signature; subject = label }
+          ~fires:(s.severity >= threshold)
+          ~rearms:(s.severity < threshold *. rearm_factor)
+          (fun fire ->
+            fire ~at ~pattern:name ~culprit:s.subject ~baseline_value:0.0
+              ~observed_value:s.severity
+              (Printf.sprintf "pattern %s: %s (severity %.2f) — %s" name label
+                 s.severity s.reason)))
+      suspects
   in
   (* Subjects that dropped out of the suspect list entirely have
      recovered: re-arm them. *)
-  Hashtbl.iter
-    (fun label armed ->
-      if (not !armed) && not (Hashtbl.mem live label) then armed := true)
-    ps.p_share_armed;
-  let top =
-    match report.Analysis.suspects with
-    | s :: _ -> Some s.Analysis.subject
-    | [] -> None
-  in
+  Hashtbl.filter_map_inplace
+    (fun a () ->
+      if
+        a.kind = Share_drift
+        && String.equal a.signature observed.signature
+        && not (List.exists (fun s -> String.equal (subject s) a.subject) suspects)
+      then None
+      else Some ())
+    t.tripped;
+  let top = match suspects with s :: _ -> Some s.Analysis.subject | [] -> None in
   (fired, top)
 
-let check_latency t at ~name ps ~(baseline : Analysis.profile)
-    ~(observed : Analysis.profile) ~top_suspect =
+let check_latency t at ~(baseline : Analysis.profile) ~(observed : Analysis.profile)
+    ~top_suspect =
   if baseline.mean_total_s <= 0.0 then []
   else
     let ratio = observed.mean_total_s /. baseline.mean_total_s in
-    if ratio >= latency_factor && ps.p_latency_armed then begin
-      ps.p_latency_armed <- false;
-      [
-        fire t ~at ~kind:Latency_shift ~pattern:name ?culprit:top_suspect
+    trip t
+      { kind = Latency_shift; signature = observed.signature; subject = "" }
+      ~fires:(ratio >= latency_factor)
+      ~rearms:(ratio < latency_factor *. rearm_factor)
+      (fun fire ->
+        fire ~at ~pattern:observed.name ?culprit:top_suspect
           ~baseline_value:baseline.mean_total_s ~observed_value:observed.mean_total_s
-          (Printf.sprintf
-             "pattern %s: mean latency %.1fms vs baseline %.1fms (x%.1f)"
-             name (1000.0 *. observed.mean_total_s)
+          (Printf.sprintf "pattern %s: mean latency %.1fms vs baseline %.1fms (x%.1f)"
+             observed.name
+             (1000.0 *. observed.mean_total_s)
              (1000.0 *. baseline.mean_total_s)
-             ratio);
-      ]
-    end
-    else begin
-      if
-        ratio < latency_factor *. rearm_factor
-        && not ps.p_latency_armed
-      then ps.p_latency_armed <- true;
-      []
-    end
+             ratio))
+
+(* The window as one pattern named after [p], its newest path: the
+   members' span columns side by side, in window order. Only members with
+   as many critical-path hops as [p] join. *)
+let window_pattern window (p : Pattern.t) =
+  let hops = Array.length p.spans in
+  let members =
+    List.filter
+      (fun (m : Pattern.t) -> Array.length m.spans = hops)
+      (List.of_seq (Queue.to_seq window))
+  in
+  let spans = Array.init hops (fun _ -> Float.Array.create (List.length members)) in
+  List.iteri
+    (fun j (m : Pattern.t) ->
+      Array.iteri (fun h column -> Float.Array.set spans.(h) j (Float.Array.get column 0)) m.spans)
+    members;
+  { p with cags = List.concat_map (fun (m : Pattern.t) -> m.cags) members; spans }
 
 (* A pattern is judged once its window holds [min_window] paths and the
    baseline knows it: the window's average causal path against the
    baseline's, on shares and on mean latency. *)
-let check_pattern t bl at ~signature ~name ps =
-  match Baseline.find bl ~signature with
+let check_pattern t bl at window (p : Pattern.t) =
+  match Baseline.find bl ~signature:p.signature with
   | Some baseline
-    when baseline.components <> [] && Queue.length ps.p_window >= t.config.min_window -> (
-      match Analysis.profiles_of_cags (List.of_seq (Queue.to_seq ps.p_window)) with
-      | observed :: _ ->
-          Registry.incr t.c_windows;
-          let share_verdicts, top_suspect = check_share t at ~name ps ~baseline ~observed in
-          share_verdicts @ check_latency t at ~name ps ~baseline ~observed ~top_suspect
-      | [] -> [])
+    when baseline.components <> [] && Queue.length window >= t.config.min_window ->
+      Registry.incr t.c_windows;
+      let observed = Analysis.profile_of_pattern (window_pattern window p) in
+      let share_verdicts, top_suspect = check_share t at ~baseline ~observed in
+      share_verdicts @ check_latency t at ~baseline ~observed ~top_suspect
   | _ -> []
 
 let check_mix t bl at =
@@ -347,16 +318,9 @@ let check_mix t bl at =
   if Queue.length t.mix_ring < cfg.mix_window then []
   else begin
     let total = float_of_int (Queue.length t.mix_ring) in
-    let freqs = Hashtbl.create 8 in
-    Queue.iter
-      (fun s ->
-        Hashtbl.replace freqs s
-          (1 + Option.value (Hashtbl.find_opt freqs s) ~default:0))
-      t.mix_ring;
     let freq s =
-      float_of_int (Option.value (Hashtbl.find_opt freqs s) ~default:0) /. total
+      float_of_int (Option.value (Hashtbl.find_opt t.mix_counts s) ~default:0) /. total
     in
-    let name_of s = Option.value (Hashtbl.find_opt t.names s) ~default:s in
     (* Baseline patterns: vanished or frequency-shifted. *)
     let from_baseline =
       List.concat_map
@@ -365,47 +329,30 @@ let check_mix t bl at =
           if bp_frequency < cfg.mix_min_frequency then []
           else begin
             let obs = freq bp.signature in
-            let flags = mix_flags_for t bp.signature in
-            if obs = 0.0 then
-              if flags.m_vanish_armed then begin
-                flags.m_vanish_armed <- false;
-                [
-                  fire t ~at ~kind:Pattern_vanished ~pattern:bp.name
-                    ~baseline_value:bp_frequency ~observed_value:0.0
-                    (Printf.sprintf
-                       "pattern %s vanished (baseline frequency %.0f%%)" bp.name
-                       (100.0 *. bp_frequency));
-                ]
-              end
-              else []
-            else begin
-              if
-                obs >= cfg.mix_min_frequency *. rearm_factor
-                && not flags.m_vanish_armed
-              then flags.m_vanish_armed <- true;
+            let alarm kind = { kind; signature = bp.signature; subject = "" } in
+            let vanished =
+              trip t (alarm Pattern_vanished) ~fires:(obs = 0.0)
+                ~rearms:(obs >= cfg.mix_min_frequency *. rearm_factor)
+                (fun fire ->
+                  fire ~at ~pattern:bp.name ~baseline_value:bp_frequency
+                    ~observed_value:0.0
+                    (Printf.sprintf "pattern %s vanished (baseline frequency %.0f%%)"
+                       bp.name (100.0 *. bp_frequency)))
+            in
+            if obs = 0.0 then vanished
+            else
               let delta = Float.abs (obs -. bp_frequency) in
-              if delta >= cfg.mix_tolerance && flags.m_shift_armed then begin
-                flags.m_shift_armed <- false;
-                [
-                  fire t ~at ~kind:Pattern_shift ~pattern:bp.name
-                    ~baseline_value:bp_frequency ~observed_value:obs
-                    (Printf.sprintf
-                       "pattern %s frequency %.0f%% vs baseline %.0f%%" bp.name
-                       (100.0 *. obs) (100.0 *. bp_frequency));
-                ]
-              end
-              else begin
-                if
-                  delta < cfg.mix_tolerance *. rearm_factor
-                  && not flags.m_shift_armed
-                then flags.m_shift_armed <- true;
-                []
-              end
-            end
+              trip t (alarm Pattern_shift) ~fires:(delta >= cfg.mix_tolerance)
+                ~rearms:(delta < cfg.mix_tolerance *. rearm_factor)
+                (fun fire ->
+                  fire ~at ~pattern:bp.name ~baseline_value:bp_frequency
+                    ~observed_value:obs
+                    (Printf.sprintf "pattern %s frequency %.0f%% vs baseline %.0f%%"
+                       bp.name (100.0 *. obs) (100.0 *. bp_frequency)))
           end)
         bl.Baseline.profiles
     in
-    (* Observed patterns absent from the baseline.  [freqs] is a hash
+    (* Observed patterns absent from the baseline. [mix_counts] is a hash
        table, so collect the candidate signatures and sort them before
        firing: alerts raised in one tick must come out in a stable order
        (hash order varies across runs and OCaml versions). *)
@@ -415,30 +362,24 @@ let check_mix t bl at =
           match Baseline.find bl ~signature with
           | Some _ -> acc
           | None -> signature :: acc)
-        freqs []
+        t.mix_counts []
       |> List.sort String.compare
     in
     let novel =
-      List.filter_map
+      List.concat_map
         (fun signature ->
           let obs = freq signature in
-          let flags = mix_flags_for t signature in
-          if obs >= cfg.mix_min_frequency && flags.m_new_armed then begin
-            flags.m_new_armed <- false;
-            Some
-              (fire t ~at ~kind:Pattern_new ~pattern:(name_of signature)
-                 ~baseline_value:0.0 ~observed_value:obs
-                 (Printf.sprintf
-                    "new pattern %s at %.0f%% of traffic (absent from baseline)"
-                    (name_of signature) (100.0 *. obs)))
-          end
-          else begin
-            if
-              obs < cfg.mix_min_frequency *. rearm_factor
-              && not flags.m_new_armed
-            then flags.m_new_armed <- true;
-            None
-          end)
+          trip t
+            { kind = Pattern_new; signature; subject = "" }
+            ~fires:(obs >= cfg.mix_min_frequency)
+            ~rearms:(obs < cfg.mix_min_frequency *. rearm_factor)
+            (fun fire ->
+              (* Named as its window's newest path is. *)
+              let window = Hashtbl.find t.windows signature in
+              let name = (Queue.fold (fun _ p -> p) (Queue.peek window) window).Pattern.name in
+              fire ~at ~pattern:name ~baseline_value:0.0 ~observed_value:obs
+                (Printf.sprintf "new pattern %s at %.0f%% of traffic (absent from baseline)"
+                   name (100.0 *. obs))))
         candidates
     in
     from_baseline @ novel
@@ -453,18 +394,22 @@ let check_throughput t bl at time_s =
       float_of_int (Queue.length t.tp_times) /. cfg.throughput_window_s
     in
     let drop_thr = base /. throughput_factor in
-    if rate <= drop_thr && t.drop_armed then begin
-      t.drop_armed <- false;
-      [
-        fire t ~at ~kind:Throughput_drop ~baseline_value:base ~observed_value:rate
-          (Printf.sprintf "throughput %.0f paths/s vs baseline %.0f paths/s" rate base);
-      ]
-    end
-    else begin
-      if rate >= drop_thr /. rearm_factor && not t.drop_armed then t.drop_armed <- true;
-      []
-    end
+    trip t
+      { kind = Throughput_drop; signature = ""; subject = "" }
+      ~fires:(rate <= drop_thr)
+      ~rearms:(rate >= drop_thr /. rearm_factor)
+      (fun fire ->
+        fire ~at ~baseline_value:base ~observed_value:rate
+          (Printf.sprintf "throughput %.0f paths/s vs baseline %.0f paths/s" rate base))
   end
+
+(* Move a signature's count in the mix ring by [delta]. A signature that
+   leaves the ring leaves the table, so it stops being a candidate for
+   [Pattern_new] until it is seen again. *)
+let count counts signature delta =
+  match Option.value (Hashtbl.find_opt counts signature) ~default:0 + delta with
+  | 0 -> Hashtbl.remove counts signature
+  | n -> Hashtbl.replace counts signature n
 
 let judge t bl at cag =
   let cfg = t.config in
@@ -472,10 +417,10 @@ let judge t bl at cag =
      passed; anchor the throughput grace window at the first judged
      path instead of the (never set) freeze instant. *)
   if t.frozen_at_s = neg_infinity then t.frozen_at_s <- Sim_time.to_float_s at;
-  let signature = Pattern.signature_of cag in
-  let name = Pattern.name_of cag in
-  Hashtbl.replace t.names signature name;
-  ring_push t.mix_ring cfg.mix_window signature;
+  let p = match Pattern.classify [ cag ] with [ p ] -> p | _ -> assert false in
+  Queue.push p.signature t.mix_ring;
+  count t.mix_counts p.signature 1;
+  if Queue.length t.mix_ring > cfg.mix_window then count t.mix_counts (Queue.pop t.mix_ring) (-1);
   let time_s = Sim_time.to_float_s at in
   Queue.push time_s t.tp_times;
   while
@@ -484,9 +429,17 @@ let judge t bl at cag =
   do
     ignore (Queue.pop t.tp_times)
   done;
-  let ps = pstate_for t signature in
-  ring_push ps.p_window cfg.window cag;
-  let pattern_verdicts = check_pattern t bl at ~signature ~name ps in
+  let window =
+    match Hashtbl.find_opt t.windows p.signature with
+    | Some w -> w
+    | None ->
+        let w = Queue.create () in
+        Hashtbl.replace t.windows p.signature w;
+        w
+  in
+  Queue.push p window;
+  if Queue.length window > cfg.window then ignore (Queue.pop window);
+  let pattern_verdicts = check_pattern t bl at window p in
   let mix_verdicts = check_mix t bl at in
   let tp_verdicts = check_throughput t bl at time_s in
   pattern_verdicts @ mix_verdicts @ tp_verdicts

@@ -7,10 +7,10 @@
     healthy {!Baseline.t}:
 
     - {b Share drift}: a pattern's latency-share profile — the
-      {!Core.Analysis.profiles_of_cags} profile of its most recent
-      paths, against the baseline's — shifts; the culprit is named in the paper's §5.4 vocabulary via
-      {!Core.Analysis.compare_profiles} (tier / tier network /
-      interaction).
+      {!Core.Analysis.profile_of_pattern} profile of its most recent
+      paths, against the baseline's — shifts; the culprit is named in
+      the paper's §5.4 vocabulary via {!Core.Analysis.compare_profiles}
+      (tier / tier network / interaction).
     - {b Pattern-mix anomalies}: a baseline pattern vanishes, a new
       pattern appears, or a pattern's frequency shifts beyond tolerance.
     - {b Latency shift}: a pattern's window-mean end-to-end latency
@@ -18,10 +18,25 @@
     - {b Throughput drop}: the overall path completion rate falls to a
       third of the baseline rate.
 
-    Every alarm class has hysteresis: a verdict fires once per
-    excursion, then re-arms only after the signal recedes a factor of
-    two past its firing threshold (below half of it; above twice it for
-    a throughput drop). Each verdict increments
+    Each path is classified once ({!Core.Pattern.classify} of the path
+    alone) and joins its signature's window as a one-member pattern. A
+    judged window is profiled from those members' span columns, in
+    window order, so its profile is bit-identical to the one
+    {!Core.Analysis.profiles_of_cags} computes over the same paths. Paths
+    whose host or program names contain ['/'], ['<'] or [';'] can share
+    a signature while {!Core.Pattern.classify} keeps them apart: they
+    share one window, and its profile averages the members with as many
+    critical-path hops as the newest path, under the hop components of
+    the oldest of them.
+
+    One hysteresis rule guards every alarm. An alarm is keyed by what it
+    watches: its kind, the pattern's signature (for per-pattern and mix
+    alarms) and the §5.4 subject (for share drift), never the culprit a
+    verdict names. It fires once when its signal crosses the firing
+    threshold, then stays quiet until the signal recedes a factor of two
+    past that threshold (below half of it; above twice it for a
+    throughput drop); a share-drift subject that leaves the suspect list
+    re-arms too. Each verdict increments
     [pt_diagnose_alerts_total{kind,comp,pattern}]. *)
 
 type kind =

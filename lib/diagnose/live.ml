@@ -25,14 +25,13 @@ let run ?(telemetry = Registry.default) ?config ?baseline ?onset ?on_verdict (sp
       | None, None -> Some (S.mid_run_onset ~time_scale ())
   in
   let spec = { spec with S.fault_onset = onset_span } in
+  let config = Option.value config ~default:Detector.default_config in
   let config =
-    match (config, baseline) with
-    | Some c, _ -> c
-    | None, Some _ -> Detector.default_config
-    | None, None ->
-        (* Learning inline: freeze at the end of the up-ramp so the
-           baseline covers only healthy steady-state traffic. *)
-        { Detector.default_config with freeze_after = Some measure_from }
+    if Option.is_none baseline && Option.is_none config.freeze_after then
+      (* Learning inline: freeze at the end of the up-ramp so the
+         baseline covers only healthy steady-state traffic. *)
+      { config with freeze_after = Some measure_from }
+    else config
   in
   let detector = ref None in
   let deploy = ref None in

@@ -8,10 +8,11 @@
     injected ground truth ({!Verdict.score}).
 
     The detector learns its baseline inline from the healthy pre-onset
-    traffic (freezing at the start of the runtime session) unless one is
-    supplied; paths completing after the runtime session are not judged,
-    so the down-ramp and drain cannot fire throughput or latency
-    alarms. *)
+    traffic unless one is supplied. Learning inline, it freezes at the
+    end of the up-ramp (the start of the runtime session), unless the
+    config sets its own [freeze_after]. Paths completing after the
+    runtime session are not judged, so the down-ramp and drain cannot
+    fire throughput or latency alarms. *)
 
 type result = {
   outcome : Tiersim.Scenario.outcome;
@@ -34,6 +35,7 @@ val run :
 (** Run [spec] live. When [spec.faults] is non-empty, the faults activate
     at [onset] (default {!Tiersim.Scenario.mid_run_onset}) — overriding
     [spec.fault_onset]. [on_verdict] fires as each verdict does, at its
-    simulated instant (the live CLI prints them as they happen). Without
-    [baseline], the detector freezes one from the pre-onset stream at
-    the end of the up-ramp. *)
+    simulated instant (the live CLI prints them as they happen). [config]
+    defaults to {!Detector.default_config}. Without [baseline], the
+    detector freezes one from the pre-onset stream at [config]'s
+    [freeze_after], or at the end of the up-ramp when that is [None]. *)

@@ -27,16 +27,12 @@ let ip_of_int n =
   n
 
 let ip_equal = Int.equal
-let ip_compare = Int.compare
 let pp_ip ppf ip = Format.pp_print_string ppf (ip_to_string ip)
 
 type endpoint = { ip : ip; port : int }
 
 let endpoint ip port = { ip; port }
 let endpoint_equal a b = a == b || (ip_equal a.ip b.ip && Int.equal a.port b.port)
-
-let endpoint_compare a b =
-  match ip_compare a.ip b.ip with 0 -> Int.compare a.port b.port | c -> c
 
 let pp_endpoint ppf e = Format.fprintf ppf "%a:%d" pp_ip e.ip e.port
 
@@ -47,9 +43,6 @@ let reverse f = { src = f.dst; dst = f.src }
 (* flows materialised from the trace intern tables are canonical shared
    records, so the physical check settles most hot-path comparisons *)
 let flow_equal a b = a == b || (endpoint_equal a.src b.src && endpoint_equal a.dst b.dst)
-
-let flow_compare a b =
-  match endpoint_compare a.src b.src with 0 -> endpoint_compare a.dst b.dst | c -> c
 
 let flow_hash f = Hashtbl.hash (f.src.ip, f.src.port, f.dst.ip, f.dst.port)
 let pp_flow ppf f = Format.fprintf ppf "%a-%a" pp_endpoint f.src pp_endpoint f.dst

@@ -23,14 +23,12 @@ val ip_of_int : int -> ip
     @raise Invalid_argument outside [0, 2^32). *)
 
 val ip_equal : ip -> ip -> bool
-val ip_compare : ip -> ip -> int
 val pp_ip : Format.formatter -> ip -> unit
 
 type endpoint = { ip : ip; port : int }
 
 val endpoint : ip -> int -> endpoint
 val endpoint_equal : endpoint -> endpoint -> bool
-val endpoint_compare : endpoint -> endpoint -> int
 val pp_endpoint : Format.formatter -> endpoint -> unit
 (** Rendered ["10.0.0.1:80"]. *)
 
@@ -43,7 +41,6 @@ val reverse : flow -> flow
 (** The opposite direction of the same connection. *)
 
 val flow_equal : flow -> flow -> bool
-val flow_compare : flow -> flow -> int
 val flow_hash : flow -> int
 val pp_flow : Format.formatter -> flow -> unit
 (** Rendered ["10.0.0.1:3456-10.0.0.2:80"], matching TCP_TRACE output. *)

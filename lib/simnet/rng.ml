@@ -46,10 +46,6 @@ let positive_normal_span t ~mean ~rel_std =
   let d = normal t ~mean:m ~std:(rel_std *. m) in
   Sim_time.ns (max 1 (int_of_float d))
 
-let choose t arr =
-  assert (Array.length arr > 0);
-  arr.(Random.State.int t.state (Array.length arr))
-
 let weighted t items =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 items in
   assert (total > 0.0);

@@ -48,9 +48,6 @@ val positive_normal_span : t -> mean:Sim_time.span -> rel_std:float -> Sim_time.
 (** Gaussian duration with standard deviation [rel_std *. mean], truncated
     below at one nanosecond. Models service-time jitter. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val weighted : t -> ('a * float) list -> 'a
 (** [weighted t items] draws an item with probability proportional to its
     weight. Weights must be non-negative with a positive sum. *)

@@ -79,7 +79,6 @@ let local_endpoint sock =
 let peer_endpoint sock =
   match sock.side with Client_side -> sock.conn.server_ep | Server_side -> sock.conn.client_ep
 
-let socket_node = own_node
 let out_flow sock = Address.flow ~src:(local_endpoint sock) ~dst:(peer_endpoint sock)
 let flip_side = function Client_side -> Server_side | Server_side -> Client_side
 let peer_socket sock = { sock with side = flip_side sock.side }

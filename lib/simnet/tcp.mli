@@ -71,7 +71,6 @@ val close : stack -> socket -> unit
 
 val local_endpoint : socket -> Address.endpoint
 val peer_endpoint : socket -> Address.endpoint
-val socket_node : socket -> Node.t
 
 val out_flow : socket -> Address.flow
 (** The flow of bytes sent from this socket: local -> peer. *)

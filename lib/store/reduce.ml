@@ -20,10 +20,6 @@ let ratio s =
   if s.bytes_after = 0 then Float.infinity
   else float_of_int s.bytes_before /. float_of_int s.bytes_after
 
-let sampled_share s =
-  if s.requests_total = 0 then 1.0
-  else float_of_int s.requests_kept /. float_of_int s.requests_total
-
 let pp_stats ppf s =
   Format.fprintf ppf
     "%d -> %d activities, %d -> %d bytes (%.1fx); %d/%d requests kept (p=%.3f), %d non-causal"

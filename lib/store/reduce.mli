@@ -37,9 +37,6 @@ type stats = {
 val ratio : stats -> float
 (** [bytes_before / bytes_after]; infinite when everything was dropped. *)
 
-val sampled_share : stats -> float
-(** [requests_kept / requests_total] (1.0 when no requests were found). *)
-
 val pp_stats : Format.formatter -> stats -> unit
 
 val apply :

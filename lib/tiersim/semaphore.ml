@@ -31,6 +31,5 @@ let release t =
       ignore (Engine.schedule_after t.engine ~delay:Sim_time.span_zero next)
   | None -> t.used <- t.used - 1
 
-let in_use t = t.used
 let waiting t = Queue.length t.waiters
 let peak_waiting t = t.peak

@@ -16,6 +16,5 @@ val acquire : t -> (unit -> unit) -> unit
 val release : t -> unit
 (** @raise Invalid_argument if no slot is held. *)
 
-val in_use : t -> int
 val waiting : t -> int
 val peak_waiting : t -> int

@@ -94,8 +94,6 @@ let add_listener t f = t.listeners <- t.listeners @ [ f ]
 let exempt_program t program =
   if not (exempted t program) then t.exempt <- program :: t.exempt
 let enable t = t.enabled <- true
-let disable t = t.enabled <- false
-let is_enabled t = t.enabled
 
 let logs t =
   Hashtbl.fold (fun _ log acc -> log :: acc) t.node_logs []

@@ -24,8 +24,6 @@ val attach :
     Default: every node. The probe starts {e disabled}. *)
 
 val enable : t -> unit
-val disable : t -> unit
-val is_enabled : t -> bool
 
 val add_listener : t -> (Activity.t -> unit) -> unit
 (** Invoke the callback on every activity as it is logged (after the log

@@ -12,8 +12,6 @@ let to_line (a : Activity.t) =
     (Address.ip_to_string f.dst.ip)
     f.dst.port a.message.size
 
-let pp_line ppf a = Format.pp_print_string ppf (to_line a)
-
 let ( let* ) r f = Result.bind r f
 
 (* Strict decimal, optionally '-'-signed — [int_of_string_opt] alone also

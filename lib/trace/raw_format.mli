@@ -12,5 +12,3 @@ val to_line : Activity.t -> string
 
 val of_line : string -> (Activity.t, string) result
 (** Parse one record; the error describes the first malformed field. *)
-
-val pp_line : Format.formatter -> Activity.t -> unit

@@ -1,8 +1,8 @@
 (* Tests for the streaming performance-debugging plane (lib/diagnose):
    baseline learning and JSON round-trip, the streaming detector's alarm
    classes (share drift, pattern mix, latency shift, throughput drop)
-   with their hysteresis, the ground-truth scorer, and one live
-   end-to-end run per polarity (fault / control). *)
+   with their hysteresis, the ground-truth scorer, live end-to-end runs
+   per fault and control, and MD5 pins of every verdict stream. *)
 
 module H = Test_helpers.Helpers
 module Activity = Trace.Activity
@@ -70,6 +70,48 @@ let mk_short_cag ?(program = "java") ~base () =
   in
   let engine, _ = H.correlate_raw logs in
   List.hd (Core.Cag_engine.finished engine)
+
+(* Two path shapes whose signature strings collide, built by hand. The
+   merged shape's third vertex has a program name that spells the plain
+   shape's third and fourth vertices, so [Pattern.classify] keeps the two
+   apart while [Pattern.signature_of] renders them alike. Their critical
+   paths differ in length: END <- SEND a/j <- SEND <- BEGIN (3 hops) and
+   END <- RECEIVE w/h <- BEGIN (2 hops). *)
+let colliding_cag ~merged ~base =
+  let flow =
+    Simnet.Address.flow
+      ~src:(Simnet.Address.endpoint (Simnet.Address.ip_of_string "10.0.0.1") 80)
+      ~dst:(Simnet.Address.endpoint (Simnet.Address.ip_of_string "10.0.0.2") 8080)
+  in
+  let act kind ms host program =
+    {
+      Activity.kind;
+      timestamp = ST.of_ns (base + (ms * 1_000_000));
+      context = { Activity.host; program; pid = 1; tid = 1 };
+      message = { Activity.flow; size = 10 };
+    }
+  in
+  let root = Core.Cag.Builder.fresh_vertex (act Activity.Begin 0 "w" "h") in
+  let cag = Core.Cag.Builder.create ~cag_id:(base / 1_000_000) root in
+  let add kind ms host program edge parent =
+    let v = Core.Cag.Builder.fresh_vertex (act kind ms host program) in
+    Core.Cag.Builder.adopt cag v;
+    Core.Cag.Builder.add_edge edge ~parent ~child:v;
+    v
+  in
+  let s = add Activity.Send 1 "w" "h" Core.Cag.Context_edge root in
+  let third =
+    if merged then add Activity.Receive 2 "a" "j<m1;SEND/a/j" Core.Cag.Context_edge s
+    else begin
+      ignore (add Activity.Receive 2 "a" "j" Core.Cag.Message_edge s);
+      add Activity.Send 3 "a" "j" Core.Cag.Context_edge s
+    end
+  in
+  let fourth = add Activity.Receive 4 "w" "h" Core.Cag.Message_edge root in
+  ignore
+    (add Activity.End_ 5 "w" "h" Core.Cag.Context_edge (if merged then fourth else third));
+  Core.Cag.Builder.finish cag;
+  cag
 
 let detector ?baseline config =
   Detector.create ~config ?baseline ~telemetry:(Telemetry.Registry.create ()) ()
@@ -161,7 +203,16 @@ let test_baseline_sliding_window () =
   let top = List.hd bl.Baseline.profiles in
   Alcotest.(check (float 1e-6)) "drifted paths aged out" 0.009 top.Analysis.mean_total_s
 
-(* ---- detector: share drift ---- *)
+(* ---- detector: synthetic streams ----
+
+   Each detector test below feeds one of these streams phase by phase;
+   the "verdicts" group pins the whole verdict stream of every one. *)
+
+type stream = {
+  config : Detector.config;
+  baseline : Baseline.t option;
+  phases : Core.Cag.t list list Lazy.t;
+}
 
 let small_config =
   {
@@ -171,20 +222,40 @@ let small_config =
     min_window = 10;
   }
 
-let test_warmup_smaller_than_window () =
+(* Phases of paths 20ms apart on one clock: [n] paths built by [mk]
+   from each [base]. *)
+let timeline phases =
+  let t = ref 0 in
+  List.map (fun (n, mk) -> List.init n (fun _ -> let b = !t in t := b + 20_000_000; mk b)) phases
+
+let healthy_at b = mk_cag ~base:b ()
+let drifted_at b = mk_cag ~db_extra:(ST.ms 9) ~base:b ()
+
+(* Feed a stream, one verdict list per phase. *)
+let run_stream s =
+  let det = detector ?baseline:s.baseline s.config in
+  (det, List.map (feed det) (Lazy.force s.phases))
+
+let warmup_stream =
   (* Arming is governed by warmup_paths even when it is smaller than the
      judging window; judging starts as soon as min_window fills. *)
-  let cfg =
-    { Detector.default_config with Detector.warmup_paths = 20; window = 80; min_window = 10 }
-  in
-  let det = detector cfg in
-  let vs = feed det (healthy 20 ~from:0 ~spacing:20_000_000) in
+  {
+    config =
+      { Detector.default_config with Detector.warmup_paths = 20; window = 80; min_window = 10 };
+    baseline = None;
+    phases =
+      lazy
+        [
+          healthy 20 ~from:0 ~spacing:20_000_000;
+          List.init 40 (fun i -> drifted_at (400_000_000 + (i * 20_000_000)));
+        ];
+  }
+
+let test_warmup_smaller_than_window () =
+  let det, phases = run_stream warmup_stream in
+  let vs = List.nth phases 0 in
   Alcotest.(check int) "quiet during warmup" 0 (List.length vs);
-  Alcotest.(check bool) "armed after warmup" true (Detector.warmed det);
-  let drifted =
-    List.init 40 (fun i -> mk_cag ~db_extra:(ST.ms 9) ~base:(400_000_000 + (i * 20_000_000)) ())
-  in
-  let vs = feed det drifted in
+  let vs = List.nth phases 1 in
   let drifts =
     List.filter (fun v -> v.Detector.kind = Detector.Share_drift) vs
   in
@@ -195,33 +266,42 @@ let test_warmup_smaller_than_window () =
       | Some (Analysis.Tier "mysqld") -> ()
       | Some s -> Alcotest.failf "wrong culprit: %s" (Analysis.subject_label s)
       | None -> Alcotest.fail "share drift without a culprit"));
+  Alcotest.(check bool) "armed after warmup" true (Detector.warmed det);
   Alcotest.(check int) "paths counted" 60 (Detector.paths_seen det)
 
-let test_single_path_pattern_is_quiet () =
+let single_path_stream =
   (* A pattern seen once during warmup must neither crash the detector
      nor fire mix alarms (it is below mix_min_frequency). *)
-  let cfg = { small_config with Detector.warmup_paths = 31; mix_window = 20 } in
-  let det = detector cfg in
-  let warm =
-    healthy 30 ~from:0 ~spacing:20_000_000 @ [ mk_short_cag ~base:620_000_000 () ]
-  in
-  let vs = feed det warm in
-  Alcotest.(check int) "quiet warmup" 0 (List.length vs);
-  let vs = feed det (healthy 40 ~from:700_000_000 ~spacing:20_000_000) in
-  Alcotest.(check int) "steady stream stays quiet" 0 (List.length vs)
+  {
+    config = { small_config with Detector.warmup_paths = 31; mix_window = 20 };
+    baseline = None;
+    phases =
+      lazy
+        [
+          healthy 30 ~from:0 ~spacing:20_000_000 @ [ mk_short_cag ~base:620_000_000 () ];
+          healthy 40 ~from:700_000_000 ~spacing:20_000_000;
+        ];
+  }
+
+let test_single_path_pattern_is_quiet () =
+  match run_stream single_path_stream with
+  | _, [ warm; steady ] ->
+      Alcotest.(check int) "quiet warmup" 0 (List.length warm);
+      Alcotest.(check int) "steady stream stays quiet" 0 (List.length steady)
+  | _ -> assert false
+
+let hysteresis_stream =
+  {
+    config = small_config;
+    baseline = None;
+    phases =
+      lazy (timeline [ (30, healthy_at); (30, drifted_at); (40, healthy_at); (30, drifted_at) ]);
+  }
 
 let test_hysteresis_rearm_after_recovery () =
-  let det = detector small_config in
-  let t = ref 0 in
-  let stream n mk = List.init n (fun _ -> let b = !t in t := b + 20_000_000; mk b) in
-  let vvs = ref [] in
-  let run n mk = vvs := !vvs @ feed det (stream n mk) in
-  run 30 (fun b -> mk_cag ~base:b ());
-  run 30 (fun b -> mk_cag ~db_extra:(ST.ms 9) ~base:b ());
-  let after_first = List.length (kinds !vvs) in
+  let _, phases = run_stream hysteresis_stream in
+  let after_first = List.length (List.nth phases 0 @ List.nth phases 1) in
   Alcotest.(check int) "one alert per sustained excursion" 1 after_first;
-  run 40 (fun b -> mk_cag ~base:b ());
-  run 30 (fun b -> mk_cag ~db_extra:(ST.ms 9) ~base:b ());
   let drifts =
     List.filter
       (fun v ->
@@ -229,45 +309,68 @@ let test_hysteresis_rearm_after_recovery () =
         && match v.Detector.culprit with
            | Some (Analysis.Tier "mysqld") -> true
            | _ -> false)
-      !vvs
+      (List.concat phases)
   in
   Alcotest.(check int) "re-armed after recovery, fired again" 2 (List.length drifts)
 
+let steady_stream =
+  {
+    config = small_config;
+    baseline = None;
+    phases =
+      lazy
+        (let t = ref 0 in
+         [
+           List.init 230 (fun i ->
+               (* deterministic spacing jitter, 15..25ms *)
+               let b = !t in
+               t := b + 15_000_000 + (i * 7 mod 11) * 1_000_000;
+               mk_cag ~base:b ());
+         ]);
+  }
+
 let test_no_false_alarms_on_steady_stream () =
-  let det = detector small_config in
-  let t = ref 0 in
-  let cags =
-    List.init 230 (fun i ->
-        (* deterministic spacing jitter, 15..25ms *)
-        let b = !t in
-        t := b + 15_000_000 + (i * 7 mod 11) * 1_000_000;
-        mk_cag ~base:b ())
-  in
-  let vs = feed det cags in
-  Alcotest.(check int) "faultless stream, zero verdicts" 0 (List.length vs)
+  let _, phases = run_stream steady_stream in
+  Alcotest.(check int) "faultless stream, zero verdicts" 0 (List.length (List.concat phases))
+
+(* Paths whose signatures collide share one window: judging it must not
+   mix span columns of different lengths. *)
+let test_colliding_signatures () =
+  let merged = colliding_cag ~merged:true ~base:0 in
+  let plain = colliding_cag ~merged:false ~base:0 in
+  Alcotest.(check string) "signatures collide" (Core.Pattern.signature_of plain)
+    (Core.Pattern.signature_of merged);
+  let hops cags = List.map (fun p -> Array.length p.Core.Pattern.spans) (Core.Pattern.classify cags) in
+  Alcotest.(check (list int)) "two patterns, 3 and 2 hops" [ 3; 2 ] (hops [ plain; merged ]);
+  let det = detector { small_config with Detector.warmup_paths = 20; mix_window = 20 } in
+  ignore
+    (feed det
+       (List.init 60 (fun i -> colliding_cag ~merged:(i mod 2 = 0) ~base:(i * 20_000_000))));
+  Alcotest.(check int) "every path judged" 60 (Detector.paths_seen det)
 
 (* ---- detector: pattern mix ---- *)
 
+let mix_stream =
+  {
+    config =
+      { small_config with Detector.warmup_paths = 40; window = 30; min_window = 30; mix_window = 20 };
+    baseline = None;
+    phases =
+      lazy
+        (timeline
+           [
+             (* warmup: half three-tier, half two-tier *)
+             (40, fun b -> if b / 20_000_000 mod 2 = 0 then mk_cag ~base:b () else mk_short_cag ~base:b ());
+             (* judged stream: the two-tier pattern is gone, a new program appears *)
+             ( 30,
+               fun b ->
+                 if b / 20_000_000 mod 2 = 0 then mk_cag ~base:b ()
+                 else mk_short_cag ~program:"tomcat" ~base:b () );
+           ]);
+  }
+
 let test_mix_vanished_and_new () =
-  let cfg =
-    { small_config with Detector.warmup_paths = 40; window = 30; min_window = 30; mix_window = 20 }
-  in
-  let det = detector cfg in
-  let t = ref 0 in
-  let next () = let b = !t in t := b + 20_000_000; b in
-  (* warmup: half three-tier, half two-tier *)
-  let warm =
-    List.init 40 (fun i ->
-        if i mod 2 = 0 then mk_cag ~base:(next ()) () else mk_short_cag ~base:(next ()) ())
-  in
-  ignore (feed det warm);
-  (* judged stream: the two-tier pattern is gone, a new program appears *)
-  let stream =
-    List.init 30 (fun i ->
-        if i mod 2 = 0 then mk_cag ~base:(next ()) ()
-        else mk_short_cag ~program:"tomcat" ~base:(next ()) ())
-  in
-  let vs = feed det stream in
+  let vs = List.nth (snd (run_stream mix_stream)) 1 in
   let has k = List.mem k (kinds vs) in
   Alcotest.(check bool) "vanished fired" true (has Detector.Pattern_vanished);
   Alcotest.(check bool) "new-pattern fired" true (has Detector.Pattern_new);
@@ -285,18 +388,56 @@ let test_mix_vanished_and_new () =
   Alcotest.(check int) "new fires once" 1
     (List.length (List.filter (( = ) Detector.Pattern_new) (kinds vs)))
 
+(* A baseline mix of 50/50 watched at 80/20: each baseline pattern's
+   share moves 30 points, past the 15-point tolerance, so each fires one
+   shift. Back at 50/50 both re-arm (below half the tolerance), and a
+   second 80/20 spell fires both again. *)
+let shift_stream =
+  let mix ~every b = if b / 20_000_000 mod every = 0 then mk_short_cag ~base:b () else mk_cag ~base:b () in
+  {
+    config = { Detector.default_config with Detector.mix_window = 20 };
+    baseline =
+      Some
+        (Baseline.of_paths
+           (List.concat (timeline [ (40, mix ~every:2) ])));
+    phases =
+      lazy (timeline [ (40, mix ~every:2); (40, mix ~every:5); (40, mix ~every:2); (40, mix ~every:5) ]);
+  }
+
+let test_mix_pattern_shift () =
+  let _, phases = run_stream shift_stream in
+  let shifts vs =
+    List.filter_map
+      (fun v -> if v.Detector.kind = Detector.Pattern_shift then v.Detector.pattern else None)
+      vs
+    |> List.sort String.compare
+  in
+  let both = [ "httpd>java>httpd"; "httpd>java>mysqld>java>httpd" ] in
+  Alcotest.(check (list string)) "quiet at the baseline mix" [] (shifts (List.nth phases 0));
+  Alcotest.(check (list string)) "80/20: each pattern fires once" both (shifts (List.nth phases 1));
+  Alcotest.(check (list string)) "back at 50/50: re-arms quietly" [] (shifts (List.nth phases 2));
+  Alcotest.(check (list string)) "80/20 again: fires again" both (shifts (List.nth phases 3));
+  Alcotest.(check int) "no other alarm" 4 (List.length (List.concat phases))
+
 (* ---- detector: latency shift ---- *)
 
-let test_latency_shift_without_share_drift () =
+let latency_stream =
   (* Stretching every component uniformly keeps the share profile intact:
      only the latency-shift detector may fire, and the verdict carries no
      misleading share culprit. *)
-  let det = detector small_config in
-  ignore (feed det (healthy 30 ~from:0 ~spacing:20_000_000));
-  let slow =
-    List.init 15 (fun i -> mk_cag ~stretch:3 ~base:(600_000_000 + (i * 20_000_000)) ())
-  in
-  let vs = feed det slow in
+  {
+    config = small_config;
+    baseline = None;
+    phases =
+      lazy
+        [
+          healthy 30 ~from:0 ~spacing:20_000_000;
+          List.init 15 (fun i -> mk_cag ~stretch:3 ~base:(600_000_000 + (i * 20_000_000)) ());
+        ];
+  }
+
+let test_latency_shift_without_share_drift () =
+  let vs = List.nth (snd (run_stream latency_stream)) 1 in
   Alcotest.(check bool) "latency shift fired" true
     (List.mem Detector.Latency_shift (kinds vs));
   Alcotest.(check int) "no share drift" 0
@@ -307,13 +448,21 @@ let test_latency_shift_without_share_drift () =
 
 (* ---- detector: throughput ---- *)
 
+let throughput_stream =
+  {
+    config = { small_config with Detector.throughput_window_s = 1.0 };
+    baseline = None;
+    phases =
+      lazy
+        [
+          healthy 30 ~from:0 ~spacing:10_000_000;
+          (* 100 paths/s learned; the stream collapses to 5/s *)
+          healthy 30 ~from:600_000_000 ~spacing:200_000_000;
+        ];
+  }
+
 let test_throughput_drop () =
-  let cfg = { small_config with Detector.throughput_window_s = 1.0 } in
-  let det = detector cfg in
-  ignore (feed det (healthy 30 ~from:0 ~spacing:10_000_000));
-  (* 100 paths/s learned; the stream collapses to 5/s *)
-  let slow = healthy 30 ~from:600_000_000 ~spacing:200_000_000 in
-  let vs = feed det slow in
+  let vs = List.nth (snd (run_stream throughput_stream)) 1 in
   let drops = List.filter (( = ) Detector.Throughput_drop) (kinds vs) in
   Alcotest.(check int) "one drop verdict while sustained" 1 (List.length drops)
 
@@ -445,6 +594,107 @@ let test_live_supplied_baseline () =
   Alcotest.(check (option string)) "first culprit" (Some "tier mysqld") s.Verdict.first_culprit;
   Alcotest.(check int) "no false alarms" 0 s.Verdict.false_alarms
 
+(* ---- verdict streams, pinned ----
+
+   The MD5 of each stream's verdicts as JSON: any change to what the
+   detector fires, when, or how it words it shows here. *)
+
+let digest vs =
+  Digest.to_hex
+    (Digest.string (Core.Json.to_string (Core.Json.List (List.map Detector.verdict_to_json vs))))
+
+let synthetic_pins =
+  [
+    ("warmup", warmup_stream, "84a02cee2a427c5e8524099e08fb8bc7");
+    ("single path", single_path_stream, "d751713988987e9331980363e24189ce");
+    ("hysteresis", hysteresis_stream, "9f8922cb3c1fd53dcdefdcd964c113d9");
+    ("steady", steady_stream, "d751713988987e9331980363e24189ce");
+    ("mix", mix_stream, "5c3f2949bc383c0bd03f5f93f8d2e8c3");
+    ("shift", shift_stream, "bc8f7fad871d30596ba82ea33e48dbdb");
+    ("latency", latency_stream, "a773a57a207aa60236ff5175b0de2adb");
+    ("throughput", throughput_stream, "3e5b6ce27e2223dcd1a55fc4577d559d");
+  ]
+
+let test_synthetic_pins () =
+  List.iter
+    (fun (name, stream, expected) ->
+      let det, _ = run_stream stream in
+      Alcotest.(check string) name expected (digest (Detector.verdicts det)))
+    synthetic_pins
+
+(* The spec [diagnose --live --scale 0.05 --seed 11] runs with these
+   flags. *)
+let cli_spec ?(clients = 60) ?(mix = Tiersim.Workload.Browse_only) ?(max_threads = 40)
+    ?(skew_ms = 0) faults =
+  {
+    S.default with
+    S.clients;
+    mix;
+    max_threads;
+    time_scale = 0.05;
+    seed = 11;
+    skew = ST.ms skew_ms;
+    faults;
+  }
+
+let live_digest ?baseline spec =
+  let r = Diagnose.Live.run ~telemetry:(Telemetry.Registry.create ()) ?baseline spec in
+  (r, digest r.Diagnose.Live.verdicts)
+
+let check_pin name expected got =
+  Alcotest.(check string) name expected got
+
+(* [-c 60] at each fault and skew, learning its baseline inline. *)
+let matrix_pins =
+  [
+    ( "control",
+      [],
+      [
+        (0, "d751713988987e9331980363e24189ce");
+        (50, "40e5d9bf4fbbd0abe3de847882d91b7b");
+        (200, "03f450dccb51cfec95a8df296b85aa84");
+      ] );
+    ( "ejb-delay",
+      [ Faults.ejb_delay ],
+      [
+        (0, "57108ef826e20916259081a90d384261");
+        (50, "e10dab88483a9c59201defcd532c48ab");
+        (200, "a58e85cba03f492aea3b1daceab01b87");
+      ] );
+    ( "db-lock",
+      [ Faults.database_lock ],
+      [
+        (0, "1f5c8d82bc47872b9bd84c3f0d7a18f9");
+        (50, "fa0fcd5ec9aa1e1f1c6f3bf4fb896c26");
+        (200, "721f4532d05e13dba86ec879d577db53");
+      ] );
+    ( "ejb-network",
+      [ Faults.ejb_network ],
+      [
+        (0, "2a90cce9b8adea0e980e23aef5bc1dc9");
+        (50, "3f8e4a447761187a826604cbbf566d5c");
+        (200, "2a90adbbbba073f39836c0250ba55b1f");
+      ] );
+  ]
+
+let test_matrix_pin faults pins () =
+  List.iter
+    (fun (skew_ms, expected) ->
+      check_pin (Printf.sprintf "skew %dms" skew_ms) expected
+        (snd (live_digest (cli_spec ~skew_ms faults))))
+    pins
+
+(* The baseline the seed-11 [-c 60] control freezes. *)
+let control_baseline =
+  lazy
+    (match (fst (live_digest (cli_spec []))).Diagnose.Live.baseline with
+    | Some bl -> bl
+    | None -> Alcotest.fail "control run froze no baseline")
+
+let test_supplied_pin spec expected () =
+  check_pin "verdicts" expected
+    (snd (live_digest ~baseline:(Lazy.force control_baseline) spec))
+
 let () =
   Alcotest.run "diagnose"
     [
@@ -464,12 +714,31 @@ let () =
             test_hysteresis_rearm_after_recovery;
           Alcotest.test_case "steady stream, zero verdicts" `Quick
             test_no_false_alarms_on_steady_stream;
+          Alcotest.test_case "colliding signatures share a window" `Quick
+            test_colliding_signatures;
           Alcotest.test_case "mix: vanished and new patterns" `Quick
             test_mix_vanished_and_new;
           Alcotest.test_case "latency shift without share drift" `Quick
             test_latency_shift_without_share_drift;
+          Alcotest.test_case "mix: pattern shift re-arms" `Quick test_mix_pattern_shift;
           Alcotest.test_case "throughput drop" `Quick test_throughput_drop;
         ] );
+      ( "verdicts",
+        [ Alcotest.test_case "synthetic streams" `Quick test_synthetic_pins ]
+        @ List.map
+            (fun (name, faults, pins) ->
+              Alcotest.test_case ("live " ^ name) `Quick (test_matrix_pin faults pins))
+            matrix_pins
+        @ [
+            Alcotest.test_case "saved baseline, -c 15: throughput drop" `Quick
+              (test_supplied_pin (cli_spec ~clients:15 []) "6531936d5eff2811a9f6f5811fff645b");
+            Alcotest.test_case "saved baseline, Default mix, 5 threads, ejb-network" `Quick
+              (test_supplied_pin
+                 (cli_spec ~mix:Tiersim.Workload.Default ~max_threads:5 [ Faults.ejb_network ])
+                 "b287e5b9cd3adebd06520f6e8a2a299e");
+            Alcotest.test_case "saved baseline, 5 threads, db-lock" `Quick
+              (test_supplied_pin (cli_spec ~max_threads:5 [ Faults.database_lock ]) "c1c56fa641f16908c8dc29afb36eea9f");
+          ] );
       ( "scorer",
         [ Alcotest.test_case "fault-to-culprit mapping" `Quick test_scorer_mapping ] );
       ( "live",
