@@ -209,8 +209,8 @@ cli-gate: build
 
 # Run the five examples, which `dune build` compiles but nothing else
 # runs (~4 s). trace_files writes into _examples/, removed afterwards;
-# online_monitor, the one caller of `Detector.create ~now` outside
-# `Diagnose.Live`, must name the database tier.
+# online_monitor, a `Diagnose.Live.run` of a mid-run Database_Lock, must
+# name the database tier and raise no throughput_drop false alarm.
 EXAMPLE = $(CURDIR)/_build/default/examples
 examples: build
 	rm -rf _examples && mkdir -p _examples
@@ -221,6 +221,7 @@ examples: build
 	$(EXAMPLE)/online_monitor.exe > _examples/online_monitor.out
 	cat _examples/online_monitor.out
 	grep -q 'first culprit named: tier mysqld' _examples/online_monitor.out
+	! grep -q throughput_drop _examples/online_monitor.out
 	rm -rf _examples
 
 # The pipeline benchmark (bench/pipeline/README.md), untraced, on all four

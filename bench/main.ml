@@ -218,7 +218,7 @@ let paper_components =
     "mysqld2mysqld" ]
 
 let component_row avg =
-  let pcts = Aggregate.component_percentages avg in
+  let pcts = Core.Analysis.shares avg in
   List.map
     (fun label ->
       let v =
@@ -509,7 +509,10 @@ let bench_fig17 () =
   | (_, normal) :: abnormal ->
       List.iter
         (fun (name, avg) ->
-          let report = Core.Analysis.diagnose ~baseline:normal ~observed:avg in
+          let report =
+            Core.Analysis.compare_profiles ~baseline:(Core.Analysis.shares normal)
+              ~observed:(Core.Analysis.shares avg)
+          in
           Format.printf "diagnosis for %s:@." name;
           (match report.Core.Analysis.suspects with
           | s :: _ ->
@@ -1454,7 +1457,7 @@ let bench_diagnose () =
 (* The offline diagnose culprit (§5.4): `bundle diff` must blame the
    same subject from the packed profiles alone. *)
 let diagnose_culprit baseline_result fault_result =
-  let profiles (r : Correlator.result) = Core.Analysis.profiles_of_cags r.Correlator.cags in
+  let profiles (r : Correlator.result) = Core.Aggregate.profiles_of_cags r.Correlator.cags in
   match
     Core.Analysis.compare_runs ~baseline:(profiles baseline_result)
       ~observed:(profiles fault_result) ()

@@ -983,7 +983,7 @@ let diagnose_cmd =
       let outcome = S.run spec in
       let cfg = Core.Correlator.config ~transform:outcome.S.transform () in
       let result = Core.Correlator.correlate cfg outcome.S.logs in
-      Core.Analysis.profiles_of_cags result.Core.Correlator.cags
+      Core.Aggregate.profiles_of_cags result.Core.Correlator.cags
     in
     let baseline =
       profile_run

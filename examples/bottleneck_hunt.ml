@@ -53,7 +53,10 @@ let () =
   let sick_avg = viewitem_profile sick in
   Format.printf "%a@.@." Core.Aggregate.pp base_avg;
   Format.printf "%a@.@." Core.Aggregate.pp sick_avg;
-  let report = Core.Analysis.diagnose ~baseline:base_avg ~observed:sick_avg in
+  let report =
+    Core.Analysis.compare_profiles ~baseline:(Core.Analysis.shares base_avg)
+      ~observed:(Core.Analysis.shares sick_avg)
+  in
   Format.printf "%a@.@." Core.Analysis.pp_report report;
 
   Format.printf "== step 3: apply the fix (MaxThreads 40 -> 250) ==@.";

@@ -34,7 +34,10 @@ let () =
   List.iter
     (fun fault ->
       let observed = profile [ fault ] in
-      let report = Core.Analysis.diagnose ~baseline:normal ~observed in
+      let report =
+        Core.Analysis.compare_profiles ~baseline:(Core.Analysis.shares normal)
+          ~observed:(Core.Analysis.shares observed)
+      in
       Format.printf "=== injected: %s ===@." (Faults.name fault);
       Format.printf "%a@.@." Core.Analysis.pp_report report)
     [ Faults.ejb_delay; Faults.database_lock; Faults.ejb_network ]

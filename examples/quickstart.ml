@@ -102,6 +102,6 @@ let () =
         (fun (c : Core.Analysis.component_stat) ->
           Format.printf "  %-16s %5.1f%%@." (Core.Latency.component_label c.comp)
             (100.0 *. c.share))
-        (List.hd (Core.Analysis.profiles_of_cags [ cag ])).Core.Analysis.components;
+        (List.hd (Core.Aggregate.profiles_of_cags [ cag ])).Core.Analysis.components;
       Format.printf "@.graphviz (pipe to `dot -Tsvg`):@.%s@." (Core.Cag.to_dot cag)
   | cags -> Format.printf "expected one causal path, got %d@." (List.length cags)

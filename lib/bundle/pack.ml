@@ -5,6 +5,7 @@ module Cag = Core.Cag
 module Correlator = Core.Correlator
 module Shard = Core.Shard
 module Analysis = Core.Analysis
+module Aggregate = Core.Aggregate
 module Json = Core.Json
 module R = Telemetry.Registry
 
@@ -136,7 +137,7 @@ let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~sourc
   if records = 0 then Error "pack: store holds no records"
   else begin
     let hosts = List.map Arena.hostname arenas in
-    let profiles = stage "profile" (fun () -> Analysis.profiles_of_cags cags) in
+    let profiles = stage "profile" (fun () -> Aggregate.profiles_of_cags cags) in
     let json_body j = Json.to_string ~indent:true (Container.sort_json j) in
     (* Correlation ran on the very arenas the bundle embeds, so every
        vertex source already is a (host index, raw row) coordinate into

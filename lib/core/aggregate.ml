@@ -1,83 +1,71 @@
 module Sim_time = Simnet.Sim_time
 
-type hop_stat = { comp : Latency.component; mean_s : float; std_s : float }
-
-type t = {
-  pattern_name : string;
-  count : int;
-  hops : hop_stat list;
-  mean_total_s : float;
-}
-
-let first_finished (pattern : Pattern.t) = List.find_opt Cag.is_finished pattern.Pattern.cags
-
 let finished_count (pattern : Pattern.t) =
   List.fold_left (fun n c -> if Cag.is_finished c then n + 1 else n) 0 pattern.Pattern.cags
 
-(* The hop components, read off the first finished member's critical
-   path; the pattern's span columns hold the same hops for every member. *)
-let components ?normalize ~what (pattern : Pattern.t) =
-  match first_finished pattern with
-  | Some cag -> Latency.critical_path ?normalize cag
-  | None -> invalid_arg (what ^ ": no finished CAGs")
-
 let duration_s cag = Sim_time.span_to_float_s (Cag.duration cag)
 
-let of_pattern ?normalize (pattern : Pattern.t) =
-  let path = components ?normalize ~what:"Aggregate.of_pattern" pattern in
-  let n = finished_count pattern in
-  let hops =
-    List.mapi
-      (fun i (hop : Latency.hop) ->
-        let column = pattern.Pattern.spans.(i) in
-        let sum = ref 0.0 in
-        for j = 0 to n - 1 do
-          sum := !sum +. Float.Array.get column j
-        done;
-        let mean = !sum /. float_of_int n in
-        let squares = ref 0.0 in
-        for j = 0 to n - 1 do
-          squares := !squares +. ((Float.Array.get column j -. mean) ** 2.0)
-        done;
-        { comp = hop.Latency.comp; mean_s = mean; std_s = sqrt (!squares /. float_of_int n) })
-      path
-  in
-  let mean_total_s =
-    List.fold_left
-      (fun acc cag -> if Cag.is_finished cag then acc +. duration_s cag else acc)
-      0.0 pattern.Pattern.cags
-    /. float_of_int n
-  in
-  { pattern_name = pattern.Pattern.name; count = n; hops; mean_total_s }
-
-let component_latencies t =
+(* Each hop's mean over its span column, summed per component label in
+   first-appearance order; the hop components are the first finished
+   member's, since the columns hold the same hops for every member. *)
+let component_means n first (pattern : Pattern.t) =
   let order = ref [] in
   let table = Hashtbl.create 8 in
-  List.iter
-    (fun h ->
-      let key = Latency.component_label h.comp in
+  List.iteri
+    (fun i (hop : Latency.hop) ->
+      let column = pattern.Pattern.spans.(i) in
+      let sum = ref 0.0 in
+      for j = 0 to n - 1 do
+        sum := !sum +. Float.Array.get column j
+      done;
+      let mean = !sum /. float_of_int n in
+      let key = Latency.component_label hop.Latency.comp in
       match Hashtbl.find_opt table key with
-      | Some total -> Hashtbl.replace table key (total +. h.mean_s)
+      | Some total -> Hashtbl.replace table key (total +. mean)
       | None ->
-          order := h.comp :: !order;
-          Hashtbl.replace table key h.mean_s)
-    t.hops;
+          order := hop.Latency.comp :: !order;
+          Hashtbl.replace table key mean)
+    (Latency.critical_path first);
   List.rev_map (fun c -> (c, Hashtbl.find table (Latency.component_label c))) !order
 
-let component_percentages t =
-  let parts = component_latencies t in
-  let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 parts in
-  if total = 0.0 then List.map (fun (c, _) -> (c, 0.0)) parts
-  else List.map (fun (c, s) -> (c, s /. total)) parts
+let of_pattern (pattern : Pattern.t) =
+  let mean_total_s, components =
+    match List.find_opt Cag.is_finished pattern.Pattern.cags with
+    | None -> (0.0, [])
+    | Some first ->
+        let n = finished_count pattern in
+        let means = component_means n first pattern in
+        let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 means in
+        let stat (comp, mean_s) =
+          { Analysis.comp; share = (if total = 0.0 then 0.0 else mean_s /. total); mean_s }
+        in
+        let durations =
+          List.fold_left
+            (fun acc cag -> if Cag.is_finished cag then acc +. duration_s cag else acc)
+            0.0 pattern.Pattern.cags
+        in
+        (durations /. float_of_int n, List.map stat means)
+  in
+  {
+    Analysis.name = pattern.Pattern.name;
+    signature = pattern.Pattern.signature;
+    count = Pattern.count pattern;
+    cag_ids = List.map (fun (c : Cag.t) -> c.Cag.cag_id) pattern.Pattern.cags;
+    mean_total_s;
+    components;
+  }
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>average path %s (n=%d, mean total %.3f ms)" t.pattern_name t.count
-    (t.mean_total_s *. 1e3);
+let profiles_of_cags cags = List.map of_pattern (Pattern.classify cags)
+
+let pp ppf (p : Analysis.profile) =
+  Format.fprintf ppf "@[<v>average path %s (n=%d, mean total %.3f ms)" p.Analysis.name
+    p.Analysis.count (p.Analysis.mean_total_s *. 1e3);
   List.iter
-    (fun (c, pct) ->
-      Format.fprintf ppf "@,  %-18s %5.1f%%" (Latency.component_label c)
-        (Report.clamp_share pct *. 100.0))
-    (component_percentages t);
+    (fun (c : Analysis.component_stat) ->
+      Format.fprintf ppf "@,  %-18s %5.1f%%"
+        (Latency.component_label c.Analysis.comp)
+        (Report.clamp_share c.Analysis.share *. 100.0))
+    p.Analysis.components;
   Format.fprintf ppf "@]"
 
 type hop_tail = {
@@ -166,8 +154,12 @@ let sorted_finite samples = sorted_samples (Float.Array.of_list samples)
 
 let top sorted = if Array.length sorted = 0 then 0.0 else sorted.(Array.length sorted - 1)
 
-let hop_tails ?normalize (pattern : Pattern.t) =
-  let path = components ?normalize ~what:"Aggregate" pattern in
+let hop_tails (pattern : Pattern.t) =
+  let path =
+    match List.find_opt Cag.is_finished pattern.Pattern.cags with
+    | Some cag -> Latency.critical_path cag
+    | None -> invalid_arg "Aggregate: no finished CAGs"
+  in
   List.mapi
     (fun i (hop : Latency.hop) ->
       let samples = sorted_samples pattern.Pattern.spans.(i) in

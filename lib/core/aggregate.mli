@@ -1,40 +1,31 @@
 (** Average causal paths (§3.2): aggregating isomorphic CAGs.
 
     For a causal path pattern, the paper averages its n isomorphic CAGs
-    into one {e average causal path} and reads component latencies off it.
-    Members of a pattern have positionally identical critical paths, so
-    hops aggregate index-wise.
+    into one {e average causal path} and reads its component latency
+    percentages off it (Figs. 15 and 17); §5.4 compares those percentages
+    between two runs ({!Analysis.compare_profiles}). Members of a pattern
+    have positionally identical critical paths, so hops aggregate
+    index-wise.
 
     Everything here reads the spans {!Pattern.classify} recorded
     ({!Pattern.t.spans}, one column per hop) and the members' durations;
     no CAG is walked again. The hop components come from one
     {!Latency.critical_path} call on the first finished member. *)
 
-type hop_stat = {
-  comp : Latency.component;
-  mean_s : float;  (** Mean hop latency, seconds. *)
-  std_s : float;  (** Population standard deviation, seconds. *)
-}
+val of_pattern : Pattern.t -> Analysis.profile
+(** The pattern's average causal path as its §5.4 profile: each hop's
+    mean over the finished members, summed per component label in
+    first-appearance order, with each component's share of their sum,
+    and the mean end-to-end latency of the finished members. A pattern
+    with no finished member gets mean 0 and no components. *)
 
-type t = {
-  pattern_name : string;
-  count : int;  (** CAGs aggregated. *)
-  hops : hop_stat list;  (** In causal order along the path. *)
-  mean_total_s : float;  (** Mean end-to-end latency, seconds. *)
-}
+val profiles_of_cags : Cag.t list -> Analysis.profile list
+(** Classify and aggregate: {!of_pattern} of each {!Pattern.classify}
+    pattern, in its order (most frequent first). *)
 
-val of_pattern : ?normalize:(string -> string) -> Pattern.t -> t
-(** Aggregate a pattern's finished members.
-    @raise Invalid_argument on an empty pattern. *)
-
-val component_latencies : t -> (Latency.component * float) list
-(** Mean latency per component (hops summed by label), seconds, in
-    first-appearance order. *)
-
-val component_percentages : t -> (Latency.component * float) list
-(** Same, as shares of the mean total (the paper's Figs. 15/17 y-axis). *)
-
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> Analysis.profile -> unit
+(** ["average path NAME (n=COUNT, mean total T ms)"], then one line per
+    component with its share. *)
 
 (** {1 Tail latency}
 
@@ -50,7 +41,7 @@ type hop_tail = {
   tail_max_s : float;
 }
 
-val hop_tails : ?normalize:(string -> string) -> Pattern.t -> hop_tail list
+val hop_tails : Pattern.t -> hop_tail list
 (** Per-hop latency percentiles, in causal order along the path.
     @raise Invalid_argument on an empty pattern. *)
 

@@ -15,17 +15,6 @@ let subject_label = function
   | Tier_network t -> "network of tier " ^ t
   | Interaction { src; dst } -> Printf.sprintf "interaction %s->%s" src dst
 
-let compare_subject a b =
-  match (a, b) with
-  | Tier a, Tier b -> String.compare a b
-  | Tier _, _ -> -1
-  | _, Tier _ -> 1
-  | Tier_network a, Tier_network b -> String.compare a b
-  | Tier_network _, _ -> -1
-  | _, Tier_network _ -> 1
-  | Interaction a, Interaction b -> (
-      match String.compare a.src b.src with 0 -> String.compare a.dst b.dst | c -> c)
-
 type suspect = { subject : subject; reason : string; severity : float }
 type report = { deltas : delta list; suspects : suspect list }
 
@@ -156,11 +145,6 @@ let compare_profiles ~baseline ~observed =
   in
   { deltas; suspects }
 
-let diagnose ~baseline ~observed =
-  compare_profiles
-    ~baseline:(Aggregate.component_percentages baseline)
-    ~observed:(Aggregate.component_percentages observed)
-
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>component shares (baseline -> observed):";
   (* Shares clamp to [0,1] for display (see Report.clamp_share); change_pp
@@ -194,33 +178,6 @@ type profile = {
   mean_total_s : float;
   components : component_stat list;
 }
-
-let profile_of_pattern (p : Pattern.t) =
-  let mean_total_s, components =
-    if not (List.exists Cag.is_finished p.Pattern.cags) then (0.0, [])
-    else
-      let agg = Aggregate.of_pattern p in
-      let latencies = Aggregate.component_latencies agg in
-      let stat (comp, share) =
-        let mean_s =
-          match List.find_opt (fun (c, _) -> Latency.equal_component c comp) latencies with
-          | Some (_, m) -> m
-          | None -> 0.0
-        in
-        { comp; share; mean_s }
-      in
-      (agg.Aggregate.mean_total_s, List.map stat (Aggregate.component_percentages agg))
-  in
-  {
-    name = p.Pattern.name;
-    signature = p.Pattern.signature;
-    count = Pattern.count p;
-    cag_ids = List.map (fun (c : Cag.t) -> c.Cag.cag_id) p.Pattern.cags;
-    mean_total_s;
-    components;
-  }
-
-let profiles_of_cags cags = List.map profile_of_pattern (Pattern.classify cags)
 
 let profile_to_json p =
   Json.Obj

@@ -2,8 +2,9 @@
 
     The paper's methodology: compute the average causal path of the most
     frequent pattern under a healthy baseline and under the suspect
-    condition, compare per-component latency percentages, and reason from
-    the components whose share changed dramatically:
+    condition ({!Aggregate.of_pattern} gives each as a {!profile}),
+    compare per-component latency percentages, and reason from the
+    components whose share changed dramatically:
 
     - a tier's internal share ([T2T]) rising points at tier [T] itself
       (the EJB_Delay and Database_Lock cases);
@@ -37,8 +38,6 @@ type subject =
 val subject_label : subject -> string
 (** ["tier java"], ["network of tier java"], ["interaction httpd->java"]. *)
 
-val compare_subject : subject -> subject -> int
-
 type suspect = {
   subject : subject;  (** Tier or interaction under suspicion. *)
   reason : string;  (** One-sentence justification citing the deltas. *)
@@ -55,18 +54,16 @@ val compare_profiles :
     |change|; [suspects] is ranked by severity. Components absent from one
     profile count as 0 there. *)
 
-val diagnose :
-  baseline:Aggregate.t -> observed:Aggregate.t -> report
-(** Convenience wrapper over {!Aggregate.component_percentages}. *)
-
 val pp_report : Format.formatter -> report -> unit
 
 (** {1 Pattern profiles}
 
     One pattern's §5.4 summary: its population and its average causal
-    path's per-component latency share and mean. The offline [diagnose]
+    path's per-component latency share and mean, as
+    {!Aggregate.of_pattern} computes them. The offline [diagnose]
     profiles two correlated runs; a bundle persists the packed run's
-    profiles as its [patterns] section (docs/BUNDLE.md). *)
+    profiles as its [patterns] section (docs/BUNDLE.md); the live
+    detector profiles each pattern's recent window. *)
 
 type component_stat = { comp : Latency.component; share : float; mean_s : float }
 
@@ -80,13 +77,6 @@ type profile = {
       (** In critical-path appearance order; empty when the pattern has
           no finished member. *)
 }
-
-val profile_of_pattern : Pattern.t -> profile
-(** Aggregate one pattern ({!Aggregate.of_pattern}) into its profile. *)
-
-val profiles_of_cags : Cag.t list -> profile list
-(** Classify and aggregate: {!profile_of_pattern} of each
-    {!Pattern.classify} pattern, in its order (most frequent first). *)
 
 val shares : profile -> (Latency.component * float) list
 (** The components' shares, ready for {!compare_profiles}. *)

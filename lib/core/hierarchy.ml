@@ -44,12 +44,11 @@ let render ~finished ~deformed =
         pat.Pattern.cags;
       Buffer.add_char buf '\n';
       if List.exists Cag.is_finished pat.Pattern.cags then begin
-        let agg = Aggregate.of_pattern pat in
         List.iter
-          (fun (c, pct) ->
+          (fun (c, share) ->
             Buffer.add_string buf
-              (Printf.sprintf "  %s %.9f\n" (Latency.component_label c) pct))
-          (Aggregate.component_percentages agg);
+              (Printf.sprintf "  %s %.9f\n" (Latency.component_label c) share))
+          (Analysis.shares (Aggregate.of_pattern pat));
         let tt = Aggregate.total_tail pat in
         Buffer.add_string buf
           (Printf.sprintf "  tail %.9f %.9f %.9f %.9f\n" tt.Aggregate.t_p50_s

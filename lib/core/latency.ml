@@ -33,9 +33,9 @@ let causal_parent (v : Cag.vertex) =
       in
       if k = preferred then p else q
 
-let critical_path ?(normalize = fun s -> s) cag =
+let critical_path cag =
   if not (Cag.is_finished cag) then invalid_arg "Latency.critical_path: CAG not finished";
-  let program (v : Cag.vertex) = normalize v.Cag.activity.Activity.context.program in
+  let program (v : Cag.vertex) = v.Cag.activity.Activity.context.program in
   let rec back v acc =
     let p = causal_parent v in
     if p == v then acc
@@ -52,8 +52,8 @@ let critical_path ?(normalize = fun s -> s) cag =
   (* The END, which a finished CAG added last. *)
   match cag.Cag.rev_vertices with last :: _ -> back last [] | [] -> assert false
 
-let breakdown ?normalize cag =
-  let hops = critical_path ?normalize cag in
+let breakdown cag =
+  let hops = critical_path cag in
   let order = ref [] in
   let table = Hashtbl.create 8 in
   let add hop =

@@ -13,11 +13,14 @@
     are exact; cross-node hops absorb the clock skew between the two nodes
     (the paper accepts the same inaccuracy) — and because every such skew
     is traversed once in each direction, the hop latencies still
-    telescope to the skew-free end-to-end duration. *)
+    telescope to the skew-free end-to-end duration.
+
+    This module reads one CAG; {!Aggregate.of_pattern} averages a
+    pattern's critical paths into the per-component profile. *)
 
 type component = { src : string; dst : string }
-(** [src]/[dst] are program names (optionally normalised). A hop within
-    one entity has [src = dst]. *)
+(** [src]/[dst] are program names. A hop within one entity has
+    [src = dst]. *)
 
 val component_label : component -> string
 (** ["httpd2java"] — the paper's naming. *)
@@ -38,11 +41,10 @@ val causal_parent : Cag.vertex -> Cag.vertex
     parent of the other kind. A vertex with no parent (the root) is its
     own causal parent. *)
 
-val critical_path : ?normalize:(string -> string) -> Cag.t -> hop list
-(** The BEGIN->END chain of a finished CAG, in causal order. [normalize]
-    maps program names to tier labels (default: identity).
+val critical_path : Cag.t -> hop list
+(** The BEGIN->END chain of a finished CAG, in causal order.
     @raise Invalid_argument on an unfinished CAG. *)
 
-val breakdown : ?normalize:(string -> string) -> Cag.t -> (component * Simnet.Sim_time.span) list
+val breakdown : Cag.t -> (component * Simnet.Sim_time.span) list
 (** Critical-path hop spans summed per component, in first-appearance
     order. The spans sum to {!Cag.duration}. *)

@@ -54,7 +54,7 @@ let cell_pct f = Printf.sprintf "%.1f%%" (f *. 100.0)
 let cell_span s = Format.asprintf "%a" Simnet.Sim_time.pp_span s
 
 (* Latency shares can legitimately leave [0,1] when clock skew pushes a
-   hop's span negative (Aggregate.component_percentages stays faithful to
+   hop's span negative (Aggregate.of_pattern's shares stay faithful to
    the data). Presentation clamps — and counts, so a skewed profile is visible in
    telemetry rather than silently rendered as a sane-looking percent. *)
 let clamp_share ?(telemetry = Telemetry.Registry.default) f =

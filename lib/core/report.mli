@@ -28,9 +28,9 @@ val cell_pct : float -> string
 
 val clamp_share : ?telemetry:Telemetry.Registry.t -> float -> float
 (** Clamp a latency {e share} to [0,1] for display. Skew-pushed negative
-    hop spans can drive {!Aggregate.component_percentages} outside the
-    unit interval; the correlator output stays faithful, so presentation
-    clamps here — and every clamp (or NaN, rendered as 0) bumps
+    hop spans can drive a profile's shares ({!Analysis.component_stat})
+    outside the unit interval; {!Aggregate.of_pattern} stays faithful, so
+    presentation clamps here — and every clamp (or NaN, rendered as 0) bumps
     [pt_latency_share_out_of_range_total] in [telemetry] (default
     registry) so the skew is flagged instead of silently prettified. *)
 

@@ -126,8 +126,8 @@ let samples t =
 let correct_activity_ts t (a : Activity.t) =
   Sim_time.add a.timestamp (Sim_time.span_scale (-1.0) (offset_of t a.context.host))
 
-let corrected_breakdown ?normalize t cag =
-  let hops = Latency.critical_path ?normalize cag in
+let corrected_breakdown t cag =
+  let hops = Latency.critical_path cag in
   let order = ref [] in
   let table = Hashtbl.create 8 in
   let add (hop : Latency.hop) =

@@ -46,8 +46,7 @@ val samples : t -> (string * string * int) list
 val correct_activity_ts : t -> Trace.Activity.t -> Simnet.Sim_time.t
 (** The activity's timestamp mapped onto the reference clock. *)
 
-val corrected_breakdown :
-  ?normalize:(string -> string) -> t -> Cag.t -> (Latency.component * Simnet.Sim_time.span) list
+val corrected_breakdown : t -> Cag.t -> (Latency.component * Simnet.Sim_time.span) list
 (** {!Latency.breakdown} with every hop latency computed on skew-corrected
     timestamps: cross-node components become meaningful even under
     hundreds of milliseconds of skew. *)

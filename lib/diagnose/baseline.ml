@@ -1,3 +1,4 @@
+module Aggregate = Core.Aggregate
 module Analysis = Core.Analysis
 module Cag = Core.Cag
 module Json = Core.Json
@@ -42,7 +43,7 @@ let freeze b =
     else 0.0
   in
   {
-    profiles = Analysis.profiles_of_cags cags;
+    profiles = Aggregate.profiles_of_cags cags;
     total_paths = total;
     span_s;
     throughput_rps = (if span_s > 0.0 then float_of_int total /. span_s else 0.0);

@@ -20,7 +20,7 @@
 
 type t = {
   profiles : Core.Analysis.profile list;
-      (** {!Core.Analysis.profiles_of_cags} of the learned window: most
+      (** {!Core.Aggregate.profiles_of_cags} of the learned window: most
           frequent first. *)
   total_paths : int;
   span_s : float;  (** Stream time covered by the learned window. *)

@@ -1,5 +1,6 @@
 module Cag = Core.Cag
 module Pattern = Core.Pattern
+module Aggregate = Core.Aggregate
 module Analysis = Core.Analysis
 module Json = Core.Json
 module Sim_time = Simnet.Sim_time
@@ -308,7 +309,7 @@ let check_pattern t bl at window (p : Pattern.t) =
   | Some baseline
     when baseline.components <> [] && Queue.length window >= t.config.min_window ->
       Registry.incr t.c_windows;
-      let observed = Analysis.profile_of_pattern (window_pattern window p) in
+      let observed = Aggregate.of_pattern (window_pattern window p) in
       let share_verdicts, top_suspect = check_share t at ~baseline ~observed in
       share_verdicts @ check_latency t at ~baseline ~observed ~top_suspect
   | _ -> []

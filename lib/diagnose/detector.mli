@@ -7,7 +7,7 @@
     healthy {!Baseline.t}:
 
     - {b Share drift}: a pattern's latency-share profile — the
-      {!Core.Analysis.profile_of_pattern} profile of its most recent
+      {!Core.Aggregate.of_pattern} profile of its most recent
       paths, against the baseline's — shifts; the culprit is named in
       the paper's §5.4 vocabulary via {!Core.Analysis.compare_profiles}
       (tier / tier network / interaction).
@@ -22,7 +22,7 @@
     alone) and joins its signature's window as a one-member pattern. A
     judged window is profiled from those members' span columns, in
     window order, so its profile is bit-identical to the one
-    {!Core.Analysis.profiles_of_cags} computes over the same paths. Paths
+    {!Core.Aggregate.profiles_of_cags} computes over the same paths. Paths
     whose host or program names contain ['/'], ['<'] or [';'] can share
     a signature while {!Core.Pattern.classify} keeps them apart: they
     share one window, and its profile averages the members with as many

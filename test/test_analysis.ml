@@ -46,15 +46,6 @@ let test_breakdown_sums_under_skew () =
   let total = List.fold_left (fun acc (_, s) -> acc + Sim_time.span_ns s) 0 parts in
   Alcotest.(check int) "still telescopes" (Sim_time.span_ns (Cag.duration cag)) total
 
-let test_normalize_programs () =
-  let cag = one_cag () in
-  let normalize p = if String.equal p "mysqld" then "db" else p in
-  let hops = Latency.critical_path ~normalize cag in
-  let has_db =
-    List.exists (fun h -> String.equal (Latency.component_label h.Latency.comp) "java2db") hops
-  in
-  Alcotest.(check bool) "normalized label" true has_db
-
 let test_unfinished_rejected () =
   let root =
     Cag.Builder.fresh_vertex
@@ -131,16 +122,17 @@ let test_average_path () =
   match Pattern.classify cags with
   | [ p ] ->
       let avg = Aggregate.of_pattern p in
-      Alcotest.(check int) "count" 3 avg.Aggregate.count;
+      Alcotest.(check int) "count" 3 avg.Analysis.count;
       Alcotest.(check (float 1e-9)) "mean total (identical members)" 0.009 avg.mean_total_s;
-      let pcts = Aggregate.component_percentages avg in
+      let pcts = Analysis.shares avg in
       let total = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 pcts in
       Alcotest.(check (float 1e-9)) "percentages sum" 1.0 total;
       Alcotest.(check int) "7 components" 7 (List.length pcts)
   | _ -> Alcotest.fail "one pattern"
 
-let test_average_path_variance () =
-  (* Construct two CAGs whose db time differs; std must be positive there. *)
+let test_slower_member_surfaces () =
+  (* Two CAGs whose db time differs: the slower one raises the average
+     path's db component, in seconds and in share. *)
   let slow_db =
     let w, a, d = H.simple_request ~base:50_000_000 () in
     let d =
@@ -159,15 +151,40 @@ let test_average_path_variance () =
   in
   let engine, _ = H.correlate_raw slow_db in
   let slow = List.hd (Core.Cag_engine.finished engine) in
-  match Pattern.classify [ one_cag (); slow ] with
-  | [ p ] ->
-      let avg = Aggregate.of_pattern p in
-      let db_hop =
+  let db cags =
+    match Pattern.classify cags with
+    | [ p ] ->
         List.find
-          (fun h -> String.equal (Latency.component_label h.Aggregate.comp) "mysqld2mysqld")
-          avg.Aggregate.hops
-      in
-      Alcotest.(check bool) "std positive" true (db_hop.Aggregate.std_s > 0.0)
+          (fun (c : Analysis.component_stat) ->
+            String.equal (Latency.component_label c.Analysis.comp) "mysqld2mysqld")
+          (Aggregate.of_pattern p).Analysis.components
+    | _ -> Alcotest.fail "one pattern"
+  in
+  let fast = db [ one_cag () ] and both = db [ one_cag (); slow ] in
+  Alcotest.(check bool) "db mean rises" true (both.Analysis.mean_s > fast.Analysis.mean_s);
+  Alcotest.(check bool) "db share rises" true (both.Analysis.share > fast.Analysis.share)
+
+(* A one-member pattern's profile is that CAG's breakdown: each
+   component's mean is its summed span, and the shares sum to 1. *)
+let test_one_member_is_breakdown () =
+  let cag = one_cag () in
+  match Pattern.classify [ cag ] with
+  | [ p ] ->
+      let profile = Aggregate.of_pattern p in
+      let breakdown = Latency.breakdown cag in
+      Alcotest.(check (list string)) "components in breakdown order"
+        (List.map (fun (c, _) -> Latency.component_label c) breakdown)
+        (List.map
+           (fun (c : Analysis.component_stat) -> Latency.component_label c.Analysis.comp)
+           profile.Analysis.components);
+      List.iter2
+        (fun (_, span) (c : Analysis.component_stat) ->
+          Alcotest.(check (float 1e-12))
+            (Latency.component_label c.Analysis.comp)
+            (Sim_time.span_to_float_s span) c.Analysis.mean_s)
+        breakdown profile.Analysis.components;
+      let total = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 (Analysis.shares profile) in
+      Alcotest.(check (float 1e-12)) "shares sum to 1" 1.0 total
   | _ -> Alcotest.fail "one pattern"
 
 let test_tail_percentiles () =
@@ -455,7 +472,6 @@ let () =
           Alcotest.test_case "critical path chain" `Quick test_critical_path_chain;
           Alcotest.test_case "breakdown telescopes" `Quick test_breakdown_sums_to_duration;
           Alcotest.test_case "telescopes under skew" `Quick test_breakdown_sums_under_skew;
-          Alcotest.test_case "program normalization" `Quick test_normalize_programs;
           Alcotest.test_case "unfinished rejected" `Quick test_unfinished_rejected;
         ] );
       ( "pattern",
@@ -469,7 +485,8 @@ let () =
       ( "aggregate",
         [
           Alcotest.test_case "average path" `Quick test_average_path;
-          Alcotest.test_case "variance surfaces" `Quick test_average_path_variance;
+          Alcotest.test_case "slower member surfaces" `Quick test_slower_member_surfaces;
+          Alcotest.test_case "one member = breakdown" `Quick test_one_member_is_breakdown;
           Alcotest.test_case "tail percentiles" `Quick test_tail_percentiles;
           Alcotest.test_case "uniform tail" `Quick test_tail_uniform;
         ] );

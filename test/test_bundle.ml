@@ -171,7 +171,7 @@ let test_roundtrip_paths_and_profiles () =
   (* The decoded graphs must regenerate the packed profiles byte for byte:
      same patterns, same counts, same §5.4 component breakdowns. *)
   let packed = ok "profiles" (Bundle.Reader.profiles r) in
-  let recomputed = Analysis.profiles_of_cags cags in
+  let recomputed = Aggregate.profiles_of_cags cags in
   Alcotest.(check string)
     "profiles byte-identical after decode"
     (Json.to_string (Analysis.profiles_to_json packed))
@@ -179,7 +179,7 @@ let test_roundtrip_paths_and_profiles () =
   (* And they must match a fresh correlation of the same records. *)
   let o = Lazy.force outcome in
   let result = Core.Shard.correlate_arena (config ()) (Arena.of_collection o.S.logs) in
-  let fresh = Analysis.profiles_of_cags result.Correlator.cags in
+  let fresh = Aggregate.profiles_of_cags result.Correlator.cags in
   Alcotest.(check string)
     "profiles match a fresh correlation"
     (Json.to_string (Analysis.profiles_to_json fresh))
@@ -820,9 +820,8 @@ let diagnose_culprit baseline_cags observed_cags =
   match pick (Pattern.classify observed_cags) with
   | None -> None
   | Some (b, o) -> (
-      let report =
-        Analysis.diagnose ~baseline:(Aggregate.of_pattern b) ~observed:(Aggregate.of_pattern o)
-      in
+      let shares p = Analysis.shares (Aggregate.of_pattern p) in
+      let report = Analysis.compare_profiles ~baseline:(shares b) ~observed:(shares o) in
       match report.Analysis.suspects with
       | s :: _ -> Some (Analysis.subject_label s.Analysis.subject)
       | [] -> None)

@@ -9,6 +9,7 @@ module Activity = Trace.Activity
 module Baseline = Diagnose.Baseline
 module Detector = Diagnose.Detector
 module Verdict = Diagnose.Verdict
+module Aggregate = Core.Aggregate
 module Analysis = Core.Analysis
 module Faults = Tiersim.Faults
 module S = Tiersim.Scenario
@@ -133,7 +134,7 @@ let test_baseline_round_trip () =
   Alcotest.(check int) "paths" 50 bl.Baseline.total_paths;
   Alcotest.(check int) "patterns" 2 (List.length bl.Baseline.profiles);
   Alcotest.(check bool) "profiles are the offline §5.4 profiles" true
-    (bl.Baseline.profiles = Analysis.profiles_of_cags cags);
+    (bl.Baseline.profiles = Aggregate.profiles_of_cags cags);
   let top = List.hd bl.Baseline.profiles in
   Alcotest.(check string) "dominant pattern" "httpd>java>mysqld>java>httpd" top.Analysis.name;
   Alcotest.(check (float 1e-9)) "frequency" 0.8 (Baseline.frequency bl top);

@@ -378,16 +378,19 @@ let test_collect_streams () =
 (* Classification and aggregation goldens: the MD5 of a rendering of
    [Pattern.classify] over a run's finished and unfinished paths (pattern
    order, counts, signatures, names, member ids) and, per pattern, of
-   [Aggregate.of_pattern], [hop_tails] and [total_tail], every float
-   printed exactly with %h. Captured from the string-keyed classifier
-   whose aggregates walked every member's critical path again. *)
+   [Aggregate.of_pattern]'s profile, [hop_tails] and [total_tail], every
+   float printed exactly with %h. The tail lines were captured from the
+   string-keyed classifier whose aggregates walked every member's
+   critical path again; the profile lines ("avg", "comp") from the
+   per-hop means that profiles were once converted from. *)
 
 module Cag = Core.Cag
 module Pattern = Core.Pattern
 module Aggregate = Core.Aggregate
+module Analysis = Core.Analysis
 module Latency = Core.Latency
 
-let render_aggregates ?normalize cags =
+let render_aggregates cags =
   let b = Buffer.create 65_536 in
   let pr fmt = Printf.bprintf b fmt in
   let guard f = try f () with Invalid_argument m -> pr "  raises %s\n" m in
@@ -398,22 +401,20 @@ let render_aggregates ?normalize cags =
         (fun (c : Cag.t) -> pr " %d%s" c.Cag.cag_id (if Cag.is_finished c then "" else "u"))
         p.Pattern.cags;
       pr "\n";
-      guard (fun () ->
-          let a = Aggregate.of_pattern ?normalize p in
-          pr "  avg %s n=%d total=%h\n" a.Aggregate.pattern_name a.Aggregate.count
-            a.Aggregate.mean_total_s;
-          List.iter
-            (fun (h : Aggregate.hop_stat) ->
-              pr "  hop %s %h %h\n" (Latency.component_label h.Aggregate.comp) h.Aggregate.mean_s
-                h.Aggregate.std_s)
-            a.Aggregate.hops);
+      let a = Aggregate.of_pattern p in
+      pr "  avg %s n=%d total=%h\n" a.Analysis.name a.Analysis.count a.Analysis.mean_total_s;
+      List.iter
+        (fun (c : Analysis.component_stat) ->
+          pr "  comp %s %h %h\n" (Latency.component_label c.Analysis.comp) c.Analysis.share
+            c.Analysis.mean_s)
+        a.Analysis.components;
       guard (fun () ->
           List.iter
             (fun (h : Aggregate.hop_tail) ->
               pr "  tail %s %h %h %h %h\n"
                 (Latency.component_label h.Aggregate.tail_comp)
                 h.Aggregate.p50_s h.Aggregate.p90_s h.Aggregate.p99_s h.Aggregate.tail_max_s)
-            (Aggregate.hop_tails ?normalize p));
+            (Aggregate.hop_tails p));
       guard (fun () ->
           let t = Aggregate.total_tail p in
           pr "  total %h %h %h %h\n" t.Aggregate.t_p50_s t.Aggregate.t_p90_s t.Aggregate.t_p99_s
@@ -431,12 +432,12 @@ let mesh_preset ?(clients = 16) ?(requests = 20) name =
 
 let aggregate_cases =
   [
-    ("RUBiS Default, seed 42", (fun () -> rubis ()), 3, "c58c04024d9d77b051522e12144f46eb");
-    ("mesh control", (fun () -> mesh_control ()), 0, "cdbc05d650d4b1113e757e1f9d11ffaa");
+    ("RUBiS Default, seed 42", (fun () -> rubis ()), 3, "7601a21d99affbc511fdbfeeca560fdd");
+    ("mesh control", (fun () -> mesh_control ()), 0, "a317db6cad2f5af375c520ab33296fbd");
     ( "mesh cascading_failure, 32 clients x 100 requests",
       (fun () -> mesh_preset ~clients:32 ~requests:100 "cascading_failure"),
       707,
-      "8dab1d341d9db751ec149c3b27a31852" );
+      "2232fdcf6381f7d6d79f8e0c75a1d21f" );
   ]
 
 let check_aggregates (_, build, patterns, expected) () =
@@ -462,9 +463,9 @@ module Reference = struct
     | Activity.Begin | Activity.End_ | Activity.Send -> (
         match prefer Cag.Context_edge with Some p -> Some p | None -> prefer Cag.Message_edge)
 
-  let critical_path ?(normalize = fun s -> s) cag =
+  let critical_path cag =
     if not (Cag.is_finished cag) then invalid_arg "Latency.critical_path: CAG not finished";
-    let program (v : Cag.vertex) = normalize v.Cag.activity.Activity.context.program in
+    let program (v : Cag.vertex) = v.Cag.activity.Activity.context.program in
     let rec back v acc =
       match causal_parent v with
       | None -> acc
@@ -555,28 +556,35 @@ module Reference = struct
 
   let span_s = ST.span_to_float_s
 
-  let of_pattern ?normalize (name, cags) =
-    let members = List.filter Cag.is_finished cags in
-    if members = [] then invalid_arg "Aggregate.of_pattern: no finished CAGs";
-    let matrix = List.map (fun c -> Array.of_list (critical_path ?normalize c)) members in
-    let n = List.length matrix in
-    let hops =
-      List.init
-        (Array.length (List.hd matrix))
-        (fun i ->
-          let samples = List.map (fun row -> span_s row.(i).Latency.span) matrix in
-          let mean = List.fold_left ( +. ) 0.0 samples /. float_of_int n in
-          let var =
-            List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 samples
-            /. float_of_int n
-          in
-          { Aggregate.comp = (List.hd matrix).(i).Latency.comp; mean_s = mean; std_s = sqrt var })
-    in
-    let mean_total_s =
-      List.fold_left (fun acc cag -> acc +. span_s (Cag.duration cag)) 0.0 members
-      /. float_of_int n
-    in
-    { Aggregate.pattern_name = name; count = n; hops; mean_total_s }
+  (* The average path: mean end-to-end latency and, per component label
+     in first-appearance order, its share and its summed hop means. *)
+  let of_pattern cags =
+    match List.filter Cag.is_finished cags with
+    | [] -> (0.0, [])
+    | members ->
+        let matrix = List.map (fun c -> Array.of_list (critical_path c)) members in
+        let n = float_of_int (List.length matrix) in
+        let hop_means =
+          List.init
+            (Array.length (List.hd matrix))
+            (fun i ->
+              ( Latency.component_label (List.hd matrix).(i).Latency.comp,
+                List.fold_left (fun acc row -> acc +. span_s row.(i).Latency.span) 0.0 matrix
+                /. n ))
+        in
+        let components =
+          List.fold_left
+            (fun acc (label, mean) ->
+              if List.mem_assoc label acc then
+                List.map (fun (l, m) -> if String.equal l label then (l, m +. mean) else (l, m)) acc
+              else acc @ [ (label, mean) ])
+            [] hop_means
+        in
+        let total = List.fold_left (fun acc (_, m) -> acc +. m) 0.0 components in
+        ( List.fold_left (fun acc c -> acc +. span_s (Cag.duration c)) 0.0 members /. n,
+          List.map
+            (fun (label, m) -> (label, (if total = 0.0 then 0.0 else m /. total), m))
+            components )
 
   let sorted_finite samples =
     let finite = Array.of_list (List.filter Float.is_finite samples) in
@@ -590,10 +598,8 @@ module Reference = struct
     if members = [] then invalid_arg "Aggregate: no finished CAGs";
     members
 
-  let hop_tails ?normalize cags =
-    let matrix =
-      List.map (fun c -> Array.of_list (critical_path ?normalize c)) (finished cags)
-    in
+  let hop_tails cags =
+    let matrix = List.map (fun c -> Array.of_list (critical_path c)) (finished cags) in
     List.init
       (Array.length (List.hd matrix))
       (fun i ->
@@ -616,7 +622,7 @@ module Reference = struct
     }
 
   (* [render_aggregates]'s bytes, from the reference model. *)
-  let render ?normalize cags =
+  let render cags =
     let b = Buffer.create 65_536 in
     let pr fmt = Printf.bprintf b fmt in
     let guard f = try f () with Invalid_argument m -> pr "  raises %s\n" m in
@@ -627,22 +633,16 @@ module Reference = struct
           (fun (c : Cag.t) -> pr " %d%s" c.Cag.cag_id (if Cag.is_finished c then "" else "u"))
           members;
         pr "\n";
-        guard (fun () ->
-            let a = of_pattern ?normalize (name, members) in
-            pr "  avg %s n=%d total=%h\n" a.Aggregate.pattern_name a.Aggregate.count
-              a.Aggregate.mean_total_s;
-            List.iter
-              (fun (h : Aggregate.hop_stat) ->
-                pr "  hop %s %h %h\n" (Latency.component_label h.Aggregate.comp)
-                  h.Aggregate.mean_s h.Aggregate.std_s)
-              a.Aggregate.hops);
+        let mean_total_s, components = of_pattern members in
+        pr "  avg %s n=%d total=%h\n" name (List.length members) mean_total_s;
+        List.iter (fun (label, share, mean_s) -> pr "  comp %s %h %h\n" label share mean_s) components;
         guard (fun () ->
             List.iter
               (fun (h : Aggregate.hop_tail) ->
                 pr "  tail %s %h %h %h %h\n"
                   (Latency.component_label h.Aggregate.tail_comp)
                   h.Aggregate.p50_s h.Aggregate.p90_s h.Aggregate.p99_s h.Aggregate.tail_max_s)
-              (hop_tails ?normalize members));
+              (hop_tails members));
         guard (fun () ->
             let t = total_tail members in
             pr "  total %h %h %h %h\n" t.Aggregate.t_p50_s t.Aggregate.t_p90_s
@@ -653,7 +653,7 @@ end
 
 (* Same patterns (signature, name, physically the same members, in
    order) and the same rendering, floats compared bit for bit. *)
-let matches_reference ?normalize cags =
+let matches_reference cags =
   let expected = Reference.classify cags in
   let actual = Pattern.classify cags in
   List.length expected = List.length actual
@@ -665,11 +665,10 @@ let matches_reference ?normalize cags =
          && List.length members = List.length p.Pattern.cags
          && List.for_all2 ( == ) members p.Pattern.cags)
        expected actual
-  && String.equal (Reference.render ?normalize cags) (render_aggregates ?normalize cags)
+  && String.equal (Reference.render cags) (render_aggregates cags)
 
 (* Random call trees, their feeds cut short at a random row so that some
-   paths stay unfinished, classified with and without a tier-merging
-   [normalize]. *)
+   paths stay unfinished. *)
 let prop_classify_matches_reference =
   QCheck.Test.make ~name:"random topologies: classify + aggregate = string-keyed reference"
     ~count:12
@@ -701,8 +700,7 @@ let prop_classify_matches_reference =
       let cfg = Correlator.config ~transform ~window:(ST.ms 5) () in
       let r = Correlator.correlate_arena cfg arenas in
       let cags = r.Correlator.cags @ r.Correlator.deformed in
-      let tier p = if String.length p > 3 && String.sub p 0 3 = "svc" then "svc" else p in
-      matches_reference cags && matches_reference ~normalize:tier cags)
+      matches_reference cags)
 
 (* Hand-built paths: BEGIN -> SEND -> RECEIVE -> END, one web and one app
    context, either finished or left open. *)
@@ -748,7 +746,9 @@ let test_unfinished_members () =
   Alcotest.(check int) "one pattern" 1 (List.length (Pattern.classify cags));
   Alcotest.(check bool) "= reference" true (matches_reference cags);
   let a = Aggregate.of_pattern (List.hd (Pattern.classify cags)) in
-  Alcotest.(check int) "finished members aggregated" 2 a.Aggregate.count
+  Alcotest.(check int) "every member counted" 4 a.Analysis.count;
+  (* paths 1 and 3 last 47 and 61 ns *)
+  Alcotest.(check (float 1e-18)) "finished members averaged" 54e-9 a.Analysis.mean_total_s
 
 let test_all_unfinished () =
   let cags = List.init 3 (fun i -> hand_path ~finished:false ~cag_id:i (100 * i)) in
@@ -758,8 +758,9 @@ let test_all_unfinished () =
     | _ -> Alcotest.failf "%s: no exception" what
     | exception Invalid_argument m -> Alcotest.(check string) what expected m
   in
-  raises "of_pattern" "Aggregate.of_pattern: no finished CAGs" (fun () ->
-      ignore (Aggregate.of_pattern p));
+  let a = Aggregate.of_pattern p in
+  Alcotest.(check (float 0.0)) "of_pattern: mean 0" 0.0 a.Analysis.mean_total_s;
+  Alcotest.(check int) "of_pattern: no components" 0 (List.length a.Analysis.components);
   raises "hop_tails" "Aggregate: no finished CAGs" (fun () -> ignore (Aggregate.hop_tails p));
   raises "total_tail" "Aggregate: no finished CAGs" (fun () -> ignore (Aggregate.total_tail p));
   Alcotest.(check bool) "= reference" true (matches_reference cags)

@@ -187,7 +187,7 @@ let pattern_populations result =
 let pattern_breakdowns result =
   Pattern.classify result.Correlator.cags
   |> List.map (fun p ->
-         Aggregate.component_percentages (Aggregate.of_pattern p)
+         Core.Analysis.shares (Aggregate.of_pattern p)
          |> List.map (fun ((comp : Core.Latency.component), share) ->
                 Printf.sprintf "%s>%s=%.9f" comp.Core.Latency.src comp.Core.Latency.dst share))
 
