@@ -84,6 +84,13 @@ bundle-gate: build
 # logs, the online replay still emits the same paths live (a host with no
 # rows would hold every path back until close), and a directory whose
 # trace files are all empty is an error (exit 1, "no traces in").
+# The in-band plane is batch-invariant: the run collected at the default
+# agent batch and at --collect-batch 1 prints the same "collect: N causal
+# paths online" line, with N the path count of `correlate` on its logs.
+# An entry endpoint that no flow reaches (a mesh run correlated at the
+# RUBiS default entry) is a runtime failure for correlate and bundle pack:
+# exit 1 naming the endpoint and suggesting --entry; the right --entry
+# packs all 40 paths.
 # The same run on the hierarchical plane
 # (two replicas, two shards) must report no flagged-deformed path at the
 # root, and some under an agent crash; the flat plane must survive the
@@ -171,6 +178,22 @@ cli-gate: build
 	cat _cli_gate/hier-crash.txt
 	grep -Eq 'at the root \([1-9][0-9]* flagged deformed' _cli_gate/hier-crash.txt
 	$(CLI_SIM) --collect --fault agent-crash
+	$(CLI_SIM) --collect -o _cli_gate/batch > _cli_gate/batch.txt
+	$(CLI_SIM) --collect --collect-batch 1 > _cli_gate/batch1.txt
+	$(CLI_CORRELATE) _cli_gate/batch > _cli_gate/batch-offline.txt
+	n=$$(sed -n 's/^\([0-9]*\) causal paths (.*/\1/p' _cli_gate/batch-offline.txt); \
+	line="collect: $$n causal paths online (0 flagged deformed, 0 unfinished)"; \
+	echo "batch invariance: '$$line'"; \
+	test -n "$$n" && grep -qxF "$$line" _cli_gate/batch.txt && grep -qxF "$$line" _cli_gate/batch1.txt
+	$(CLI_EXE) simulate --topology control --seed 7 -o _cli_gate/mesh > /dev/null
+	$(CLI_EXE) bundle pack _cli_gate/mesh -o _cli_gate/mesh.ptz 2> _cli_gate/entry.err; test $$? -eq 1
+	cat _cli_gate/entry.err
+	grep -q 'entry endpoint 10.0.1.1:80; .* --entry' _cli_gate/entry.err
+	test ! -e _cli_gate/mesh.ptz
+	$(CLI_CORRELATE) _cli_gate/mesh 2> _cli_gate/entry.err; test $$? -eq 1
+	grep -q 'entry endpoint 10.0.1.1:80; .* --entry' _cli_gate/entry.err
+	$(CLI_EXE) bundle pack _cli_gate/mesh -o _cli_gate/mesh.ptz --entry 10.120.1.1:8000 \
+		| grep '^40 paths'
 	cd _cli_gate && $(CLI_EXE) correlate text --json - > text-stdout.json
 	cmp _cli_gate/text.json _cli_gate/text-stdout.json
 	cd _cli_gate && $(CLI_EXE) bundle diff store.ptz store.ptz --json diff.json

@@ -735,6 +735,14 @@ let transform_of_entry entry =
   Core.Transform.config ~entry_points:[ entry ]
     ~drop_programs:Tiersim.Service.standard_drop_programs ()
 
+(* A run with no path at all had no BEGIN row: the entry endpoint matches
+   no flow. A runtime failure that says which option sets it. *)
+let require_paths config cags unfinished =
+  if cags = [] && unfinished = [] then
+    failed
+      (Core.Transform.entry_unreached config.Core.Correlator.transform
+      ^ "; pass the service's entry endpoint with --entry IP:PORT")
+
 (* Replay saved host arenas through the online pipeline in arrival order,
    as a live collector would deliver them. *)
 let correlate_online ~config ?straggler_timeout ?max_buffered arenas =
@@ -882,6 +890,7 @@ let correlate_cmd =
         (result.Core.Correlator.cags, result.Core.Correlator.deformed)
       end
     in
+    require_paths config cags unfinished;
     List.iteri
       (fun i cag -> if i < show then Format.printf "@.%s" (Core.Cag_render.render cag))
       cags;
@@ -1271,7 +1280,12 @@ let bundle_pack_cmd =
     in
     let source =
       if Store.Manifest.exists ~dir:src then `Store_dir src
-      else correlated_run ~jobs config (or_fail (load_traces ~jobs src))
+      else begin
+        let arenas = or_fail (load_traces ~jobs src) in
+        let r = Core.Shard.correlate_arena ~jobs config arenas in
+        require_paths config r.Core.Correlator.cags r.Core.Correlator.deformed;
+        `Run (arenas, r.Core.Correlator.cags, r.Core.Correlator.deformed)
+      end
     in
     pack_bundle ~embed_telemetry ~jobs ~config ~source out;
     write_telemetry telemetry

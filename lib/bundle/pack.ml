@@ -135,6 +135,8 @@ let pack ?(embed_telemetry = false) ?scenario ?jobs ?roll_records ~config ~sourc
   in
   let records = Arena.total arenas in
   if records = 0 then Error "pack: store holds no records"
+  else if cags = [] && unfinished = [] then
+    Error ("pack: " ^ Core.Transform.entry_unreached config.Correlator.transform)
   else begin
     let hosts = List.map Arena.hostname arenas in
     let profiles = stage "profile" (fun () -> Aggregate.profiles_of_cags cags) in

@@ -91,24 +91,39 @@ let drain next s =
   in
   go []
 
-(* A uvarint length no greater than [limit], then that many bytes. *)
-let get_bounded r ~limit what =
+(* A uvarint length no greater than [limit] whose bytes are all queued:
+   the region's start, with the reader moved past it. *)
+let get_region r ~limit what =
   let at = r.B.pos in
   let n = B.get_uvarint r in
   if n < 0 || n > limit then
     raise (B.Corrupt (at, Printf.sprintf "%s length %d exceeds limit" what n));
-  B.get_bytes r n
+  if n > r.B.limit - r.B.pos then raise B.End_of_input;
+  let start = r.B.pos in
+  r.B.pos <- start + n;
+  start
 
 let parse_frame r =
   B.expect_magic r magic;
   let seq = B.get_uvarint r in
   let oldest = B.get_uvarint r in
-  let host = get_bounded r ~limit:max_host_len "host" in
+  let host_at = get_region r ~limit:max_host_len "host" in
+  let host = Bytes.sub_string r.B.data host_at (r.B.pos - host_at) in
   let watermark = Sim_time.of_ns (B.get_varint r) in
-  let payload = get_bounded r ~limit:max_payload_len "payload" in
-  let payload_at = r.B.pos - String.length payload in
+  let payload_at = get_region r ~limit:max_payload_len "payload" in
+  let len = r.B.pos - payload_at in
   let bad msg = raise (B.Corrupt (payload_at, msg)) in
-  match B.decode_native payload with
+  (* The payload decodes in place from the queued bytes, which nothing
+     touches until this returns. Only a corrupt one is copied out and
+     decoded again, so that its error offset counts from the payload's
+     first byte. *)
+  let data = Bytes.unsafe_to_string r.B.data in
+  let decoded =
+    match B.decode_native_region data ~pos:payload_at ~len with
+    | Ok _ as ok -> ok
+    | Error _ -> B.decode_native (String.sub data payload_at len)
+  in
+  match decoded with
   | Error e -> bad (Printf.sprintf "payload: %s" e)
   | Ok [] -> { seq; oldest; host; watermark; arena = Trace.Arena.create ~host () }
   | Ok [ a ] ->

@@ -73,16 +73,11 @@ let advance t =
   R.set t.m_stragglers (float_of_int (Ranker.stragglers_active (ranker t)));
   R.set t.m_pending (float_of_int (pending t))
 
-(* Account for one record fed to the ranker. A quarantined record is
-   counted by the ranker (never raised — not even after [finish] or on
-   garbage input) and kept in its inspection ring. *)
-let settle t = function
-  | Ranker.Quarantined _ -> ()
-  | Ranker.Accepted | Ranker.Resorted ->
-      t.accepted <- t.accepted + 1;
-      R.incr t.m_observed;
-      advance t;
-      t.peak_pending <- Int.max t.peak_pending (pending t)
+let accept t n =
+  t.accepted <- t.accepted + n;
+  R.add t.m_observed n
+
+let note_peak t = t.peak_pending <- Int.max t.peak_pending (pending t)
 
 (* The counter of the rows [arena]'s host has delivered, or [None] for a
    host that is not traced. *)
@@ -98,27 +93,47 @@ let claim counter n =
       first
   | None -> -1
 
-(* Feed row [i] of [arena], the [origin]th row its host delivered. *)
-let[@inline] observe_row t arena i ~origin =
+(* Feed row [i] of [arena], the [origin]th row its host delivered: 1 if
+   the ranker accepted it, 0 if the transform filtered it or the ranker
+   quarantined it (counted by the ranker, never raised — not even after
+   [finish] or on garbage input — and kept in its inspection ring). *)
+let[@inline] feed_row t arena i ~origin =
   let k = Transform.classify_row t.tmemo arena i in
-  if k >= 0 then begin
-    settle t
-      (Ranker.feed_row (ranker t) ~kind:k ~ts:(Arena.ts arena i) ~ctx:(Arena.ctx_id arena i)
-         ~flow:(Arena.flow_id arena i) ~size:(Arena.size arena i) ~origin)
-  end
+  if k < 0 then 0
+  else
+    match
+      Ranker.feed_row (ranker t) ~kind:k ~ts:(Arena.ts arena i) ~ctx:(Arena.ctx_id arena i)
+        ~flow:(Arena.flow_id arena i) ~size:(Arena.size arena i) ~origin
+    with
+    | Ranker.Quarantined _ -> 0
+    | Ranker.Accepted | Ranker.Resorted -> 1
 
+(* A delivered arena is the unit of progress: feed all its rows, then
+   drain once. Draining after every row would rerun the ranker's blocked
+   head pass once per row while it waits on another host's feed. *)
 let observe_arena t arena =
   (* One claim per arena: its rows are its host's next rows. *)
   let first = claim (ordinals t arena) (Arena.length arena) in
+  let n = ref 0 in
   for i = 0 to Arena.length arena - 1 do
-    observe_row t arena i ~origin:(if first < 0 then -1 else first + i)
-  done
+    n := !n + feed_row t arena i ~origin:(if first < 0 then -1 else first + i)
+  done;
+  if !n > 0 then begin
+    accept t !n;
+    note_peak t;
+    advance t
+  end
 
+(* A record-at-a-time feed: drain after every accepted row. *)
 let replay t arenas =
   let arenas = Array.of_list arenas in
   let counters = Array.map (ordinals t) arenas in
   Arena.iter_merged arenas (fun h i ->
-      observe_row t arenas.(h) i ~origin:(claim counters.(h) 1))
+      if feed_row t arenas.(h) i ~origin:(claim counters.(h) 1) > 0 then begin
+        accept t 1;
+        advance t;
+        note_peak t
+      end)
 
 let finish t =
   Ranker.close_input (ranker t);

@@ -10,10 +10,13 @@
 
     Candidates are only committed once every node's feed watermark has
     passed their timestamp plus the skew allowance (see
-    {!Ranker.create_online}), so the online run produces {e exactly} the
-    same CAGs as an offline run over the final logs — a property the test
-    suite asserts. The price is latency: a path completes at most
-    [skew_allowance] (plus feeding lag) after its END activity.
+    {!Ranker.create_online}), so the online run produces the same path
+    set as an offline run over the final logs — a property the test suite
+    asserts for any frame size. The order can differ: where a request
+    fans out to concurrent siblings (the mesh presets), online
+    correlation may complete them in another order than offline does.
+    The price is latency: a path completes at most [skew_allowance] (plus
+    feeding lag) after its END activity.
 
     {1 Degraded feeds}
 
@@ -32,7 +35,9 @@
       {!ranker_stats} — {!observe_arena} never raises; regressions within
       the allowance are re-sorted into place;
     - [max_buffered] bounds held records: past it the ranker
-      force-resolves the oldest window instead of waiting.
+      force-resolves the oldest window instead of waiting. The bound is
+      enforced when the ranker drains, once per {!observe_arena} call, so
+      held records can exceed it by up to one arena's rows.
 
     {1 One loop}
 
@@ -75,9 +80,12 @@ val observe_arena : t -> Trace.Arena.t -> unit
     batches. The BEGIN/END transform and noise filters of the
     configuration are applied here, memoised per interned context/flow
     id, and surviving rows go to {!Ranker.feed_row} as ids: no record is
-    built and no {!Trace.Intern} lookup is made per row. Progress is
-    drained eagerly. Never raises: out-of-contract rows (including any
-    fed after {!finish}) are quarantined and counted instead.
+    built and no {!Trace.Intern} lookup is made per row. Once every row
+    is fed, the ranker drains once: the arena (a collector frame) is the
+    unit of progress, and [pt_online_observed_total] and the live gauges
+    are updated once per call. Never raises: out-of-contract rows
+    (including any fed after {!finish}) are quarantined and counted
+    instead.
 
     The arena's rows are its host's next raw rows, counted from 0 with
     filtered rows included, so vertex {!Cag.sources} name (index in
@@ -88,8 +96,9 @@ val replay : t -> Trace.Arena.t list -> unit
 (** Feed saved host arenas (each in {!Trace.Arena.sort_by_time} order,
     one per host) row by row in arrival order: the
     {!Trace.Arena.iter_merged} order, which is how a stable time sort of
-    all their records would interleave them. Raw-row numbering is as for
-    {!observe_arena}. Call {!finish} afterwards. *)
+    all their records would interleave them. A record-at-a-time feed:
+    the ranker drains after every accepted row. Raw-row numbering is as
+    for {!observe_arena}. Call {!finish} afterwards. *)
 
 val finish : t -> unit
 (** Declare the input complete and drain everything that remains.
@@ -106,7 +115,9 @@ val pending : t -> int
 (** Activities accepted but not yet resolved into a candidate. *)
 
 val peak_pending : t -> int
-(** The highest {!pending} seen after any accepted record. *)
+(** The highest {!pending} seen: read after each {!observe_arena} call's
+    rows are fed, before its drain, and after each row {!replay}
+    drains. *)
 
 val quarantine_log : t -> (Ranker.reject_reason * Trace.Activity.t) list
 (** Most recent quarantined records (bounded ring). *)

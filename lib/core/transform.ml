@@ -87,6 +87,11 @@ let classify_row m arena i =
     end
   end
 
+let entry_unreached cfg =
+  Format.asprintf "no BEGIN row: no flow reaches the entry endpoint %a"
+    Format.(pp_print_list ~pp_sep:(fun f () -> pp_print_string f ", ") Address.pp_endpoint)
+    cfg.entry_points
+
 let apply_native cfg arenas =
   let m = memo cfg in
   List.map

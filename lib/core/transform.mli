@@ -44,6 +44,12 @@ val classify_row : memo -> Trace.Arena.t -> int -> int
 (** The rewritten {!Trace.Activity.kind_to_code} of row [i], or [-1] when
     the row is filtered out. *)
 
+val entry_unreached : config -> string
+(** The error, naming the entry endpoints, for a run in which no row
+    classifies as BEGIN: no flow reaches an entry endpoint. Every BEGIN
+    starts a path, so such a run is the one with no finished and no
+    unfinished path. *)
+
 val apply_native : config -> Trace.Arena.t list -> Trace.Arena.t list
 (** {!classify_row} over every row: filtered rows are dropped and the
     rest keep their rewritten kind. Host arenas are preserved even when

@@ -666,8 +666,8 @@ let matrix_pins =
       [ Faults.database_lock ],
       [
         (0, "1f5c8d82bc47872b9bd84c3f0d7a18f9");
-        (50, "fa0fcd5ec9aa1e1f1c6f3bf4fb896c26");
-        (200, "721f4532d05e13dba86ec879d577db53");
+        (50, "5a14f0a6b895e035b37602b9b116ab2d");
+        (200, "3f66fe0a09ce4ab2a83b0f49d6ffcced");
       ] );
     ( "ejb-network",
       [ Faults.ejb_network ],
@@ -738,7 +738,7 @@ let () =
                  (cli_spec ~mix:Tiersim.Workload.Default ~max_threads:5 [ Faults.ejb_network ])
                  "b287e5b9cd3adebd06520f6e8a2a299e");
             Alcotest.test_case "saved baseline, 5 threads, db-lock" `Quick
-              (test_supplied_pin (cli_spec ~max_threads:5 [ Faults.database_lock ]) "c1c56fa641f16908c8dc29afb36eea9f");
+              (test_supplied_pin (cli_spec ~max_threads:5 [ Faults.database_lock ]) "d73efe3e4af45156cd7494e44e3b2faf");
           ] );
       ( "scorer",
         [ Alcotest.test_case "fault-to-culprit mapping" `Quick test_scorer_mapping ] );

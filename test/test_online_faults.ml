@@ -432,6 +432,126 @@ let test_agent_crash_subset_and_accounting () =
   Alcotest.(check int) "delivered = emitted - dropped - still-buffered" acked
     (Collect.Collector.delivered_records (Collect.Deploy.collector d))
 
+(* ---- frame-size invariance: a collector frame is only a delivery unit ---- *)
+
+(* The order-free form of a run's paths: each path as its sorted vertex
+   set and its sorted parent-edge set, the paths sorted. Concurrent
+   sibling calls may complete in another order online than offline, so
+   the comparison takes order out. A vertex is named by its activity and
+   its source rows. *)
+let order_free cags =
+  let vertex (v : Core.Cag.vertex) =
+    Format.asprintf "%a@%a" Activity.pp v.Core.Cag.activity
+      Fmt.(list ~sep:comma int)
+      (List.sort compare (Core.Cag.sources v))
+  in
+  let edge (p, kind, c) = Format.asprintf "%s %a %s" (vertex p) Core.Cag.pp_edge_kind kind (vertex c) in
+  List.sort compare
+    (List.map
+       (fun c ->
+         ( List.sort compare (List.map vertex (Core.Cag.vertices c)),
+           List.sort compare (List.map edge (Core.Cag.edges c)) ))
+       cags)
+
+(* Cut each host's arena into consecutive frames of [rows ()] rows and
+   order the frames as a collector delivers agent batches: by watermark
+   (the frame's last timestamp), ties to the lower host index, then to
+   the earlier frame. Each frame is PTC1-encoded. *)
+let cut_frames arenas rows =
+  let frames = ref [] in
+  List.iteri
+    (fun h a ->
+      let n = Trace.Arena.length a in
+      let rec cut seq lo =
+        if lo < n then begin
+          let hi = Int.min n (lo + rows ()) in
+          let chunk = Trace.Arena.create_sid ~capacity:(hi - lo) (Trace.Arena.host_sid a) in
+          Trace.Arena.append_range chunk a ~lo ~hi;
+          let wm = Trace.Arena.ts a (hi - 1) in
+          let bytes =
+            Collect.Frame.encode ~seq ~oldest:seq ~host:(Trace.Arena.hostname a)
+              ~watermark:(ST.of_ns wm)
+              ~payload:(Collect.Frame.encode_payload_arena chunk)
+          in
+          frames := ((wm, h, seq), bytes) :: !frames;
+          cut (seq + 1) hi
+        end
+      in
+      cut 0 0)
+    arenas;
+  List.map (fun ((_, h, _), b) -> (h, b)) (List.sort (fun (a, _) (b, _) -> compare a b) !frames)
+
+(* Decode the frames through one PTC1 decoder per host and feed each
+   frame's arena to an online run: the paths completed before [finish],
+   and the run. *)
+let deliver cfg arenas frames =
+  let hosts = List.map Trace.Arena.hostname arenas in
+  let online = Online.create ~telemetry:(Telemetry.Registry.create ()) ~config:cfg ~hosts () in
+  let decoders = Array.of_list (List.map (fun _ -> Collect.Frame.Decoder.create ()) hosts) in
+  List.iter
+    (fun (h, bytes) ->
+      Collect.Frame.Decoder.feed decoders.(h) bytes;
+      match Collect.Frame.Decoder.next decoders.(h) with
+      | Ok (Some f) -> Online.observe_arena online f.Collect.Frame.arena
+      | Ok None -> Alcotest.fail "frame incomplete"
+      | Error e -> Alcotest.failf "frame decode: %s" e)
+    frames;
+  let live = List.length (Online.paths online) in
+  Online.finish online;
+  (live, online)
+
+let noisy_rubis =
+  lazy
+    (let o =
+       S.run
+         {
+           S.default with
+           S.mix = Tiersim.Workload.Default;
+           clients = 30;
+           time_scale = 0.02;
+           skew = ST.ms 200;
+           noise = S.Paper_noise { db_connections = 2 };
+         }
+     in
+     (Core.Correlator.config ~transform:o.S.transform (), Trace.Arena.of_collection o.S.logs))
+
+let mesh_control =
+  lazy
+    (let spec = Option.get (Mesh.Presets.spec_of ~seed:7 "control") in
+     let spec = { spec with Mesh.Spec.clients = 16; requests_per_client = 20 } in
+     let b = Mesh.Runtime.build spec in
+     Simnet.Engine.run b.Mesh.Runtime.engine;
+     let transform = Core.Transform.config ~entry_points:b.Mesh.Runtime.entries () in
+     ( Core.Correlator.config ~transform ~window:(ST.ms 5) (),
+       Trace.Arena.of_collection (Trace.Probe.logs b.Mesh.Runtime.probe) ))
+
+(* On both runs, online paths over frames of 1 to [max_rows] random rows
+   equal the offline paths of the same arenas; with frames of at most 256
+   rows (the agent batch default) most paths complete before [finish]. *)
+let prop_frame_size_invariance =
+  QCheck.Test.make ~count:4 ~name:"frame size: online = offline paths"
+    QCheck.(pair (int_range 1 512) int)
+    (fun (max_rows, seed) ->
+      List.iter
+        (fun run ->
+          let cfg, arenas = Lazy.force run in
+          let offline = Core.Correlator.correlate_arena cfg arenas in
+          let rng = Random.State.make [| seed |] in
+          let frames = cut_frames arenas (fun () -> 1 + Random.State.int rng max_rows) in
+          let live, online = deliver cfg arenas frames in
+          let paths = Online.paths online in
+          if order_free paths <> order_free offline.Core.Correlator.cags then
+            QCheck.Test.fail_reportf "%d online paths differ from %d offline"
+              (List.length paths)
+              (List.length offline.Core.Correlator.cags);
+          if List.length (Online.deformed online) <> List.length offline.Core.Correlator.deformed
+          then QCheck.Test.fail_report "unfinished counts differ";
+          if max_rows <= 256 && 2 * live <= List.length paths then
+            QCheck.Test.fail_reportf "only %d of %d paths before finish" live
+              (List.length paths))
+        [ noisy_rubis; mesh_control ];
+      true)
+
 let () =
   Alcotest.run "online_faults"
     [
@@ -459,6 +579,7 @@ let () =
         [
           Alcotest.test_case "observe after finish" `Quick test_observe_after_finish;
           Alcotest.test_case "silent host end to end" `Slow test_silent_host_end_to_end;
+          qtest prop_frame_size_invariance;
         ] );
       ( "gc",
         [
