@@ -87,6 +87,11 @@ bundle-gate: build
 # The in-band plane is batch-invariant: the run collected at the default
 # agent batch and at --collect-batch 1 prints the same "collect: N causal
 # paths online" line, with N the path count of `correlate` on its logs.
+# An agent reduces only by program: --agent-policy causal is a usage
+# error (124) naming --store-policy, and a noisy run whose agents drop
+# sshd and mysql prints the same "collect:" line as the unfiltered run,
+# reports app1's dropped rows as reduced, and its collected store
+# correlates to the same paths as its own text logs.
 # An entry endpoint that no flow reaches (a mesh run correlated at the
 # RUBiS default entry) is a runtime failure for correlate and bundle pack:
 # exit 1 naming the endpoint and suggesting --entry; the right --entry
@@ -185,6 +190,19 @@ cli-gate: build
 	line="collect: $$n causal paths online (0 flagged deformed, 0 unfinished)"; \
 	echo "batch invariance: '$$line'"; \
 	test -n "$$n" && grep -qxF "$$line" _cli_gate/batch.txt && grep -qxF "$$line" _cli_gate/batch1.txt
+	$(CLI_SIM) --collect --agent-policy causal 2> _cli_gate/agent-policy.err; test $$? -eq 124
+	cat _cli_gate/agent-policy.err
+	grep -q -- '--store-policy' _cli_gate/agent-policy.err
+	$(CLI_SIM) --noise --collect > _cli_gate/noise.txt
+	$(CLI_SIM) --noise --collect --agent-policy drop=sshd+mysql \
+		--store _cli_gate/noise-drop-store -o _cli_gate/noise-drop > _cli_gate/noise-drop.txt
+	grep -E '^collect:|agent app1:' _cli_gate/noise-drop.txt
+	test -n "$$(grep '^collect:' _cli_gate/noise.txt)"
+	test "$$(grep '^collect:' _cli_gate/noise.txt)" = "$$(grep '^collect:' _cli_gate/noise-drop.txt)"
+	grep -Eq '^  agent app1: observed [0-9]+, reduced [1-9]' _cli_gate/noise-drop.txt
+	$(CLI_CORRELATE) _cli_gate/noise-drop --json _cli_gate/noise-drop.json > /dev/null
+	$(CLI_CORRELATE) _cli_gate/noise-drop-store --json _cli_gate/noise-drop-store.json > /dev/null
+	cmp _cli_gate/noise-drop.json _cli_gate/noise-drop-store.json
 	$(CLI_EXE) simulate --topology control --seed 7 -o _cli_gate/mesh > /dev/null
 	$(CLI_EXE) bundle pack _cli_gate/mesh -o _cli_gate/mesh.ptz 2> _cli_gate/entry.err; test $$? -eq 1
 	cat _cli_gate/entry.err

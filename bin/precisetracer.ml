@@ -146,6 +146,26 @@ let policy_conv =
   in
   Cmdliner.Arg.conv (parse, Store.Policy.pp)
 
+(* --agent-policy: the policy syntax, restricted to what one host's agent
+   can decide alone. A request is recognised at the entry tier and spans
+   every tier, so request-level terms belong to --store-policy. *)
+let agent_policy_conv =
+  let parse s =
+    match Store.Policy.of_string s with
+    | Error e -> Error (`Msg e)
+    | Ok Store.Policy.{ drop_programs; drop_non_causal = false; sampling = Keep_all } ->
+        Ok drop_programs
+    | Ok _ ->
+        Error
+          (`Msg
+             (Printf.sprintf
+                "%S: an agent sees one host's rows and can only drop programs (none or \
+                 drop=P+Q); reduce whole requests with --store-policy, over the merged stream"
+                s))
+  in
+  let pp ppf drop_programs = Store.Policy.pp ppf (Store.Policy.make ~drop_programs ()) in
+  Cmdliner.Arg.conv (parse, pp)
+
 (* A mesh preset among [names], matched exactly: Cmdliner's [enum] also
    takes a prefix, and "random" would then run "random_mesh". *)
 let preset_conv names =
@@ -566,11 +586,12 @@ let simulate_cmd =
   let agent_policy =
     Arg.(
       value
-      & opt policy_conv Store.Policy.none
+      & opt agent_policy_conv []
       & info [ "agent-policy" ] ~docv:"POLICY"
           ~doc:
-            "Agent-local reduction applied before shipping, e.g. \
-             $(b,causal,sample=0.25@7). Default $(b,none) (ship everything).")
+            "Programs each agent drops before shipping, e.g. $(b,drop=sshd+mysql). Default \
+             $(b,none) (ship everything). Request-level terms ($(b,causal), $(b,sample=), \
+             $(b,head=), $(b,budget=)) need the merged stream: use $(b,--store-policy).")
   in
   let replicas =
     Arg.(
@@ -694,7 +715,7 @@ let simulate_cmd =
         Collect.Agent.batch_records = collect_batch;
         max_spool_records = collect_buffer;
         overflow = collect_overflow;
-        policy = agent_policy;
+        drop_programs = agent_policy;
       }
     in
     let flat_only = collect || Option.is_some store_dir || Option.is_some bundle_out in
@@ -710,7 +731,7 @@ let simulate_cmd =
           usage_error
             "--collect-shards runs its own collection plane and cannot be combined with \
              --collect, --store or --bundle";
-        if not (Store.Policy.is_none agent_policy) then
+        if agent_policy <> [] then
           usage_error
             "--agent-policy does not apply under --collect-shards: the partial-correlation \
              pass is the agent-local reduction";

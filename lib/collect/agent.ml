@@ -14,8 +14,7 @@ type config = {
   batch_records : int;
   max_spool_records : int;
   overflow : overflow;
-  policy : Store.Policy.t;
-  correlate : Core.Correlator.config option;
+  drop_programs : string list;
   partial : Core.Transform.config option;
   max_inflight_frames : int;
 }
@@ -25,8 +24,7 @@ let default_config =
     batch_records = 256;
     max_spool_records = 65536;
     overflow = Drop_oldest;
-    policy = Store.Policy.none;
-    correlate = None;
+    drop_programs = [];
     partial = None;
     max_inflight_frames = 8;
   }
@@ -82,7 +80,7 @@ type t = {
   mutable sending : bool;
   mutable in_flight : entry option;
   mutable flush_timer : Engine.timer option;
-  reduce : Core.Correlator.config option;  (* set iff the policy reduces *)
+  program_filter : Core.Transform.memo option;  (* set iff [drop_programs] is not empty *)
   partial : Core.Partial.t option;
   (* stats mirrors (exact per-run view; telemetry accumulates) *)
   mutable s_observed : int;
@@ -125,12 +123,6 @@ let drop t reason n =
 let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~collector () =
   if config.batch_records <= 0 then invalid_arg "Agent.create: batch_records";
   if config.max_spool_records <= 0 then invalid_arg "Agent.create: max_spool_records";
-  let reduce =
-    if Store.Policy.is_none config.policy then None
-    else if config.correlate = None then
-      invalid_arg "Agent.create: a reduction policy needs a correlate config"
-    else config.correlate
-  in
   let hostname = Node.hostname node in
   let labels = [ ("host", hostname) ] in
   let counter help name = R.counter telemetry ~help ~labels name in
@@ -166,7 +158,12 @@ let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~coll
     sending = false;
     in_flight = None;
     flush_timer = None;
-    reduce;
+    program_filter =
+      (match config.drop_programs with
+      | [] -> None
+      | drop_programs ->
+          Some
+            (Core.Transform.memo (Core.Transform.config ~entry_points:[] ~drop_programs ())));
     partial = Option.map Core.Partial.create config.partial;
     s_observed = 0;
     s_reduced = 0;
@@ -178,7 +175,9 @@ let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~coll
     s_acked = 0;
     s_connections = 0;
     c_observed = counter "Own-host records accepted from the probe" "pt_collect_observed_total";
-    c_reduced = counter "Records removed by the agent-local policy" "pt_collect_reduced_total";
+    c_reduced =
+      counter "Records removed before framing (program filter, partial pass)"
+        "pt_collect_reduced_total";
     c_partial_coalesced =
       counter "Rows merged into a local run head by the partial pass"
         "pt_hier_partial_coalesced_total";
@@ -311,19 +310,20 @@ let rec kick_encode t =
   if t.alive && (not t.encoding) && not (Queue.is_empty t.encode_q) then begin
     t.encoding <- true;
     let arena, n, watermark = Queue.peek t.encode_q in
+    (* the program filter is a per-context decision, so one host's batch
+       is enough to make it; request-level reduction needs the merged
+       stream and belongs to the collector side *)
     let kept =
-      match t.reduce with
+      match t.program_filter with
       | None -> arena
-      | Some correlate ->
-          (* private registry: the throwaway attribution pass must not
-             pollute the process self-profile with store metrics; one
-             arena in, its reduced copy out *)
-          List.hd
-            (fst
-               (Store.Reduce.apply ~telemetry:(R.create ()) ~correlate ~policy:t.cfg.policy
-                  [ arena ]))
+      | Some m ->
+          let out = Trace.Arena.create_sid ~capacity:(max 1 n) (Trace.Arena.host_sid arena) in
+          for i = 0 to n - 1 do
+            if Core.Transform.classify_row m arena i >= 0 then Trace.Arena.append_row out arena i
+          done;
+          out
     in
-    (* partial correlation runs after the policy step: it only removes
+    (* partial correlation runs after the program filter: it only removes
        what the downstream correlator would remove or merge itself *)
     let kept =
       match t.partial with

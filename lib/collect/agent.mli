@@ -3,8 +3,8 @@
     One agent runs on each traced node, as the daemon the paper's
     successor work deploys next to TCP_TRACE. It subscribes to the probe
     ({!Trace.Probe.add_listener}), keeps only its own host's records,
-    optionally applies an agent-local {!Store.Policy} reduction, cuts
-    batches into PTC1 frames ({!Frame}) and ships them to the collector
+    optionally drops the rows of named programs, cuts batches into PTC1
+    frames ({!Frame}) and ships them to the collector
     over the {e simulated} network — so shipping consumes NIC bandwidth
     and node CPU, and the tracing overhead measured by the Figs. 12-13
     methodology now includes its collection cost. The agent's own
@@ -42,9 +42,14 @@ type config = {
           simulated time, whichever is first. *)
   max_spool_records : int;  (** Bound on batch + encode queue + spool. *)
   overflow : overflow;
-  policy : Store.Policy.t;  (** Agent-local reduction; {!Store.Policy.none} to ship raw. *)
-  correlate : Core.Correlator.config option;
-      (** Attribution config for a non-none [policy]. *)
+  drop_programs : string list;
+      (** Programs whose rows are dropped before framing, the same
+          per-context decision as {!Core.Transform}'s program filter;
+          [[]] ships every row. The agent reduces nothing by request:
+          it sees one host's rows, while a request is recognised at the
+          entry tier and spans every tier, so request-level reduction
+          ({!Store.Policy}'s [causal] and sampling) is the collector
+          side's, over the merged stream. *)
   partial : Core.Transform.config option;
       (** Agent-local partial correlation (hierarchy level 0,
           {!Core.Partial}) for the service transform given: prefilter and
@@ -62,8 +67,8 @@ type config = {
     connection is redialled after 100 ms. *)
 
 val default_config : config
-(** batch 256, spool 65536 records, [Drop_oldest], no policy, window 8
-    frames. *)
+(** batch 256, spool 65536 records, [Drop_oldest], no program filter,
+    window 8 frames. *)
 
 type t
 
@@ -76,8 +81,8 @@ val create :
   unit ->
   t
 (** An agent for [node]'s host. Does not connect until {!start}.
-    @raise Invalid_argument if [policy] needs attribution and
-    [correlate] is missing, or on nonsensical config values. *)
+    @raise Invalid_argument on a non-positive [batch_records] or
+    [max_spool_records]. *)
 
 val host : t -> string
 
@@ -104,7 +109,7 @@ val restart : t -> unit
 type stats = {
   observed : int;  (** Own-host records accepted from the probe. *)
   reduced : int;
-      (** Records removed before framing — by the agent-local policy and
+      (** Records removed before framing — by the program filter and
           by the partial-correlation pass (prefilter + coalescing). *)
   partial_coalesced : int;  (** Rows merged into a local run head. *)
   dropped : (string * int) list;

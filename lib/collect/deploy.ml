@@ -87,15 +87,8 @@ let install ?(telemetry = R.default) ?(config = default_config) ?writer ?on_path
           done;
           Core.Online.observe_arena online arena
   in
-  let agent =
-    {
-      config.agent with
-      Agent.correlate =
-        (if Store.Policy.is_none config.agent.Agent.policy then None else Some correlate);
-    }
-  in
   let collector, agents =
-    install_replica ~telemetry ~agent ~port:config.port ~on_arena ~replica:0 svc
+    install_replica ~telemetry ~agent:config.agent ~port:config.port ~on_arena ~replica:0 svc
   in
   { online; collector; agents; finished = false }
 

@@ -15,14 +15,12 @@
     (resolving any still-open windows). *)
 
 type config = {
-  agent : Agent.config;
-      (** Per-host agent knobs. Its [correlate] field is set by the plane
-          from the service's transform when [policy] reduces. *)
+  agent : Agent.config;  (** Per-host agent knobs, the same on every host. *)
   port : int;  (** Collector listen port. *)
 }
 
 val default_config : config
-(** {!Agent.default_config} (no policy), port 7441. *)
+(** {!Agent.default_config} (no program filter), port 7441. *)
 
 val install_replica :
   telemetry:Telemetry.Registry.t ->

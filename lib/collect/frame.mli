@@ -52,9 +52,6 @@ val records : t -> int
 val magic : string
 (** ["PTC1"]. *)
 
-val ack_magic : string
-(** ["PTA1"]. *)
-
 val encode_payload_arena : Trace.Arena.t -> string
 (** The PTB1 payload bytes for one batch (what an agent spools) —
     {!Trace.Binary_format.encode_native} over the single host arena. *)

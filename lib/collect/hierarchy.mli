@@ -49,8 +49,6 @@ val install : t -> int -> Tiersim.Service.t -> unit
     ([collect<i+1>], inside the replica's own engine) delivering into
     shard [i mod shards]. *)
 
-val shard_of_replica : t -> int -> int
-
 val shard_online : t -> int -> Core.Online.t
 (** Shard [k]'s correlator (for inspection; owned by the plane). *)
 

@@ -25,7 +25,6 @@ end)
 type t = {
   messages : message array;
   edges : int list array;  (* adjacency: message index -> successors *)
-  edge_count : int;
   begins : int list;
 }
 
@@ -125,7 +124,6 @@ let build collection =
       match m.src with Some ctx -> note departures ctx m.send_ts i | None -> ())
     messages;
   let edges = Array.make (Array.length messages) [] in
-  let edge_count = ref 0 in
   (* DPM pairing: each arrival links to every departure of the same entity
      until the entity's next arrival. *)
   Context_table.iter
@@ -146,7 +144,6 @@ let build collection =
             in
             let succs = List.filter inside dep |> List.map snd in
             edges.(idx_in) <- succs;
-            edge_count := !edge_count + List.length succs;
             walk rest
       in
       walk arr)
@@ -155,9 +152,8 @@ let build collection =
     Array.to_list (Array.mapi (fun i m -> (i, m)) messages)
     |> List.filter_map (fun (i, m) -> if m.is_begin then Some i else None)
   in
-  { messages; edges; edge_count = !edge_count; begins }
+  { messages; edges; begins }
 
-let edge_count t = t.edge_count
 let message_count t = Array.length t.messages
 
 type path_stats = {

@@ -23,7 +23,6 @@ val build : Trace.Log.collection -> t
     message that follows it (until the entity's next incoming message) —
     DPM's kernel-level pairing, at thread granularity. *)
 
-val edge_count : t -> int
 val message_count : t -> int
 
 type path_stats = {

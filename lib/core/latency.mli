@@ -25,7 +25,6 @@ type component = { src : string; dst : string }
 val component_label : component -> string
 (** ["httpd2java"] — the paper's naming. *)
 
-val compare_component : component -> component -> int
 val equal_component : component -> component -> bool
 
 type hop = {

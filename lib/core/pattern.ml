@@ -75,15 +75,30 @@ let add_signature_parent buf tag i =
   Buffer.add_char buf tag;
   add_decimal buf i
 
+(* Inside a name, each of ['\\'], ['/'], ['<'] and [';'] is escaped with
+   ['\\'], so no name can spell a separator and equal signatures mean
+   equal [classify] keys. Names without them, every simulated one among
+   them, are copied whole. *)
+let special = function '\\' | '/' | '<' | ';' -> true | _ -> false
+
+let add_name buf name =
+  if not (String.exists special name) then Buffer.add_string buf name
+  else
+    String.iter
+      (fun c ->
+        if special c then Buffer.add_char buf '\\';
+        Buffer.add_char buf c)
+      name
+
 let signature_in buf (l : Layout.t) =
   for i = 0 to l.len - 1 do
     let v = l.verts.(i) in
     let a = v.Cag.activity in
     Buffer.add_string buf (Activity.kind_to_string a.Activity.kind);
     Buffer.add_char buf '/';
-    Buffer.add_string buf a.context.host;
+    add_name buf a.context.host;
     Buffer.add_char buf '/';
-    Buffer.add_string buf a.context.program;
+    add_name buf a.context.program;
     add_parents add_signature_parent buf l v;
     Buffer.add_char buf ';'
   done

@@ -16,11 +16,9 @@
     {!signature} is the rendering that gets persisted (bundle profiles,
     diagnosis baselines, digests): per vertex
     [kind/host/program<tagpos...;]. It is computed once per pattern, from
-    its first member. The string joins names with ['/'], ['<'] and [';'],
-    so a host or program name containing one of them can render like a
-    different split of the same characters ([a/b] on [c], [a] on [b/c]);
-    the id key keeps such paths in separate patterns, which may then
-    share a signature. *)
+    its first member. Inside host and program names, ['\\'], ['/'], ['<']
+    and [';'] are escaped with a ['\\'], so two patterns {!classify} keeps
+    apart never share a signature. *)
 
 type t = {
   signature : string;  (** {!signature_of} the first member. *)

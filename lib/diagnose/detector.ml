@@ -285,16 +285,13 @@ let check_latency t at ~(baseline : Analysis.profile) ~(observed : Analysis.prof
              ratio))
 
 (* The window as one pattern named after [p], its newest path: the
-   members' span columns side by side, in window order. Only members with
-   as many critical-path hops as [p] join. *)
+   members' span columns side by side, in window order. A signature is
+   one shape, so every member has as many critical-path hops as [p]. *)
 let window_pattern window (p : Pattern.t) =
-  let hops = Array.length p.spans in
-  let members =
-    List.filter
-      (fun (m : Pattern.t) -> Array.length m.spans = hops)
-      (List.of_seq (Queue.to_seq window))
+  let members = List.of_seq (Queue.to_seq window) in
+  let spans =
+    Array.init (Array.length p.spans) (fun _ -> Float.Array.create (List.length members))
   in
-  let spans = Array.init hops (fun _ -> Float.Array.create (List.length members)) in
   List.iteri
     (fun j (m : Pattern.t) ->
       Array.iteri (fun h column -> Float.Array.set spans.(h) j (Float.Array.get column 0)) m.spans)

@@ -22,12 +22,7 @@
     alone) and joins its signature's window as a one-member pattern. A
     judged window is profiled from those members' span columns, in
     window order, so its profile is bit-identical to the one
-    {!Core.Aggregate.profiles_of_cags} computes over the same paths. Paths
-    whose host or program names contain ['/'], ['<'] or [';'] can share
-    a signature while {!Core.Pattern.classify} keeps them apart: they
-    share one window, and its profile averages the members with as many
-    critical-path hops as the newest path, under the hop components of
-    the oldest of them.
+    {!Core.Aggregate.profiles_of_cags} computes over the same paths.
 
     One hysteresis rule guards every alarm. An alarm is keyed by what it
     watches: its kind, the pattern's signature (for per-pattern and mix

@@ -42,9 +42,6 @@ type score = {
   digest : string;  (** {!Core.Shard.digest} of the result. *)
 }
 
-val pattern_count : Core.Cag.t list -> int
-(** [List.length (Core.Pattern.classify cags)]. *)
-
 val score_logs :
   ?window:Simnet.Sim_time.span ->
   entries:Simnet.Address.endpoint list ->

@@ -86,10 +86,6 @@ val cache_hit : hit_ratio:float -> key:int -> bool
 val route : replicas:int -> key:int -> int
 (** Key partitioning: [key mod replicas]. *)
 
-val edges_of : t -> (string * string) list
-(** Every caller/callee tier pair, including cache backing and load
-    balancer backend edges. *)
-
 val validate : t -> unit
 (** @raise Invalid_argument on unknown/self/entry targets, cyclic call
     graphs, empty groups, non-Service roles with call groups, or

@@ -15,18 +15,13 @@
 
 type t
 
-val create : jobs:int -> t
-(** [create ~jobs] spawns [jobs - 1] worker domains (clamped to at least
-    one job). The pool lives until {!shutdown}. *)
-
 val size : t -> int
 (** The parallelism degree [jobs] the pool was created with. *)
 
-val shutdown : t -> unit
-(** Join all worker domains. Idempotent. Running jobs finish first. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [create], run, and [shutdown] even on exceptions. *)
+(** [with_pool ~jobs f] spawns [jobs - 1] worker domains (clamped to at
+    least one job), runs [f] on the pool and joins the domains, even on
+    exceptions. *)
 
 val run : t -> n:int -> (int -> unit) -> unit
 (** Evaluate [f i] for [i = 0 .. n-1] across the pool and wait for all of

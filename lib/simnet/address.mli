@@ -23,7 +23,6 @@ val ip_of_int : int -> ip
     @raise Invalid_argument outside [0, 2^32). *)
 
 val ip_equal : ip -> ip -> bool
-val pp_ip : Format.formatter -> ip -> unit
 
 type endpoint = { ip : ip; port : int }
 
@@ -41,7 +40,6 @@ val reverse : flow -> flow
 (** The opposite direction of the same connection. *)
 
 val flow_equal : flow -> flow -> bool
-val flow_hash : flow -> int
 val pp_flow : Format.formatter -> flow -> unit
 (** Rendered ["10.0.0.1:3456-10.0.0.2:80"], matching TCP_TRACE output. *)
 

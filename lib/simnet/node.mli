@@ -41,8 +41,6 @@ val local_time : t -> Sim_time.t
 (** The node's local clock reading at the current global instant — what a
     tracer running on this node stamps on activities. *)
 
-val fresh_pid : t -> int
-val fresh_tid : t -> int
 val fresh_port : t -> int
 (** Ephemeral port, starting at 32768. *)
 

@@ -69,12 +69,6 @@ val close : stack -> socket -> unit
 (** Close both directions from this side. The peer's pending and future
     recvs return 0 once in-flight data has drained. Idempotent. *)
 
-val local_endpoint : socket -> Address.endpoint
-val peer_endpoint : socket -> Address.endpoint
-
-val out_flow : socket -> Address.flow
-(** The flow of bytes sent from this socket: local -> peer. *)
-
 val syscall_count : stack -> int
 (** Total send+recv syscalls executed (traced or not). *)
 

@@ -55,15 +55,6 @@ val observe : Histogram.t -> float -> unit
 
 (** {1 Timer spans} *)
 
-type span
-(** A started named timer; stopping it observes the elapsed wall-clock
-    seconds into the histogram it was started from. *)
-
-val start_span : t -> ?labels:(string * string) list -> string -> span
-val stop_span : span -> float
-(** Returns the elapsed seconds (also recorded). Stopping twice records
-    twice. *)
-
 val time : t -> ?labels:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [time reg name f] runs [f] inside a span — the elapsed seconds are
     recorded even if [f] raises. *)

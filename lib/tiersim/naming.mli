@@ -19,12 +19,10 @@ val cluster_tier_ip : replica:int -> tier_index:int -> string
 val cluster_client_ip : replica:int -> index:int -> string
 (** Client emulator nodes of a cluster replica: ["10.<replica>.0.<10+index>"]. *)
 
-val mesh_zone : int
-(** First-octet base for mesh topologies (disjoint from cluster replicas
-    and the 10.9.* random call-tree topologies). *)
-
 val mesh_tier_ip : tier_index:int -> replica:int -> string
-(** ["10.<mesh_zone+tier_index>.<replica+1>.1"]. *)
+(** ["10.<120+tier_index>.<replica+1>.1"]: mesh topologies take first
+    octets from 120, disjoint from cluster replicas and the 10.9.* random
+    call-tree topologies. *)
 
 val mesh_clients_ip : string
 (** The mesh load-generator node's address. *)

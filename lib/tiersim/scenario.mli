@@ -101,10 +101,6 @@ type cluster_outcome = {
   hosts : string list;  (** Every traced server hostname. *)
 }
 
-val replica_spec : cluster -> int -> spec
-(** The effective spec of replica [i] ([replica = i], seed offset by
-    [i], name suffixed ["/r<i>"]). *)
-
 val run_cluster :
   ?before_replica:(int -> Service.t -> unit) ->
   ?after_replica:(int -> Service.t -> unit) ->

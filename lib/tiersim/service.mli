@@ -77,9 +77,6 @@ val probe : t -> Trace.Probe.t
 val entry_endpoint : t -> Simnet.Address.endpoint
 (** The web tier's [ip:80]. *)
 
-val db_endpoint : t -> Simnet.Address.endpoint
-(** The database tier's [ip:3306] (the unfilterable-noise target). *)
-
 val server_hostnames : t -> string list
 
 val fresh_request_id : t -> int

@@ -52,5 +52,3 @@ val sample_kind : Simnet.Rng.t -> kind:string -> id:int -> plan
 val think_time : Simnet.Rng.t -> Simnet.Sim_time.span
 (** Client think time: exponential with the RUBiS-style mean used
     throughout the evaluation (see {!Scenario}). *)
-
-val mean_think : Simnet.Sim_time.span

@@ -13,7 +13,6 @@ val kind_priority : kind -> int
 (** The ranker's candidate priority: BEGIN < SEND < END < RECEIVE
     (lower fires first under Rule 2). *)
 
-val pp_kind : Format.formatter -> kind -> unit
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 val equal_kind : kind -> kind -> bool
@@ -36,9 +35,6 @@ type message = { flow : Simnet.Address.flow; size : int }
 (** The (sender ip:port, receiver ip:port, message size) tuple. The flow is
     always oriented in the direction of the bytes, for both SEND and
     RECEIVE activities. *)
-
-val equal_message : message -> message -> bool
-val pp_message : Format.formatter -> message -> unit
 
 type t = {
   kind : kind;

@@ -101,19 +101,17 @@ val get : t -> int -> Activity.t
 val iter_native :
   t -> (kind:int -> ts:int -> ctx:int -> flow:int -> size:int -> unit) -> unit
 
-(** {1 Order} *)
+(** {1 Order}
 
-val compare_across : t -> int -> t -> int -> int
-(** [compare_across a i b j] orders row [i] of [a] against row [j] of [b]
-    as {!Activity.compare_by_time} orders the records (timestamp, context,
-    kind priority); [0] on a full tie. *)
+    Rows order as {!Activity.compare_by_time} orders the records
+    (timestamp, context, kind priority): the time order. *)
 
 val merge_runs : t array -> (int -> int -> int -> unit) -> unit
 (** [merge_runs arenas f] is the k-way time merge of [arenas], each in
     {!sort_by_time} order: it calls [f h lo hi] for consecutive runs of
     rows [lo, hi) of [arenas.(h)] (never empty, and each arena's runs
     contiguous from row 0), and the runs concatenated are every row in
-    {!compare_across} order, full ties going to the lower arena index.
+    time order, full ties going to the lower arena index.
     That is exactly the order [List.stable_sort Activity.compare_by_time]
     gives the concatenated records: the arrival order of a replayed feed.
     A run is every row of the least head below the runner-up timestamp,
@@ -125,8 +123,8 @@ val iter_merged : t array -> (int -> int -> unit) -> unit
     [arenas.(h)]. *)
 
 val sort_by_time : t -> unit
-(** In-place stable sort into {!compare_across} order (full ties keep
-    their row order). *)
+(** In-place stable sort into time order (full ties keep their row
+    order). *)
 
 val sorted : t -> t
 (** [t] itself when already in {!sort_by_time} order, else a sorted
@@ -138,9 +136,6 @@ val time_bounds : t -> (Simnet.Sim_time.t * Simnet.Sim_time.t) option
 (** {1 Conversions} *)
 
 val of_log : Log.t -> t
-val to_log : t -> Log.t
-(** [to_log] sorts (like [Log.of_list]) when rows are out of order and
-    appends directly when already sorted. *)
 
 val of_collection : Log.collection -> t list
 val to_collection : t list -> Log.collection

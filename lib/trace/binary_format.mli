@@ -93,10 +93,6 @@ val w_read : writer -> reader -> unit
 val get_uvarint : reader -> int
 val get_varint : reader -> int
 
-val get_string : reader -> string
-(** A length-prefixed string; a length past [limit] is [Corrupt]
-    ["string overruns input"]. *)
-
 val get_bytes : reader -> int -> string
 (** The next [n] bytes; [End_of_input] if fewer are left. *)
 
@@ -168,9 +164,6 @@ type table_ids = { string_ids : int array; context_ids : int array; flow_ids : i
 val get_tables : reader -> table_ids
 (** Read the three tables, interning every entry; an out-of-range string
     index or ip/port raises like any other corrupt field. *)
-
-val is_binary : string -> bool
-(** Whether the bytes begin with {!magic}. *)
 
 val is_binary_file : path:string -> bool
 (** Whether the file at [path] starts with {!magic}; [false] on

@@ -576,15 +576,9 @@ let test_micro_block_overflow () =
   | _ -> Alcotest.fail "expected web1 stats"
 
 let test_agent_local_reduction () =
-  (* drop_programs reduction at the agent: the filtered program's records
-     never reach the wire, and the reduced count balances the identity. *)
-  let policy = Store.Policy.make ~drop_programs:[ "sshd" ] () in
-  let correlate =
-    Core.Correlator.config ~transform:(Core.Transform.config ~entry_points:[] ()) ()
-  in
-  let config =
-    { Agent.default_config with Agent.policy; correlate = Some correlate }
-  in
+  (* The agent's program filter: the filtered program's records never
+     reach the wire, and the reduced count balances the identity. *)
+  let config = { Agent.default_config with Agent.drop_programs = [ "sshd" ] } in
   let m = make_micro ~config () in
   for i = 0 to 99 do
     let program = if i mod 2 = 0 then "httpd" else "sshd" in

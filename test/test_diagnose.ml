@@ -72,12 +72,11 @@ let mk_short_cag ?(program = "java") ~base () =
   let engine, _ = H.correlate_raw logs in
   List.hd (Core.Cag_engine.finished engine)
 
-(* Two path shapes whose signature strings collide, built by hand. The
-   merged shape's third vertex has a program name that spells the plain
-   shape's third and fourth vertices, so [Pattern.classify] keeps the two
-   apart while [Pattern.signature_of] renders them alike. Their critical
-   paths differ in length: END <- SEND a/j <- SEND <- BEGIN (3 hops) and
-   END <- RECEIVE w/h <- BEGIN (2 hops). *)
+(* Two path shapes built by hand whose signatures would collide if
+   names went into them unescaped: the merged shape's third vertex has a
+   program name that spells the plain shape's third and fourth vertices.
+   Their critical paths differ in length: END <- SEND a/j <- SEND <-
+   BEGIN (3 hops) and END <- RECEIVE w/h <- BEGIN (2 hops). *)
 let colliding_cag ~merged ~base =
   let flow =
     Simnet.Address.flow
@@ -334,13 +333,13 @@ let test_no_false_alarms_on_steady_stream () =
   let _, phases = run_stream steady_stream in
   Alcotest.(check int) "faultless stream, zero verdicts" 0 (List.length (List.concat phases))
 
-(* Paths whose signatures collide share one window: judging it must not
-   mix span columns of different lengths. *)
+(* Names that spell separators are escaped, so the two shapes get
+   distinct signatures and windows, and each window holds one shape. *)
 let test_colliding_signatures () =
   let merged = colliding_cag ~merged:true ~base:0 in
   let plain = colliding_cag ~merged:false ~base:0 in
-  Alcotest.(check string) "signatures collide" (Core.Pattern.signature_of plain)
-    (Core.Pattern.signature_of merged);
+  Alcotest.(check bool) "distinct signatures" false
+    (String.equal (Core.Pattern.signature_of plain) (Core.Pattern.signature_of merged));
   let hops cags = List.map (fun p -> Array.length p.Core.Pattern.spans) (Core.Pattern.classify cags) in
   Alcotest.(check (list int)) "two patterns, 3 and 2 hops" [ 3; 2 ] (hops [ plain; merged ]);
   let det = detector { small_config with Detector.warmup_paths = 20; mix_window = 20 } in
@@ -678,12 +677,13 @@ let matrix_pins =
       ] );
   ]
 
+(* Every skew's digest is computed before one check, so a failing run
+   lists every moved pin. *)
 let test_matrix_pin faults pins () =
-  List.iter
-    (fun (skew_ms, expected) ->
-      check_pin (Printf.sprintf "skew %dms" skew_ms) expected
-        (snd (live_digest (cli_spec ~skew_ms faults))))
-    pins
+  let got =
+    List.map (fun (skew_ms, _) -> (skew_ms, snd (live_digest (cli_spec ~skew_ms faults)))) pins
+  in
+  Alcotest.(check (list (pair int string))) "verdict digests by skew (ms)" pins got
 
 (* The baseline the seed-11 [-c 60] control freezes. *)
 let control_baseline =

@@ -483,6 +483,14 @@ module Reference = struct
     let vertices = Cag.vertices cag in
     back (List.nth vertices (List.length vertices - 1)) []
 
+  (* Names with their separators escaped. *)
+  let add_name buf name =
+    String.iter
+      (fun c ->
+        if String.contains "\\/<;" c then Buffer.add_char buf '\\';
+        Buffer.add_char buf c)
+      name
+
   let signature_of cag =
     let vertices = Cag.vertices cag in
     let position = Hashtbl.create 16 in
@@ -493,9 +501,9 @@ module Reference = struct
         let a = v.Cag.activity in
         Buffer.add_string buf (Activity.kind_to_string a.Activity.kind);
         Buffer.add_char buf '/';
-        Buffer.add_string buf a.context.host;
+        add_name buf a.context.host;
         Buffer.add_char buf '/';
-        Buffer.add_string buf a.context.program;
+        add_name buf a.context.program;
         let parents =
           List.map
             (fun (kind, (p : Cag.vertex)) ->
@@ -772,13 +780,20 @@ let test_one_member () =
   Alcotest.(check bool) "p50 = max" true (t.Aggregate.p50_s = t.Aggregate.tail_max_s)
 
 (* The signature string joins host and program with '/', so "a/b" on
-   "c" and "a" on "b/c" render alike; the grouping key holds the two
-   names apart. *)
+   "c" and "a" on "b/c" would render alike unescaped; escaped, the two
+   patterns the grouping key holds apart get distinct signatures. *)
 let test_separator_in_names () =
   let a = hand_path ~host:"a/b" ~program:"c" ~cag_id:0 0 in
   let b = hand_path ~host:"a" ~program:"b/c" ~cag_id:1 100 in
-  Alcotest.(check string) "same signature string" (Pattern.signature_of a) (Pattern.signature_of b);
-  Alcotest.(check int) "two patterns" 2 (List.length (Pattern.classify [ a; b ]))
+  Alcotest.(check bool) "distinct signature strings" false
+    (String.equal (Pattern.signature_of a) (Pattern.signature_of b));
+  Alcotest.(check int) "two patterns" 2 (List.length (Pattern.classify [ a; b ]));
+  let each_separator =
+    List.mapi
+      (fun i c -> hand_path ~host:(Printf.sprintf "h%cx" c) ~program:"p" ~cag_id:(2 + i) (200 + i))
+      [ '\\'; '/'; '<'; ';' ]
+  in
+  Alcotest.(check bool) "= reference" true (matches_reference (a :: b :: each_separator))
 
 let () =
   Alcotest.run "goldens"
