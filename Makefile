@@ -10,9 +10,10 @@ build:
 test: build
 	dune runtest
 
-# The suite again with two worker domains, so every ?jobs/?pool code path
-# (sharded correlation, parallel segment scans) runs
-# genuinely parallel in CI even where tests default to PT_JOBS unset.
+# The suite again with two worker domains, so every ?jobs code path
+# (sharded correlation, parallel segment scans) that takes its default
+# runs genuinely parallel in CI; with PT_JOBS unset the default is one
+# domain.
 test-parallel: build
 	PT_JOBS=2 dune runtest --force
 
@@ -111,6 +112,11 @@ bundle-gate: build
 # A pack times the stages decode, profile, encode (back-links included)
 # and write; `bundle pack STORE` adds correlate, while `correlate
 # --bundle` packs the paths it made and has none.
+# Parallel work runs only where asked: with PT_JOBS unset, `correlate`
+# writes no pt_parallel_ sample, while `--jobs 2` reports two worker
+# domains and exports the same paths. A simulate option that would do
+# nothing without the option it needs (here --collect-batch without
+# --collect) is a usage error (124) naming that option.
 # A live baseline saved from a healthy run arms a later db-lock run, which
 # must name tier mysqld; a baseline file in the retired pt-baseline-1
 # format exits 1 with an error naming the file.
@@ -218,6 +224,16 @@ cli-gate: build
 	cd _cli_gate && $(CLI_EXE) bundle diff store.ptz store.ptz --json - > diff-stdout.json
 	cmp _cli_gate/diff.json _cli_gate/diff-stdout.json
 	test ! -e _cli_gate/-
+	env -u PT_JOBS $(CLI_CORRELATE) _cli_gate/text \
+		--telemetry _cli_gate/jobs-default.prom --telemetry-format prom > /dev/null
+	! grep -q '^pt_parallel_' _cli_gate/jobs-default.prom
+	env -u PT_JOBS $(CLI_CORRELATE) _cli_gate/text --jobs 2 --json _cli_gate/jobs2.json \
+		--telemetry _cli_gate/jobs2.prom --telemetry-format prom > /dev/null
+	grep -qx 'pt_parallel_jobs 2.0' _cli_gate/jobs2.prom
+	cmp _cli_gate/text.json _cli_gate/jobs2.json
+	$(CLI_SIM) --collect-batch 3 2> _cli_gate/needs.err; test $$? -eq 124
+	cat _cli_gate/needs.err
+	grep -q -- '--collect-batch applies only with --collect' _cli_gate/needs.err
 	$(CLI_CORRELATE) _cli_gate/text --json - --telemetry - > _cli_gate/two.out 2> _cli_gate/usage.err; \
 		test $$? -eq 124
 	grep -q 'already writes to stdout' _cli_gate/usage.err

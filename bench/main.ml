@@ -333,7 +333,7 @@ let bench_fig10_11 () =
   in
   let t11 =
     Report.table ~title:"Fig. 11: correlator memory vs sliding window size"
-      ~columns:[ "clients"; "window"; "peak records"; "approx MB" ]
+      ~columns:[ "clients"; "window"; "peak records" ]
   in
   List.iter
     (fun clients ->
@@ -352,8 +352,6 @@ let bench_fig10_11 () =
               Report.cell_int clients;
               Report.cell_span window;
               Report.cell_int result.peak_memory_proxy;
-              Report.cell_float ~decimals:2
-                (float_of_int result.memory_bytes_estimate /. 1048576.0);
             ])
         (window_grid ()))
     [ 200; 500; 800 ];

@@ -104,7 +104,7 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for sharded correlation and store segment scans. Defaults to the \
-           $(b,PT_JOBS) environment variable, else the machine's recommended domain count. \
+           $(b,PT_JOBS) environment variable, else 1 (one domain, the serial correlator). \
            Output is identical at any value.")
 
 let jobs_of = function Some j -> max 1 j | None -> Parallel.Pool.default_jobs ()
@@ -403,6 +403,8 @@ let close_store ?ground_truth dir writer =
   in
   Format.printf "store %s: %a@." dir Store.Writer.pp_stats stats
 
+let default_segment_records = 65536
+
 let open_store ~policy ~correlate ~segment_records dir =
   writing dir (fun () ->
       Store.Writer.create ~policy ~correlate ~roll_records:segment_records ~dir ())
@@ -525,7 +527,9 @@ let simulate_cmd =
     Arg.(
       value & flag
       & info [ "binary" ]
-          ~doc:"Save one compact binary file (traces.ptb) instead of per-node text files.")
+          ~doc:
+            "With $(b,-o), save one compact binary file (traces.ptb) instead of per-node text \
+             files.")
   in
   let store_out =
     Arg.(
@@ -539,7 +543,7 @@ let simulate_cmd =
   let store_policy =
     Arg.(
       value
-      & opt policy_conv Store.Policy.none
+      & opt (some' ~none:Store.Policy.none policy_conv) None
       & info [ "store-policy" ] ~docv:"POLICY"
           ~doc:
             "Online reduction policy for --store, e.g. $(b,causal,sample=0.25@7). \
@@ -547,9 +551,10 @@ let simulate_cmd =
   in
   let segment_records =
     Arg.(
-      value & opt int 65536
+      value
+      & opt (some' ~none:default_segment_records int) None
       & info [ "segment-records" ] ~docv:"N"
-          ~doc:"Roll a new store segment every $(docv) buffered activities.")
+          ~doc:"Roll a new $(b,--store) segment every $(docv) buffered activities.")
   in
   let collect =
     Arg.(
@@ -563,12 +568,17 @@ let simulate_cmd =
   in
   let collect_batch =
     Arg.(
-      value & opt int Collect.Agent.default_config.Collect.Agent.batch_records
-      & info [ "collect-batch" ] ~docv:"N" ~doc:"Agent frame size: records per PTC1 frame.")
+      value
+      & opt (some' ~none:Collect.Agent.default_config.Collect.Agent.batch_records int) None
+      & info [ "collect-batch" ] ~docv:"N"
+          ~doc:
+            "Agent frame size: records per PTC1 frame. This and the other agent options \
+             need $(b,--collect) or $(b,--collect-shards).")
   in
   let collect_buffer =
     Arg.(
-      value & opt int Collect.Agent.default_config.Collect.Agent.max_spool_records
+      value
+      & opt (some' ~none:Collect.Agent.default_config.Collect.Agent.max_spool_records int) None
       & info [ "collect-buffer" ] ~docv:"N"
           ~doc:"Agent buffer bound: records held (batch + encode queue + spool) before \
                 the overflow policy engages.")
@@ -576,8 +586,11 @@ let simulate_cmd =
   let collect_overflow =
     Arg.(
       value
-      & opt (enum [ ("drop-oldest", Collect.Agent.Drop_oldest); ("block", Collect.Agent.Block) ])
-          Collect.Agent.Drop_oldest
+      & opt
+          (some'
+             ~none:Collect.Agent.default_config.Collect.Agent.overflow
+             (enum [ ("drop-oldest", Collect.Agent.Drop_oldest); ("block", Collect.Agent.Block) ]))
+          None
       & info [ "collect-overflow" ] ~docv:"POLICY"
           ~doc:
             "Agent overflow policy: $(b,drop-oldest) evicts the oldest unshipped frames, \
@@ -586,7 +599,7 @@ let simulate_cmd =
   let agent_policy =
     Arg.(
       value
-      & opt agent_policy_conv []
+      & opt (some' ~none:[] agent_policy_conv) None
       & info [ "agent-policy" ] ~docv:"POLICY"
           ~doc:
             "Programs each agent drops before shipping, e.g. $(b,drop=sshd+mysql). Default \
@@ -709,12 +722,33 @@ let simulate_cmd =
       telemetry =
     if replicas < 1 then usage_error "--replicas must be at least 1";
     if collect_shards < 0 then usage_error "--collect-shards must be 0 (off) or more";
+    (* An option that would do nothing is refused, naming what it needs. *)
+    let needs flag given what =
+      if given then usage_error (Printf.sprintf "%s applies only with %s" flag what)
+    in
+    let no_agents = (not collect) && collect_shards = 0 in
+    List.iter
+      (fun (flag, given) -> needs flag (no_agents && given) "--collect or --collect-shards")
+      [
+        ("--agent-policy", Option.is_some agent_policy);
+        ("--collect-batch", Option.is_some collect_batch);
+        ("--collect-buffer", Option.is_some collect_buffer);
+        ("--collect-overflow", Option.is_some collect_overflow);
+      ];
+    let no_store = Option.is_none store_dir in
+    needs "--store-policy" (no_store && Option.is_some store_policy) "--store DIR";
+    needs "--segment-records" (no_store && Option.is_some segment_records) "--store DIR";
+    needs "--binary" (binary && Option.is_none out) "-o DIR";
+    let agent_policy = Option.value agent_policy ~default:[] in
+    let store_policy = Option.value store_policy ~default:Store.Policy.none in
+    let segment_records = Option.value segment_records ~default:default_segment_records in
+    let d = Collect.Agent.default_config in
     let agent =
       {
-        Collect.Agent.default_config with
-        Collect.Agent.batch_records = collect_batch;
-        max_spool_records = collect_buffer;
-        overflow = collect_overflow;
+        d with
+        Collect.Agent.batch_records = Option.value collect_batch ~default:d.batch_records;
+        max_spool_records = Option.value collect_buffer ~default:d.max_spool_records;
+        overflow = Option.value collect_overflow ~default:d.overflow;
         drop_programs = agent_policy;
       }
     in
@@ -808,11 +842,10 @@ let print_online (online, live) =
 
 let print_correlation result =
   let open Core in
-  Format.printf "%d causal paths (%d deformed) in %.3f s; peak memory ~%.1f MB@."
+  Format.printf "%d causal paths (%d deformed) in %.3f s; peak %d records held@."
     (List.length result.Correlator.cags)
     (List.length result.Correlator.deformed)
-    result.Correlator.correlation_time
-    (float_of_int result.Correlator.memory_bytes_estimate /. 1048576.0);
+    result.Correlator.correlation_time result.Correlator.peak_memory_proxy;
   let rs = result.Correlator.ranker_stats in
   Format.printf "ranker: %d candidates, %d noise discarded, %d promotions@." rs.Ranker.candidates
     rs.noise_discarded rs.promotions;
@@ -1156,7 +1189,7 @@ let store_ingest_cmd =
   in
   let segment_records =
     Arg.(
-      value & opt int 65536
+      value & opt int default_segment_records
       & info [ "segment-records" ] ~docv:"N"
           ~doc:"Roll a new segment every $(docv) activities.")
   in

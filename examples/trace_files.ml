@@ -53,10 +53,9 @@ let () =
       (* 3. correlate offline *)
       let cfg = Core.Correlator.config ~transform:outcome.S.transform () in
       let result = Core.Correlator.correlate cfg loaded in
-      Format.printf "correlated %d causal paths in %.3f s (peak ~%.1f MB)@."
+      Format.printf "correlated %d causal paths in %.3f s (peak %d records held)@."
         (List.length result.Core.Correlator.cags)
-        result.correlation_time
-        (float_of_int result.memory_bytes_estimate /. 1048576.0);
+        result.correlation_time result.peak_memory_proxy;
       List.iter
         (fun p -> Format.printf "  %a@." Core.Pattern.pp p)
         (Core.Pattern.classify result.Core.Correlator.cags);

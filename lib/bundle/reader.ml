@@ -92,8 +92,8 @@ let rows t =
       t.rows <- Some r;
       Ok r
 
-let query ?telemetry ?pool ?jobs t predicate =
-  Store.Query.run_native_with ?telemetry ?pool ?jobs ~read:(read_segment_native t)
+let query ?telemetry ?jobs t predicate =
+  Store.Query.run_native_with ?telemetry ?jobs ~read:(read_segment_native t)
     t.store_manifest predicate
 
 let paths t =

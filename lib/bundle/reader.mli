@@ -34,14 +34,14 @@ val store_manifest : t -> Store.Manifest.t
 
 val query :
   ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
   ?jobs:int ->
   t ->
   Store.Query.predicate ->
   (Trace.Arena.t list * Store.Query.stats, string) result
 (** {!Store.Query.run_native_with} against the embedded segments:
-    identical manifest pruning, parallel decode, merge and row filtering
-    as a directory-backed store query. With {!Store.Query.all} it returns
+    identical manifest pruning, parallel decode at [jobs] (default
+    {!Parallel.Pool.default_jobs}), merge and row filtering as a
+    directory-backed store query. With {!Store.Query.all} it returns
     the canonical rows back-link [(host, index)] coordinates index into:
     all embedded segments decoded in manifest order and merged by
     {!Store.Query.merge_native} (hosts with no rows left out). *)

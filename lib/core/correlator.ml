@@ -19,13 +19,7 @@ type result = {
   engine_stats : Cag_engine.stats;
   correlation_time : float;
   peak_memory_proxy : int;
-  memory_bytes_estimate : int;
 }
-
-(* Rough per-record footprint: an activity record plus its share of queue,
-   index-map and vertex overhead, in bytes. Used only to scale the memory
-   proxy into familiar units. *)
-let bytes_per_record = 160
 
 module Session = struct
   type t = {
@@ -200,15 +194,13 @@ let correlate_rows ?(telemetry = R.default) ?started ?(on_path = ignore) (cfg : 
     (fun () -> Session.run s);
   let correlation_time = Unix.gettimeofday () -. t0 in
   Session.close s;
-  let peak = s.peak in
   {
     cags = Cag_engine.finished s.engine;
     deformed = Cag_engine.unfinished s.engine;
     ranker_stats = Ranker.stats s.ranker;
     engine_stats = Cag_engine.stats s.engine;
     correlation_time;
-    peak_memory_proxy = peak;
-    memory_bytes_estimate = peak * bytes_per_record;
+    peak_memory_proxy = s.peak;
   }
 
 (* Native entry: transform in the arena representation (memoised per

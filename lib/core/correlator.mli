@@ -44,8 +44,6 @@ type result = {
       (** Peak simultaneously-held records: buffered activities plus live
           CAG vertices plus mmap entries — the quantity the paper's Fig. 11
           tracks as Correlator memory. *)
-  memory_bytes_estimate : int;
-      (** [peak_memory_proxy] scaled by a per-record footprint estimate. *)
 }
 
 (** The one rank/commit loop, shared by offline, sharded and online

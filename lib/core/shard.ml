@@ -193,18 +193,11 @@ let merge_results ~started (results : Correlator.result array) : Correlator.resu
             first.Correlator.engine_stats rest;
         correlation_time = Unix.gettimeofday () -. started;
         peak_memory_proxy = fold max 0 (fun r -> r.Correlator.peak_memory_proxy);
-        memory_bytes_estimate = fold max 0 (fun r -> r.Correlator.memory_bytes_estimate);
       }
 
-let resolve_jobs jobs pool =
-  match (jobs, pool) with
-  | Some j, _ -> max 1 j
-  | None, Some p -> Pool.size p
-  | None, None -> Pool.default_jobs ()
-
 (* Transform, plan, correlate each epoch in a worker domain, merge. *)
-let correlate_arena ?(telemetry = R.default) ?pool ?jobs (cfg : Correlator.config) arenas =
-  let jobs = resolve_jobs jobs pool in
+let correlate_arena ?(telemetry = R.default) ?jobs (cfg : Correlator.config) arenas =
+  let jobs = Option.value jobs ~default:(Pool.default_jobs ()) in
   if jobs <= 1 then Correlator.correlate_arena ~telemetry cfg arenas
   else begin
     let started = Unix.gettimeofday () in
@@ -244,10 +237,7 @@ let correlate_arena ?(telemetry = R.default) ?pool ?jobs (cfg : Correlator.confi
       let results =
         R.time telemetry ~labels:[ ("stage", "correlate") ] "pt_parallel_stage_seconds"
           (fun () ->
-            match pool with
-            | Some pl -> Pool.map pl ~n:(Array.length p.epochs) run_epoch
-            | None ->
-                Pool.with_pool ~jobs (fun pl -> Pool.map pl ~n:(Array.length p.epochs) run_epoch))
+            Pool.with_pool ~jobs (fun pl -> Pool.map pl ~n:(Array.length p.epochs) run_epoch))
       in
       R.time telemetry ~labels:[ ("stage", "merge") ] "pt_parallel_stage_seconds" (fun () ->
           merge_results ~started results)

@@ -53,14 +53,13 @@ val cut_candidates : plan -> int
 
 val correlate_arena :
   ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
   ?jobs:int ->
   Correlator.config ->
   Trace.Arena.t list ->
   Correlator.result
-(** Sharded offline correlation. [jobs] defaults to the pool's size, or
-    {!Parallel.Pool.default_jobs} when no pool is given; [jobs <= 1] is
-    {!Correlator.correlate_arena}, and a plan with a single epoch runs
+(** Sharded offline correlation. [jobs] defaults to
+    {!Parallel.Pool.default_jobs} (1 unless [PT_JOBS] says otherwise);
+    [jobs <= 1] is {!Correlator.correlate_arena}, and a plan with a single epoch runs
     {!Correlator.correlate_rows} over the whole feed, byte-for-byte the
     serial path. Reports the usual
     [pt_correlator_*]/[pt_ranker_*]/[pt_engine_*] metrics (counter

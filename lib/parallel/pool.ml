@@ -133,35 +133,7 @@ let map t ~n f =
     (function Some v -> v | None -> invalid_arg "Pool.map: task did not complete")
     out
 
-let map_list t xs f =
-  let arr = Array.of_list xs in
-  map t ~n:(Array.length arr) (fun i -> f arr.(i)) |> Array.to_list
-
 let default_jobs () =
-  let from_env =
-    match Sys.getenv_opt "PT_JOBS" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None -> None)
-    | None -> None
-  in
-  let n =
-    match from_env with Some n -> n | None -> Domain.recommended_domain_count ()
-  in
-  max 1 (min 64 n)
-
-let shared_pool = ref None
-let shared_lock = Mutex.create ()
-
-let shared () =
-  Mutex.lock shared_lock;
-  let t =
-    match !shared_pool with
-    | Some t -> t
-    | None ->
-        let t = create ~jobs:(default_jobs ()) in
-        shared_pool := Some t;
-        t
-  in
-  Mutex.unlock shared_lock;
-  t
+  match Option.bind (Sys.getenv_opt "PT_JOBS") (fun s -> int_of_string_opt (String.trim s)) with
+  | Some n when n >= 1 -> min 64 n
+  | Some _ | None -> 1

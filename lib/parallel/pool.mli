@@ -34,15 +34,8 @@ val map : t -> n:int -> (int -> 'a) -> 'a array
     pool. The result array is in index order — deterministic no matter
     how the domains interleave. *)
 
-val map_list : t -> 'a list -> ('a -> 'b) -> 'b list
-(** [map] over a list, preserving order. *)
-
 val default_jobs : unit -> int
 (** The parallelism degree used when the caller does not choose one: the
-    [PT_JOBS] environment variable if set to a positive integer, else
-    [Domain.recommended_domain_count ()]. Clamped to [1 .. 64]. *)
-
-val shared : unit -> t
-(** A process-wide pool of {!default_jobs} domains, created on first use
-    and never shut down (worker domains die with the process). Callers
-    that take an optional [?pool] argument default to this. *)
+    [PT_JOBS] environment variable if set to a positive integer (clamped
+    to 64), else 1. Parallel work runs only where a caller or the
+    environment asks for it. *)

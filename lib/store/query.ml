@@ -87,19 +87,12 @@ let record_query_telemetry telemetry stats =
 (* Decode the selected segments (in parallel when there are several and
    more than one worker), surfacing the first error in manifest order so
    a failing query reports the same segment at any [jobs]. *)
-let decode_selected ?pool ?jobs ~read metas =
+let decode_selected ?jobs ~read metas =
   let n = Array.length metas in
-  let jobs =
-    match (pool, jobs) with
-    | Some p, _ -> Parallel.Pool.size p
-    | None, Some j -> max 1 j
-    | None, None -> Parallel.Pool.default_jobs ()
-  in
+  let jobs = Option.value jobs ~default:(Parallel.Pool.default_jobs ()) in
   let decoded =
     if n <= 1 || jobs <= 1 then Array.map (fun m -> read m) metas
-    else
-      let scan p = Parallel.Pool.map p ~n (fun i -> read metas.(i)) in
-      match pool with Some p -> scan p | None -> Parallel.Pool.with_pool ~jobs scan
+    else Parallel.Pool.with_pool ~jobs (fun p -> Parallel.Pool.map p ~n (fun i -> read metas.(i)))
   in
   let rec collect acc i =
     if i >= n then Ok (List.rev acc)
@@ -110,10 +103,10 @@ let decode_selected ?pool ?jobs ~read metas =
   in
   collect [] 0
 
-let run_native_with ?(telemetry = R.default) ?pool ?jobs ~read manifest predicate =
+let run_native_with ?(telemetry = R.default) ?jobs ~read manifest predicate =
   let t0 = Unix.gettimeofday () in
   let selected = select manifest predicate in
-  match decode_selected ?pool ?jobs ~read (Array.of_list selected) with
+  match decode_selected ?jobs ~read (Array.of_list selected) with
   | Error e -> Error e
   | Ok collections ->
       let records_scanned =
@@ -149,10 +142,10 @@ let run_native_with ?(telemetry = R.default) ?pool ?jobs ~read manifest predicat
       record_query_telemetry telemetry stats;
       Ok (result, stats)
 
-let run_native ?telemetry ?pool ?jobs ~dir predicate =
+let run_native ?telemetry ?jobs ~dir predicate =
   match Manifest.load ~dir with
   | Error e -> Error e
   | Ok manifest ->
-      run_native_with ?telemetry ?pool ?jobs
+      run_native_with ?telemetry ?jobs
         ~read:(fun m -> Segment.read_native ~dir m)
         manifest predicate

@@ -42,7 +42,6 @@ val merge_native : Trace.Arena.t list list -> Trace.Arena.t list
 
 val run_native_with :
   ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
   ?jobs:int ->
   read:(Segment.meta -> (Trace.Arena.t list, string) result) ->
   Manifest.t ->
@@ -58,7 +57,6 @@ val run_native_with :
 
 val run_native :
   ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
   ?jobs:int ->
   dir:string ->
   predicate ->
@@ -68,8 +66,9 @@ val run_native :
     scan/return counts are recorded into [telemetry] under
     [pt_store_query_*].
 
-    Surviving segments are decoded in parallel across [pool] (or a
-    transient pool of [jobs] domains; default {!Parallel.Pool.default_jobs}).
+    Surviving segments are decoded in parallel across a transient pool
+    of [jobs] domains (default {!Parallel.Pool.default_jobs}: 1 unless
+    [PT_JOBS] says otherwise).
     Decoding is per-segment and the results are merged in manifest order,
     so output — including which segment a failing query blames — is
     identical at any [jobs]. [jobs <= 1] or a single segment decodes

@@ -228,9 +228,7 @@ let test_memory_proxy_grows_with_window () =
   let small = correlate ~window:(Sim_time.ms 1) logs in
   let big = correlate ~window:(Sim_time.sec 10) logs in
   Alcotest.(check bool) "bigger window, bigger peak" true
-    (big.Correlator.peak_memory_proxy > small.Correlator.peak_memory_proxy);
-  Alcotest.(check bool) "bytes estimate consistent" true
-    (big.memory_bytes_estimate = big.peak_memory_proxy * 160)
+    (big.Correlator.peak_memory_proxy > small.Correlator.peak_memory_proxy)
 
 let prop_interleaved_requests_all_resolve =
   QCheck.Test.make ~name:"any interleaving count/skew resolves all requests" ~count:60
