@@ -76,7 +76,8 @@ bundle-gate: build
 # PTB1 file, a several-segment store, and a store teed in-band by the
 # collection plane next to its text logs — must correlate to byte-identical
 # path exports within each run, offline and (from a store) through the
-# online replay; the offline and online store runs, and the offline run
+# online replay, and so must a copy of the store after `store compact`
+# merged its small segments; the offline and online store runs, and the offline run
 # that also packs a bundle (which packs the paths it made, not a second
 # correlation), must also report the same path, candidate and CAG counts
 # under the same telemetry names. The
@@ -94,9 +95,10 @@ bundle-gate: build
 # reports app1's dropped rows as reduced, and its collected store
 # correlates to the same paths as its own text logs.
 # An entry endpoint that no flow reaches (a mesh run correlated at the
-# RUBiS default entry) is a runtime failure for correlate and bundle pack:
-# exit 1 naming the endpoint and suggesting --entry; the right --entry
-# packs all 40 paths.
+# RUBiS default entry, or the RUBiS store packed at an unused --entry) is
+# a runtime failure for correlate and bundle pack, from a trace dir or a
+# store: exit 1 naming the endpoint and suggesting --entry; the right
+# --entry packs all 40 paths.
 # The same run on the hierarchical plane
 # (two replicas, two shards) must report no flagged-deformed path at the
 # root, and some under an agent crash; the flat plane must survive the
@@ -163,6 +165,11 @@ cli-gate: build
 	cmp _cli_gate/text.json _cli_gate/store-online.json
 	cmp _cli_gate/collect-text.json _cli_gate/collect-store.json
 	cmp _cli_gate/collect-text.json _cli_gate/collect-store-online.json
+	cp -r _cli_gate/store _cli_gate/compact-store
+	$(CLI_EXE) store compact _cli_gate/compact-store --min-records 8192 | tee _cli_gate/compact.txt
+	grep -q ' [1-9][0-9]* merged into' _cli_gate/compact.txt
+	$(CLI_CORRELATE) _cli_gate/compact-store --json _cli_gate/compact-store.json > /dev/null
+	cmp _cli_gate/text.json _cli_gate/compact-store.json
 	cp -r _cli_gate/store _cli_gate/cut-store
 	head -c 300 _cli_gate/store/seg-000000.pts > _cli_gate/cut-store/seg-000000.pts
 	$(CLI_CORRELATE) _cli_gate/cut-store 2> _cli_gate/cut-store.err; test $$? -eq 1
@@ -218,6 +225,11 @@ cli-gate: build
 	grep -q 'entry endpoint 10.0.1.1:80; .* --entry' _cli_gate/entry.err
 	$(CLI_EXE) bundle pack _cli_gate/mesh -o _cli_gate/mesh.ptz --entry 10.120.1.1:8000 \
 		| grep '^40 paths'
+	$(CLI_EXE) bundle pack _cli_gate/store -o _cli_gate/unreached.ptz --entry 10.9.9.9:80 \
+		2> _cli_gate/entry.err; test $$? -eq 1
+	cat _cli_gate/entry.err
+	grep -q 'entry endpoint 10.9.9.9:80; .* --entry' _cli_gate/entry.err
+	test ! -e _cli_gate/unreached.ptz
 	cd _cli_gate && $(CLI_EXE) correlate text --json - > text-stdout.json
 	cmp _cli_gate/text.json _cli_gate/text-stdout.json
 	cd _cli_gate && $(CLI_EXE) bundle diff store.ptz store.ptz --json diff.json

@@ -375,13 +375,20 @@ let scenario_json (spec : S.spec) =
         match spec.S.fault_onset with None -> Null | Some s -> Int (ST.span_ns s) );
     ]
 
+(* A run with no path at all had no BEGIN row: the entry endpoint matches
+   no flow. Such an error says which option sets it. *)
+let with_entry_hint config msg =
+  if String.ends_with ~suffix:(Core.Transform.entry_unreached config.Core.Correlator.transform) msg
+  then msg ^ "; pass the service's entry endpoint with --entry IP:PORT"
+  else msg
+
 let pack_bundle ?embed_telemetry ?scenario ?jobs ~config ~source path =
   match
     writing path (fun () ->
         Bundle.Pack.pack ?embed_telemetry ?scenario ?jobs ~config ~source ~path ())
   with
   | Ok summary -> Format.printf "%a@." Bundle.Pack.pp_summary summary
-  | Error e -> failed ("cannot pack bundle: " ^ e)
+  | Error e -> failed ("cannot pack bundle: " ^ with_entry_hint config e)
 
 (* A pack source for canonical arenas that no run has correlated yet. *)
 let correlated_run ?jobs config arenas =
@@ -402,8 +409,6 @@ let close_store ?ground_truth dir writer =
         stats)
   in
   Format.printf "store %s: %a@." dir Store.Writer.pp_stats stats
-
-let default_segment_records = 65536
 
 let open_store ~policy ~correlate ~segment_records dir =
   writing dir (fun () ->
@@ -552,7 +557,7 @@ let simulate_cmd =
   let segment_records =
     Arg.(
       value
-      & opt (some' ~none:default_segment_records int) None
+      & opt (some' ~none:Store.Writer.default_roll_records int) None
       & info [ "segment-records" ] ~docv:"N"
           ~doc:"Roll a new $(b,--store) segment every $(docv) buffered activities.")
   in
@@ -741,7 +746,7 @@ let simulate_cmd =
     needs "--binary" (binary && Option.is_none out) "-o DIR";
     let agent_policy = Option.value agent_policy ~default:[] in
     let store_policy = Option.value store_policy ~default:Store.Policy.none in
-    let segment_records = Option.value segment_records ~default:default_segment_records in
+    let segment_records = Option.value segment_records ~default:Store.Writer.default_roll_records in
     let d = Collect.Agent.default_config in
     let agent =
       {
@@ -790,13 +795,10 @@ let transform_of_entry entry =
   Core.Transform.config ~entry_points:[ entry ]
     ~drop_programs:Tiersim.Service.standard_drop_programs ()
 
-(* A run with no path at all had no BEGIN row: the entry endpoint matches
-   no flow. A runtime failure that says which option sets it. *)
 let require_paths config cags unfinished =
   if cags = [] && unfinished = [] then
     failed
-      (Core.Transform.entry_unreached config.Core.Correlator.transform
-      ^ "; pass the service's entry endpoint with --entry IP:PORT")
+      (with_entry_hint config (Core.Transform.entry_unreached config.Core.Correlator.transform))
 
 (* Replay saved host arenas through the online pipeline in arrival order,
    as a live collector would deliver them. *)
@@ -1189,7 +1191,7 @@ let store_ingest_cmd =
   in
   let segment_records =
     Arg.(
-      value & opt int default_segment_records
+      value & opt int Store.Writer.default_roll_records
       & info [ "segment-records" ] ~docv:"N"
           ~doc:"Roll a new segment every $(docv) activities.")
   in

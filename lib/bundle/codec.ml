@@ -3,7 +3,6 @@ module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 module B = Trace.Binary_format
 module Cag = Core.Cag
-module Layout = Core.Pattern.Layout
 
 let magic = "PTP1"
 
@@ -21,17 +20,15 @@ let edge_of_code pos = function
 (* ---- encoding ---- *)
 
 (* PTB1's interning tables: strings, contexts and flows repeat across
-   most vertices, so each vertex carries small table indices. The vertex
-   list of a CAG is its causal order; local vertex ids are list
-   positions, and parent references are backward deltas. Vertices carry
-   their interned ids, so filling the tables makes no {!Intern} lookup.
-   One pass over the vertices writes the paths and fills the tables in
-   first-use order; the tables then go in front. Each CAG is laid out
-   once ({!Layout}), so a parent's position is a binary search. A
+   most vertices, so each vertex carries small table indices. A CAG's
+   vertex array is its causal order; local vertex ids are the vertices'
+   own positions, and parent references are backward deltas between
+   them. Vertices carry their interned ids, so filling the tables makes
+   no {!Intern} lookup. One pass over the vertices writes the paths and
+   fills the tables in first-use order; the tables then go in front. A
    vertex's back-links are its sources, written as they stand. *)
 let encode ~link_hosts cags =
   let t = B.tables () in
-  let l = Layout.create () in
   let host_count = Array.length link_hosts in
   let w = B.w_create 65_536 in
   let links = ref 0 and unresolved = ref 0 in
@@ -60,20 +57,19 @@ let encode ~link_hosts cags =
   in
   let write_parent i (kind, p) =
     B.w_uvarint w (edge_code kind);
-    B.w_uvarint w (i - Layout.position l p)
+    B.w_uvarint w (i - p.Cag.pos)
   in
   List.iter
     (fun cag ->
-      Layout.load l cag;
       B.w_uvarint w cag.Cag.cag_id;
       let flags =
         (if Cag.is_finished cag then 1 else 0) lor if Cag.is_deformed cag then 2 else 0
       in
       B.w_uvarint w flags;
-      B.w_uvarint w l.len;
+      B.w_uvarint w cag.Cag.vertex_count;
       let prev_ts = ref 0 in
-      for i = 0 to l.len - 1 do
-        let v = l.verts.(i) in
+      for i = 0 to cag.Cag.vertex_count - 1 do
+        let v = cag.Cag.verts.(i) in
         let a = v.Cag.activity in
         B.w_uvarint w (Activity.kind_to_code a.Activity.kind);
         let ts = Sim_time.to_ns a.timestamp in
@@ -121,14 +117,13 @@ let read_path r ~contexts ~flows ~host_count =
   if flags land lnot 3 <> 0 then raise (B.Corrupt (r.B.pos, "bad path flags"));
   let vertex_count = B.get_count r "vertex" in
   if vertex_count = 0 then raise (B.Corrupt (r.B.pos, "empty CAG"));
-  let vertices = Array.make vertex_count None in
   let prev_ts = ref 0 in
   let cag = ref None in
   let parent i =
     let kind = edge_of_code r.B.pos (B.get_uvarint r) in
     let delta = B.get_uvarint r in
     if delta < 1 || delta > i then raise (B.Corrupt (r.B.pos, "parent reference out of range"));
-    (kind, Option.get vertices.(i - delta))
+    (kind, (Option.get !cag).Cag.verts.(i - delta))
   in
   let source () =
     let h = B.get_uvarint r in
@@ -164,7 +159,6 @@ let read_path r ~contexts ~flows ~host_count =
     for _ = 2 to link_count do
       Cag.Builder.add_source v (source ())
     done;
-    vertices.(i) <- Some v;
     (match !cag with
     | None -> cag := Some (Cag.Builder.create ~cag_id v)
     | Some c -> Cag.Builder.adopt c v);

@@ -9,7 +9,7 @@ let pp_edge_kind ppf = function
   | Message_edge -> Format.pp_print_string ppf "msg"
 
 type vertex = {
-  vid : int;
+  mutable pos : int;
   mutable activity : Activity.t;
   ctx_id : int;
   flow_id : int;
@@ -24,7 +24,7 @@ type vertex = {
 and t = {
   mutable cag_id : int;
   root : vertex;
-  mutable rev_vertices : vertex list;
+  mutable verts : vertex array;
   mutable vertex_count : int;
   mutable finished : bool;
   mutable deformed : bool;
@@ -39,15 +39,9 @@ let source_host s = s lsr row_bits
 let source_row s = s land ((1 lsl row_bits) - 1)
 
 module Builder = struct
-  (* Atomic: the sharded correlator builds CAGs from several domains at
-     once. Per-engine operations remain sequential, so vids still grow
-     monotonically along every single CAG (what [validate] checks). *)
-  let next_vid = Atomic.make 0
-
   let fresh_row ~ctx ~flow ~source activity =
-    let vid = Atomic.fetch_and_add next_vid 1 in
     {
-      vid;
+      pos = -1;
       activity;
       ctx_id = ctx;
       flow_id = flow;
@@ -65,17 +59,21 @@ module Builder = struct
       ~flow:(Intern.flow_id a.Activity.message.flow)
       ~source:no_row a
 
+  (* Slots past [vertex_count] hold the root as filler. *)
+  let initial_capacity = 16
+
   let create ~cag_id root =
     let t =
       {
         cag_id;
         root;
-        rev_vertices = [ root ];
+        verts = Array.make initial_capacity root;
         vertex_count = 1;
         finished = false;
         deformed = false;
       }
     in
+    root.pos <- 0;
     root.cag <- Some t;
     t
 
@@ -83,9 +81,16 @@ module Builder = struct
     (match v.cag with
     | Some _ -> invalid_arg "Cag.Builder.adopt: vertex already in a CAG"
     | None -> ());
+    let n = t.vertex_count in
+    if n = Array.length t.verts then begin
+      let bigger = Array.make (2 * n) t.root in
+      Array.blit t.verts 0 bigger 0 n;
+      t.verts <- bigger
+    end;
+    t.verts.(n) <- v;
+    v.pos <- n;
     v.cag <- Some t;
-    t.rev_vertices <- v :: t.rev_vertices;
-    t.vertex_count <- t.vertex_count + 1
+    t.vertex_count <- n + 1
 
   let add_edge kind ~parent ~child =
     let violation msg = invalid_arg ("Cag.Builder.add_edge: " ^ msg) in
@@ -138,14 +143,10 @@ let sources v = List.fold_left (fun acc s -> if s = no_row then acc else s :: ac
 let root t = t.root
 let is_finished t = t.finished
 let is_deformed t = t.deformed
-let vertices t = List.rev t.rev_vertices
+let vertices t = List.init t.vertex_count (Array.get t.verts)
 let size t = t.vertex_count
 let begin_ts t = t.root.activity.Activity.timestamp
-
-let end_ts t =
-  match t.rev_vertices with
-  | last :: _ -> last.activity.Activity.timestamp
-  | [] -> assert false
+let end_ts t = t.verts.(t.vertex_count - 1).activity.Activity.timestamp
 
 let duration t = Sim_time.diff (end_ts t) (begin_ts t)
 
@@ -170,72 +171,44 @@ let contexts t =
 let validate t =
   let ( let* ) r f = Result.bind r f in
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let vs = vertices t in
-  let* () =
-    match vs with
-    | v :: _ when v == t.root -> Ok ()
-    | _ -> fail "CAG %d: first vertex is not the root" t.cag_id
-  in
   let* () =
     if t.finished then
-      match (t.root.activity.Activity.kind, (List.hd t.rev_vertices).activity.Activity.kind) with
+      let last = t.verts.(t.vertex_count - 1) in
+      match (t.root.activity.Activity.kind, last.activity.Activity.kind) with
       | Activity.Begin, Activity.End_ -> Ok ()
       | k1, k2 ->
           fail "CAG %d: finished but spans %s..%s" t.cag_id (Activity.kind_to_string k1)
             (Activity.kind_to_string k2)
     else Ok ()
   in
+  (* A parent in the same CAG at a smaller position, for every vertex but
+     the root, makes the graph acyclic and reachable from the root. *)
   let check_vertex acc v =
     let* () = acc in
     let* () =
       match v.parents with
       | [] ->
-          if v == t.root then Ok () else fail "CAG %d: vertex %d is parentless" t.cag_id v.vid
+          if v == t.root then Ok () else fail "CAG %d: vertex %d is parentless" t.cag_id v.pos
       | [ _ ] -> Ok ()
       | [ (k1, _); (k2, _) ] ->
           if not (Activity.equal_kind v.activity.Activity.kind Activity.Receive) then
-            fail "CAG %d: non-RECEIVE vertex %d has two parents" t.cag_id v.vid
+            fail "CAG %d: non-RECEIVE vertex %d has two parents" t.cag_id v.pos
           else if k1 = k2 then
-            fail "CAG %d: vertex %d has two parents of the same relation" t.cag_id v.vid
+            fail "CAG %d: vertex %d has two parents of the same relation" t.cag_id v.pos
           else Ok ()
-      | _ -> fail "CAG %d: vertex %d has more than two parents" t.cag_id v.vid
+      | _ -> fail "CAG %d: vertex %d has more than two parents" t.cag_id v.pos
     in
     let check_parent acc (_, p) =
       let* () = acc in
-      if p.vid >= v.vid then
-        fail "CAG %d: edge %d -> %d violates causal order" t.cag_id p.vid v.vid
-      else
-        match p.cag with
-        | Some c when c == t -> Ok ()
-        | Some _ | None -> fail "CAG %d: parent %d of %d is outside the CAG" t.cag_id p.vid v.vid
+      match p.cag with
+      | Some c when c == t ->
+          if p.pos < v.pos then Ok ()
+          else fail "CAG %d: edge %d -> %d violates causal order" t.cag_id p.pos v.pos
+      | Some _ | None -> fail "CAG %d: parent of %d is outside the CAG" t.cag_id v.pos
     in
     List.fold_left check_parent (Ok ()) v.parents
   in
-  let* () = List.fold_left check_vertex (Ok ()) vs in
-  (* Vids increase in insertion order: {!Pattern.Layout} finds a
-     parent's position by binary search on vid. *)
-  let rec increasing = function
-    | a :: (b :: _ as rest) ->
-        if a.vid < b.vid then increasing rest
-        else fail "CAG %d: vertex %d added after vertex %d" t.cag_id b.vid a.vid
-    | _ -> Ok ()
-  in
-  let* () = increasing vs in
-  (* Reachability from the root. *)
-  let reached = Hashtbl.create 16 in
-  let rec visit v =
-    if not (Hashtbl.mem reached v.vid) then begin
-      Hashtbl.replace reached v.vid ();
-      List.iter (fun (_, c) -> visit c) v.children
-    end
-  in
-  visit t.root;
-  List.fold_left
-    (fun acc v ->
-      let* () = acc in
-      if Hashtbl.mem reached v.vid then Ok ()
-      else fail "CAG %d: vertex %d unreachable from root" t.cag_id v.vid)
-    (Ok ()) vs
+  List.fold_left check_vertex (Ok ()) (vertices t)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>CAG %d (%s, %d vertices)" t.cag_id
@@ -243,9 +216,9 @@ let pp ppf t =
     t.vertex_count;
   List.iter
     (fun v ->
-      Format.fprintf ppf "@,  [%d] %a" v.vid Activity.pp v.activity;
+      Format.fprintf ppf "@,  [%d] %a" v.pos Activity.pp v.activity;
       List.iter
-        (fun (k, p) -> Format.fprintf ppf "@,        <-%a- [%d]" pp_edge_kind k p.vid)
+        (fun (k, p) -> Format.fprintf ppf "@,        <-%a- [%d]" pp_edge_kind k p.pos)
         (List.rev v.parents))
     (vertices t);
   Format.fprintf ppf "@]"
@@ -257,7 +230,7 @@ let to_dot t =
     (fun v ->
       let a = v.activity in
       Buffer.add_string buf
-        (Printf.sprintf "  v%d [label=\"%s\\n%s[%d/%d]\\n%d ns\"];\n" v.vid
+        (Printf.sprintf "  v%d [label=\"%s\\n%s[%d/%d]\\n%d ns\"];\n" v.pos
            (Activity.kind_to_string a.Activity.kind)
            a.context.program a.context.pid a.context.tid
            (Sim_time.to_ns a.timestamp)))
@@ -269,7 +242,7 @@ let to_dot t =
         | Context_edge -> "color=red"
         | Message_edge -> "color=blue, style=dashed"
       in
-      Buffer.add_string buf (Printf.sprintf "  v%d -> v%d [%s];\n" p.vid c.vid style))
+      Buffer.add_string buf (Printf.sprintf "  v%d -> v%d [%s];\n" p.pos c.pos style))
     (edges t);
   Buffer.add_string buf "}\n";
   Buffer.contents buf

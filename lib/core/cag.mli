@@ -9,14 +9,18 @@
     this structural invariant).
 
     Vertices are added in correlation order, which respects causality, so
-    the vertex list is always a topological order. *)
+    the vertex list is always a topological order. The CAG owns that
+    order: its vertices sit in one array, and each vertex knows its
+    position there. *)
 
 type edge_kind = Context_edge | Message_edge
 
 val pp_edge_kind : Format.formatter -> edge_kind -> unit
 
 type vertex = private {
-  vid : int;  (** Unique per correlator run; increasing in causal order. *)
+  mutable pos : int;
+      (** The vertex's index in its CAG's [verts], set by {!Builder.create}
+          and {!Builder.adopt}; [-1] while the vertex is an orphan. *)
   mutable activity : Trace.Activity.t;
       (** For merged SENDs/ENDs the size accumulates the whole logical
           message; for a matched RECEIVE it is the full message size and
@@ -47,7 +51,10 @@ type vertex = private {
 and t = private {
   mutable cag_id : int;
   root : vertex;
-  mutable rev_vertices : vertex list;
+  mutable verts : vertex array;
+      (** The vertices in insertion (= causal) order, valid on
+          [\[0, vertex_count)]: [verts.(v.pos) == v], the root at 0 and,
+          for a finished CAG, the END last. *)
   mutable vertex_count : int;
   mutable finished : bool;
   mutable deformed : bool;
@@ -91,7 +98,7 @@ module Builder : sig
   (** A new unfinished CAG rooted at the given vertex (normally a BEGIN). *)
 
   val adopt : t -> vertex -> unit
-  (** Append an orphan vertex to the CAG.
+  (** Append an orphan vertex to the CAG at position [vertex_count].
       @raise Invalid_argument if it already belongs to a CAG. *)
 
   val add_edge : edge_kind -> parent:vertex -> child:vertex -> unit
@@ -176,17 +183,18 @@ val edges : t -> (vertex * edge_kind * vertex) list
 (** Every (parent, kind, child), in child insertion order. *)
 
 val validate : t -> (unit, string) result
-(** Check the paper's structural invariants: single root; every non-root
-    vertex reachable from it; at most two parents; two parents only on a
-    RECEIVE, one per relation kind; parents precede children (acyclicity);
-    vids increase in insertion order; finished CAGs start with BEGIN and
-    end with END. *)
+(** Check the paper's structural invariants: only the root is
+    parentless; at most two parents; two parents only on a RECEIVE, one
+    per relation kind; every parent is in the same CAG at a smaller
+    position (so the graph is acyclic and every vertex is reachable from
+    the root); finished CAGs start with BEGIN and end with END. Error
+    messages name vertices by position. *)
 
 val contexts : t -> Trace.Activity.context list
 (** Distinct contexts in first-touch order. *)
 
 val pp : Format.formatter -> t -> unit
-(** Multi-line listing of vertices and their parent edges. *)
+(** Multi-line listing of vertices and their parent edges, by position. *)
 
 val to_dot : t -> string
 (** Graphviz rendering: red solid arrows for context relations, blue

@@ -145,13 +145,11 @@ let finish_cag t cag =
      receiving side of the interaction is missing from the input (log
      loss, an agent outage): the path still closes at its END, but it is
      a truncated rendition of the real request and must say so. *)
-  if
-    List.exists
-      (fun (v : Cag.vertex) ->
-        Activity.equal_kind v.Cag.activity.Activity.kind Activity.Send
-        && v.Cag.unreceived > 0)
-      cag.Cag.rev_vertices
-  then Cag.Builder.mark_deformed cag;
+  let unmatched (v : Cag.vertex) =
+    Activity.equal_kind v.Cag.activity.Activity.kind Activity.Send && v.Cag.unreceived > 0
+  in
+  let rec any i = i < cag.Cag.vertex_count && (unmatched cag.Cag.verts.(i) || any (i + 1)) in
+  if any 0 then Cag.Builder.mark_deformed cag;
   Cag.Builder.finish cag;
   t.cags_finished <- t.cags_finished + 1;
   t.rev_finished <- cag :: t.rev_finished;

@@ -4,11 +4,11 @@ module Sim_time = Simnet.Sim_time
 
 let endpoint_str (e : Address.endpoint) = Format.asprintf "%a" Address.pp_endpoint e
 
-let vertex_to_json index (v : Cag.vertex) =
+let vertex_to_json (v : Cag.vertex) =
   let a = v.Cag.activity in
   Json.Obj
     [
-      ("id", Json.Int index);
+      ("id", Json.Int v.Cag.pos);
       ("kind", Json.String (Activity.kind_to_string a.Activity.kind));
       ("timestamp_ns", Json.Int (Sim_time.to_ns a.timestamp));
       ("host", Json.String a.context.host);
@@ -21,19 +21,13 @@ let vertex_to_json index (v : Cag.vertex) =
     ]
 
 let cag_to_json cag =
-  let vertices = Cag.vertices cag in
-  let index_of =
-    let table = Hashtbl.create 16 in
-    List.iteri (fun i (v : Cag.vertex) -> Hashtbl.replace table v.Cag.vid i) vertices;
-    fun (v : Cag.vertex) -> Hashtbl.find table v.Cag.vid
-  in
   let edges =
     List.map
-      (fun (parent, kind, child) ->
+      (fun ((parent : Cag.vertex), kind, (child : Cag.vertex)) ->
         Json.Obj
           [
-            ("from", Json.Int (index_of parent));
-            ("to", Json.Int (index_of child));
+            ("from", Json.Int parent.Cag.pos);
+            ("to", Json.Int child.Cag.pos);
             ( "relation",
               Json.String
                 (match kind with Cag.Context_edge -> "context" | Cag.Message_edge -> "message") );
@@ -46,7 +40,7 @@ let cag_to_json cag =
       ("finished", Json.Bool (Cag.is_finished cag));
       ("duration_ns", Json.Int (Sim_time.span_ns (Cag.duration cag)));
       ("route", Json.String (Pattern.name_of cag));
-      ("vertices", Json.List (List.mapi vertex_to_json vertices));
+      ("vertices", Json.List (List.map vertex_to_json (Cag.vertices cag)));
       ("edges", Json.List edges);
     ]
 

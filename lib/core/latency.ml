@@ -50,7 +50,7 @@ let critical_path cag =
         :: acc)
   in
   (* The END, which a finished CAG added last. *)
-  match cag.Cag.rev_vertices with last :: _ -> back last [] | [] -> assert false
+  back cag.Cag.verts.(cag.Cag.vertex_count - 1) []
 
 let breakdown cag =
   let hops = critical_path cag in

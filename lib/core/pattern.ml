@@ -6,54 +6,17 @@ type t = { signature : string; name : string; cags : Cag.t list; spans : Float.A
 
 let count t = List.length t.cags
 
-(* ---- One CAG laid out by position ---- *)
-
-(* Reused across the CAGs of one call: the current CAG's vertices in
-   insertion order. The engine and the path codec adopt each vertex as
-   they create it, so vids increase in that order ({!Cag.validate}) and a
-   parent's position is a binary search. *)
-module Layout = struct
-  type t = { mutable verts : Cag.vertex array; mutable len : int }
-
-  let create () = { verts = [||]; len = 0 }
-
-  let rec fill verts i = function
-    | (v : Cag.vertex) :: rest ->
-        verts.(i) <- v;
-        fill verts (i - 1) rest
-    | [] -> ()
-
-  let load l (cag : Cag.t) =
-    let n = Cag.size cag in
-    if Array.length l.verts < n then
-      l.verts <- Array.make (max n (2 * Array.length l.verts)) (Cag.root cag);
-    fill l.verts (n - 1) cag.Cag.rev_vertices;
-    l.len <- n
-
-  let rec search verts vid lo hi =
-    if lo >= hi then raise Not_found;
-    let mid = (lo + hi) / 2 in
-    let m = verts.(mid).Cag.vid in
-    if m = vid then mid
-    else if m < vid then search verts vid (mid + 1) hi
-    else search verts vid lo mid
-
-  let position l (p : Cag.vertex) = search l.verts p.Cag.vid 0 l.len
-end
-
-let position = Layout.position
-
 let edge_tag = function Cag.Context_edge -> 'c' | Cag.Message_edge -> 'm'
 
 (* Emit a vertex's parents as (edge tag, position) pairs in ascending
    order. {!Cag.Builder.add_edge} allows at most two parents. *)
-let add_parents add buf l (v : Cag.vertex) =
+let add_parents add buf (v : Cag.vertex) =
   match v.Cag.parents with
   | [] -> ()
-  | [ (k, p) ] -> add buf (edge_tag k) (position l p)
+  | [ (k, p) ] -> add buf (edge_tag k) p.Cag.pos
   | [ (k1, p1); (k2, p2) ] ->
-      let t1 = edge_tag k1 and i1 = position l p1 in
-      let t2 = edge_tag k2 and i2 = position l p2 in
+      let t1 = edge_tag k1 and i1 = p1.Cag.pos in
+      let t2 = edge_tag k2 and i2 = p2.Cag.pos in
       if t1 < t2 || (t1 = t2 && i1 <= i2) then begin
         add buf t1 i1;
         add buf t2 i2
@@ -90,24 +53,19 @@ let add_name buf name =
         Buffer.add_char buf c)
       name
 
-let signature_in buf (l : Layout.t) =
-  for i = 0 to l.len - 1 do
-    let v = l.verts.(i) in
+let signature_of (cag : Cag.t) =
+  let buf = Buffer.create 256 in
+  for i = 0 to cag.Cag.vertex_count - 1 do
+    let v = cag.Cag.verts.(i) in
     let a = v.Cag.activity in
     Buffer.add_string buf (Activity.kind_to_string a.Activity.kind);
     Buffer.add_char buf '/';
     add_name buf a.context.host;
     Buffer.add_char buf '/';
     add_name buf a.context.program;
-    add_parents add_signature_parent buf l v;
+    add_parents add_signature_parent buf v;
     Buffer.add_char buf ';'
-  done
-
-let signature_of cag =
-  let l = Layout.create () in
-  Layout.load l cag;
-  let buf = Buffer.create 256 in
-  signature_in buf l;
+  done;
   Buffer.contents buf
 
 (* ---- Names ---- *)
@@ -129,9 +87,8 @@ let name_of cag =
       let p = Latency.causal_parent v in
       if p == v then acc else back p (program p :: acc)
     in
-    match cag.Cag.rev_vertices with
-    | last :: _ -> route (back last [ program last ])
-    | [] -> assert false
+    let last = cag.Cag.verts.(cag.Cag.vertex_count - 1) in
+    route (back last [ program last ])
   else route (List.map program (Cag.vertices cag))
 
 (* ---- Classification ---- *)
@@ -145,12 +102,11 @@ let rec add_uvarint buf n =
 
 let add_key_parent buf tag i = add_uvarint buf ((2 * i) + if tag = 'c' then 0 else 1)
 
-(* Per-call state: the layout, the key buffer, the critical-path spans of
-   the current CAG (END first) and the (host, program) entity of every
+(* Per-call state: the key buffer, the critical-path spans of the
+   current CAG (END first) and the (host, program) entity of every
    context seen, memoised by context id so the intern table is consulted
    once per distinct context. *)
 type scratch = {
-  layout : Layout.t;
   key : Buffer.t;
   mutable hops : Float.Array.t;
   mutable entity_of_ctx : int array;
@@ -179,22 +135,22 @@ let entity s ctx =
     e
   end
 
-(* The grouping key of the loaded CAG: per vertex, its kind and parent
-   count, its entity, then its sorted (edge tag, parent position) pairs,
-   all as varints. *)
-let key_in s =
-  let l = s.layout and buf = s.key in
+(* The grouping key of a CAG: per vertex, its kind and parent count,
+   its entity, then its sorted (edge tag, parent position) pairs, all as
+   varints. *)
+let key_in s (cag : Cag.t) =
+  let buf = s.key in
   Buffer.clear buf;
-  for i = 0 to l.len - 1 do
-    let v = l.verts.(i) in
+  for i = 0 to cag.Cag.vertex_count - 1 do
+    let v = cag.Cag.verts.(i) in
     add_uvarint buf
       (Activity.kind_to_code v.Cag.activity.Activity.kind + (4 * List.length v.Cag.parents));
     add_uvarint buf (entity s v.Cag.ctx_id);
-    add_parents add_key_parent buf l v
+    add_parents add_key_parent buf v
   done
 
-(* Walk the loaded (finished) CAG's critical path back from END, storing
-   each hop's span in seconds; returns the hop count. *)
+(* Walk a finished CAG's critical path back from END, storing each
+   hop's span in seconds; returns the hop count. *)
 let rec spans_from s (v : Cag.vertex) k =
   let p = Latency.causal_parent v in
   if p == v then k
@@ -210,7 +166,7 @@ let rec spans_from s (v : Cag.vertex) k =
     spans_from s p (k + 1)
   end
 
-let spans_in s = spans_from s s.layout.verts.(s.layout.len - 1) 0
+let spans_in s (cag : Cag.t) = spans_from s cag.Cag.verts.(cag.Cag.vertex_count - 1) 0
 
 type group = {
   first : Cag.t;
@@ -258,7 +214,6 @@ let pattern_of g signature =
 let classify cags =
   let s =
     {
-      layout = Layout.create ();
       key = Buffer.create 256;
       hops = Float.Array.create 16;
       entity_of_ctx = [||];
@@ -269,8 +224,7 @@ let classify cags =
   let rev_groups = ref [] in
   List.iter
     (fun cag ->
-      Layout.load s.layout cag;
-      key_in s;
+      key_in s cag;
       let key = Buffer.contents s.key in
       let g =
         match Hashtbl.find table key with
@@ -292,7 +246,7 @@ let classify cags =
       in
       g.rev_members <- cag :: g.rev_members;
       g.members <- g.members + 1;
-      if Cag.is_finished cag then record g s (spans_in s))
+      if Cag.is_finished cag then record g s (spans_in s cag))
     cags;
   List.rev_map (fun g -> (g, signature_of g.first)) !rev_groups
   |> List.stable_sort (fun (a, sa) (b, sb) ->

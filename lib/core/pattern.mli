@@ -6,6 +6,8 @@
     timestamps are abstracted away). Because the engine adds vertices in
     causal order, the shape can be compared positionally: per vertex, its
     kind, its (host, program) entity and its labelled parent positions.
+    The CAG holds those positions ({!Cag.t.verts}, {!Cag.vertex.pos}), so
+    both walks read them directly, with no layout or search.
 
     {!classify} groups by a compact key over interned ids: the vertex's
     kind code, a dense (host, program) entity id taken from the vertex's
@@ -46,23 +48,3 @@ val classify : Cag.t list -> t list
     ties by signature, then by first appearance. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** One CAG's vertices by causal position, in an array reused across
-    the CAGs of one pass: {!classify} and the bundle's path codec lay
-    each CAG out once instead of building a vid table. *)
-module Layout : sig
-  type t = private { mutable verts : Cag.vertex array; mutable len : int }
-  (** [verts.(i)], [i < len], is the loaded CAG's [i]-th vertex in
-      insertion (= causal) order. *)
-
-  val create : unit -> t
-
-  val load : t -> Cag.t -> unit
-  (** Lay a CAG out, growing the array when it is too short. *)
-
-  val position : t -> Cag.vertex -> int
-  (** A vertex's position in the loaded CAG: a binary search on vid,
-      since vids increase in insertion order ({!Cag.validate}).
-      @raise Not_found if the vertex is not in it. *)
-end
-

@@ -1,3 +1,4 @@
+module Activity = Trace.Activity
 module Arena = Trace.Arena
 module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
@@ -16,10 +17,9 @@ type plan = {
 let epoch_ranges p = p.epochs
 let cut_candidates p = p.cut_candidates
 
-(* Arena kind codes, as in the PTB1 wire format. *)
-let begin_code = 0
-let send_code = 1
-let end_code = 2
+let begin_code = Activity.kind_to_code Activity.Begin
+let send_code = Activity.kind_to_code Activity.Send
+let end_code = Activity.kind_to_code Activity.End_
 
 (* One sweep over the time-merged feed of the host arenas
    ({!Arena.iter_merged}, the order {!Online.replay} feeds). The merge

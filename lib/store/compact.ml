@@ -63,10 +63,18 @@ let run ?(telemetry = R.default) ?(min_records = 8192) ?retain_ns ~dir () =
           live
       in
       let runs = merge_runs ~min_records by_time in
+      (* A file goes only once a saved manifest no longer names it, so a
+         failure part-way (an unreadable segment in a later run) leaves a
+         store whose manifest names exactly the files on disk. *)
+      let commit manifest gone =
+        Manifest.save manifest ~dir;
+        List.iter (remove_file dir) gone
+      in
       let manifest =
         Manifest.remove manifest
           ~ids:(List.map (fun (m : Segment.meta) -> m.Segment.id) retired_segments)
       in
+      if retired_segments <> [] then commit manifest retired_segments;
       let rec merge_all manifest written = function
         | [] -> Ok (manifest, written)
         | sources :: rest -> (
@@ -102,14 +110,12 @@ let run ?(telemetry = R.default) ?(min_records = 8192) ?retain_ns ~dir () =
                        ~ids:(List.map (fun (m : Segment.meta) -> m.Segment.id) sources))
                     meta
                 in
-                List.iter (remove_file dir) sources;
+                commit manifest sources;
                 merge_all manifest (written + 1) rest)
       in
       match merge_all manifest 0 runs with
       | Error e -> Error e
       | Ok (manifest, merge_segments) ->
-          List.iter (remove_file dir) retired_segments;
-          Manifest.save manifest ~dir;
           let merged = List.fold_left (fun acc run -> acc + List.length run) 0 runs in
           let stats =
             {

@@ -6,7 +6,12 @@
     — and (2) merges adjacent runs of small segments into one, keeping
     every surviving record byte-for-byte and the manifest's query answers
     unchanged. Merged segments carry the union of their sources'
-    reduction provenance. *)
+    reduction provenance.
+
+    The manifest is saved after retention and after each merge, before
+    the files it stops naming are deleted: a compaction that fails
+    part-way (say, on an unreadable segment) leaves a store whose
+    manifest names exactly the segments on disk. *)
 
 type stats = {
   segments_before : int;

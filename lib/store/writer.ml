@@ -85,8 +85,10 @@ let make ~telemetry ~policy ~reduce ~roll_records ~dir manifest =
         "pt_store_flush_seconds";
   }
 
+let default_roll_records = 65536
+
 let create ?(telemetry = R.default) ?(policy = Policy.none) ?correlate
-    ?(roll_records = 65536) ~dir () =
+    ?(roll_records = default_roll_records) ~dir () =
   let reduce =
     if Policy.is_none policy then None
     else if Option.is_none correlate then
@@ -216,7 +218,7 @@ let close t =
   if not t.saved then Option.iter (fun dir -> Manifest.save t.manifest ~dir) t.dir;
   t.stats
 
-let encode ?(roll_records = 65536) arenas =
+let encode ?(roll_records = default_roll_records) arenas =
   let t =
     make ~telemetry:(R.create ()) ~policy:Policy.none ~reduce:None ~roll_records ~dir:None
       Manifest.empty

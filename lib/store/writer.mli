@@ -30,6 +30,9 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
+val default_roll_records : int
+(** 65536: the activities per segment when no [roll_records] is given. *)
+
 val create :
   ?telemetry:Telemetry.Registry.t ->
   ?policy:Policy.t ->
@@ -40,7 +43,8 @@ val create :
   t
 (** Open (creating [dir] if needed) a writer appending to the store at
     [dir]; an existing manifest is extended, so successive runs can feed
-    one store. Defaults: {!Policy.none}, roll every 65536 activities.
+    one store. Defaults: {!Policy.none}, roll every
+    {!default_roll_records} activities.
     @raise Invalid_argument if [policy] needs request attribution (any
     non-[none] policy) and [correlate] is missing.
     @raise Failure if an existing manifest cannot be parsed. *)
@@ -77,4 +81,4 @@ val encode : ?roll_records:int -> Trace.Arena.t list -> Manifest.t * (Segment.me
     puts on disk), oldest first. Nothing touches the disk, and
     the writer's own [pt_store_*] metrics go to a private registry, so
     they never count in-memory segments. [roll_records] defaults to
-    65536. *)
+    {!default_roll_records}. *)

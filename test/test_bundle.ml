@@ -196,7 +196,22 @@ let test_roundtrip_paths_and_profiles () =
       | Some fresh ->
           Alcotest.(check string)
             (Printf.sprintf "signature of %d" c.Cag.cag_id)
-            (Pattern.signature_of fresh) (Pattern.signature_of c))
+            (Pattern.signature_of fresh) (Pattern.signature_of c);
+          (* Each decoded vertex keeps the position its original had, and
+             its parents sit before it. *)
+          Alcotest.(check int) (Printf.sprintf "size of %d" c.Cag.cag_id) (Cag.size fresh)
+            (Cag.size c);
+          List.iteri
+            (fun i ((f : Cag.vertex), (d : Cag.vertex)) ->
+              if d.Cag.pos <> i || not (Activity.equal d.Cag.activity f.Cag.activity) then
+                Alcotest.failf "path %d: vertex %d moved to %d" c.Cag.cag_id i d.Cag.pos;
+              List.iter
+                (fun (_, (p : Cag.vertex)) ->
+                  if p.Cag.pos >= d.Cag.pos then
+                    Alcotest.failf "path %d: vertex %d has parent %d" c.Cag.cag_id d.Cag.pos
+                      p.Cag.pos)
+                d.Cag.parents)
+            (List.combine (Cag.vertices fresh) (Cag.vertices c)))
     cags
 
 (* ---- back-link invariants ---- *)
@@ -213,7 +228,7 @@ let test_every_vertex_resolves () =
         (fun (v : Cag.vertex) ->
           if Cag.sources v = [] then
             Alcotest.failf "path %d vertex %d has no backing records"
-              p.Bundle.Codec.cag.Cag.cag_id v.Cag.vid;
+              p.Bundle.Codec.cag.Cag.cag_id v.Cag.pos;
           let resolved = ok "resolve" (Bundle.Reader.resolve_links r ~link_hosts:hosts v) in
           (* The activity that stamped the vertex (the creating record, or
              the completing chunk of a merged receive) is always among the
@@ -226,7 +241,7 @@ let test_every_vertex_resolves () =
                  resolved)
           then
             Alcotest.failf "path %d vertex %d: no backing record carries its timestamp"
-              p.Bundle.Codec.cag.Cag.cag_id v.Cag.vid)
+              p.Bundle.Codec.cag.Cag.cag_id v.Cag.pos)
         (Cag.vertices p.Bundle.Codec.cag))
     decoded.Bundle.Codec.paths
 

@@ -202,6 +202,46 @@ let test_cag_validate_catches_unreachable () =
   | Ok () -> Alcotest.fail "unreachable vertex accepted"
   | Error _ -> ()
 
+(* A chain long enough to grow the vertex array twice: each vertex sits
+   at its adopt index, and an orphan has no position. *)
+let test_cag_positions () =
+  let root = Cag.Builder.fresh_vertex (mk_begin 0) in
+  Alcotest.(check int) "orphan root" (-1) root.Cag.pos;
+  let cag = Cag.Builder.create ~cag_id:7 root in
+  let rec chain parent acc i =
+    if i > 40 then List.rev acc
+    else begin
+      let v = Cag.Builder.fresh_vertex (mk_send (10 * i)) in
+      Cag.Builder.adopt cag v;
+      Cag.Builder.add_edge Cag.Context_edge ~parent ~child:v;
+      chain v (v :: acc) (i + 1)
+    end
+  in
+  let adopted = root :: chain root [] 1 in
+  Alcotest.(check int) "size" 41 (Cag.size cag);
+  List.iteri
+    (fun i (v : Cag.vertex) -> Alcotest.(check int) (Printf.sprintf "vertex %d" i) i v.Cag.pos)
+    adopted;
+  Alcotest.(check bool) "vertices in adopt order" true
+    (List.for_all2 ( == ) adopted (Cag.vertices cag));
+  H.check_valid cag;
+  let orphan = Cag.Builder.fresh_vertex (mk_send 999) in
+  Alcotest.(check int) "orphan" (-1) orphan.Cag.pos
+
+let test_cag_validate_catches_backward_edge () =
+  let root = Cag.Builder.fresh_vertex (mk_begin 0) in
+  let cag = Cag.Builder.create ~cag_id:8 root in
+  let a = Cag.Builder.fresh_vertex (mk_send 10) in
+  Cag.Builder.adopt cag a;
+  let b = Cag.Builder.fresh_vertex (mk_send 20) in
+  Cag.Builder.adopt cag b;
+  Cag.Builder.add_edge Cag.Context_edge ~parent:root ~child:b;
+  (* a's parent sits after it *)
+  Cag.Builder.add_edge Cag.Context_edge ~parent:b ~child:a;
+  match Cag.validate cag with
+  | Ok () -> Alcotest.fail "parent at a later position accepted"
+  | Error e -> Alcotest.(check bool) e true (H.contains e "causal order")
+
 let test_cag_to_dot () =
   let w, a, d = H.simple_request () in
   let logs = H.logs_of_request () in
@@ -238,6 +278,9 @@ let () =
           Alcotest.test_case "double adopt rejected" `Quick test_cag_double_adopt_rejected;
           Alcotest.test_case "grow and consume" `Quick test_cag_grow_and_consume;
           Alcotest.test_case "validate unreachable" `Quick test_cag_validate_catches_unreachable;
+          Alcotest.test_case "positions in adopt order" `Quick test_cag_positions;
+          Alcotest.test_case "validate backward edge" `Quick
+            test_cag_validate_catches_backward_edge;
           Alcotest.test_case "graphviz output" `Quick test_cag_to_dot;
         ] );
     ]

@@ -745,6 +745,43 @@ let test_compaction_retention () =
         Alcotest.(check bool) (Printf.sprintf "%s is live" f) true (List.mem f live))
     (Sys.readdir dir)
 
+(* Segments 0-2 small, 3 large, 4-6 small, with 6 corrupt: the run
+   0-2 merges, then the run 4-6 fails on 6. The failed compaction must
+   leave a manifest naming only files on disk, and a query that never
+   reaches segment 6 must still answer as before. *)
+let test_compaction_failure_keeps_store () =
+  with_dir @@ fun dir ->
+  let mk ts = H.act ~kind:Activity.Send ~ts ~ctx:H.web_ctx ~flow:H.web_app_flow ~size:10 in
+  let manifest =
+    List.fold_left
+      (fun m id ->
+        let n = if id = 3 then 150 else 5 in
+        let rows = List.init n (fun i -> mk ((id * 1_000) + i)) in
+        Store.Manifest.add m
+          (write_segment ~dir ~id ~policy:"none" [ Log.of_list ~hostname:"web" rows ]))
+      Store.Manifest.empty [ 0; 1; 2; 3; 4; 5; 6 ]
+  in
+  Store.Manifest.save manifest ~dir;
+  Out_channel.with_open_bin (Filename.concat dir "seg-000006.pts") (fun oc ->
+      Out_channel.output_string oc "XXXX");
+  let before_six = Store.Query.predicate ~until_ns:5_999 () in
+  let rows () =
+    match query ~dir before_six with Ok (logs, _) -> logs | Error e -> Alcotest.fail e
+  in
+  let before = rows () in
+  (match Store.Compact.run ~min_records:100 ~dir () with
+  | Ok _ -> Alcotest.fail "compaction over a corrupt segment succeeded"
+  | Error _ -> ());
+  let m = match Store.Manifest.load ~dir with Ok m -> m | Error e -> failwith e in
+  List.iter
+    (fun (s : Store.Segment.meta) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s exists" s.Store.Segment.file)
+        true
+        (Sys.file_exists (Filename.concat dir s.Store.Segment.file)))
+    m.Store.Manifest.segments;
+  Alcotest.(check bool) "query before segment 6 unchanged" true (collection_equal before (rows ()))
+
 (* ---- writer + policy end to end ---- *)
 
 let test_writer_with_reduction () =
@@ -865,5 +902,7 @@ let () =
         [
           Alcotest.test_case "merge preserves content" `Quick test_compaction_equivalence;
           Alcotest.test_case "retention deletes old segments" `Quick test_compaction_retention;
+          Alcotest.test_case "failed merge keeps the store readable" `Quick
+            test_compaction_failure_keeps_store;
         ] );
     ]
